@@ -111,11 +111,38 @@ case "$AD_DRIFT" in
         ;;
 esac
 
-echo "== elserve degeneracy smoke =="
-# One tenant is the classic run (DESIGN.md §5k): elserve --tenants 1 must
-# print byte-identical stdout to elsim on the same configuration — the
-# identity tid/oid mappings and the shared report renderer make the
-# degeneracy structural, and this diff keeps it that way.
+echo "== hostile CLI =="
+# Bad input is a typed error from harness::cli, never a backtrace. Each
+# value below would trip a constructor's panic further in (or, unchecked,
+# run the wrong thing: an unknown --mode as EL, tenant 65536 aliased onto
+# tenant 0), so each must exit 2 with one stderr line naming the flag.
+HOSTILE_ERR=$(mktemp)
+while read -r flag cmd; do
+    status=0
+    # shellcheck disable=SC2086
+    ./target/release/$cmd >/dev/null 2>"$HOSTILE_ERR" || status=$?
+    if [ "$status" -ne 2 ] || grep -q panicked "$HOSTILE_ERR" ||
+        [ "$(wc -l <"$HOSTILE_ERR")" -ne 1 ] || ! grep -q -- "$flag" "$HOSTILE_ERR"; then
+        echo "\`$cmd\`: want exit 2 and one line naming $flag, got exit $status:" >&2
+        cat "$HOSTILE_ERR" >&2
+        exit 1
+    fi
+done <<'HOSTILE'
+--gens elsim --gens 0
+--gens elsim --gens 18,0
+--gens elserve --tenants 3 --gens 0
+--tps elsim --tps 0
+--mode elsim --mode bogus
+--tenants elserve --tenants 65537
+--tenants elserve --tenants 99999999
+HOSTILE
+rm -f "$HOSTILE_ERR"
+
+echo "== elserve one-tenant smoke =="
+# One tenant is the classic run (DESIGN.md §5k): the same SimModel built
+# from the same harness::cli configuration, so elserve --tenants 1 prints
+# byte-identical stdout to elsim. The library tests pin the loop; this
+# diff and the next smoke are the only checks on the binaries' wiring.
 EL_SIM=$(./target/release/elsim --gens 18,16 --runtime 30)
 EL_SERVE=$(./target/release/elserve --tenants 1 --gens 18,16 --runtime 30 2>/dev/null)
 if [ "$EL_SIM" != "$EL_SERVE" ]; then
@@ -126,7 +153,7 @@ fi
 
 echo "== elserve multi-tenant smoke =="
 # Two tenants over two drive shards: stdout must be byte-identical to the
-# unsharded run (the deterministic admission merge is shard-invariant),
+# unsharded run (the (time, tenant, seq) arrival merge is shard-invariant),
 # and the [serve] summary must land on stderr with a committed count.
 SERVE_ERR=$(mktemp)
 SV1=$(./target/release/elserve --tenants 2 --runtime 30 2>/dev/null)
@@ -142,6 +169,12 @@ if ! grep -q '^\[serve\] tenants 2, committed [1-9]' "$SERVE_ERR"; then
     exit 1
 fi
 rm -f "$SERVE_ERR"
+
+echo "== benchmark/check.sh =="
+# benchmark/ is its own workspace that path-depends on these crates, so
+# nothing above compiles it: an API change that breaks it would otherwise
+# surface only when the benchmark driver runs.
+./benchmark/check.sh
 
 echo "== bench --quick (perf regression gate) =="
 # One quick pass over the whole experiment basket — including the

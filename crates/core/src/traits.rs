@@ -79,6 +79,15 @@ pub trait LogManager {
         0
     }
 
+    /// Data records of `tenant` currently live in the manager, for hosts
+    /// that cap each tenant's footprint (the harness's admission budget).
+    /// Techniques without per-tenant accounting report 0, which simply
+    /// means no budget ever trips.
+    fn tenant_live_records(&self, tenant: usize) -> u64 {
+        let _ = tenant;
+        0
+    }
+
     /// Completed log-block writes so far.
     fn log_writes(&self) -> u64;
 
@@ -133,6 +142,11 @@ impl LogManager for crate::ElManager {
 
     fn last_gen_allocated(&self) -> u64 {
         crate::ElManager::last_gen_allocated(self)
+    }
+
+    fn tenant_live_records(&self, tenant: usize) -> u64 {
+        self.tenant_ledger()
+            .map_or(0, |l| l.get(tenant).live_records)
     }
 
     fn log_writes(&self) -> u64 {

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! elserve [options]
-//!   --tenants T             logical tenants (default 2; 1 degenerates to
-//!                           elsim — the stdout is byte-identical)
+//!   --tenants T             logical tenants (default 2, at most 65536; 1 is
+//!                           the elsim run — the stdout is byte-identical)
 //!   --budget N              per-tenant live-record admission budget; a
 //!                           tenant at its budget has arrivals refused
 //!                           until flushes drain its footprint (default 0
@@ -28,9 +28,6 @@
 //!   --shards N              drive shards inside the simulated run
 //!                           (default 1, at most --drives; the output
 //!                           must not change)
-//!   --jobs N                accepted for sweep-script parity; the serve
-//!                           loop is one deterministic event loop, so the
-//!                           output never depends on it
 //!   --phases SPEC           piecewise workload schedule applied to every
 //!                           tenant, `start:frac_long[@rate_factor],...`
 //! ```
@@ -38,218 +35,26 @@
 //! A `[serve]` summary always goes to stderr, so stdout stays comparable
 //! across configurations (and byte-identical to `elsim` at one tenant).
 
-use elog_core::ElConfig;
-use elog_harness::runner::TenantLayout;
-use elog_harness::serve::{
-    parse_oid_ranges, serve_run, validate_layout, validate_shards, ServeConfig,
-};
-use elog_harness::{report, RunConfig};
-use elog_model::{FlushConfig, LogConfig};
-use elog_sim::SimTime;
-use elog_workload::{ArrivalProcess, PhaseSchedule, TxMix};
-
-#[derive(Debug)]
-struct Args {
-    tenants: usize,
-    budget: u64,
-    oid_ranges: Option<TenantLayout>,
-    gens: Vec<u32>,
-    recirc: bool,
-    frac_long: f64,
-    tps: f64,
-    poisson: bool,
-    runtime: u64,
-    drives: u32,
-    flush_ms: u64,
-    seed: u64,
-    shards: u32,
-    phases: Option<PhaseSchedule>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            tenants: 2,
-            budget: 0,
-            oid_ranges: None,
-            gens: vec![18, 16],
-            recirc: false,
-            frac_long: 0.05,
-            tps: 100.0,
-            poisson: false,
-            runtime: 500,
-            drives: 10,
-            flush_ms: 25,
-            seed: 0x5EED_1993,
-            shards: 1,
-            phases: None,
-        }
-    }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "see `elserve` module docs; common: elserve --tenants 4 --gens 36,32 --tps 25 --budget 4096"
-    );
-    std::process::exit(2)
-}
-
-fn parse() -> Args {
-    let mut a = Args::default();
-    let mut it = std::env::args().skip(1);
-    let next = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tenants" => {
-                a.tenants = next(&mut it, "--tenants")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                if a.tenants == 0 {
-                    eprintln!("--tenants needs at least one tenant");
-                    std::process::exit(2);
-                }
-            }
-            "--budget" => {
-                a.budget = next(&mut it, "--budget")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--oid-ranges" => {
-                let spec = next(&mut it, "--oid-ranges");
-                a.oid_ranges = Some(parse_oid_ranges(&spec).unwrap_or_else(|e| {
-                    eprintln!("--oid-ranges {spec}: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            "--gens" => {
-                let list = next(&mut it, "--gens");
-                if list.trim().is_empty() {
-                    eprintln!("--gens needs at least one generation size (N ≥ 1)");
-                    std::process::exit(2);
-                }
-                a.gens = list
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--recirc" => a.recirc = true,
-            "--frac-long" => {
-                a.frac_long = next(&mut it, "--frac-long")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--tps" => a.tps = next(&mut it, "--tps").parse().unwrap_or_else(|_| usage()),
-            "--poisson" => a.poisson = true,
-            "--runtime" => {
-                a.runtime = next(&mut it, "--runtime")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--drives" => {
-                a.drives = next(&mut it, "--drives")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--flush-ms" => {
-                a.flush_ms = next(&mut it, "--flush-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--seed" => a.seed = next(&mut it, "--seed").parse().unwrap_or_else(|_| usage()),
-            "--shards" => {
-                a.shards = next(&mut it, "--shards")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                a.shards = a.shards.max(1);
-            }
-            // Accepted for sweep-script parity: the serve loop is a single
-            // deterministic event loop, so worker counts cannot matter.
-            "--jobs" => {
-                let n: usize = next(&mut it, "--jobs").parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-            }
-            "--phases" => {
-                let spec = next(&mut it, "--phases");
-                a.phases = Some(PhaseSchedule::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("--phases {spec}: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    a
-}
+use elog_harness::report;
+use elog_harness::serve::serve_run;
 
 fn main() {
-    let a = parse();
-    if let Err(e) = validate_shards(a.shards, a.drives) {
+    let cfg = elog_harness::cli::elserve(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let log = LogConfig {
-        generation_blocks: a.gens.clone(),
-        recirculation: a.recirc,
-        ..LogConfig::default()
-    };
-    let flush = FlushConfig {
-        drives: a.drives,
-        transfer_time: SimTime::from_millis(a.flush_ms),
-    };
-    let el = ElConfig::ephemeral(log, flush);
-    let base = RunConfig {
-        mix: TxMix::paper_mix(a.frac_long),
-        arrivals: if a.poisson {
-            ArrivalProcess::Poisson { rate_tps: a.tps }
-        } else {
-            ArrivalProcess::Deterministic { rate_tps: a.tps }
-        },
-        runtime: SimTime::from_secs(a.runtime),
-        el,
-        seed: a.seed,
-        stop_on_kill: false,
-        track_oracle: false,
-        lifetime_hints: false,
-        trace: None,
-        shards: a.shards,
-        phases: a.phases.clone(),
-        adaptive: false,
-        tenants: None,
-    };
-    let mut cfg = ServeConfig::new(base, a.tenants).with_budget(a.budget);
-    if let Some(layout) = a.oid_ranges {
-        if layout.tenants() != a.tenants {
-            eprintln!(
-                "--oid-ranges lists {} ranges for {} tenants; one range per tenant",
-                layout.tenants(),
-                a.tenants
-            );
-            std::process::exit(2);
-        }
-        if let Err(e) = validate_layout(&layout, cfg.base.el.db.num_objects) {
-            eprintln!("--oid-ranges: {e}");
-            std::process::exit(2);
-        }
-        cfg = cfg.with_layout(layout);
-    }
+        std::process::exit(2)
+    });
+    let tenants = cfg.layout.tenants();
+    let recirc = cfg.base.el.log.recirculation;
 
     let r = serve_run(&cfg);
-    if a.tenants == 1 {
-        // Degenerate mode: one tenant is the classic run, printed through
-        // the same renderer as elsim so the bytes cannot drift apart.
+    if tenants == 1 {
+        // One tenant is the classic run (same loop, same configuration),
+        // so it prints through elsim's renderer too.
         print!(
             "{}",
             report::render_run_report(
                 &r.metrics,
-                a.recirc,
+                recirc,
                 r.aggregate.started,
                 r.aggregate.committed,
                 r.aggregate.killed,
@@ -258,16 +63,16 @@ fn main() {
         );
     } else {
         let m = &r.metrics;
-        let budget = if a.budget == 0 {
+        let budget = if cfg.budget == 0 {
             "unlimited".to_string()
         } else {
-            format!("{} records", a.budget)
+            format!("{} records", cfg.budget)
         };
         println!("== elserve run ==");
-        println!("tenants             : {} (budget {budget})", a.tenants);
+        println!("tenants             : {tenants} (budget {budget})");
         println!(
             "geometry            : {:?} blocks (recirc {})",
-            m.per_gen_blocks, a.recirc
+            m.per_gen_blocks, recirc
         );
         println!(
             "transactions        : {} started, {} committed, {} killed, {} refused",
@@ -330,8 +135,7 @@ fn main() {
     // stderr so stdout stays comparable across tenant counts (cf. the
     // probe-cache and adaptive reports).
     eprintln!(
-        "[serve] tenants {}, committed {}, killed {}, refused {}, p99 {} ms",
-        a.tenants,
+        "[serve] tenants {tenants}, committed {}, killed {}, refused {}, p99 {} ms",
         r.aggregate.committed,
         r.aggregate.killed,
         r.aggregate.throttled,

@@ -42,215 +42,38 @@
 //!                           static, because the controller never acts)
 //! ```
 
-use elog_core::{ElConfig, MemoryModel};
-use elog_harness::latsearch::{lattice_min_space, LatticeLimits, MAX_AXES};
+use elog_core::MemoryModel;
+use elog_harness::latsearch::{lattice_min_space, LatticeLimits};
 use elog_harness::minspace::{el_min_space_jobs, fw_min_space};
-use elog_harness::runner::{run, RunConfig};
-use elog_model::{FlushConfig, LogConfig};
-use elog_sim::SimTime;
-use elog_workload::{ArrivalProcess, PhaseSchedule, TxMix};
-
-#[derive(Debug)]
-struct Args {
-    mode_fw: bool,
-    gens: Vec<u32>,
-    recirc: bool,
-    frac_long: f64,
-    tps: f64,
-    poisson: bool,
-    runtime: u64,
-    drives: u32,
-    flush_ms: u64,
-    seed: u64,
-    min_space: bool,
-    jobs: usize,
-    shards: u32,
-    probe_cache: bool,
-    phases: Option<PhaseSchedule>,
-    adaptive: bool,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            mode_fw: false,
-            gens: vec![18, 16],
-            recirc: false,
-            frac_long: 0.05,
-            tps: 100.0,
-            poisson: false,
-            runtime: 500,
-            drives: 10,
-            flush_ms: 25,
-            seed: 0x5EED_1993,
-            min_space: false,
-            jobs: elog_harness::sweep::default_jobs(),
-            shards: 1,
-            probe_cache: false,
-            phases: None,
-            adaptive: false,
-        }
-    }
-}
-
-fn usage() -> ! {
-    eprintln!("see `elsim --help` in the module docs; common: elsim --gens 18,16 --frac-long 0.05");
-    std::process::exit(2)
-}
-
-fn parse() -> Args {
-    let mut a = Args::default();
-    let mut it = std::env::args().skip(1);
-    let next = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--mode" => a.mode_fw = next(&mut it, "--mode") == "fw",
-            "--gens" => {
-                let list = next(&mut it, "--gens");
-                if list.trim().is_empty() {
-                    eprintln!("--gens needs at least one generation size (N ≥ 1)");
-                    std::process::exit(2);
-                }
-                a.gens = list
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if a.gens.len() > MAX_AXES {
-                    eprintln!("--gens supports at most {MAX_AXES} generations");
-                    std::process::exit(2);
-                }
-            }
-            "--fw-blocks" => {
-                a.mode_fw = true;
-                a.gens = vec![next(&mut it, "--fw-blocks")
-                    .parse()
-                    .unwrap_or_else(|_| usage())];
-            }
-            "--recirc" => a.recirc = true,
-            "--frac-long" => {
-                a.frac_long = next(&mut it, "--frac-long")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--tps" => a.tps = next(&mut it, "--tps").parse().unwrap_or_else(|_| usage()),
-            "--poisson" => a.poisson = true,
-            "--runtime" => {
-                a.runtime = next(&mut it, "--runtime")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--drives" => {
-                a.drives = next(&mut it, "--drives")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--flush-ms" => {
-                a.flush_ms = next(&mut it, "--flush-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--seed" => a.seed = next(&mut it, "--seed").parse().unwrap_or_else(|_| usage()),
-            "--min-space" => a.min_space = true,
-            "--no-analytic" => elog_harness::analytic::set_enabled(false),
-            "--jobs" => {
-                a.jobs = next(&mut it, "--jobs").parse().unwrap_or_else(|_| usage());
-                if a.jobs == 0 {
-                    usage();
-                }
-            }
-            "--probe-jobs" => {
-                let n: usize = next(&mut it, "--probe-jobs")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                elog_harness::sweep::set_probe_jobs(n);
-            }
-            "--probe-cache" => {
-                let dir = next(&mut it, "--probe-cache");
-                a.probe_cache = true;
-                elog_harness::probecache::set_dir(Some(dir.into()));
-            }
-            "--shards" => {
-                a.shards = next(&mut it, "--shards")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                a.shards = a.shards.max(1);
-            }
-            "--tenants" | "--budget" | "--oid-ranges" => {
-                eprintln!("{arg} is an elserve flag; elsim runs a single workload");
-                std::process::exit(2);
-            }
-            "--phases" => {
-                let spec = next(&mut it, "--phases");
-                a.phases = Some(PhaseSchedule::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("--phases {spec}: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            "--adaptive" => a.adaptive = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    a
-}
+use elog_harness::runner::run;
 
 fn main() {
-    let a = parse();
-    if let Err(e) = elog_harness::serve::validate_shards(a.shards, a.drives) {
+    let a = elog_harness::cli::elsim(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("{e}");
-        std::process::exit(2);
+        std::process::exit(2)
+    });
+    if !a.analytic {
+        elog_harness::analytic::set_enabled(false);
     }
-    let log = LogConfig {
-        generation_blocks: a.gens.clone(),
-        recirculation: a.recirc,
-        ..LogConfig::default()
-    };
-    let flush = FlushConfig {
-        drives: a.drives,
-        transfer_time: SimTime::from_millis(a.flush_ms),
-    };
-    let mut el = ElConfig::ephemeral(log, flush);
-    if a.mode_fw {
-        el.memory_model = MemoryModel::Firewall;
+    if let Some(n) = a.probe_jobs {
+        elog_harness::sweep::set_probe_jobs(n);
     }
-    let cfg = RunConfig {
-        mix: TxMix::paper_mix(a.frac_long),
-        arrivals: if a.poisson {
-            ArrivalProcess::Poisson { rate_tps: a.tps }
-        } else {
-            ArrivalProcess::Deterministic { rate_tps: a.tps }
-        },
-        runtime: SimTime::from_secs(a.runtime),
-        el,
-        seed: a.seed,
-        stop_on_kill: false,
-        track_oracle: false,
-        lifetime_hints: false,
-        trace: None,
-        shards: a.shards,
-        phases: a.phases.clone(),
-        adaptive: a.adaptive,
-        tenants: None,
-    };
+    if let Some(dir) = &a.probe_cache {
+        elog_harness::probecache::set_dir(Some(dir.into()));
+    }
+    let cfg = &a.run;
+    let gens = &cfg.el.log.generation_blocks;
 
     if a.min_space {
-        let r = if a.mode_fw || a.gens.len() == 1 {
-            let r = fw_min_space(&cfg, 4096);
+        let r = if cfg.el.memory_model == MemoryModel::Firewall || gens.len() == 1 {
+            let r = fw_min_space(cfg, 4096);
             println!(
                 "minimum FW log: {} blocks ({} probes)",
                 r.total_blocks, r.probes
             );
             r
-        } else if a.gens.len() == 2 {
-            let r = el_min_space_jobs(&cfg, 48, 1024, a.jobs);
+        } else if gens.len() == 2 {
+            let r = el_min_space_jobs(cfg, 48, 1024, a.jobs);
             println!(
                 "minimum EL log: {:?} = {} blocks ({} probes)",
                 r.generation_blocks, r.total_blocks, r.probes
@@ -259,13 +82,13 @@ fn main() {
         } else {
             // N ≥ 3: the given sizes act as per-axis scan ceilings.
             let limits = LatticeLimits {
-                prefix_max: a.gens[..a.gens.len() - 1].to_vec(),
+                prefix_max: gens[..gens.len() - 1].to_vec(),
                 last_limit: 1024,
             };
-            let r = lattice_min_space(&cfg, &limits, a.jobs);
+            let r = lattice_min_space(cfg, &limits, a.jobs);
             println!(
                 "minimum EL log ({} gens): {:?} = {} blocks ({} probes, {} memoized, {} pruned)",
-                a.gens.len(),
+                gens.len(),
                 r.generation_blocks,
                 r.total_blocks,
                 r.probes,
@@ -274,7 +97,7 @@ fn main() {
             );
             r
         };
-        if a.probe_cache {
+        if a.probe_cache.is_some() {
             // stderr so stdout stays byte-identical to uncached runs.
             eprintln!(
                 "[probe-cache] seeded {}, hits {}, misses {} (live probes: {})",
@@ -287,13 +110,13 @@ fn main() {
         return;
     }
 
-    let r = run(&cfg);
+    let r = run(cfg);
     let m = &r.metrics;
     print!(
         "{}",
         elog_harness::report::render_run_report(
             m,
-            a.recirc,
+            cfg.el.log.recirculation,
             r.started,
             r.committed,
             r.killed,

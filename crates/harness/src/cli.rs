@@ -1,0 +1,399 @@
+//! The command lines of `elsim` and `elserve`.
+//!
+//! Both binaries take the same run flags (`--gens --recirc --frac-long
+//! --tps --poisson --runtime --drives --flush-ms --seed --shards
+//! --phases`); [`RunFlags`] parses them once and validates them into a
+//! [`RunConfig`], so a 1-tenant `elserve` and `elsim` hand the run loop the
+//! same configuration by construction. Everything arriving from the shell
+//! is checked here — geometry, rates, tenant counts — and comes back as a
+//! one-line `Err` naming the flag; the binaries print it and exit 2, so
+//! the `expect("validated configuration")`s further in hold.
+
+use crate::latsearch::MAX_AXES;
+use crate::runner::RunConfig;
+use crate::serve::{
+    parse_oid_ranges, validate_layout, validate_shards, validate_tenants, ServeConfig,
+};
+use elog_core::{ElConfig, MemoryModel};
+use elog_model::{FlushConfig, LogConfig};
+use elog_sim::SimTime;
+use elog_workload::{ArrivalProcess, PhaseSchedule};
+use std::str::FromStr;
+
+const ELSIM_USAGE: &str =
+    "see the `elsim` module docs; common: elsim --gens 18,16 --frac-long 0.05";
+const ELSERVE_USAGE: &str =
+    "see the `elserve` module docs; common: elserve --tenants 4 --gens 36,32 --tps 25 --budget 4096";
+
+type Args<'a> = &'a mut dyn Iterator<Item = String>;
+
+/// The value following `flag`, parsed.
+fn value<T: FromStr>(flag: &str, args: Args) -> Result<T, String> {
+    let raw = args
+        .next()
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag} {raw}: not a valid value"))
+}
+
+/// Like [`value`], for counts that must be at least 1.
+fn positive(flag: &str, args: Args) -> Result<usize, String> {
+    match value(flag, args)? {
+        0 => Err(format!("{flag} 0: must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// The run flags `elsim` and `elserve` share, at their defaults (the
+/// paper's base configuration).
+struct RunFlags {
+    /// `--mode fw` / `--fw-blocks` (`elsim` only): firewall memory pricing.
+    firewall: bool,
+    /// `--adaptive` (`elsim` only).
+    adaptive: bool,
+    gens: Vec<u32>,
+    recirc: bool,
+    frac_long: f64,
+    tps: f64,
+    poisson: bool,
+    runtime: u64,
+    drives: u32,
+    flush_ms: u64,
+    seed: u64,
+    shards: u32,
+    phases: Option<PhaseSchedule>,
+}
+
+impl Default for RunFlags {
+    fn default() -> Self {
+        RunFlags {
+            firewall: false,
+            adaptive: false,
+            gens: vec![18, 16],
+            recirc: false,
+            frac_long: 0.05,
+            tps: 100.0,
+            poisson: false,
+            runtime: 500,
+            drives: 10,
+            flush_ms: 25,
+            seed: 0x5EED_1993,
+            shards: 1,
+            phases: None,
+        }
+    }
+}
+
+impl RunFlags {
+    /// Consumes `flag` (and its value) when it is a shared run flag;
+    /// `Ok(false)` leaves it to the binary's own flags.
+    fn accept(&mut self, flag: &str, args: Args) -> Result<bool, String> {
+        match flag {
+            "--gens" => {
+                let list: String = value(flag, args)?;
+                self.gens = list
+                    .split(',')
+                    .map(|s| s.trim().parse())
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| format!("--gens {list}: not a list of block counts"))?;
+            }
+            "--recirc" => self.recirc = true,
+            "--frac-long" => self.frac_long = value(flag, args)?,
+            "--tps" => self.tps = value(flag, args)?,
+            "--poisson" => self.poisson = true,
+            "--runtime" => self.runtime = value(flag, args)?,
+            "--drives" => self.drives = value(flag, args)?,
+            "--flush-ms" => self.flush_ms = value(flag, args)?,
+            "--seed" => self.seed = value(flag, args)?,
+            "--shards" => self.shards = value::<u32>(flag, args)?.max(1),
+            "--phases" => {
+                let spec: String = value(flag, args)?;
+                self.phases =
+                    Some(PhaseSchedule::parse(&spec).map_err(|e| format!("--phases {spec}: {e}"))?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Validates the flags into a run configuration.
+    fn build(self) -> Result<RunConfig, String> {
+        if !(0.0..=1.0).contains(&self.frac_long) {
+            return Err(format!(
+                "--frac-long {}: must lie in [0, 1]",
+                self.frac_long
+            ));
+        }
+        let rate_tps = self.tps;
+        let arrivals = if self.poisson {
+            ArrivalProcess::Poisson { rate_tps }
+        } else {
+            ArrivalProcess::Deterministic { rate_tps }
+        };
+        arrivals
+            .validate()
+            .map_err(|e| format!("--tps {rate_tps}: {e}"))?;
+        let log = LogConfig {
+            generation_blocks: self.gens,
+            recirculation: self.recirc,
+            ..LogConfig::default()
+        };
+        log.validate()
+            .map_err(|e| format!("--gens {:?}: {e}", log.generation_blocks))?;
+        let flush = FlushConfig {
+            drives: self.drives,
+            transfer_time: SimTime::from_millis(self.flush_ms),
+        };
+        flush
+            .validate()
+            .map_err(|e| format!("--drives {} --flush-ms {}: {e}", self.drives, self.flush_ms))?;
+        validate_shards(self.shards, self.drives)?;
+        let mut el = ElConfig::ephemeral(log, flush);
+        if self.firewall {
+            el.memory_model = MemoryModel::Firewall;
+        }
+        Ok(RunConfig::paper(self.frac_long, el)
+            .with_arrivals(arrivals)
+            .runtime_secs(self.runtime)
+            .seed(self.seed)
+            .shards(self.shards)
+            .with_phases(self.phases)
+            .adaptive(self.adaptive))
+    }
+}
+
+/// What an `elsim` command line asks for.
+#[derive(Debug)]
+pub struct Elsim {
+    /// The configuration to run (or to search from, under `--min-space`).
+    pub run: RunConfig,
+    /// `--min-space`: search the minimum geometry instead of running.
+    pub min_space: bool,
+    /// `--jobs`: worker threads for the search's probes.
+    pub jobs: usize,
+    /// `--probe-jobs`, when given.
+    pub probe_jobs: Option<usize>,
+    /// `--probe-cache DIR`, when given.
+    pub probe_cache: Option<String>,
+    /// `--no-analytic` clears this.
+    pub analytic: bool,
+}
+
+/// Parses and validates an `elsim` command line (without the program
+/// name). The error is one line for stderr.
+pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
+    let args: Args = &mut args.into_iter();
+    let mut run = RunFlags::default();
+    let mut min_space = false;
+    let mut jobs = crate::sweep::default_jobs();
+    let mut probe_jobs = None;
+    let mut probe_cache = None;
+    let mut analytic = true;
+    while let Some(arg) = args.next() {
+        if run.accept(&arg, args)? {
+            continue;
+        }
+        match arg.as_str() {
+            "--mode" => {
+                run.firewall = match value::<String>("--mode", args)?.as_str() {
+                    "el" => false,
+                    "fw" => true,
+                    other => return Err(format!("--mode {other}: expected `el` or `fw`")),
+                }
+            }
+            "--fw-blocks" => {
+                run.firewall = true;
+                run.gens = vec![value("--fw-blocks", args)?];
+            }
+            "--adaptive" => run.adaptive = true,
+            "--min-space" => min_space = true,
+            "--no-analytic" => analytic = false,
+            "--jobs" => jobs = positive("--jobs", args)?,
+            "--probe-jobs" => probe_jobs = Some(positive("--probe-jobs", args)?),
+            "--probe-cache" => probe_cache = Some(value("--probe-cache", args)?),
+            "--tenants" | "--budget" | "--oid-ranges" => {
+                return Err(format!(
+                    "{arg} is an elserve flag; elsim runs a single workload"
+                ));
+            }
+            "--help" | "-h" => return Err(ELSIM_USAGE.into()),
+            _ => return Err(format!("unknown flag `{arg}`; {ELSIM_USAGE}")),
+        }
+    }
+    if run.gens.len() > MAX_AXES {
+        return Err(format!(
+            "--gens supports at most {MAX_AXES} generations, got {}",
+            run.gens.len()
+        ));
+    }
+    Ok(Elsim {
+        run: run.build()?,
+        min_space,
+        jobs,
+        probe_jobs,
+        probe_cache,
+        analytic,
+    })
+}
+
+/// Parses and validates an `elserve` command line (without the program
+/// name) into the serve configuration to run. The error is one line for
+/// stderr.
+pub fn elserve(args: impl IntoIterator<Item = String>) -> Result<ServeConfig, String> {
+    let args: Args = &mut args.into_iter();
+    let mut run = RunFlags::default();
+    let mut tenants = 2usize;
+    let mut budget = 0u64;
+    let mut oid_ranges = None;
+    while let Some(arg) = args.next() {
+        if run.accept(&arg, args)? {
+            continue;
+        }
+        match arg.as_str() {
+            "--tenants" => tenants = value("--tenants", args)?,
+            "--budget" => budget = value("--budget", args)?,
+            "--oid-ranges" => {
+                let spec: String = value("--oid-ranges", args)?;
+                oid_ranges =
+                    Some(parse_oid_ranges(&spec).map_err(|e| format!("--oid-ranges {spec}: {e}"))?);
+            }
+            "--help" | "-h" => return Err(ELSERVE_USAGE.into()),
+            _ => return Err(format!("unknown flag `{arg}`; {ELSERVE_USAGE}")),
+        }
+    }
+    let base = run.build()?;
+    let num_objects = base.el.db.num_objects;
+    validate_tenants(tenants, num_objects).map_err(|e| format!("--tenants {tenants}: {e}"))?;
+    let cfg = ServeConfig::new(base, tenants).with_budget(budget);
+    let Some(layout) = oid_ranges else {
+        return Ok(cfg);
+    };
+    if layout.tenants() != tenants {
+        return Err(format!(
+            "--oid-ranges lists {} ranges for {tenants} tenants; one range per tenant",
+            layout.tenants()
+        ));
+    }
+    validate_layout(&layout, num_objects).map_err(|e| format!("--oid-ranges: {e}"))?;
+    Ok(cfg.with_layout(layout))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// The eleven flags both binaries document, each with a non-default
+    /// value.
+    const SHARED: &str = "--gens 36,32,8 --recirc --frac-long 0.2 --tps 50 --poisson \
+        --runtime 60 --drives 8 --flush-ms 45 --seed 7 --shards 2 --phases 0:0.1,30:0.4@2";
+
+    #[test]
+    fn every_documented_flag_parses() {
+        let elsim_lines = [
+            "",
+            SHARED,
+            "--mode el",
+            "--mode fw --gens 123",
+            "--fw-blocks 123",
+            "--adaptive",
+            "--min-space --jobs 2 --probe-jobs 4 --probe-cache /tmp/cache --no-analytic",
+        ];
+        for line in elsim_lines {
+            assert!(elsim(args(line)).is_ok(), "elsim {line}");
+        }
+        let elserve_lines = [
+            "",
+            SHARED,
+            "--tenants 4 --budget 64",
+            "--tenants 65536",
+            "--tenants 2 --oid-ranges 0:4000000,4000000:6000000",
+        ];
+        for line in elserve_lines {
+            assert!(elserve(args(line)).is_ok(), "elserve {line}");
+        }
+    }
+
+    #[test]
+    fn flags_land_in_the_configuration() {
+        let e = elsim(args(&format!("{SHARED} --adaptive --min-space --jobs 3"))).unwrap();
+        assert_eq!(e.run.el.log.generation_blocks, vec![36, 32, 8]);
+        assert!(e.run.el.log.recirculation && e.run.adaptive && e.min_space);
+        assert_eq!(e.run.arrivals, ArrivalProcess::Poisson { rate_tps: 50.0 });
+        assert_eq!(e.run.runtime, SimTime::from_secs(60));
+        assert_eq!(
+            (e.run.el.flush.drives, e.run.seed, e.run.shards, e.jobs),
+            (8, 7, 2, 3)
+        );
+        assert_eq!(e.run.el.flush.transfer_time, SimTime::from_millis(45));
+        assert!(e.run.phases.is_some());
+
+        let fw = elsim(args("--fw-blocks 123")).unwrap().run.el;
+        assert_eq!(fw.log.generation_blocks, vec![123]);
+        assert_eq!(fw.memory_model, MemoryModel::Firewall);
+
+        let s = elserve(args("--tenants 4 --budget 64")).unwrap();
+        assert_eq!((s.layout.tenants(), s.budget), (4, 64));
+        assert_eq!(s.base.tenants.as_ref(), Some(&s.layout));
+    }
+
+    #[test]
+    fn one_tenant_elserve_builds_elsims_configuration() {
+        for line in ["", SHARED] {
+            let sim = elsim(args(line)).unwrap().run;
+            let serve = elserve(args(&format!("{line} --tenants 1"))).unwrap();
+            assert_eq!(
+                format!("{:?}", serve.base.with_tenants(None)),
+                format!("{sim:?}"),
+                "`{line}`"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_values_are_errors_naming_the_flag() {
+        type Parse = fn(Vec<String>) -> Result<(), String>;
+        let sim: Parse = |a| elsim(a).map(drop);
+        let serve: Parse = |a| elserve(a).map(drop);
+        let table: [(Parse, &str, &str); 22] = [
+            (sim, "--gens 0", "--gens"),
+            (sim, "--gens 18,0", "--gens"),
+            (sim, "--gens 18,x", "--gens"),
+            (sim, "--gens 9,9,9,9,9,9,9,9,9", "--gens"),
+            (sim, "--gens", "--gens"),
+            (serve, "--tenants 3 --gens 0", "--gens"),
+            (sim, "--tps 0", "--tps"),
+            (sim, "--tps nan", "--tps"),
+            (serve, "--tps -5", "--tps"),
+            (sim, "--mode bogus", "--mode"),
+            (sim, "--frac-long 2", "--frac-long"),
+            (sim, "--drives 0", "--drives"),
+            (sim, "--flush-ms 0", "--flush-ms"),
+            (sim, "--shards 11", "--shards"),
+            (sim, "--jobs 0", "--jobs"),
+            (sim, "--phases 5:0.1", "--phases"),
+            (sim, "--tenants 2", "--tenants"),
+            (serve, "--tenants 0", "--tenants"),
+            (serve, "--tenants 65537", "--tenants"),
+            (serve, "--tenants 99999999", "--tenants"),
+            (serve, "--tenants 3 --oid-ranges 0:5,5:5", "--oid-ranges"),
+            (serve, "--jobs 2", "--jobs"),
+        ];
+        for (parse, line, flag) in table {
+            let err = parse(args(line)).expect_err(line);
+            assert!(
+                err.contains(flag),
+                "`{line}` → `{err}` does not name {flag}"
+            );
+            assert!(!err.contains('\n'), "`{line}` → multi-line `{err}`");
+        }
+        // The two tenant limits are named in the message.
+        let err = elserve(args("--tenants 65537")).unwrap_err();
+        assert!(err.contains("65536"), "{err}");
+        let err = elserve(args("--tenants 99999999")).unwrap_err();
+        assert!(err.contains("10000000 objects"), "{err}");
+    }
+}

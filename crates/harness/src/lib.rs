@@ -25,6 +25,7 @@
 pub mod analytic;
 pub mod autotune;
 pub mod benchgate;
+pub mod cli;
 pub mod crashpoint;
 pub mod experiments;
 pub mod latsearch;

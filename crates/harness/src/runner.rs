@@ -1,24 +1,53 @@
-//! The full simulation run: workload driver × log manager × flush array
-//! under one event loop.
+//! The simulation run: T ≥ 1 workload drivers × one log manager × flush
+//! array under the one event loop of this crate.
+//!
+//! [`SimModel`] is the only [`Simulate`] implementation in the harness.
+//! A classic run ([`run`], probes, crash snapshots) is its one-tenant
+//! instance; a serve run (`crate::serve`) is the same model with one
+//! driver per tenant of [`RunConfig::tenants`]. Each driver works in its
+//! own *local* tid and oid space; the loop namespaces both where driver
+//! output crosses into the shared queue and manager — tid high bits carry
+//! the tenant index ([`global_tid`]), oids shift by the tenant's range
+//! base — and translates back when events and manager effects (acks,
+//! kills) return. Tenant 0's mapping is the identity, so at one tenant the
+//! translation vanishes and there is nothing for the two kinds of run to
+//! disagree on.
 
+use crate::serve::{global_tid, split_tid, tenant_seed, CommittedRecord, MAX_TENANTS};
 use elog_core::{
     AdaptiveConfig, AdaptiveController, AdaptiveStats, Effects, ElConfig, ElManager, LmMetrics,
     LmTimer, LogManager,
 };
-use elog_model::{BufferPool, CommittedOracle, ObjectVersion, Tid};
+use elog_model::{BufferPool, CommittedOracle, ObjectVersion, Oid, Tid};
 use elog_sim::FxHashMap;
 use elog_sim::{Engine, EventQueue, EventToken, PerfStats, SimRng, SimTime, Simulate};
 use elog_workload::{
-    ArrivalProcess, PhaseSchedule, TxMix, WorkloadDriver, WorkloadEvent, WorkloadTrace,
+    ArrivalProcess, PhaseSchedule, TxMix, WorkloadDriver, WorkloadEvent, WorkloadStats,
+    WorkloadTrace,
 };
+use std::ops::{Deref, DerefMut, Index, IndexMut};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Composite event alphabet of a run.
+/// Composite event alphabet of a run. Record writes carry *shared-space*
+/// tids (tenant index in the high bits), so only arrivals need an explicit
+/// tenant tag.
 #[derive(Clone, Copy, Debug)]
 pub enum Ev {
-    /// Workload-driver event.
-    Workload(WorkloadEvent),
+    /// The next arrival of one tenant's workload.
+    Arrival(u16),
+    /// A transaction writes its `seq`-th data record.
+    WriteData {
+        /// The writing transaction (shared-space tid).
+        tid: Tid,
+        /// 1-based record index within the transaction.
+        seq: u32,
+    },
+    /// A transaction writes its COMMIT record.
+    WriteCommit {
+        /// The committing transaction (shared-space tid).
+        tid: Tid,
+    },
     /// Log-manager timer.
     Lm(LmTimer),
     /// Adaptive-controller window tick (present only when the run has a
@@ -28,8 +57,28 @@ pub enum Ev {
     Adaptive,
 }
 
-/// Per-tenant oid partition of the shared database, carried by
-/// multi-tenant serve runs (see `crate::serve`). Each tenant owns the
+// Every queue slot holds one `Ev`; a per-event tenant tag would grow it to
+// 32 bytes for every run to serve the multi-tenant ones.
+const _: () = assert!(std::mem::size_of::<Ev>() == 24);
+
+impl Ev {
+    /// Lifts one driver event of `tenant` into the shared alphabet.
+    fn of(tenant: u16, ev: WorkloadEvent) -> Ev {
+        match ev {
+            WorkloadEvent::Arrival => Ev::Arrival(tenant),
+            WorkloadEvent::WriteData { tid, seq } => Ev::WriteData {
+                tid: global_tid(tenant, tid),
+                seq,
+            },
+            WorkloadEvent::WriteCommit { tid } => Ev::WriteCommit {
+                tid: global_tid(tenant, tid),
+            },
+        }
+    }
+}
+
+/// Per-tenant oid partition of the shared database (multi-tenant runs,
+/// see `crate::serve`). Each tenant owns the
 /// contiguous range `[base, base + len)`; ranges are disjoint, and because
 /// the flush array assigns drives by contiguous oid stripes, a tenant's
 /// range maps onto a contiguous span of the shared drive array.
@@ -116,13 +165,13 @@ pub struct RunConfig {
     /// would corrupt every search verdict. The default comes from
     /// [`elog_core::adaptive::default_enabled`] (`--adaptive`).
     pub adaptive: bool,
-    /// Multi-tenant oid partition, when this config describes one tenant
-    /// population of a serve run (`None` = the classic single-workload
-    /// run). [`run`] itself ignores it — the serve loop owns the
-    /// partitioning — but it *must* live on the config so
-    /// [`RunConfig::verdict_key`] keys probe verdicts by tenancy: the same
-    /// geometry can be feasible for one whole-space workload and
-    /// infeasible for the identical load split across tenants.
+    /// Multi-tenant oid partition: the run drives one live workload per
+    /// range, tenant `t` seeded by `crate::serve::tenant_seed` (`None` =
+    /// the classic single workload over the whole oid space). It lives on
+    /// the config so [`RunConfig::verdict_key`] keys probe verdicts by
+    /// tenancy: the same geometry can be feasible for one whole-space
+    /// workload and infeasible for the identical load split across
+    /// tenants.
     pub tenants: Option<TenantLayout>,
 }
 
@@ -269,20 +318,85 @@ impl RunConfig {
     }
 }
 
+/// The run's workload drivers, one per tenant, indexed by tenant.
+///
+/// Dereferences to *the* driver of a single-workload run, so classic
+/// callers keep reading `model.driver.stats()`; multi-tenant code indexes.
+#[derive(Clone, Debug)]
+pub struct Drivers(Vec<WorkloadDriver>);
+
+impl Drivers {
+    /// All drivers, in tenant order.
+    pub fn all(&self) -> &[WorkloadDriver] {
+        &self.0
+    }
+}
+
+impl Deref for Drivers {
+    type Target = WorkloadDriver;
+
+    /// # Panics
+    /// Panics on a multi-tenant model, where "the driver" would silently
+    /// mean tenant 0.
+    fn deref(&self) -> &WorkloadDriver {
+        assert_eq!(self.0.len(), 1, "single-workload view of a tenant model");
+        &self.0[0]
+    }
+}
+
+impl DerefMut for Drivers {
+    fn deref_mut(&mut self) -> &mut WorkloadDriver {
+        assert_eq!(self.0.len(), 1, "single-workload view of a tenant model");
+        &mut self.0[0]
+    }
+}
+
+impl Index<usize> for Drivers {
+    type Output = WorkloadDriver;
+
+    fn index(&self, tenant: usize) -> &WorkloadDriver {
+        &self.0[tenant]
+    }
+}
+
+impl IndexMut<usize> for Drivers {
+    fn index_mut(&mut self, tenant: usize) -> &mut WorkloadDriver {
+        &mut self.0[tenant]
+    }
+}
+
 /// The composite model driven by the event engine.
 ///
 /// Generic over the logging technique: any [`LogManager`] — [`ElManager`]
-/// (the default) or `HybridManager` — plugs into the same workload driver
+/// (the default) or `HybridManager` — plugs into the same workload drivers
 /// and event loop, so no experiment needs a bespoke loop per technique.
+///
+/// Cloning a model mid-run snapshots the entire simulation state — the
+/// prefix-resume probes clone an [`Engine`] at a fill depth and later
+/// resume the copy under a different last-generation capacity.
+#[derive(Clone)]
 pub struct SimModel<L: LogManager = ElManager> {
-    /// Workload side.
-    pub driver: WorkloadDriver,
+    /// Workload side: one driver per tenant.
+    pub driver: Drivers,
     /// Log-manager side.
     pub lm: L,
     /// Ground truth of acknowledged commits (when tracked).
     pub oracle: CommittedOracle,
     /// RAM image of object versions (when tracked).
     pub pool: BufferPool,
+    /// Per-tenant oid range base: local oid + base = shared-space oid.
+    oid_base: Vec<u64>,
+    /// Admission budget: a tenant whose live-record footprint reaches this
+    /// many records has new arrivals refused (0 = unlimited). Refusal keeps
+    /// the arrival chain alive, so the tenant resumes as soon as flushes
+    /// drain its footprint — other tenants never see the difference.
+    pub(crate) budget: u64,
+    /// Arrivals refused per tenant.
+    pub(crate) throttled: Vec<u64>,
+    /// Committed `(tid, seq, oid)` triples per tenant, when recorded (the
+    /// tenant-isolation tests).
+    pub(crate) committed_sets: Option<Vec<Vec<CommittedRecord>>>,
+    /// Pending event tokens per shared-space tid, cancelled on kill.
     tokens: FxHashMap<Tid, Vec<EventToken>>,
     /// Retired token vectors, reused by later transactions.
     token_pool: Vec<Vec<EventToken>>,
@@ -306,31 +420,6 @@ pub struct SimModel<L: LogManager = ElManager> {
     pub adaptive: Option<AdaptiveController>,
 }
 
-/// Cloning a model mid-run snapshots the entire simulation state — the
-/// prefix-resume probes clone an [`Engine`] at a fill depth and later
-/// resume the copy under a different last-generation capacity.
-impl<L: LogManager + Clone> Clone for SimModel<L> {
-    fn clone(&self) -> Self {
-        SimModel {
-            driver: self.driver.clone(),
-            lm: self.lm.clone(),
-            oracle: self.oracle.clone(),
-            pool: self.pool.clone(),
-            tokens: self.tokens.clone(),
-            token_pool: self.token_pool.clone(),
-            wl_events: self.wl_events.clone(),
-            track_tokens: self.track_tokens,
-            stop_on_kill: self.stop_on_kill,
-            track_oracle: self.track_oracle,
-            lifetime_hints: self.lifetime_hints,
-            kills: self.kills,
-            acks: self.acks,
-            watch_last_gen: self.watch_last_gen,
-            adaptive: self.adaptive.clone(),
-        }
-    }
-}
-
 impl<L: LogManager> SimModel<L> {
     fn apply(&mut self, now: SimTime, mut fx: Effects, queue: &mut EventQueue<Ev>) {
         for (at, timer) in fx.timers.drain(..) {
@@ -342,15 +431,20 @@ impl<L: LogManager> SimModel<L> {
             // draw from the same sequence counter at this single call
             // site, so delivery order is identical either way.
             match timer.shard_lane() {
-                Some(lane) => queue.schedule_lane(lane, at, timer.into_ev()),
+                Some(lane) => queue.schedule_lane(lane, at, Ev::Lm(timer)),
                 None => {
-                    queue.schedule(at, timer.into_ev());
+                    queue.schedule(at, Ev::Lm(timer));
                 }
             }
         }
         for tid in fx.acks.drain(..) {
             self.acks += 1;
-            let updates = self.driver.on_commit_ack(now, tid);
+            let (tenant, local) = split_tid(tid);
+            let t = tenant as usize;
+            let updates = self.driver[t].on_commit_ack(now, local);
+            if let Some(sets) = &mut self.committed_sets {
+                sets[t].extend(updates.iter().map(|u| (local.0, u.seq, u.oid.0)));
+            }
             if self.track_tokens {
                 if let Some(mut tokens) = self.tokens.remove(&tid) {
                     tokens.clear();
@@ -358,38 +452,35 @@ impl<L: LogManager> SimModel<L> {
                 }
             }
             if self.track_oracle {
-                self.oracle
-                    .commit(tid, updates.iter().map(|u| (u.oid, u.seq, u.ts)));
+                let base = self.oid_base[t];
+                self.oracle.commit(
+                    tid,
+                    updates.iter().map(|u| (Oid(base + u.oid.0), u.seq, u.ts)),
+                );
                 for u in updates {
-                    let v = ObjectVersion {
-                        tid,
-                        seq: u.seq,
-                        ts: u.ts,
-                    };
-                    self.pool.promote(u.oid, tid);
-                    let _ = v;
+                    self.pool.promote(Oid(base + u.oid.0), tid);
                 }
             }
         }
         for tid in fx.kills.drain(..) {
             self.kills += 1;
+            let (tenant, local) = split_tid(tid);
+            let t = tenant as usize;
             if self.track_tokens {
                 if let Some(mut tokens) = self.tokens.remove(&tid) {
-                    for t in tokens.drain(..) {
-                        queue.cancel(t);
+                    for token in tokens.drain(..) {
+                        queue.cancel(token);
                     }
                     self.token_pool.push(tokens);
                 }
             }
             if self.track_oracle {
-                if let Some(updates) = self.driver.updates_of(tid) {
-                    let updates: Vec<_> = updates.to_vec();
-                    for u in updates {
-                        self.pool.discard_uncommitted(u.oid, tid);
-                    }
+                for u in self.driver[t].updates_of(local).unwrap_or_default() {
+                    self.pool
+                        .discard_uncommitted(Oid(self.oid_base[t] + u.oid.0), tid);
                 }
             }
-            self.driver.on_kill(now, tid);
+            self.driver[t].on_kill(now, local);
         }
         self.lm.recycle(fx);
     }
@@ -418,58 +509,69 @@ impl<L: LogManager> SimModel<L> {
     }
 }
 
-trait IntoEv {
-    fn into_ev(self) -> Ev;
-}
-impl IntoEv for LmTimer {
-    fn into_ev(self) -> Ev {
-        Ev::Lm(self)
-    }
-}
-
 impl<L: LogManager> Simulate for SimModel<L> {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, event: Ev, queue: &mut EventQueue<Ev>) {
         match event {
-            Ev::Workload(WorkloadEvent::Arrival) => {
+            Ev::Arrival(tenant) => {
+                let t = tenant as usize;
                 let mut events = std::mem::take(&mut self.wl_events);
-                if let Some(new) = self.driver.on_arrival(now, &mut events) {
-                    // The controller owns hint placement while it runs (it
-                    // may toggle hints mid-run); otherwise the static flag
-                    // decides.
-                    let hinted = self
-                        .adaptive
-                        .as_ref()
-                        .map_or(self.lifetime_hints, |c| c.placement_hints());
-                    let fx = if hinted {
-                        let duration = self.driver.mix().types()[new.type_idx].duration;
-                        self.lm.begin_hinted(now, new.tid, duration)
-                    } else {
-                        self.lm.begin(now, new.tid)
-                    };
-                    self.apply(now, fx, queue);
-                    for &(at, ev) in &events {
-                        let token = queue.schedule(at, Ev::Workload(ev));
-                        if self.track_tokens {
-                            match ev {
-                                WorkloadEvent::WriteData { tid, .. }
-                                | WorkloadEvent::WriteCommit { tid } => {
-                                    let pool = &mut self.token_pool;
-                                    self.tokens
-                                        .entry(tid)
-                                        .or_insert_with(|| pool.pop().unwrap_or_default())
-                                        .push(token);
-                                }
-                                WorkloadEvent::Arrival => {}
+                if let Some(new) = self.driver[t].on_arrival(now, &mut events) {
+                    if self.budget != 0 && self.lm.tenant_live_records(t) >= self.budget {
+                        // Refused: keep only the chained next-arrival event
+                        // so the tenant's stream continues, and retire the
+                        // transaction driver-side. The manager never saw
+                        // it, so no other tenant's state is touched.
+                        self.throttled[t] += 1;
+                        for &(at, ev) in &events {
+                            if ev == WorkloadEvent::Arrival {
+                                queue.schedule(at, Ev::Arrival(tenant));
                             }
+                        }
+                        self.driver[t].on_kill(now, new.tid);
+                    } else {
+                        let tid = global_tid(tenant, new.tid);
+                        // The controller owns hint placement while it runs
+                        // (it may toggle hints mid-run); otherwise the
+                        // static flag decides.
+                        let hinted = self
+                            .adaptive
+                            .as_ref()
+                            .map_or(self.lifetime_hints, |c| c.placement_hints());
+                        let fx = if hinted {
+                            let duration = self.driver[t].mix().types()[new.type_idx].duration;
+                            self.lm.begin_hinted(now, tid, duration)
+                        } else {
+                            self.lm.begin(now, tid)
+                        };
+                        self.apply(now, fx, queue);
+                        // Everything but the chained arrival is a write of
+                        // the new transaction: its tokens retract them on
+                        // a kill.
+                        let mut tokens = self
+                            .track_tokens
+                            .then(|| self.token_pool.pop().unwrap_or_default());
+                        for &(at, ev) in &events {
+                            let token = queue.schedule(at, Ev::of(tenant, ev));
+                            if ev != WorkloadEvent::Arrival {
+                                if let Some(tokens) = &mut tokens {
+                                    tokens.push(token);
+                                }
+                            }
+                        }
+                        if let Some(tokens) = tokens {
+                            self.tokens.insert(tid, tokens);
                         }
                     }
                 }
                 self.wl_events = events;
             }
-            Ev::Workload(WorkloadEvent::WriteData { tid, seq }) => {
-                if let Some((oid, size)) = self.driver.on_write_data(now, tid, seq) {
+            Ev::WriteData { tid, seq } => {
+                let (tenant, local) = split_tid(tid);
+                let t = tenant as usize;
+                if let Some((oid, size)) = self.driver[t].on_write_data(now, local, seq) {
+                    let oid = Oid(self.oid_base[t] + oid.0);
                     if self.track_oracle {
                         self.pool.stage(oid, ObjectVersion { tid, seq, ts: now });
                     }
@@ -477,8 +579,9 @@ impl<L: LogManager> Simulate for SimModel<L> {
                     self.apply(now, fx, queue);
                 }
             }
-            Ev::Workload(WorkloadEvent::WriteCommit { tid }) => {
-                if self.driver.on_write_commit(now, tid) {
+            Ev::WriteCommit { tid } => {
+                let (tenant, local) = split_tid(tid);
+                if self.driver[tenant as usize].on_write_commit(now, local) {
                     let fx = self.lm.commit_request(now, tid);
                     self.apply(now, fx, queue);
                 }
@@ -491,7 +594,7 @@ impl<L: LogManager> Simulate for SimModel<L> {
                 if let Some(ctl) = self.adaptive.as_mut() {
                     self.lm.adaptive_window(now, ctl);
                     let next = now + ctl.window();
-                    if next <= self.driver.horizon() {
+                    if next <= self.driver[0].horizon() {
                         queue.schedule(next, Ev::Adaptive);
                     }
                 }
@@ -516,7 +619,8 @@ pub struct RunResult {
     pub started: u64,
     /// Commit acknowledgements.
     pub committed: u64,
-    /// Kills.
+    /// Kills, as the drivers count them: under a serve admission budget
+    /// this includes refused arrivals, which never reach the manager.
     pub killed: u64,
     /// Mean commit-ack latency in milliseconds, if any commits happened.
     pub mean_commit_latency_ms: Option<f64>,
@@ -537,26 +641,42 @@ pub struct RunResult {
 
 /// Builds the composite model around a caller-supplied log manager
 /// (`HybridManager`, a pre-warmed `ElManager`, …). The workload side comes
-/// from `cfg` as usual.
+/// from `cfg` as usual: one driver over the whole oid space, or one per
+/// range of [`RunConfig::tenants`].
 pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimModel<L>> {
-    let driver = match &cfg.trace {
+    let whole = [(0, cfg.el.db.num_objects)];
+    let ranges = cfg.tenants.as_ref().map_or(&whole[..], |l| &l.ranges);
+    assert!(
+        (1..=MAX_TENANTS).contains(&ranges.len()),
+        "a run has 1..={MAX_TENANTS} tenants, got {}",
+        ranges.len()
+    );
+    let drivers = match &cfg.trace {
         Some(trace) => {
+            assert_eq!(ranges.len(), 1, "a trace replays a single workload");
             trace
                 .check_replayable(cfg.runtime)
                 .expect("trace horizon must match the run's horizon");
-            WorkloadDriver::replay(cfg.mix.clone(), trace.clone(), cfg.track_oracle)
-        }
-        None => {
-            let rng = SimRng::new(cfg.seed);
-            WorkloadDriver::new(
+            vec![WorkloadDriver::replay(
                 cfg.mix.clone(),
-                cfg.arrivals,
-                cfg.el.db.num_objects,
-                cfg.runtime,
-                &rng,
-            )
-            .with_phases(cfg.phases.clone())
+                trace.clone(),
+                cfg.track_oracle,
+            )]
         }
+        None => ranges
+            .iter()
+            .enumerate()
+            .map(|(t, &(_, len))| {
+                WorkloadDriver::new(
+                    cfg.mix.clone(),
+                    cfg.arrivals,
+                    len,
+                    cfg.runtime,
+                    &SimRng::new(tenant_seed(cfg.seed, t)),
+                )
+                .with_phases(cfg.phases.clone())
+            })
+            .collect(),
     };
     // Stop-on-kill probes measure one fixed geometry; re-shaping under
     // them would corrupt the verdict, so the controller never engages.
@@ -570,10 +690,14 @@ pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimMode
         AdaptiveController::new(AdaptiveConfig::default(), last, cfg.lifetime_hints)
     });
     let model = SimModel {
-        driver,
+        driver: Drivers(drivers),
         lm,
         oracle: CommittedOracle::new(),
         pool: BufferPool::new(),
+        oid_base: ranges.iter().map(|r| r.0).collect(),
+        budget: 0,
+        throttled: vec![0; ranges.len()],
+        committed_sets: None,
         tokens: FxHashMap::default(),
         token_pool: Vec::new(),
         wl_events: Vec::new(),
@@ -598,9 +722,13 @@ pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimMode
             .queue_mut()
             .configure_shards(cfg.shards, cfg.el.flush.drives as usize);
     }
-    let boot = engine.model().driver.bootstrap(SimTime::ZERO);
-    for (at, ev) in boot {
-        engine.queue_mut().schedule(at, Ev::Workload(ev));
+    // Tenants bootstrap in index order: simultaneous arrivals tie-break by
+    // schedule sequence, which realises the (time, tenant, seq) merge.
+    for t in 0..ranges.len() {
+        let boot = engine.model().driver[t].bootstrap(SimTime::ZERO);
+        for (at, ev) in boot {
+            engine.queue_mut().schedule(at, Ev::of(t as u16, ev));
+        }
     }
     // The controller's first window tick; each tick reschedules the next
     // until the horizon. Scheduled after bootstrap so a controller run's
@@ -614,6 +742,10 @@ pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimMode
 
 /// Builds the composite model for a run (exposed so recovery tests and
 /// examples can crash a run midway and inspect the pieces).
+///
+/// # Panics
+/// Panics when `cfg.el` fails [`ElConfig::validate`]; configurations built
+/// from outside input go through [`crate::cli`], which checks first.
 pub fn build_model(cfg: &RunConfig) -> Engine<SimModel> {
     build_model_with(
         cfg,
@@ -647,7 +779,8 @@ pub fn run_capture(cfg: &RunConfig) -> (RunResult, Option<Arc<WorkloadTrace>>) {
     (result, trace)
 }
 
-fn snapshot(
+/// The results of a finished (or stopped) run, summed over its tenants.
+pub(crate) fn snapshot(
     engine: &Engine<SimModel>,
     cfg: &RunConfig,
     ended_at: SimTime,
@@ -660,18 +793,21 @@ fn snapshot(
         ..PerfStats::default()
     };
     let model = engine.model();
-    let horizon = cfg.runtime.min(ended_at.max(cfg.runtime));
-    let metrics = model.lm.metrics(horizon);
-    let stats = model.driver.stats();
+    let drivers = model.driver.all();
+    let sum = |f: fn(&WorkloadStats) -> u64| drivers.iter().map(|d| f(d.stats())).sum();
+    let mut ack_latency = drivers[0].stats().commit_latency_ms.clone();
+    for d in &drivers[1..] {
+        ack_latency.merge(&d.stats().commit_latency_ms);
+    }
     RunResult {
-        metrics,
-        started: stats.started,
-        committed: stats.committed,
-        killed: stats.killed,
-        mean_commit_latency_ms: stats.commit_latency_ms.quantile(0.5),
+        metrics: model.lm.metrics(cfg.runtime),
+        started: sum(|s| s.started),
+        committed: sum(|s| s.committed),
+        killed: sum(|s| s.killed),
+        mean_commit_latency_ms: ack_latency.quantile(0.5),
         ended_at,
-        data_records: stats.data_records,
-        horizon,
+        data_records: sum(|s| s.data_records),
+        horizon: cfg.runtime,
         perf,
         adaptive: model.adaptive.as_ref().map(|c| c.stats().clone()),
     }
@@ -827,6 +963,33 @@ mod tests {
                 .verdict_key(),
             "tenancy shape must key probe verdicts"
         );
+    }
+
+    #[test]
+    fn run_drives_one_workload_per_tenant_range() {
+        let base = quick_cfg(0.05, vec![36, 32], false, 6);
+        let layout = TenantLayout::even(base.el.db.num_objects, 2);
+        let split = run(&base.clone().with_tenants(Some(layout)));
+        let served = crate::serve::serve_run(&crate::serve::ServeConfig::new(base.clone(), 2));
+        assert_eq!(split.committed, served.aggregate.committed);
+        assert_eq!(split.metrics.log_writes, served.metrics.log_writes);
+        assert_eq!(split.perf.events, served.perf.events);
+        let whole = run(&base);
+        assert!(
+            split.started > whole.started * 3 / 2,
+            "two tenants offer twice the load: {} vs {}",
+            split.started,
+            whole.started
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "single-workload view")]
+    fn the_single_driver_view_refuses_a_tenant_model() {
+        let base = quick_cfg(0.05, vec![36, 32], false, 1);
+        let layout = TenantLayout::even(base.el.db.num_objects, 2);
+        let engine = build_model(&base.with_tenants(Some(layout)));
+        let _ = engine.model().driver.stats();
     }
 
     #[test]

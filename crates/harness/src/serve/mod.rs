@@ -4,23 +4,25 @@
 //! Each tenant owns a contiguous slice of the shared oid space (a
 //! [`TenantLayout`]), its own tid namespace (tenant index in the tid's high
 //! bits), and its own streamed workload spec (the per-tenant
-//! [`PhaseSchedule`] overrides). The serve loop merges the tenants'
-//! arrival streams deterministically — events fire in global
-//! `(time, tenant, sequence)` order because tenants bootstrap in index
-//! order and the event queue breaks time ties by schedule sequence — so
-//! output is byte-identical at any `--jobs`/`--shards` setting, exactly
-//! like the single-workload runner.
+//! [`PhaseSchedule`] overrides). This module holds the tenancy rules —
+//! namespacing, seeds, layout validation — and the per-tenant report; the
+//! event loop is [`crate::runner::SimModel`], the same one `elsim` runs,
+//! built over `base.tenants`. It merges the tenants' arrival streams
+//! deterministically — events fire in global `(time, tenant, sequence)`
+//! order because tenants bootstrap in index order and the event queue
+//! breaks time ties by schedule sequence — so output is byte-identical at
+//! any `--shards` setting.
 //!
 //! Two properties anchor the design:
 //!
-//! * **Degeneracy** — with one tenant every mapping is the identity
-//!   (tenant 0 keeps the raw seed, oid base 0, tid high bits 0), so a
-//!   1-tenant serve run is byte-identical to the equivalent `elsim` run.
+//! * **Degeneracy** — a 1-tenant serve run *is* the classic run: the same
+//!   model, built by the same function, with tenant 0's identity mappings
+//!   (raw seed, oid base 0, tid high bits 0).
 //! * **Isolation** — tenant workloads draw from independent seed streams
-//!   ([`ServeConfig::tenant_seed`], splitmix64-derived) over disjoint oid
-//!   ranges, so each tenant's committed record set is identical whether it
-//!   runs alone or alongside T−1 others (given kill-free capacity); the
-//!   property test in `tests/integration_serve.rs` pins this.
+//!   ([`tenant_seed`], splitmix64-derived) over disjoint oid ranges, so
+//!   each tenant's committed record set is identical whether it runs alone
+//!   or alongside T−1 others (given kill-free capacity); the property test
+//!   in `tests/integration_serve.rs` pins this.
 //!
 //! Fairness: the admission `budget` caps each tenant's live-record
 //! footprint in the shared arena. A tenant overrunning it has arrivals
@@ -28,17 +30,17 @@
 //! footprint; refused transactions never reach the manager, so an
 //! overrunning tenant cannot evict or kill its neighbours.
 
-mod model;
-
-pub use model::CommittedRecord;
-
-use crate::runner::{RunConfig, TenantLayout};
+use crate::runner::{build_model_with, snapshot, RunConfig, TenantLayout};
 use crate::sweep::derive_seed;
 use elog_core::{ElManager, LmMetrics};
-use elog_sim::{Engine, Histogram, PerfStats, SimRng, SimTime};
-use elog_workload::{PhaseSchedule, WorkloadDriver};
-use model::{ServeEv, ServeModel};
+use elog_sim::{PerfStats, SimTime};
+use elog_workload::PhaseSchedule;
 use std::time::Instant;
+
+/// A committed record as recorded for the tenant-isolation tests:
+/// `(local tid, seq, local oid)` — local on purpose, so a tenant's record
+/// set is directly comparable between a solo run and a multi-tenant run.
+pub type CommittedRecord = (u64, u32, u64);
 
 /// Tenant index lives in bits 48.. of a tid; the low 48 bits are the
 /// tenant-local tid. 2^48 transactions per tenant is unreachable (a 500 s
@@ -50,6 +52,22 @@ pub const TENANT_TID_SHIFT: u32 = 48;
 /// outside the sweep's scenario seed-index range so tenant streams never
 /// collide with scenario streams derived from the same base.
 const SERVE_TENANT_STREAM: u64 = 0x7E4A_4E57;
+
+/// Most tenants one instance serves: the tenant index is a `u16` in the
+/// 16 tid bits above [`TENANT_TID_SHIFT`].
+pub const MAX_TENANTS: usize = 1 << 16;
+
+/// The workload seed of tenant `tenant` under base seed `base`. Tenant 0
+/// keeps the raw base seed (degeneracy: 1 tenant ⇒ the classic run);
+/// tenants 1.. draw splitmix64-independent streams, so a tenant's workload
+/// is a pure function of `(base seed, tenant index)`.
+pub fn tenant_seed(base: u64, tenant: usize) -> u64 {
+    if tenant == 0 {
+        base
+    } else {
+        derive_seed(base, SERVE_TENANT_STREAM + tenant as u64)
+    }
+}
 
 /// Builds the shared-space tid for a tenant-local tid.
 pub(crate) fn global_tid(tenant: u16, local: elog_model::Tid) -> elog_model::Tid {
@@ -73,6 +91,25 @@ pub fn validate_shards(shards: u32, drives: u32) -> Result<(), String> {
         Err(format!(
             "--shards {shards} exceeds the flush array's {drives} drives; \
              shards partition drives, so at most one shard per drive"
+        ))
+    } else {
+        Ok(())
+    }
+}
+
+/// Rejects tenant counts one instance cannot serve: none, more than there
+/// are objects to partition, or more than the tid namespace holds
+/// ([`MAX_TENANTS`]).
+pub fn validate_tenants(tenants: usize, num_objects: u64) -> Result<(), String> {
+    if tenants == 0 {
+        Err("at least one tenant is required".into())
+    } else if tenants as u64 > num_objects {
+        Err(format!(
+            "more tenants than the database's {num_objects} objects; each tenant owns at least one"
+        ))
+    } else if tenants > MAX_TENANTS {
+        Err(format!(
+            "more tenants than the limit of {MAX_TENANTS}; the tenant index is 16 tid bits"
         ))
     } else {
         Ok(())
@@ -110,9 +147,7 @@ pub fn parse_oid_ranges(spec: &str) -> Result<TenantLayout, String> {
 /// rejected deliberately — an uncovered stripe would silently shift the
 /// flush array's per-drive load away from what the drive count promises.
 pub fn validate_layout(layout: &TenantLayout, num_objects: u64) -> Result<(), String> {
-    if layout.ranges.is_empty() {
-        return Err("tenant layout has no ranges".into());
-    }
+    validate_tenants(layout.tenants(), num_objects)?;
     let mut sorted = layout.ranges.clone();
     sorted.sort_unstable();
     let mut expect = 0u64;
@@ -205,25 +240,11 @@ impl ServeConfig {
         self
     }
 
-    /// The workload seed of one tenant. Tenant 0 keeps the raw base seed
-    /// (degeneracy: 1 tenant ⇒ the classic run); tenants 1.. draw
-    /// splitmix64-independent streams, so a tenant's workload is a pure
-    /// function of `(base seed, tenant index)` — the isolation tests replay
-    /// a tenant solo by handing its stream seed to a 1-tenant config.
+    /// The workload seed of one tenant ([`tenant_seed`] of `base.seed`) —
+    /// the isolation tests replay a tenant solo by handing its stream seed
+    /// to a 1-tenant config.
     pub fn tenant_seed(&self, tenant: usize) -> u64 {
-        if tenant == 0 {
-            self.base.seed
-        } else {
-            derive_seed(self.base.seed, SERVE_TENANT_STREAM + tenant as u64)
-        }
-    }
-
-    fn phase_for(&self, tenant: usize) -> Option<PhaseSchedule> {
-        if self.tenant_phases.is_empty() {
-            self.base.phases.clone()
-        } else {
-            self.tenant_phases[tenant].clone()
-        }
+        tenant_seed(self.base.seed, tenant)
     }
 }
 
@@ -300,62 +321,40 @@ pub fn serve_run_recorded(
     let tenants = cfg.layout.tenants();
     let mut lm = ElManager::new(cfg.base.el.clone()).expect("validated configuration");
     lm.enable_tenant_ledger(tenants, TENANT_TID_SHIFT);
-    let drivers: Vec<WorkloadDriver> = (0..tenants)
-        .map(|t| {
-            let rng = SimRng::new(cfg.tenant_seed(t));
-            WorkloadDriver::new(
-                cfg.base.mix.clone(),
-                cfg.base.arrivals,
-                cfg.layout.ranges[t].1,
-                cfg.base.runtime,
-                &rng,
-            )
-            .with_phases(cfg.phase_for(t))
-        })
-        .collect();
-    let oid_base = cfg.layout.ranges.iter().map(|r| r.0).collect();
-    let model = ServeModel::new(drivers, lm, oid_base, cfg.budget, record_commits);
-    let mut engine = Engine::new(model);
-    if cfg.base.shards > 1 {
-        engine
-            .queue_mut()
-            .configure_shards(cfg.base.shards, cfg.base.el.flush.drives as usize);
-    }
-    // Tenants bootstrap in index order: simultaneous arrivals tie-break by
-    // schedule sequence, which realises the (time, tenant, seq) merge.
-    for t in 0..tenants {
-        let boot = engine.model().drivers[t].bootstrap(SimTime::ZERO);
-        for (at, ev) in boot {
-            engine.queue_mut().schedule(
-                at,
-                ServeEv::Workload {
-                    tenant: t as u16,
-                    ev,
-                },
-            );
-        }
+    // `layout` is the authority; `base.tenants` only mirrors it.
+    let base = cfg.base.clone().with_tenants(Some(cfg.layout.clone()));
+    let mut engine = build_model_with(&base, lm);
+    let model = engine.model_mut();
+    model.budget = cfg.budget;
+    model.committed_sets = record_commits.then(|| vec![Vec::new(); tenants]);
+    for (t, phases) in cfg.tenant_phases.iter().enumerate() {
+        model.driver[t].set_phases(phases.clone());
     }
     let wall_start = Instant::now();
-    let horizon = cfg.base.runtime;
+    let horizon = base.runtime;
     let ended_at = engine.run_until(cfg.drain.map_or(horizon, |d| d.max(horizon)));
-    let perf = PerfStats {
-        events: engine.events_processed(),
-        wall: wall_start.elapsed(),
-        queue: engine.queue().perf(),
-        ..PerfStats::default()
-    };
-    let outcome = {
-        let model = engine.model();
-        let metrics = model.lm.metrics(horizon);
-        let ledger = model.lm.tenant_ledger().expect("serve arms the ledger");
-        let mut per_tenant = Vec::with_capacity(tenants);
-        let mut full: Option<Histogram> = None;
-        let mut ack: Option<Histogram> = None;
-        let mut aggregate = TenantReport::default();
-        for t in 0..tenants {
-            let s = model.drivers[t].stats();
+    let run = snapshot(&engine, &base, ended_at, wall_start);
+
+    let model = engine.model();
+    let ledger = model.lm.tenant_ledger().expect("armed above");
+    let mut aggregate = TenantReport::default();
+    let mut full = model.driver[0].stats().full_latency_ms.clone();
+    let per_tenant: Vec<TenantReport> = (0..tenants)
+        .map(|t| {
+            let s = model.driver[t].stats();
             let c = ledger.get(t);
-            let report = TenantReport {
+            aggregate.started += s.started;
+            aggregate.committed += s.committed;
+            aggregate.killed += c.kills;
+            aggregate.throttled += model.throttled[t];
+            aggregate.data_records += c.data_records;
+            aggregate.garbage_records += c.garbage_records;
+            aggregate.live_peak += c.live_records_peak;
+            aggregate.ltt_peak += c.ltt_peak;
+            if t > 0 {
+                full.merge(&s.full_latency_ms);
+            }
+            TenantReport {
                 started: s.started,
                 committed: s.committed,
                 killed: c.kills,
@@ -366,40 +365,21 @@ pub fn serve_run_recorded(
                 ltt_peak: c.ltt_peak,
                 p50_ms: s.full_latency_ms.quantile(0.5),
                 p99_ms: s.full_latency_ms.quantile(0.99),
-            };
-            aggregate.started += report.started;
-            aggregate.committed += report.committed;
-            aggregate.killed += report.killed;
-            aggregate.throttled += report.throttled;
-            aggregate.data_records += report.data_records;
-            aggregate.garbage_records += report.garbage_records;
-            aggregate.live_peak += report.live_peak;
-            aggregate.ltt_peak += report.ltt_peak;
-            match &mut full {
-                None => full = Some(s.full_latency_ms.clone()),
-                Some(h) => h.merge(&s.full_latency_ms),
             }
-            match &mut ack {
-                None => ack = Some(s.commit_latency_ms.clone()),
-                Some(h) => h.merge(&s.commit_latency_ms),
-            }
-            per_tenant.push(report);
-        }
-        let full = full.expect("at least one tenant");
-        let ack = ack.expect("at least one tenant");
-        aggregate.p50_ms = full.quantile(0.5);
-        aggregate.p99_ms = full.quantile(0.99);
-        ServeOutcome {
-            metrics,
-            per_tenant,
-            aggregate,
-            mean_commit_latency_ms: ack.quantile(0.5),
-            ended_at,
-            horizon,
-            perf,
-        }
+        })
+        .collect();
+    aggregate.p50_ms = full.quantile(0.5);
+    aggregate.p99_ms = full.quantile(0.99);
+    let outcome = ServeOutcome {
+        metrics: run.metrics,
+        per_tenant,
+        aggregate,
+        mean_commit_latency_ms: run.mean_commit_latency_ms,
+        ended_at,
+        horizon,
+        perf: run.perf,
     };
-    let committed = std::mem::take(&mut engine.model_mut().committed_sets);
+    let committed = engine.model_mut().committed_sets.take().unwrap_or_default();
     (outcome, committed)
 }
 
@@ -447,6 +427,28 @@ mod tests {
             .contains("empty"));
         assert!(parse_oid_ranges("0-4").is_err());
         assert!(parse_oid_ranges("").is_err());
+    }
+
+    #[test]
+    fn tenant_count_limits() {
+        assert!(validate_tenants(1, 1).is_ok());
+        assert!(validate_tenants(MAX_TENANTS, 10_000_000).is_ok());
+        assert!(validate_tenants(0, 10)
+            .unwrap_err()
+            .contains("at least one"));
+        // One past the u16 index space would alias tenant 65 536 onto 0.
+        assert!(validate_tenants(MAX_TENANTS + 1, 10_000_000)
+            .unwrap_err()
+            .contains("65536"));
+        assert!(validate_tenants(11, 10).unwrap_err().contains("10 objects"));
+        // Explicit layouts are held to the same limits.
+        let wide = TenantLayout {
+            ranges: (0..=MAX_TENANTS as u64).map(|b| (b, 1)).collect(),
+        };
+        assert!(validate_layout(&wide, MAX_TENANTS as u64 + 1)
+            .unwrap_err()
+            .contains("65536"));
+        assert!(validate_layout(&TenantLayout { ranges: vec![] }, 10).is_err());
     }
 
     #[test]

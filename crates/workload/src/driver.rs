@@ -230,9 +230,16 @@ impl WorkloadDriver {
     /// Panics on a replay driver, after arrivals have begun, or when the
     /// schedule's type table does not match the base mix.
     pub fn with_phases(mut self, schedule: Option<PhaseSchedule>) -> Self {
-        let Some(schedule) = schedule else {
-            return self;
-        };
+        if schedule.is_some() {
+            self.set_phases(schedule);
+        }
+        self
+    }
+
+    /// Replaces the phase schedule in place (`None` clears it): the
+    /// per-tenant override of a driver that was built with the run-wide
+    /// schedule. Same conditions and panics as [`Self::with_phases`].
+    pub fn set_phases(&mut self, schedule: Option<PhaseSchedule>) {
         assert!(
             matches!(self.source, Source::Live { .. }),
             "phase schedules apply to live drivers only; replay traces \
@@ -240,11 +247,10 @@ impl WorkloadDriver {
         );
         assert_eq!(self.next_tid, 0, "schedule must be set before arrivals");
         assert!(
-            schedule.matches_types(&self.mix),
+            schedule.as_ref().is_none_or(|s| s.matches_types(&self.mix)),
             "phase schedule type table does not match the base mix"
         );
-        self.schedule = Some(schedule);
-        self
+        self.schedule = schedule;
     }
 
     /// Starts capturing a [`WorkloadTrace`]. Must be called before the
