@@ -13,6 +13,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --offline --release --workspace
 
+echo "== benchmark/check.sh =="
+# benchmark/ is its own workspace that path-depends on these crates, so
+# nothing else here compiles it. It runs first after the build so a broken
+# frozen name fails in the first minute, not after the whole test run.
+./benchmark/check.sh
+
 echo "== cargo test =="
 cargo test -q --offline --workspace
 
@@ -38,31 +44,6 @@ if [ "$ANA_ON" != "$ANA_OFF" ]; then
     exit 1
 fi
 
-echo "== sharded equivalence smoke =="
-# Intra-run drive sharding (DESIGN.md §5h) must be pure: the same
-# min-space search run with the flush completions split across two
-# conservatively clocked shards has to print exactly the same geometry
-# and probe counts as the monolithic heap.
-SH1=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2)
-SH2=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2 --shards 2)
-if [ "$SH1" != "$SH2" ]; then
-    echo "sharded and monolithic searches disagree:" >&2
-    diff <(echo "$SH1") <(echo "$SH2") >&2 || true
-    exit 1
-fi
-
-echo "== speculative bisection smoke =="
-# Speculative parallel bisection (DESIGN.md §5i) must be pure: running
-# the same min-space search with four speculative probes ahead of each
-# bisection step has to print byte-identical stdout to the serial path.
-SP1=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2)
-SP4=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2 --probe-jobs 4)
-if [ "$SP1" != "$SP4" ]; then
-    echo "speculative and serial searches disagree:" >&2
-    diff <(echo "$SP1") <(echo "$SP4") >&2 || true
-    exit 1
-fi
-
 echo "== probe-cache smoke =="
 # The persistent probe-verdict store (DESIGN.md §5i) must be pure and
 # complete: a cold run populates the store, a warm rerun answers every
@@ -77,9 +58,9 @@ if [ "$COLD" != "$WARM" ]; then
     diff <(echo "$COLD") <(echo "$WARM") >&2 || true
     exit 1
 fi
-if [ "$SP1" != "$WARM" ]; then
+if [ "$ANA_ON" != "$WARM" ]; then
     echo "cached and uncached searches disagree:" >&2
-    diff <(echo "$SP1") <(echo "$WARM") >&2 || true
+    diff <(echo "$ANA_ON") <(echo "$WARM") >&2 || true
     exit 1
 fi
 if ! grep -q "live probes: 0" "$CACHE_DIR/warm.stderr"; then
@@ -152,29 +133,16 @@ if [ "$EL_SIM" != "$EL_SERVE" ]; then
 fi
 
 echo "== elserve multi-tenant smoke =="
-# Two tenants over two drive shards: stdout must be byte-identical to the
-# unsharded run (the (time, tenant, seq) arrival merge is shard-invariant),
-# and the [serve] summary must land on stderr with a committed count.
+# Two tenants: the [serve] summary must land on stderr with a committed
+# count.
 SERVE_ERR=$(mktemp)
-SV1=$(./target/release/elserve --tenants 2 --runtime 30 2>/dev/null)
-SV2=$(./target/release/elserve --tenants 2 --runtime 30 --shards 2 2>"$SERVE_ERR")
-if [ "$SV1" != "$SV2" ]; then
-    echo "sharded and unsharded serve runs disagree:" >&2
-    diff <(echo "$SV1") <(echo "$SV2") >&2 || true
-    exit 1
-fi
+./target/release/elserve --tenants 2 --runtime 30 >/dev/null 2>"$SERVE_ERR"
 if ! grep -q '^\[serve\] tenants 2, committed [1-9]' "$SERVE_ERR"; then
     echo "elserve printed no [serve] summary (or committed nothing):" >&2
     cat "$SERVE_ERR" >&2
     exit 1
 fi
 rm -f "$SERVE_ERR"
-
-echo "== benchmark/check.sh =="
-# benchmark/ is its own workspace that path-depends on these crates, so
-# nothing above compiles it: an API change that breaks it would otherwise
-# surface only when the benchmark driver runs.
-./benchmark/check.sh
 
 echo "== bench --quick (perf regression gate) =="
 # One quick pass over the whole experiment basket — including the

@@ -1,7 +1,6 @@
 //! Online adaptive generation control.
 //!
-//! Every search in the harness (minspace, latsearch, analytic,
-//! speculative) finds the best *static* lattice geometry offline. This
+//! Every search in the harness (minspace, latsearch, analytic) finds the best *static* lattice geometry offline. This
 //! module closes the loop at runtime instead: an [`AdaptiveController`]
 //! watches per-generation occupancy, kill pressure and the record-lifetime
 //! histogram over a sliding window and re-shapes the lattice live —
@@ -89,7 +88,7 @@ use elog_sim::SimTime;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide default for `RunConfig::paper` (set by the `--adaptive`
-/// CLI flag, mirroring `harness::sharding::shards`).
+/// CLI flag).
 static DEFAULT_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Sets the process-wide adaptive default picked up by new configs.

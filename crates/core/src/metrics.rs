@@ -44,11 +44,6 @@ pub struct LmMetrics {
     pub mean_seek_distance: Option<f64>,
     /// Flush-array utilisation over `elapsed`.
     pub flush_utilisation: f64,
-    /// Per-drive busy fraction over `elapsed`, in drive order. Contiguous
-    /// groupings of this vector are drive-shard busy fractions (see
-    /// [`elog_dbdisk::FlushArray::per_shard_busy`]); the bench's sharding
-    /// section reports them per shard.
-    pub per_drive_busy: Vec<f64>,
     /// Flush requests currently backlogged.
     pub flush_backlog: usize,
     /// Copy of the lifetime counters (kills, forwards, drops, …).
@@ -82,7 +77,6 @@ impl LmMetrics {
             flushes: lm.flush.total_flushes(),
             mean_seek_distance: lm.flush.mean_seek_distance(),
             flush_utilisation: lm.flush.utilisation(elapsed),
-            per_drive_busy: lm.flush.per_drive_busy(elapsed),
             flush_backlog: lm.flush.total_pending(),
             stats: lm.stats.clone(),
         }

@@ -31,23 +31,6 @@ pub enum LmTimer {
     },
 }
 
-impl LmTimer {
-    /// The drive-shard lane this timer belongs to, if any.
-    ///
-    /// Flush completions are shard-routable: the flush array keeps one
-    /// request in flight per drive with a fixed transfer time, so each
-    /// drive's completion is an independently clocked, never-cancelled
-    /// event a host may park in a per-drive register
-    /// (`EventQueue::schedule_lane`) instead of its central queue. All
-    /// other timers belong to the coordinator spine and return `None`.
-    pub fn shard_lane(&self) -> Option<usize> {
-        match self {
-            LmTimer::FlushDone { drive } => Some(*drive),
-            LmTimer::BufferWrite { .. } | LmTimer::GroupCommitTimeout { .. } => None,
-        }
-    }
-}
-
 /// Side effects of one log-manager call: timers to schedule and
 /// notifications to deliver.
 #[derive(Clone, Debug, Default)]

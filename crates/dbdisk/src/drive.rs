@@ -5,14 +5,6 @@
 //! [`NearestOid`](crate::scheduler::NearestOid) scheduler. Urgent requests
 //! (the ForceFlush ablation) pre-empt the distance order but not the
 //! transfer in progress.
-//!
-//! The single-request-in-flight discipline is also a scheduling contract
-//! the intra-run sharding layer relies on: at any instant a drive has at
-//! most one future completion, it is known exactly (fixed transfer time
-//! from service start), and it is never cancelled — expedite and retract
-//! touch only *queued* requests. A drive's completion stream can therefore
-//! live in a single-entry register clocked by its shard rather than in the
-//! central event structure.
 
 use crate::scheduler::NearestOid;
 use elog_model::{ObjectVersion, Oid};

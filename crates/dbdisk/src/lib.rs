@@ -208,47 +208,6 @@ impl FlushArray {
             .sum();
         busy / span
     }
-
-    /// Per-drive busy fraction over `elapsed`, in drive order (all zero
-    /// when `elapsed` is zero). The raw material of the per-shard
-    /// occupancy report: each drive's queue, in-service request and
-    /// NearestOid scan origin are *shard-local* state — no drive ever
-    /// reads another's — so any contiguous grouping of these fractions is
-    /// also that drive shard's busy fraction.
-    pub fn per_drive_busy(&self, elapsed: SimTime) -> Vec<f64> {
-        let span = elapsed.as_secs_f64();
-        self.drives
-            .iter()
-            .map(|d| {
-                if span == 0.0 {
-                    0.0
-                } else {
-                    d.stats().busy.as_secs_f64() / span
-                }
-            })
-            .collect()
-    }
-
-    /// Busy fraction per drive shard over `elapsed`: the drives are split
-    /// into `shards` contiguous, near-even ranges (the same map the
-    /// sharded event queue uses) and each shard reports the mean busy
-    /// fraction of its drives. With `shards == 1` this is the array's
-    /// aggregate [`FlushArray::utilisation`].
-    pub fn per_shard_busy(&self, shards: u32, elapsed: SimTime) -> Vec<f64> {
-        let shards = shards.clamp(1, self.drives.len() as u32) as usize;
-        let per_drive = self.per_drive_busy(elapsed);
-        let mut sums = vec![0.0f64; shards];
-        let mut counts = vec![0u32; shards];
-        for (l, busy) in per_drive.iter().enumerate() {
-            let shard = l * shards / self.drives.len();
-            sums[shard] += busy;
-            counts[shard] += 1;
-        }
-        sums.iter()
-            .zip(&counts)
-            .map(|(s, c)| if *c == 0 { 0.0 } else { s / f64::from(*c) })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -392,36 +351,6 @@ mod tests {
         a.complete(SimTime::from_millis(20), 0); // 200 → 400: d=200
         a.complete(SimTime::from_millis(30), 0);
         assert_eq!(a.mean_seek_distance(), Some(150.0));
-    }
-
-    #[test]
-    fn per_drive_and_per_shard_busy() {
-        let mut a = FlushArray::new(&cfg(4, 100), 400);
-        // Drive 0: one 100 ms transfer; drive 2: two back-to-back.
-        a.submit(SimTime::ZERO, Oid(10), ver(1));
-        a.submit(SimTime::ZERO, Oid(210), ver(2));
-        a.submit(SimTime::ZERO, Oid(220), ver(3));
-        a.complete(SimTime::from_millis(100), 0);
-        a.complete(SimTime::from_millis(100), 2);
-        a.complete(SimTime::from_millis(200), 2);
-        let elapsed = SimTime::from_millis(200);
-        let per_drive = a.per_drive_busy(elapsed);
-        assert_eq!(per_drive.len(), 4);
-        assert!((per_drive[0] - 0.5).abs() < 1e-9);
-        assert_eq!(per_drive[1], 0.0);
-        assert!((per_drive[2] - 1.0).abs() < 1e-9);
-        assert_eq!(per_drive[3], 0.0);
-        // Two shards of two drives: (0.5+0)/2 and (1.0+0)/2.
-        let per_shard = a.per_shard_busy(2, elapsed);
-        assert_eq!(per_shard.len(), 2);
-        assert!((per_shard[0] - 0.25).abs() < 1e-9);
-        assert!((per_shard[1] - 0.5).abs() < 1e-9);
-        // One shard degenerates to the aggregate utilisation.
-        let one = a.per_shard_busy(1, elapsed);
-        assert!((one[0] - a.utilisation(elapsed)).abs() < 1e-9);
-        // Shard count clamps to the drive count; zero elapsed is all-zero.
-        assert_eq!(a.per_shard_busy(99, elapsed).len(), 4);
-        assert!(a.per_drive_busy(SimTime::ZERO).iter().all(|b| *b == 0.0));
     }
 
     #[test]

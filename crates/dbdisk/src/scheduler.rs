@@ -11,13 +11,6 @@
 //! per-drive backlogs into the tens of thousands, where the sorted-vector
 //! predecessor of this structure spent microseconds per submit/complete
 //! memmoving half the queue.
-//!
-//! The set is *shard-local* by construction: every entry's oid falls in
-//! its drive's range, the seek origin is the drive's own last-served
-//! offset, and no query ever consults another drive's state. That isolation
-//! is what lets the intra-run sharding layer clock a drive shard's
-//! completions independently — moving a drive between shards cannot change
-//! which request it picks next.
 
 use elog_model::{ObjectVersion, Oid};
 use std::collections::BTreeMap;

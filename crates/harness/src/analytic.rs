@@ -82,9 +82,9 @@
 //! The search consults its verdict sources cheapest-and-most-trusted
 //! first (`latsearch::Prober`): the frozen dominance **memo** (§5f),
 //! then this module's **threshold** rejection, then the column's
-//! **consumption certificate**, then any **speculative** verdict already
-//! harvested (§5i), then the persistent **probe cache**, and only then a
-//! live simulation (snapshot-resumed when possible). The order matters
+//! **consumption certificate**, then the persistent **probe cache**
+//! (§5i), and only then a live simulation (snapshot-resumed when
+//! possible). The order matters
 //! for accounting, not correctness — every layer is verified to return
 //! exactly the simulated verdict — but keeping the memo ahead of the
 //! model keeps `memo_hits` identical whether or not the model is on,

@@ -19,7 +19,7 @@
 //! the oldest stragglers survive until their transactions finish. A
 //! handful of validation probes then walk the estimate down to the true
 //! kill boundary — typically an order of magnitude fewer simulations than
-//! the grid search (`el_min_space`) needs.
+//! the lattice search (`SearchRequest::lattice`) needs.
 
 use crate::minspace::MinSpaceResult;
 use crate::runner::{run, RunConfig};

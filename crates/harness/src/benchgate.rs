@@ -10,11 +10,10 @@
 //! ratios are meaningful even though the absolute figures are not). The
 //! `lattice` section (min-space search probe counts, memo hit rate,
 //! pruned volume), the `analytic` section (model rejections, prefix
-//! resumes and their saved events), the `sharding` section (intra-run
-//! drive-shard counters and measured speedup) and the `search` section
-//! (speculative-bisection speedup and probe-cache hit counts) are parsed
-//! and echoed for context but never rate-gated: their numbers are
-//! workload properties, not host throughput.
+//! resumes and their saved events) and the `search` section (probe-cache
+//! speedup and hit counts) are parsed and echoed for context but never
+//! rate-gated: their numbers are workload properties, not host
+//! throughput.
 //!
 //! The reports are written by `bench` itself with a fixed field order, so
 //! a full JSON parser would be dead weight: the extractor scans for the
@@ -233,62 +232,11 @@ impl ReportSection for AnalyticSummary {
     }
 }
 
-/// The intra-run drive-sharding aggregates (report-only: shard count,
-/// sync rounds and exchanged effects are workload properties, and the
-/// measured speedup is expected to cross below 1.0 on small runs — see
-/// DESIGN.md §5h — so none of them is a gateable throughput).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ShardingSummary {
-    /// Completion shards the timed run used.
-    pub shards: f64,
-    /// Spine↔lane alternations the sharded merge performed.
-    pub sync_rounds: f64,
-    /// Flush-completion effects delivered through shard lanes.
-    pub effects_exchanged: f64,
-    /// Wall-clock ratio of the monolithic run to the sharded run.
-    pub speedup_vs_serial: f64,
-}
-
-impl ReportSection for ShardingSummary {
-    const KEY: &'static str = "sharding";
-    const FIELDS: &'static [(&'static str, Option<f64>)] = &[
-        ("shards", None),
-        ("sync_rounds", None),
-        ("effects_exchanged", None),
-        ("speedup_vs_serial", None),
-    ];
-
-    fn from_fields(vals: &[f64]) -> Self {
-        ShardingSummary {
-            shards: vals[0],
-            sync_rounds: vals[1],
-            effects_exchanged: vals[2],
-            speedup_vs_serial: vals[3],
-        }
-    }
-
-    fn describe(&self, parts: &mut Vec<String>) {
-        parts.push(format!(
-            "sharding {:.0} shards ({:.0} sync rounds, {:.0} effects, \
-             {:.2}x vs serial)",
-            self.shards, self.sync_rounds, self.effects_exchanged, self.speedup_vs_serial
-        ));
-    }
-}
-
-/// The speculative-search aggregates (report-only, like the sharding
-/// section: the measured speedup depends on host core count and the
-/// cache counters are workload properties, so none of them is gated).
+/// The probe-cache search aggregates (report-only: the warm-rerun speedup
+/// depends on the host and the cache counters are workload properties, so
+/// none of them is gated).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SearchSummary {
-    /// Speculative probe width (`--probe-jobs`) of the timed run.
-    pub probe_jobs: f64,
-    /// Wall-clock ratio of the serial search to the speculative run.
-    pub speculation_speedup: f64,
-    /// Probes launched ahead of the bisection's authoritative sequence.
-    pub speculative_probes: f64,
-    /// Speculative verdicts the search never consulted.
-    pub speculative_wasted: f64,
     /// Wall-clock ratio of the cold cached run to the warm rerun.
     pub cache_speedup: f64,
     /// Verdicts the warm run's probe cache was seeded with.
@@ -302,10 +250,6 @@ pub struct SearchSummary {
 impl ReportSection for SearchSummary {
     const KEY: &'static str = "search";
     const FIELDS: &'static [(&'static str, Option<f64>)] = &[
-        ("probe_jobs", None),
-        ("speculation_speedup", None),
-        ("speculative_probes", None),
-        ("speculative_wasted", None),
         ("cache_speedup", None),
         ("cache_seeded", None),
         ("cache_hits", None),
@@ -314,35 +258,23 @@ impl ReportSection for SearchSummary {
 
     fn from_fields(vals: &[f64]) -> Self {
         SearchSummary {
-            probe_jobs: vals[0],
-            speculation_speedup: vals[1],
-            speculative_probes: vals[2],
-            speculative_wasted: vals[3],
-            cache_speedup: vals[4],
-            cache_seeded: vals[5],
-            cache_hits: vals[6],
-            cache_misses: vals[7],
+            cache_speedup: vals[0],
+            cache_seeded: vals[1],
+            cache_hits: vals[2],
+            cache_misses: vals[3],
         }
     }
 
     fn describe(&self, parts: &mut Vec<String>) {
         parts.push(format!(
-            "search {:.2}x at probe-jobs {:.0} ({:.0} speculative, {:.0} wasted; \
-             warm cache {:.1}x, {:.0} seeded, {:.0} hits, {:.0} misses)",
-            self.speculation_speedup,
-            self.probe_jobs,
-            self.speculative_probes,
-            self.speculative_wasted,
-            self.cache_speedup,
-            self.cache_seeded,
-            self.cache_hits,
-            self.cache_misses
+            "search warm cache {:.1}x ({:.0} seeded, {:.0} hits, {:.0} misses)",
+            self.cache_speedup, self.cache_seeded, self.cache_hits, self.cache_misses
         ));
     }
 }
 
 /// The online adaptive-controller aggregates (report-only, like the
-/// sharding section: reshape counts and kills shed are workload
+/// search section: reshape counts and kills shed are workload
 /// properties of the drift scenario, not host throughput, so the default
 /// no-op `gate` stands).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -480,11 +412,8 @@ pub struct BenchSummary {
     /// The analytic section's aggregates; `None` when the report predates
     /// the analytic pre-filter.
     pub analytic: Option<AnalyticSummary>,
-    /// The sharding section's aggregates; `None` when the report predates
-    /// intra-run drive sharding.
-    pub sharding: Option<ShardingSummary>,
     /// The search section's aggregates; `None` when the report predates
-    /// speculative bisection and the probe cache.
+    /// the probe cache.
     pub search: Option<SearchSummary>,
     /// The adaptive section's aggregates; `None` when the report predates
     /// the online generation controller.
@@ -526,7 +455,6 @@ impl BenchSummary {
             recovery: RecoverySummary::parse(json),
             lattice: LatticeSummary::parse(json),
             analytic: AnalyticSummary::parse(json),
-            sharding: ShardingSummary::parse(json),
             search: SearchSummary::parse(json),
             adaptive: AdaptiveSummary::parse(json),
             tenants: TenantsSummary::parse(json),
@@ -621,12 +549,6 @@ pub fn check_regression(
         &mut parts,
     )?;
     gate_section(
-        &baseline.sharding,
-        &current.sharding,
-        max_regress_pct,
-        &mut parts,
-    )?;
-    gate_section(
         &baseline.search,
         &current.search,
         max_regress_pct,
@@ -703,13 +625,12 @@ mod tests {
         recovery: Option<(f64, f64)>,
         lattice: Option<(f64, f64, f64)>,
         analytic: Option<(f64, f64, f64)>,
-        sharding: Option<(f64, f64)>,
         search: Option<(f64, f64)>,
         adaptive: Option<(f64, f64)>,
         tenants: Option<(f64, f64)>,
     ) -> String {
         // Same field order as the bench binary's writer: experiments,
-        // then lattice, then analytic, then sharding, then search, then
+        // then lattice, then analytic, then search, then
         // adaptive, then tenants, then recovery.
         let lattice_section = match lattice {
             Some((probes, rate, pruned)) => format!(
@@ -726,24 +647,11 @@ mod tests {
             ),
             None => String::new(),
         };
-        let sharding_section = match sharding {
-            Some((shards, speedup)) => format!(
-                ",\n  \"sharding\": {{\n    \"shards\": {shards},\n    \
-                 \"sync_rounds\": 9000,\n    \"effects_exchanged\": 180000,\n    \
-                 \"serial_wall_secs\": 1.0,\n    \"sharded_wall_secs\": 0.9,\n    \
-                 \"speedup_vs_serial\": {speedup},\n    \
-                 \"per_shard_busy\": [0.5, 0.5, 0.5, 0.5]\n  }}"
-            ),
-            None => String::new(),
-        };
         let search_section = match search {
             Some((speedup, hits)) => format!(
-                ",\n  \"search\": {{\n    \"probe_jobs\": 4,\n    \
-                 \"serial_wall_secs\": 2.0,\n    \"spec_wall_secs\": 0.8,\n    \
-                 \"speculation_speedup\": {speedup},\n    \
-                 \"speculative_probes\": 30,\n    \"speculative_wasted\": 5,\n    \
+                ",\n  \"search\": {{\n    \"serial_wall_secs\": 2.0,\n    \
                  \"cold_wall_secs\": 2.1,\n    \"warm_wall_secs\": 0.05,\n    \
-                 \"cache_speedup\": 42.0,\n    \
+                 \"cache_speedup\": {speedup},\n    \
                  \"cache_seeded\": 120,\n    \"cache_hits\": {hits},\n    \
                  \"cache_misses\": 0\n  }}"
             ),
@@ -786,7 +694,7 @@ mod tests {
              \"replay_hit_rate\": 0.9,\n  \"memo_hit_rate\": 0.2,\n  \
              \"experiments\": [\n    {{\"name\": \"x\", \"probes\": 7, \
              \"events_per_sec\": 99, \"allocations_per_event\": 99.0}}\n  \
-             ]{lattice_section}{analytic_section}{sharding_section}{search_section}{adaptive_section}{tenants_section}{recovery_section}\n}}"
+             ]{lattice_section}{analytic_section}{search_section}{adaptive_section}{tenants_section}{recovery_section}\n}}"
         )
     }
 
@@ -803,8 +711,7 @@ mod tests {
             recovery,
             Some((200.0, 0.35, 5000.0)),
             Some((12.0, 30.0, 40000.0)),
-            Some((4.0, 1.05)),
-            Some((2.5, 140.0)),
+            Some((42.0, 140.0)),
             Some((6.0, 120.0)),
             Some((8.0, 9800.0)),
         )
@@ -823,8 +730,7 @@ mod tests {
             Some((4e6, 8e6)),
             None,
             Some((12.0, 30.0, 40000.0)),
-            Some((4.0, 1.05)),
-            Some((2.5, 140.0)),
+            Some((42.0, 140.0)),
             Some((6.0, 120.0)),
             Some((8.0, 9800.0)),
         )
@@ -839,24 +745,7 @@ mod tests {
             Some((4e6, 8e6)),
             Some((200.0, 0.35, 5000.0)),
             None,
-            Some((4.0, 1.05)),
-            Some((2.5, 140.0)),
-            Some((6.0, 120.0)),
-            Some((8.0, 9800.0)),
-        )
-    }
-
-    /// A report missing only the sharding section.
-    fn no_sharding(events_per_sec: f64) -> String {
-        report_full(
-            events_per_sec,
-            0.05,
-            true,
-            Some((4e6, 8e6)),
-            Some((200.0, 0.35, 5000.0)),
-            Some((12.0, 30.0, 40000.0)),
-            None,
-            Some((2.5, 140.0)),
+            Some((42.0, 140.0)),
             Some((6.0, 120.0)),
             Some((8.0, 9800.0)),
         )
@@ -871,7 +760,6 @@ mod tests {
             Some((4e6, 8e6)),
             Some((200.0, 0.35, 5000.0)),
             Some((12.0, 30.0, 40000.0)),
-            Some((4.0, 1.05)),
             None,
             Some((6.0, 120.0)),
             Some((8.0, 9800.0)),
@@ -887,8 +775,7 @@ mod tests {
             Some((4e6, 8e6)),
             Some((200.0, 0.35, 5000.0)),
             Some((12.0, 30.0, 40000.0)),
-            Some((4.0, 1.05)),
-            Some((2.5, 140.0)),
+            Some((42.0, 140.0)),
             None,
             Some((8.0, 9800.0)),
         )
@@ -903,8 +790,7 @@ mod tests {
             Some((4e6, 8e6)),
             Some((200.0, 0.35, 5000.0)),
             Some((12.0, 30.0, 40000.0)),
-            Some((4.0, 1.05)),
-            Some((2.5, 140.0)),
+            Some((42.0, 140.0)),
             Some((6.0, 120.0)),
             None,
         )
@@ -954,8 +840,7 @@ mod tests {
             Some((4e6, 8e6)),
             Some((200.0, 0.35, 5000.0)),
             Some((12.0, 30.0, 40000.0)),
-            Some((4.0, 1.05)),
-            Some((2.5, 140.0)),
+            Some((42.0, 140.0)),
             Some((0.0, 0.0)),
             Some((8.0, 9800.0)),
         ))
@@ -1016,8 +901,7 @@ mod tests {
             Some((4e6, 8e6)),
             Some((200.0, 0.35, 5000.0)),
             Some((12.0, 30.0, 40000.0)),
-            Some((4.0, 1.05)),
-            Some((2.5, 140.0)),
+            Some((42.0, 140.0)),
             Some((6.0, 120.0)),
             Some((0.0, 0.0)),
         ))
@@ -1099,8 +983,7 @@ mod tests {
             Some((4e6, 8e6)),
             Some((9_000.0, 0.01, 2.0)),
             Some((12.0, 30.0, 40000.0)),
-            Some((4.0, 1.05)),
-            Some((2.5, 140.0)),
+            Some((42.0, 140.0)),
             Some((6.0, 120.0)),
             Some((8.0, 9800.0)),
         ))
@@ -1148,8 +1031,7 @@ mod tests {
             Some((4e6, 8e6)),
             Some((200.0, 0.35, 5000.0)),
             Some((0.0, 0.0, 0.0)),
-            Some((4.0, 1.05)),
-            Some((2.5, 140.0)),
+            Some((42.0, 140.0)),
             Some((6.0, 120.0)),
             Some((8.0, 9800.0)),
         ))
@@ -1159,64 +1041,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_reads_sharding_aggregates() {
-        let s = BenchSummary::parse(&report(400_000.0, 0.05, true)).unwrap();
-        let sh = s.sharding.expect("sharding section present");
-        assert_eq!(sh.shards, 4.0);
-        assert_eq!(sh.sync_rounds, 9000.0);
-        assert_eq!(sh.effects_exchanged, 180000.0);
-        assert_eq!(sh.speedup_vs_serial, 1.05);
-    }
-
-    #[test]
-    fn sharding_baseline_missing_warns_and_passes() {
-        let base = BenchSummary::parse(&no_sharding(400_000.0)).unwrap();
-        let cur = BenchSummary::parse(&report(400_000.0, 0.05, true)).unwrap();
-        let verdict = check_regression(&base, &cur, 30.0).unwrap();
-        assert!(
-            verdict.contains("predates the sharding section"),
-            "{verdict}"
-        );
-    }
-
-    #[test]
-    fn sharding_lost_from_current_fails() {
-        let base = BenchSummary::parse(&report(400_000.0, 0.05, true)).unwrap();
-        let cur = BenchSummary::parse(&no_sharding(400_000.0)).unwrap();
-        let err = check_regression(&base, &cur, 30.0).unwrap_err();
-        assert!(err.contains("no sharding section"), "{err}");
-    }
-
-    #[test]
-    fn sharding_stats_are_reported_but_never_gated() {
-        let base = BenchSummary::parse(&report(400_000.0, 0.05, true)).unwrap();
-        // A speedup below 1.0 (barrier overhead lost) is still a pass:
-        // the section is context, not a gated throughput.
-        let cur = BenchSummary::parse(&report_full(
-            400_000.0,
-            0.05,
-            true,
-            Some((4e6, 8e6)),
-            Some((200.0, 0.35, 5000.0)),
-            Some((12.0, 30.0, 40000.0)),
-            Some((4.0, 0.58)),
-            Some((2.5, 140.0)),
-            Some((6.0, 120.0)),
-            Some((8.0, 9800.0)),
-        ))
-        .unwrap();
-        let verdict = check_regression(&base, &cur, 30.0).unwrap();
-        assert!(verdict.contains("0.58x vs serial"), "{verdict}");
-    }
-
-    #[test]
     fn parse_reads_search_aggregates() {
         let s = BenchSummary::parse(&report(400_000.0, 0.05, true)).unwrap();
         let se = s.search.expect("search section present");
-        assert_eq!(se.probe_jobs, 4.0);
-        assert_eq!(se.speculation_speedup, 2.5);
-        assert_eq!(se.speculative_probes, 30.0);
-        assert_eq!(se.speculative_wasted, 5.0);
         assert_eq!(se.cache_speedup, 42.0);
         assert_eq!(se.cache_seeded, 120.0);
         assert_eq!(se.cache_hits, 140.0);
@@ -1242,8 +1069,8 @@ mod tests {
     #[test]
     fn search_stats_are_reported_but_never_gated() {
         let base = BenchSummary::parse(&report(400_000.0, 0.05, true)).unwrap();
-        // A speedup below 1.0 (speculation lost to overhead) still passes:
-        // the section is context, not a gated throughput.
+        // A warm rerun slower than the cold run still passes: the section
+        // is context, not a gated throughput.
         let cur = BenchSummary::parse(&report_full(
             400_000.0,
             0.05,
@@ -1251,14 +1078,13 @@ mod tests {
             Some((4e6, 8e6)),
             Some((200.0, 0.35, 5000.0)),
             Some((12.0, 30.0, 40000.0)),
-            Some((4.0, 1.05)),
             Some((0.7, 0.0)),
             Some((6.0, 120.0)),
             Some((8.0, 9800.0)),
         ))
         .unwrap();
         let verdict = check_regression(&base, &cur, 30.0).unwrap();
-        assert!(verdict.contains("search 0.70x"), "{verdict}");
+        assert!(verdict.contains("search warm cache 0.7x"), "{verdict}");
     }
 
     #[test]
@@ -1268,7 +1094,7 @@ mod tests {
         // extractor rejects the section (→ None) rather than inventing a
         // number. The gate then reports it exactly like a lost section.
         let good = report(400_000.0, 0.05, true);
-        let torn = good.replace("\"speculation_speedup\": 2.5,\n    ", "");
+        let torn = good.replace("\"cache_speedup\": 42,\n    ", "");
         let s = BenchSummary::parse(&torn).unwrap();
         assert!(s.search.is_none(), "torn section must not parse");
         // An *optional* field falls back instead of rejecting: the fixture

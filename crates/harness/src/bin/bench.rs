@@ -28,19 +28,10 @@
 //! codec and priced through `scan_bytes` + `recover` — per-point scan
 //! and redo throughput, allocations per record, corrupt-block rate.
 //!
-//! A `sharding` section prices the intra-run drive shards
-//! (`RunConfig::shards`, DESIGN.md §5h): the paper's base run is timed
-//! once on the monolithic heap and once on 4 completion shards, and the
-//! report records the shard count, sync rounds, exchanged effects,
-//! per-shard busy fractions and the wall-clock speedup (below 1.0 when
-//! the merge overhead loses — expected on small cache-resident runs).
-//! Report-only, like the lattice and analytic sections.
-//!
-//! A `search` section prices the speculative bisection and the
-//! persistent probe-verdict cache (DESIGN.md §5i): the fig4-6 workhorse
-//! search is timed serially and at `--probe-jobs 4` (identical results
-//! asserted), then run cold and warm against a scratch probe cache; the
-//! report records the speculation speedup and the warm run's
+//! A `search` section prices the persistent probe-verdict cache
+//! (DESIGN.md §5i): the fig4-6 workhorse search is timed uncached, then
+//! run cold and warm against a scratch probe cache (identical results
+//! asserted); the report records the three wall clocks and the warm run's
 //! seeded/hit/miss counts (misses = live probes, 0 when warm).
 //! Report-only, like the other accelerator sections.
 //!
@@ -51,11 +42,11 @@
 //! `--max-regress` percent (default 30).
 
 use elog_harness::benchgate::{check_regression, BenchSummary};
+use elog_harness::cli;
 use elog_harness::crashpoint::bench_recovery;
 use elog_harness::experiments::registry;
 use elog_harness::latsearch::LatticeLimits;
 use elog_harness::minspace::paper_base;
-use elog_harness::runner::run;
 use elog_harness::sweep::{run_scenarios, ExecOptions};
 use elog_harness::SearchRequest;
 use elog_sim::perfstats::{allocations, CountingAlloc};
@@ -75,7 +66,10 @@ struct Options {
     max_regress_pct: f64,
 }
 
-fn parse_args() -> Options {
+const USAGE: &str = "usage: bench [--quick] [--jobs N] [--out PATH] [--date YYYY-MM-DD] \
+    [--baseline PATH] [--max-regress PCT] [--no-analytic]";
+
+fn parse_args(args: Vec<String>) -> Result<Options, String> {
     let mut opts = Options {
         quick: false,
         jobs: 1,
@@ -84,72 +78,31 @@ fn parse_args() -> Options {
         baseline: None,
         max_regress_pct: 30.0,
     };
-    let mut args = std::env::args().skip(1);
+    let args: cli::Args = &mut args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--no-analytic" => elog_harness::analytic::set_enabled(false),
-            "--jobs" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--jobs requires a positive integer");
-                        std::process::exit(2);
-                    });
-                opts.jobs = n;
-            }
-            "--out" => {
-                let path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-                opts.out = Some(path.into());
-            }
-            "--date" => {
-                let d = args.next().unwrap_or_else(|| {
-                    eprintln!("--date requires YYYY-MM-DD");
-                    std::process::exit(2);
-                });
-                opts.date = Some(d);
-            }
+            "--jobs" => opts.jobs = cli::positive("--jobs", args)?,
+            "--out" => opts.out = Some(cli::value::<String>("--out", args)?.into()),
+            "--date" => opts.date = Some(cli::value("--date", args)?),
             "--baseline" => {
-                let raw = args.next().unwrap_or_else(|| {
-                    eprintln!("--baseline requires a path");
-                    std::process::exit(2);
-                });
-                let path = baseline_path(&raw).unwrap_or_else(|why| {
-                    eprintln!("{why}");
-                    std::process::exit(2);
-                });
-                opts.baseline = Some(path);
+                let raw: String = cli::value("--baseline", args)?;
+                opts.baseline = Some(baseline_path(&raw)?);
             }
             "--max-regress" => {
-                let pct = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|p| p.is_finite() && (0.0..100.0).contains(p))
-                    .unwrap_or_else(|| {
-                        eprintln!("--max-regress requires a percentage in [0, 100)");
-                        std::process::exit(2);
-                    });
+                let pct: f64 = cli::value("--max-regress", args)?;
+                if !(0.0..100.0).contains(&pct) {
+                    return Err(format!(
+                        "--max-regress {pct}: must be a percentage in [0, 100)"
+                    ));
+                }
                 opts.max_regress_pct = pct;
             }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench [--quick] [--jobs N] [--out PATH] [--date YYYY-MM-DD] \
-                     [--baseline PATH] [--max-regress PCT] [--no-analytic]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    opts
+    Ok(opts)
 }
 
 /// Validates a `--baseline` operand. An empty (or all-whitespace) path
@@ -218,175 +171,70 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Times the sharding subject run on the monolithic heap and on 4 drive
-/// shards and returns the `sharding` report section. The subject is the
-/// flush-heavy overload regime (4× the paper's arrival rate into a
-/// [60, 50] geometry) where the drive lanes carry real backlog — the
-/// paper-scale base run finishes in single-digit milliseconds, which
-/// times as noise. The sharded run's queue counters (shard count, sync
-/// rounds, exchanged effects) and the drives' busy fractions grouped by
-/// the lane→shard mapping (contiguous, `drive * shards / drives` — the
-/// same grouping `configure_shards` uses) give the section its workload
-/// context; the two wall clocks give the speedup. Results are
-/// byte-identical by construction (the shard invariance suite proves
-/// it), so only the sharded run's counters are recorded.
-fn bench_sharding(quick: bool) -> String {
-    const SHARDS: u32 = 4;
-    let secs = if quick { 100 } else { 500 };
-    let mut cfg = paper_base(0.05, false, secs);
-    cfg.arrivals = elog_workload::ArrivalProcess::Deterministic { rate_tps: 400.0 };
-    cfg.el.log.generation_blocks = vec![60, 50];
-    cfg.shards = 1;
-    let t0 = Instant::now();
-    let serial = run(&cfg);
-    let serial_wall = t0.elapsed();
-    cfg.shards = SHARDS;
-    let t0 = Instant::now();
-    let sharded = run(&cfg);
-    let sharded_wall = t0.elapsed();
-    assert_eq!(
-        serial.perf.events, sharded.perf.events,
-        "sharded run diverged from the monolithic heap"
-    );
-    let drives = sharded.metrics.per_drive_busy.len().max(1);
-    let mut busy = vec![0.0f64; SHARDS as usize];
-    let mut width = vec![0u32; SHARDS as usize];
-    for (d, b) in sharded.metrics.per_drive_busy.iter().enumerate() {
-        let s = d * SHARDS as usize / drives;
-        busy[s] += b;
-        width[s] += 1;
-    }
-    let per_shard: Vec<String> = busy
-        .iter()
-        .zip(&width)
-        .map(|(b, w)| format!("{:.3}", b / f64::from((*w).max(1))))
-        .collect();
-    let speedup = serial_wall.as_secs_f64() / sharded_wall.as_secs_f64().max(1e-9);
-    eprintln!(
-        "[bench] sharding: {} shards, {} sync rounds, {} effects, {:.2}x vs serial \
-         ({:.2?} -> {:.2?})",
-        sharded.perf.queue.shards,
-        sharded.perf.queue.sync_rounds,
-        sharded.perf.queue.effects_exchanged,
-        speedup,
-        serial_wall,
-        sharded_wall,
-    );
-    format!(
-        "  \"sharding\": {{\n    \"shards\": {},\n    \"sync_rounds\": {},\n    \
-         \"effects_exchanged\": {},\n    \"serial_wall_secs\": {:.3},\n    \
-         \"sharded_wall_secs\": {:.3},\n    \"speedup_vs_serial\": {:.3},\n    \
-         \"per_shard_busy\": [{}]\n  }}",
-        sharded.perf.queue.shards,
-        sharded.perf.queue.sync_rounds,
-        sharded.perf.queue.effects_exchanged,
-        serial_wall.as_secs_f64(),
-        sharded_wall.as_secs_f64(),
-        speedup,
-        per_shard.join(", "),
-    )
-}
-
 /// Times the fig4-6 workhorse search (2-generation lattice: gen0 scan ×
-/// gen1 bisection) serially and at probe-jobs 4, then prices the
-/// persistent probe-verdict cache with a cold-then-warm double run in a
-/// scratch directory, and returns the `search` report section. Identical
-/// geometries and probe counts across all four runs are asserted — the
-/// accelerators may only move wall clock. Speculative counters come from
-/// the probe-jobs run; cache counters from the warm run (whose misses are
-/// its live probes: 0 when the cache answered everything).
+/// gen1 bisection) uncached, then prices the persistent probe-verdict
+/// cache with a cold-then-warm double run in a scratch directory, and
+/// returns the `search` report section. Identical geometries and probe
+/// counts across the runs are asserted — the cache may only move wall
+/// clock. Cache counters come from the warm run (whose misses are its live
+/// probes: 0 when the cache answered everything).
 fn bench_search(quick: bool) -> String {
-    const PROBE_JOBS: usize = 4;
     let secs = if quick { 60 } else { 500 };
     let base = paper_base(0.05, false, secs);
-    let limits = || LatticeLimits {
-        prefix_max: vec![48],
-        last_limit: 1024,
+    let search = |dir: Option<&std::path::Path>| {
+        let limits = LatticeLimits {
+            prefix_max: vec![48],
+            last_limit: 1024,
+        };
+        let mut req = SearchRequest::lattice(&base, limits).jobs(1);
+        if let Some(dir) = dir {
+            req = req.probe_cache_dir(dir);
+        }
+        let t0 = Instant::now();
+        let out = req.run();
+        (out.min, t0.elapsed())
     };
-    let t0 = Instant::now();
-    let serial = SearchRequest::lattice(&base, limits())
-        .jobs(1)
-        .probe_jobs(1)
-        .run();
-    let serial_wall = t0.elapsed();
-    let t0 = Instant::now();
-    let spec = SearchRequest::lattice(&base, limits())
-        .jobs(PROBE_JOBS)
-        .probe_jobs(PROBE_JOBS)
-        .run();
-    let spec_wall = t0.elapsed();
-    assert_eq!(
-        serial.min.generation_blocks, spec.min.generation_blocks,
-        "speculative search diverged from the serial search"
-    );
-    assert_eq!(
-        serial.min.probes, spec.min.probes,
-        "speculative search changed the probe count"
-    );
+    let (serial, serial_wall) = search(None);
     let cache_dir = std::env::temp_dir().join(format!("elog-bench-probes-{}", std::process::id()));
     std::fs::create_dir_all(&cache_dir).expect("create scratch probe-cache dir");
-    let cached = |dir: &std::path::Path| {
-        SearchRequest::lattice(&base, limits())
-            .jobs(1)
-            .probe_jobs(1)
-            .probe_cache_dir(dir)
-            .run()
-    };
-    let t0 = Instant::now();
-    let cold = cached(&cache_dir);
-    let cold_wall = t0.elapsed();
-    let t0 = Instant::now();
-    let warm = cached(&cache_dir);
-    let warm_wall = t0.elapsed();
+    let (cold, cold_wall) = search(Some(&cache_dir));
+    let (warm, warm_wall) = search(Some(&cache_dir));
     let _ = std::fs::remove_dir_all(&cache_dir);
     assert_eq!(
-        serial.min.generation_blocks, cold.min.generation_blocks,
+        serial.generation_blocks, cold.generation_blocks,
         "cold cached search diverged from the uncached search"
     );
     assert_eq!(
-        serial.min.generation_blocks, warm.min.generation_blocks,
+        serial.generation_blocks, warm.generation_blocks,
         "warm cached search diverged from the uncached search"
     );
     assert_eq!(
-        serial.min.probes, warm.min.probes,
+        serial.probes, warm.probes,
         "warm cached search changed the probe count"
     );
-    let speedup = serial_wall.as_secs_f64() / spec_wall.as_secs_f64().max(1e-9);
     let cache_speedup = cold_wall.as_secs_f64() / warm_wall.as_secs_f64().max(1e-9);
     eprintln!(
-        "[bench] search: {:.2}x at probe-jobs {PROBE_JOBS} ({:.2?} -> {:.2?}), \
-         {} speculative ({} wasted); cache {:.0}x warm ({:.2?} -> {:.2?}), \
+        "[bench] search: {:.2?} uncached; cache {:.0}x warm ({:.2?} -> {:.2?}), \
          {} hits / {} misses",
-        speedup,
         serial_wall,
-        spec_wall,
-        spec.min.search.speculative_probes,
-        spec.min.search.speculative_wasted,
         cache_speedup,
         cold_wall,
         warm_wall,
-        warm.min.search.cache_hits,
-        warm.min.search.cache_misses,
+        warm.search.cache_hits,
+        warm.search.cache_misses,
     );
     format!(
-        "  \"search\": {{\n    \"probe_jobs\": {},\n    \"serial_wall_secs\": {:.3},\n    \
-         \"spec_wall_secs\": {:.3},\n    \"speculation_speedup\": {:.3},\n    \
-         \"speculative_probes\": {},\n    \"speculative_wasted\": {},\n    \
+        "  \"search\": {{\n    \"serial_wall_secs\": {:.3},\n    \
          \"cold_wall_secs\": {:.3},\n    \"warm_wall_secs\": {:.3},\n    \
          \"cache_speedup\": {:.3},\n    \
          \"cache_seeded\": {},\n    \"cache_hits\": {},\n    \"cache_misses\": {}\n  }}",
-        PROBE_JOBS,
         serial_wall.as_secs_f64(),
-        spec_wall.as_secs_f64(),
-        speedup,
-        spec.min.search.speculative_probes,
-        spec.min.search.speculative_wasted,
         cold_wall.as_secs_f64(),
         warm_wall.as_secs_f64(),
         cache_speedup,
-        warm.min.search.cache_seeded,
-        warm.min.search.cache_hits,
-        warm.min.search.cache_misses,
+        warm.search.cache_seeded,
+        warm.search.cache_hits,
+        warm.search.cache_misses,
     )
 }
 
@@ -513,7 +361,7 @@ fn bench_tenants(quick: bool) -> String {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = cli::parse_env(USAGE, parse_args);
     let date = opts.date.clone().unwrap_or_else(utc_date);
     let exec = ExecOptions {
         jobs: opts.jobs,
@@ -637,7 +485,6 @@ fn main() {
         total.search.resume_saved_events,
         total.search.resume_hit_rate(),
     );
-    let sharding_json = bench_sharding(opts.quick);
     let search_json = bench_search(opts.quick);
     let adaptive_json = bench_adaptive(opts.quick);
     let tenants_json = bench_tenants(opts.quick);
@@ -663,7 +510,7 @@ fn main() {
          \"events_per_sec\": {:.0},\n  \"allocations\": {},\n  \
          \"allocations_per_event\": {:.3},\n  \"probe_events\": {},\n  \
          \"replay_hit_rate\": {:.3},\n  \"memo_hit_rate\": {:.3},\n  \
-         \"experiments\": [\n{}\n  ],\n{},\n{},\n{},\n{},\n{},\n{},\n{}\n}}",
+         \"experiments\": [\n{}\n  ],\n{},\n{},\n{},\n{},\n{},\n{}\n}}",
         json_str(&date),
         opts.quick,
         opts.jobs,
@@ -678,7 +525,6 @@ fn main() {
         per_experiment,
         lattice_json,
         analytic_json,
-        sharding_json,
         search_json,
         adaptive_json,
         tenants_json,

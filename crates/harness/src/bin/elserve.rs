@@ -2,47 +2,19 @@
 //! ephemeral log, with streamed per-tenant workload admission and
 //! p50/p99 commit-latency reporting.
 //!
-//! ```text
-//! elserve [options]
-//!   --tenants T             logical tenants (default 2, at most 65536; 1 is
-//!                           the elsim run — the stdout is byte-identical)
-//!   --budget N              per-tenant live-record admission budget; a
-//!                           tenant at its budget has arrivals refused
-//!                           until flushes drain its footprint (default 0
-//!                           = unlimited; refusals never touch neighbours)
-//!   --oid-ranges B:L,...    explicit per-tenant oid ranges (one BASE:LEN
-//!                           per tenant; must tile the whole oid space
-//!                           disjointly — validated at parse time).
-//!                           Default: an even partition
-//!   --gens G0,G1[,G2...]    generation sizes in blocks (default 18,16)
-//!   --recirc                enable recirculation in the last generation
-//!   --frac-long P           fraction of 10 s transactions (default 0.05)
-//!   --tps R                 arrivals per second *per tenant* (default 100)
-//!   --poisson               Poisson instead of deterministic arrivals
-//!   --runtime S             simulated seconds (default 500)
-//!   --drives N              flush drives (default 10)
-//!   --flush-ms T            flush transfer time, ms (default 25)
-//!   --seed N                random seed (default 0x5EED1993; tenant 0
-//!                           uses it raw, tenants 1.. draw independent
-//!                           splitmix64 streams from it)
-//!   --shards N              drive shards inside the simulated run
-//!                           (default 1, at most --drives; the output
-//!                           must not change)
-//!   --phases SPEC           piecewise workload schedule applied to every
-//!                           tenant, `start:frac_long[@rate_factor],...`
-//! ```
+//! `elserve --help` prints the flag table
+//! ([`elog_harness::cli::ELSERVE_USAGE`]); the run flags are `elsim`'s, with
+//! `--tps` counted per tenant. One tenant is the `elsim` run — the stdout
+//! is byte-identical.
 //!
 //! A `[serve]` summary always goes to stderr, so stdout stays comparable
 //! across configurations (and byte-identical to `elsim` at one tenant).
 
-use elog_harness::report;
 use elog_harness::serve::serve_run;
+use elog_harness::{cli, report};
 
 fn main() {
-    let cfg = elog_harness::cli::elserve(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    });
+    let cfg = cli::parse_env(cli::ELSERVE_USAGE, cli::elserve);
     let tenants = cfg.layout.tenants();
     let recirc = cfg.base.el.log.recirculation;
 

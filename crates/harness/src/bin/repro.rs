@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro [--quick] [--jobs N] [--gens N] [--only NAME] [--csv DIR] [--progress]
-//!       [--no-analytic] [--shards N] [--probe-jobs N] [--probe-cache DIR]
-//!       [--adaptive]
+//!       [--no-analytic] [--probe-cache DIR] [--adaptive]
 //! ```
 //!
 //! `--quick` shrinks runtimes and sweeps for a fast smoke pass; the default
@@ -18,14 +17,9 @@
 //! file. `--progress` reports per-scenario completion on stderr.
 //! `--no-analytic` disables the analytic probe pre-filter and prefix
 //! resume ([`elog_harness::analytic`]); stdout is byte-identical either
-//! way — the flag exists to prove exactly that. `--shards N` splits each
-//! simulated run's drive completions into N independently clocked shards
-//! ([`elog_harness::sharding`]); stdout is byte-identical for every value
-//! — only host-side wall clock changes. `--probe-jobs N` launches up to N
-//! speculative probes ahead of each minimum-space bisection step
-//! ([`elog_harness::sweep::set_probe_jobs`]) and `--probe-cache DIR`
+//! way — the flag exists to prove exactly that. `--probe-cache DIR`
 //! persists probe verdicts under DIR ([`elog_harness::probecache`]);
-//! stdout is byte-identical under both, like the other accelerators.
+//! stdout is byte-identical under it too.
 //! `--adaptive` enables the online generation controller
 //! ([`elog_core::adaptive`]) as the process-wide default for measured
 //! runs; search probes stay controller-free and the `fig_adaptive`
@@ -40,11 +34,15 @@
 //! just flattens the registry's scenarios through one executor pool and
 //! prints each experiment's tables in registry order.
 
+use elog_harness::cli;
 use elog_harness::experiments::registry_with;
 use elog_harness::latsearch::MAX_AXES;
 use elog_harness::report::Table;
 use elog_harness::sweep::{run_experiments, ExecOptions};
 use std::io::Write as _;
+
+const USAGE: &str = "usage: repro [--quick] [--jobs N] [--gens N] [--only NAME] \
+    [--csv DIR] [--progress] [--no-analytic] [--probe-cache DIR] [--adaptive]";
 
 struct Options {
     quick: bool,
@@ -54,7 +52,7 @@ struct Options {
     exec: ExecOptions,
 }
 
-fn parse_args() -> Options {
+fn parse_args(args: Vec<String>) -> Result<Options, String> {
     let mut opts = Options {
         quick: false,
         gens: 3,
@@ -62,112 +60,33 @@ fn parse_args() -> Options {
         csv_dir: None,
         exec: ExecOptions::default(),
     };
-    let mut args = std::env::args().skip(1);
+    let args: cli::Args = &mut args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--progress" => opts.exec.progress = true,
             "--no-analytic" => elog_harness::analytic::set_enabled(false),
             "--adaptive" => elog_core::adaptive::set_default_enabled(true),
-            "--shards" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--shards requires a positive integer");
-                        std::process::exit(2);
-                    });
-                if n == 0 {
-                    eprintln!("--shards requires a positive integer");
-                    std::process::exit(2);
-                }
-                elog_harness::sharding::set_shards(n);
-            }
-            "--jobs" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--jobs requires a positive integer");
-                        std::process::exit(2);
-                    });
-                if n == 0 {
-                    eprintln!("--jobs requires a positive integer");
-                    std::process::exit(2);
-                }
-                opts.exec.jobs = n;
-            }
-            "--probe-jobs" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--probe-jobs requires a positive integer");
-                        std::process::exit(2);
-                    });
-                if n == 0 {
-                    eprintln!("--probe-jobs requires a positive integer");
-                    std::process::exit(2);
-                }
-                elog_harness::sweep::set_probe_jobs(n);
-            }
+            "--jobs" => opts.exec.jobs = cli::positive("--jobs", args)?,
             "--probe-cache" => {
-                let dir = args.next().unwrap_or_else(|| {
-                    eprintln!("--probe-cache requires a directory");
-                    std::process::exit(2);
-                });
+                let dir: String = cli::value("--probe-cache", args)?;
                 elog_harness::probecache::set_dir(Some(dir.into()));
             }
             "--gens" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--gens requires a generation count (an integer ≥ 1)");
-                        std::process::exit(2);
-                    });
-                if n < 1 {
-                    eprintln!("--gens {n} is invalid: a log needs at least one generation (N ≥ 1)");
-                    std::process::exit(2);
+                opts.gens = cli::positive("--gens", args)?;
+                if opts.gens > MAX_AXES {
+                    return Err(format!(
+                        "--gens {}: the lattice search supports at most {MAX_AXES} generations",
+                        opts.gens
+                    ));
                 }
-                if n > MAX_AXES {
-                    eprintln!(
-                        "--gens {n} is invalid: the lattice search supports at most \
-                         {MAX_AXES} generations"
-                    );
-                    std::process::exit(2);
-                }
-                opts.gens = n;
             }
-            "--only" => {
-                let name = args.next().unwrap_or_else(|| {
-                    eprintln!("--only requires an experiment name fragment");
-                    std::process::exit(2);
-                });
-                opts.only = Some(name.to_lowercase());
-            }
-            "--csv" => {
-                let dir = args.next().unwrap_or_else(|| {
-                    eprintln!("--csv requires a directory");
-                    std::process::exit(2);
-                });
-                opts.csv_dir = Some(dir.into());
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [--quick] [--jobs N] [--gens N] [--only NAME] \
-                     [--csv DIR] [--progress] [--no-analytic] [--shards N] \
-                     [--probe-jobs N] [--probe-cache DIR] [--adaptive]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--only" => opts.only = Some(cli::value::<String>("--only", args)?.to_lowercase()),
+            "--csv" => opts.csv_dir = Some(cli::value::<String>("--csv", args)?.into()),
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    opts
+    Ok(opts)
 }
 
 fn emit(opts: &Options, slug: &str, table: &Table) {
@@ -182,7 +101,7 @@ fn emit(opts: &Options, slug: &str, table: &Table) {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = cli::parse_env(USAGE, parse_args);
     let t0 = std::time::Instant::now();
     println!(
         "# Ephemeral Logging (SIGMOD '93) — full reproduction{}\n",

@@ -1,34 +1,111 @@
-//! The command lines of `elsim` and `elserve`.
+//! The command lines of the harness binaries.
 //!
-//! Both binaries take the same run flags (`--gens --recirc --frac-long
-//! --tps --poisson --runtime --drives --flush-ms --seed --shards
+//! `elsim` and `elserve` take the same run flags (`--gens --recirc
+//! --frac-long --tps --poisson --runtime --drives --flush-ms --seed
 //! --phases`); [`RunFlags`] parses them once and validates them into a
 //! [`RunConfig`], so a 1-tenant `elserve` and `elsim` hand the run loop the
 //! same configuration by construction. Everything arriving from the shell
 //! is checked here — geometry, rates, tenant counts — and comes back as a
-//! one-line `Err` naming the flag; the binaries print it and exit 2, so
-//! the `expect("validated configuration")`s further in hold.
+//! one-line `Err` naming the flag, so the `expect("validated
+//! configuration")`s further in hold. [`parse_env`] is every binary's
+//! front door: `--help` prints the usage text and exits 0, an `Err` goes to
+//! stderr and exits 2. `repro` and `bench` keep their own flag loops and
+//! share [`value`] / [`positive`] with this one.
 
 use crate::latsearch::MAX_AXES;
 use crate::runner::RunConfig;
-use crate::serve::{
-    parse_oid_ranges, validate_layout, validate_shards, validate_tenants, ServeConfig,
-};
+use crate::serve::{parse_oid_ranges, validate_layout, validate_tenants, ServeConfig};
 use elog_core::{ElConfig, MemoryModel};
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
 use elog_workload::{ArrivalProcess, PhaseSchedule};
 use std::str::FromStr;
 
-const ELSIM_USAGE: &str =
-    "see the `elsim` module docs; common: elsim --gens 18,16 --frac-long 0.05";
-const ELSERVE_USAGE: &str =
-    "see the `elserve` module docs; common: elserve --tenants 4 --gens 36,32 --tps 25 --budget 4096";
+/// The flag table of the run flags `elsim` and `elserve` share.
+macro_rules! run_flags_usage {
+    () => {
+        "  --gens G0,G1[,G2...]    generation sizes in blocks (default 18,16)
+  --recirc                enable recirculation in the last generation
+  --frac-long P           fraction of 10 s transactions (default 0.05)
+  --tps R                 arrivals per second, per tenant under elserve
+                          (default 100)
+  --poisson               Poisson instead of deterministic arrivals
+  --runtime S             simulated seconds (default 500)
+  --drives N              flush drives (default 10)
+  --flush-ms T            flush transfer time, ms (default 25)
+  --seed N                random seed (default 0x5EED1993; under elserve
+                          tenant 0 uses it raw, tenants 1.. draw
+                          independent splitmix64 streams from it)
+  --phases SPEC           piecewise workload schedule
+                          `start:frac_long[@rate_factor],...` over the
+                          paper type table, e.g. `0:0.1,160:0.4,330:0.1`
+                          (first start must be 0; seconds, ascending)"
+    };
+}
 
-type Args<'a> = &'a mut dyn Iterator<Item = String>;
+/// `elsim --help`.
+pub const ELSIM_USAGE: &str = concat!(
+    "elsim [options]
+  --mode el|fw            technique (default el)
+  --fw-blocks N           FW log size (default 123; implies --mode fw)
+",
+    run_flags_usage!(),
+    "
+  --min-space             search the minimum geometry instead of running
+                          (1 gen: firewall binary search; 2: gen0 scan x
+                          gen1 bisection; 3+: lattice search with the
+                          given sizes as per-axis ceilings)
+  --jobs N                worker threads for --min-space probes
+                          (default: the machine's parallelism)
+  --probe-cache DIR       persist probe verdicts under DIR; a warm
+                          rerun answers every probe from the cache
+                          (the output must not change; a stderr line
+                          reports seeded/hit/miss counts)
+  --no-analytic           disable the analytic pre-filter and prefix
+                          resume: simulate every probe in full (the
+                          output must not change)
+  --adaptive              run the online adaptive generation controller
+                          (stderr summary; stdout is byte-identical to
+                          a non-adaptive run when the workload is
+                          static, because the controller never acts)"
+);
+
+/// `elserve --help`.
+pub const ELSERVE_USAGE: &str = concat!(
+    "elserve [options]
+  --tenants T             logical tenants (default 2, at most 65536; 1 is
+                          the elsim run: the stdout is byte-identical)
+  --budget N              per-tenant live-record admission budget; a
+                          tenant at its budget has arrivals refused
+                          until flushes drain its footprint (default 0
+                          = unlimited; refusals never touch neighbours)
+  --oid-ranges B:L,...    explicit per-tenant oid ranges (one BASE:LEN
+                          per tenant; must tile the whole oid space
+                          disjointly). Default: an even partition
+",
+    run_flags_usage!()
+);
+
+/// A binary's command line, as its parser consumes it.
+pub type Args<'a> = &'a mut dyn Iterator<Item = String>;
+
+/// Parses the process's command line with `parse`, or ends the process:
+/// `--help` / `-h` anywhere prints `usage` to stdout and exits 0; a parse
+/// error prints its one line to stderr and exits 2.
+pub fn parse_env<T>(usage: &str, parse: impl FnOnce(Vec<String>) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+    parse(args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
 
 /// The value following `flag`, parsed.
-fn value<T: FromStr>(flag: &str, args: Args) -> Result<T, String> {
+pub fn value<T: FromStr>(flag: &str, args: Args) -> Result<T, String> {
     let raw = args
         .next()
         .ok_or_else(|| format!("{flag} requires a value"))?;
@@ -37,7 +114,7 @@ fn value<T: FromStr>(flag: &str, args: Args) -> Result<T, String> {
 }
 
 /// Like [`value`], for counts that must be at least 1.
-fn positive(flag: &str, args: Args) -> Result<usize, String> {
+pub fn positive(flag: &str, args: Args) -> Result<usize, String> {
     match value(flag, args)? {
         0 => Err(format!("{flag} 0: must be at least 1")),
         n => Ok(n),
@@ -60,7 +137,6 @@ struct RunFlags {
     drives: u32,
     flush_ms: u64,
     seed: u64,
-    shards: u32,
     phases: Option<PhaseSchedule>,
 }
 
@@ -78,7 +154,6 @@ impl Default for RunFlags {
             drives: 10,
             flush_ms: 25,
             seed: 0x5EED_1993,
-            shards: 1,
             phases: None,
         }
     }
@@ -105,7 +180,6 @@ impl RunFlags {
             "--drives" => self.drives = value(flag, args)?,
             "--flush-ms" => self.flush_ms = value(flag, args)?,
             "--seed" => self.seed = value(flag, args)?,
-            "--shards" => self.shards = value::<u32>(flag, args)?.max(1),
             "--phases" => {
                 let spec: String = value(flag, args)?;
                 self.phases =
@@ -147,7 +221,6 @@ impl RunFlags {
         flush
             .validate()
             .map_err(|e| format!("--drives {} --flush-ms {}: {e}", self.drives, self.flush_ms))?;
-        validate_shards(self.shards, self.drives)?;
         let mut el = ElConfig::ephemeral(log, flush);
         if self.firewall {
             el.memory_model = MemoryModel::Firewall;
@@ -156,7 +229,6 @@ impl RunFlags {
             .with_arrivals(arrivals)
             .runtime_secs(self.runtime)
             .seed(self.seed)
-            .shards(self.shards)
             .with_phases(self.phases)
             .adaptive(self.adaptive))
     }
@@ -171,8 +243,6 @@ pub struct Elsim {
     pub min_space: bool,
     /// `--jobs`: worker threads for the search's probes.
     pub jobs: usize,
-    /// `--probe-jobs`, when given.
-    pub probe_jobs: Option<usize>,
     /// `--probe-cache DIR`, when given.
     pub probe_cache: Option<String>,
     /// `--no-analytic` clears this.
@@ -186,7 +256,6 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
     let mut run = RunFlags::default();
     let mut min_space = false;
     let mut jobs = crate::sweep::default_jobs();
-    let mut probe_jobs = None;
     let mut probe_cache = None;
     let mut analytic = true;
     while let Some(arg) = args.next() {
@@ -209,15 +278,13 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             "--min-space" => min_space = true,
             "--no-analytic" => analytic = false,
             "--jobs" => jobs = positive("--jobs", args)?,
-            "--probe-jobs" => probe_jobs = Some(positive("--probe-jobs", args)?),
             "--probe-cache" => probe_cache = Some(value("--probe-cache", args)?),
             "--tenants" | "--budget" | "--oid-ranges" => {
                 return Err(format!(
                     "{arg} is an elserve flag; elsim runs a single workload"
                 ));
             }
-            "--help" | "-h" => return Err(ELSIM_USAGE.into()),
-            _ => return Err(format!("unknown flag `{arg}`; {ELSIM_USAGE}")),
+            _ => return Err(format!("unknown flag `{arg}`; elsim --help lists them")),
         }
     }
     if run.gens.len() > MAX_AXES {
@@ -230,7 +297,6 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
         run: run.build()?,
         min_space,
         jobs,
-        probe_jobs,
         probe_cache,
         analytic,
     })
@@ -257,8 +323,7 @@ pub fn elserve(args: impl IntoIterator<Item = String>) -> Result<ServeConfig, St
                 oid_ranges =
                     Some(parse_oid_ranges(&spec).map_err(|e| format!("--oid-ranges {spec}: {e}"))?);
             }
-            "--help" | "-h" => return Err(ELSERVE_USAGE.into()),
-            _ => return Err(format!("unknown flag `{arg}`; {ELSERVE_USAGE}")),
+            _ => return Err(format!("unknown flag `{arg}`; elserve --help lists them")),
         }
     }
     let base = run.build()?;
@@ -286,10 +351,10 @@ mod tests {
         line.split_whitespace().map(String::from).collect()
     }
 
-    /// The eleven flags both binaries document, each with a non-default
+    /// The ten flags both binaries document, each with a non-default
     /// value.
     const SHARED: &str = "--gens 36,32,8 --recirc --frac-long 0.2 --tps 50 --poisson \
-        --runtime 60 --drives 8 --flush-ms 45 --seed 7 --shards 2 --phases 0:0.1,30:0.4@2";
+        --runtime 60 --drives 8 --flush-ms 45 --seed 7 --phases 0:0.1,30:0.4@2";
 
     #[test]
     fn every_documented_flag_parses() {
@@ -300,7 +365,7 @@ mod tests {
             "--mode fw --gens 123",
             "--fw-blocks 123",
             "--adaptive",
-            "--min-space --jobs 2 --probe-jobs 4 --probe-cache /tmp/cache --no-analytic",
+            "--min-space --jobs 2 --probe-cache /tmp/cache --no-analytic",
         ];
         for line in elsim_lines {
             assert!(elsim(args(line)).is_ok(), "elsim {line}");
@@ -324,10 +389,7 @@ mod tests {
         assert!(e.run.el.log.recirculation && e.run.adaptive && e.min_space);
         assert_eq!(e.run.arrivals, ArrivalProcess::Poisson { rate_tps: 50.0 });
         assert_eq!(e.run.runtime, SimTime::from_secs(60));
-        assert_eq!(
-            (e.run.el.flush.drives, e.run.seed, e.run.shards, e.jobs),
-            (8, 7, 2, 3)
-        );
+        assert_eq!((e.run.el.flush.drives, e.run.seed, e.jobs), (8, 7, 3));
         assert_eq!(e.run.el.flush.transfer_time, SimTime::from_millis(45));
         assert!(e.run.phases.is_some());
 
@@ -358,7 +420,7 @@ mod tests {
         type Parse = fn(Vec<String>) -> Result<(), String>;
         let sim: Parse = |a| elsim(a).map(drop);
         let serve: Parse = |a| elserve(a).map(drop);
-        let table: [(Parse, &str, &str); 22] = [
+        let table: [(Parse, &str, &str); 25] = [
             (sim, "--gens 0", "--gens"),
             (sim, "--gens 18,0", "--gens"),
             (sim, "--gens 18,x", "--gens"),
@@ -372,7 +434,10 @@ mod tests {
             (sim, "--frac-long 2", "--frac-long"),
             (sim, "--drives 0", "--drives"),
             (sim, "--flush-ms 0", "--flush-ms"),
-            (sim, "--shards 11", "--shards"),
+            (sim, "--shards 2", "--shards"),
+            (serve, "--shards 2", "--shards"),
+            (sim, "--probe-jobs 4", "--probe-jobs"),
+            (serve, "--probe-jobs 4", "--probe-jobs"),
             (sim, "--jobs 0", "--jobs"),
             (sim, "--phases 5:0.1", "--phases"),
             (sim, "--tenants 2", "--tenants"),

@@ -8,8 +8,7 @@
 //! generation changes what reaches the later ones. This module walks that
 //! lattice as nested scans over generations `0..N-2` (the *prefix* axes)
 //! with a binary search on the last axis, exactly the shape the
-//! two-generation search pioneered; [`crate::minspace::el_min_space_traced`]
-//! is now a thin call into it with a one-axis prefix.
+//! two-generation search pioneered, which is its one-prefix-axis case.
 //!
 //! # Dominance rules and their trust boundary
 //!
@@ -211,16 +210,6 @@ struct ColumnState {
     /// surviving full-horizon probe: answers smaller capacities exactly,
     /// with zero simulation (see [`elog_core::ConsumptionCert`]).
     cert: Option<ConsumptionCert>,
-    /// Harvested speculative verdicts (`--probe-jobs`): exact worker
-    /// results for this column's trace, queried under the same dominance
-    /// rules as the frozen search memo. Column-local so the batch
-    /// schedule — and with it every speculative counter — depends only on
-    /// the column, never on cross-column scheduling order.
-    spec: Memo,
-    /// Speculative probes launched for this column.
-    spec_launched: u64,
-    /// Speculative verdicts the column's bisection consumed.
-    spec_consumed: u64,
 }
 
 /// Runs geometry probes for one search: a reusable scratch configuration
@@ -252,15 +241,6 @@ pub(crate) struct Prober {
     analytic_on: bool,
     model: Option<Arc<AnalyticModel>>,
     column: Option<ColumnState>,
-    /// Speculative batch width (`--probe-jobs`; ≤ 1 disables speculation).
-    spec_jobs: usize,
-    /// Worker probers recycled across speculative batches (their own
-    /// counters are discarded; only verdicts — and the target worker's
-    /// consumption certificate — are harvested).
-    spec_workers: Vec<Prober>,
-    /// Every speculative verdict harvested, for soundness audits
-    /// (mirrors [`Prober::memo_trail`]).
-    pub(crate) spec_trail: Vec<MemoHit>,
     /// Persistent probe-verdict cache handle (`--probe-cache`), shared by
     /// every prober of one search.
     cache: Option<Arc<crate::probecache::CacheHandle>>,
@@ -284,18 +264,9 @@ impl Prober {
             analytic_on: false,
             model: None,
             column: None,
-            spec_jobs: 1,
-            spec_workers: Vec::new(),
-            spec_trail: Vec::new(),
             cache: None,
             cache_new: Vec::new(),
         }
-    }
-
-    /// Sets the speculative batch width (clamped to ≥ 1; 1 = serial).
-    pub(crate) fn with_spec_jobs(mut self, jobs: usize) -> Self {
-        self.spec_jobs = jobs.max(1);
-        self
     }
 
     /// Attaches the search's persistent verdict cache.
@@ -359,13 +330,11 @@ impl Prober {
     }
 
     /// (Re)initialises the per-column state when `prefix` differs from
-    /// the current column's, folding the outgoing column's speculation
-    /// accounting first.
+    /// the current column's.
     fn ensure_column(&mut self, prefix: &[u32]) {
         if self.column.as_ref().is_some_and(|c| c.prefix == prefix) {
             return;
         }
-        self.close_column();
         let threshold = match &self.model {
             Some(m) => m.reject_threshold(prefix),
             None => 0,
@@ -375,19 +344,7 @@ impl Prober {
             threshold,
             snaps: Vec::new(),
             cert: None,
-            spec: Memo::default(),
-            spec_launched: 0,
-            spec_consumed: 0,
         });
-    }
-
-    /// Drops the current column, counting its never-consumed speculative
-    /// verdicts as wasted. `saturating_sub` because one harvested kill
-    /// can dominance-answer several probes.
-    fn close_column(&mut self) {
-        if let Some(col) = self.column.take() {
-            self.stats.speculative_wasted += col.spec_launched.saturating_sub(col.spec_consumed);
-        }
     }
 
     /// Records a fresh verdict for the persist pass when the cache is on
@@ -509,16 +466,6 @@ impl Prober {
                     CertVerdict::Unknown => {}
                 }
             }
-        }
-        // Speculation harvest: an exact verdict a worker already computed
-        // under this very trace (or one that dominance-answers this
-        // geometry). Consulted after the memo / analytic threshold / cert
-        // so every counter they increment is identical to the serial
-        // search; the harvest replaces only the simulation below.
-        if let Some(v) = col.spec.lookup(&g_full) {
-            col.spec_consumed += 1;
-            Self::note_cache_parts(&self.cache, &mut self.cache_new, g_full.as_slice(), v);
-            return v;
         }
         // Persistent verdict cache, last before simulating: an exact
         // entry for this geometry under this workload fingerprint.
@@ -645,138 +592,6 @@ impl Prober {
         }
     }
 
-    /// True when the search could answer `(prefix, last)` without any
-    /// simulation — frozen memo, harvested speculation, analytic
-    /// threshold, consumption certificate or cache seed. The speculative
-    /// scheduler skips such candidates: launching them would be pure
-    /// waste, and the authoritative path will consult the same oracles.
-    fn answerable(&self, memo: Option<&Memo>, prefix: &[u32], last: u32) -> bool {
-        let mut buf = [0u32; MAX_AXES];
-        buf[..prefix.len()].copy_from_slice(prefix);
-        buf[prefix.len()] = last;
-        let g = Geometry::from_slice(&buf[..prefix.len() + 1]);
-        if memo.is_some_and(|m| m.lookup(&g).is_some()) {
-            return true;
-        }
-        if let Some(col) = &self.column {
-            if col.prefix == prefix {
-                if col.spec.lookup(&g).is_some() {
-                    return true;
-                }
-                if self.trace.is_some() && self.model.is_some() && last <= col.threshold {
-                    return true;
-                }
-                if self.cert_ok() {
-                    if let Some(cert) = &col.cert {
-                        if !matches!(cert.verdict(last), CertVerdict::Unknown) {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        self.cache
-            .as_ref()
-            .is_some_and(|c| c.lookup(g.as_slice()).is_some())
-    }
-
-    /// Launches the speculative batch for the bisection step about to
-    /// probe `plan.target()`: the target itself plus the capacities the
-    /// next 1–2 steps could visit (both verdict branches), capped at
-    /// `spec_jobs` candidates, skipping any the search can already answer
-    /// probe-free. The batch runs on [`crate::sweep::parallel_map`];
-    /// every completed verdict is harvested into the column's dominance
-    /// memo (plus the audit trail and the persistent cache), and the
-    /// target worker's consumption certificate is adopted when the column
-    /// has none — so speculation never defeats the certificate path.
-    ///
-    /// Worker probers replay the same trace with the same analytic
-    /// engines, so their verdicts are exactly the ones the authoritative
-    /// probe would compute; only their (discarded) event counters differ.
-    /// No-op without a trace or at `spec_jobs` ≤ 1.
-    fn speculate(&mut self, memo: Option<&Memo>, prefix: &[u32], plan: Plan) {
-        if self.spec_jobs <= 1 {
-            return;
-        }
-        let Some(trace) = self.trace.clone() else {
-            return;
-        };
-        let Some(target) = plan.target() else { return };
-        self.ensure_column(prefix);
-        // The plan tree two steps deep, breadth-first: the current
-        // target, then each branch's next target, then theirs.
-        let s = plan.after(true);
-        let f = plan.after(false);
-        let cands = [
-            plan,
-            s,
-            f,
-            s.after(true),
-            s.after(false),
-            f.after(true),
-            f.after(false),
-        ];
-        let mut batch: Vec<(u32, u32)> = Vec::with_capacity(self.spec_jobs);
-        for c in cands {
-            let Some(t) = c.target() else { continue };
-            if batch.iter().any(|&(b, _)| b == t) {
-                continue;
-            }
-            if self.answerable(memo, prefix, t) {
-                continue;
-            }
-            batch.push((t, c.hint()));
-            if batch.len() >= self.spec_jobs {
-                break;
-            }
-        }
-        if batch.is_empty() {
-            return;
-        }
-        let pool: Mutex<Vec<Prober>> = Mutex::new(std::mem::take(&mut self.spec_workers));
-        let base_cfg = &self.cfg;
-        let analytic_on = self.analytic_on;
-        let model = self.model.clone();
-        let results = crate::sweep::parallel_map(&batch, self.spec_jobs, |_, &(cap, hint)| {
-            let mut w = pool.lock().expect("spec pool").pop().unwrap_or_else(|| {
-                Prober::new(base_cfg, Some(trace.clone()))
-                    .with_analytic(analytic_on)
-                    .share_model(model.clone())
-            });
-            let mut blocks = prefix.to_vec();
-            blocks.push(cap);
-            let v = w.survives_at(&blocks, Some(hint));
-            let cert = w.column.as_ref().and_then(|c| c.cert.clone());
-            pool.lock().expect("spec pool").push(w);
-            (cap, v, cert)
-        });
-        self.spec_workers = pool.into_inner().expect("spec pool");
-        let mut buf = [0u32; MAX_AXES];
-        buf[..prefix.len()].copy_from_slice(prefix);
-        let col = self.column.as_mut().expect("ensure_column above");
-        for r in results {
-            let (cap, v, cert) = r.expect("speculative probe panicked");
-            buf[prefix.len()] = cap;
-            let g = Geometry::from_slice(&buf[..prefix.len() + 1]);
-            col.spec.record(g, v);
-            col.spec_launched += 1;
-            self.stats.speculative_probes += 1;
-            self.spec_trail.push(MemoHit {
-                geometry: g,
-                survived: v,
-            });
-            // Only the (deterministically chosen) target worker's cert is
-            // adopted, keeping the column state — and with it every
-            // speculative batch — independent of worker scheduling.
-            if cap == target && col.cert.is_none() {
-                if let Some(c) = cert {
-                    col.cert = Some(c);
-                }
-            }
-            Self::note_cache_parts(&self.cache, &mut self.cache_new, g.as_slice(), v);
-        }
-    }
-
     /// Memo-aware probe: consults `memo` first, simulating only on a miss.
     pub(crate) fn survives_memo(&mut self, memo: &Memo, g: Geometry, next_lo: u32) -> bool {
         match memo.lookup(&g) {
@@ -798,12 +613,10 @@ impl Prober {
 
     /// Folds another prober's counters into this one (order-independent,
     /// so parallel scans stay deterministic).
-    pub(crate) fn absorb(&mut self, mut other: Prober) {
-        other.close_column();
+    pub(crate) fn absorb(&mut self, other: Prober) {
         self.probes += other.probes;
         self.stats.merge(&other.stats);
         self.memo_trail.extend(other.memo_trail);
-        self.spec_trail.extend(other.spec_trail);
         self.cache_new.extend(other.cache_new);
     }
 
@@ -819,8 +632,7 @@ impl Prober {
         }
     }
 
-    pub(crate) fn into_result(mut self, generation_blocks: Vec<u32>) -> MinSpaceResult {
-        self.close_column();
+    pub(crate) fn into_result(self, generation_blocks: Vec<u32>) -> MinSpaceResult {
         MinSpaceResult {
             total_blocks: generation_blocks.iter().sum(),
             generation_blocks,
@@ -830,34 +642,30 @@ impl Prober {
     }
 }
 
-/// Resolved probe-acceleration settings for one search: the speculative
-/// batch width and the persistent verdict cache (both default off; see
-/// [`SearchRequest::probe_jobs`] / [`SearchRequest::probe_cache_dir`] and
-/// the process-wide [`crate::sweep::set_probe_jobs`] /
-/// [`crate::probecache::set_dir`] knobs the CLI flags set).
+/// Resolved probe-acceleration settings for one search: the persistent
+/// verdict cache (default off; see [`SearchRequest::probe_cache_dir`] and
+/// the process-wide [`crate::probecache::set_dir`] knob `--probe-cache`
+/// sets).
 #[derive(Clone, Default)]
 pub(crate) struct ProbeTuning {
-    spec_jobs: usize,
     cache: Option<Arc<crate::probecache::CacheHandle>>,
 }
 
 impl ProbeTuning {
-    /// Resolves per-request overrides against the process-wide knobs and
-    /// opens the cache file (validating it against the seed trace's
+    /// Resolves the per-request override against the process-wide knob
+    /// and opens the cache file (validating it against the seed trace's
     /// fingerprint when one exists).
     fn resolve(
         base: &RunConfig,
-        probe_jobs: Option<usize>,
         cache_dir: Option<&Path>,
         seed_trace: Option<&Arc<WorkloadTrace>>,
     ) -> Self {
-        let spec_jobs = probe_jobs.unwrap_or_else(crate::sweep::probe_jobs).max(1);
         let fp = seed_trace.map(|t| t.fingerprint());
         let cache = match cache_dir {
             Some(d) => Some(Arc::new(crate::probecache::open_in(d, base, fp))),
             None => crate::probecache::open(base, fp).map(Arc::new),
         };
-        ProbeTuning { spec_jobs, cache }
+        ProbeTuning { cache }
     }
 
     /// A prober wired with these settings; `seed_stats` additionally
@@ -872,7 +680,6 @@ impl ProbeTuning {
     ) -> Prober {
         let mut p = Prober::new(base, trace)
             .with_analytic(analytic_on)
-            .with_spec_jobs(self.spec_jobs)
             .with_cache(self.cache.clone());
         if seed_stats {
             if let Some(c) = &p.cache {
@@ -912,13 +719,9 @@ impl LatticeLimits {
 /// One step of a last-axis search: the deterministic automaton behind
 /// every column bisection and the firewall search's doubling bracket.
 ///
-/// The serial control flow used to live in two hand-written loops
-/// (`min_last_for` and `run_firewall`); factoring it into explicit states
-/// lets the speculative scheduler enumerate the capacities the next 1–2
-/// steps *could* visit (`after(true)` / `after(false)`, both halves)
-/// without re-implementing — and possibly diverging from — the serial
-/// probe sequence. [`drive_last_axis`] replays the exact serial sequence;
-/// the `plan_*` unit tests pin the equivalence step by step.
+/// This *is* the serial control flow of both searches: [`drive_last_axis`]
+/// steps it one authoritative probe at a time, and the `plan_*` unit tests
+/// pin it step by step against the hand-written loops it replaced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Plan {
     /// The opening ceiling probe of a bisection: probing `hi` over the
@@ -1040,13 +843,8 @@ impl Plan {
 
 /// Runs a last-axis search plan to completion on `p`: for a fixed prefix,
 /// the smallest last generation with no kills, or `None` if nothing
-/// within the plan's ceiling survives. Before each authoritative probe a
-/// speculative batch is launched ([`Prober::speculate`], a no-op at
-/// `--probe-jobs 1`); the authoritative probe/verdict sequence is exactly
-/// the serial one — [`Plan`] *is* the serial control flow — so probe
-/// counts and every printed statistic stay byte-identical to it.
-/// `on_verdict` observes each authoritative verdict (the anchor pass
-/// records them into the dominance memo).
+/// within the plan's ceiling survives. `on_verdict` observes each verdict
+/// (the anchor pass records them into the dominance memo).
 fn drive_last_axis(
     p: &mut Prober,
     memo: Option<&Memo>,
@@ -1060,7 +858,6 @@ fn drive_last_axis(
         let Some(target) = plan.target() else {
             return plan.found();
         };
-        p.speculate(memo, prefix, plan);
         buf[prefix.len()] = target;
         let g = Geometry::from_slice(&buf[..prefix.len() + 1]);
         let v = match memo {
@@ -1110,62 +907,9 @@ fn enumerate_prefixes(gap: u32, prefix_max: &[u32]) -> Vec<Geometry> {
     }
 }
 
-/// Minimum-total N-generation geometry on the default thread count, memo
-/// enabled. See [`lattice_min_space_traced`].
-pub fn lattice_min_space(base: &RunConfig, limits: &LatticeLimits, jobs: usize) -> MinSpaceResult {
-    lattice_min_space_traced(base, limits, jobs, true).0
-}
-
-/// Minimum-total N-generation geometry with the probe engine exposed.
-///
-/// Scans the prefix lattice (axes `0..N-2`, each over
-/// `[gap+1, prefix_max[i]]`, lexicographic order) and binary-searches the
-/// minimal last generation for each prefix on a `jobs`-wide work queue.
-/// Returns the geometry minimising the total; ties prefer the
-/// lexicographically larger prefix (more blocks in earlier generations ⇒
-/// less forwarded traffic ⇒ lower bandwidth). The result — and every
-/// probe count — is independent of `jobs`.
-///
-/// Pruning: the search first anchors at the all-maxima prefix. Because
-/// ties prefer the larger prefix, every other prefix must *strictly*
-/// beat the anchor's total to win, so its last-axis search is capped at
-/// `anchor_total − prefix_sum − 1`; a prefix whose cap leaves no valid
-/// last generation is skipped without a single probe, and a capped probe
-/// that still kills rejects the prefix with one (early-stopping) probe.
-/// The pruning only skips geometries that provably cannot win; the
-/// selected geometry is identical to the exhaustive scan's. Skipped
-/// last-axis range is accounted in [`SearchStats::pruned_volume`].
-///
-/// Returns the captured workload trace (for the caller's measured run)
-/// and the audit trail of memo-derived verdicts. `use_memo = false`
-/// simulates every probe (the memo-soundness tests compare against this).
-pub fn lattice_min_space_traced(
-    base: &RunConfig,
-    limits: &LatticeLimits,
-    jobs: usize,
-    use_memo: bool,
-) -> (MinSpaceResult, Option<Arc<WorkloadTrace>>, Vec<MemoHit>) {
-    let tuning = ProbeTuning::resolve(base, None, None, None);
-    let (min, trace, memo_trail, _spec) = run_lattice(
-        base,
-        limits,
-        jobs,
-        use_memo,
-        crate::analytic::enabled(),
-        None,
-        &tuning,
-    );
-    (min, trace, memo_trail)
-}
-
 /// What the private search drivers hand back: the minimum, the captured
-/// (or seeded) trace, and the memo / speculation audit trails.
-type LatticeRun = (
-    MinSpaceResult,
-    Option<Arc<WorkloadTrace>>,
-    Vec<MemoHit>,
-    Vec<MemoHit>,
-);
+/// (or seeded) trace, and the memo audit trail.
+type LatticeRun = (MinSpaceResult, Option<Arc<WorkloadTrace>>, Vec<MemoHit>);
 
 /// The lattice search proper, with the analytic toggle resolved and an
 /// optional pre-captured trace to seed the anchor pass with.
@@ -1182,7 +926,7 @@ fn run_lattice(
     assert!(
         !limits.prefix_max.is_empty(),
         "lattice search needs at least one prefix axis (2 generations); \
-         use fw_min_space for single-generation logs"
+         use SearchRequest::firewall for single-generation logs"
     );
     assert!(
         limits.gens() <= MAX_AXES,
@@ -1279,13 +1023,7 @@ fn run_lattice(
     let trace = anchor_prober.trace.clone();
     anchor_prober.persist_cache();
     let trail = std::mem::take(&mut anchor_prober.memo_trail);
-    let spec_trail = std::mem::take(&mut anchor_prober.spec_trail);
-    (
-        anchor_prober.into_result(best.to_vec()),
-        trace,
-        trail,
-        spec_trail,
-    )
+    (anchor_prober.into_result(best.to_vec()), trace, trail)
 }
 
 /// The exhaustive prefix scan (no pruning bound, no memo); used when the
@@ -1301,7 +1039,6 @@ fn lattice_scan(
     let analytic_on = acc.analytic_on;
     let model = acc.model();
     let tuning = ProbeTuning {
-        spec_jobs: acc.spec_jobs,
         cache: acc.cache.clone(),
     };
     let prefixes = enumerate_prefixes(k, &limits.prefix_max);
@@ -1353,25 +1090,18 @@ fn lattice_scan(
     let best = best.expect("no feasible geometry within the lattice limits");
     let trace = acc.trace.clone();
     let trail = std::mem::take(&mut acc.memo_trail);
-    let spec_trail = std::mem::take(&mut acc.spec_trail);
-    (acc.into_result(best.to_vec()), trace, trail, spec_trail)
+    (acc.into_result(best.to_vec()), trace, trail)
 }
 
 /// What the single-column drivers hand back: the (possibly clamped)
-/// minimum, the trace, feasibility, and the speculation audit trail.
-type ColumnRun = (
-    MinSpaceResult,
-    Option<Arc<WorkloadTrace>>,
-    bool,
-    Vec<MemoHit>,
-);
+/// minimum, the trace, and feasibility.
+type ColumnRun = (MinSpaceResult, Option<Arc<WorkloadTrace>>, bool);
 
 /// Persists the cache and packages a finished single-column prober.
-fn finish_column(mut p: Prober, blocks: Vec<u32>, feasible: bool) -> ColumnRun {
+fn finish_column(p: Prober, blocks: Vec<u32>, feasible: bool) -> ColumnRun {
     let trace = p.trace.clone();
     p.persist_cache();
-    let spec_trail = std::mem::take(&mut p.spec_trail);
-    (p.into_result(blocks), trace, feasible, spec_trail)
+    (p.into_result(blocks), trace, feasible)
 }
 
 /// Smallest single-generation log: doubling to bracket, then bisection.
@@ -1454,10 +1184,8 @@ pub enum SearchMode {
     },
 }
 
-/// One minimum-space search, any shape: the unified entry point behind
-/// the previous per-shape free functions (`fw_min_space`, `el_min_space`,
-/// `el_min_last_gen`, `lattice_min_space`), which are now thin shims over
-/// this builder.
+/// One minimum-space search, any shape: the single entry point of the
+/// minimum-space machinery.
 ///
 /// ```no_run
 /// # use elog_harness::{SearchRequest, LatticeLimits, minspace::paper_base};
@@ -1475,7 +1203,6 @@ pub struct SearchRequest {
     memo: bool,
     analytic: Option<bool>,
     seed_trace: Option<Arc<WorkloadTrace>>,
-    probe_jobs: Option<usize>,
     cache_dir: Option<PathBuf>,
 }
 
@@ -1489,9 +1216,6 @@ pub struct SearchOutcome {
     pub trace: Option<Arc<WorkloadTrace>>,
     /// Memo-derived verdicts, for soundness audits (lattice mode only).
     pub memo_trail: Vec<MemoHit>,
-    /// Every speculative verdict harvested (`probe_jobs > 1`), for
-    /// soundness audits; empty on the serial path.
-    pub spec_trail: Vec<MemoHit>,
     /// `false` when nothing survived within the ceilings; `min` then
     /// holds the clamped upper bound probed last. Lattice mode panics
     /// instead (its callers treat an infeasible lattice as a setup bug).
@@ -1507,7 +1231,6 @@ impl SearchRequest {
             memo: true,
             analytic: None,
             seed_trace: None,
-            probe_jobs: None,
             cache_dir: None,
         }
     }
@@ -1557,15 +1280,12 @@ impl SearchRequest {
         self
     }
 
-    /// Overrides the process-wide speculative probe width
-    /// ([`crate::sweep::set_probe_jobs`], the `--probe-jobs` flag) for
-    /// this search; unset inherits it. At 1 (the default) the search is
-    /// strictly serial; at `n > 1` each bisection step additionally
-    /// launches up to `n` speculative probes for the capacities the next
-    /// steps could visit. The chosen geometry and every probe count are
-    /// invariant in this.
-    pub fn probe_jobs(mut self, jobs: usize) -> Self {
-        self.probe_jobs = Some(jobs.max(1));
+    /// Frozen name, owed to the next benchmark re-record: `benchmark/`
+    /// pins its protocol with `.probe_jobs(1)`, and serial probing is the
+    /// only kind there is.
+    #[doc(hidden)]
+    pub fn probe_jobs(self, n: usize) -> Self {
+        assert_eq!(n, 1, "probes are serial; there is no width to set");
         self
     }
 
@@ -1584,24 +1304,22 @@ impl SearchRequest {
         let analytic_on = self.analytic.unwrap_or_else(crate::analytic::enabled);
         let tuning = ProbeTuning::resolve(
             &self.base,
-            self.probe_jobs,
             self.cache_dir.as_deref(),
             self.seed_trace.as_ref(),
         );
         match self.mode {
             SearchMode::Firewall { limit } => {
-                let (min, trace, feasible, spec_trail) =
+                let (min, trace, feasible) =
                     run_firewall(&self.base, limit, analytic_on, self.seed_trace, &tuning);
                 SearchOutcome {
                     min,
                     trace,
                     memo_trail: Vec::new(),
-                    spec_trail,
                     feasible,
                 }
             }
             SearchMode::Lattice { limits } => {
-                let (min, trace, memo_trail, spec_trail) = run_lattice(
+                let (min, trace, memo_trail) = run_lattice(
                     &self.base,
                     &limits,
                     self.jobs,
@@ -1614,12 +1332,11 @@ impl SearchRequest {
                     min,
                     trace,
                     memo_trail,
-                    spec_trail,
                     feasible: true,
                 }
             }
             SearchMode::FixedPrefix { prefix, last_limit } => {
-                let (min, trace, feasible, spec_trail) = run_fixed_prefix(
+                let (min, trace, feasible) = run_fixed_prefix(
                     &self.base,
                     &prefix,
                     last_limit,
@@ -1631,7 +1348,6 @@ impl SearchRequest {
                     min,
                     trace,
                     memo_trail: Vec::new(),
-                    spec_trail,
                     feasible,
                 }
             }
@@ -1723,7 +1439,8 @@ mod tests {
             prefix_max: vec![14, 10],
             last_limit: 64,
         };
-        let (r, trace, _) = lattice_min_space_traced(&base, &limits, 2, true);
+        let t = ProbeTuning::default();
+        let (r, trace, _) = run_lattice(&base, &limits, 2, true, true, None, &t);
         assert_eq!(r.generation_blocks.len(), 3);
         assert!(trace.is_some(), "search must capture a trace");
         assert!(survives(&base, &r.generation_blocks));
@@ -1752,8 +1469,8 @@ mod tests {
             last_limit: 48,
         };
         let t = ProbeTuning::default();
-        let (serial, _, _, _) = run_lattice(&base, &limits, 1, true, true, None, &t);
-        let (parallel, _, _, _) = run_lattice(&base, &limits, 4, true, true, None, &t);
+        let (serial, _, _) = run_lattice(&base, &limits, 1, true, true, None, &t);
+        let (parallel, _, _) = run_lattice(&base, &limits, 4, true, true, None, &t);
         assert_eq!(serial.generation_blocks, parallel.generation_blocks);
         assert_eq!(serial.probes, parallel.probes);
         assert_eq!(serial.search.sim_probes, parallel.search.sim_probes);
@@ -1786,8 +1503,8 @@ mod tests {
             last_limit: 64,
         };
         let t = ProbeTuning::default();
-        let (on, _, on_trail, _) = run_lattice(&base, &limits, 2, true, true, None, &t);
-        let (off, _, off_trail, _) = run_lattice(&base, &limits, 2, true, false, None, &t);
+        let (on, _, on_trail) = run_lattice(&base, &limits, 2, true, true, None, &t);
+        let (off, _, off_trail) = run_lattice(&base, &limits, 2, true, false, None, &t);
         assert_eq!(on.generation_blocks, off.generation_blocks);
         assert_eq!(on.probes, off.probes);
         assert_eq!(on.search.sim_probes, off.search.sim_probes);
@@ -1813,8 +1530,8 @@ mod tests {
         // event count.
         let base = paper_base(0.05, false, 30);
         let t = ProbeTuning::default();
-        let (on, _, feasible_on, _) = run_fixed_prefix(&base, &[14], 96, true, None, &t);
-        let (off, _, feasible_off, _) = run_fixed_prefix(&base, &[14], 96, false, None, &t);
+        let (on, _, feasible_on) = run_fixed_prefix(&base, &[14], 96, true, None, &t);
+        let (off, _, feasible_off) = run_fixed_prefix(&base, &[14], 96, false, None, &t);
         assert!(feasible_on && feasible_off);
         assert_eq!(on.generation_blocks, off.generation_blocks);
         assert_eq!(on.probes, off.probes);
@@ -1844,8 +1561,8 @@ mod tests {
         let mut base = paper_base(0.05, false, 30);
         base.el.log.recirculation = true;
         let t = ProbeTuning::default();
-        let (on, _, feasible_on, _) = run_fixed_prefix(&base, &[14], 96, true, None, &t);
-        let (off, _, feasible_off, _) = run_fixed_prefix(&base, &[14], 96, false, None, &t);
+        let (on, _, feasible_on) = run_fixed_prefix(&base, &[14], 96, true, None, &t);
+        let (off, _, feasible_off) = run_fixed_prefix(&base, &[14], 96, false, None, &t);
         assert!(feasible_on && feasible_off);
         assert_eq!(on.generation_blocks, off.generation_blocks);
         assert_eq!(on.probes, off.probes);
@@ -1877,7 +1594,7 @@ mod tests {
             last_limit: 5,
         };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            lattice_min_space_traced(&base, &limits, 2, true)
+            SearchRequest::lattice(&base, limits).jobs(2).run()
         }))
         .expect_err("nothing feasible within these limits");
         let msg = err
@@ -2028,37 +1745,20 @@ mod tests {
     }
 
     #[test]
-    fn speculation_harvests_into_column_memo() {
+    fn frozen_benchmark_builders_accept_only_one() {
         let base = paper_base(0.05, false, 15);
-        // Analytic off: in so small a column the consumption certificate
-        // would answer everything and leave nothing to speculate on.
-        let mut p = Prober::new(&base, None)
-            .with_analytic(false)
-            .with_spec_jobs(4);
-        assert!(p.survives_at(&[14, 48], None), "capture probe must survive");
-        let k = base.el.log.gap_blocks;
-        p.speculate(None, &[14], Plan::Bisect { lo: k + 1, hi: 48 });
-        assert!(p.stats.speculative_probes > 0, "batch must launch");
-        assert_eq!(p.stats.speculative_probes, p.spec_trail.len() as u64);
-        let col = p.column.as_ref().expect("column open");
-        assert_eq!(col.spec_launched, p.stats.speculative_probes);
-        for h in &p.spec_trail {
-            assert_eq!(
-                col.spec.lookup(&h.geometry),
-                Some(h.survived),
-                "harvested verdict missing from the column memo: {:?}",
-                h.geometry
-            );
-            // Exactness: the harvested verdict is the authoritative one.
-            assert_eq!(
-                survives(&base, h.geometry.as_slice()),
-                h.survived,
-                "speculative verdict diverged at {:?}",
-                h.geometry
-            );
-        }
-        // Dropping the column without consuming counts the batch wasted.
-        p.close_column();
-        assert_eq!(p.stats.speculative_wasted, p.stats.speculative_probes);
+        assert_eq!(
+            format!("{:?}", base.clone().shards(1)),
+            format!("{base:?}"),
+            "shards(1) is the identity"
+        );
+        let req = SearchRequest::firewall(&base, 64);
+        assert_eq!(
+            format!("{:?}", req.clone().probe_jobs(1)),
+            format!("{req:?}"),
+            "probe_jobs(1) is the identity"
+        );
+        let err = std::panic::catch_unwind(|| paper_base(0.05, false, 15).shards(2));
+        assert!(err.is_err(), "shards(2) must panic");
     }
 }

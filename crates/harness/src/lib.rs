@@ -34,7 +34,6 @@ pub mod probecache;
 pub mod report;
 pub mod runner;
 pub mod serve;
-pub mod sharding;
 pub mod sweep;
 
 pub use analytic::AnalyticModel;
@@ -42,10 +41,8 @@ pub use autotune::{autotune, TuneResult};
 pub use crashpoint::{
     bench_recovery, bench_snapshot, snapshot_run, CrashPoint, CrashSnapshot, RecoveryBenchPoint,
 };
-pub use latsearch::{
-    lattice_min_space, Geometry, LatticeLimits, MemoHit, SearchMode, SearchOutcome, SearchRequest,
-};
-pub use minspace::{el_min_last_gen, el_min_space_jobs, fw_min_space, MinSpaceResult};
+pub use latsearch::{Geometry, LatticeLimits, MemoHit, SearchMode, SearchOutcome, SearchRequest};
+pub use minspace::MinSpaceResult;
 pub use runner::{RunConfig, RunResult, SimModel, TenantLayout};
 pub use serve::{serve_run, ServeConfig, ServeOutcome, TenantReport};
 pub use sweep::{

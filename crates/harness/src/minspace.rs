@@ -11,29 +11,17 @@
 //! changes what reaches gen1 — so the search scans gen0 and binary-searches
 //! the minimal gen1 for each, parallelised across threads.
 //!
-//! The two-generation EL search is the one-prefix-axis slice of the
-//! general N-generation lattice search ([`crate::latsearch`]):
-//! [`el_min_space_traced`] is a thin call into
-//! [`lattice_min_space_traced`] with `prefix_max = [g0_max]`. The probe
-//! engine (trace capture/replay, scratch-config reuse), the verdict memo
-//! and its dominance rules, the anchor-bound pruning, and the
-//! jobs-invariance argument all live there now; this module keeps the
-//! paper-facing entry points (FW binary search, fixed-gen0 searches, the
-//! base configurations). Because every entry point routes through
-//! [`SearchRequest`], the process-wide accelerator knobs — speculative
-//! bisection (`--probe-jobs`, [`crate::sweep::set_probe_jobs`]) and the
-//! persistent probe-verdict cache (`--probe-cache`,
-//! [`crate::probecache`]) — apply to all of them without changing any
-//! printed result.
+//! The search itself — the probe engine (trace capture/replay,
+//! scratch-config reuse), the verdict memo and its dominance rules, the
+//! anchor-bound pruning, and the jobs-invariance argument — lives in
+//! [`crate::latsearch`] behind [`crate::SearchRequest`]; the two-generation
+//! EL search is its one-prefix-axis lattice. This module keeps the result
+//! type, the one-shot probe and the paper's base configuration.
 
-use crate::latsearch::{lattice_min_space_traced, LatticeLimits, Prober, SearchRequest};
+use crate::latsearch::Prober;
 use crate::runner::RunConfig;
 use elog_core::ElConfig;
 use elog_sim::{SearchStats, SimTime};
-use elog_workload::WorkloadTrace;
-use std::sync::Arc;
-
-pub use crate::latsearch::MemoHit;
 
 /// Outcome of a minimum-space search.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,83 +43,6 @@ pub fn survives(base: &RunConfig, blocks: &[u32]) -> bool {
     Prober::new(base, None).survives(blocks)
 }
 
-/// Smallest single-generation (firewall) log with no kills.
-///
-/// `hi_limit` caps the search; the result is clamped there if even the cap
-/// kills (the caller should treat hitting the cap as "infeasible").
-pub fn fw_min_space(base: &RunConfig, hi_limit: u32) -> MinSpaceResult {
-    fw_min_space_traced(base, hi_limit).0
-}
-
-/// [`fw_min_space`] plus the workload trace its probes captured, for
-/// reuse by the caller's measured run.
-pub fn fw_min_space_traced(
-    base: &RunConfig,
-    hi_limit: u32,
-) -> (MinSpaceResult, Option<Arc<WorkloadTrace>>) {
-    let out = SearchRequest::firewall(base, hi_limit).run();
-    (out.min, out.trace)
-}
-
-/// Minimum-total two-generation EL geometry.
-///
-/// Scans gen0 over `[gap+1, g0_max]`, binary-searching the minimal gen1
-/// for each, on a `jobs`-wide work queue ([`crate::sweep::parallel_map`]).
-/// Returns the geometry minimising the total (ties prefer the larger gen0,
-/// which gives lower bandwidth). The result is independent of `jobs`.
-pub fn el_min_space_jobs(
-    base: &RunConfig,
-    g0_max: u32,
-    g1_limit: u32,
-    jobs: usize,
-) -> MinSpaceResult {
-    el_min_space_traced(base, g0_max, g1_limit, jobs, true).0
-}
-
-/// [`el_min_space_jobs`] with the probe engine exposed: returns the
-/// captured workload trace (for the caller's measured run) and the audit
-/// trail of memo-derived verdicts. `use_memo = false` simulates every
-/// probe (the memo-soundness tests compare against this).
-///
-/// This is the two-generation slice of the lattice search — see
-/// [`lattice_min_space_traced`] for the pruning and memo mechanics.
-pub fn el_min_space_traced(
-    base: &RunConfig,
-    g0_max: u32,
-    g1_limit: u32,
-    jobs: usize,
-    use_memo: bool,
-) -> (MinSpaceResult, Option<Arc<WorkloadTrace>>, Vec<MemoHit>) {
-    let limits = LatticeLimits {
-        prefix_max: vec![g0_max],
-        last_limit: g1_limit,
-    };
-    lattice_min_space_traced(base, &limits, jobs, use_memo)
-}
-
-/// With gen0 fixed, the smallest last generation with no kills (Figure 7's
-/// "progressively decreased its size until we observed transactions being
-/// killed").
-pub fn el_min_last_gen(base: &RunConfig, g0: u32, g1_limit: u32) -> Option<MinSpaceResult> {
-    el_min_last_gen_traced(base, g0, g1_limit, None).map(|(r, _)| r)
-}
-
-/// [`el_min_last_gen`] reusing (and returning) a workload trace. A trace
-/// captured under a different *log* configuration — e.g. recirculation
-/// off — is still valid: the trace depends only on seed, mix, arrivals,
-/// horizon and oid-space size.
-pub fn el_min_last_gen_traced(
-    base: &RunConfig,
-    g0: u32,
-    g1_limit: u32,
-    trace: Option<Arc<WorkloadTrace>>,
-) -> Option<(MinSpaceResult, Option<Arc<WorkloadTrace>>)> {
-    let out = SearchRequest::fixed_prefix(base, vec![g0], g1_limit)
-        .seed_trace(trace)
-        .run();
-    out.feasible.then_some((out.min, out.trace))
-}
-
 /// Convenience: the paper's base run (5 % long transactions, default flush
 /// array) shortened to `secs` for tests.
 pub fn paper_base(frac_long: f64, recirc: bool, secs: u64) -> RunConfig {
@@ -147,13 +58,14 @@ pub fn paper_base(frac_long: f64, recirc: bool, secs: u64) -> RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latsearch::{LatticeLimits, SearchRequest};
     use elog_core::MemoryModel;
 
     #[test]
     fn fw_search_finds_monotone_boundary() {
         let mut base = paper_base(0.05, false, 20);
         base.el.memory_model = MemoryModel::Firewall;
-        let r = fw_min_space(&base, 512);
+        let r = SearchRequest::firewall(&base, 512).run().min;
         // The boundary must actually be a boundary.
         assert!(survives(&base, &[r.total_blocks]));
         if r.total_blocks > base.el.log.gap_blocks + 1 {
@@ -170,7 +82,11 @@ mod tests {
     #[test]
     fn el_search_finds_feasible_minimum() {
         let base = paper_base(0.05, false, 20);
-        let r = el_min_space_jobs(&base, 24, 128, 2);
+        let limits = LatticeLimits {
+            prefix_max: vec![24],
+            last_limit: 128,
+        };
+        let r = SearchRequest::lattice(&base, limits).jobs(2).run().min;
         assert_eq!(r.generation_blocks.len(), 2);
         assert!(survives(&base, &r.generation_blocks));
         assert!(r.total_blocks >= 6);
@@ -184,7 +100,9 @@ mod tests {
     #[test]
     fn fixed_g0_last_gen_search() {
         let base = paper_base(0.05, true, 20);
-        let r = el_min_last_gen(&base, 18, 128).expect("feasible");
+        let out = SearchRequest::fixed_prefix(&base, vec![18], 128).run();
+        assert!(out.feasible);
+        let r = out.min;
         assert_eq!(r.generation_blocks[0], 18);
         assert!(survives(&base, &r.generation_blocks));
         if r.generation_blocks[1] > base.el.log.gap_blocks + 1 {
@@ -200,24 +118,5 @@ mod tests {
         let out = SearchRequest::fixed_prefix(&base, vec![3], 4).run();
         assert!(!out.feasible);
         assert_eq!(out.min.generation_blocks, vec![3, 4], "clamped at limit");
-        assert_eq!(el_min_last_gen(&base, 3, 4), None);
-    }
-
-    #[test]
-    fn two_gen_search_matches_lattice_slice() {
-        // Degeneracy: the 2-gen entry point is exactly the one-axis
-        // lattice search — identical geometry AND identical probe count.
-        let base = paper_base(0.05, false, 15);
-        let via_wrapper = el_min_space_jobs(&base, 16, 96, 1);
-        let (via_lattice, _, _) = lattice_min_space_traced(
-            &base,
-            &LatticeLimits {
-                prefix_max: vec![16],
-                last_limit: 96,
-            },
-            1,
-            true,
-        );
-        assert_eq!(via_wrapper, via_lattice);
     }
 }

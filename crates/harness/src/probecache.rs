@@ -13,12 +13,12 @@
 //!
 //! A search opens its handle before the first probe ([`open`] /
 //! [`open_in`]), consults it memo-style on every probe (after the frozen
-//! dominance memo, the analytic threshold, the consumption certificate
-//! and the speculation harvest — the cache only ever replaces the final
-//! simulation step, so every printed probe count matches the uncached
-//! search), records every fresh verdict, and persists the merged set on
-//! completion. A warm rerun of the same scenario answers every probe from
-//! the seed and executes **zero** live probes.
+//! dominance memo, the analytic threshold and the consumption certificate
+//! — the cache only ever replaces the final simulation step, so every
+//! printed probe count matches the uncached search), records every fresh
+//! verdict, and persists the merged set on completion. A warm rerun of the
+//! same scenario answers every probe from the seed and executes **zero**
+//! live probes.
 //!
 //! # Robustness
 //!
@@ -48,8 +48,8 @@ const MAGIC: &str = "elog-probe-cache v1";
 /// cache for searches that don't override it per request.
 static DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 
-/// Sets (or clears) the process-wide cache directory. Mirrors
-/// [`crate::sharding::set_shards`]: CLI flags set it once at startup.
+/// Sets (or clears) the process-wide cache directory; the CLI flag sets
+/// it once at startup.
 pub fn set_dir(dir: Option<PathBuf>) {
     *DIR.lock().expect("probe-cache dir") = dir;
 }
@@ -74,6 +74,11 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// The cache key of a search base: hash of the canonical verdict-relevant
 /// configuration (probe-normalised: probes always run with
 /// `stop_on_kill`, no oracle) mixed with the engine-semantics version.
+///
+/// The canonical text is the configuration's `Debug` form, so adding or
+/// removing a `RunConfig` field re-keys every verdict (dropping `shards`
+/// did): existing cache directories go cold once. Harmless — stdout is
+/// cache-invariant.
 fn key_of(base: &RunConfig) -> u64 {
     let canon = base.clone().stop_on_kill(true).track_oracle(false);
     let text = format!("v{ENGINE_SEMANTICS_VERSION};{}", canon.verdict_key());
@@ -255,11 +260,10 @@ mod tests {
     }
 
     #[test]
-    fn key_ignores_geometry_trace_and_shards_but_not_semantics() {
+    fn key_ignores_geometry_and_trace_but_not_semantics() {
         let base = paper_base(0.05, false, 20);
         let k = key_of(&base);
         assert_eq!(k, key_of(&base.clone().geometry(vec![4, 4, 4])));
-        assert_eq!(k, key_of(&base.clone().shards(4)));
         assert_eq!(k, key_of(&base.clone().stop_on_kill(false)));
         assert_ne!(k, key_of(&base.clone().seed(1)));
         assert_ne!(k, key_of(&base.clone().runtime_secs(21)));

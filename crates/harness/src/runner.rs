@@ -147,13 +147,6 @@ pub struct RunConfig {
     /// runtime and oid-space size; only the log geometry may differ (see
     /// `elog_workload::trace`). `None` runs the live RNG-driven driver.
     pub trace: Option<Arc<WorkloadTrace>>,
-    /// Intra-run drive shards: partition the flush array's drives into
-    /// this many conservatively clocked completion shards inside one
-    /// simulated run (1 = the monolithic heap event queue). Results are
-    /// identical at every value — only host wall clock changes — so
-    /// searches and probes inherit it freely from their base config. The
-    /// default comes from [`crate::sharding::shards`] (`--shards`).
-    pub shards: u32,
     /// Piecewise update-mix/rate schedule over the horizon (`None` = the
     /// static `mix` for the whole run). Applies to live generation only;
     /// captured traces already encode the schedule, so replay probes and
@@ -189,7 +182,6 @@ impl RunConfig {
             track_oracle: false,
             lifetime_hints: false,
             trace: None,
-            shards: crate::sharding::shards(),
             phases: None,
             adaptive: elog_core::adaptive::default_enabled(),
             tenants: None,
@@ -268,9 +260,12 @@ impl RunConfig {
         self
     }
 
-    /// Sets the intra-run drive-shard count (clamped to ≥ 1).
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
+    /// Frozen name, owed to the next benchmark re-record: `benchmark/`
+    /// pins its protocol with `.shards(1)`, and one event queue is the only
+    /// configuration there is.
+    #[doc(hidden)]
+    pub fn shards(self, n: u32) -> Self {
+        assert_eq!(n, 1, "there is one event queue; nothing to shard");
         self
     }
 
@@ -298,12 +293,10 @@ impl RunConfig {
     /// The persistent probe-verdict cache hashes this (together with the
     /// engine-semantics version) into its file key. The geometry is
     /// cleared — each cached entry carries its own full geometry — and the
-    /// trace and shard count are normalised away: the trace is itself a
-    /// pure function of the remaining fields, and sharding is
-    /// result-identical by construction (DESIGN.md §5h). The adaptive
-    /// flag is normalised away too: probes run stop-on-kill, where the
-    /// controller never engages, so verdicts are shared across
-    /// `--adaptive` on/off. The phase schedule *stays* in the key — a
+    /// trace is normalised away: it is itself a pure function of the
+    /// remaining fields. The adaptive flag is normalised away too: probes
+    /// run stop-on-kill, where the controller never engages, so verdicts
+    /// are shared across `--adaptive` on/off. The phase schedule *stays* in the key — a
     /// different schedule is a different workload stream — and so does the
     /// tenant layout: splitting the same load across tenant oid ranges
     /// changes locality and garbage timing, so verdicts must not be shared
@@ -312,7 +305,6 @@ impl RunConfig {
         let mut canon = self.clone();
         canon.el.log.generation_blocks = Vec::new();
         canon.trace = None;
-        canon.shards = 1;
         canon.adaptive = false;
         format!("{canon:?}")
     }
@@ -423,19 +415,7 @@ pub struct SimModel<L: LogManager = ElManager> {
 impl<L: LogManager> SimModel<L> {
     fn apply(&mut self, now: SimTime, mut fx: Effects, queue: &mut EventQueue<Ev>) {
         for (at, timer) in fx.timers.drain(..) {
-            // Flush completions are shard-routable (one in flight per
-            // drive, never cancelled): they go to the drive's lane, which
-            // on the sharded backend is a per-shard completion register
-            // rather than a central-queue residency. Spine timers — and
-            // every timer under `--shards 1` — take the plain path. Both
-            // draw from the same sequence counter at this single call
-            // site, so delivery order is identical either way.
-            match timer.shard_lane() {
-                Some(lane) => queue.schedule_lane(lane, at, Ev::Lm(timer)),
-                None => {
-                    queue.schedule(at, Ev::Lm(timer));
-                }
-            }
+            queue.schedule(at, Ev::Lm(timer));
         }
         for tid in fx.acks.drain(..) {
             self.acks += 1;
@@ -714,14 +694,6 @@ pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimMode
         adaptive,
     };
     let mut engine = Engine::new(model);
-    if cfg.shards > 1 {
-        // Select the sharded backend before the first event: drive lanes
-        // match the flush array (both managers index FlushDone by the
-        // array's drive numbers). Byte-identical results at any count.
-        engine
-            .queue_mut()
-            .configure_shards(cfg.shards, cfg.el.flush.drives as usize);
-    }
     // Tenants bootstrap in index order: simultaneous arrivals tie-break by
     // schedule sequence, which realises the (time, tenant, seq) merge.
     for t in 0..ranges.len() {

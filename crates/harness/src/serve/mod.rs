@@ -10,8 +10,7 @@
 //! built over `base.tenants`. It merges the tenants' arrival streams
 //! deterministically — events fire in global `(time, tenant, sequence)`
 //! order because tenants bootstrap in index order and the event queue
-//! breaks time ties by schedule sequence — so output is byte-identical at
-//! any `--shards` setting.
+//! breaks time ties by schedule sequence.
 //!
 //! Two properties anchor the design:
 //!
@@ -81,20 +80,6 @@ pub(crate) fn split_tid(gtid: elog_model::Tid) -> (u16, elog_model::Tid) {
         (gtid.0 >> TENANT_TID_SHIFT) as u16,
         elog_model::Tid(gtid.0 & ((1u64 << TENANT_TID_SHIFT) - 1)),
     )
-}
-
-/// Rejects shard counts the flush array cannot honour. Shards partition
-/// drives, so more shards than drives would leave empty shards — a config
-/// error, not a degenerate case.
-pub fn validate_shards(shards: u32, drives: u32) -> Result<(), String> {
-    if shards > drives {
-        Err(format!(
-            "--shards {shards} exceeds the flush array's {drives} drives; \
-             shards partition drives, so at most one shard per drive"
-        ))
-    } else {
-        Ok(())
-    }
 }
 
 /// Rejects tenant counts one instance cannot serve: none, more than there
@@ -182,7 +167,7 @@ pub fn validate_layout(layout: &TenantLayout, num_objects: u64) -> Result<(), St
 }
 
 /// Everything one serve run needs: a base [`RunConfig`] (workload mix,
-/// arrivals, geometry, seed, shards) plus the tenancy knobs.
+/// arrivals, geometry, seed) plus the tenancy knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// The shared-instance configuration. `base.tenants` always mirrors
@@ -400,14 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_validation_rejects_more_shards_than_drives() {
-        assert!(validate_shards(10, 10).is_ok());
-        assert!(validate_shards(1, 10).is_ok());
-        let err = validate_shards(11, 10).unwrap_err();
-        assert!(err.contains("11") && err.contains("10 drives"), "{err}");
-    }
-
-    #[test]
     fn oid_range_parsing_and_validation() {
         let l = parse_oid_ranges("0:4,4:6").unwrap();
         assert_eq!(l.ranges, vec![(0, 4), (4, 6)]);
@@ -495,20 +472,15 @@ mod tests {
     }
 
     #[test]
-    fn serve_is_deterministic_across_shard_counts() {
-        let base = serve_run(&ServeConfig::new(quick_base(6), 2));
-        let mut sharded_cfg = quick_base(6);
-        sharded_cfg.shards = 5;
-        let sharded = serve_run(&ServeConfig::new(sharded_cfg, 2));
-        assert_eq!(base.aggregate.committed, sharded.aggregate.committed);
-        assert_eq!(base.metrics.log_writes, sharded.metrics.log_writes);
-        assert_eq!(
-            base.metrics.peak_memory_bytes,
-            sharded.metrics.peak_memory_bytes
-        );
-        for (a, b) in base.per_tenant.iter().zip(&sharded.per_tenant) {
-            assert_eq!(a.committed, b.committed);
-            assert_eq!(a.data_records, b.data_records);
+    fn serve_is_deterministic_across_runs() {
+        let a = serve_run(&ServeConfig::new(quick_base(6), 2));
+        let b = serve_run(&ServeConfig::new(quick_base(6), 2));
+        assert_eq!(a.aggregate.committed, b.aggregate.committed);
+        assert_eq!(a.metrics.log_writes, b.metrics.log_writes);
+        assert_eq!(a.metrics.peak_memory_bytes, b.metrics.peak_memory_bytes);
+        for (x, y) in a.per_tenant.iter().zip(&b.per_tenant) {
+            assert_eq!(x.committed, y.committed);
+            assert_eq!(x.data_records, y.data_records);
         }
     }
 

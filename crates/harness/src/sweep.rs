@@ -306,24 +306,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Process-wide speculative probe width (`--probe-jobs`), consumed by
-/// every minimum-space search that doesn't override it per request
-/// ([`crate::SearchRequest::probe_jobs`]). At the default 1 searches are
-/// strictly serial; at `n > 1` each bisection step launches up to `n`
-/// probes ahead on the work queue. Search results and probe counts are
-/// invariant in this — only wall time changes.
-static PROBE_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide speculative probe width (clamped to ≥ 1).
-pub fn set_probe_jobs(jobs: usize) {
-    PROBE_JOBS.store(jobs.max(1), Ordering::Relaxed);
-}
-
-/// The process-wide speculative probe width (≥ 1).
-pub fn probe_jobs() -> usize {
-    PROBE_JOBS.load(Ordering::Relaxed).max(1)
-}
-
 /// Applies `f` to every item on a work-queue of `jobs` scoped threads.
 ///
 /// Results come back in item order regardless of completion order. A
@@ -403,19 +385,14 @@ fn run_job(scenario: &Scenario) -> Output {
             g1_limit,
         } => {
             let base = seeded(base);
-            // Cross-scenario parallelism belongs to the scenario level
-            // (`--jobs`); the search inside one scenario rides the
-            // sequential tail of each basket. `--probe-jobs` widens that
-            // tail's critical path instead: it parallelises the prefix
-            // scan *and* speculates ahead of each bisection step, and the
-            // search result is invariant in it — so stdout cannot change.
+            // Parallelism belongs to the scenario level (`--jobs`, which
+            // already defaults to the machine's width): every search
+            // launched from here runs its prefix scan on one thread.
             let limits = crate::latsearch::LatticeLimits {
                 prefix_max: vec![*g0_max],
                 last_limit: *g1_limit,
             };
-            let out = SearchRequest::lattice(&base, limits)
-                .jobs(probe_jobs())
-                .run();
+            let out = SearchRequest::lattice(&base, limits).jobs(1).run();
             measure_minimum(&base, out.min, out.trace)
         }
         Job::ElLatticeMin {
@@ -428,11 +405,7 @@ fn run_job(scenario: &Scenario) -> Output {
                 prefix_max: prefix_max.clone(),
                 last_limit: *last_limit,
             };
-            // Scan width and speculation follow the process-wide
-            // [`probe_jobs`] knob, exactly like ElMin (results invariant).
-            let out = SearchRequest::lattice(&base, limits)
-                .jobs(probe_jobs())
-                .run();
+            let out = SearchRequest::lattice(&base, limits).jobs(1).run();
             measure_minimum(&base, out.min, out.trace)
         }
         Job::ElFixedMin {
@@ -471,9 +444,7 @@ fn run_job(scenario: &Scenario) -> Output {
                 prefix_max: vec![*g0_max],
                 last_limit: *g1_limit,
             };
-            let norec_out = SearchRequest::lattice(&norec, limits)
-                .jobs(probe_jobs())
-                .run();
+            let norec_out = SearchRequest::lattice(&norec, limits).jobs(1).run();
             let g0 = norec_out.min.generation_blocks[0];
             let recirc_out = SearchRequest::fixed_prefix(&base, vec![g0], *g1_limit)
                 .seed_trace(norec_out.trace)

@@ -41,7 +41,7 @@ fn search(base: &RunConfig, cache: Option<&Path>) -> SearchOutcome {
         prefix_max: vec![18, 16],
         last_limit: 256,
     };
-    let mut req = SearchRequest::lattice(base, limits).jobs(1).probe_jobs(1);
+    let mut req = SearchRequest::lattice(base, limits).jobs(1);
     if let Some(dir) = cache {
         req = req.probe_cache_dir(dir);
     }
@@ -132,9 +132,9 @@ fn cold_warm_and_corrupt_runs_match_the_uncached_search() {
 }
 
 #[test]
-fn cache_composes_with_speculation_and_jobs() {
-    // The accelerators stack: a warm cached run under speculative
-    // parallel bisection still reports the serial uncached outcome.
+fn cache_composes_with_jobs() {
+    // The accelerators stack: a warm cached run under the parallel prefix
+    // scan still reports the serial uncached outcome.
     let base = paper_base(0.05, false, 16);
     let uncached = search(&base, None);
     let dir = ScratchDir::new("stacked");
@@ -144,13 +144,11 @@ fn cache_composes_with_speculation_and_jobs() {
     };
     let cold = SearchRequest::lattice(&base, limits())
         .jobs(2)
-        .probe_jobs(4)
         .probe_cache_dir(dir.path())
         .run();
     assert_same_output("stacked-cold", &uncached, &cold);
     let warm = SearchRequest::lattice(&base, limits())
         .jobs(2)
-        .probe_jobs(4)
         .probe_cache_dir(dir.path())
         .run();
     assert_same_output("stacked-warm", &uncached, &warm);

@@ -7,9 +7,31 @@
 //! audits both the 2-gen entry point and random N-generation lattices.
 
 use elog_core::MemoryModel;
-use elog_harness::latsearch::{lattice_min_space_traced, LatticeLimits, MemoHit};
-use elog_harness::minspace::{self, el_min_space_traced, paper_base, MinSpaceResult};
-use elog_harness::RunConfig;
+use elog_harness::latsearch::{LatticeLimits, MemoHit};
+use elog_harness::minspace::{self, paper_base, MinSpaceResult};
+use elog_harness::{RunConfig, SearchRequest};
+
+/// One lattice search: the minimum and the memo audit trail.
+fn search(
+    base: &RunConfig,
+    limits: &LatticeLimits,
+    jobs: usize,
+    memo: bool,
+) -> (MinSpaceResult, Vec<MemoHit>) {
+    let out = SearchRequest::lattice(base, limits.clone())
+        .jobs(jobs)
+        .memo(memo)
+        .run();
+    (out.min, out.memo_trail)
+}
+
+/// The 2-gen search: a one-prefix-axis lattice.
+fn two_gen(g0_max: u32, g1_limit: u32) -> LatticeLimits {
+    LatticeLimits {
+        prefix_max: vec![g0_max],
+        last_limit: g1_limit,
+    }
+}
 
 /// Checks (a) identical outcome probe-for-probe between a memo-on and a
 /// memo-off search, (b) every memo-derived verdict against a fresh
@@ -57,21 +79,21 @@ fn assert_sound(
     with_memo.search.memo_hits
 }
 
-/// 2-gen audit harness, unchanged in spirit: runs the search memo-on and
-/// memo-off (jobs = 1 keeps the memo trail deterministic) and audits.
+/// 2-gen audit harness: the lattice harness on one prefix axis, where the
+/// memo must actually be consulted.
 fn assert_memo_sound(base: &RunConfig, g0_max: u32, g1_limit: u32) {
-    let (with_memo, _, trail) = el_min_space_traced(base, g0_max, g1_limit, 1, true);
-    let (without_memo, _, no_trail) = el_min_space_traced(base, g0_max, g1_limit, 1, false);
-    let hits = assert_sound(base, &with_memo, &without_memo, &trail, &no_trail);
+    let hits = assert_lattice_memo_sound(base, &two_gen(g0_max, g1_limit));
     assert!(hits > 0, "vacuous soundness check: memo never consulted");
 }
 
-/// N-gen audit harness over arbitrary lattice limits. Returns the memo
-/// hit count (a random lattice may legitimately never consult the memo;
-/// the property test rejects only an all-vacuous *set* of cases).
+/// N-gen audit harness over arbitrary lattice limits: runs the search
+/// memo-on and memo-off (jobs = 1 keeps the memo trail deterministic) and
+/// audits. Returns the memo hit count (a random lattice may legitimately
+/// never consult the memo; the property test rejects only an all-vacuous
+/// *set* of cases).
 fn assert_lattice_memo_sound(base: &RunConfig, limits: &LatticeLimits) -> u64 {
-    let (with_memo, _, trail) = lattice_min_space_traced(base, limits, 1, true);
-    let (without_memo, _, no_trail) = lattice_min_space_traced(base, limits, 1, false);
+    let (with_memo, trail) = search(base, limits, 1, true);
+    let (without_memo, no_trail) = search(base, limits, 1, false);
     assert_sound(base, &with_memo, &without_memo, &trail, &no_trail)
 }
 
@@ -96,8 +118,8 @@ fn memo_does_not_leak_across_jobs_settings() {
     // The memo is frozen before the parallel scan, so probe counts (and
     // the result) are identical for every worker count.
     let base = paper_base(0.2, false, 20);
-    let (serial, _, _) = el_min_space_traced(&base, 20, 128, 1, true);
-    let (parallel, _, _) = el_min_space_traced(&base, 20, 128, 4, true);
+    let (serial, _) = search(&base, &two_gen(20, 128), 1, true);
+    let (parallel, _) = search(&base, &two_gen(20, 128), 4, true);
     assert_eq!(serial.generation_blocks, parallel.generation_blocks);
     assert_eq!(serial.probes, parallel.probes);
     assert_eq!(serial.search.sim_probes, parallel.search.sim_probes);
@@ -175,8 +197,8 @@ fn lattice_memo_does_not_leak_across_jobs_settings() {
         prefix_max: vec![10, 8],
         last_limit: 64,
     };
-    let (serial, _, serial_trail) = lattice_min_space_traced(&base, &limits, 1, true);
-    let (parallel, _, mut parallel_trail) = lattice_min_space_traced(&base, &limits, 4, true);
+    let (serial, serial_trail) = search(&base, &limits, 1, true);
+    let (parallel, mut parallel_trail) = search(&base, &limits, 4, true);
     assert_eq!(serial.generation_blocks, parallel.generation_blocks);
     assert_eq!(serial.probes, parallel.probes);
     assert_eq!(serial.search.sim_probes, parallel.search.sim_probes);

@@ -1,47 +1,24 @@
 //! The pending-event set of the simulator.
 //!
-//! Two interchangeable backends share one public API and one total order:
-//! every event is keyed on `(time, sequence)`, two events scheduled for the
-//! same instant fire in the order they were scheduled, and the delivered
-//! sequence is identical whichever backend holds the set. Stability matters
-//! for reproducibility — the paper's workload writes a COMMIT record
-//! exactly ε after the final data record, and several log-manager actions
-//! can legitimately coincide.
-//!
-//! * **Heap** (the default): one binary heap, O(log n) scheduling. This is
-//!   the `--shards 1` configuration.
-//! * **Sharded** ([`EventQueue::configure_shards`], `--shards ≥ 2`): the
-//!   flush array's completion events leave the central structure entirely.
-//!   Each drive *lane* is a single-entry completion register grouped into
-//!   contiguous drive *shards*; the paper's flush discipline — one request
-//!   in flight per drive, a fixed transfer time — means a lane holds at
-//!   most one future event and is never cancelled, so each shard advances
-//!   its own clock from its registers under a conservative lookahead
-//!   window (the transfer time bounds how soon an idle drive can produce a
-//!   cross-shard effect). Everything else — the coordinator *spine* of
-//!   workload arrivals, log-buffer timers and group-commit timeouts — goes
-//!   into a calendar wheel (1024 × 2¹⁴ µs buckets with a bitmap index and
-//!   an overflow heap) whose near-sorted insertion pattern makes both ends
-//!   O(1) in the common case. Delivery merges shard registers, wheel and
-//!   overflow by `(time, sequence)`, so the barrier at which shards
-//!   exchange effects with the spine *is* the merge — determinism by
-//!   construction, at any shard count.
+//! A binary heap keyed on `(time, sequence)` gives O(log n) scheduling and a
+//! *stable* order: two events scheduled for the same instant fire in the
+//! order they were scheduled. Stability matters for reproducibility — the
+//! paper's workload writes a COMMIT record exactly ε after the final data
+//! record, and several log-manager actions can legitimately coincide.
 //!
 //! Cancellation uses *generation-stamped slots* instead of an auxiliary
 //! tombstone set: every scheduled event borrows a slot from a free list and
-//! stamps its entry with the slot's current generation. Cancelling (or
-//! firing) bumps the generation, so a stale entry is recognised at pop
+//! stamps its heap entry with the slot's current generation. Cancelling (or
+//! firing) bumps the generation, so a stale heap entry is recognised at pop
 //! time by a single array compare — no hashing, no allocation, O(1). Dead
-//! entries are discarded lazily as the structure drains past them; on the
-//! heap backend, when they outnumber the live ones the heap is compacted
-//! in place, so a workload that mass-cancels (the killed-transaction
-//! retract path) cannot leave the heap dominated by corpses. On the
-//! sharded backend corpses die when their wheel bucket reaches the
-//! frontier, which the bounded event horizon keeps equally tight.
+//! entries are discarded lazily as the heap drains past them; when they
+//! outnumber the live ones the heap is compacted in place, so a workload
+//! that mass-cancels (the killed-transaction retract path) cannot leave the
+//! heap dominated by corpses.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Identifies a scheduled event so it can later be cancelled.
 ///
@@ -98,140 +75,6 @@ impl<E> PartialOrd for Entry<E> {
 /// clears a handful of tombstones for free.
 const COMPACT_MIN_HEAP: usize = 64;
 
-/// Calendar-wheel geometry of the sharded backend: 1024 buckets of 2¹⁴ µs
-/// (≈ 16.4 ms) each span ≈ 16.8 s — beyond the longest event delay the
-/// workload model produces (10 s transactions), so the overflow heap stays
-/// cold in practice while still being correct when it isn't.
-const WHEEL_BUCKETS: usize = 1024;
-const WHEEL_WORDS: usize = WHEEL_BUCKETS / 64;
-const BUCKET_SHIFT: u32 = 14;
-const NO_ACTIVE: usize = usize::MAX;
-
-#[inline]
-fn wheel_bucket(at: SimTime) -> u64 {
-    at.as_micros() >> BUCKET_SHIFT
-}
-
-/// First set bit at ring position ≥ `start` (wrapping), if any.
-#[inline]
-fn find_set_from(bitmap: &[u64; WHEEL_WORDS], start: usize) -> Option<usize> {
-    let sw = start >> 6;
-    let masked = bitmap[sw] & (!0u64 << (start & 63));
-    if masked != 0 {
-        return Some((sw << 6) + masked.trailing_zeros() as usize);
-    }
-    for i in 1..=WHEEL_WORDS {
-        let w = (sw + i) % WHEEL_WORDS;
-        if bitmap[w] != 0 {
-            return Some((w << 6) + bitmap[w].trailing_zeros() as usize);
-        }
-    }
-    None
-}
-
-/// One drive's completion register: the paper's single-request-in-flight
-/// discipline means at most one future completion per drive, and the
-/// manager never cancels one, so a plain slot replaces a heap residency.
-#[derive(Clone)]
-struct Lane<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-/// State of the sharded backend (see the module docs).
-#[derive(Clone)]
-struct Sharded<E> {
-    /// Calendar wheel of the coordinator spine. Non-frontier buckets are
-    /// unsorted append logs; the frontier bucket is kept sorted
-    /// *ascending* by `(at, seq)` so its minimum pops from the deque
-    /// front, and — because simulated time only advances — a new entry
-    /// almost always carries the bucket's largest key and lands at the
-    /// back in O(1).
-    buckets: Vec<VecDeque<Entry<E>>>,
-    /// One bit per non-empty bucket, for O(words) frontier scans.
-    bitmap: [u64; WHEEL_WORDS],
-    /// Absolute bucket index of the last wheel pop: live wheel entries can
-    /// only exist in absolute buckets `[cursor, cursor + WHEEL_BUCKETS)`.
-    cursor: u64,
-    /// Ring index of the bucket currently sorted (frontier), or
-    /// `NO_ACTIVE`.
-    active: usize,
-    /// Physical entries in the wheel, corpses included.
-    wheel_len: usize,
-    /// Per-drive completion registers.
-    lanes: Vec<Option<Lane<E>>>,
-    /// Drive → shard map (contiguous, near-even ranges).
-    lane_shard: Vec<u32>,
-    /// Cached per-shard minimum `(at, seq, lane)` over that shard's
-    /// occupied registers.
-    shard_min: Vec<Option<(SimTime, u64, u32)>>,
-    shards: u32,
-    /// Shard that owned the most recent lane delivery (`u32::MAX` none);
-    /// a change means the delivery frontier crossed shards.
-    last_lane_shard: u32,
-    sync_rounds: u64,
-    lane_events: u64,
-}
-
-impl<E> Sharded<E> {
-    fn new(shards: u32, lanes: usize) -> Self {
-        let lane_shard = (0..lanes)
-            .map(|l| (l as u64 * u64::from(shards) / lanes as u64) as u32)
-            .collect();
-        Sharded {
-            buckets: (0..WHEEL_BUCKETS).map(|_| VecDeque::new()).collect(),
-            bitmap: [0; WHEEL_WORDS],
-            cursor: 0,
-            active: NO_ACTIVE,
-            wheel_len: 0,
-            lanes: (0..lanes).map(|_| None).collect(),
-            lane_shard,
-            shard_min: (0..shards).map(|_| None).collect(),
-            shards,
-            last_lane_shard: u32::MAX,
-            sync_rounds: 0,
-            lane_events: 0,
-        }
-    }
-
-    /// Minimum `(at, seq)` across every shard's register bank.
-    #[inline]
-    fn lane_min(&self) -> Option<(SimTime, u64, u32)> {
-        let mut best: Option<(SimTime, u64, u32)> = None;
-        for m in self.shard_min.iter().flatten() {
-            if best.is_none_or(|b| (m.0, m.1) < (b.0, b.1)) {
-                best = Some(*m);
-            }
-        }
-        best
-    }
-
-    /// Recomputes one shard's cached minimum by scanning its registers.
-    fn rescan_shard(&mut self, shard: usize) {
-        let mut best: Option<(SimTime, u64, u32)> = None;
-        for (l, lane) in self.lanes.iter().enumerate() {
-            if self.lane_shard[l] as usize != shard {
-                continue;
-            }
-            if let Some(lane) = lane {
-                if best.is_none_or(|b| (lane.at, lane.seq) < (b.0, b.1)) {
-                    best = Some((lane.at, lane.seq, l as u32));
-                }
-            }
-        }
-        self.shard_min[shard] = best;
-    }
-}
-
-/// Candidate source of the sharded backend's three-way merge.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Source {
-    Wheel,
-    Overflow,
-    Lane(u32),
-}
-
 /// Priority queue of future events.
 ///
 /// `Clone` (for `E: Clone`) deep-copies the pending set, slot generations
@@ -239,11 +82,7 @@ enum Source {
 /// which is what lets a whole engine be snapshotted mid-run and resumed.
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    /// The single heap of the default backend; the overflow heap (events
-    /// beyond the wheel span) of the sharded backend.
     heap: BinaryHeap<Entry<E>>,
-    /// Sharded backend state; `None` selects the heap backend.
-    sharded: Option<Box<Sharded<E>>>,
     /// Current generation per slot. An entry is live iff its stamped
     /// generation matches its slot's.
     generations: Vec<u32>,
@@ -266,11 +105,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue (heap backend).
+    /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            sharded: None,
             generations: Vec::new(),
             free_slots: Vec::new(),
             live: 0,
@@ -292,36 +130,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Switches an empty queue to the sharded backend: `lanes` drive
-    /// completion registers partitioned into `shards` contiguous shards,
-    /// plus the calendar-wheel spine. `shards ≤ 1` (or no lanes) keeps the
-    /// heap backend — that *is* the `--shards 1` configuration, so speedup
-    /// measured against it prices the whole restructuring.
-    ///
-    /// The delivered event order is identical to the heap backend's for
-    /// every shard count (see the module docs); only host-side wall clock
-    /// and the [`crate::perfstats::QueueStats`] occupancy counters differ.
-    ///
-    /// # Panics
-    /// Panics if events are already pending — the backend must be chosen
-    /// before the first `schedule`.
-    pub fn configure_shards(&mut self, shards: u32, lanes: usize) {
-        assert!(
-            self.live == 0 && self.heap.is_empty(),
-            "configure_shards must run before any event is scheduled"
-        );
-        if shards <= 1 || lanes == 0 {
-            self.sharded = None;
-        } else {
-            self.sharded = Some(Box::new(Sharded::new(shards.min(lanes as u32), lanes)));
-        }
-    }
-
-    /// Shard count of the active backend (1 for the heap backend).
-    pub fn shards(&self) -> u32 {
-        self.sharded.as_ref().map_or(1, |s| s.shards)
-    }
-
     /// Schedules `event` to fire at absolute time `at`.
     ///
     /// Returns a token usable with [`EventQueue::cancel`].
@@ -340,197 +148,18 @@ impl<E> EventQueue<E> {
         };
         let generation = self.generations[slot as usize];
         self.live += 1;
-        let entry = Entry {
+        self.heap.push(Entry {
             at,
             seq,
             slot,
             generation,
             event,
-        };
-        if self.sharded.is_some() {
-            self.wheel_insert(entry);
-        } else {
-            self.heap.push(entry);
-            self.heap_peak = self.heap_peak.max(self.heap.len());
-        }
+        });
+        self.heap_peak = self.heap_peak.max(self.heap.len());
         EventToken { slot, generation }
     }
 
-    /// Schedules a drive-shard completion event into lane `lane`.
-    ///
-    /// On the sharded backend this bypasses the spine entirely: the event
-    /// lands in the drive's single-entry register (the flush protocol
-    /// guarantees one outstanding completion per drive, never cancelled).
-    /// On the heap backend — or for an out-of-range or, defensively, an
-    /// occupied lane — it degrades to a plain [`EventQueue::schedule`].
-    /// Either way the event joins the same `(time, sequence)` total order.
-    pub fn schedule_lane(&mut self, lane: usize, at: SimTime, event: E) {
-        let fits = self
-            .sharded
-            .as_ref()
-            .is_some_and(|s| lane < s.lanes.len() && s.lanes[lane].is_none());
-        if !fits {
-            self.schedule(at, event);
-            return;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.live += 1;
-        let s = self.sharded.as_mut().expect("checked above");
-        s.lanes[lane] = Some(Lane { at, seq, event });
-        let shard = s.lane_shard[lane] as usize;
-        if s.shard_min[shard].is_none_or(|b| (at, seq) < (b.0, b.1)) {
-            s.shard_min[shard] = Some((at, seq, lane as u32));
-        }
-    }
-
-    /// Inserts a spine entry into the wheel (or the overflow heap when it
-    /// is beyond the wheel span).
-    fn wheel_insert(&mut self, entry: Entry<E>) {
-        let s = self.sharded.as_mut().expect("sharded backend");
-        let abs = wheel_bucket(entry.at);
-        if abs >= s.cursor + WHEEL_BUCKETS as u64 {
-            self.heap.push(entry);
-            let physical = self.heap.len() + s.wheel_len;
-            self.heap_peak = self.heap_peak.max(physical);
-            return;
-        }
-        let idx = (abs as usize) & (WHEEL_BUCKETS - 1);
-        let bucket = &mut s.buckets[idx];
-        if idx == s.active {
-            // The frontier bucket is sorted ascending; a monotone schedule
-            // makes the new key the bucket maximum, so the back-append
-            // fast path covers almost every insert.
-            let key = (entry.at, entry.seq);
-            if bucket.back().is_none_or(|e| (e.at, e.seq) < key) {
-                bucket.push_back(entry);
-            } else {
-                let pos = bucket.partition_point(|e| (e.at, e.seq) < key);
-                bucket.insert(pos, entry);
-            }
-        } else {
-            bucket.push_back(entry);
-        }
-        s.bitmap[idx >> 6] |= 1 << (idx & 63);
-        s.wheel_len += 1;
-        let physical = self.heap.len() + s.wheel_len;
-        self.heap_peak = self.heap_peak.max(physical);
-    }
-
-    /// `(at, seq)` of the earliest live wheel entry, discarding corpses at
-    /// the frontier. Leaves the frontier bucket sorted with its minimum at
-    /// the front.
-    fn wheel_min(&mut self) -> Option<(SimTime, u64)> {
-        let s = self.sharded.as_mut().expect("sharded backend");
-        loop {
-            if s.wheel_len == 0 {
-                return None;
-            }
-            let start = (s.cursor as usize) & (WHEEL_BUCKETS - 1);
-            let idx = find_set_from(&s.bitmap, start)
-                .expect("non-empty wheel must have a set bucket bit");
-            if s.active != idx {
-                s.buckets[idx]
-                    .make_contiguous()
-                    .sort_unstable_by_key(|e| (e.at, e.seq));
-                s.active = idx;
-            }
-            while let Some(e) = s.buckets[idx].front() {
-                if e.is_live(&self.generations) {
-                    return Some((e.at, e.seq));
-                }
-                s.buckets[idx].pop_front();
-                s.wheel_len -= 1;
-                self.tombstones_discarded += 1;
-            }
-            // Bucket held only corpses: clear it and rescan.
-            s.bitmap[idx >> 6] &= !(1 << (idx & 63));
-            s.active = NO_ACTIVE;
-        }
-    }
-
-    /// Pops the entry [`EventQueue::wheel_min`] just surfaced.
-    fn wheel_pop(&mut self) -> (SimTime, E) {
-        let s = self.sharded.as_mut().expect("sharded backend");
-        let idx = s.active;
-        debug_assert_ne!(idx, NO_ACTIVE, "wheel_pop without a frontier");
-        let entry = s.buckets[idx]
-            .pop_front()
-            .expect("frontier bucket non-empty");
-        s.wheel_len -= 1;
-        s.cursor = s.cursor.max(wheel_bucket(entry.at));
-        if s.buckets[idx].is_empty() {
-            s.bitmap[idx >> 6] &= !(1 << (idx & 63));
-            s.active = NO_ACTIVE;
-        }
-        self.retire_slot(entry.slot);
-        (entry.at, entry.event)
-    }
-
-    /// `(at, seq)` of the overflow-heap head, discarding leading corpses.
-    fn overflow_min(&mut self) -> Option<(SimTime, u64)> {
-        while let Some(head) = self.heap.peek() {
-            if head.is_live(&self.generations) {
-                return Some((head.at, head.seq));
-            }
-            self.heap.pop();
-            self.tombstones_discarded += 1;
-        }
-        None
-    }
-
-    /// Delivers the earliest lane event and re-derives its shard's clock.
-    fn lane_pop(&mut self, lane: u32) -> (SimTime, E) {
-        let s = self.sharded.as_mut().expect("sharded backend");
-        let l = lane as usize;
-        let entry = s.lanes[l].take().expect("winning lane is occupied");
-        let shard = s.lane_shard[l] as usize;
-        s.rescan_shard(shard);
-        s.lane_events += 1;
-        if s.last_lane_shard != shard as u32 {
-            s.sync_rounds += 1;
-            s.last_lane_shard = shard as u32;
-        }
-        self.live -= 1;
-        (entry.at, entry.event)
-    }
-
-    /// The sharded backend's fused merge: earliest of {shard registers,
-    /// wheel frontier, overflow head}, delivered only when within the
-    /// horizon. This merge is the shard barrier — registers ahead of it
-    /// keep their shard's clock advanced under the conservative window.
-    fn pop_sharded(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let lane = self.sharded.as_ref().expect("sharded backend").lane_min();
-        let wheel = self.wheel_min();
-        let overflow = self.overflow_min();
-        let mut best: Option<((SimTime, u64), Source)> = None;
-        if let Some((at, seq, l)) = lane {
-            best = Some(((at, seq), Source::Lane(l)));
-        }
-        for (cand, src) in [(wheel, Source::Wheel), (overflow, Source::Overflow)] {
-            if let Some(key) = cand {
-                if best.is_none_or(|(b, _)| key < b) {
-                    best = Some((key, src));
-                }
-            }
-        }
-        let ((at, _), src) = best?;
-        if at > horizon {
-            return None;
-        }
-        Some(match src {
-            Source::Wheel => self.wheel_pop(),
-            Source::Lane(l) => self.lane_pop(l),
-            Source::Overflow => {
-                let entry = self.heap.pop().expect("peeked entry pops");
-                self.retire_slot(entry.slot);
-                (entry.at, entry.event)
-            }
-        })
-    }
-
-    /// Retires a slot: the generation bump invalidates every stored entry
+    /// Retires a slot: the generation bump invalidates every heap entry
     /// still stamped with the old generation, and the slot becomes
     /// reusable immediately (new entries carry the new generation).
     #[inline]
@@ -543,9 +172,8 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event.
     ///
     /// Cancelling an event that already fired (or was already cancelled) is a
-    /// harmless no-op. The stored entry becomes a tombstone that is discarded
-    /// lazily on pop, or (heap backend) eagerly when tombstones outnumber
-    /// live entries.
+    /// harmless no-op. The heap entry becomes a tombstone that is discarded
+    /// lazily on pop, or eagerly when tombstones outnumber live entries.
     pub fn cancel(&mut self, token: EventToken) {
         if self.generations[token.slot as usize] != token.generation {
             return; // already fired or cancelled
@@ -558,12 +186,8 @@ impl<E> EventQueue<E> {
     /// Rebuilds the heap without its dead entries once they exceed half of
     /// it. Keeps mass cancellation (killed-transaction retraction) from
     /// letting the heap grow without bound while dead entries wait to
-    /// drain past the pop. Heap backend only: wheel corpses are bounded by
-    /// the event horizon and die at the frontier instead.
+    /// drain past the pop.
     fn maybe_compact(&mut self) {
-        if self.sharded.is_some() {
-            return;
-        }
         let dead = self.heap.len() - self.live;
         if self.heap.len() >= COMPACT_MIN_HEAP && dead * 2 > self.heap.len() {
             let generations = &self.generations;
@@ -576,9 +200,6 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.sharded.is_some() {
-            return self.pop_sharded(SimTime::MAX);
-        }
         while let Some(entry) = self.heap.pop() {
             if entry.is_live(&self.generations) {
                 self.retire_slot(entry.slot);
@@ -593,12 +214,9 @@ impl<E> EventQueue<E> {
     /// leaves the queue untouched (beyond discarding leading tombstones)
     /// when the earliest live event is after the horizon.
     ///
-    /// This is the event loop's fused peek-then-pop: one traversal per
-    /// delivered event instead of two.
+    /// This is the event loop's fused peek-then-pop: one heap traversal
+    /// per delivered event instead of two.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.sharded.is_some() {
-            return self.pop_sharded(horizon);
-        }
         loop {
             let head = self.heap.peek()?;
             if !head.is_live(&self.generations) {
@@ -617,21 +235,6 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest live event, if any, without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.sharded.is_some() {
-            let lane = self
-                .sharded
-                .as_ref()
-                .expect("sharded backend")
-                .lane_min()
-                .map(|(at, seq, _)| (at, seq));
-            let wheel = self.wheel_min();
-            let overflow = self.overflow_min();
-            return [lane, wheel, overflow]
-                .into_iter()
-                .flatten()
-                .min()
-                .map(|(at, _)| at);
-        }
         while let Some(entry) = self.heap.peek() {
             if entry.is_live(&self.generations) {
                 return Some(entry.at);
@@ -652,16 +255,12 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Physical stored length, counting not-yet-discarded tombstones (and,
-    /// on the sharded backend, wheel and lane residents).
+    /// Physical heap length, counting not-yet-discarded tombstones.
     pub fn heap_len(&self) -> usize {
-        let extra = self.sharded.as_ref().map_or(0, |s| {
-            s.wheel_len + s.lanes.iter().filter(|l| l.is_some()).count()
-        });
-        self.heap.len() + extra
+        self.heap.len()
     }
 
-    /// Greatest physical stored length ever reached.
+    /// Greatest physical heap length ever reached.
     pub fn heap_peak(&self) -> usize {
         self.heap_peak
     }
@@ -676,7 +275,7 @@ impl<E> EventQueue<E> {
         self.cancelled_total
     }
 
-    /// Dead entries discarded so far (lazily or by compaction).
+    /// Dead heap entries discarded so far (lazily or by compaction).
     pub fn tombstones_discarded(&self) -> u64 {
         self.tombstones_discarded
     }
@@ -694,9 +293,6 @@ impl<E> EventQueue<E> {
             tombstones_discarded: self.tombstones_discarded,
             compactions: self.compactions,
             heap_peak: self.heap_peak,
-            shards: self.shards(),
-            sync_rounds: self.sharded.as_ref().map_or(0, |s| s.sync_rounds),
-            effects_exchanged: self.sharded.as_ref().map_or(0, |s| s.lane_events),
         }
     }
 }
@@ -880,79 +476,40 @@ mod tests {
         assert_eq!(q.heap_len(), 0, "pop drained the corpses");
     }
 
-    // ---------------------------------------------------------------
-    // Sharded backend
-    // ---------------------------------------------------------------
-
-    fn sharded(shards: u32, lanes: usize) -> EventQueue<u64> {
-        let mut q = EventQueue::new();
-        q.configure_shards(shards, lanes);
-        q
+    /// The naive oracle of the differential test: pending events in a
+    /// `BTreeMap` keyed on `(time, sequence)`, cancellation by key removal.
+    #[derive(Default)]
+    struct Reference {
+        pending: std::collections::BTreeMap<(SimTime, u64), u64>,
+        next_seq: u64,
     }
 
-    /// Drains two queues in lock-step, asserting identical deliveries.
-    fn assert_same_drain(a: &mut EventQueue<u64>, b: &mut EventQueue<u64>) {
-        loop {
-            let x = a.pop();
-            let y = b.pop();
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
+    impl Reference {
+        fn schedule(&mut self, at: SimTime, event: u64) -> (SimTime, u64) {
+            let key = (at, self.next_seq);
+            self.next_seq += 1;
+            self.pending.insert(key, event);
+            key
+        }
+
+        fn cancel(&mut self, key: (SimTime, u64)) {
+            self.pending.remove(&key);
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.pending.keys().next().map(|&(at, _)| at)
+        }
+
+        fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, u64)> {
+            let (&(at, seq), _) = self.pending.iter().next()?;
+            (at <= horizon).then(|| (at, self.pending.remove(&(at, seq)).expect("peeked")))
         }
     }
 
-    #[test]
-    fn shards_leq_one_keeps_heap_backend() {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.configure_shards(1, 10);
-        assert_eq!(q.shards(), 1);
-        q.configure_shards(4, 0);
-        assert_eq!(q.shards(), 1);
-        q.configure_shards(4, 10);
-        assert_eq!(q.shards(), 4);
-        // More shards than lanes clamps to one lane per shard.
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.configure_shards(16, 10);
-        assert_eq!(q.shards(), 10);
-    }
-
-    #[test]
-    fn sharded_pops_in_time_order() {
-        let mut q = sharded(2, 4);
-        q.schedule(t(30), 3);
-        q.schedule(t(10), 1);
-        q.schedule_lane(0, t(25), 25);
-        q.schedule(t(20), 2);
-        q.schedule_lane(3, t(5), 5);
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.pop(), Some((t(5), 5)));
-        assert_eq!(q.pop(), Some((t(10), 1)));
-        assert_eq!(q.pop(), Some((t(20), 2)));
-        assert_eq!(q.pop(), Some((t(25), 25)));
-        assert_eq!(q.pop(), Some((t(30), 3)));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_ties_fire_in_schedule_order_across_sources() {
-        // Same instant in a lane and in the wheel: sequence decides, which
-        // is schedule order — identical to the heap backend.
-        let mut q = sharded(2, 2);
-        q.schedule_lane(1, t(7), 100);
-        q.schedule(t(7), 200);
-        q.schedule_lane(0, t(7), 300);
-        assert_eq!(q.pop(), Some((t(7), 100)));
-        assert_eq!(q.pop(), Some((t(7), 200)));
-        assert_eq!(q.pop(), Some((t(7), 300)));
-    }
-
-    #[test]
-    fn sharded_matches_heap_on_random_workload() {
-        // splitmix64-driven random schedule/cancel/pop interleaving must
-        // deliver identically on both backends.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    /// One splitmix64-driven schedule / cancel / cancel-after-fire / pop /
+    /// peek interleaving, checked step by step against [`Reference`].
+    fn differential_case(seed: u64) {
+        let mut x = seed;
         let mut rng = move || {
             x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = x;
@@ -961,163 +518,67 @@ mod tests {
             z ^ (z >> 31)
         };
         let mut heap: EventQueue<u64> = EventQueue::new();
-        let mut shrd = sharded(4, 10);
+        let mut reference = Reference::default();
+        // Every token ever issued stays here, so later cancels also hit
+        // fired and already-cancelled events whose slot has been reused.
+        let mut tokens: Vec<(EventToken, (SimTime, u64))> = Vec::new();
         let mut now = 0u64; // µs
-        let mut heap_tokens = Vec::new();
-        let mut lane_busy = [false; 10];
         for i in 0..20_000u64 {
             match rng() % 10 {
-                // Lane schedule: mirrors a flush completion 25 ms out.
-                0..=2 => {
-                    let lane = (rng() % 10) as usize;
-                    if !lane_busy[lane] {
-                        lane_busy[lane] = true;
-                        let at = SimTime::from_micros(now + 25_000);
-                        heap_tokens.push((heap.schedule(at, i), false));
-                        shrd.schedule_lane(lane, at, i);
-                    }
-                }
-                // Spine schedule with occasional long delay (overflow).
-                3..=6 => {
-                    let delay = if rng() % 100 == 0 {
-                        20_000_000 + rng() % 1_000_000
-                    } else {
-                        rng() % 600_000
+                // Schedule, with an occasional far-future delay and ties.
+                0..=4 => {
+                    let delay = match rng() % 100 {
+                        0 => 20_000_000 + rng() % 1_000_000,
+                        1..=10 => 25_000,
+                        _ => rng() % 600_000,
                     };
                     let at = SimTime::from_micros(now + delay);
-                    let cancellable = rng() % 4 == 0;
-                    let tok_h = heap.schedule(at, i);
-                    let tok_s = shrd.schedule(at, i);
-                    if cancellable {
-                        heap_tokens.push((tok_h, true));
-                        // Cancel the sharded twin immediately sometimes,
-                        // later otherwise.
-                        if rng() % 2 == 0 {
-                            heap.cancel(tok_h);
-                            shrd.cancel(tok_s);
-                            heap_tokens.pop();
-                        }
-                    }
+                    tokens.push((heap.schedule(at, i), reference.schedule(at, i)));
                 }
-                // Pop within a horizon.
+                5..=6 if !tokens.is_empty() => {
+                    let (tok, key) = tokens[(rng() % tokens.len() as u64) as usize];
+                    heap.cancel(tok);
+                    reference.cancel(key);
+                }
+                7 => assert_eq!(
+                    heap.peek_time(),
+                    reference.peek_time(),
+                    "seed {seed:#x} step {i}"
+                ),
+                8 => assert_eq!(
+                    heap.pop(),
+                    reference.pop_at_or_before(SimTime::MAX),
+                    "seed {seed:#x} step {i}"
+                ),
                 _ => {
                     let horizon = SimTime::from_micros(now + rng() % 400_000);
-                    let a = heap.pop_at_or_before(horizon);
-                    let b = shrd.pop_at_or_before(horizon);
-                    assert_eq!(a, b, "divergence at step {i}");
-                    if let Some((at, v)) = a {
+                    let popped = heap.pop_at_or_before(horizon);
+                    assert_eq!(
+                        popped,
+                        reference.pop_at_or_before(horizon),
+                        "seed {seed:#x} step {i}"
+                    );
+                    if let Some((at, _)) = popped {
                         now = now.max(at.as_micros());
-                        // Free the lane this value occupied, if any.
-                        let _ = v;
-                        for l in lane_busy.iter_mut() {
-                            *l = false; // coarse: allow reuse
-                        }
                     }
                 }
             }
+            assert_eq!(
+                heap.len(),
+                reference.pending.len(),
+                "seed {seed:#x} step {i}"
+            );
         }
-        assert_eq!(heap.len(), shrd.len());
-        // Drain fully; both must agree to the end.
-        assert_same_drain(&mut heap, &mut shrd);
-    }
-
-    #[test]
-    fn lane_fallbacks_preserve_order() {
-        let mut q = sharded(2, 2);
-        // Out-of-range lane falls back to the spine.
-        q.schedule_lane(7, t(1), 1);
-        // Occupied lane falls back to the spine.
-        q.schedule_lane(0, t(3), 3);
-        q.schedule_lane(0, t(2), 2);
-        assert_eq!(q.pop(), Some((t(1), 1)));
-        assert_eq!(q.pop(), Some((t(2), 2)));
-        assert_eq!(q.pop(), Some((t(3), 3)));
-        // Heap backend: schedule_lane degrades to schedule.
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.schedule_lane(0, t(2), 2);
-        q.schedule_lane(1, t(1), 1);
-        assert_eq!(q.pop(), Some((t(1), 1)));
-        assert_eq!(q.pop(), Some((t(2), 2)));
-    }
-
-    #[test]
-    fn sharded_cancellation_and_tokens_work() {
-        let mut q = sharded(2, 4);
-        let a = q.schedule(t(1), 1);
-        let b = q.schedule(t(2), 2);
-        q.schedule(t(3), 3);
-        q.cancel(a);
-        q.cancel(b);
-        q.cancel(b); // double-cancel is a no-op
-        assert_eq!(q.cancelled_total(), 2);
-        assert_eq!(q.pop(), Some((t(3), 3)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn sharded_peek_time_merges_sources() {
-        let mut q = sharded(2, 4);
-        assert_eq!(q.peek_time(), None);
-        q.schedule(t(20), 20);
-        assert_eq!(q.peek_time(), Some(t(20)));
-        q.schedule_lane(2, t(10), 10);
-        assert_eq!(q.peek_time(), Some(t(10)));
-        // Far-future overflow entry doesn't disturb the near frontier.
-        q.schedule(SimTime::from_secs(100), 100);
-        assert_eq!(q.peek_time(), Some(t(10)));
-        assert_eq!(q.pop(), Some((t(10), 10)));
-        assert_eq!(q.peek_time(), Some(t(20)));
-    }
-
-    #[test]
-    fn sharded_overflow_events_deliver_in_order() {
-        let mut q = sharded(2, 2);
-        // Beyond the 16.8 s wheel span from cursor 0 → overflow heap.
-        q.schedule(SimTime::from_secs(30), 30);
-        q.schedule(SimTime::from_secs(20), 20);
-        q.schedule(t(5), 5);
-        assert_eq!(q.pop(), Some((t(5), 5)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(20), 20)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(30), 30)));
-    }
-
-    #[test]
-    fn sharded_perf_counts_occupancy() {
-        let mut q = sharded(2, 4);
-        // Lanes 0–1 are shard 0, lanes 2–3 shard 1.
-        q.schedule_lane(0, t(1), 1);
-        q.schedule_lane(2, t(2), 2);
-        q.schedule_lane(1, t(3), 3);
-        q.schedule(t(10), 10);
-        for _ in 0..4 {
-            q.pop();
+        while let Some(expected) = reference.pop_at_or_before(SimTime::MAX) {
+            assert_eq!(heap.pop(), Some(expected), "seed {seed:#x} drain");
         }
-        let p = q.perf();
-        assert_eq!(p.shards, 2);
-        assert_eq!(p.effects_exchanged, 3, "three lane deliveries");
-        // shard 0 → shard 1 → shard 0: three handoffs from the initial
-        // unowned state.
-        assert_eq!(p.sync_rounds, 3);
-        assert_eq!(p.scheduled, 4);
+        assert_eq!(heap.pop(), None, "seed {seed:#x} drain");
     }
 
     #[test]
-    fn configure_shards_requires_empty_queue() {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.schedule(t(1), 1);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.configure_shards(2, 4);
-        }));
-        assert!(r.is_err(), "must refuse to switch backends mid-run");
-    }
-
-    #[test]
-    fn sharded_clone_snapshots_everything() {
-        let mut q = sharded(2, 4);
-        q.schedule(t(5), 5);
-        q.schedule_lane(1, t(3), 3);
-        q.schedule(SimTime::from_secs(60), 60);
-        let mut copy = q.clone();
-        assert_same_drain(&mut q, &mut copy);
+    fn heap_matches_btreemap_reference_on_random_workload() {
+        for case in 0..8u64 {
+            differential_case(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(case + 1));
+        }
     }
 }

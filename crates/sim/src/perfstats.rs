@@ -29,17 +29,6 @@ pub struct QueueStats {
     pub compactions: u64,
     /// Greatest physical heap length (live + tombstones).
     pub heap_peak: usize,
-    /// Drive-shard count of the queue backend (1 = monolithic heap, ≥ 2 =
-    /// the sharded spine/lane backend; see `EventQueue::configure_shards`).
-    pub shards: u32,
-    /// Cross-shard clock handoffs: times the delivery frontier moved from
-    /// one drive shard's completion bank to another's (each is one barrier
-    /// synchronisation between shard clocks). 0 on the heap backend.
-    pub sync_rounds: u64,
-    /// Shard-local completion events exchanged through the coordinator
-    /// spine (each lane pop hands one cross-shard effect — a flush
-    /// completion — back to the global order). 0 on the heap backend.
-    pub effects_exchanged: u64,
 }
 
 impl QueueStats {
@@ -52,17 +41,13 @@ impl QueueStats {
         }
     }
 
-    /// Accumulates another queue's counters (heap peak and shard count
-    /// take the max).
+    /// Accumulates another queue's counters (heap peak takes the max).
     pub fn merge(&mut self, other: &QueueStats) {
         self.scheduled += other.scheduled;
         self.cancelled += other.cancelled;
         self.tombstones_discarded += other.tombstones_discarded;
         self.compactions += other.compactions;
         self.heap_peak = self.heap_peak.max(other.heap_peak);
-        self.shards = self.shards.max(other.shards);
-        self.sync_rounds += other.sync_rounds;
-        self.effects_exchanged += other.effects_exchanged;
     }
 }
 
@@ -107,20 +92,6 @@ pub struct SearchStats {
     /// probe count — matches the probe-only search; only `probe_events`
     /// shrinks.
     pub cert_verdicts: u64,
-    /// Speculative probes launched ahead of the bisection under
-    /// `--probe-jobs`: full replays of capacities the next bisection steps
-    /// *could* visit, run on worker probers whose own counters are
-    /// discarded. Disjoint from every authoritative counter above — a
-    /// speculative run is never a `sim_probes` probe; when the bisection
-    /// later consumes its verdict, the authoritative probe is counted
-    /// exactly as if it had simulated (so printed probe counts match the
-    /// serial search).
-    pub speculative_probes: u64,
-    /// Speculative probes whose verdict the bisection never consumed
-    /// (launched for a branch the verdict sequence did not take). Always
-    /// `<= speculative_probes`; the difference is the harvest that paid
-    /// for itself.
-    pub speculative_wasted: u64,
     /// Probe verdicts answered by the persistent probe-verdict cache
     /// (`--probe-cache`): an exact on-disk verdict for this geometry under
     /// this workload fingerprint, so no simulation ran. Counted in
@@ -187,8 +158,6 @@ impl SearchStats {
         self.resume_probes += other.resume_probes;
         self.cert_verdicts += other.cert_verdicts;
         self.resume_saved_events += other.resume_saved_events;
-        self.speculative_probes += other.speculative_probes;
-        self.speculative_wasted += other.speculative_wasted;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_seeded += other.cache_seeded;
@@ -448,8 +417,6 @@ mod tests {
                 cert_verdicts: 5,
                 resume_probes: 1,
                 resume_saved_events: 300,
-                speculative_probes: 6,
-                speculative_wasted: 2,
                 cache_hits: 7,
                 cache_misses: 8,
                 cache_seeded: 9,

@@ -9,7 +9,7 @@
 //! ```
 
 use elog_core::MemoryModel;
-use elog_harness::minspace::{fw_min_space, paper_base};
+use elog_harness::minspace::paper_base;
 use elog_harness::runner::run;
 use elog_harness::{LatticeLimits, SearchRequest};
 
@@ -25,7 +25,7 @@ fn main() {
     // Firewall: single log, kill the oldest transaction when space runs out.
     let mut fw_base = paper_base(frac_long, false, runtime);
     fw_base.el.memory_model = MemoryModel::Firewall;
-    let fw_min = fw_min_space(&fw_base, 2048);
+    let fw_min = SearchRequest::firewall(&fw_base, 2048).run().min;
     let mut cfg = fw_base.clone();
     cfg.el.log.generation_blocks = fw_min.generation_blocks.clone();
     let fw = run(&cfg);

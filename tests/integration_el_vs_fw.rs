@@ -3,12 +3,11 @@
 //! modest bandwidth and memory premium.
 
 use elog_core::MemoryModel;
-use elog_harness::minspace::{fw_min_space, paper_base};
+use elog_harness::minspace::paper_base;
 use elog_harness::runner::run;
 use elog_harness::{LatticeLimits, MinSpaceResult, SearchRequest};
 
-/// Two-generation minimum through the unified search API, on the default
-/// thread count (what the deprecated `el_min_space` shim used to do).
+/// Two-generation minimum on the default thread count.
 fn el_min_space(base: &elog_harness::RunConfig, g0_max: u32, g1_limit: u32) -> MinSpaceResult {
     SearchRequest::lattice(
         base,
@@ -28,7 +27,7 @@ fn el_beats_fw_on_space_at_5_percent() {
 
     let mut fw_base = paper_base(0.05, false, runtime);
     fw_base.el.memory_model = MemoryModel::Firewall;
-    let fw_min = fw_min_space(&fw_base, 1024);
+    let fw_min = SearchRequest::firewall(&fw_base, 1024).run().min;
 
     let el_base = paper_base(0.05, false, runtime);
     let el_min = el_min_space(&el_base, 28, 256);
@@ -83,7 +82,7 @@ fn equal_lifetimes_erase_els_advantage() {
     let runtime = 40;
     let mut fw_base = paper_base(0.0, false, runtime);
     fw_base.el.memory_model = MemoryModel::Firewall;
-    let fw_min = fw_min_space(&fw_base, 512);
+    let fw_min = SearchRequest::firewall(&fw_base, 512).run().min;
 
     let el_base = paper_base(0.0, false, runtime);
     let el_min = el_min_space(&el_base, 28, 256);
@@ -99,14 +98,15 @@ fn equal_lifetimes_erase_els_advantage() {
 
 #[test]
 fn recirculation_shrinks_the_last_generation() {
-    use elog_harness::minspace::el_min_last_gen;
     let runtime = 60;
     let norec = paper_base(0.05, false, runtime);
     let norec_min = el_min_space(&norec, 28, 256);
     let g0 = norec_min.generation_blocks[0];
 
     let rec = paper_base(0.05, true, runtime);
-    let rec_min = el_min_last_gen(&rec, g0, 256).expect("feasible");
+    let rec_out = SearchRequest::fixed_prefix(&rec, vec![g0], 256).run();
+    assert!(rec_out.feasible);
+    let rec_min = rec_out.min;
 
     assert!(
         rec_min.generation_blocks[1] <= norec_min.generation_blocks[1],

@@ -2,11 +2,10 @@
 //! bounds derived from the workload arithmetic.
 
 use elog_core::MemoryModel;
-use elog_harness::minspace::{fw_min_space, paper_base};
+use elog_harness::minspace::paper_base;
 use elog_harness::{LatticeLimits, MinSpaceResult, RunConfig, SearchRequest};
 
-/// Two-generation minimum through the unified search API (what the
-/// since-removed `el_min_space` shim used to wrap).
+/// Two-generation minimum on the default thread count.
 fn el_min_space(base: &RunConfig, g0_max: u32, g1_limit: u32) -> MinSpaceResult {
     SearchRequest::lattice(
         base,
@@ -35,7 +34,7 @@ fn fw_minimum_tracks_oldest_transaction_arithmetic() {
     for frac in [0.05, 0.20] {
         let mut base = paper_base(frac, false, runtime);
         base.el.memory_model = MemoryModel::Firewall;
-        let min = fw_min_space(&base, 2048);
+        let min = SearchRequest::firewall(&base, 2048).run().min;
         let floor = 10.0 * payload_rate(frac) / 2000.0;
         assert!(
             f64::from(min.total_blocks) > floor * 0.95,
