@@ -52,6 +52,7 @@ pub mod cell;
 pub mod cert;
 pub mod host;
 pub mod hybrid;
+pub mod inlinevec;
 pub mod lot;
 pub mod ltt;
 pub mod manager;

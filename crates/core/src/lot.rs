@@ -7,8 +7,13 @@
 //! has a cell for the most recently committed update (if any) if this
 //! update has not yet been flushed; it may have several cells for
 //! uncommitted updates."
+//!
+//! "Several" is rare: an entry keeps its first uncommitted cell in place
+//! ([`InlineVec`]), so the insert/prune cycle — once per data record —
+//! allocates nothing, however many entries a flush backlog keeps alive.
 
 use crate::cell::CellIdx;
+use crate::inlinevec::InlineVec;
 use elog_model::{Oid, Tid};
 use elog_sim::FxHashMap;
 
@@ -18,7 +23,7 @@ pub struct LotEntry {
     /// Cell of the most recently committed, not-yet-flushed update.
     pub committed: Option<CellIdx>,
     /// Cells of uncommitted updates, `(owner tid, cell)`, oldest first.
-    pub uncommitted: Vec<(Tid, CellIdx)>,
+    pub uncommitted: InlineVec<(Tid, CellIdx), 1>,
 }
 
 impl LotEntry {
@@ -45,10 +50,6 @@ pub struct CommitOutcome {
 pub struct Lot {
     map: FxHashMap<Oid, LotEntry>,
     peak_len: usize,
-    /// Uncommitted-cell vectors of pruned entries, reused when an object is
-    /// touched again — the insert/prune cycle runs once per data record, so
-    /// recycling keeps it allocation-free at steady state.
-    spare_cells: Vec<Vec<(Tid, CellIdx)>>,
 }
 
 impl Lot {
@@ -75,25 +76,9 @@ impl Lot {
     /// Registers a new uncommitted update's cell (a data record just
     /// entered the log). Creates the entry on first touch.
     pub fn insert_uncommitted(&mut self, oid: Oid, tid: Tid, cell: CellIdx) {
-        let spare = &mut self.spare_cells;
-        self.map
-            .entry(oid)
-            .or_insert_with(|| LotEntry {
-                committed: None,
-                uncommitted: spare.pop().unwrap_or_default(),
-            })
-            .uncommitted
-            .push((tid, cell));
+        let entry = self.map.entry(oid).or_default();
+        entry.uncommitted.push((tid, cell));
         self.peak_len = self.peak_len.max(self.map.len());
-    }
-
-    /// Prunes an empty entry, recycling its buffer.
-    fn prune(&mut self, oid: Oid) {
-        if let Some(mut entry) = self.map.remove(&oid) {
-            debug_assert!(entry.is_empty());
-            entry.uncommitted.clear();
-            self.spare_cells.push(entry.uncommitted);
-        }
     }
 
     /// Processes `tid`'s commit for `oid` (§2.3): the transaction's newest
@@ -162,7 +147,7 @@ impl Lot {
             }
         });
         if entry.is_empty() {
-            self.prune(oid);
+            self.map.remove(&oid);
         }
     }
 
@@ -176,7 +161,7 @@ impl Lot {
         entry.uncommitted.retain(|&(t, c)| !(t == tid && c == cell));
         let removed = entry.uncommitted.len() != before;
         if entry.is_empty() {
-            self.prune(oid);
+            self.map.remove(&oid);
         }
         removed
     }
@@ -193,7 +178,7 @@ impl Lot {
         entry.committed = None;
         let out = Some(cell);
         if entry.is_empty() {
-            self.prune(oid);
+            self.map.remove(&oid);
         }
         out
     }
@@ -278,7 +263,7 @@ mod tests {
         let out = lot.commit_object(O, Tid(1)).unwrap();
         assert_eq!(out.promoted, 10);
         let e = lot.entry(O).unwrap();
-        assert_eq!(e.uncommitted, vec![(Tid(2), 20)]);
+        assert_eq!(&e.uncommitted[..], [(Tid(2), 20)]);
     }
 
     #[test]

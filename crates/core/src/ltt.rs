@@ -7,8 +7,13 @@
 //! record." Entries are "associatively accessed using transaction
 //! identifiers (tids) as keys. A hash table implementation is therefore
 //! appropriate."
+//!
+//! The paper's transactions write 2 or 4 records: an entry keeps up to
+//! four oids in place ([`InlineVec`]), so a transaction's lifecycle
+//! allocates nothing, however many committed entries a backlog keeps.
 
 use crate::cell::CellIdx;
+use crate::inlinevec::InlineVec;
 use elog_model::{Oid, Tid};
 use elog_sim::FxHashMap;
 use elog_sim::SimTime;
@@ -41,7 +46,7 @@ pub struct LttEntry {
     /// Kept sorted so that commit-time iteration (and hence flush
     /// submission) is deterministic for a given seed; a transaction touches
     /// few objects, so binary-search insertion beats tree-node churn.
-    pub oids: Vec<Oid>,
+    pub oids: InlineVec<Oid, 4>,
     /// Lifecycle state.
     pub state: TxState,
     /// Generation the transaction's records are appended to (0 unless the
@@ -54,9 +59,6 @@ pub struct LttEntry {
 pub struct Ltt {
     map: FxHashMap<Tid, LttEntry>,
     peak_len: usize,
-    /// Oid vectors of removed entries, reused by later `begin`s so the
-    /// per-transaction lifecycle is allocation-free at steady state.
-    spare_oids: Vec<Vec<Oid>>,
 }
 
 impl Ltt {
@@ -85,13 +87,11 @@ impl Ltt {
     /// # Panics
     /// Panics when the tid is already present (tids are unique).
     pub fn begin(&mut self, tid: Tid, tx_cell: CellIdx) {
-        let oids = self.spare_oids.pop().unwrap_or_default();
-        debug_assert!(oids.is_empty());
         let prev = self.map.insert(
             tid,
             LttEntry {
                 tx_cell,
-                oids,
+                oids: InlineVec::default(),
                 state: TxState::Active,
                 home_gen: 0,
             },
@@ -121,9 +121,7 @@ impl Ltt {
         let Some(entry) = self.map.get_mut(&tid) else {
             return false;
         };
-        if let Ok(pos) = entry.oids.binary_search(&oid) {
-            entry.oids.remove(pos);
-        }
+        entry.oids.retain(|&o| o != oid);
         entry.oids.is_empty() && entry.state == TxState::Committed
     }
 
@@ -140,13 +138,6 @@ impl Ltt {
     /// Removes and returns an entry (commit completion, abort, kill).
     pub fn remove(&mut self, tid: Tid) -> Option<LttEntry> {
         self.map.remove(&tid)
-    }
-
-    /// Takes a removed entry back for buffer reuse once the caller is done
-    /// reading it (see [`Ltt::begin`]).
-    pub fn recycle(&mut self, mut entry: LttEntry) {
-        entry.oids.clear();
-        self.spare_oids.push(entry.oids);
     }
 
     /// True when the transaction is tracked.
@@ -228,20 +219,23 @@ mod tests {
             ltt.add_oid(Tid(1), Oid(o));
         }
         assert_eq!(
-            ltt.get(Tid(1)).unwrap().oids,
-            vec![Oid(1), Oid(3), Oid(7), Oid(9)]
+            &ltt.get(Tid(1)).unwrap().oids[..],
+            [Oid(1), Oid(3), Oid(7), Oid(9)]
         );
     }
 
     #[test]
-    fn recycled_entry_buffers_are_reused_clean() {
+    fn oid_set_outgrows_its_inline_slots() {
         let mut ltt = Ltt::new();
         ltt.begin(Tid(1), 100);
-        ltt.add_oid(Tid(1), Oid(5));
-        let entry = ltt.remove(Tid(1)).unwrap();
-        ltt.recycle(entry);
-        ltt.begin(Tid(2), 101);
-        assert!(ltt.get(Tid(2)).unwrap().oids.is_empty());
+        for o in [9, 3, 7, 5, 1, 8, 2] {
+            ltt.add_oid(Tid(1), Oid(o));
+        }
+        assert!(!ltt.remove_oid(Tid(1), Oid(7)));
+        assert_eq!(
+            &ltt.get(Tid(1)).unwrap().oids[..],
+            [1, 2, 3, 5, 8, 9].map(Oid)
+        );
     }
 
     #[test]

@@ -510,7 +510,6 @@ impl ElManager {
         debug_assert!(entry.oids.is_empty());
         self.unlink_cell(entry.tx_cell);
         self.arena.free(entry.tx_cell);
-        self.ltt.recycle(entry);
     }
 
     /// Removes a transaction and all its non-garbage records (abort/kill).
@@ -527,7 +526,7 @@ impl ElManager {
             "cannot drop a committed transaction"
         );
         let mut cells = std::mem::take(&mut self.scratch_cells);
-        for &oid in &entry.oids {
+        for &oid in entry.oids.iter() {
             cells.clear();
             self.lot.remove_uncommitted_of(oid, tid, &mut cells);
             for &cell in &cells {
@@ -541,7 +540,6 @@ impl ElManager {
         self.scratch_cells = cells;
         self.unlink_cell(entry.tx_cell);
         self.arena.free(entry.tx_cell);
-        self.ltt.recycle(entry);
         if let Some(l) = self.ledger.as_mut() {
             l.on_ltt_removed(tid);
         }
@@ -753,5 +751,6 @@ impl ElManager {
             "cells referenced by tables ({table_cells}) != live cells ({})",
             self.arena.live()
         );
+        self.flush.check_invariants();
     }
 }

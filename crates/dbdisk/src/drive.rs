@@ -3,8 +3,9 @@
 //! A drive owns the oid range `[lo, hi)`, serves at most one transfer at a
 //! time (§3), and between transfers picks its next request with the
 //! [`NearestOid`](crate::scheduler::NearestOid) scheduler. Urgent requests
-//! (the ForceFlush ablation) pre-empt the distance order but not the
-//! transfer in progress.
+//! (every committed-unflushed record the log manager drops at the last
+//! head, and the ForceFlush ablation) pre-empt the distance order but not
+//! the transfer in progress.
 
 use crate::scheduler::NearestOid;
 use elog_model::{ObjectVersion, Oid};
@@ -33,6 +34,7 @@ pub struct Drive {
     lo: u64,
     hi: u64,
     pending: NearestOid,
+    /// Service order of the pending entries flagged urgent, one marker each.
     urgent: VecDeque<u64>,
     in_service: Option<(Oid, ObjectVersion, SimTime)>,
     /// Local offset of the last oid whose service *started*; the seek
@@ -91,83 +93,55 @@ impl Drive {
     /// Replaces the version of an already-pending request, returning the
     /// superseded version. Returns `None` when no request is pending.
     pub fn replace_pending(&mut self, oid: Oid, version: ObjectVersion) -> Option<ObjectVersion> {
-        let local = self.local(oid);
-        if self.pending.contains(local) {
-            let old = self.pending.insert(local, oid, version);
-            self.stats.superseded += 1;
-            old
-        } else {
-            None
-        }
+        let old = self.pending.replace(self.local(oid), version)?;
+        self.stats.superseded += 1;
+        Some(old)
     }
 
     /// Adds a request to the queue (the caller has checked it is not a
-    /// replacement). `urgent` requests are also appended to the urgent list.
+    /// replacement). `urgent` requests are expedited at once.
     pub fn enqueue(&mut self, oid: Oid, version: ObjectVersion, urgent: bool) {
-        let local = self.local(oid);
-        debug_assert!(!self.pending.contains(local), "duplicate enqueue for {oid}");
-        self.pending.insert(local, oid, version);
+        self.pending.insert(self.local(oid), oid, version);
         if urgent {
-            self.urgent.push_back(local);
+            self.expedite(oid);
         }
         self.stats.peak_queue = self.stats.peak_queue.max(self.pending.len());
     }
 
-    /// Promotes a pending request to urgent. Returns `false` when nothing
-    /// is pending for the oid.
+    /// Promotes a pending request to urgent (again: keeps its place).
+    /// Returns `false` when nothing is pending for the oid.
     pub fn expedite(&mut self, oid: Oid) -> bool {
         let local = self.local(oid);
-        if self.pending.contains(local) {
-            if !self.urgent.contains(&local) {
-                self.urgent.push_back(local);
-            }
-            true
-        } else {
-            false
+        let newly = self.pending.expedite(local);
+        if newly == Some(true) {
+            self.urgent.push_back(local);
         }
-    }
-
-    /// Withdraws a pending request. Returns `true` if one was removed.
-    pub fn retract(&mut self, oid: Oid) -> bool {
-        let local = self.local(oid);
-        let removed = self.pending.remove(local).is_some();
-        if removed {
-            self.urgent.retain(|&l| l != local);
-        }
-        removed
+        newly.is_some()
     }
 
     /// Starts service on the best next request, if the drive is idle and
     /// work is pending. Returns `Some(seek_distance)` on start — `None`
     /// inside means "first ever service, no origin". Returns `None` when
     /// nothing starts.
-    pub fn start_nearest(&mut self, now: SimTime, _transfer: SimTime) -> Option<Option<u64>> {
+    pub fn start_nearest(&mut self, now: SimTime) -> Option<Option<u64>> {
         if self.is_busy() {
             return None;
         }
         // Urgent queue first, in FIFO order.
-        let picked = loop {
-            match self.urgent.pop_front() {
-                Some(local) => {
-                    if let Some((oid, v)) = self.pending.remove(local) {
-                        self.stats.urgent_served += 1;
-                        let dist = self.position.map(|p| {
-                            let d = local.abs_diff(p);
-                            d.min((self.hi - self.lo) - d)
-                        });
-                        break Some((local, oid, v, dist));
-                    }
-                    // Stale urgent marker (request was retracted): skip.
-                }
-                None => break None,
-            }
-        };
-        let (local, oid, version, dist) = match picked {
-            Some(p) => p,
-            None => {
-                let (local, oid, v, dist) = self.pending.take_nearest(self.position)?;
+        let (local, oid, version, dist) = match self.urgent.pop_front() {
+            Some(local) => {
+                let (oid, v) = self
+                    .pending
+                    .remove(local)
+                    .expect("every urgent marker names exactly one flagged pending entry");
+                self.stats.urgent_served += 1;
+                let dist = self.position.map(|p| {
+                    let d = local.abs_diff(p);
+                    d.min((self.hi - self.lo) - d)
+                });
                 (local, oid, v, dist)
             }
+            None => self.pending.take_nearest(self.position)?,
         };
         self.position = Some(local);
         self.in_service = Some((oid, version, now));
@@ -183,6 +157,16 @@ impl Drive {
         self.stats.completed += 1;
         self.stats.busy += now.saturating_sub(started);
         (oid, version)
+    }
+
+    /// Panics unless the urgent markers and the pending entries flagged
+    /// urgent are in bijection (`expedite` trusts the flag, `start_nearest`
+    /// a marker).
+    pub fn check_invariants(&self) {
+        let mut markers = Vec::from_iter(self.urgent.iter().copied());
+        markers.sort_unstable();
+        let flagged = Vec::from_iter(self.pending.urgent_offsets());
+        assert_eq!(markers, flagged, "drive {}: markers != flags", self.id);
     }
 }
 
@@ -204,14 +188,10 @@ mod tests {
         let mut d = Drive::new(0, 0, 100);
         d.enqueue(Oid(10), ver(1), false);
         assert!(!d.is_busy());
-        let dist = d
-            .start_nearest(SimTime::ZERO, SimTime::from_millis(25))
-            .unwrap();
+        let dist = d.start_nearest(SimTime::ZERO).unwrap();
         assert_eq!(dist, None, "first service has no seek origin");
         assert!(d.is_busy());
-        assert!(d
-            .start_nearest(SimTime::ZERO, SimTime::from_millis(25))
-            .is_none());
+        assert!(d.start_nearest(SimTime::ZERO).is_none());
         let (oid, _) = d.finish_service(SimTime::from_millis(25));
         assert_eq!(oid, Oid(10));
         assert_eq!(d.stats().busy, SimTime::from_millis(25));
@@ -222,10 +202,10 @@ mod tests {
     fn seek_distance_from_last_start() {
         let mut d = Drive::new(0, 0, 100);
         d.enqueue(Oid(10), ver(1), false);
-        d.start_nearest(SimTime::ZERO, SimTime::ZERO);
+        d.start_nearest(SimTime::ZERO);
         d.finish_service(SimTime::ZERO);
         d.enqueue(Oid(30), ver(2), false);
-        let dist = d.start_nearest(SimTime::ZERO, SimTime::ZERO).unwrap();
+        let dist = d.start_nearest(SimTime::ZERO).unwrap();
         assert_eq!(dist, Some(20));
     }
 
@@ -233,37 +213,48 @@ mod tests {
     fn urgent_queue_preempts_distance_order() {
         let mut d = Drive::new(0, 0, 1000);
         d.enqueue(Oid(500), ver(1), false);
-        d.start_nearest(SimTime::ZERO, SimTime::ZERO);
+        d.start_nearest(SimTime::ZERO);
         d.finish_service(SimTime::ZERO); // position = 500
         d.enqueue(Oid(501), ver(2), false);
         d.enqueue(Oid(900), ver(3), true);
-        d.start_nearest(SimTime::ZERO, SimTime::ZERO);
+        d.start_nearest(SimTime::ZERO);
         let (oid, _) = d.finish_service(SimTime::ZERO);
         assert_eq!(oid, Oid(900));
         assert_eq!(d.stats().urgent_served, 1);
     }
 
     #[test]
-    fn retract_clears_urgent_marker() {
-        let mut d = Drive::new(0, 0, 100);
-        d.enqueue(Oid(5), ver(1), true);
-        assert!(d.retract(Oid(5)));
-        assert!(d.start_nearest(SimTime::ZERO, SimTime::ZERO).is_none());
+    fn replacement_keeps_urgency() {
+        // Regression guard: with the urgent bit stored in the pending
+        // entry, a replace that re-inserted the entry would clear it.
+        let mut d = Drive::new(0, 0, 1000);
+        d.enqueue(Oid(500), ver(1), false);
+        d.start_nearest(SimTime::ZERO); // position = 500, busy
+        d.enqueue(Oid(501), ver(2), false);
+        d.enqueue(Oid(900), ver(3), false);
+        assert!(d.expedite(Oid(900)));
+        assert_eq!(d.replace_pending(Oid(900), ver(4)), Some(ver(3)));
+        assert_eq!(d.replace_pending(Oid(7), ver(5)), None, "nothing pending");
+        d.check_invariants();
+        d.finish_service(SimTime::ZERO);
+        d.start_nearest(SimTime::ZERO);
+        assert_eq!(d.finish_service(SimTime::ZERO), (Oid(900), ver(4)));
+        assert_eq!(d.stats().urgent_served, 1);
+        assert_eq!(d.stats().superseded, 1);
     }
 
     #[test]
-    fn stale_urgent_marker_skipped() {
+    fn repeated_expedite_queues_one_marker() {
         let mut d = Drive::new(0, 0, 100);
-        d.enqueue(Oid(5), ver(1), false);
-        d.expedite(Oid(5));
-        // Manually retract via the pending set path that keeps the marker:
-        // expedite again after retract should fail.
-        assert!(d.retract(Oid(5)));
-        d.enqueue(Oid(7), ver(2), false);
-        // No urgent entries survive; normal pick happens.
-        assert!(d.start_nearest(SimTime::ZERO, SimTime::ZERO).is_some());
-        let (oid, _) = d.finish_service(SimTime::ZERO);
-        assert_eq!(oid, Oid(7));
+        d.enqueue(Oid(5), ver(1), true);
+        assert!(d.expedite(Oid(5)));
+        assert!(d.expedite(Oid(5)));
+        assert!(!d.expedite(Oid(6)), "nothing pending for 6");
+        d.check_invariants();
+        d.start_nearest(SimTime::ZERO);
+        d.finish_service(SimTime::ZERO);
+        assert!(d.start_nearest(SimTime::ZERO).is_none(), "served once");
+        assert_eq!(d.stats().urgent_served, 1);
     }
 
     #[test]
@@ -279,11 +270,11 @@ mod tests {
     fn offsets_respect_drive_base() {
         let mut d = Drive::new(3, 300, 400);
         d.enqueue(Oid(399), ver(1), false);
-        d.start_nearest(SimTime::ZERO, SimTime::ZERO);
+        d.start_nearest(SimTime::ZERO);
         d.finish_service(SimTime::ZERO);
         d.enqueue(Oid(301), ver(2), false);
         // position local 99, target local 1: wrap distance 2 (range 100).
-        let dist = d.start_nearest(SimTime::ZERO, SimTime::ZERO).unwrap();
+        let dist = d.start_nearest(SimTime::ZERO).unwrap();
         assert_eq!(dist, Some(2));
     }
 

@@ -132,22 +132,14 @@ impl FlushArray {
         }
     }
 
-    /// Marks a pending request urgent (ForceFlush ablation): it will be the
-    /// drive's next choice regardless of distance. No-op when the oid has
-    /// no pending request (it may already be in service).
+    /// Marks a pending request urgent: the drive serves it next, after
+    /// those expedited earlier, regardless of distance. Hot under overload,
+    /// not only in the ForceFlush ablation: the default policy expedites
+    /// every committed-unflushed record it drops at the last head. No-op
+    /// when the oid has no pending request (it may already be in service).
     pub fn expedite(&mut self, oid: Oid) -> bool {
         let di = self.drive_for(oid);
         self.drives[di].expedite(oid)
-    }
-
-    /// Withdraws the pending request for `oid` (e.g. the transaction that
-    /// committed it was superseded before service). Returns `true` if a
-    /// request was removed; `false` if none was pending (possibly because
-    /// it is currently being serviced — that write completes regardless,
-    /// and [`elog_model::StableDb::install`] discards stale versions).
-    pub fn retract(&mut self, oid: Oid) -> bool {
-        let di = self.drive_for(oid);
-        self.drives[di].retract(oid)
     }
 
     /// Handles a transfer-completion event on `drive`.
@@ -166,12 +158,16 @@ impl FlushArray {
     }
 
     fn start_next(&mut self, now: SimTime, drive: usize) -> Option<SimTime> {
-        let d = &mut self.drives[drive];
-        let dist = d.start_nearest(now, self.transfer_time)?;
+        let dist = self.drives[drive].start_nearest(now)?;
         if let Some(dist) = dist {
             self.distance.record(dist as f64);
         }
         Some(now + self.transfer_time)
+    }
+
+    /// [`Drive::check_invariants`] on every drive.
+    pub fn check_invariants(&self) {
+        self.drives.iter().for_each(Drive::check_invariants);
     }
 
     /// Mean wraparound distance between successively flushed oids, across
@@ -313,18 +309,6 @@ mod tests {
         let ((oid, v), _) = a.complete(SimTime::from_millis(20), 0);
         assert_eq!(oid, Oid(2));
         assert_eq!(v.ts, SimTime::from_millis(5));
-    }
-
-    #[test]
-    fn retract_pending() {
-        let mut a = FlushArray::new(&cfg(1, 10), 100);
-        a.submit(SimTime::ZERO, Oid(1), ver(1));
-        a.submit(SimTime::ZERO, Oid(2), ver(2));
-        assert!(a.retract(Oid(2)));
-        assert!(!a.retract(Oid(2)), "already gone");
-        assert!(!a.retract(Oid(1)), "in service, not pending");
-        let (_, next) = a.complete(SimTime::from_millis(10), 0);
-        assert_eq!(next, None);
     }
 
     #[test]

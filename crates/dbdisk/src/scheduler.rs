@@ -10,7 +10,9 @@
 //! operation is O(log n): the scarce-flush-bandwidth regime (§4) drives
 //! per-drive backlogs into the tens of thousands, where the sorted-vector
 //! predecessor of this structure spent microseconds per submit/complete
-//! memmoving half the queue.
+//! memmoving half the queue. That held for the set, not for the drive,
+//! until each entry carried its own urgent bit: asking the drive's marker
+//! list "already urgent?" was an O(n) scan per expedite (DESIGN §5h).
 
 use elog_model::{ObjectVersion, Oid};
 use std::collections::BTreeMap;
@@ -18,8 +20,8 @@ use std::collections::BTreeMap;
 /// Ordered pending set for one drive.
 #[derive(Clone, Debug, Default)]
 pub struct NearestOid {
-    /// Keyed by local offset (oid − range start).
-    entries: BTreeMap<u64, (Oid, ObjectVersion)>,
+    /// Keyed by local offset (oid − range start); the flag is the urgent bit.
+    entries: BTreeMap<u64, (Oid, ObjectVersion, bool)>,
     /// Size of the drive's cyclic range.
     range: u64,
 }
@@ -44,26 +46,39 @@ impl NearestOid {
         self.entries.is_empty()
     }
 
-    /// Inserts (or replaces) the pending version for a local offset.
-    /// Returns the previous version when replacing.
-    pub fn insert(
-        &mut self,
-        local: u64,
-        oid: Oid,
-        version: ObjectVersion,
-    ) -> Option<ObjectVersion> {
+    /// Adds a (non-urgent) entry at a vacant local offset.
+    pub fn insert(&mut self, local: u64, oid: Oid, version: ObjectVersion) {
         debug_assert!(local < self.range);
-        self.entries.insert(local, (oid, version)).map(|(_, v)| v)
+        let old = self.entries.insert(local, (oid, version, false));
+        debug_assert!(
+            old.is_none(),
+            "offset {local} already pending: use `replace`"
+        );
+    }
+
+    /// Swaps in a newer version for the entry at a local offset, keeping
+    /// its urgent flag. Returns the superseded version, `None` when
+    /// nothing is pending there.
+    pub fn replace(&mut self, local: u64, version: ObjectVersion) -> Option<ObjectVersion> {
+        let entry = self.entries.get_mut(&local)?;
+        Some(std::mem::replace(&mut entry.1, version))
+    }
+
+    /// Flags the entry at a local offset urgent. Returns whether the flag
+    /// was newly set, `None` when nothing is pending there.
+    pub fn expedite(&mut self, local: u64) -> Option<bool> {
+        let entry = self.entries.get_mut(&local)?;
+        Some(!std::mem::replace(&mut entry.2, true))
+    }
+
+    /// Offsets of the entries flagged urgent, ascending.
+    pub fn urgent_offsets(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.iter().filter_map(|(&k, e)| e.2.then_some(k))
     }
 
     /// Removes the entry at a local offset.
     pub fn remove(&mut self, local: u64) -> Option<(Oid, ObjectVersion)> {
-        self.entries.remove(&local)
-    }
-
-    /// True when an entry exists at the offset.
-    pub fn contains(&self, local: u64) -> bool {
-        self.entries.contains_key(&local)
+        self.entries.remove(&local).map(|(oid, v, _)| (oid, v))
     }
 
     /// Removes and returns the entry nearest to `pos` by wraparound
@@ -78,7 +93,7 @@ impl NearestOid {
     ) -> Option<(u64, Oid, ObjectVersion, Option<u64>)> {
         let pos = match pos {
             None => {
-                let (k, (oid, v)) = self.entries.pop_first()?;
+                let (k, (oid, v, _)) = self.entries.pop_first()?;
                 return Some((k, oid, v, None));
             }
             Some(p) => p,
@@ -110,7 +125,7 @@ impl NearestOid {
             }
         }
         let (k, d) = best.expect("non-empty set yields a candidate");
-        let (oid, v) = self.entries.remove(&k).expect("candidate key is present");
+        let (oid, v) = self.remove(k).expect("candidate key is present");
         Some((k, oid, v, Some(d)))
     }
 }
@@ -190,13 +205,13 @@ mod tests {
     #[test]
     fn insert_replaces_and_reports() {
         let mut s = NearestOid::new(10);
-        assert_eq!(s.insert(3, Oid(3), ver(1)), None);
-        let old = s.insert(3, Oid(3), ver(2));
+        assert_eq!(s.replace(3, ver(1)), None, "nothing to replace yet");
+        s.insert(3, Oid(3), ver(1));
+        let old = s.replace(3, ver(2));
         assert_eq!(old.unwrap().tid, Tid(1));
         assert_eq!(s.len(), 1);
-        assert!(s.contains(3));
         assert_eq!(s.remove(3).unwrap().1.tid, Tid(2));
-        assert!(!s.contains(3));
+        assert!(s.remove(3).is_none());
     }
 
     #[test]

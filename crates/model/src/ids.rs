@@ -8,7 +8,7 @@
 use std::fmt;
 
 /// Transaction identifier. Assigned densely from 0 by the workload driver.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Tid(pub u64);
 
 impl Tid {
@@ -29,7 +29,7 @@ impl fmt::Display for Tid {
 ///
 /// The paper fixes NUM_OBJECTS = 10^7 and treats oid *difference* as a proxy
 /// for on-disk locality in the stable database (§3).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Oid(pub u64);
 
 impl Oid {
