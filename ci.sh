@@ -97,6 +97,9 @@ echo "== hostile CLI =="
 # value below would trip a constructor's panic further in (or, unchecked,
 # run the wrong thing: an unknown --mode as EL, tenant 65536 aliased onto
 # tenant 0), so each must exit 2 with one stderr line naming the flag.
+# The bench and repro rows name files: an unwritable --out / --csv or an
+# unreadable --baseline must fail here, before the basket runs, not in an
+# `expect` after it.
 HOSTILE_ERR=$(mktemp)
 while read -r flag cmd; do
     status=0
@@ -116,6 +119,12 @@ done <<'HOSTILE'
 --mode elsim --mode bogus
 --tenants elserve --tenants 65537
 --tenants elserve --tenants 99999999
+--date bench --date 2026-13-40
+--out bench --quick --out /proc/nope/x.json
+--baseline bench --quick --baseline /nonexistent.json
+--max-regress bench --max-regress 100
+--csv repro --quick --csv /proc/nope
+--gens repro --gens 9
 HOSTILE
 rm -f "$HOSTILE_ERR"
 
@@ -145,14 +154,17 @@ fi
 rm -f "$SERVE_ERR"
 
 echo "== bench --quick (perf regression gate) =="
-# One quick pass over the whole experiment basket — including the
-# crash-recovery bench (crash-point snapshots scanned + redone) — gated
-# against the most recent committed snapshot: the run fails when
-# top-level logging throughput OR the recovery section's scan/redo
-# record rate regressed by more than 30% (see
-# crates/harness/src/benchgate.rs). The JSON is echoed so CI logs
-# preserve the numbers; the report file itself is throwaway (committed
-# snapshots are produced deliberately:
+# One quick pass over the whole experiment basket plus the crash-recovery
+# bench (crash-point snapshots scanned + redone), gated against the most
+# recent committed snapshot: the run fails when top-level logging
+# throughput OR the recovery section's scan/redo record rate regressed
+# by more than 30% (see crates/harness/src/benchgate.rs). The report is
+# what the gate reads plus its provenance: the top-level scalars, the
+# per-experiment rows they are summed from, and `recovery`. Search,
+# controller and serve counters are elbench's (benchmark/); snapshots
+# that still carry those sections gate the same, the parser skips them.
+# The JSON is echoed so CI logs preserve the numbers; the report file
+# itself is throwaway (committed snapshots are produced deliberately:
 # `bench --quick --jobs 1 --out BENCH_$(date +%F).json`). With no
 # snapshot at all the glob expands to nothing and the old `ls | tail`
 # pipeline handed bench an empty --baseline — fail loudly instead.

@@ -1,57 +1,39 @@
-//! Performance benchmark over the experiment registry.
-//!
-//! ```text
-//! bench [--quick] [--jobs N] [--out PATH] [--date YYYY-MM-DD]
-//! ```
+//! The CI perf smoke and regression gate over the experiment registry
+//! (`elbench` in `benchmark/` is the evidence for performance claims).
 //!
 //! Runs every registered experiment's scenario basket and records the
 //! *host-side* cost of each: wall clock, delivered simulation events,
-//! events per second, heap allocations and event-queue counters. The
-//! report is written as JSON to `BENCH_<date>.json` (override with
-//! `--out`) and echoed to stdout, so CI can diff the perf trajectory
-//! across commits. Simulation *results* are not recorded here — `repro`
-//! owns those; this binary prices how fast we produce them.
+//! events per second, heap allocations, event-queue and probe counters.
+//! A `recovery` section follows: crash-point snapshots of the paper's FW
+//! and EL recovery subjects, serialised through the block codec and priced
+//! through `scan_bytes` + `recover` (per-point scan and redo throughput,
+//! allocations per record, corrupt-block rate). The report is written as
+//! JSON to `BENCH_<date>.json` (override with `--out`) and echoed to
+//! stdout. Simulation *results* are `repro`'s to report.
 //!
-//! `--quick` uses the shrunk quick basket (the CI smoke setting);
-//! `--jobs` defaults to 1 so events/s numbers are not confounded by
-//! scheduling. `--date` overrides the UTC date stamp (reproducible
-//! output for tests).
+//! `--quick` uses the shrunk quick basket (the CI setting); `--jobs`
+//! defaults to 1 so events/s is not confounded by scheduling; `--date`
+//! overrides the UTC date stamp; `--no-analytic` prices the basket's
+//! searches with the probe pre-filter off (the `probe_events` rows).
 //!
-//! Besides the forward path, the report carries a `lattice` section — the
-//! aggregate min-space search counters (probes, memo hits, pruned lattice
-//! volume), report-only context for the gate — an `analytic` section with
-//! the probe pre-filter's counters (model rejections, prefix-resume
-//! probes and the events they saved; `--no-analytic` zeroes it) — and a
-//! `recovery` section:
-//! crash-point snapshots (mid-forwarding, mid-flush, post-wrap) of the
-//! paper's FW and EL recovery subjects are serialised through the block
-//! codec and priced through `scan_bytes` + `recover` — per-point scan
-//! and redo throughput, allocations per record, corrupt-block rate.
-//!
-//! A `search` section prices the persistent probe-verdict cache
-//! (DESIGN.md §5i): the fig4-6 workhorse search is timed uncached, then
-//! run cold and warm against a scratch probe cache (identical results
-//! asserted); the report records the three wall clocks and the warm run's
-//! seeded/hit/miss counts (misses = live probes, 0 when warm).
-//! Report-only, like the other accelerator sections.
-//!
-//! `--baseline PATH` turns the run into a regression gate: the fresh
-//! report's top-level throughput *and* the recovery section's aggregate
-//! scan/redo rates are compared against the committed snapshot at PATH
-//! and the process exits non-zero when any regressed by more than
-//! `--max-regress` percent (default 30).
+//! `--baseline PATH` turns the run into a regression gate: top-level
+//! throughput *and* the recovery section's aggregate scan/redo rates are
+//! compared against the snapshot at PATH and the process exits 1 when any
+//! regressed by more than `--max-regress` percent (default 30). The
+//! snapshot is read and the report file created before anything runs, so
+//! a bad `--baseline`, `--out` or `--date` exits 2 at once.
 
 use elog_harness::benchgate::{check_regression, BenchSummary};
 use elog_harness::cli;
 use elog_harness::crashpoint::bench_recovery;
 use elog_harness::experiments::registry;
-use elog_harness::latsearch::LatticeLimits;
-use elog_harness::minspace::paper_base;
 use elog_harness::sweep::{run_scenarios, ExecOptions};
-use elog_harness::SearchRequest;
 use elog_sim::perfstats::{allocations, CountingAlloc};
 use elog_sim::{PerfStats, RecoveryStats};
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::Write as _;
+use std::path::PathBuf;
 use std::time::Instant;
 
 #[global_allocator]
@@ -60,35 +42,48 @@ static ALLOC: CountingAlloc<std::alloc::System> = CountingAlloc(std::alloc::Syst
 struct Options {
     quick: bool,
     jobs: usize,
-    out: Option<std::path::PathBuf>,
-    date: Option<String>,
-    baseline: Option<std::path::PathBuf>,
+    date: String,
+    /// The `--baseline` snapshot, already read and parsed.
+    baseline: Option<BenchSummary>,
     max_regress_pct: f64,
 }
 
 const USAGE: &str = "usage: bench [--quick] [--jobs N] [--out PATH] [--date YYYY-MM-DD] \
     [--baseline PATH] [--max-regress PCT] [--no-analytic]";
 
-fn parse_args(args: Vec<String>) -> Result<Options, String> {
+/// Parses the flags and does the I/O that can fail on their say-so: reads
+/// the baseline and creates the report file (returned with its path).
+fn parse_args(args: Vec<String>) -> Result<(Options, PathBuf, File), String> {
     let mut opts = Options {
         quick: false,
         jobs: 1,
-        out: None,
-        date: None,
+        date: utc_date(),
         baseline: None,
         max_regress_pct: 30.0,
     };
+    let mut out = None;
     let args: cli::Args = &mut args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--no-analytic" => elog_harness::analytic::set_enabled(false),
             "--jobs" => opts.jobs = cli::positive("--jobs", args)?,
-            "--out" => opts.out = Some(cli::value::<String>("--out", args)?.into()),
-            "--date" => opts.date = Some(cli::value("--date", args)?),
+            "--out" => out = Some(PathBuf::from(cli::value::<String>("--out", args)?)),
+            "--date" => {
+                opts.date = cli::value("--date", args)?;
+                if !is_iso_date(&opts.date) {
+                    return Err(format!("--date {}: expected YYYY-MM-DD", opts.date));
+                }
+            }
             "--baseline" => {
-                let raw: String = cli::value("--baseline", args)?;
-                opts.baseline = Some(baseline_path(&raw)?);
+                // Read here: `--out` may name the same file, and is created
+                // (truncated) only after the loop.
+                let path = baseline_path(&cli::value::<String>("--baseline", args)?)?;
+                let text = std::fs::read_to_string(&path)
+                    .map_err(|e| format!("--baseline {}: cannot read: {e}", path.display()))?;
+                let summary = BenchSummary::parse(&text)
+                    .ok_or_else(|| format!("--baseline {}: not a bench report", path.display()))?;
+                opts.baseline = Some(summary);
             }
             "--max-regress" => {
                 let pct: f64 = cli::value("--max-regress", args)?;
@@ -102,24 +97,38 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok(opts)
+    let out = out.unwrap_or_else(|| format!("BENCH_{}.json", opts.date).into());
+    let file =
+        File::create(&out).map_err(|e| format!("--out {}: cannot create: {e}", out.display()))?;
+    Ok((opts, out, file))
+}
+
+/// Whether `raw` is a `YYYY-MM-DD` date. It names the default report
+/// file, so anything looser (`x/../../y`) would pick where that lands.
+fn is_iso_date(raw: &str) -> bool {
+    let shaped = raw.len() == 10
+        && raw.bytes().enumerate().all(|(i, c)| match i {
+            4 | 7 => c == b'-',
+            _ => c.is_ascii_digit(),
+        });
+    let in_range = |at: usize, max: u32| (1..=max).contains(&raw[at..at + 2].parse().unwrap_or(0));
+    shaped && in_range(5, 12) && in_range(8, 31)
 }
 
 /// Validates a `--baseline` operand. An empty (or all-whitespace) path
 /// is rejected up front with a pointer at the usual cause — a CI script
 /// expanding an empty `ls BENCH_*.json` glob into `--baseline ""` —
 /// instead of surfacing later as a bare file-not-found on `""`.
-fn baseline_path(raw: &str) -> Result<std::path::PathBuf, String> {
-    if raw.trim().is_empty() {
-        Err(
-            "--baseline got an empty path; if it came from a `ls BENCH_*.json` \
-             glob, no snapshot exists — generate one with \
-             `bench --quick --jobs 1 --out BENCH_<date>.json` and commit it"
-                .to_string(),
-        )
-    } else {
-        Ok(std::path::PathBuf::from(raw))
+fn baseline_path(raw: &str) -> Result<PathBuf, String> {
+    if !raw.trim().is_empty() {
+        return Ok(PathBuf::from(raw));
     }
+    Err(
+        "--baseline got an empty path; if it came from a `ls BENCH_*.json` \
+         glob, no snapshot exists — generate one with \
+         `bench --quick --jobs 1 --out BENCH_<date>.json` and commit it"
+            .to_string(),
+    )
 }
 
 /// UTC date `YYYY-MM-DD` from the system clock (civil-from-days, Hinnant).
@@ -154,220 +163,14 @@ fn alloc_ratio(allocs: u64, events: u64) -> f64 {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Times the fig4-6 workhorse search (2-generation lattice: gen0 scan ×
-/// gen1 bisection) uncached, then prices the persistent probe-verdict
-/// cache with a cold-then-warm double run in a scratch directory, and
-/// returns the `search` report section. Identical geometries and probe
-/// counts across the runs are asserted — the cache may only move wall
-/// clock. Cache counters come from the warm run (whose misses are its live
-/// probes: 0 when the cache answered everything).
-fn bench_search(quick: bool) -> String {
-    let secs = if quick { 60 } else { 500 };
-    let base = paper_base(0.05, false, secs);
-    let search = |dir: Option<&std::path::Path>| {
-        let limits = LatticeLimits {
-            prefix_max: vec![48],
-            last_limit: 1024,
-        };
-        let mut req = SearchRequest::lattice(&base, limits).jobs(1);
-        if let Some(dir) = dir {
-            req = req.probe_cache_dir(dir);
-        }
-        let t0 = Instant::now();
-        let out = req.run();
-        (out.min, t0.elapsed())
-    };
-    let (serial, serial_wall) = search(None);
-    let cache_dir = std::env::temp_dir().join(format!("elog-bench-probes-{}", std::process::id()));
-    std::fs::create_dir_all(&cache_dir).expect("create scratch probe-cache dir");
-    let (cold, cold_wall) = search(Some(&cache_dir));
-    let (warm, warm_wall) = search(Some(&cache_dir));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    assert_eq!(
-        serial.generation_blocks, cold.generation_blocks,
-        "cold cached search diverged from the uncached search"
-    );
-    assert_eq!(
-        serial.generation_blocks, warm.generation_blocks,
-        "warm cached search diverged from the uncached search"
-    );
-    assert_eq!(
-        serial.probes, warm.probes,
-        "warm cached search changed the probe count"
-    );
-    let cache_speedup = cold_wall.as_secs_f64() / warm_wall.as_secs_f64().max(1e-9);
-    eprintln!(
-        "[bench] search: {:.2?} uncached; cache {:.0}x warm ({:.2?} -> {:.2?}), \
-         {} hits / {} misses",
-        serial_wall,
-        cache_speedup,
-        cold_wall,
-        warm_wall,
-        warm.search.cache_hits,
-        warm.search.cache_misses,
-    );
-    format!(
-        "  \"search\": {{\n    \"serial_wall_secs\": {:.3},\n    \
-         \"cold_wall_secs\": {:.3},\n    \"warm_wall_secs\": {:.3},\n    \
-         \"cache_speedup\": {:.3},\n    \
-         \"cache_seeded\": {},\n    \"cache_hits\": {},\n    \"cache_misses\": {}\n  }}",
-        serial_wall.as_secs_f64(),
-        cold_wall.as_secs_f64(),
-        warm_wall.as_secs_f64(),
-        cache_speedup,
-        warm.search.cache_seeded,
-        warm.search.cache_hits,
-        warm.search.cache_misses,
-    )
-}
-
-/// Prices the online generation controller and returns the `adaptive`
-/// report section. The subject is the `fig_adaptive` basket minus the
-/// two static-optimum searches (those price the *searcher*, already
-/// covered by the lattice section): the drifting-mix adaptive run and
-/// the mid-run shift pair (controller on vs off on one workload). The
-/// drift run supplies the controller counters — window decisions,
-/// occupancy snapshots, reshapes split into grows and shrinks, hint
-/// toggles, firewall fallbacks — and the shift pair supplies the kill
-/// cost the controller sheds relative to the frozen run. Report-only,
-/// like the other accelerator sections: the counters describe what the
-/// controller did, not a rate to gate.
-fn bench_adaptive(quick: bool) -> String {
-    use elog_harness::experiments::fig_adaptive;
-    let cfg = if quick {
-        fig_adaptive::Config::quick()
-    } else {
-        fig_adaptive::Config::paper()
-    };
-    let mut scenarios = fig_adaptive::scenarios_for(&cfg);
-    scenarios.retain(|s| s.variant == "drift" || s.variant.starts_with("shift-"));
-    let t0 = Instant::now();
-    let outcomes = run_scenarios(
-        &scenarios,
-        &ExecOptions {
-            jobs: 1,
-            progress: false,
-        },
-    );
-    let wall = t0.elapsed();
-    let drift = outcomes[0].measured().expect("drift run completes");
-    let st = drift
-        .adaptive
-        .as_ref()
-        .expect("drift run carries controller stats");
-    let on = outcomes[1].measured().expect("shift adaptive completes");
-    let off = outcomes[2].measured().expect("shift frozen completes");
-    let kills_shed = off.killed.saturating_sub(on.killed);
-    eprintln!(
-        "[bench] adaptive: {} reshapes ({} grows, {} shrinks) over {} windows, \
-         {} hint toggles, {} fallbacks; shift sheds {} of {} kills; {:.2?}",
-        st.reshapes,
-        st.grows,
-        st.shrinks,
-        st.window_decisions,
-        st.hint_toggles,
-        st.firewall_fallbacks,
-        kills_shed,
-        off.killed,
-        wall,
-    );
-    format!(
-        "  \"adaptive\": {{\n    \"window_decisions\": {},\n    \
-         \"occupancy_snapshots\": {},\n    \"reshapes\": {},\n    \
-         \"grows\": {},\n    \"shrinks\": {},\n    \"hint_toggles\": {},\n    \
-         \"firewall_fallbacks\": {},\n    \"kills_shed\": {},\n    \
-         \"shift_kills_frozen\": {},\n    \"wall_secs\": {:.3}\n  }}",
-        st.window_decisions,
-        st.occupancy_snapshots,
-        st.reshapes,
-        st.grows,
-        st.shrinks,
-        st.hint_toggles,
-        st.firewall_fallbacks,
-        kills_shed,
-        off.killed,
-        wall.as_secs_f64(),
-    )
-}
-
-/// Prices the multi-tenant serve mode and returns the `tenants` report
-/// section: the `fig_tenants` scaling sweep's highest-multiplexing run,
-/// summarised as committed/killed/refused counts plus the aggregate
-/// p50/p99 arrival→durable commit latency. Report-only, like the other
-/// accelerator sections — the latency quantiles are workload statements,
-/// not host rates to gate.
-fn bench_tenants(quick: bool) -> String {
-    use elog_harness::experiments::fig_tenants;
-    let cfg = if quick {
-        fig_tenants::Config::quick()
-    } else {
-        fig_tenants::Config::paper()
-    };
-    let scenarios = fig_tenants::scenarios_for(&cfg);
-    let t0 = Instant::now();
-    let outcomes = run_scenarios(
-        &scenarios,
-        &ExecOptions {
-            jobs: 1,
-            progress: false,
-        },
-    );
-    let wall = t0.elapsed();
-    let last = outcomes
-        .iter()
-        .rev()
-        .find_map(|o| o.serve())
-        .expect("serve runs complete");
-    eprintln!(
-        "[bench] tenants: {} tenants committed {} (killed {}, refused {}), \
-         p50 {:.1} ms, p99 {:.1} ms; {:.2?}",
-        last.per_tenant.len(),
-        last.aggregate.committed,
-        last.aggregate.killed,
-        last.aggregate.throttled,
-        last.aggregate.p50_ms.unwrap_or(0.0),
-        last.aggregate.p99_ms.unwrap_or(0.0),
-        wall,
-    );
-    format!(
-        "  \"tenants\": {{\n    \"tenant_count\": {},\n    \"committed\": {},\n    \
-         \"killed\": {},\n    \"refused\": {},\n    \"agg_p50_ms\": {:.3},\n    \
-         \"agg_p99_ms\": {:.3},\n    \"wall_secs\": {:.3}\n  }}",
-        last.per_tenant.len(),
-        last.aggregate.committed,
-        last.aggregate.killed,
-        last.aggregate.throttled,
-        last.aggregate.p50_ms.unwrap_or(0.0),
-        last.aggregate.p99_ms.unwrap_or(0.0),
-        wall.as_secs_f64(),
-    )
-}
-
 fn main() {
-    let opts = cli::parse_env(USAGE, parse_args);
-    let date = opts.date.clone().unwrap_or_else(utc_date);
+    let (opts, path, mut file) = cli::parse_env(USAGE, parse_args);
     let exec = ExecOptions {
         jobs: opts.jobs,
         progress: false,
     };
-
+    // Experiment names, point labels and the validated date are quote-free
+    // program text, so the writer emits them unescaped.
     let mut per_experiment = String::new();
     let mut total = PerfStats::default();
     let mut total_wall = std::time::Duration::ZERO;
@@ -385,11 +188,10 @@ fn main() {
         // contribute only their final measured run (the probes are costed
         // in wall/allocations, which cover the whole basket).
         let mut perf = PerfStats::default();
-        for o in &outcomes {
-            if let Some(p) = o.output.perf() {
-                perf.merge(p);
-            }
-        }
+        outcomes
+            .iter()
+            .filter_map(|o| o.output.perf())
+            .for_each(|p| perf.merge(p));
         total.merge(&perf);
         total_wall += wall;
         total_allocs += allocs;
@@ -403,13 +205,13 @@ fn main() {
         );
         let _ = write!(
             per_experiment,
-            "{}    {{\"name\": {}, \"scenarios\": {}, \"failed\": {}, \"wall_secs\": {:.3}, \
+            "{}    {{\"name\": \"{}\", \"scenarios\": {}, \"failed\": {}, \"wall_secs\": {:.3}, \
              \"events\": {}, \"events_per_sec\": {:.0}, \"allocations\": {}, \
              \"allocations_per_event\": {:.3}, \"heap_peak\": {}, \"compactions\": {}, \
              \"probes\": {}, \"probe_events\": {}, \"replay_hit_rate\": {:.3}, \
              \"memo_hit_rate\": {:.3}, \"events_per_probe\": {:.0}}}",
             if i == 0 { "" } else { ",\n" },
-            json_str(e.name()),
+            e.name(),
             scenarios.len(),
             failed,
             wall.as_secs_f64(),
@@ -426,11 +228,9 @@ fn main() {
             perf.search.events_per_probe(),
         );
     }
-    // The recovery bench: crash-point snapshots of the paper's FW and EL
-    // recovery subjects, scanned + redone under the same wall/allocation
-    // instrumentation as the forward path. Aggregates precede the
-    // per-point rows so benchgate's first-occurrence scan (scoped to
-    // after the "recovery" key) reads the aggregate, not a row.
+    // The recovery bench, under the same wall/allocation instrumentation.
+    // Aggregates precede the per-point rows so benchgate's first-occurrence
+    // scan (from the "recovery" key on) reads the aggregate, not a row.
     let points = bench_recovery(opts.quick);
     let mut agg = RecoveryStats::default();
     let mut per_point = String::new();
@@ -439,13 +239,13 @@ fn main() {
         eprintln!("[bench] recovery {}: {}", p.label, p.stats);
         let _ = write!(
             per_point,
-            "{}      {{\"name\": {}, \"at_secs\": {:.3}, \"iters\": {}, \"blocks\": {}, \
+            "{}      {{\"name\": \"{}\", \"at_secs\": {:.3}, \"iters\": {}, \"blocks\": {}, \
              \"decoded_blocks\": {}, \"corrupt_blocks\": {}, \"records\": {}, \
              \"scan_blocks_per_sec\": {:.0}, \"scan_records_per_sec\": {:.0}, \
              \"redo_records_per_sec\": {:.0}, \"allocations_per_record\": {:.3}, \
              \"verified\": {}, \"modelled_secs\": {:.3}}}",
             if i == 0 { "" } else { ",\n" },
-            json_str(&p.label),
+            p.label,
             p.at.as_secs_f64(),
             p.iters,
             p.stats.blocks,
@@ -460,35 +260,6 @@ fn main() {
             p.modelled.as_secs_f64(),
         );
     }
-    // Lattice-search aggregate: every min-space search (2-gen and N-gen
-    // alike) routes through the lattice subsystem, so the totals' search
-    // counters summarise it directly. Report-only — benchgate reads it
-    // for context but does not rate-gate it.
-    let lattice_json = format!(
-        "  \"lattice\": {{\n    \"probes\": {},\n    \"memo_hits\": {},\n    \
-         \"memo_hit_rate\": {:.3},\n    \"pruned_volume\": {}\n  }}",
-        total.search.sim_probes + total.search.memo_hits,
-        total.search.memo_hits,
-        total.search.memo_hit_rate(),
-        total.search.pruned_volume,
-    );
-    // Analytic pre-filter + prefix-resume aggregate. Report-only, like
-    // the lattice section: the counters say how much probing the model
-    // avoided, not how fast anything ran.
-    let analytic_json = format!(
-        "  \"analytic\": {{\n    \"rejections\": {},\n    \"cert_verdicts\": {},\n    \
-         \"resume_probes\": {},\n    \
-         \"resume_saved_events\": {},\n    \"resume_hit_rate\": {:.3}\n  }}",
-        total.search.analytic_rejections,
-        total.search.cert_verdicts,
-        total.search.resume_probes,
-        total.search.resume_saved_events,
-        total.search.resume_hit_rate(),
-    );
-    let search_json = bench_search(opts.quick);
-    let adaptive_json = bench_adaptive(opts.quick);
-    let tenants_json = bench_tenants(opts.quick);
-    let all_verified = points.iter().all(|p| p.verified);
     let recovery_json = format!(
         "  \"recovery\": {{\n    \"scan_blocks_per_sec\": {:.0},\n    \
          \"scan_records_per_sec\": {:.0},\n    \"redo_records_per_sec\": {:.0},\n    \
@@ -499,19 +270,19 @@ fn main() {
         agg.redo_records_per_sec(),
         agg.allocations_per_record(),
         agg.corrupt_block_rate(),
-        all_verified,
+        points.iter().all(|p| p.verified),
         per_point,
     );
     let wall_all = t_all.elapsed();
 
     let json = format!(
-        "{{\n  \"date\": {},\n  \"quick\": {},\n  \"jobs\": {},\n  \
+        "{{\n  \"date\": \"{}\",\n  \"quick\": {},\n  \"jobs\": {},\n  \
          \"total_wall_secs\": {:.3},\n  \"total_events\": {},\n  \
          \"events_per_sec\": {:.0},\n  \"allocations\": {},\n  \
          \"allocations_per_event\": {:.3},\n  \"probe_events\": {},\n  \
          \"replay_hit_rate\": {:.3},\n  \"memo_hit_rate\": {:.3},\n  \
-         \"experiments\": [\n{}\n  ],\n{},\n{},\n{},\n{},\n{},\n{}\n}}",
-        json_str(&date),
+         \"experiments\": [\n{}\n  ],\n{}\n}}",
+        opts.date,
         opts.quick,
         opts.jobs,
         wall_all.as_secs_f64(),
@@ -523,30 +294,17 @@ fn main() {
         total.search.replay_hit_rate(),
         total.search.memo_hit_rate(),
         per_experiment,
-        lattice_json,
-        analytic_json,
-        search_json,
-        adaptive_json,
-        tenants_json,
         recovery_json,
     );
 
-    let path = opts
-        .out
-        .unwrap_or_else(|| std::path::PathBuf::from(format!("BENCH_{date}.json")));
-    std::fs::write(&path, format!("{json}\n")).expect("write bench report");
+    if let Err(e) = file.write_all(format!("{json}\n").as_bytes()) {
+        eprintln!("--out {}: cannot write: {e}", path.display());
+        std::process::exit(2);
+    }
     eprintln!("wrote {}", path.display());
     println!("{json}");
 
-    if let Some(baseline_path) = opts.baseline {
-        let text = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-            std::process::exit(2);
-        });
-        let baseline = BenchSummary::parse(&text).unwrap_or_else(|| {
-            eprintln!("baseline {} is not a bench report", baseline_path.display());
-            std::process::exit(2);
-        });
+    if let Some(baseline) = opts.baseline {
         let current = BenchSummary::parse(&json).expect("own report parses");
         match check_regression(&baseline, &current, opts.max_regress_pct) {
             Ok(verdict) => eprintln!("[bench] gate OK: {verdict}"),

@@ -39,7 +39,6 @@ use elog_harness::experiments::registry_with;
 use elog_harness::latsearch::MAX_AXES;
 use elog_harness::report::Table;
 use elog_harness::sweep::{run_experiments, ExecOptions};
-use std::io::Write as _;
 
 const USAGE: &str = "usage: repro [--quick] [--jobs N] [--gens N] [--only NAME] \
     [--csv DIR] [--progress] [--no-analytic] [--probe-cache DIR] [--adaptive]";
@@ -82,7 +81,12 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                 }
             }
             "--only" => opts.only = Some(cli::value::<String>("--only", args)?.to_lowercase()),
-            "--csv" => opts.csv_dir = Some(cli::value::<String>("--csv", args)?.into()),
+            "--csv" => {
+                let dir = std::path::PathBuf::from(cli::value::<String>("--csv", args)?);
+                std::fs::create_dir_all(&dir)
+                    .map_err(|e| format!("--csv {}: cannot create: {e}", dir.display()))?;
+                opts.csv_dir = Some(dir);
+            }
             other => return Err(format!("unknown argument: {other}")),
         }
     }
@@ -92,10 +96,11 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
 fn emit(opts: &Options, slug: &str, table: &Table) {
     println!("{}", table.render());
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
         let path = dir.join(format!("{slug}.csv"));
-        let mut f = std::fs::File::create(&path).expect("create csv file");
-        f.write_all(table.to_csv().as_bytes()).expect("write csv");
+        if let Err(e) = std::fs::write(&path, table.to_csv()) {
+            eprintln!("--csv {}: cannot write: {e}", path.display());
+            std::process::exit(2);
+        }
         eprintln!("wrote {}", path.display());
     }
 }

@@ -42,7 +42,6 @@ pub mod perfstats;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, Simulate};
 pub use event::{EventQueue, EventToken};
@@ -51,4 +50,3 @@ pub use perfstats::{CountingAlloc, PerfStats, QueueStats, RecoveryStats, SearchS
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, MaxGauge, MeanAccumulator, TimeWeighted};
 pub use time::SimTime;
-pub use trace::{TraceRing, TraceSink};
