@@ -30,9 +30,9 @@ echo "== 3-gen lattice smoke =="
 ./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2
 
 echo "== analytic equivalence smoke =="
-# The probe accelerators (analytic pruning, consumption certificates,
-# prefix resume — DESIGN.md §5g) must be pure: the same search run with
-# and without them has to print the same geometry and probe counts.
+# The probe accelerators (analytic pruning and consumption certificates
+# — DESIGN.md §5g) must be pure: the same search run with and without
+# them has to print the same geometry and probe counts.
 # Event counters legitimately differ, so compare the full stdout of a
 # quick min-space search, which reports geometry and probes but not
 # event volume.
@@ -94,37 +94,42 @@ esac
 
 echo "== hostile CLI =="
 # Bad input is a typed error from harness::cli, never a backtrace. Each
-# value below would trip a constructor's panic further in (or, unchecked,
-# run the wrong thing: an unknown --mode as EL, tenant 65536 aliased onto
-# tenant 0), so each must exit 2 with one stderr line naming the flag.
-# The bench and repro rows name files: an unwritable --out / --csv or an
-# unreadable --baseline must fail here, before the basket runs, not in an
-# `expect` after it.
+# exit-2 value below would trip a constructor's panic further in (or,
+# unchecked, run the wrong thing: an unknown --mode as EL, tenant 65536
+# aliased onto tenant 0), so each must exit 2 with one stderr line naming
+# the flag. The bench and repro rows name files: an unwritable --out /
+# --csv or an unreadable --baseline must fail here, before the basket
+# runs, not in an `expect` after it. The exit-1 rows are well-formed
+# searches that find nothing feasible within their ceilings: one stderr
+# line saying so instead of an abort (or a ceiling printed as a minimum).
 HOSTILE_ERR=$(mktemp)
-while read -r flag cmd; do
+while read -r want flag cmd; do
     status=0
     # shellcheck disable=SC2086
     ./target/release/$cmd >/dev/null 2>"$HOSTILE_ERR" || status=$?
-    if [ "$status" -ne 2 ] || grep -q panicked "$HOSTILE_ERR" ||
+    if [ "$status" -ne "$want" ] || grep -q panicked "$HOSTILE_ERR" ||
         [ "$(wc -l <"$HOSTILE_ERR")" -ne 1 ] || ! grep -q -- "$flag" "$HOSTILE_ERR"; then
-        echo "\`$cmd\`: want exit 2 and one line naming $flag, got exit $status:" >&2
+        echo "\`$cmd\`: want exit $want and one line naming $flag, got exit $status:" >&2
         cat "$HOSTILE_ERR" >&2
         exit 1
     fi
 done <<'HOSTILE'
---gens elsim --gens 0
---gens elsim --gens 18,0
---gens elserve --tenants 3 --gens 0
---tps elsim --tps 0
---mode elsim --mode bogus
---tenants elserve --tenants 65537
---tenants elserve --tenants 99999999
---date bench --date 2026-13-40
---out bench --quick --out /proc/nope/x.json
---baseline bench --quick --baseline /nonexistent.json
---max-regress bench --max-regress 100
---csv repro --quick --csv /proc/nope
---gens repro --gens 9
+2 --gens elsim --gens 0
+2 --gens elsim --gens 18,0
+2 --gens elserve --tenants 3 --gens 0
+2 --gens elsim --gens 200,200,200,8 --runtime 5 --min-space
+2 --tps elsim --tps 0
+2 --mode elsim --mode bogus
+2 --tenants elserve --tenants 65537
+2 --tenants elserve --tenants 99999999
+2 --date bench --date 2026-13-40
+2 --out bench --quick --out /proc/nope/x.json
+2 --baseline bench --quick --baseline /nonexistent.json
+2 --max-regress bench --max-regress 100
+2 --csv repro --quick --csv /proc/nope
+2 --gens repro --gens 9
+1 --min-space elsim --fw-blocks 100 --tps 20000 --runtime 5 --min-space
+1 --min-space elsim --gens 18,16 --tps 6000 --runtime 5 --min-space
 HOSTILE
 rm -f "$HOSTILE_ERR"
 

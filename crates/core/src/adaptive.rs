@@ -5,10 +5,9 @@
 //! watches per-generation occupancy, kill pressure and the record-lifetime
 //! histogram over a sliding window and re-shapes the lattice live —
 //! growing or shrinking the last generation's block array (through
-//! [`crate::ElManager::set_last_gen_capacity`], the same entry point the
-//! cert/resume probe machinery uses), toggling lifetime-hint placement,
-//! and falling back to a firewall-like posture under sustained kill
-//! pressure.
+//! [`crate::ElManager::set_last_gen_capacity`]), toggling lifetime-hint
+//! placement, and falling back to a firewall-like posture under sustained
+//! kill pressure.
 //!
 //! # Signals and policy
 //!
@@ -61,8 +60,7 @@
 //!
 //! # Reshape safety
 //!
-//! Growing or shrinking mid-run is sound for the same reason the
-//! cert/resume machinery may resize snapshots:
+//! Growing or shrinking mid-run is sound because
 //! [`elog_storage::BlockRing::set_capacity`] remaps every physically
 //! present block to `seq % new_capacity` (newest sequence wins a
 //! contested slot, exactly as overwriting would). A shrink goes through

@@ -65,8 +65,7 @@ struct BlockSpan {
 }
 
 /// In-flight recording state, owned by [`crate::ElManager`] while a
-/// certificate-instrumented run is in progress. Cloned with the manager,
-/// so mid-run snapshots keep accumulating into their own copy.
+/// certificate-instrumented run is in progress.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CertLog {
     /// Global event-order counter; every recorded occurrence gets the

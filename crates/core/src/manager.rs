@@ -57,8 +57,7 @@ pub(crate) struct Inflight {
 ///
 /// `Clone` deep-copies the entire state machine — rings, tables, arena,
 /// in-flight writes, statistics — so a simulation hosting the manager can
-/// be snapshotted mid-run and resumed (the search harness's prefix-resume
-/// probes rely on this).
+/// be forked mid-run.
 #[derive(Clone)]
 pub struct ElManager {
     pub(crate) cfg: ElConfig,
@@ -646,20 +645,6 @@ impl ElManager {
     /// The per-tenant ledger, when armed.
     pub fn tenant_ledger(&self) -> Option<&crate::tenant::TenantLedger> {
         self.ledger.as_ref()
-    }
-
-    /// Blocks ever allocated at the last generation's tail (its ring's
-    /// tail sequence number). The search harness watches this to decide
-    /// when a probe's state stops being independent of the last
-    /// generation's capacity: no head advance can have happened while
-    /// `tail + gap_blocks < capacity`, so a snapshot taken below that
-    /// depth resumes exactly under any capacity that keeps the margin.
-    pub fn last_gen_allocated(&self) -> u64 {
-        self.gens
-            .last()
-            .expect("at least one generation")
-            .ring
-            .tail()
     }
 
     /// Rebinds the last generation to a new capacity (see

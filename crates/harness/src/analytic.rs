@@ -83,16 +83,15 @@
 //! first (`latsearch::Prober`): the frozen dominance **memo** (§5f),
 //! then this module's **threshold** rejection, then the column's
 //! **consumption certificate**, then the persistent **probe cache**
-//! (§5i), and only then a live simulation (snapshot-resumed when
-//! possible). The order matters
-//! for accounting, not correctness — every layer is verified to return
+//! (§5i), and only then a live simulation. The order matters for
+//! accounting, not correctness — every layer is verified to return
 //! exactly the simulated verdict — but keeping the memo ahead of the
 //! model keeps `memo_hits` identical whether or not the model is on,
 //! which is what the `--no-analytic` byte-identity diff pins.
 //!
-//! The `--no-analytic` escape hatch ([`set_enabled`]) disables the
-//! certificate (and snapshot-resume probing) process-wide, forcing every
-//! verdict through a full simulation.
+//! The `--no-analytic` escape hatch ([`set_enabled`]) disables both
+//! certificates process-wide, forcing every verdict the memo and the
+//! cache do not hold through a full simulation.
 
 use crate::runner::RunConfig;
 use elog_workload::{WorkloadTrace, EPSILON};
@@ -100,13 +99,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Enables or disables analytic pruning and snapshot-resume probing
+/// Enables or disables analytic pruning and consumption certificates
 /// process-wide (the `--no-analytic` flag). Defaults to enabled.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether analytic pruning and snapshot-resume probing are enabled.
+/// Whether analytic pruning and consumption certificates are enabled.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }

@@ -214,10 +214,11 @@ mod tests {
 
     #[test]
     fn committed_snapshots_parse_to_their_gated_values() {
-        // Three schema generations: lattice + recovery only; with the
-        // since-deleted sharding section; the last six-section report. The
-        // parser must read the same gated values from each and ignore the
-        // rest, whatever order a later writer puts the sections in.
+        // Four schema generations: lattice + recovery only; with the
+        // since-deleted sharding section; the last six-section report; the
+        // gate-only report. The parser must read the same gated values
+        // from each and ignore the rest, whatever order a later writer
+        // puts the sections in.
         let snapshots = [
             (
                 include_str!("../../../BENCH_2026-08-06.json"),
@@ -230,6 +231,10 @@ mod tests {
             (
                 include_str!("../../../BENCH_2026-09-30.json"),
                 (900_873.0, 5_692_293.0, 34_441_963.0),
+            ),
+            (
+                include_str!("../../../BENCH_2026-10-01.json"),
+                (630_816.0, 6_110_510.0, 35_821_120.0),
             ),
         ];
         let parsed = snapshots.map(|(json, (events, scan, redo))| {

@@ -24,31 +24,44 @@ fn main() {
     let gens = &cfg.el.log.generation_blocks;
 
     if a.min_space {
-        let r = if cfg.el.memory_model == MemoryModel::Firewall || gens.len() == 1 {
-            let r = SearchRequest::firewall(cfg, 4096).run().min;
+        let firewall = cfg.el.memory_model == MemoryModel::Firewall || gens.len() == 1;
+        let req = if firewall {
+            SearchRequest::firewall(cfg, 4096)
+        } else {
+            // Two generations scan gen0 up to 48; for N ≥ 3 the given
+            // sizes act as the per-axis scan ceilings.
+            let prefix_max = match gens.len() {
+                2 => vec![48],
+                n => gens[..n - 1].to_vec(),
+            };
+            SearchRequest::lattice(
+                cfg,
+                LatticeLimits {
+                    prefix_max,
+                    last_limit: 1024,
+                },
+            )
+        };
+        let out = req.jobs(a.jobs).run();
+        let r = out.min;
+        if !out.feasible {
+            eprintln!(
+                "--min-space: no geometry within the ceilings {:?} runs without kills ({} probes)",
+                r.generation_blocks, r.probes
+            );
+            std::process::exit(1);
+        }
+        if firewall {
             println!(
                 "minimum FW log: {} blocks ({} probes)",
                 r.total_blocks, r.probes
             );
-            r
         } else if gens.len() == 2 {
-            let limits = LatticeLimits {
-                prefix_max: vec![48],
-                last_limit: 1024,
-            };
-            let r = SearchRequest::lattice(cfg, limits).jobs(a.jobs).run().min;
             println!(
                 "minimum EL log: {:?} = {} blocks ({} probes)",
                 r.generation_blocks, r.total_blocks, r.probes
             );
-            r
         } else {
-            // N ≥ 3: the given sizes act as per-axis scan ceilings.
-            let limits = LatticeLimits {
-                prefix_max: gens[..gens.len() - 1].to_vec(),
-                last_limit: 1024,
-            };
-            let r = SearchRequest::lattice(cfg, limits).jobs(a.jobs).run().min;
             println!(
                 "minimum EL log ({} gens): {:?} = {} blocks ({} probes, {} memoized, {} pruned)",
                 gens.len(),
@@ -58,8 +71,7 @@ fn main() {
                 r.search.memo_hits,
                 r.search.pruned_volume
             );
-            r
-        };
+        }
         if a.probe_cache.is_some() {
             // stderr so stdout stays byte-identical to uncached runs.
             eprintln!(

@@ -15,9 +15,10 @@
 //! experiments whose name contains NAME (case-insensitive), e.g.
 //! `--only recovery`. `--csv DIR` additionally writes each table as a CSV
 //! file. `--progress` reports per-scenario completion on stderr.
-//! `--no-analytic` disables the analytic probe pre-filter and prefix
-//! resume ([`elog_harness::analytic`]); stdout is byte-identical either
-//! way — the flag exists to prove exactly that. `--probe-cache DIR`
+//! `--no-analytic` disables the analytic probe pre-filter and the
+//! consumption certificates ([`elog_harness::analytic`]); stdout is
+//! byte-identical either way — the flag exists to prove exactly that.
+//! `--probe-cache DIR`
 //! persists probe verdicts under DIR ([`elog_harness::probecache`]);
 //! stdout is byte-identical under it too.
 //! `--adaptive` enables the online generation controller

@@ -12,7 +12,7 @@
 //! stderr and exits 2. `repro` and `bench` keep their own flag loops and
 //! share [`value`] / [`positive`] with this one.
 
-use crate::latsearch::MAX_AXES;
+use crate::latsearch::{prefix_volume, MAX_AXES, MAX_PREFIX_COLUMNS};
 use crate::runner::RunConfig;
 use crate::serve::{parse_oid_ranges, validate_layout, validate_tenants, ServeConfig};
 use elog_core::{ElConfig, MemoryModel};
@@ -61,9 +61,9 @@ pub const ELSIM_USAGE: &str = concat!(
                           rerun answers every probe from the cache
                           (the output must not change; a stderr line
                           reports seeded/hit/miss counts)
-  --no-analytic           disable the analytic pre-filter and prefix
-                          resume: simulate every probe in full (the
-                          output must not change)
+  --no-analytic           disable the analytic pre-filter and the
+                          consumption certificates: simulate every probe
+                          in full (the output must not change)
   --adaptive              run the online adaptive generation controller
                           (stderr summary; stdout is byte-identical to
                           a non-adaptive run when the workload is
@@ -293,8 +293,22 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             run.gens.len()
         ));
     }
+    let firewall = run.firewall;
+    let run = run.build()?;
+    let log = &run.el.log;
+    let gens = &log.generation_blocks;
+    if min_space && !firewall && gens.len() >= 3 {
+        // The leading sizes are the lattice search's scan ceilings.
+        let columns = prefix_volume(log.gap_blocks, &gens[..gens.len() - 1]);
+        if columns > MAX_PREFIX_COLUMNS {
+            return Err(format!(
+                "--gens {gens:?}: --min-space would scan {columns} prefix columns (at most \
+                 {MAX_PREFIX_COLUMNS}); lower the leading sizes, which act as scan ceilings"
+            ));
+        }
+    }
     Ok(Elsim {
-        run: run.build()?,
+        run,
         min_space,
         jobs,
         probe_cache,
@@ -420,12 +434,17 @@ mod tests {
         type Parse = fn(Vec<String>) -> Result<(), String>;
         let sim: Parse = |a| elsim(a).map(drop);
         let serve: Parse = |a| elserve(a).map(drop);
-        let table: [(Parse, &str, &str); 25] = [
+        let table: [(Parse, &str, &str); 26] = [
             (sim, "--gens 0", "--gens"),
             (sim, "--gens 18,0", "--gens"),
             (sim, "--gens 18,x", "--gens"),
             (sim, "--gens 9,9,9,9,9,9,9,9,9", "--gens"),
             (sim, "--gens", "--gens"),
+            (
+                sim,
+                "--gens 200,200,200,8 --runtime 5 --min-space",
+                "--gens",
+            ),
             (serve, "--tenants 3 --gens 0", "--gens"),
             (sim, "--tps 0", "--tps"),
             (sim, "--tps nan", "--tps"),

@@ -7,6 +7,7 @@
 //! block writes/s) and modest memory. The EL advantage shrinks as the
 //! long-transaction fraction grows.
 
+use crate::latsearch::{LatticeLimits, SearchMode};
 use crate::minspace::MinSpaceResult;
 use crate::report::{f, Table};
 use crate::runner::{RunConfig, RunResult};
@@ -106,19 +107,22 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             format!("fig4-6 fw {pct:.0}%"),
             frac.to_string(),
             i as u64,
-            Job::FwMin {
+            Job::MinSpace {
                 base: base_cfg(frac, cfg.runtime_secs, MemoryModel::Firewall),
-                limit: cfg.fw_limit,
+                mode: SearchMode::Firewall {
+                    limit: cfg.fw_limit,
+                },
             },
         ));
         out.push(Scenario::new(
             format!("fig4-6 el {pct:.0}%"),
             frac.to_string(),
             i as u64,
-            Job::ElMin {
+            Job::MinSpace {
                 base: base_cfg(frac, cfg.runtime_secs, MemoryModel::Ephemeral),
-                g0_max: cfg.g0_max,
-                g1_limit: cfg.g1_limit,
+                mode: SearchMode::Lattice {
+                    limits: LatticeLimits::uniform(2, cfg.g0_max, cfg.g1_limit),
+                },
             },
         ));
     }

@@ -8,8 +8,8 @@
 //! * **Drifting mix** — the long-transaction fraction walks
 //!   `light → heavy → light` in thirds of the horizon
 //!   ([`elog_workload::PhaseSchedule`]). One adaptive run tracks it live;
-//!   two [`Job::ElFixedMin`] searches find each phase's static optimum
-//!   (same front-generation prefix, so only the last axis is in
+//!   two fixed-prefix [`Job::MinSpace`] searches find each phase's static
+//!   optimum (same front-generation prefix, so only the last axis is in
 //!   question). The tracking table reads the controller's capacity at
 //!   each phase end off its reshape timeline and compares against the
 //!   optimum of that phase's mix — the acceptance bar is over-provision
@@ -24,6 +24,7 @@
 //! light phase (`start_last`); everything it does afterwards is its own
 //! decision, reported through [`elog_core::AdaptiveStats`].
 
+use crate::latsearch::SearchMode;
 use crate::report::{f, Table};
 use crate::runner::RunConfig;
 use crate::sweep::{failure_notes, Experiment, Job, RunOutcome, Scenario};
@@ -123,12 +124,14 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             format!("fig_adaptive static optimum mix={mix}"),
             format!("{mix}"),
             0,
-            Job::ElFixedMin {
+            Job::MinSpace {
                 // Pinned off: the static yardsticks must not move when
                 // `--adaptive` flips the process-wide default.
                 base: base_cfg(cfg, mix).adaptive(false),
-                prefix: cfg.prefix.clone(),
-                last_limit: cfg.last_limit,
+                mode: SearchMode::FixedPrefix {
+                    prefix: cfg.prefix.clone(),
+                    last_limit: cfg.last_limit,
+                },
             },
         ));
     }

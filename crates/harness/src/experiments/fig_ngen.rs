@@ -15,6 +15,7 @@
 //! two-generation search itself (a useful self-check: both sides of the
 //! comparison then agree).
 
+use crate::latsearch::{LatticeLimits, SearchMode};
 use crate::report::{f, Table};
 use crate::sweep::{failure_notes, Experiment, Job, RunOutcome, Scenario};
 use elog_core::ElConfig;
@@ -98,24 +99,26 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             format!("fig_ngen mix={mix} 2gen"),
             format!("{mix}"),
             i as u64,
-            Job::ElMin {
+            Job::MinSpace {
                 base: base.clone(),
-                g0_max: cfg.g0_max,
-                g1_limit: cfg.g1_limit,
+                mode: SearchMode::Lattice {
+                    limits: LatticeLimits::uniform(2, cfg.g0_max, cfg.g1_limit),
+                },
             },
         ));
-        let lattice_job = if cfg.gens == 1 {
-            Job::FwMin {
-                base: base.clone(),
+        let mode = if cfg.gens == 1 {
+            SearchMode::Firewall {
                 limit: cfg.last_limit,
             }
         } else {
-            Job::ElLatticeMin {
-                prefix_max: cfg.prefix_caps(base.el.log.gap_blocks),
-                base,
-                last_limit: cfg.last_limit,
+            SearchMode::Lattice {
+                limits: LatticeLimits {
+                    prefix_max: cfg.prefix_caps(base.el.log.gap_blocks),
+                    last_limit: cfg.last_limit,
+                },
             }
         };
+        let lattice_job = Job::MinSpace { base, mode };
         out.push(Scenario::new(
             format!("fig_ngen mix={mix} {}gen", cfg.gens),
             format!("{mix}"),
@@ -306,7 +309,12 @@ mod tests {
 
     #[test]
     fn single_gen_degenerates_to_firewall() {
-        let cfg = tiny(1);
+        // One generation needs FW-sized room: 48 blocks cannot hold even
+        // 20 s of this mix, and a clamped ceiling is a failure, not a row.
+        let cfg = Config {
+            last_limit: 256,
+            ..tiny(1)
+        };
         let outcomes = run_scenarios(
             &scenarios_for(&cfg),
             &ExecOptions {
@@ -317,6 +325,7 @@ mod tests {
         let pts = points(&outcomes);
         let (minn, _) = pts[0].n_gen.min_space().expect("fw search succeeded");
         assert_eq!(minn.generation_blocks.len(), 1);
+        assert!(minn.total_blocks < cfg.last_limit);
     }
 
     #[test]

@@ -39,12 +39,13 @@
 
 use crate::analytic::AnalyticModel;
 use crate::minspace::MinSpaceResult;
-use crate::runner::{build_model, run_capture, RunConfig, SimModel};
+use crate::probecache::CacheHandle;
+use crate::runner::{build_model, run_capture, RunConfig};
 use elog_core::{CertVerdict, ConsumptionCert};
-use elog_sim::{Engine, SearchStats};
+use elog_sim::SearchStats;
 use elog_workload::WorkloadTrace;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Most generation axes a lattice search supports. The simulator itself
@@ -184,28 +185,14 @@ impl Memo {
     }
 }
 
-/// A mid-run simulator state captured at a last-generation fill depth, for
-/// resuming later probes of the same column past their shared prefix.
-struct Snapshot {
-    /// Blocks the last generation had allocated when the state was taken.
-    depth: u64,
-    engine: Engine<SimModel>,
-}
-
-/// Per-column probe state: the analytic rejection threshold for the
-/// column's prefix, plus the resume-snapshot ladder. Reset whenever the
-/// prober moves to a different prefix.
+/// Per-column probe state, reset whenever the prober moves to a different
+/// prefix.
 struct ColumnState {
     /// The column's fixed prefix (empty for single-generation searches).
     prefix: Vec<u32>,
     /// Largest last-generation capacity the analytic certificate rejects
     /// under this prefix (0 when no certificate is available).
     threshold: u32,
-    /// Snapshots at increasing fill depths, accumulated across the
-    /// column's probes. Any state below head-advance depth is identical
-    /// for every capacity in the column, so a probe at capacity `c`
-    /// resumes from the deepest rung with `depth + gap ≤ c`.
-    snaps: Vec<Snapshot>,
     /// Consumption certificate extracted from the column's first
     /// surviving full-horizon probe: answers smaller capacities exactly,
     /// with zero simulation (see [`elog_core::ConsumptionCert`]).
@@ -216,41 +203,41 @@ struct ColumnState {
 /// plus the capture/replay machinery (see module docs; the first
 /// kill-free probe captures the workload, every later probe replays it).
 ///
-/// When analytic acceleration is on, two further engines cut probe work
-/// without changing any verdict:
-///
-/// * the [`AnalyticModel`] certificate rejects certainly-infeasible
-///   last-generation capacities with zero simulated events;
-/// * within one column, each replay probe arms a fill watch along a
-///   ladder of rung depths — the bisection's possible future capacities —
-///   snapshotting the simulator at each rung it passes; later probes of
-///   the column resume from the deepest valid snapshot instead of
-///   replaying from `t = 0`. A snapshot at depth `d` is
-///   capacity-independent for any last generation of `c ≥ d + gap`
-///   blocks: below that fill the ring has never advanced its head, so
-///   the simulation state is identical for every such `c`.
+/// [`Prober::verdict`] is the whole pipeline. When analytic acceleration
+/// is on, two engines answer verdicts without simulating and without
+/// changing any of them: the [`AnalyticModel`] certificate rejects
+/// certainly-infeasible last-generation capacities, and the column's
+/// [`ConsumptionCert`] answers every capacity below its first surviving
+/// replay.
 pub(crate) struct Prober {
     cfg: RunConfig,
-    pub(crate) trace: Option<Arc<WorkloadTrace>>,
+    trace: Option<Arc<WorkloadTrace>>,
     /// Probe verdicts requested, simulated or memoised.
-    pub(crate) probes: u32,
-    pub(crate) stats: SearchStats,
+    probes: u32,
+    stats: SearchStats,
     /// Memo-derived verdicts, recorded for soundness audits.
-    pub(crate) memo_trail: Vec<MemoHit>,
-    /// Analytic pruning + snapshot-resume enabled for this search.
+    memo_trail: Vec<MemoHit>,
+    /// Analytic pruning + consumption certificates enabled for this search.
     analytic_on: bool,
     model: Option<Arc<AnalyticModel>>,
     column: Option<ColumnState>,
     /// Persistent probe-verdict cache handle (`--probe-cache`), shared by
     /// every prober of one search.
-    cache: Option<Arc<crate::probecache::CacheHandle>>,
+    cache: Option<Arc<CacheHandle>>,
     /// Verdicts this prober produced that the cache seed did not already
     /// hold, collected for the end-of-search persist.
-    pub(crate) cache_new: Vec<(Vec<u32>, bool)>,
+    cache_new: Vec<(Vec<u32>, bool)>,
 }
 
 impl Prober {
-    pub(crate) fn new(base: &RunConfig, trace: Option<Arc<WorkloadTrace>>) -> Self {
+    /// A prober over `base` replaying `trace` (or capturing one on its
+    /// first kill-free probe).
+    pub(crate) fn new(
+        base: &RunConfig,
+        trace: Option<Arc<WorkloadTrace>>,
+        analytic_on: bool,
+        cache: Option<Arc<CacheHandle>>,
+    ) -> Self {
         let mut cfg = base.clone();
         cfg.stop_on_kill = true;
         cfg.track_oracle = false;
@@ -261,45 +248,30 @@ impl Prober {
             probes: 0,
             stats: SearchStats::default(),
             memo_trail: Vec::new(),
-            analytic_on: false,
+            analytic_on,
             model: None,
             column: None,
-            cache: None,
+            cache,
             cache_new: Vec::new(),
         }
     }
 
-    /// Attaches the search's persistent verdict cache.
-    pub(crate) fn with_cache(mut self, cache: Option<Arc<crate::probecache::CacheHandle>>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Enables (or disables) analytic acceleration for this prober. The
-    /// certificate itself is built lazily once a trace exists (or shared
-    /// via [`Prober::share_model`]).
-    pub(crate) fn with_analytic(mut self, on: bool) -> Self {
-        self.analytic_on = on;
-        self
-    }
-
-    /// Adopts an already-built certificate (pool probers share the anchor
-    /// prober's instead of re-deriving it per worker).
-    pub(crate) fn share_model(mut self, model: Option<Arc<AnalyticModel>>) -> Self {
-        if self.analytic_on {
-            self.model = model;
-        }
-        self
-    }
-
-    /// The certificate, for sharing with pool probers.
-    pub(crate) fn model(&self) -> Option<Arc<AnalyticModel>> {
-        self.model.clone()
+    /// A fresh-countered sibling for a scan worker: same configuration,
+    /// trace, cache and (shared, not re-derived) analytic certificate.
+    fn worker(&self) -> Prober {
+        let mut p = Prober::new(
+            &self.cfg,
+            self.trace.clone(),
+            self.analytic_on,
+            self.cache.clone(),
+        );
+        p.model = self.model.clone();
+        p
     }
 
     /// Builds the certificate from the captured trace if allowed and not
     /// yet present.
-    pub(crate) fn ensure_model(&mut self) {
+    fn ensure_model(&mut self) {
         if self.analytic_on && self.model.is_none() {
             if let Some(t) = &self.trace {
                 self.model = AnalyticModel::from_run(&self.cfg, t).map(Arc::new);
@@ -307,386 +279,159 @@ impl Prober {
         }
     }
 
-    /// True when `blocks` survives the whole horizon without kills.
-    /// No next-probe hint: never arms the resume watch.
-    pub(crate) fn survives(&mut self, blocks: &[u32]) -> bool {
-        self.survives_at(blocks, None)
-    }
-
-    /// Whether prefix resume is sound for this configuration (§6 lifetime
-    /// hints consult capacities at BEGIN time, breaking the last
-    /// generation's capacity-independence of early state).
-    fn resume_ok(&self) -> bool {
-        self.analytic_on && !self.cfg.lifetime_hints
-    }
-
-    /// Whether the consumption certificate is sound: it additionally
-    /// needs the last generation's deterministic `alloc j ⇒ consume
-    /// j − (cap − gap)` law, which recirculation (re-appends compete for
-    /// the same tail) and a zero gap (desperate one-block allocations)
-    /// both break.
+    /// Whether the consumption certificate is sound: §6 lifetime hints
+    /// consult capacities at BEGIN time (early state then depends on the
+    /// last generation's capacity), and the last generation's
+    /// deterministic `alloc j ⇒ consume j − (cap − gap)` law is broken by
+    /// recirculation (re-appends compete for the same tail) and by a zero
+    /// gap (desperate one-block allocations).
     fn cert_ok(&self) -> bool {
-        self.resume_ok() && !self.cfg.el.log.recirculation && self.cfg.el.log.gap_blocks >= 1
+        self.analytic_on
+            && !self.cfg.lifetime_hints
+            && !self.cfg.el.log.recirculation
+            && self.cfg.el.log.gap_blocks >= 1
     }
 
-    /// (Re)initialises the per-column state when `prefix` differs from
-    /// the current column's.
-    fn ensure_column(&mut self, prefix: &[u32]) {
-        if self.column.as_ref().is_some_and(|c| c.prefix == prefix) {
-            return;
+    /// The per-column state for `prefix`, (re)initialised when it differs
+    /// from the current column's.
+    fn column(&mut self, prefix: &[u32]) -> &mut ColumnState {
+        if self.column.as_ref().is_none_or(|c| c.prefix != prefix) {
+            self.column = Some(ColumnState {
+                prefix: prefix.to_vec(),
+                threshold: self
+                    .model
+                    .as_ref()
+                    .map_or(0, |m| m.reject_threshold(prefix)),
+                cert: None,
+            });
         }
-        let threshold = match &self.model {
-            Some(m) => m.reject_threshold(prefix),
-            None => 0,
-        };
-        self.column = Some(ColumnState {
-            prefix: prefix.to_vec(),
-            threshold,
-            snaps: Vec::new(),
-            cert: None,
-        });
+        self.column.as_mut().expect("column set above")
     }
 
-    /// Records a fresh verdict for the persist pass when the cache is on
-    /// and the seed didn't already hold it. Free-standing over fields so
-    /// call sites holding a `column` borrow can use it too.
-    fn note_cache_parts(
-        cache: &Option<Arc<crate::probecache::CacheHandle>>,
-        cache_new: &mut Vec<(Vec<u32>, bool)>,
-        blocks: &[u32],
-        survived: bool,
-    ) {
-        if let Some(c) = cache {
-            if c.lookup(blocks).is_none() {
-                cache_new.push((blocks.to_vec(), survived));
-            }
-        }
-    }
-
-    /// Probe verdict for `blocks`, with `next_lo` the smallest
-    /// last-generation capacity the column's next probe could use (arms
-    /// the snapshot watch; `None` for one-shot probes).
-    pub(crate) fn survives_at(&mut self, blocks: &[u32], next_lo: Option<u32>) -> bool {
+    /// The verdict for `g` — `true` when it survives the whole horizon
+    /// without kills — from the cheapest source that has one: the frozen
+    /// dominance `memo`, the analytic threshold, the column's consumption
+    /// certificate, the persistent cache, and only then a simulation
+    /// (capturing the workload when no trace exists yet, replaying it
+    /// otherwise). Every source returns the verdict the simulation would,
+    /// and every non-memo verdict counts as the probe it replaced, so
+    /// printed probe counts never depend on which source answered.
+    pub(crate) fn verdict(&mut self, memo: Option<&Memo>, g: Geometry) -> bool {
         self.probes += 1;
-        self.stats.sim_probes += 1;
-        let (prefix, last) = blocks.split_at(blocks.len() - 1);
-        let last = last[0];
-        self.ensure_column(prefix);
-        if self.trace.is_some() && self.model.is_some() {
-            let col = self.column.as_ref().expect("column set above");
-            if last <= col.threshold {
-                // Certain kill: the verdict a replay probe would return,
-                // with zero simulated events. Counted exactly as the
-                // replay probe would have been so every derived statistic
-                // matches the probe-only path.
-                self.stats.replay_probes += 1;
+        let cached = self.cache.as_ref().and_then(|c| c.lookup(g.as_slice()));
+        let survived = 'answer: {
+            if let Some(v) = memo.and_then(|m| m.lookup(&g)) {
+                self.stats.memo_hits += 1;
+                self.memo_trail.push(MemoHit {
+                    geometry: g,
+                    survived: v,
+                });
+                break 'answer v;
+            }
+            self.stats.sim_probes += 1;
+            // A trace in hand makes this a replay probe, whichever source
+            // ends up answering it. (No trace also means no certificate of
+            // either kind yet: both are derived from replays.)
+            let replay = self.trace.clone();
+            self.stats.replay_probes += u64::from(replay.is_some());
+            let col = self.column(g.prefix());
+            if g.last() <= col.threshold {
                 self.stats.analytic_rejections += 1;
-                Self::note_cache_parts(&self.cache, &mut self.cache_new, blocks, false);
-                return false;
+                break 'answer false;
             }
-        }
-        self.cfg.el.log.generation_blocks.clear();
-        self.cfg.el.log.generation_blocks.extend_from_slice(blocks);
-        match self.trace.clone() {
-            Some(trace) => {
-                self.stats.replay_probes += 1;
-                self.replay_probe(&trace, last, next_lo)
+            let certified = col
+                .cert
+                .as_ref()
+                .map_or(CertVerdict::Unknown, |c| c.verdict(g.last()));
+            if certified != CertVerdict::Unknown {
+                self.stats.cert_verdicts += 1;
+                break 'answer certified == CertVerdict::Survives;
             }
-            None => {
-                // No trace yet (cold search start, or a fully warm cached
-                // rerun): the cache can still answer exactly, keeping a
-                // warm rerun at zero live probes.
-                if let Some(c) = &self.cache {
-                    if let Some(v) = c.lookup(blocks) {
-                        self.stats.cache_hits += 1;
-                        return v;
-                    }
-                    self.stats.cache_misses += 1;
+            if self.cache.is_some() {
+                // An exact entry for this geometry under this workload
+                // fingerprint; a miss is by definition a live probe.
+                if let Some(v) = cached {
+                    self.stats.cache_hits += 1;
+                    break 'answer v;
                 }
-                // First live probe(s); the first kill-free one hands
-                // back the trace every later probe replays.
+                self.stats.cache_misses += 1;
+            }
+            let blocks = &mut self.cfg.el.log.generation_blocks;
+            blocks.clear();
+            blocks.extend_from_slice(g.as_slice());
+            let Some(trace) = replay else {
+                // First live probe(s); the first kill-free one hands back
+                // the trace every later probe replays, and with it the
+                // analytic certificate — mid-column, so drop the column
+                // and let the next probe re-derive its threshold.
                 let (r, trace) = run_capture(&self.cfg);
                 self.trace = trace;
                 self.ensure_model();
-                if let (Some(m), Some(col)) = (&self.model, self.column.as_mut()) {
-                    // The certificate arrived mid-column (the capture
-                    // probe): backfill the column's threshold.
-                    col.threshold = m.reject_threshold(&col.prefix);
-                }
+                self.column = None;
                 self.stats.probe_events += r.perf.events;
-                let survived = r.killed == 0;
-                Self::note_cache_parts(&self.cache, &mut self.cache_new, blocks, survived);
-                survived
-            }
-        }
-    }
-
-    /// One replay probe with snapshot-resume: resumes from the deepest
-    /// valid ladder snapshot, snapshots at each rung depth a future probe
-    /// of this column could resume from, and runs to the first kill or
-    /// the horizon.
-    fn replay_probe(
-        &mut self,
-        trace: &Arc<WorkloadTrace>,
-        last_cap: u32,
-        next_lo: Option<u32>,
-    ) -> bool {
-        let k = self.cfg.el.log.gap_blocks;
-        let horizon = self.cfg.runtime;
-        // Resume is sound whenever early simulation state is independent
-        // of the last generation's capacity (see [`Prober::resume_ok`]);
-        // the certificate needs the stricter [`Prober::cert_ok`].
-        let resume_ok = self.resume_ok();
-        let cert_ok = self.cert_ok();
-        let g_full = Geometry::from_slice(&self.cfg.el.log.generation_blocks);
-        let col = self.column.as_mut().expect("column set by survives_at");
-        if cert_ok {
-            if let Some(cert) = &col.cert {
-                match cert.verdict(last_cap) {
-                    CertVerdict::Survives => {
-                        self.stats.cert_verdicts += 1;
-                        Self::note_cache_parts(
-                            &self.cache,
-                            &mut self.cache_new,
-                            g_full.as_slice(),
-                            true,
-                        );
-                        return true;
-                    }
-                    CertVerdict::Kills => {
-                        self.stats.cert_verdicts += 1;
-                        Self::note_cache_parts(
-                            &self.cache,
-                            &mut self.cache_new,
-                            g_full.as_slice(),
-                            false,
-                        );
-                        return false;
-                    }
-                    CertVerdict::Unknown => {}
-                }
-            }
-        }
-        // Persistent verdict cache, last before simulating: an exact
-        // entry for this geometry under this workload fingerprint.
-        if let Some(c) = &self.cache {
-            if let Some(v) = c.lookup(g_full.as_slice()) {
-                self.stats.cache_hits += 1;
-                return v;
-            }
-            self.stats.cache_misses += 1;
-        }
-        let own_max = u64::from(last_cap.saturating_sub(k));
-        let mut start_events = 0u64;
-        let mut resumed = None;
-        if resume_ok {
-            // Deepest rung still below this capacity's head-advance depth.
-            if let Some(snap) = col
-                .snaps
-                .iter()
-                .filter(|s| s.depth + u64::from(k) <= u64::from(last_cap))
-                .max_by_key(|s| s.depth)
-            {
-                let mut e = snap.engine.clone();
-                e.model_mut().lm.set_last_gen_capacity(last_cap);
-                start_events = e.events_processed();
-                self.stats.resume_probes += 1;
-                self.stats.resume_saved_events += start_events;
-                resumed = Some(e);
-            }
-        }
-        let mut engine = resumed.unwrap_or_else(|| {
-            self.cfg.trace = Some(trace.clone());
-            let mut e = build_model(&self.cfg);
+                break 'answer r.killed == 0;
+            };
+            let cert_ok = self.cert_ok();
+            self.cfg.trace = Some(trace);
+            let mut engine = build_model(&self.cfg);
             self.cfg.trace = None;
             if cert_ok {
                 // Record a consumption certificate so this run, if it
                 // survives, answers the column's smaller capacities
-                // without simulation. Resumed engines inherit recording
-                // from their snapshot (taken before any consumption).
-                e.model_mut().lm.start_cert_recording();
+                // without simulation.
+                engine.model_mut().lm.start_cert_recording();
             }
-            e
-        });
-        // Rung depths future probes of this column can resume from. While
-        // the bisection floor stays at `gap+1`, its surviving branch
-        // probes exactly the chain that halves `next_lo` toward the
-        // floor, so one full-depth run seeds every later resume point;
-        // the own-capacity rung serves later, larger capacities (after a
-        // kill raises the floor). A rung below one of these depths is
-        // never optimal, and a stale rung is merely unused — never
-        // unsound — because validity is re-checked against each resuming
-        // capacity.
-        let mut rungs: Vec<u64> = Vec::new();
-        if resume_ok {
-            let floor = k + 1;
-            if let Some(mut nl) = next_lo {
-                loop {
-                    let d = u64::from(nl.saturating_sub(k));
-                    if d > 0 {
-                        rungs.push(d);
-                    }
-                    if nl <= floor {
-                        break;
-                    }
-                    nl = floor + (nl - floor) / 2;
-                }
-            }
-            if own_max > 0 {
-                rungs.push(own_max);
-            }
-            let fill = engine.model().lm.last_gen_allocated();
-            rungs.retain(|&d| d <= own_max && d > fill);
-            rungs.sort_unstable();
-            rungs.dedup();
-        }
-        let mut next_rung = 0usize;
-        engine
-            .model_mut()
-            .set_last_gen_watch(rungs.first().copied());
-        loop {
-            engine.run_until(horizon);
-            let m = engine.model();
-            if m.kills() > 0 {
-                self.stats.probe_events += engine.events_processed() - start_events;
-                Self::note_cache_parts(&self.cache, &mut self.cache_new, g_full.as_slice(), false);
-                return false;
-            }
-            let fired = m
-                .last_gen_watch()
-                .is_some_and(|w| m.lm.last_gen_allocated() >= w);
-            if fired {
-                // Snapshot for the column's later probes, then keep going.
-                let depth = engine.model().lm.last_gen_allocated();
-                // A single event can open several blocks, overshooting the
-                // watch past later rungs; skip every rung the fill already
-                // covered.
-                while next_rung < rungs.len() && rungs[next_rung] <= depth {
-                    next_rung += 1;
-                }
-                engine
-                    .model_mut()
-                    .set_last_gen_watch(rungs.get(next_rung).copied());
-                // Keep the state only while it is still
-                // capacity-independent for this run's own capacity.
-                if depth + u64::from(k) <= u64::from(last_cap) {
-                    col.snaps.retain(|s| s.depth != depth);
-                    col.snaps.push(Snapshot {
-                        depth,
-                        engine: engine.clone(),
-                    });
-                }
-                continue;
-            }
-            self.stats.probe_events += engine.events_processed() - start_events;
-            if cert_ok {
+            engine.run_until(self.cfg.runtime);
+            self.stats.probe_events += engine.events_processed();
+            let survived = engine.model().kills() == 0;
+            if survived && cert_ok {
                 // A surviving run's certificate is complete; later probes
                 // of this column are strictly smaller capacities (the
                 // bisection only descends), for which it stays valid.
-                if let Some(c) = engine.model_mut().lm.take_consumption_cert() {
-                    col.cert = Some(c);
-                }
+                self.column(g.prefix()).cert = engine.model_mut().lm.take_consumption_cert();
             }
-            Self::note_cache_parts(&self.cache, &mut self.cache_new, g_full.as_slice(), true);
-            return true;
+            survived
+        };
+        // Every sound verdict the seed lacked — dominance-derived ones
+        // included — is persisted, deepening the seed for warm reruns.
+        if self.cache.is_some() && cached.is_none() {
+            self.cache_new.push((g.to_vec(), survived));
         }
+        survived
     }
 
-    /// Memo-aware probe: consults `memo` first, simulating only on a miss.
-    pub(crate) fn survives_memo(&mut self, memo: &Memo, g: Geometry, next_lo: u32) -> bool {
-        match memo.lookup(&g) {
-            Some(verdict) => {
-                self.probes += 1;
-                self.stats.memo_hits += 1;
-                self.memo_trail.push(MemoHit {
-                    geometry: g,
-                    survived: verdict,
-                });
-                // Dominance-derived verdicts are sound verdicts: persist
-                // them too, deepening the seed for future warm runs.
-                Self::note_cache_parts(&self.cache, &mut self.cache_new, g.as_slice(), verdict);
-                verdict
-            }
-            None => self.survives_at(g.as_slice(), Some(next_lo)),
-        }
-    }
-
-    /// Folds another prober's counters into this one (order-independent,
+    /// Folds a scan worker's counters into this prober (order-independent,
     /// so parallel scans stay deterministic).
-    pub(crate) fn absorb(&mut self, other: Prober) {
+    fn absorb(&mut self, other: Prober) {
         self.probes += other.probes;
         self.stats.merge(&other.stats);
         self.memo_trail.extend(other.memo_trail);
         self.cache_new.extend(other.cache_new);
     }
 
-    /// Writes every verdict the search produced (and the seed lacked)
-    /// back to the cache file. Called once per search, after all probers
-    /// are absorbed; write failures only warn.
-    fn persist_cache(&self) {
+    /// Ends the search: writes every verdict it produced (and the seed
+    /// lacked) back to the cache file — write failures only warn, and an
+    /// infeasible search's all-kill verdicts are worth seeding the next
+    /// run with too — and packages the outcome. `blocks` is the minimum,
+    /// or the clamped ceilings when nothing was `feasible`.
+    fn finish(self, blocks: Vec<u32>, feasible: bool) -> SearchOutcome {
         if let Some(c) = &self.cache {
             c.persist(
                 &self.cache_new,
                 self.trace.as_ref().map(|t| t.fingerprint()),
             );
         }
-    }
-
-    pub(crate) fn into_result(self, generation_blocks: Vec<u32>) -> MinSpaceResult {
-        MinSpaceResult {
-            total_blocks: generation_blocks.iter().sum(),
-            generation_blocks,
-            probes: self.probes,
-            search: self.stats,
+        SearchOutcome {
+            min: MinSpaceResult {
+                total_blocks: blocks.iter().sum(),
+                generation_blocks: blocks,
+                probes: self.probes,
+                search: self.stats,
+            },
+            trace: self.trace,
+            memo_trail: self.memo_trail,
+            feasible,
         }
-    }
-}
-
-/// Resolved probe-acceleration settings for one search: the persistent
-/// verdict cache (default off; see [`SearchRequest::probe_cache_dir`] and
-/// the process-wide [`crate::probecache::set_dir`] knob `--probe-cache`
-/// sets).
-#[derive(Clone, Default)]
-pub(crate) struct ProbeTuning {
-    cache: Option<Arc<crate::probecache::CacheHandle>>,
-}
-
-impl ProbeTuning {
-    /// Resolves the per-request override against the process-wide knob
-    /// and opens the cache file (validating it against the seed trace's
-    /// fingerprint when one exists).
-    fn resolve(
-        base: &RunConfig,
-        cache_dir: Option<&Path>,
-        seed_trace: Option<&Arc<WorkloadTrace>>,
-    ) -> Self {
-        let fp = seed_trace.map(|t| t.fingerprint());
-        let cache = match cache_dir {
-            Some(d) => Some(Arc::new(crate::probecache::open_in(d, base, fp))),
-            None => crate::probecache::open(base, fp).map(Arc::new),
-        };
-        ProbeTuning { cache }
-    }
-
-    /// A prober wired with these settings; `seed_stats` additionally
-    /// stamps the cache's seed size (once per search, on the prober whose
-    /// stats the result reports).
-    fn prober(
-        &self,
-        base: &RunConfig,
-        trace: Option<Arc<WorkloadTrace>>,
-        analytic_on: bool,
-        seed_stats: bool,
-    ) -> Prober {
-        let mut p = Prober::new(base, trace)
-            .with_analytic(analytic_on)
-            .with_cache(self.cache.clone());
-        if seed_stats {
-            if let Some(c) = &p.cache {
-                p.stats.cache_seeded = c.seeded() as u64;
-            }
-        }
-        p
     }
 }
 
@@ -770,21 +515,6 @@ impl Plan {
         }
     }
 
-    /// The smallest capacity any *later* probe could use — the surviving
-    /// branch's next midpoint, handed to the resume machinery as its
-    /// snapshot-watch depth (identical to the serial loops' hints).
-    fn hint(self) -> u32 {
-        match self {
-            Plan::Ceiling { lo, hi } => lo + (hi - lo) / 2,
-            Plan::Bisect { lo, hi } => {
-                let mid = lo + (hi - lo) / 2;
-                lo + (mid - lo) / 2
-            }
-            Plan::Double { lo, upper, .. } => lo + (upper - lo) / 2,
-            Plan::Done { .. } => 0,
-        }
-    }
-
     /// The state after the current target's verdict.
     fn after(self, survived: bool) -> Plan {
         match self {
@@ -854,32 +584,35 @@ fn drive_last_axis(
 ) -> Option<u32> {
     let mut buf = [0u32; MAX_AXES];
     buf[..prefix.len()].copy_from_slice(prefix);
-    loop {
-        let Some(target) = plan.target() else {
-            return plan.found();
-        };
+    while let Some(target) = plan.target() {
         buf[prefix.len()] = target;
-        let g = Geometry::from_slice(&buf[..prefix.len() + 1]);
-        let v = match memo {
-            Some(m) => p.survives_memo(m, g, plan.hint()),
-            None => p.survives_at(g.as_slice(), Some(plan.hint())),
-        };
+        let g = Geometry::from_slice(&buf[..=prefix.len()]);
+        let v = p.verdict(memo, g);
         on_verdict(g, v);
         plan = plan.after(v);
     }
+    plan.found()
+}
+
+/// Most columns a lattice scan will enumerate.
+pub(crate) const MAX_PREFIX_COLUMNS: u64 = 1 << 20;
+
+/// Columns in the scan lattice: axis `i` ranges over `[gap+1,
+/// prefix_max[i]]` (saturating, so hostile ceilings compare as "too many").
+pub(crate) fn prefix_volume(gap: u32, prefix_max: &[u32]) -> u64 {
+    prefix_max.iter().fold(1u64, |v, &m| {
+        v.saturating_mul(u64::from(m.saturating_sub(gap)))
+    })
 }
 
 /// Every prefix point of the scan lattice in lexicographic ascending
-/// order: axis `i` ranges over `[gap+1, prefix_max[i]]`. The all-maxima
-/// corner (the anchor) is excluded — the anchor pass already probed it.
+/// order. The all-maxima corner (the anchor) is excluded — the anchor
+/// pass already probed it.
 fn enumerate_prefixes(gap: u32, prefix_max: &[u32]) -> Vec<Geometry> {
     let lo = gap + 1;
-    let volume: u64 = prefix_max
-        .iter()
-        .map(|&m| u64::from(m.saturating_sub(gap)))
-        .product();
+    let volume = prefix_volume(gap, prefix_max);
     assert!(
-        volume <= 1 << 20,
+        volume <= MAX_PREFIX_COLUMNS,
         "prefix lattice has {volume} columns; tighten the ceilings"
     );
     let mut out = Vec::with_capacity(volume.saturating_sub(1) as usize);
@@ -907,22 +640,16 @@ fn enumerate_prefixes(gap: u32, prefix_max: &[u32]) -> Vec<Geometry> {
     }
 }
 
-/// What the private search drivers hand back: the minimum, the captured
-/// (or seeded) trace, and the memo audit trail.
-type LatticeRun = (MinSpaceResult, Option<Arc<WorkloadTrace>>, Vec<MemoHit>);
-
-/// The lattice search proper, with the analytic toggle resolved and an
-/// optional pre-captured trace to seed the anchor pass with.
+/// The lattice search: the anchor column at the all-maxima prefix, then
+/// every other column in parallel, each capped strictly below the best
+/// total the anchor proved.
 fn run_lattice(
-    base: &RunConfig,
+    mut anchor: Prober,
     limits: &LatticeLimits,
     jobs: usize,
     use_memo: bool,
-    analytic_on: bool,
-    seed_trace: Option<Arc<WorkloadTrace>>,
-    tuning: &ProbeTuning,
-) -> LatticeRun {
-    let k = base.el.log.gap_blocks;
+) -> SearchOutcome {
+    let k = anchor.cfg.el.log.gap_blocks;
     assert!(
         !limits.prefix_max.is_empty(),
         "lattice search needs at least one prefix axis (2 generations); \
@@ -937,226 +664,95 @@ fn run_lattice(
         limits.prefix_max.iter().all(|&m| m > k) && limits.last_limit > k,
         "every ceiling must exceed the gap threshold ({k})"
     );
-    let mut anchor_prober = tuning.prober(base, seed_trace, analytic_on, true);
-    anchor_prober.ensure_model();
     let mut memo = Memo::default();
     let anchor_prefix = Geometry::from_slice(&limits.prefix_max);
-    let anchor = drive_last_axis(
-        &mut anchor_prober,
+    let ceiling = |hi| Plan::Ceiling { lo: k + 1, hi };
+    let anchor_last = drive_last_axis(
+        &mut anchor,
         None,
         anchor_prefix.as_slice(),
-        Plan::Ceiling {
-            lo: k + 1,
-            hi: limits.last_limit,
-        },
+        ceiling(limits.last_limit),
         |g, v| memo.record(g, v),
     );
-    let Some(anchor_last) = anchor else {
-        // Even the all-maxima prefix cannot fit: fall back to the
-        // exhaustive scan (the minimal last generation need not be
-        // monotone in the prefix, so a smaller prefix may still be
-        // feasible). No memo there — the fallback exists precisely for
-        // the corner where cross-prefix monotonicity is distrusted.
-        return lattice_scan(base, limits, jobs, anchor_prober);
-    };
     // The memo is frozen here: the scan reads the anchor pass's verdicts
     // but records none of its own (within one prefix's binary search no
     // probe ever dominates a later one), keeping probe counts independent
-    // of `jobs`.
-    let memo = memo;
-    let trace = anchor_prober.trace.clone();
-    let model = anchor_prober.model();
-    let bound = anchor_prefix.total() + anchor_last;
+    // of `jobs`. When even the all-maxima prefix cannot fit, the scan is
+    // exhaustive instead — no bound, and no memo either: the minimal last
+    // generation need not be monotone in the prefix, so a smaller prefix
+    // may still be feasible, which is exactly the corner where
+    // cross-prefix dominance is distrusted.
+    let memo = (use_memo && anchor_last.is_some()).then_some(&memo);
+    let bound = anchor_last.map(|last| anchor_prefix.total() + last);
     let prefixes = enumerate_prefixes(k, &limits.prefix_max);
     // Workers draw scratch probers from a pool instead of cloning the
     // configuration per prefix; every prober already replays the anchor's
     // trace and shares the anchor's analytic certificate.
     let pool: Mutex<Vec<Prober>> = Mutex::new(Vec::new());
     let results = crate::sweep::parallel_map(&prefixes, jobs, |_, prefix| {
-        let mut p = pool.lock().expect("prober pool").pop().unwrap_or_else(|| {
-            tuning
-                .prober(base, trace.clone(), analytic_on, false)
-                .share_model(model.clone())
+        let mut p = pool
+            .lock()
+            .expect("prober pool")
+            .pop()
+            .unwrap_or_else(|| anchor.worker());
+        // Any last generation above `cap` would tie or exceed the bound:
+        // that part of the column (all of it, when `cap` is below the
+        // floor) is pruned probe-free.
+        let cap = bound.map_or(limits.last_limit, |b| {
+            (b.saturating_sub(prefix.total()).saturating_sub(1)).min(limits.last_limit)
         });
-        let cap = bound
-            .saturating_sub(prefix.total())
-            .saturating_sub(1)
-            .min(limits.last_limit);
-        let last = if cap < k + 1 {
-            // Any feasible last generation would already tie or exceed
-            // the bound: the whole column is pruned probe-free.
-            p.stats.pruned_volume += u64::from(limits.last_limit - k);
-            None
+        p.stats.pruned_volume += u64::from(limits.last_limit - cap.max(k));
+        let last = if cap > k {
+            drive_last_axis(&mut p, memo, prefix.as_slice(), ceiling(cap), |_, _| {})
         } else {
-            p.stats.pruned_volume += u64::from(limits.last_limit - cap);
-            drive_last_axis(
-                &mut p,
-                use_memo.then_some(&memo),
-                prefix.as_slice(),
-                Plan::Ceiling { lo: k + 1, hi: cap },
-                |_, _| {},
-            )
+            None
         };
         pool.lock().expect("prober pool").push(p);
         last
     });
     for p in pool.into_inner().expect("prober pool") {
-        anchor_prober.absorb(p);
+        anchor.absorb(p);
     }
-    let mut best = anchor_prefix.with_last(anchor_last);
-    let mut best_is_anchor = true;
+    // Prefer the smaller total; on ties the larger prefix (less forwarded
+    // traffic, lower bandwidth). Every capped candidate beats the anchor.
+    let mut best = anchor_last.map(|last| anchor_prefix.with_last(last));
     for (prefix, r) in prefixes.iter().zip(results) {
-        let last = r.expect("probe simulation panicked");
-        if let Some(last) = last {
-            // Capped strictly below the bound, so this beats the anchor;
-            // among the capped candidates the usual rule applies.
+        if let Some(last) = r.expect("probe simulation panicked") {
             let cand = prefix.with_last(last);
-            if best_is_anchor
-                || cand.total() < best.total()
-                || (cand.total() == best.total() && cand.prefix() > best.prefix())
-            {
-                best = cand;
-                best_is_anchor = false;
-            }
-        }
-    }
-    let trace = anchor_prober.trace.clone();
-    anchor_prober.persist_cache();
-    let trail = std::mem::take(&mut anchor_prober.memo_trail);
-    (anchor_prober.into_result(best.to_vec()), trace, trail)
-}
-
-/// The exhaustive prefix scan (no pruning bound, no memo); used when the
-/// all-maxima anchor prefix is infeasible.
-fn lattice_scan(
-    base: &RunConfig,
-    limits: &LatticeLimits,
-    jobs: usize,
-    mut acc: Prober,
-) -> LatticeRun {
-    let k = base.el.log.gap_blocks;
-    let trace = acc.trace.clone();
-    let analytic_on = acc.analytic_on;
-    let model = acc.model();
-    let tuning = ProbeTuning {
-        cache: acc.cache.clone(),
-    };
-    let prefixes = enumerate_prefixes(k, &limits.prefix_max);
-    let pool: Mutex<Vec<Prober>> = Mutex::new(Vec::new());
-    let results = crate::sweep::parallel_map(&prefixes, jobs, |_, prefix| {
-        let mut p = pool.lock().expect("prober pool").pop().unwrap_or_else(|| {
-            tuning
-                .prober(base, trace.clone(), analytic_on, false)
-                .share_model(model.clone())
-        });
-        let last = drive_last_axis(
-            &mut p,
-            None,
-            prefix.as_slice(),
-            Plan::Ceiling {
-                lo: k + 1,
-                hi: limits.last_limit,
-            },
-            |_, _| {},
-        );
-        pool.lock().expect("prober pool").push(p);
-        last
-    });
-    for p in pool.into_inner().expect("prober pool") {
-        acc.absorb(p);
-    }
-    // Persist before the feasibility check below: even an infeasible
-    // lattice's (all-kill) verdicts are worth seeding the next run with.
-    acc.persist_cache();
-    let mut best: Option<Geometry> = None;
-    for (prefix, r) in prefixes.iter().zip(results) {
-        let last = r.expect("probe simulation panicked");
-        if let Some(last) = last {
-            let cand = prefix.with_last(last);
-            let better = match &best {
-                None => true,
-                // Prefer smaller total; on ties prefer the larger prefix
-                // (less forwarded traffic, lower bandwidth).
-                Some(b) => {
-                    cand.total() < b.total()
-                        || (cand.total() == b.total() && cand.prefix() > b.prefix())
-                }
-            };
-            if better {
+            if best.is_none_or(|b| {
+                cand.total() < b.total()
+                    || (cand.total() == b.total() && cand.prefix() > b.prefix())
+            }) {
                 best = Some(cand);
             }
         }
     }
-    let best = best.expect("no feasible geometry within the lattice limits");
-    let trace = acc.trace.clone();
-    let trail = std::mem::take(&mut acc.memo_trail);
-    (acc.into_result(best.to_vec()), trace, trail)
-}
-
-/// What the single-column drivers hand back: the (possibly clamped)
-/// minimum, the trace, and feasibility.
-type ColumnRun = (MinSpaceResult, Option<Arc<WorkloadTrace>>, bool);
-
-/// Persists the cache and packages a finished single-column prober.
-fn finish_column(p: Prober, blocks: Vec<u32>, feasible: bool) -> ColumnRun {
-    let trace = p.trace.clone();
-    p.persist_cache();
-    (p.into_result(blocks), trace, feasible)
+    let clamped = anchor_prefix.with_last(limits.last_limit);
+    anchor.finish(best.unwrap_or(clamped).to_vec(), best.is_some())
 }
 
 /// Smallest single-generation log: doubling to bracket, then bisection.
-/// `feasible = false` means even `hi_limit` killed (result clamps there).
-fn run_firewall(
-    base: &RunConfig,
-    hi_limit: u32,
-    analytic_on: bool,
-    seed_trace: Option<Arc<WorkloadTrace>>,
-    tuning: &ProbeTuning,
-) -> ColumnRun {
-    let mut p = tuning.prober(base, seed_trace, analytic_on, true);
-    p.ensure_model();
-    let k = base.el.log.gap_blocks;
-    let lo = k + 1; // smallest valid geometry
-    let found = drive_last_axis(
-        &mut p,
-        None,
-        &[],
-        Plan::Double {
-            lo,
-            upper: (lo * 2).min(hi_limit),
-            limit: hi_limit,
-        },
-        |_, _| {},
-    );
-    finish_column(p, vec![found.unwrap_or(hi_limit)], found.is_some())
+fn run_firewall(mut p: Prober, limit: u32) -> SearchOutcome {
+    let lo = p.cfg.el.log.gap_blocks + 1; // smallest valid geometry
+    let plan = Plan::Double {
+        lo,
+        upper: (lo * 2).min(limit),
+        limit,
+    };
+    let found = drive_last_axis(&mut p, None, &[], plan, |_, _| {});
+    p.finish(vec![found.unwrap_or(limit)], found.is_some())
 }
 
-/// Smallest last generation under a fixed prefix. `feasible = false`
-/// means even `last_limit` killed (result clamps the last axis there).
-fn run_fixed_prefix(
-    base: &RunConfig,
-    prefix: &[u32],
-    last_limit: u32,
-    analytic_on: bool,
-    seed_trace: Option<Arc<WorkloadTrace>>,
-    tuning: &ProbeTuning,
-) -> ColumnRun {
-    let mut p = tuning.prober(base, seed_trace, analytic_on, true);
-    p.ensure_model();
-    let k = base.el.log.gap_blocks;
-    let last = drive_last_axis(
-        &mut p,
-        None,
-        prefix,
-        Plan::Ceiling {
-            lo: k + 1,
-            hi: last_limit,
-        },
-        |_, _| {},
-    );
-    let mut blocks = prefix.to_vec();
+/// Smallest last generation under a fixed prefix.
+fn run_fixed_prefix(mut p: Prober, prefix: Vec<u32>, last_limit: u32) -> SearchOutcome {
+    let plan = Plan::Ceiling {
+        lo: p.cfg.el.log.gap_blocks + 1,
+        hi: last_limit,
+    };
+    let last = drive_last_axis(&mut p, None, &prefix, plan, |_, _| {});
+    let mut blocks = prefix;
     blocks.push(last.unwrap_or(last_limit));
-    finish_column(p, blocks, last.is_some())
+    p.finish(blocks, last.is_some())
 }
 
 /// What a [`SearchRequest`] searches over.
@@ -1217,13 +813,13 @@ pub struct SearchOutcome {
     /// Memo-derived verdicts, for soundness audits (lattice mode only).
     pub memo_trail: Vec<MemoHit>,
     /// `false` when nothing survived within the ceilings; `min` then
-    /// holds the clamped upper bound probed last. Lattice mode panics
-    /// instead (its callers treat an infeasible lattice as a setup bug).
+    /// holds the ceilings themselves, not a minimum.
     pub feasible: bool,
 }
 
 impl SearchRequest {
-    fn with_mode(base: &RunConfig, mode: SearchMode) -> Self {
+    /// A request for `mode` at the defaults every builder starts from.
+    pub(crate) fn with_mode(base: &RunConfig, mode: SearchMode) -> Self {
         SearchRequest {
             base: base.clone(),
             mode,
@@ -1302,54 +898,22 @@ impl SearchRequest {
     /// Runs the search.
     pub fn run(self) -> SearchOutcome {
         let analytic_on = self.analytic.unwrap_or_else(crate::analytic::enabled);
-        let tuning = ProbeTuning::resolve(
-            &self.base,
-            self.cache_dir.as_deref(),
-            self.seed_trace.as_ref(),
-        );
+        // The per-request cache directory overrides the process-wide one;
+        // the file is validated against the seed trace's fingerprint.
+        let fp = self.seed_trace.as_ref().map(|t| t.fingerprint());
+        let cache = match &self.cache_dir {
+            Some(d) => Some(crate::probecache::open_in(d, &self.base, fp)),
+            None => crate::probecache::open(&self.base, fp),
+        }
+        .map(Arc::new);
+        let mut p = Prober::new(&self.base, self.seed_trace, analytic_on, cache);
+        p.ensure_model();
+        p.stats.cache_seeded = p.cache.as_ref().map_or(0, |c| c.seeded() as u64);
         match self.mode {
-            SearchMode::Firewall { limit } => {
-                let (min, trace, feasible) =
-                    run_firewall(&self.base, limit, analytic_on, self.seed_trace, &tuning);
-                SearchOutcome {
-                    min,
-                    trace,
-                    memo_trail: Vec::new(),
-                    feasible,
-                }
-            }
-            SearchMode::Lattice { limits } => {
-                let (min, trace, memo_trail) = run_lattice(
-                    &self.base,
-                    &limits,
-                    self.jobs,
-                    self.memo,
-                    analytic_on,
-                    self.seed_trace,
-                    &tuning,
-                );
-                SearchOutcome {
-                    min,
-                    trace,
-                    memo_trail,
-                    feasible: true,
-                }
-            }
+            SearchMode::Firewall { limit } => run_firewall(p, limit),
+            SearchMode::Lattice { limits } => run_lattice(p, &limits, self.jobs, self.memo),
             SearchMode::FixedPrefix { prefix, last_limit } => {
-                let (min, trace, feasible) = run_fixed_prefix(
-                    &self.base,
-                    &prefix,
-                    last_limit,
-                    analytic_on,
-                    self.seed_trace,
-                    &tuning,
-                );
-                SearchOutcome {
-                    min,
-                    trace,
-                    memo_trail: Vec::new(),
-                    feasible,
-                }
+                run_fixed_prefix(p, prefix, last_limit)
             }
         }
     }
@@ -1359,6 +923,9 @@ impl SearchRequest {
 mod tests {
     use super::*;
     use crate::minspace::{paper_base, survives};
+    use elog_core::{Effects, LmTimer};
+    use elog_model::{Oid, StableDb, Tid};
+    use elog_sim::SimTime;
 
     fn geom(blocks: &[u32]) -> Geometry {
         Geometry::from_slice(blocks)
@@ -1439,10 +1006,11 @@ mod tests {
             prefix_max: vec![14, 10],
             last_limit: 64,
         };
-        let t = ProbeTuning::default();
-        let (r, trace, _) = run_lattice(&base, &limits, 2, true, true, None, &t);
+        let out = SearchRequest::lattice(&base, limits).jobs(2).run();
+        assert!(out.feasible);
+        assert!(out.trace.is_some(), "search must capture a trace");
+        let r = out.min;
         assert_eq!(r.generation_blocks.len(), 3);
-        assert!(trace.is_some(), "search must capture a trace");
         assert!(survives(&base, &r.generation_blocks));
         assert_eq!(
             r.search.sim_probes + r.search.memo_hits,
@@ -1468,9 +1036,12 @@ mod tests {
             prefix_max: vec![8, 8],
             last_limit: 48,
         };
-        let t = ProbeTuning::default();
-        let (serial, _, _) = run_lattice(&base, &limits, 1, true, true, None, &t);
-        let (parallel, _, _) = run_lattice(&base, &limits, 4, true, true, None, &t);
+        // Pinned on: another test flips the process-wide toggle.
+        let search = |jobs| {
+            let req = SearchRequest::lattice(&base, limits.clone()).analytic(true);
+            req.jobs(jobs).run().min
+        };
+        let (serial, parallel) = (search(1), search(4));
         assert_eq!(serial.generation_blocks, parallel.generation_blocks);
         assert_eq!(serial.probes, parallel.probes);
         assert_eq!(serial.search.sim_probes, parallel.search.sim_probes);
@@ -1482,29 +1053,29 @@ mod tests {
             serial.search.analytic_rejections,
             parallel.search.analytic_rejections
         );
-        assert_eq!(serial.search.resume_probes, parallel.search.resume_probes);
-        assert_eq!(
-            serial.search.resume_saved_events,
-            parallel.search.resume_saved_events
-        );
+        assert_eq!(serial.search.cert_verdicts, parallel.search.cert_verdicts);
         assert_eq!(serial.search.probe_events, parallel.search.probe_events);
     }
 
     #[test]
     fn analytic_path_matches_probe_only_path() {
-        // The tentpole's soundness contract: with the analytic pre-filter
-        // and prefix resume on, every probe verdict — and therefore the
-        // chosen geometry, the probe counts, and the memo trail — is
-        // identical to the exhaustive probe path; only the event volume
-        // may shrink.
+        // The accelerators' soundness contract: with the analytic
+        // pre-filter and certificates on, every probe verdict — and
+        // therefore the chosen geometry, the probe counts, and the memo
+        // trail — is identical to the exhaustive probe path; only the
+        // event volume may shrink.
         let base = paper_base(0.05, false, 20);
         let limits = LatticeLimits {
             prefix_max: vec![10, 8],
             last_limit: 64,
         };
-        let t = ProbeTuning::default();
-        let (on, _, on_trail) = run_lattice(&base, &limits, 2, true, true, None, &t);
-        let (off, _, off_trail) = run_lattice(&base, &limits, 2, true, false, None, &t);
+        let lattice = |analytic| {
+            let req = SearchRequest::lattice(&base, limits.clone()).jobs(2);
+            req.analytic(analytic).run()
+        };
+        let (on, off) = (lattice(true), lattice(false));
+        let (on_trail, off_trail) = (on.memo_trail, off.memo_trail);
+        let (on, off) = (on.min, off.min);
         assert_eq!(on.generation_blocks, off.generation_blocks);
         assert_eq!(on.probes, off.probes);
         assert_eq!(on.search.sim_probes, off.search.sim_probes);
@@ -1513,7 +1084,7 @@ mod tests {
         assert_eq!(on.search.pruned_volume, off.search.pruned_volume);
         assert_eq!(on_trail, off_trail);
         assert_eq!(off.search.analytic_rejections, 0);
-        assert_eq!(off.search.resume_probes, 0);
+        assert_eq!(off.search.cert_verdicts, 0);
         assert!(
             on.search.probe_events <= off.search.probe_events,
             "the pre-filter must not add events: {} vs {}",
@@ -1529,10 +1100,14 @@ mod tests {
         // capacity in the column probe-free — changing nothing but the
         // event count.
         let base = paper_base(0.05, false, 30);
-        let t = ProbeTuning::default();
-        let (on, _, feasible_on) = run_fixed_prefix(&base, &[14], 96, true, None, &t);
-        let (off, _, feasible_off) = run_fixed_prefix(&base, &[14], 96, false, None, &t);
-        assert!(feasible_on && feasible_off);
+        let run = |analytic| {
+            let out = SearchRequest::fixed_prefix(&base, vec![14], 96)
+                .analytic(analytic)
+                .run();
+            assert!(out.feasible);
+            out.min
+        };
+        let (on, off) = (run(true), run(false));
         assert_eq!(on.generation_blocks, off.generation_blocks);
         assert_eq!(on.probes, off.probes);
         assert_eq!(on.search.replay_probes, off.search.replay_probes);
@@ -1542,68 +1117,50 @@ mod tests {
         );
         assert_eq!(off.search.cert_verdicts, 0);
         assert!(
-            on.search.probe_events + on.search.resume_saved_events <= off.search.probe_events,
-            "certified probes must actually skip the events they claim: \
-             {} + {} saved vs {}",
+            on.search.probe_events < off.search.probe_events,
+            "certified probes must actually skip events: {} vs {}",
             on.search.probe_events,
-            on.search.resume_saved_events,
-            off.search.probe_events
-        );
-    }
-
-    #[test]
-    fn resume_probes_match_fresh_replays() {
-        // Recirculation breaks the certificate's consumption law (§4
-        // re-appends compete for the last generation's tail) but not the
-        // prefix-independence snapshots rely on, so bisection under one
-        // prefix falls back to snapshot-resume: it must fire — and change
-        // nothing but the event count.
-        let mut base = paper_base(0.05, false, 30);
-        base.el.log.recirculation = true;
-        let t = ProbeTuning::default();
-        let (on, _, feasible_on) = run_fixed_prefix(&base, &[14], 96, true, None, &t);
-        let (off, _, feasible_off) = run_fixed_prefix(&base, &[14], 96, false, None, &t);
-        assert!(feasible_on && feasible_off);
-        assert_eq!(on.generation_blocks, off.generation_blocks);
-        assert_eq!(on.probes, off.probes);
-        assert_eq!(on.search.replay_probes, off.search.replay_probes);
-        assert_eq!(on.search.cert_verdicts, 0);
-        assert!(
-            on.search.resume_probes > 0,
-            "bisection under one prefix must resume at least once"
-        );
-        assert_eq!(off.search.resume_probes, 0);
-        assert!(
-            on.search.probe_events + on.search.resume_saved_events <= off.search.probe_events,
-            "resumed probes must actually skip the events they claim: \
-             {} + {} saved vs {}",
-            on.search.probe_events,
-            on.search.resume_saved_events,
             off.search.probe_events
         );
     }
 
     #[test]
     fn infeasible_anchor_falls_back_to_exhaustive_scan() {
-        // A 40% mix cannot fit the tiny ceilings at the anchor, but the
-        // scan must still either find a survivor or panic helpfully; at
-        // these ceilings nothing fits, so expect the panic.
+        // A 40% mix cannot fit the tiny ceilings at the anchor, so the
+        // scan turns exhaustive (no bound, no memo) — and at these
+        // ceilings still finds nothing: the outcome says so and hands
+        // back the ceilings, not a "minimum".
         let base = paper_base(0.4, false, 20);
         let limits = LatticeLimits {
             prefix_max: vec![4, 4],
             last_limit: 5,
         };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            SearchRequest::lattice(&base, limits).jobs(2).run()
-        }))
-        .expect_err("nothing feasible within these limits");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_string)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("no feasible geometry"), "{msg}");
+        let out = SearchRequest::lattice(&base, limits).jobs(2).run();
+        assert!(!out.feasible);
+        assert_eq!(out.min.generation_blocks, vec![4, 4, 5]);
+        assert_eq!(out.min.total_blocks, 13);
+        assert_eq!(out.min.search.memo_hits, 0, "fallback scan is memo-free");
+        assert_eq!(out.min.search.pruned_volume, 0, "and unbounded");
+        // 2 × 2 prefixes (axes 3..=4 over the gap of 2), each killed at
+        // its ceiling probe.
+        assert_eq!(out.min.probes, 4);
+    }
+
+    #[test]
+    fn every_mode_reports_infeasible_with_clamped_ceilings() {
+        let base = paper_base(0.4, false, 20);
+        let requests = [
+            SearchRequest::firewall(&base, 5),
+            SearchRequest::lattice(&base, LatticeLimits::uniform(2, 4, 5)),
+            SearchRequest::fixed_prefix(&base, vec![4], 5),
+        ];
+        for (req, ceilings) in requests.into_iter().zip([vec![5], vec![4, 5], vec![4, 5]]) {
+            let mode = format!("{:?}", req.mode);
+            let out = req.run();
+            assert!(!out.feasible, "{mode}");
+            assert_eq!(out.min.generation_blocks, ceilings, "{mode}");
+            assert!(out.min.probes > 0, "{mode}");
+        }
     }
 
     #[test]
@@ -1615,22 +1172,22 @@ mod tests {
     }
 
     /// The pre-`Plan` serial bisection (the old `min_last_for`),
-    /// recording every `(target, hint)` probe it issues.
+    /// recording every capacity it probes.
     fn ref_min_last(
         oracle: &mut impl FnMut(u32) -> bool,
-        probes: &mut Vec<(u32, u32)>,
+        probes: &mut Vec<u32>,
         floor: u32,
         hi_limit: u32,
     ) -> Option<u32> {
         let mut lo = floor;
         let mut hi = hi_limit;
-        probes.push((hi, lo + (hi - lo) / 2));
+        probes.push(hi);
         if !oracle(hi) {
             return None;
         }
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            probes.push((mid, lo + (mid - lo) / 2));
+            probes.push(mid);
             if oracle(mid) {
                 hi = mid;
             } else {
@@ -1643,7 +1200,7 @@ mod tests {
     /// The pre-`Plan` firewall loop: doubling bracket, then bisection.
     fn ref_firewall(
         oracle: &mut impl FnMut(u32) -> bool,
-        probes: &mut Vec<(u32, u32)>,
+        probes: &mut Vec<u32>,
         floor: u32,
         hi_limit: u32,
     ) -> Option<u32> {
@@ -1651,7 +1208,7 @@ mod tests {
         let mut hi = hi_limit;
         let mut upper = (lo * 2).min(hi);
         loop {
-            probes.push((upper, lo + (upper - lo) / 2));
+            probes.push(upper);
             if oracle(upper) {
                 hi = upper;
                 break;
@@ -1664,7 +1221,7 @@ mod tests {
         }
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            probes.push((mid, lo + (mid - lo) / 2));
+            probes.push(mid);
             if oracle(mid) {
                 hi = mid;
             } else {
@@ -1677,14 +1234,14 @@ mod tests {
     /// Drives a [`Plan`] against the oracle, recording probes identically.
     fn drive_plan(
         oracle: &mut impl FnMut(u32) -> bool,
-        probes: &mut Vec<(u32, u32)>,
+        probes: &mut Vec<u32>,
         mut plan: Plan,
     ) -> Option<u32> {
         loop {
             let Some(t) = plan.target() else {
                 return plan.found();
             };
-            probes.push((t, plan.hint()));
+            probes.push(t);
             plan = plan.after(oracle(t));
         }
     }
@@ -1709,7 +1266,7 @@ mod tests {
                     assert_eq!(got, want, "floor {floor} limit {limit} thresh {thresh}");
                     assert_eq!(
                         p_plan, p_ref,
-                        "probe/hint sequence diverged at floor {floor} limit {limit} \
+                        "probe sequence diverged at floor {floor} limit {limit} \
                          thresh {thresh}"
                     );
                 }
@@ -1736,7 +1293,7 @@ mod tests {
                     assert_eq!(got, want, "floor {floor} limit {limit} thresh {thresh}");
                     assert_eq!(
                         p_plan, p_ref,
-                        "probe/hint sequence diverged at floor {floor} limit {limit} \
+                        "probe sequence diverged at floor {floor} limit {limit} \
                          thresh {thresh}"
                     );
                 }
@@ -1760,5 +1317,33 @@ mod tests {
         );
         let err = std::panic::catch_unwind(|| paper_base(0.05, false, 15).shards(2));
         assert!(err.is_err(), "shards(2) must panic");
+
+        // The three names prefix resume left behind: `benchmark/`'s tracing
+        // manager overrides `last_gen_allocated`, its `search` workload
+        // hashes the two counters — which no search increments any more,
+        // not even the recirculating fixed-prefix one resume existed for.
+        struct Overrides;
+        #[rustfmt::skip]
+        impl elog_core::LogManager for Overrides {
+            fn begin(&mut self, _: SimTime, _: Tid) -> Effects { unreachable!() }
+            fn write_data(&mut self, _: SimTime, _: Tid, _: Oid, _: u32, _: u32) -> Effects { unreachable!() }
+            fn commit_request(&mut self, _: SimTime, _: Tid) -> Effects { unreachable!() }
+            fn abort(&mut self, _: SimTime, _: Tid) -> Effects { unreachable!() }
+            fn handle_timer(&mut self, _: SimTime, _: LmTimer) -> Effects { unreachable!() }
+            fn quiesce(&mut self, _: SimTime) -> Effects { unreachable!() }
+            fn peak_memory_bytes(&self) -> u64 { unreachable!() }
+            fn log_writes(&self) -> u64 { unreachable!() }
+            fn log_write_rate(&self, _: SimTime) -> f64 { unreachable!() }
+            fn stable_db(&self) -> &StableDb { unreachable!() }
+            fn last_gen_allocated(&self) -> u64 { 7 }
+        }
+        assert_eq!(elog_core::LogManager::last_gen_allocated(&Overrides), 7);
+        let recirc = paper_base(0.05, true, 15);
+        let s = SearchRequest::fixed_prefix(&recirc, vec![14], 96)
+            .run()
+            .min
+            .search;
+        assert!(s.replay_probes > 0);
+        assert_eq!((s.resume_probes, s.resume_saved_events), (0, 0));
     }
 }

@@ -18,7 +18,7 @@
 //! EL search is its one-prefix-axis lattice. This module keeps the result
 //! type, the one-shot probe and the paper's base configuration.
 
-use crate::latsearch::Prober;
+use crate::latsearch::{Geometry, Prober};
 use crate::runner::RunConfig;
 use elog_core::ElConfig;
 use elog_sim::{SearchStats, SimTime};
@@ -40,7 +40,7 @@ pub struct MinSpaceResult {
 /// True when the configuration survives the whole horizon without kills.
 /// One-shot form for tests and callers outside a search loop.
 pub fn survives(base: &RunConfig, blocks: &[u32]) -> bool {
-    Prober::new(base, None).survives(blocks)
+    Prober::new(base, None, false, None).verdict(None, Geometry::from_slice(blocks))
 }
 
 /// Convenience: the paper's base run (5 % long transactions, default flush

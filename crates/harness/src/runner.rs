@@ -363,9 +363,7 @@ impl IndexMut<usize> for Drivers {
 /// (the default) or `HybridManager` — plugs into the same workload drivers
 /// and event loop, so no experiment needs a bespoke loop per technique.
 ///
-/// Cloning a model mid-run snapshots the entire simulation state — the
-/// prefix-resume probes clone an [`Engine`] at a fill depth and later
-/// resume the copy under a different last-generation capacity.
+/// Cloning a model mid-run snapshots the entire simulation state.
 #[derive(Clone)]
 pub struct SimModel<L: LogManager = ElManager> {
     /// Workload side: one driver per tenant.
@@ -403,9 +401,6 @@ pub struct SimModel<L: LogManager = ElManager> {
     lifetime_hints: bool,
     kills: u64,
     acks: u64,
-    /// Halt the engine once the last generation has allocated this many
-    /// blocks (see [`SimModel::set_last_gen_watch`]). `None` never fires.
-    watch_last_gen: Option<u64>,
     /// The online generation controller, when this run has one. Public so
     /// experiments can read its stats after a run and so the soundness
     /// tests can swap in a scripted controller before one.
@@ -473,19 +468,6 @@ impl<L: LogManager> SimModel<L> {
     /// Acks observed so far.
     pub fn acks(&self) -> u64 {
         self.acks
-    }
-
-    /// Arms (or clears) the last-generation fill watch: when set, the
-    /// engine stops as soon as [`LogManager::last_gen_allocated`] reaches
-    /// `blocks`. The prefix-resume probes arm it to snapshot the model at a
-    /// capacity-independent depth, then clear it and continue the run.
-    pub fn set_last_gen_watch(&mut self, blocks: Option<u64>) {
-        self.watch_last_gen = blocks;
-    }
-
-    /// The armed watch, if any.
-    pub fn last_gen_watch(&self) -> Option<u64> {
-        self.watch_last_gen
     }
 }
 
@@ -583,10 +565,7 @@ impl<L: LogManager> Simulate for SimModel<L> {
     }
 
     fn should_stop(&self, _now: SimTime) -> bool {
-        (self.stop_on_kill && self.kills > 0)
-            || self
-                .watch_last_gen
-                .is_some_and(|w| self.lm.last_gen_allocated() >= w)
+        self.stop_on_kill && self.kills > 0
     }
 }
 
@@ -690,7 +669,6 @@ pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimMode
         lifetime_hints: cfg.lifetime_hints,
         kills: 0,
         acks: 0,
-        watch_last_gen: None,
         adaptive,
     };
     let mut engine = Engine::new(model);

@@ -24,7 +24,7 @@
 //! produced it; aggregation reads the slots in order. Progress lines go
 //! to stderr only.
 
-use crate::latsearch::SearchRequest;
+use crate::latsearch::{LatticeLimits, SearchMode, SearchRequest};
 use crate::minspace::MinSpaceResult;
 use crate::report::Table;
 use crate::runner::{build_model, build_model_with, run, RunConfig, RunResult};
@@ -55,46 +55,15 @@ pub fn derive_seed(base_seed: u64, seed_index: u64) -> u64 {
 pub enum Job {
     /// One full measured run.
     Measure(RunConfig),
-    /// Minimum single-generation (FW) space search, then a measured run
-    /// at the minimum.
-    FwMin {
-        /// Base configuration (geometry is overwritten by the search).
+    /// One minimum-space search of any [`SearchMode`], then a measured
+    /// run at the minimum. A search that finds nothing feasible within
+    /// its ceilings fails the scenario: a clamped ceiling is not a row.
+    MinSpace {
+        /// Base configuration (the search overwrites the geometry,
+        /// dimensionality included).
         base: RunConfig,
-        /// Binary-search ceiling in blocks.
-        limit: u32,
-    },
-    /// Minimum two-generation EL space search, then a measured run at
-    /// the minimum.
-    ElMin {
-        /// Base configuration (geometry is overwritten by the search).
-        base: RunConfig,
-        /// gen0 scan ceiling.
-        g0_max: u32,
-        /// gen1 binary-search ceiling.
-        g1_limit: u32,
-    },
-    /// Minimum N-generation EL space search over the geometry lattice
-    /// ([`crate::latsearch`]), then a measured run at the minimum.
-    ElLatticeMin {
-        /// Base configuration (geometry is overwritten by the search;
-        /// its dimensionality comes from `prefix_max.len() + 1`).
-        base: RunConfig,
-        /// Scan ceiling per prefix axis (generations `0..N-2`).
-        prefix_max: Vec<u32>,
-        /// Binary-search ceiling for the last generation.
-        last_limit: u32,
-    },
-    /// Minimum last-generation search with the earlier generations held
-    /// fixed, then a measured run at the minimum. The per-phase static
-    /// optima of `fig_adaptive` use this: the drift scenarios share one
-    /// front-generation size, so only the last axis is in question.
-    ElFixedMin {
-        /// Base configuration (last-generation size is overwritten).
-        base: RunConfig,
-        /// Fixed sizes of generations `0..N-1`.
-        prefix: Vec<u32>,
-        /// Binary-search ceiling for the last generation.
-        last_limit: u32,
+        /// What to search over.
+        mode: SearchMode,
     },
     /// The paper's recirculation procedure: size gen0 by the
     /// no-recirculation minimum, then shrink the last generation with
@@ -374,51 +343,13 @@ fn run_job(scenario: &Scenario) -> Output {
     let seeded = |cfg: &RunConfig| cfg.clone().seed(derive_seed(cfg.seed, scenario.seed_index));
     match &scenario.job {
         Job::Measure(cfg) => Output::Measured(run(&seeded(cfg))),
-        Job::FwMin { base, limit } => {
-            let base = seeded(base);
-            let out = SearchRequest::firewall(&base, *limit).run();
-            measure_minimum(&base, out.min, out.trace)
-        }
-        Job::ElMin {
-            base,
-            g0_max,
-            g1_limit,
-        } => {
+        Job::MinSpace { base, mode } => {
             let base = seeded(base);
             // Parallelism belongs to the scenario level (`--jobs`, which
             // already defaults to the machine's width): every search
             // launched from here runs its prefix scan on one thread.
-            let limits = crate::latsearch::LatticeLimits {
-                prefix_max: vec![*g0_max],
-                last_limit: *g1_limit,
-            };
-            let out = SearchRequest::lattice(&base, limits).jobs(1).run();
-            measure_minimum(&base, out.min, out.trace)
-        }
-        Job::ElLatticeMin {
-            base,
-            prefix_max,
-            last_limit,
-        } => {
-            let base = seeded(base).num_generations(prefix_max.len() + 1);
-            let limits = crate::latsearch::LatticeLimits {
-                prefix_max: prefix_max.clone(),
-                last_limit: *last_limit,
-            };
-            let out = SearchRequest::lattice(&base, limits).jobs(1).run();
-            measure_minimum(&base, out.min, out.trace)
-        }
-        Job::ElFixedMin {
-            base,
-            prefix,
-            last_limit,
-        } => {
-            let base = seeded(base).num_generations(prefix.len() + 1);
-            let out = SearchRequest::fixed_prefix(&base, prefix.clone(), *last_limit).run();
-            assert!(
-                out.feasible,
-                "no feasible last generation under {last_limit} for prefix {prefix:?}"
-            );
+            let out = SearchRequest::with_mode(&base, mode.clone()).run();
+            assert!(out.feasible, "nothing feasible within {mode:?}");
             measure_minimum(&base, out.min, out.trace)
         }
         Job::ElRecircMin {
@@ -440,11 +371,12 @@ fn run_job(scenario: &Scenario) -> Output {
             // so one capture serves both searches and the measured run.
             let mut norec = base.clone();
             norec.el.log.recirculation = false;
-            let limits = crate::latsearch::LatticeLimits {
-                prefix_max: vec![*g0_max],
-                last_limit: *g1_limit,
-            };
-            let norec_out = SearchRequest::lattice(&norec, limits).jobs(1).run();
+            let limits = LatticeLimits::uniform(2, *g0_max, *g1_limit);
+            let norec_out = SearchRequest::lattice(&norec, limits).run();
+            assert!(
+                norec_out.feasible,
+                "no feasible no-recirculation geometry within [{g0_max}, {g1_limit}]"
+            );
             let g0 = norec_out.min.generation_blocks[0];
             let recirc_out = SearchRequest::fixed_prefix(&base, vec![g0], *g1_limit)
                 .seed_trace(norec_out.trace)
@@ -647,6 +579,30 @@ mod tests {
                 assert_eq!(*r.as_ref().unwrap(), i as u64 * 2);
             }
         }
+    }
+
+    #[test]
+    fn infeasible_min_space_is_a_failure_note_not_a_row() {
+        // 40% long transactions cannot fit a 5-block firewall log; the
+        // clamped ceiling must not reach a table as a "minimum".
+        let job = Job::MinSpace {
+            base: crate::minspace::paper_base(0.4, false, 20),
+            mode: SearchMode::Firewall { limit: 5 },
+        };
+        let outcomes = run_scenarios(
+            &[Scenario::new("tiny fw", "0.4", 0, job)],
+            &ExecOptions {
+                jobs: 1,
+                progress: false,
+            },
+        );
+        assert!(outcomes[0].min_space().is_none());
+        let notes = failure_notes(&outcomes);
+        assert_eq!(notes.len(), 1);
+        assert!(
+            notes[0].starts_with("FAILED tiny fw: nothing feasible within Firewall"),
+            "{notes:?}"
+        );
     }
 
     #[test]

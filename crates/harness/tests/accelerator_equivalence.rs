@@ -1,6 +1,6 @@
-//! Resume-equivalence suite: the probe accelerators behind the unified
-//! search API — the analytic pre-filter, prefix-resume snapshots and the
-//! per-column consumption certificate — must be pure accelerators. Every
+//! Accelerator-equivalence suite: the probe accelerators behind the
+//! unified search API — the analytic pre-filter and the per-column
+//! consumption certificate — must be pure accelerators. Every
 //! search run with them enabled must choose the same geometry, consume
 //! the same number of verdicts in the same order, and report the same
 //! derived statistics as the exhaustive probe-only path; only the
@@ -23,7 +23,6 @@ fn assert_equivalent(on: &MinSpaceResult, off: &MinSpaceResult) {
     assert_eq!(on.search.replay_probes, off.search.replay_probes);
     assert_eq!(on.search.memo_hits, off.search.memo_hits);
     assert_eq!(off.search.analytic_rejections, 0);
-    assert_eq!(off.search.resume_probes, 0);
     assert_eq!(off.search.cert_verdicts, 0);
     assert!(
         on.search.probe_events <= off.search.probe_events,
@@ -52,10 +51,11 @@ fn fixed_prefix_search_certifies_and_matches_probe_only_path() {
 }
 
 #[test]
-fn recirculation_falls_back_to_snapshot_resume() {
+fn recirculation_disables_the_certificate_and_falls_back_to_full_replay() {
     // Recirculation breaks the certificate's deterministic consumption
-    // law, so the same search shape must fall back to snapshot-resume —
-    // still changing nothing but the event count.
+    // law, so the same search shape must simulate every probe the
+    // analytic threshold does not reject — still changing nothing but
+    // the event count.
     let base = paper_base(0.05, true, 30);
     let on = SearchRequest::fixed_prefix(&base, vec![14], 96).run();
     let off = SearchRequest::fixed_prefix(&base, vec![14], 96)
@@ -64,15 +64,6 @@ fn recirculation_falls_back_to_snapshot_resume() {
     assert!(on.feasible && off.feasible);
     assert_equivalent(&on.min, &off.min);
     assert_eq!(on.min.search.cert_verdicts, 0);
-    assert!(
-        on.min.search.resume_probes > 0,
-        "bisection under one prefix must resume at least once"
-    );
-    assert!(
-        on.min.search.probe_events + on.min.search.resume_saved_events
-            <= off.min.search.probe_events,
-        "resumed probes must actually skip the events they claim"
-    );
 }
 
 #[test]
@@ -103,6 +94,5 @@ fn lattice_search_is_equivalent_and_jobs_invariant() {
         par_on.min.search.analytic_rejections
     );
     assert_eq!(on.min.search.cert_verdicts, par_on.min.search.cert_verdicts);
-    assert_eq!(on.min.search.resume_probes, par_on.min.search.resume_probes);
     assert_eq!(on.min.search.probe_events, par_on.min.search.probe_events);
 }

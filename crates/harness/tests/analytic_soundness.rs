@@ -5,7 +5,7 @@
 //! is never simulated. This suite re-simulates rejected geometries across
 //! randomly drawn configurations and asserts every one of them kills —
 //! the property the whole pre-filter stands on. (The end-to-end
-//! search-outcome equivalence lives in `resume_equivalence.rs`.)
+//! search-outcome equivalence lives in `accelerator_equivalence.rs`.)
 
 use elog_harness::minspace::{self, paper_base};
 use elog_harness::runner::run_capture;

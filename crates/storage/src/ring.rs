@@ -92,9 +92,8 @@ impl BlockRing {
     /// slot from the capacity current at install time.
     ///
     /// Before the head has ever advanced the remap is the identity (every
-    /// live `seq < capacity`), which is the state a snapshot-resume probe
-    /// resizes in; the general remap is what lets the adaptive controller
-    /// (`core::adaptive`) grow or shrink a generation mid-run.
+    /// live `seq < capacity`); the general remap is what lets the adaptive
+    /// controller (`core::adaptive`) grow or shrink a generation mid-run.
     ///
     /// # Panics
     /// Panics when the live window `[head, tail)` would not fit the new
