@@ -83,21 +83,6 @@
 
 use crate::manager::ElManager;
 use elog_sim::SimTime;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default for `RunConfig::paper` (set by the `--adaptive`
-/// CLI flag).
-static DEFAULT_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide adaptive default picked up by new configs.
-pub fn set_default_enabled(on: bool) {
-    DEFAULT_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// The process-wide adaptive default.
-pub fn default_enabled() -> bool {
-    DEFAULT_ENABLED.load(Ordering::Relaxed)
-}
 
 /// Tuning knobs for the controller (see module docs for the policy).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -567,14 +552,5 @@ mod tests {
             "final geometry matches the decide run"
         );
         assert_eq!(ctl_b.placement_hints(), ctl_a.placement_hints());
-    }
-
-    #[test]
-    fn default_knob_roundtrip() {
-        assert!(!default_enabled());
-        set_default_enabled(true);
-        assert!(default_enabled());
-        set_default_enabled(false);
-        assert!(!default_enabled());
     }
 }

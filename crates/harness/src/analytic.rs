@@ -82,33 +82,18 @@
 //! The search consults its verdict sources cheapest-and-most-trusted
 //! first (`latsearch::Prober`): the frozen dominance **memo** (§5f),
 //! then this module's **threshold** rejection, then the column's
-//! **consumption certificate**, then the persistent **probe cache**
-//! (§5i), and only then a live simulation. The order matters for
-//! accounting, not correctness — every layer is verified to return
-//! exactly the simulated verdict — but keeping the memo ahead of the
-//! model keeps `memo_hits` identical whether or not the model is on,
-//! which is what the `--no-analytic` byte-identity diff pins.
+//! **consumption certificate**, and only then a live simulation. The
+//! order matters for accounting, not correctness — every layer is
+//! verified to return exactly the simulated verdict — but keeping the
+//! memo ahead of the model keeps `memo_hits` identical whether or not the
+//! model is on, which is what the `--no-analytic` byte-identity diff pins.
 //!
-//! The `--no-analytic` escape hatch ([`set_enabled`]) disables both
-//! certificates process-wide, forcing every verdict the memo and the
-//! cache do not hold through a full simulation.
+//! `--no-analytic` ([`crate::SearchRequest::analytic`]) disables both
+//! certificates for a search, forcing every verdict the memo does not
+//! hold through a full simulation.
 
 use crate::runner::RunConfig;
 use elog_workload::{WorkloadTrace, EPSILON};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables analytic pruning and consumption certificates
-/// process-wide (the `--no-analytic` flag). Defaults to enabled.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether analytic pruning and consumption certificates are enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// The records certain to enter one generation.
 ///
@@ -162,9 +147,9 @@ pub struct AnalyticModel {
 impl AnalyticModel {
     /// Builds the certificate for probes of `cfg` replaying `trace`.
     /// Returns `None` when the configuration is outside the certificate's
-    /// trust boundary (see module docs) or the toggle is off.
+    /// trust boundary (see module docs).
     pub fn from_run(cfg: &RunConfig, trace: &WorkloadTrace) -> Option<AnalyticModel> {
-        if !enabled() || cfg.el.log.recirculation || cfg.lifetime_hints {
+        if cfg.el.log.recirculation || cfg.lifetime_hints {
             return None;
         }
         let payload = u64::from(cfg.el.log.block_payload);
@@ -350,14 +335,5 @@ mod tests {
         let next = m.propagate(&m.base, 10);
         assert_eq!(next.len(), 0);
         assert_eq!(m.reject_threshold(&[10]), 0);
-    }
-
-    #[test]
-    fn toggle_round_trips() {
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
     }
 }

@@ -42,6 +42,7 @@ static ALLOC: CountingAlloc<std::alloc::System> = CountingAlloc(std::alloc::Syst
 struct Options {
     quick: bool,
     jobs: usize,
+    analytic: bool,
     date: String,
     /// The `--baseline` snapshot, already read and parsed.
     baseline: Option<BenchSummary>,
@@ -57,6 +58,7 @@ fn parse_args(args: Vec<String>) -> Result<(Options, PathBuf, File), String> {
     let mut opts = Options {
         quick: false,
         jobs: 1,
+        analytic: true,
         date: utc_date(),
         baseline: None,
         max_regress_pct: 30.0,
@@ -66,7 +68,7 @@ fn parse_args(args: Vec<String>) -> Result<(Options, PathBuf, File), String> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
-            "--no-analytic" => elog_harness::analytic::set_enabled(false),
+            "--no-analytic" => opts.analytic = false,
             "--jobs" => opts.jobs = cli::positive("--jobs", args)?,
             "--out" => out = Some(PathBuf::from(cli::value::<String>("--out", args)?)),
             "--date" => {
@@ -168,6 +170,7 @@ fn main() {
     let exec = ExecOptions {
         jobs: opts.jobs,
         progress: false,
+        analytic: opts.analytic,
     };
     // Experiment names, point labels and the validated date are quote-free
     // program text, so the writer emits them unescaped.

@@ -104,8 +104,8 @@ fn main() {
         }
         print!("{}", t.render());
     }
-    // stderr so stdout stays comparable across tenant counts (cf. the
-    // probe-cache and adaptive reports).
+    // stderr so stdout stays comparable across tenant counts (cf.
+    // elsim's `[adaptive]` report).
     eprintln!(
         "[serve] tenants {tenants}, committed {}, killed {}, refused {}, p99 {} ms",
         r.aggregate.committed,

@@ -14,12 +14,6 @@ use elog_harness::runner::run;
 
 fn main() {
     let a = cli::parse_env(cli::ELSIM_USAGE, cli::elsim);
-    if !a.analytic {
-        elog_harness::analytic::set_enabled(false);
-    }
-    if let Some(dir) = &a.probe_cache {
-        elog_harness::probecache::set_dir(Some(dir.into()));
-    }
     let cfg = &a.run;
     let gens = &cfg.el.log.generation_blocks;
 
@@ -42,7 +36,7 @@ fn main() {
                 },
             )
         };
-        let out = req.jobs(a.jobs).run();
+        let out = req.jobs(a.jobs).analytic(a.analytic).run();
         let r = out.min;
         if !out.feasible {
             eprintln!(
@@ -72,16 +66,6 @@ fn main() {
                 r.search.pruned_volume
             );
         }
-        if a.probe_cache.is_some() {
-            // stderr so stdout stays byte-identical to uncached runs.
-            eprintln!(
-                "[probe-cache] seeded {}, hits {}, misses {} (live probes: {})",
-                r.search.cache_seeded,
-                r.search.cache_hits,
-                r.search.cache_misses,
-                r.search.cache_misses
-            );
-        }
         return;
     }
 
@@ -100,7 +84,7 @@ fn main() {
     );
     if let Some(ad) = &r.adaptive {
         // stderr so a static adaptive run's stdout stays byte-identical
-        // to the non-adaptive run (cf. the probe-cache report).
+        // to the non-adaptive run.
         eprintln!(
             "[adaptive] windows {}, reshapes {} (grows {}, shrinks {}), hint toggles {}, firewall fallbacks {}, final geometry {:?}",
             ad.window_decisions,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--quick] [--jobs N] [--gens N] [--only NAME] [--csv DIR] [--progress]
-//!       [--no-analytic] [--probe-cache DIR] [--adaptive]
+//!       [--no-analytic]
 //! ```
 //!
 //! `--quick` shrinks runtimes and sweeps for a fast smoke pass; the default
@@ -18,18 +18,6 @@
 //! `--no-analytic` disables the analytic probe pre-filter and the
 //! consumption certificates ([`elog_harness::analytic`]); stdout is
 //! byte-identical either way — the flag exists to prove exactly that.
-//! `--probe-cache DIR`
-//! persists probe verdicts under DIR ([`elog_harness::probecache`]);
-//! stdout is byte-identical under it too.
-//! `--adaptive` enables the online generation controller
-//! ([`elog_core::adaptive`]) as the process-wide default for measured
-//! runs; search probes stay controller-free and the `fig_adaptive`
-//! experiment pins its own settings. The controller reacts to *kill
-//! pressure*, not to drift per se: a well-provisioned static run
-//! re-shapes nothing and prints identical stdout, while a run that
-//! kills (drifting or simply under-provisioned, like the quick
-//! recovery subjects) grows live — so this flag deliberately changes
-//! those tables.
 //!
 //! Every experiment is a [`elog_harness::sweep::Experiment`]; this binary
 //! just flattens the registry's scenarios through one executor pool and
@@ -42,7 +30,7 @@ use elog_harness::report::Table;
 use elog_harness::sweep::{run_experiments, ExecOptions};
 
 const USAGE: &str = "usage: repro [--quick] [--jobs N] [--gens N] [--only NAME] \
-    [--csv DIR] [--progress] [--no-analytic] [--probe-cache DIR] [--adaptive]";
+    [--csv DIR] [--progress] [--no-analytic]";
 
 struct Options {
     quick: bool,
@@ -65,13 +53,8 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--progress" => opts.exec.progress = true,
-            "--no-analytic" => elog_harness::analytic::set_enabled(false),
-            "--adaptive" => elog_core::adaptive::set_default_enabled(true),
+            "--no-analytic" => opts.exec.analytic = false,
             "--jobs" => opts.exec.jobs = cli::positive("--jobs", args)?,
-            "--probe-cache" => {
-                let dir: String = cli::value("--probe-cache", args)?;
-                elog_harness::probecache::set_dir(Some(dir.into()));
-            }
             "--gens" => {
                 opts.gens = cli::positive("--gens", args)?;
                 if opts.gens > MAX_AXES {

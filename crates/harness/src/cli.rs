@@ -57,10 +57,6 @@ pub const ELSIM_USAGE: &str = concat!(
                           given sizes as per-axis ceilings)
   --jobs N                worker threads for --min-space probes
                           (default: the machine's parallelism)
-  --probe-cache DIR       persist probe verdicts under DIR; a warm
-                          rerun answers every probe from the cache
-                          (the output must not change; a stderr line
-                          reports seeded/hit/miss counts)
   --no-analytic           disable the analytic pre-filter and the
                           consumption certificates: simulate every probe
                           in full (the output must not change)
@@ -243,8 +239,6 @@ pub struct Elsim {
     pub min_space: bool,
     /// `--jobs`: worker threads for the search's probes.
     pub jobs: usize,
-    /// `--probe-cache DIR`, when given.
-    pub probe_cache: Option<String>,
     /// `--no-analytic` clears this.
     pub analytic: bool,
 }
@@ -256,7 +250,6 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
     let mut run = RunFlags::default();
     let mut min_space = false;
     let mut jobs = crate::sweep::default_jobs();
-    let mut probe_cache = None;
     let mut analytic = true;
     while let Some(arg) = args.next() {
         if run.accept(&arg, args)? {
@@ -278,7 +271,6 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             "--min-space" => min_space = true,
             "--no-analytic" => analytic = false,
             "--jobs" => jobs = positive("--jobs", args)?,
-            "--probe-cache" => probe_cache = Some(value("--probe-cache", args)?),
             "--tenants" | "--budget" | "--oid-ranges" => {
                 return Err(format!(
                     "{arg} is an elserve flag; elsim runs a single workload"
@@ -311,7 +303,6 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
         run,
         min_space,
         jobs,
-        probe_cache,
         analytic,
     })
 }
@@ -379,7 +370,7 @@ mod tests {
             "--mode fw --gens 123",
             "--fw-blocks 123",
             "--adaptive",
-            "--min-space --jobs 2 --probe-cache /tmp/cache --no-analytic",
+            "--min-space --jobs 2 --no-analytic",
         ];
         for line in elsim_lines {
             assert!(elsim(args(line)).is_ok(), "elsim {line}");

@@ -263,6 +263,7 @@ mod tests {
             &ExecOptions {
                 jobs: 2,
                 progress: false,
+                ..Default::default()
             },
         );
         let pts = points(&outcomes);

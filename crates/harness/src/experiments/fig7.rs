@@ -194,6 +194,7 @@ mod tests {
             &ExecOptions {
                 jobs: 2,
                 progress: false,
+                ..Default::default()
             },
         );
         let points = surviving_points(&outcomes);

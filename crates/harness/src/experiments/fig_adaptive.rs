@@ -125,9 +125,7 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             format!("{mix}"),
             0,
             Job::MinSpace {
-                // Pinned off: the static yardsticks must not move when
-                // `--adaptive` flips the process-wide default.
-                base: base_cfg(cfg, mix).adaptive(false),
+                base: base_cfg(cfg, mix),
                 mode: SearchMode::FixedPrefix {
                     prefix: cfg.prefix.clone(),
                     last_limit: cfg.last_limit,
@@ -391,6 +389,7 @@ mod tests {
             &ExecOptions {
                 jobs: 4,
                 progress: false,
+                ..Default::default()
             },
         );
         let pts = tracking_points(&cfg, &outcomes);

@@ -289,6 +289,7 @@ mod tests {
             &ExecOptions {
                 jobs: 2,
                 progress: false,
+                ..Default::default()
             },
         );
         let pts = points(&outcomes);
@@ -320,6 +321,7 @@ mod tests {
             &ExecOptions {
                 jobs: 2,
                 progress: false,
+                ..Default::default()
             },
         );
         let pts = points(&outcomes);

@@ -236,6 +236,7 @@ mod tests {
             &ExecOptions {
                 jobs: 4,
                 progress: false,
+                ..Default::default()
             },
         );
         assert_eq!(outcomes.len(), 3, "{:?}", failure_notes(&outcomes));

@@ -233,6 +233,7 @@ mod tests {
             &ExecOptions {
                 jobs: 2,
                 progress: false,
+                ..Default::default()
             },
         );
         let out = results(&outcomes);

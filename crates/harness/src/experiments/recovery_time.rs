@@ -161,6 +161,7 @@ mod tests {
             &ExecOptions {
                 jobs: 2,
                 progress: false,
+                ..Default::default()
             },
         );
         assert_eq!(outcomes.len(), 2);

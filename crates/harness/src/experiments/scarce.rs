@@ -185,6 +185,7 @@ mod tests {
             &ExecOptions {
                 jobs: 2,
                 progress: false,
+                ..Default::default()
             },
         );
         let out = cases(&outcomes);

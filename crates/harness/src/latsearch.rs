@@ -39,13 +39,11 @@
 
 use crate::analytic::AnalyticModel;
 use crate::minspace::MinSpaceResult;
-use crate::probecache::CacheHandle;
 use crate::runner::{build_model, run_capture, RunConfig};
 use elog_core::{CertVerdict, ConsumptionCert};
 use elog_sim::SearchStats;
 use elog_workload::WorkloadTrace;
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Most generation axes a lattice search supports. The simulator itself
@@ -221,12 +219,6 @@ pub(crate) struct Prober {
     analytic_on: bool,
     model: Option<Arc<AnalyticModel>>,
     column: Option<ColumnState>,
-    /// Persistent probe-verdict cache handle (`--probe-cache`), shared by
-    /// every prober of one search.
-    cache: Option<Arc<CacheHandle>>,
-    /// Verdicts this prober produced that the cache seed did not already
-    /// hold, collected for the end-of-search persist.
-    cache_new: Vec<(Vec<u32>, bool)>,
 }
 
 impl Prober {
@@ -236,7 +228,6 @@ impl Prober {
         base: &RunConfig,
         trace: Option<Arc<WorkloadTrace>>,
         analytic_on: bool,
-        cache: Option<Arc<CacheHandle>>,
     ) -> Self {
         let mut cfg = base.clone();
         cfg.stop_on_kill = true;
@@ -251,20 +242,13 @@ impl Prober {
             analytic_on,
             model: None,
             column: None,
-            cache,
-            cache_new: Vec::new(),
         }
     }
 
     /// A fresh-countered sibling for a scan worker: same configuration,
-    /// trace, cache and (shared, not re-derived) analytic certificate.
+    /// trace and (shared, not re-derived) analytic certificate.
     fn worker(&self) -> Prober {
-        let mut p = Prober::new(
-            &self.cfg,
-            self.trace.clone(),
-            self.analytic_on,
-            self.cache.clone(),
-        );
+        let mut p = Prober::new(&self.cfg, self.trace.clone(), self.analytic_on);
         p.model = self.model.clone();
         p
     }
@@ -311,14 +295,13 @@ impl Prober {
     /// The verdict for `g` — `true` when it survives the whole horizon
     /// without kills — from the cheapest source that has one: the frozen
     /// dominance `memo`, the analytic threshold, the column's consumption
-    /// certificate, the persistent cache, and only then a simulation
+    /// certificate, and only then a simulation
     /// (capturing the workload when no trace exists yet, replaying it
     /// otherwise). Every source returns the verdict the simulation would,
     /// and every non-memo verdict counts as the probe it replaced, so
     /// printed probe counts never depend on which source answered.
     pub(crate) fn verdict(&mut self, memo: Option<&Memo>, g: Geometry) -> bool {
         self.probes += 1;
-        let cached = self.cache.as_ref().and_then(|c| c.lookup(g.as_slice()));
         let survived = 'answer: {
             if let Some(v) = memo.and_then(|m| m.lookup(&g)) {
                 self.stats.memo_hits += 1;
@@ -346,15 +329,6 @@ impl Prober {
             if certified != CertVerdict::Unknown {
                 self.stats.cert_verdicts += 1;
                 break 'answer certified == CertVerdict::Survives;
-            }
-            if self.cache.is_some() {
-                // An exact entry for this geometry under this workload
-                // fingerprint; a miss is by definition a live probe.
-                if let Some(v) = cached {
-                    self.stats.cache_hits += 1;
-                    break 'answer v;
-                }
-                self.stats.cache_misses += 1;
             }
             let blocks = &mut self.cfg.el.log.generation_blocks;
             blocks.clear();
@@ -392,11 +366,6 @@ impl Prober {
             }
             survived
         };
-        // Every sound verdict the seed lacked — dominance-derived ones
-        // included — is persisted, deepening the seed for warm reruns.
-        if self.cache.is_some() && cached.is_none() {
-            self.cache_new.push((g.to_vec(), survived));
-        }
         survived
     }
 
@@ -406,21 +375,11 @@ impl Prober {
         self.probes += other.probes;
         self.stats.merge(&other.stats);
         self.memo_trail.extend(other.memo_trail);
-        self.cache_new.extend(other.cache_new);
     }
 
-    /// Ends the search: writes every verdict it produced (and the seed
-    /// lacked) back to the cache file — write failures only warn, and an
-    /// infeasible search's all-kill verdicts are worth seeding the next
-    /// run with too — and packages the outcome. `blocks` is the minimum,
+    /// Ends the search and packages the outcome. `blocks` is the minimum,
     /// or the clamped ceilings when nothing was `feasible`.
     fn finish(self, blocks: Vec<u32>, feasible: bool) -> SearchOutcome {
-        if let Some(c) = &self.cache {
-            c.persist(
-                &self.cache_new,
-                self.trace.as_ref().map(|t| t.fingerprint()),
-            );
-        }
         SearchOutcome {
             min: MinSpaceResult {
                 total_blocks: blocks.iter().sum(),
@@ -797,9 +756,8 @@ pub struct SearchRequest {
     mode: SearchMode,
     jobs: usize,
     memo: bool,
-    analytic: Option<bool>,
+    analytic: bool,
     seed_trace: Option<Arc<WorkloadTrace>>,
-    cache_dir: Option<PathBuf>,
 }
 
 /// What a [`SearchRequest`] found.
@@ -825,9 +783,8 @@ impl SearchRequest {
             mode,
             jobs: 1,
             memo: true,
-            analytic: None,
+            analytic: true,
             seed_trace: None,
-            cache_dir: None,
         }
     }
 
@@ -861,10 +818,11 @@ impl SearchRequest {
         self
     }
 
-    /// Overrides the process-wide analytic toggle for this search
-    /// ([`crate::analytic::set_enabled`]); unset inherits it.
+    /// Enables/disables the analytic threshold and the consumption
+    /// certificates (default on; results are invariant in this, only the
+    /// number of simulated probe events changes).
     pub fn analytic(mut self, on: bool) -> Self {
-        self.analytic = Some(on);
+        self.analytic = on;
         self
     }
 
@@ -885,30 +843,10 @@ impl SearchRequest {
         self
     }
 
-    /// Stores/loads probe verdicts in a persistent cache under `dir` for
-    /// this search, overriding the process-wide directory
-    /// ([`crate::probecache::set_dir`], the `--probe-cache` flag). A warm
-    /// rerun of an identical search answers every probe from the cache —
-    /// zero live simulation — with identical results.
-    pub fn probe_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
     /// Runs the search.
     pub fn run(self) -> SearchOutcome {
-        let analytic_on = self.analytic.unwrap_or_else(crate::analytic::enabled);
-        // The per-request cache directory overrides the process-wide one;
-        // the file is validated against the seed trace's fingerprint.
-        let fp = self.seed_trace.as_ref().map(|t| t.fingerprint());
-        let cache = match &self.cache_dir {
-            Some(d) => Some(crate::probecache::open_in(d, &self.base, fp)),
-            None => crate::probecache::open(&self.base, fp),
-        }
-        .map(Arc::new);
-        let mut p = Prober::new(&self.base, self.seed_trace, analytic_on, cache);
+        let mut p = Prober::new(&self.base, self.seed_trace, self.analytic);
         p.ensure_model();
-        p.stats.cache_seeded = p.cache.as_ref().map_or(0, |c| c.seeded() as u64);
         match self.mode {
             SearchMode::Firewall { limit } => run_firewall(p, limit),
             SearchMode::Lattice { limits } => run_lattice(p, &limits, self.jobs, self.memo),
@@ -1036,9 +974,8 @@ mod tests {
             prefix_max: vec![8, 8],
             last_limit: 48,
         };
-        // Pinned on: another test flips the process-wide toggle.
         let search = |jobs| {
-            let req = SearchRequest::lattice(&base, limits.clone()).analytic(true);
+            let req = SearchRequest::lattice(&base, limits.clone());
             req.jobs(jobs).run().min
         };
         let (serial, parallel) = (search(1), search(4));

@@ -23,21 +23,18 @@
 //! | §5 N-generation extension | [`experiments::fig_ngen`] |
 
 pub mod analytic;
-pub mod autotune;
 pub mod benchgate;
 pub mod cli;
 pub mod crashpoint;
 pub mod experiments;
 pub mod latsearch;
 pub mod minspace;
-pub mod probecache;
 pub mod report;
 pub mod runner;
 pub mod serve;
 pub mod sweep;
 
 pub use analytic::AnalyticModel;
-pub use autotune::{autotune, TuneResult};
 pub use crashpoint::{
     bench_recovery, bench_snapshot, snapshot_run, CrashPoint, CrashSnapshot, RecoveryBenchPoint,
 };

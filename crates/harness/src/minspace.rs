@@ -40,7 +40,7 @@ pub struct MinSpaceResult {
 /// True when the configuration survives the whole horizon without kills.
 /// One-shot form for tests and callers outside a search loop.
 pub fn survives(base: &RunConfig, blocks: &[u32]) -> bool {
-    Prober::new(base, None, false, None).verdict(None, Geometry::from_slice(blocks))
+    Prober::new(base, None, false).verdict(None, Geometry::from_slice(blocks))
 }
 
 /// Convenience: the paper's base run (5 % long transactions, default flush

@@ -155,16 +155,13 @@ pub struct RunConfig {
     /// Run the online adaptive generation controller
     /// (`elog_core::adaptive`). Ignored by stop-on-kill probes: a probe
     /// measures a fixed geometry by definition, and re-shaping under it
-    /// would corrupt every search verdict. The default comes from
-    /// [`elog_core::adaptive::default_enabled`] (`--adaptive`).
+    /// would corrupt every search verdict. Off in [`RunConfig::paper`].
     pub adaptive: bool,
     /// Multi-tenant oid partition: the run drives one live workload per
     /// range, tenant `t` seeded by `crate::serve::tenant_seed` (`None` =
     /// the classic single workload over the whole oid space). It lives on
-    /// the config so [`RunConfig::verdict_key`] keys probe verdicts by
-    /// tenancy: the same geometry can be feasible for one whole-space
-    /// workload and infeasible for the identical load split across
-    /// tenants.
+    /// the config because [`SimModel`] builds one driver per range: a
+    /// serve run is the T-tenant instance of the one run loop.
     pub tenants: Option<TenantLayout>,
 }
 
@@ -183,7 +180,7 @@ impl RunConfig {
             lifetime_hints: false,
             trace: None,
             phases: None,
-            adaptive: elog_core::adaptive::default_enabled(),
+            adaptive: false,
             tenants: None,
         }
     }
@@ -285,28 +282,6 @@ impl RunConfig {
     pub fn with_tenants(mut self, tenants: Option<TenantLayout>) -> Self {
         self.tenants = tenants;
         self
-    }
-
-    /// Canonical description of everything a probe verdict depends on
-    /// *except* the geometry being probed: mix, arrivals, horizon, seed,
-    /// the non-geometry log/flush/memory parameters and hint placement.
-    /// The persistent probe-verdict cache hashes this (together with the
-    /// engine-semantics version) into its file key. The geometry is
-    /// cleared — each cached entry carries its own full geometry — and the
-    /// trace is normalised away: it is itself a pure function of the
-    /// remaining fields. The adaptive flag is normalised away too: probes
-    /// run stop-on-kill, where the controller never engages, so verdicts
-    /// are shared across `--adaptive` on/off. The phase schedule *stays* in the key — a
-    /// different schedule is a different workload stream — and so does the
-    /// tenant layout: splitting the same load across tenant oid ranges
-    /// changes locality and garbage timing, so verdicts must not be shared
-    /// across tenancy shapes.
-    pub fn verdict_key(&self) -> String {
-        let mut canon = self.clone();
-        canon.el.log.generation_blocks = Vec::new();
-        canon.trace = None;
-        canon.adaptive = false;
-        format!("{canon:?}")
     }
 }
 
@@ -861,6 +836,7 @@ mod tests {
     fn adaptive_grows_under_a_drifting_workload() {
         let schedule = elog_workload::PhaseSchedule::paper(&[(0, 0.05), (10, 0.4)]);
         let base = quick_cfg(0.05, vec![18, 6], false, 60).with_phases(Some(schedule));
+        assert!(!base.adaptive, "paper() configs are controller-free");
         let frozen = run(&base);
         assert!(
             frozen.killed > 0,
@@ -887,32 +863,6 @@ mod tests {
         let r = run(&cfg);
         assert!(r.killed > 0);
         assert!(r.adaptive.is_none(), "probes measure fixed geometries");
-    }
-
-    #[test]
-    fn verdict_key_ignores_adaptive_but_keeps_phases() {
-        let base = quick_cfg(0.05, vec![18, 16], false, 30);
-        assert_eq!(
-            base.verdict_key(),
-            base.clone().adaptive(true).verdict_key()
-        );
-        let schedule = elog_workload::PhaseSchedule::paper(&[(0, 0.05), (10, 0.4)]);
-        assert_ne!(
-            base.verdict_key(),
-            base.clone().with_phases(Some(schedule)).verdict_key()
-        );
-    }
-
-    #[test]
-    fn verdict_key_keeps_the_tenant_layout() {
-        let base = quick_cfg(0.05, vec![18, 16], false, 30);
-        assert_ne!(
-            base.verdict_key(),
-            base.clone()
-                .with_tenants(Some(TenantLayout::even(1_000_000, 2)))
-                .verdict_key(),
-            "tenancy shape must key probe verdicts"
-        );
     }
 
     #[test]

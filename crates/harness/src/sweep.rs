@@ -257,6 +257,10 @@ pub struct ExecOptions {
     pub jobs: usize,
     /// Emit a stderr line as each scenario completes.
     pub progress: bool,
+    /// Analytic threshold + consumption certificates in every search a
+    /// scenario launches (`--no-analytic` clears it). Output is identical
+    /// either way; only the simulated probe volume differs.
+    pub analytic: bool,
 }
 
 impl Default for ExecOptions {
@@ -264,6 +268,7 @@ impl Default for ExecOptions {
         ExecOptions {
             jobs: default_jobs(),
             progress: false,
+            analytic: true,
         }
     }
 }
@@ -338,8 +343,9 @@ fn measure_minimum(
     Output::MinSpace { min, measured }
 }
 
-/// Runs one scenario's job with its derived seed.
-fn run_job(scenario: &Scenario) -> Output {
+/// Runs one scenario's job with its derived seed; `analytic` reaches
+/// every search the job launches.
+fn run_job(scenario: &Scenario, analytic: bool) -> Output {
     let seeded = |cfg: &RunConfig| cfg.clone().seed(derive_seed(cfg.seed, scenario.seed_index));
     match &scenario.job {
         Job::Measure(cfg) => Output::Measured(run(&seeded(cfg))),
@@ -348,7 +354,9 @@ fn run_job(scenario: &Scenario) -> Output {
             // Parallelism belongs to the scenario level (`--jobs`, which
             // already defaults to the machine's width): every search
             // launched from here runs its prefix scan on one thread.
-            let out = SearchRequest::with_mode(&base, mode.clone()).run();
+            let out = SearchRequest::with_mode(&base, mode.clone())
+                .analytic(analytic)
+                .run();
             assert!(out.feasible, "nothing feasible within {mode:?}");
             measure_minimum(&base, out.min, out.trace)
         }
@@ -372,13 +380,16 @@ fn run_job(scenario: &Scenario) -> Output {
             let mut norec = base.clone();
             norec.el.log.recirculation = false;
             let limits = LatticeLimits::uniform(2, *g0_max, *g1_limit);
-            let norec_out = SearchRequest::lattice(&norec, limits).run();
+            let norec_out = SearchRequest::lattice(&norec, limits)
+                .analytic(analytic)
+                .run();
             assert!(
                 norec_out.feasible,
                 "no feasible no-recirculation geometry within [{g0_max}, {g1_limit}]"
             );
             let g0 = norec_out.min.generation_blocks[0];
             let recirc_out = SearchRequest::fixed_prefix(&base, vec![g0], *g1_limit)
+                .analytic(analytic)
                 .seed_trace(norec_out.trace)
                 .run();
             assert!(
@@ -442,7 +453,7 @@ pub fn run_scenarios(scenarios: &[Scenario], opts: &ExecOptions) -> Vec<RunOutco
     let done = AtomicUsize::new(0);
     let results = parallel_map(scenarios, opts.jobs, |_, s| {
         let started = Instant::now();
-        let out = run_job(s);
+        let out = run_job(s, opts.analytic);
         if opts.progress {
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
             let wall = started.elapsed();
@@ -594,6 +605,7 @@ mod tests {
             &ExecOptions {
                 jobs: 1,
                 progress: false,
+                ..Default::default()
             },
         );
         assert!(outcomes[0].min_space().is_none());
@@ -624,6 +636,7 @@ mod tests {
             &ExecOptions {
                 jobs: 1,
                 progress: false,
+                ..Default::default()
             },
         );
         let parallel = run_scenarios(
@@ -631,6 +644,7 @@ mod tests {
             &ExecOptions {
                 jobs: 4,
                 progress: false,
+                ..Default::default()
             },
         );
         assert_eq!(serial.len(), parallel.len());

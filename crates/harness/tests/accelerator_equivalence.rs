@@ -6,7 +6,9 @@
 //! derived statistics as the exhaustive probe-only path; only the
 //! simulated event volume may shrink.
 
+use elog_harness::experiments::registry;
 use elog_harness::minspace::paper_base;
+use elog_harness::sweep::{run_scenarios, ExecOptions};
 use elog_harness::{LatticeLimits, MinSpaceResult, SearchRequest};
 
 fn assert_equivalent(on: &MinSpaceResult, off: &MinSpaceResult) {
@@ -95,4 +97,48 @@ fn lattice_search_is_equivalent_and_jobs_invariant() {
     );
     assert_eq!(on.min.search.cert_verdicts, par_on.min.search.cert_verdicts);
     assert_eq!(on.min.search.probe_events, par_on.min.search.probe_events);
+}
+
+#[test]
+fn registry_reports_are_identical_without_the_accelerators() {
+    // The registry-level claim `repro --no-analytic` exists to prove:
+    // `ExecOptions::analytic` reaches every search a scenario launches,
+    // the rendered tables and notes do not move, and only the simulated
+    // probe volume grows.
+    let render = |analytic| {
+        let exec = ExecOptions {
+            jobs: 1,
+            progress: false,
+            analytic,
+        };
+        let mut out = String::new();
+        let mut probe_events = 0;
+        for e in registry() {
+            let n = e.name();
+            if !(n.contains("scarce") || n.contains("fig_ngen")) {
+                continue;
+            }
+            let outcomes = run_scenarios(&e.scenarios(true), &exec);
+            for (slug, table) in e.tables(&outcomes) {
+                out += &format!("{slug}\n{}\n", table.render());
+            }
+            for note in e.notes(&outcomes) {
+                out += &format!("{note}\n");
+            }
+            probe_events += outcomes
+                .iter()
+                .filter_map(|o| o.output.perf())
+                .map(|p| p.search.probe_events)
+                .sum::<u64>();
+        }
+        (out, probe_events)
+    };
+    let (on, on_events) = render(true);
+    let (off, off_events) = render(false);
+    assert!(on.contains("fig_ngen") && on.contains("scarce"), "{on}");
+    assert_eq!(on, off, "--no-analytic changed a report");
+    assert!(
+        off_events > on_events,
+        "accelerators saved nothing: {off_events} vs {on_events}"
+    );
 }

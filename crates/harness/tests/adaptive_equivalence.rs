@@ -3,10 +3,10 @@
 //! that do not drift, and replayable on workloads that do.
 //!
 //! * On a *static* workload the controller observes, decides nothing,
-//!   and re-shapes nothing — so every report a `--adaptive` run renders
-//!   must be byte-identical to the controller-off run, at every worker
-//!   count. These tests are the API-level counterpart of ci.sh's
-//!   adaptive smoke (which diffs `elsim` stdout).
+//!   and re-shapes nothing — so every report rendered from scenarios
+//!   with `adaptive = true` must be byte-identical to the controller-off
+//!   run, at every worker count. These tests are the API-level
+//!   counterpart of ci.sh's adaptive smoke (which diffs `elsim` stdout).
 //! * On a *drifting* workload the controller's decisions are fully
 //!   captured by its reshape/hint timeline: re-simulating the same run
 //!   with a scripted controller that replays the timeline — no signals,
@@ -19,13 +19,14 @@ use elog_core::adaptive::{AdaptiveConfig, AdaptiveController};
 use elog_core::ElConfig;
 use elog_harness::experiments::registry_with;
 use elog_harness::runner::{build_model, RunConfig};
-use elog_harness::sweep::{run_experiments, ExecOptions};
+use elog_harness::sweep::{run_scenarios, ExecOptions, Job};
 use elog_model::{CommittedOracle, FlushConfig, LogConfig};
 use elog_workload::PhaseSchedule;
 
 /// Renders the measured-run slice of the quick registry the way `repro`
-/// prints it: every table, then every note, in registry order.
-fn render(jobs: usize) -> String {
+/// prints it — every table, then every note, in registry order — with
+/// `adaptive` set on every scenario's run configuration.
+fn render(jobs: usize, adaptive: bool) -> String {
     let experiments: Vec<_> = registry_with(2)
         .into_iter()
         .filter(|e| {
@@ -37,53 +38,54 @@ fn render(jobs: usize) -> String {
     let exec = ExecOptions {
         jobs,
         progress: false,
+        ..Default::default()
     };
-    let reports = run_experiments(&experiments, true, &exec);
     let mut out = String::new();
-    for report in &reports {
-        for (slug, table) in &report.tables {
-            out.push_str(slug);
+    for e in &experiments {
+        let mut scenarios = e.scenarios(true);
+        for s in &mut scenarios {
+            let cfg = match &mut s.job {
+                Job::Measure(cfg) | Job::CrashRecover(cfg) | Job::Hybrid(cfg) => cfg,
+                Job::MinSpace { base, .. } | Job::ElRecircMin { base, .. } => base,
+                Job::Serve(serve) => &mut serve.base,
+            };
+            cfg.adaptive = adaptive;
+        }
+        let outcomes = run_scenarios(&scenarios, &exec);
+        for (slug, table) in e.tables(&outcomes) {
+            out.push_str(&slug);
             out.push('\n');
             out.push_str(&table.render());
             out.push('\n');
         }
-        for note in &report.notes {
-            out.push_str(note);
+        for note in e.notes(&outcomes) {
+            out.push_str(&note);
             out.push('\n');
         }
     }
     out
 }
 
-/// A static-workload run with the controller on renders the same reports
-/// as the controller-off run, at jobs {1, 2, 4} — and the controller
-/// really was there, watching: its window decisions accrue while its
-/// reshape count stays zero.
-///
-/// One test function rather than a matrix of `#[test]`s because
-/// `--adaptive` is a process-wide default
-/// ([`elog_core::adaptive::set_default_enabled`]) and the test harness
-/// runs functions in parallel: mutating the global from several tests
-/// would race. The scripted test below sets `cfg.adaptive` directly and
-/// never touches the global.
+/// A static-workload sweep with the controller on renders the same
+/// reports as the controller-off run, at jobs {1, 2, 4}.
 #[test]
 fn static_reports_are_controller_and_jobs_invariant() {
-    elog_core::adaptive::set_default_enabled(false);
-    let baseline = render(1);
+    let baseline = render(1, false);
     assert!(!baseline.is_empty(), "experiments produced no report");
-    elog_core::adaptive::set_default_enabled(true);
     for jobs in [1usize, 2, 4] {
-        let got = render(jobs);
         assert_eq!(
-            baseline, got,
+            baseline,
+            render(jobs, true),
             "controller changed a static-workload report at jobs={jobs}"
         );
     }
-    elog_core::adaptive::set_default_enabled(false);
+}
 
-    // The non-vacuity half: a plain static run with the controller on
-    // makes zero reshapes (while demonstrably observing windows) and
-    // reproduces the controller-off run's results exactly.
+/// The non-vacuity half: a plain static run with the controller on makes
+/// zero reshapes (while demonstrably observing windows) and reproduces
+/// the controller-off run's results exactly.
+#[test]
+fn static_run_is_observed_but_never_reshaped() {
     let cfg = static_cfg(0.05, vec![18, 16], 40);
     let off = digest(&cfg.clone().adaptive(false));
     let on_cfg = cfg.adaptive(true);

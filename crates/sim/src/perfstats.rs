@@ -93,20 +93,6 @@ pub struct SearchStats {
     /// probe count — matches the probe-only search; only `probe_events`
     /// shrinks.
     pub cert_verdicts: u64,
-    /// Probe verdicts answered by the persistent probe-verdict cache
-    /// (`--probe-cache`): an exact on-disk verdict for this geometry under
-    /// this workload fingerprint, so no simulation ran. Counted in
-    /// `sim_probes` (and `replay_probes` when a trace was present) exactly
-    /// like the probe it replaced, so printed probe counts match the
-    /// uncached search; only `probe_events` shrinks.
-    pub cache_hits: u64,
-    /// Probes that consulted an enabled cache, found no entry, and fell
-    /// through to live simulation. When a cache is enabled this equals the
-    /// number of live probe executions — a fully warm rerun reports 0.
-    pub cache_misses: u64,
-    /// Verdicts the cache file seeded into the search before any probe ran
-    /// (0 when `--probe-cache` is off or the file was cold/corrupt).
-    pub cache_seeded: u64,
 }
 
 impl SearchStats {
@@ -147,9 +133,6 @@ impl SearchStats {
         self.pruned_volume += other.pruned_volume;
         self.analytic_rejections += other.analytic_rejections;
         self.cert_verdicts += other.cert_verdicts;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_seeded += other.cache_seeded;
     }
 }
 
@@ -404,9 +387,6 @@ mod tests {
                 pruned_volume: 11,
                 analytic_rejections: 2,
                 cert_verdicts: 5,
-                cache_hits: 7,
-                cache_misses: 8,
-                cache_seeded: 9,
                 ..SearchStats::default()
             },
         };

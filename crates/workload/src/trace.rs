@@ -81,36 +81,6 @@ impl WorkloadTrace {
             + self.oids.capacity() * std::mem::size_of::<Oid>()
     }
 
-    /// Content fingerprint of the capture: a 64-bit FNV-1a hash over every
-    /// transaction (arrival micros, type index, oid-slot offset), every oid
-    /// slot, and the horizon. Two traces fingerprint equal iff replay would
-    /// deliver the same workload, so the persistent probe-verdict cache uses
-    /// this as a staleness check: a cache file recorded under a different
-    /// capture must be discarded, whatever its key said.
-    pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.txns.len() as u64);
-        for t in &self.txns {
-            mix(t.at.as_micros());
-            mix(u64::from(t.type_idx));
-            mix(u64::from(t.oid_start));
-        }
-        mix(self.oids.len() as u64);
-        for oid in &self.oids {
-            mix(oid.0);
-        }
-        mix(self.horizon.as_micros());
-        h
-    }
-
     /// Checks that a replay under `horizon` would be exact: the trace must
     /// have been captured under the *same* arrival horizon (a longer one
     /// would be missing arrivals, a shorter one would replay arrivals the

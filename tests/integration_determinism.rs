@@ -107,6 +107,7 @@ fn quick_fig4_report_is_byte_stable_across_processes() {
     let exec = ExecOptions {
         jobs: 2,
         progress: false,
+        ..Default::default()
     };
     let first = render_like_repro(&run_experiments(&experiments, true, &exec));
     let second = render_like_repro(&run_experiments(&experiments, true, &exec));

@@ -9,6 +9,7 @@ fn exec(jobs: usize) -> ExecOptions {
     ExecOptions {
         jobs,
         progress: false,
+        ..Default::default()
     }
 }
 
