@@ -98,6 +98,13 @@ impl StableDb {
     pub fn iter(&self) -> impl Iterator<Item = (Oid, ObjectVersion)> + '_ {
         self.versions.iter().map(|(&o, &v)| (o, v))
     }
+
+    /// The whole version table, borrowed. Recovery starts from a clone of
+    /// it: for `Copy` entries that is a copy of the table's memory, with
+    /// no hashing and no growth.
+    pub fn versions(&self) -> &FxHashMap<Oid, ObjectVersion> {
+        &self.versions
+    }
 }
 
 /// Ground-truth committed state, maintained by the workload/test harness.

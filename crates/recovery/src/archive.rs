@@ -31,7 +31,8 @@ pub enum ArchiveError {
     BadMagic,
     /// A block failed to decode (its codec error is attached).
     BadBlock(CodecError),
-    /// A length prefix pointed beyond the file (torn write).
+    /// A file ended inside a length prefix, a block or a stable-database
+    /// entry it had announced (torn write).
     Torn,
 }
 
@@ -47,12 +48,21 @@ impl std::fmt::Display for ArchiveError {
             ArchiveError::Io(e) => write!(f, "archive i/o: {e}"),
             ArchiveError::BadMagic => write!(f, "archive has wrong magic"),
             ArchiveError::BadBlock(e) => write!(f, "archive block corrupt: {e}"),
-            ArchiveError::Torn => write!(f, "archive truncated mid-block"),
+            ArchiveError::Torn => write!(f, "archive truncated mid-write"),
         }
     }
 }
 
 impl std::error::Error for ArchiveError {}
+
+/// A file that ends inside something it announced was torn mid-write.
+fn torn_on_eof(e: io::Error) -> ArchiveError {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        ArchiveError::Torn
+    } else {
+        ArchiveError::Io(e)
+    }
+}
 
 /// Writes one generation's blocks as `gen-<i>.elog` files plus the stable
 /// database as `stable.elog` under `dir`. Returns the number of blocks
@@ -101,26 +111,27 @@ pub fn load_archive(dir: &Path) -> Result<(LogImage, StableDb), ArchiveError> {
         }
         let mut r = BufReader::new(File::open(path)?);
         let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
+        r.read_exact(&mut magic).map_err(torn_on_eof)?;
         if &magic != GEN_MAGIC {
             return Err(ArchiveError::BadMagic);
         }
         loop {
-            let mut len = [0u8; 4];
-            match r.read_exact(&mut len) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e.into()),
+            // Zero bytes of a length prefix is the end of the file; one to
+            // three is a write torn inside the prefix.
+            let mut len = Vec::with_capacity(4);
+            r.by_ref().take(4).read_to_end(&mut len)?;
+            let n = match len.as_slice() {
+                [] => break,
+                &[a, b, c, d] => u32::from_le_bytes([a, b, c, d]),
+                _ => return Err(ArchiveError::Torn),
+            };
+            // Read what the file holds, not what the prefix claims: a
+            // garbage prefix must not size an allocation.
+            let mut buf = Vec::new();
+            r.by_ref().take(u64::from(n)).read_to_end(&mut buf)?;
+            if buf.len() < n as usize {
+                return Err(ArchiveError::Torn);
             }
-            let n = u32::from_le_bytes(len) as usize;
-            let mut buf = vec![0u8; n];
-            r.read_exact(&mut buf).map_err(|e| {
-                if e.kind() == io::ErrorKind::UnexpectedEof {
-                    ArchiveError::Torn
-                } else {
-                    ArchiveError::Io(e)
-                }
-            })?;
             encoded.push(buf);
         }
         gi += 1;
@@ -131,23 +142,24 @@ pub fn load_archive(dir: &Path) -> Result<(LogImage, StableDb), ArchiveError> {
     let path = dir.join("stable.elog");
     if path.exists() {
         let mut r = BufReader::new(File::open(path)?);
+        let mut read = |buf: &mut [u8]| r.read_exact(buf).map_err(torn_on_eof);
         let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
+        read(&mut magic)?;
         if &magic != DB_MAGIC {
             return Err(ArchiveError::BadMagic);
         }
         let mut count = [0u8; 8];
-        r.read_exact(&mut count)?;
+        read(&mut count)?;
         for _ in 0..u64::from_le_bytes(count) {
             let mut b8 = [0u8; 8];
             let mut b4 = [0u8; 4];
-            r.read_exact(&mut b8)?;
+            read(&mut b8)?;
             let oid = Oid(u64::from_le_bytes(b8));
-            r.read_exact(&mut b8)?;
+            read(&mut b8)?;
             let tid = Tid(u64::from_le_bytes(b8));
-            r.read_exact(&mut b4)?;
+            read(&mut b4)?;
             let seq = u32::from_le_bytes(b4);
-            r.read_exact(&mut b8)?;
+            read(&mut b8)?;
             let ts = SimTime::from_micros(u64::from_le_bytes(b8));
             stable.install(oid, ObjectVersion { tid, seq, ts });
         }
@@ -248,6 +260,57 @@ mod tests {
         match load_archive(&dir) {
             Err(ArchiveError::Torn) => {}
             other => panic!("expected Torn, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_length_prefix_detected() {
+        // 1–3 bytes of a length prefix are a torn write, not the end of
+        // the file; 0 bytes (cut exactly after a block) is the clean end.
+        let dir = temp_dir("torn-prefix");
+        save_archive(&dir, &sample_surface(), &StableDb::new()).unwrap();
+        let path = dir.join("gen-1.elog");
+        let whole = std::fs::read(&path).unwrap();
+        for extra in 1..=3 {
+            let mut data = whole.clone();
+            data.extend_from_slice(&[0x30, 0, 0][..extra]);
+            std::fs::write(&path, &data).unwrap();
+            match load_archive(&dir) {
+                Err(ArchiveError::Torn) => {}
+                other => panic!("{extra} prefix bytes: expected Torn, got {other:?}"),
+            }
+        }
+        std::fs::write(&path, &whole).unwrap();
+        assert_eq!(load_archive(&dir).unwrap().0.stats.blocks, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_stable_file_detected() {
+        let dir = temp_dir("torn-stable");
+        let mut stable = StableDb::new();
+        for oid in 0..3 {
+            stable.install(
+                Oid(oid),
+                ObjectVersion {
+                    tid: Tid(1),
+                    seq: 1,
+                    ts: SimTime::from_millis(oid),
+                },
+            );
+        }
+        save_archive(&dir, &sample_surface(), &stable).unwrap();
+        let path = dir.join("stable.elog");
+        let whole = std::fs::read(&path).unwrap();
+        // Inside the magic, the count, and an entry (between and within
+        // its fields).
+        for keep in [3, 12, 16 + 28, 16 + 28 + 8, whole.len() - 1] {
+            std::fs::write(&path, &whole[..keep]).unwrap();
+            match load_archive(&dir) {
+                Err(ArchiveError::Torn) => {}
+                other => panic!("cut at {keep}: expected Torn, got {other:?}"),
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,8 +1,8 @@
 //! The log scan: collect every record readable from the disk surface.
 
-use elog_model::{LogRecord, Oid, Tid, TxMark};
+use elog_model::{GenId, LogRecord, Oid, Tid, TxMark};
 use elog_sim::FxHashSet;
-use elog_storage::{decode_block, Block, CodecError};
+use elog_storage::{block::BlockAddr, decode_block_into, Block, CodecError};
 
 /// Everything the scan learned from the surface.
 #[derive(Clone, Debug, Default)]
@@ -16,8 +16,6 @@ pub struct LogImage {
     /// Tids with a durable ABORT record (written only by clients that use
     /// explicit abort records; the simulator's aborts leave none).
     pub aborted: FxHashSet<Tid>,
-    /// Tids seen at all (any record kind).
-    pub seen_txns: FxHashSet<Tid>,
     /// Scan statistics.
     pub stats: ScanStats,
 }
@@ -59,22 +57,16 @@ impl LogImage {
         for rec in &block.records {
             self.stats.records += 1;
             match rec {
-                LogRecord::Tx(t) => {
-                    self.seen_txns.insert(t.tid);
-                    match t.mark {
-                        TxMark::Commit => {
-                            self.committed.insert(t.tid);
-                        }
-                        TxMark::Abort => {
-                            self.aborted.insert(t.tid);
-                        }
-                        TxMark::Begin => {}
+                LogRecord::Tx(t) => match t.mark {
+                    TxMark::Commit => {
+                        self.committed.insert(t.tid);
                     }
-                }
-                LogRecord::Data(d) => {
-                    self.seen_txns.insert(d.tid);
-                    self.data.push(*d);
-                }
+                    TxMark::Abort => {
+                        self.aborted.insert(t.tid);
+                    }
+                    TxMark::Begin => {}
+                },
+                LogRecord::Data(d) => self.data.push(*d),
             }
         }
     }
@@ -111,9 +103,15 @@ where
 {
     let mut image = LogImage::default();
     let mut errors = Vec::new();
+    // One record buffer for the whole image: the scan allocates per image,
+    // not per block.
+    let mut scratch = Block::new(BlockAddr {
+        gen: GenId(0),
+        seq: 0,
+    });
     for bytes in blocks {
-        match decode_block(bytes) {
-            Ok(block) => image.ingest(&block),
+        match decode_block_into(bytes, &mut scratch) {
+            Ok(()) => image.ingest(&scratch),
             Err(e) => {
                 // A corrupt block was still an attempted read: count it in
                 // `blocks` so totals and the corruption *rate* are right.
@@ -130,9 +128,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elog_model::{DataRecord, GenId, TxRecord};
+    use elog_model::{DataRecord, TxRecord};
     use elog_sim::SimTime;
-    use elog_storage::block::BlockAddr;
 
     fn block(gen: u8, seq: u64, records: Vec<LogRecord>) -> Block {
         let mut b = Block::new(BlockAddr {
@@ -178,7 +175,6 @@ mod tests {
         assert_eq!(image.data.len(), 1);
         assert!(image.committed.contains(&Tid(1)));
         assert!(image.aborted.contains(&Tid(2)));
-        assert_eq!(image.seen_txns.len(), 2);
         assert_eq!(image.stats.blocks, 2);
         assert_eq!(image.stats.records, 4);
     }
@@ -221,6 +217,24 @@ mod tests {
         assert_eq!(image.stats.blocks, 2);
         assert_eq!(image.stats.decoded_blocks, 1);
         assert!((image.stats.corrupt_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn forged_record_count_is_one_corrupt_block_and_the_scan_goes_on() {
+        // The header is outside `body_crc`: a torn header claiming 2^32 − 1
+        // records must cost one skipped block, not the process.
+        let before = block(0, 0, vec![data(1, 5, 1, 1)]).to_bytes();
+        let mut forged = block(0, 1, vec![data(2, 6, 1, 2), tx(2, TxMark::Commit, 3)]).to_bytes();
+        forged[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        let after = block(0, 2, vec![data(3, 7, 1, 4), tx(3, TxMark::Commit, 5)]).to_bytes();
+        let (image, errors) = scan_bytes([before.as_slice(), forged.as_slice(), after.as_slice()]);
+        assert_eq!(errors, vec![CodecError::Truncated]);
+        assert_eq!(image.stats.corrupt_blocks, 1);
+        assert_eq!(image.stats.decoded_blocks, 2);
+        assert_eq!(image.stats.records, 3, "nothing of the forged block");
+        let oids: Vec<u64> = image.data.iter().map(|d| d.oid.get()).collect();
+        assert_eq!(oids, [5, 7]);
+        assert!(image.committed.contains(&Tid(3)) && !image.committed.contains(&Tid(2)));
     }
 
     #[test]

@@ -29,6 +29,8 @@ pub mod ring;
 
 pub use block::{Block, BlockAddr};
 pub use checksum::crc32;
-pub use codec::{decode_block, encode_block, encode_surface, surface_bytes, CodecError};
+pub use codec::{
+    decode_block, decode_block_into, encode_block, encode_surface, surface_bytes, CodecError,
+};
 pub use device::{DeviceStats, LogDevice};
 pub use ring::BlockRing;
