@@ -53,7 +53,7 @@ impl SimpleHost {
     /// Delivers every pending timer scheduled at or before `until`, then
     /// advances the clock to `until`.
     pub fn run_until(&mut self, until: SimTime) {
-        // Fused peek-and-pop: one heap access per delivered timer.
+        // Fused peek-and-pop: one queue access per delivered timer.
         while let Some((at, timer)) = self.queue.pop_at_or_before(until) {
             debug_assert!(at >= self.now);
             self.now = at;

@@ -216,8 +216,9 @@ mod tests {
     fn committed_snapshots_parse_to_their_gated_values() {
         // Four schema generations: lattice + recovery only; with the
         // since-deleted sharding section; the last six-section report; the
-        // gate-only report, twice (before and after the recovery byte path
-        // got ≈ 4× faster). The parser must read the same gated values
+        // gate-only report, three times (before and after the recovery byte
+        // path got ≈ 4× faster, then the first with the timing-wheel event
+        // queue). The parser must read the same gated values
         // from each and ignore the rest, whatever order a later writer
         // puts the sections in.
         let snapshots = [
@@ -240,6 +241,10 @@ mod tests {
             (
                 include_str!("../../../BENCH_2026-10-02.json"),
                 (861_842.0, 20_643_658.0, 163_191_763.0),
+            ),
+            (
+                include_str!("../../../BENCH_2026-10-03.json"),
+                (1_359_795.0, 19_829_713.0, 158_641_014.0),
             ),
         ];
         let parsed = snapshots.map(|(json, (events, scan, redo))| {

@@ -30,7 +30,7 @@ fn main() {
                 r.aggregate.started,
                 r.aggregate.committed,
                 r.aggregate.killed,
-                r.mean_commit_latency_ms,
+                r.p50_commit_latency_ms,
             )
         );
     } else {

@@ -79,7 +79,7 @@ fn main() {
             r.started,
             r.committed,
             r.killed,
-            r.mean_commit_latency_ms,
+            r.p50_commit_latency_ms,
         )
     );
     if let Some(ad) = &r.adaptive {

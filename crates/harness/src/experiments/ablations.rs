@@ -185,7 +185,7 @@ pub fn table(points: &[AblationPoint]) -> Table {
             m.stats.buffer_stalls.to_string(),
             m.peak_memory_bytes.to_string(),
             p.measured
-                .mean_commit_latency_ms
+                .p50_commit_latency_ms
                 .map_or_else(|| "-".into(), |v| f(v, 1)),
         ]);
     }

@@ -556,8 +556,9 @@ pub struct RunResult {
     /// Kills, as the drivers count them: under a serve admission budget
     /// this includes refused arrivals, which never reach the manager.
     pub killed: u64,
-    /// Mean commit-ack latency in milliseconds, if any commits happened.
-    pub mean_commit_latency_ms: Option<f64>,
+    /// Median (p50) commit-ack latency in milliseconds, as the histogram's
+    /// bucket upper bound, if any commits happened.
+    pub p50_commit_latency_ms: Option<f64>,
     /// Virtual time at which the run ended (= horizon unless stopped
     /// early by a kill).
     pub ended_at: SimTime,
@@ -729,7 +730,7 @@ pub(crate) fn snapshot(
         started: sum(|s| s.started),
         committed: sum(|s| s.committed),
         killed: sum(|s| s.killed),
-        mean_commit_latency_ms: ack_latency.quantile(0.5),
+        p50_commit_latency_ms: ack_latency.quantile(0.5),
         ended_at,
         data_records: sum(|s| s.data_records),
         horizon: cfg.runtime,

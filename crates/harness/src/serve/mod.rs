@@ -273,7 +273,7 @@ pub struct ServeOutcome {
     pub aggregate: TenantReport,
     /// p50 commit-*ack* latency (t4 − t3) across tenants, ms — the same
     /// statistic the single-run report prints, kept for the 1-tenant pin.
-    pub mean_commit_latency_ms: Option<f64>,
+    pub p50_commit_latency_ms: Option<f64>,
     /// Virtual time at which the run ended.
     pub ended_at: SimTime,
     /// The arrival horizon all rates were computed over.
@@ -359,7 +359,7 @@ pub fn serve_run_recorded(
         metrics: run.metrics,
         per_tenant,
         aggregate,
-        mean_commit_latency_ms: run.mean_commit_latency_ms,
+        p50_commit_latency_ms: run.p50_commit_latency_ms,
         ended_at,
         horizon,
         perf: run.perf,

@@ -33,7 +33,7 @@ fn observable(r: &RunResult) -> String {
         r.started,
         r.committed,
         r.killed,
-        r.mean_commit_latency_ms,
+        r.p50_commit_latency_ms,
         r.ended_at,
         r.data_records,
         r.horizon
@@ -58,7 +58,7 @@ fn report_lines(label: &str, r: &RunResult) -> String {
         r.killed.to_string(),
         f(r.metrics.log_write_rate, 2),
         r.metrics.peak_memory_bytes.to_string(),
-        r.mean_commit_latency_ms
+        r.p50_commit_latency_ms
             .map(|v| f(v, 3))
             .unwrap_or_else(|| "-".into()),
     ]);

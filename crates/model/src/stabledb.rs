@@ -19,6 +19,7 @@
 
 use crate::ids::{Oid, Tid};
 use elog_sim::{FxHashMap, SimTime};
+use std::collections::hash_map::Entry;
 
 /// One installed (or committed) version of an object.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -63,14 +64,21 @@ impl StableDb {
     /// version is independent of flush-completion order even when two
     /// transactions stamped the same instant.
     pub fn install(&mut self, oid: Oid, version: ObjectVersion) -> bool {
-        let newer = match self.versions.get(&oid) {
-            Some(v) => version.order_key() > v.order_key(),
-            None => true,
+        // One probe: the table is the run's largest and far out of cache.
+        let newer = match self.versions.entry(oid) {
+            Entry::Occupied(mut held) => {
+                let newer = version.order_key() > held.get().order_key();
+                if newer {
+                    held.insert(version);
+                }
+                newer
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(version);
+                true
+            }
         };
-        if newer {
-            self.versions.insert(oid, version);
-            self.installs += 1;
-        }
+        self.installs += u64::from(newer);
         newer
     }
 

@@ -114,7 +114,7 @@ impl<M: Simulate> Engine<M> {
     /// fires, events after it stay queued), the queue empties, or the model
     /// requests a stop. Returns the virtual time at exit.
     pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        // Fused peek-and-pop: one heap access per delivered event.
+        // Fused peek-and-pop: one queue access per delivered event.
         while let Some((at, event)) = self.queue.pop_at_or_before(horizon) {
             debug_assert!(
                 at >= self.now,
@@ -129,18 +129,6 @@ impl<M: Simulate> Engine<M> {
             }
         }
         self.now
-    }
-
-    /// Delivers exactly one event, if any is pending. Returns its time.
-    ///
-    /// Useful for unit tests that single-step a model.
-    pub fn step(&mut self) -> Option<SimTime> {
-        let (at, event) = self.queue.pop()?;
-        debug_assert!(at >= self.now);
-        self.now = at;
-        self.events_processed += 1;
-        self.model.handle(at, event, &mut self.queue);
-        Some(at)
     }
 }
 
@@ -225,14 +213,6 @@ mod tests {
         e.run_to_completion();
         assert_eq!(e.now(), SimTime::from_micros(2));
         assert_eq!(e.model().log.len(), 3); // t=0,1,2
-    }
-
-    #[test]
-    fn step_delivers_one_event() {
-        let mut e = Engine::new(recorder());
-        e.queue_mut().schedule(SimTime::from_millis(4), 9);
-        assert_eq!(e.step(), Some(SimTime::from_millis(4)));
-        assert_eq!(e.step(), None);
     }
 
     #[test]

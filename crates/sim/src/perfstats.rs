@@ -23,11 +23,12 @@ pub struct QueueStats {
     pub scheduled: u64,
     /// Effective `cancel` calls.
     pub cancelled: u64,
-    /// Dead heap entries discarded (lazily on pop or by compaction).
+    /// Tombstones discarded (lazily on pop or by compaction).
     pub tombstones_discarded: u64,
     /// Compaction passes.
     pub compactions: u64,
-    /// Greatest physical heap length (live + tombstones).
+    /// Greatest number of pending entries the queue ever held: live events
+    /// plus the tombstones not yet discarded.
     pub heap_peak: usize,
 }
 
@@ -41,7 +42,7 @@ impl QueueStats {
         }
     }
 
-    /// Accumulates another queue's counters (heap peak takes the max).
+    /// Accumulates another queue's counters (the peak takes the max).
     pub fn merge(&mut self, other: &QueueStats) {
         self.scheduled += other.scheduled;
         self.cancelled += other.cancelled;

@@ -185,6 +185,19 @@ pub struct Histogram {
     total: u64,
     min: f64,
     max: f64,
+    shape: Shape,
+}
+
+/// What the constructor knew about how the bounds are spaced: enough for
+/// [`Histogram::record`] to guess a sample's bucket instead of searching.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// `bounds[i] = (i + 1) / buckets_per_unit`.
+    Linear { buckets_per_unit: f64 },
+    /// `bounds[i] = lo · e^(i / buckets_per_e)`.
+    Geometric { lo: f64, buckets_per_e: f64 },
+    /// Hand-written bounds: no guess.
+    Unknown,
 }
 
 impl Histogram {
@@ -207,13 +220,19 @@ impl Histogram {
             total: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
+            shape: Shape::Unknown,
         }
     }
 
     /// Evenly spaced bounds over `[0, hi]` with `n` buckets (plus overflow).
     pub fn linear(hi: f64, n: usize) -> Self {
         assert!(n > 0 && hi > 0.0);
-        Self::new((1..=n).map(|i| hi * i as f64 / n as f64).collect())
+        Histogram {
+            shape: Shape::Linear {
+                buckets_per_unit: n as f64 / hi,
+            },
+            ..Self::new((1..=n).map(|i| hi * i as f64 / n as f64).collect())
+        }
     }
 
     /// Geometrically spaced bounds from `lo` to at least `hi` with
@@ -229,7 +248,13 @@ impl Histogram {
             let next = bounds.last().expect("non-empty") * step;
             bounds.push(next);
         }
-        Self::new(bounds)
+        Histogram {
+            shape: Shape::Geometric {
+                lo,
+                buckets_per_e: 1.0 / step.ln(),
+            },
+            ..Self::new(bounds)
+        }
     }
 
     /// Adds every sample of `other` into `self` — the aggregation step when
@@ -253,9 +278,32 @@ impl Histogram {
         }
     }
 
+    /// The bucket of `x`: the number of bounds below it. The shape's guess
+    /// is taken only when the bounds on either side of it confirm it —
+    /// rounding at an edge, `NaN` and the infinities fall through to the
+    /// search, so the choice is the search's for every input.
+    #[inline]
+    fn bucket(&self, x: f64) -> usize {
+        let guess = match self.shape {
+            Shape::Linear { buckets_per_unit } => (x * buckets_per_unit).ceil() - 1.0,
+            Shape::Geometric { lo, buckets_per_e } => ((x / lo).ln() * buckets_per_e).ceil(),
+            Shape::Unknown => 0.0,
+        };
+        // `as` saturates: negatives and NaN guess the first bucket, +inf
+        // the overflow bucket.
+        let g = (guess as usize).min(self.bounds.len());
+        let above = g == 0 || self.bounds[g - 1] < x;
+        let within = g == self.bounds.len() || x <= self.bounds[g];
+        if above && within {
+            g
+        } else {
+            self.bounds.partition_point(|&b| b < x)
+        }
+    }
+
     /// Records one sample.
     pub fn record(&mut self, x: f64) {
-        let idx = self.bounds.partition_point(|&b| b < x);
+        let idx = self.bucket(x);
         self.counts[idx] += 1;
         self.total += 1;
         self.min = self.min.min(x);
@@ -485,6 +533,61 @@ mod tests {
         let mut h = Histogram::new(vec![1.0, 2.0]);
         h.record(1.0); // exactly on a bound → that bucket
         assert_eq!(h.buckets().next().unwrap().1, 1);
+    }
+
+    /// Guess-and-verify against the plain search on one seed's shapes.
+    fn bucket_case(seed: u64) {
+        let mut rng = crate::rng::SimRng::new(seed);
+        let mut unit = move || rng.next_f64();
+        let hi = 1.0 + unit() * 1e5;
+        let mut written = vec![unit() - 0.5];
+        for _ in 0..(unit() * 40.0) as usize {
+            written.push(written.last().expect("non-empty") + 1e-9 + unit() * 10.0);
+        }
+        let shapes = [
+            Histogram::linear(60_000.0, 240),
+            Histogram::linear(hi, 1 + (unit() * 300.0) as usize),
+            Histogram::geometric(0.01 + unit(), hi * 10.0, 1 + (unit() * 40.0) as usize),
+            Histogram::new(written),
+        ];
+        for (which, h) in shapes.iter().enumerate() {
+            let (first, last) = (h.bounds[0], h.bounds[h.bounds.len() - 1]);
+            let edges = h
+                .bounds
+                .iter()
+                .flat_map(|&b| [b.next_down(), b, b.next_up()]);
+            let special = [0.0, -0.0, -1.0, -hi, f64::MIN_POSITIVE, f64::MAX]
+                .into_iter()
+                .chain([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+            let random: Vec<f64> = (0..2_000)
+                .map(|_| first - 1.0 + unit() * (last - first + 2.0) * 1.1)
+                .collect();
+            for x in edges.chain(special).chain(random) {
+                assert_eq!(
+                    h.bucket(x),
+                    h.bounds.partition_point(|&b| b < x),
+                    "seed {seed:#x} shape {which} ({:?}) sample {x:e}",
+                    h.shape
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_guess_matches_partition_point() {
+        // One case when a failure is being replayed, the basket otherwise.
+        if let Ok(seed) = std::env::var("HIST_SEED") {
+            let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
+            return bucket_case(seed);
+        }
+        for k in 1..=40u64 {
+            let seed = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k);
+            assert!(
+                std::panic::catch_unwind(|| bucket_case(seed)).is_ok(),
+                "case seed {seed:#x} failed (panic above)\nrepro: HIST_SEED={seed:#x} \
+                 cargo test --offline -p elog-sim --lib stats::tests::histogram_guess"
+            );
+        }
     }
 
     #[test]

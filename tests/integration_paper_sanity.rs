@@ -111,7 +111,7 @@ fn group_commit_latency_is_tens_of_milliseconds() {
     // A block fills in ~2000 B / 22.6 KB/s ≈ 88 ms; commits wait on
     // average half a fill plus the 15 ms transfer.
     let el = run(&paper_cfg(0.05, vec![18, 16], false, 30));
-    let p50 = el.mean_commit_latency_ms.expect("commits happened");
+    let p50 = el.p50_commit_latency_ms.expect("commits happened");
     assert!(
         (15.0..150.0).contains(&p50),
         "p50 commit latency {p50} ms out of range"

@@ -37,10 +37,7 @@ fn one_tenant_serve_matches_the_classic_run() {
     assert_eq!(served.aggregate.killed, classic.killed);
     assert_eq!(served.aggregate.throttled, 0);
     assert_eq!(served.aggregate.data_records, classic.data_records);
-    assert_eq!(
-        served.mean_commit_latency_ms,
-        classic.mean_commit_latency_ms
-    );
+    assert_eq!(served.p50_commit_latency_ms, classic.p50_commit_latency_ms);
     assert_eq!(
         format!("{:?}", served.metrics),
         format!("{:?}", classic.metrics)
