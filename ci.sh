@@ -13,6 +13,19 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --offline --release --workspace
 
+echo "== repro --quick stdout pin =="
+# Every PR that claims "no model change" claims this md5; it used to live
+# only in prose. stdout carries the tables and notes, nothing host- or
+# time-dependent (progress and timing go to stderr), and is the same at any
+# --jobs. A deliberate model change re-pins it in the same commit.
+REPRO_PIN=52c20ef98f4da569e063d1ca4b26c4e1
+REPRO_MD5=$(./target/release/repro --quick --jobs 1 2>/dev/null | md5sum | cut -d' ' -f1)
+if [ "$REPRO_MD5" != "$REPRO_PIN" ]; then
+    echo "repro --quick stdout md5 is $REPRO_MD5, pinned $REPRO_PIN:" >&2
+    echo "the model's results moved. If that is the point of the change, re-pin." >&2
+    exit 1
+fi
+
 echo "== benchmark/check.sh =="
 # benchmark/ is its own workspace that path-depends on these crates, so
 # nothing else here compiles it. It runs first after the build so a broken

@@ -27,8 +27,8 @@ use crate::types::{Effects, LmTimer};
 use elog_dbdisk::{FlushArray, Submitted};
 use elog_model::config::ConfigError;
 use elog_model::{
-    DataRecord, DbConfig, FlushConfig, LogConfig, LogRecord, ObjectVersion, Oid, StableDb, Tid,
-    TxMark, TxRecord,
+    DataRecord, DbConfig, FlushConfig, InstallLog, LogConfig, LogRecord, ObjectVersion, Oid,
+    StableDb, Tid, TxMark, TxRecord,
 };
 use elog_sim::FxHashMap;
 use elog_sim::{MaxGauge, SimTime};
@@ -90,7 +90,7 @@ pub struct HybridManager {
     queues: Vec<HQueue>,
     device: LogDevice,
     flush: FlushArray,
-    stable: StableDb,
+    stable: InstallLog,
     txns: FxHashMap<Tid, HTxn>,
     inflight: FxHashMap<u64, (usize, Block)>,
     next_write_id: u64,
@@ -126,7 +126,7 @@ impl HybridManager {
             queues,
             device,
             flush: flush_array,
-            stable: StableDb::new(),
+            stable: InstallLog::new(),
             txns: FxHashMap::default(),
             inflight: FxHashMap::default(),
             next_write_id: 0,
@@ -552,7 +552,7 @@ impl HybridManager {
 
     /// The stable database.
     pub fn stable_db(&self) -> &StableDb {
-        &self.stable
+        self.stable.db()
     }
 }
 

@@ -27,7 +27,9 @@ use crate::types::{
 };
 use elog_dbdisk::{FlushArray, Submitted};
 use elog_model::config::ConfigError;
-use elog_model::{DataRecord, LogRecord, ObjectVersion, Oid, StableDb, Tid, TxMark, TxRecord};
+use elog_model::{
+    DataRecord, InstallLog, LogRecord, ObjectVersion, Oid, StableDb, Tid, TxMark, TxRecord,
+};
 use elog_sim::FxHashMap;
 use elog_sim::{Histogram, MaxGauge, SimTime};
 use elog_storage::{Block, BlockRing, LogDevice};
@@ -67,7 +69,7 @@ pub struct ElManager {
     pub(crate) gens: Vec<Gen>,
     pub(crate) device: LogDevice,
     pub(crate) flush: FlushArray,
-    pub(crate) stable: StableDb,
+    pub(crate) stable: InstallLog,
     pub(crate) holds: Vec<Hold>,
     pub(crate) inflight: FxHashMap<u64, Inflight>,
     pub(crate) next_write_id: u64,
@@ -128,7 +130,7 @@ impl ElManager {
             gens,
             device,
             flush,
-            stable: StableDb::new(),
+            stable: InstallLog::new(),
             holds: Vec::new(),
             inflight: FxHashMap::default(),
             next_write_id: 0,
@@ -600,7 +602,7 @@ impl ElManager {
 
     /// The stable database (flushed versions).
     pub fn stable_db(&self) -> &StableDb {
-        &self.stable
+        self.stable.db()
     }
 
     /// The flush array (locality and utilisation statistics).

@@ -69,6 +69,12 @@ impl Drive {
         self.in_service.is_some()
     }
 
+    /// The request whose transfer is in progress: what the next
+    /// [`Drive::finish_service`] will return.
+    pub fn in_service(&self) -> Option<(Oid, ObjectVersion)> {
+        self.in_service.map(|(oid, version, _)| (oid, version))
+    }
+
     /// Pending (queued, not in-service) request count.
     pub fn pending_len(&self) -> usize {
         self.pending.len()

@@ -186,6 +186,12 @@ impl FlushArray {
         self.drives.iter().map(|d| d.pending_len()).sum()
     }
 
+    /// The request in transfer on `drive`: what its next
+    /// [`FlushArray::complete`] will return.
+    pub fn in_service(&self, drive: usize) -> Option<(Oid, ObjectVersion)> {
+        self.drives[drive].in_service()
+    }
+
     /// Per-drive statistics.
     pub fn drive_stats(&self, drive: usize) -> &DriveStats {
         self.drives[drive].stats()

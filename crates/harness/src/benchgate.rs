@@ -216,9 +216,12 @@ mod tests {
     fn committed_snapshots_parse_to_their_gated_values() {
         // Four schema generations: lattice + recovery only; with the
         // since-deleted sharding section; the last six-section report; the
-        // gate-only report, three times (before and after the recovery byte
-        // path got ≈ 4× faster, then the first with the timing-wheel event
-        // queue). The parser must read the same gated values
+        // gate-only report, four times (before and after the recovery byte
+        // path got ≈ 4× faster, the first with the timing-wheel event
+        // queue, the first with the stable database's install log — a
+        // trajectory row: the quick basket's tables stay in cache, so it
+        // reads the same as the parent's 1.16 M that hour). The parser must
+        // read the same gated values
         // from each and ignore the rest, whatever order a later writer
         // puts the sections in.
         let snapshots = [
@@ -245,6 +248,10 @@ mod tests {
             (
                 include_str!("../../../BENCH_2026-10-03.json"),
                 (1_359_795.0, 19_829_713.0, 158_641_014.0),
+            ),
+            (
+                include_str!("../../../BENCH_2026-10-04.json"),
+                (1_190_624.0, 19_573_137.0, 155_504_381.0),
             ),
         ];
         let parsed = snapshots.map(|(json, (events, scan, redo))| {

@@ -54,6 +54,13 @@ pub struct CrashPoint {
     pub torn_tail: bool,
 }
 
+impl CrashPoint {
+    /// The virtual instant this point lands at in a run of `runtime`.
+    pub fn instant(&self, runtime: SimTime) -> SimTime {
+        SimTime::from_micros((runtime.as_micros() as f64 * self.fraction) as u64)
+    }
+}
+
 /// Gen0 wrapped, long records forwarding, last generation still filling.
 pub const MID_FORWARDING: CrashPoint = CrashPoint {
     name: "mid-forwarding",
@@ -111,7 +118,7 @@ pub fn snapshot_run(label: &str, cfg: &RunConfig, points: &[CrashPoint]) -> Vec<
             "crash fraction {} out of (0, 1]",
             p.fraction
         );
-        let at = SimTime::from_micros((cfg.runtime.as_micros() as f64 * p.fraction) as u64);
+        let at = p.instant(cfg.runtime);
         engine.run_until(at);
         let model = engine.model();
         let mut encoded = encode_surface(&model.lm.log_surface());
@@ -246,6 +253,126 @@ pub fn bench_recovery(quick: bool) -> Vec<RecoveryBenchPoint> {
 mod tests {
     use super::*;
     use crate::experiments::recovery_time::Config;
+    use crate::runner::{build_model_with, snapshot, RunResult};
+    use elog_core::{Effects, ElManager, LmTimer, LogManager};
+    use elog_model::{Oid, Tid};
+
+    /// An `ElManager` beside an eagerly maintained `StableDb`: each
+    /// `FlushDone` installs what the drive is about to complete before the
+    /// manager sees the timer. Never reads the manager's own table.
+    struct Mirror {
+        inner: ElManager,
+        eager: StableDb,
+    }
+
+    impl LogManager for Mirror {
+        fn begin(&mut self, now: SimTime, tid: Tid) -> Effects {
+            self.inner.begin(now, tid)
+        }
+        fn write_data(&mut self, now: SimTime, tid: Tid, oid: Oid, seq: u32, size: u32) -> Effects {
+            self.inner.write_data(now, tid, oid, seq, size)
+        }
+        fn commit_request(&mut self, now: SimTime, tid: Tid) -> Effects {
+            self.inner.commit_request(now, tid)
+        }
+        fn abort(&mut self, now: SimTime, tid: Tid) -> Effects {
+            self.inner.abort(now, tid)
+        }
+        fn handle_timer(&mut self, now: SimTime, timer: LmTimer) -> Effects {
+            if let LmTimer::FlushDone { drive } = timer {
+                let (oid, version) = self
+                    .inner
+                    .flush_array()
+                    .in_service(drive)
+                    .expect("a FlushDone names a busy drive");
+                self.eager.install(oid, version);
+            }
+            self.inner.handle_timer(now, timer)
+        }
+        fn quiesce(&mut self, now: SimTime) -> Effects {
+            self.inner.quiesce(now)
+        }
+        fn recycle(&mut self, fx: Effects) {
+            self.inner.recycle_fx(fx);
+        }
+        fn peak_memory_bytes(&self) -> u64 {
+            self.inner.peak_memory_bytes()
+        }
+        fn log_writes(&self) -> u64 {
+            LogManager::log_writes(&self.inner)
+        }
+        fn log_write_rate(&self, now: SimTime) -> f64 {
+            LogManager::log_write_rate(&self.inner, now)
+        }
+        fn stable_db(&self) -> &StableDb {
+            unreachable!("the mirror run never reads the folded table")
+        }
+    }
+
+    #[test]
+    fn each_snapshot_holds_exactly_the_installs_before_its_instant() {
+        let cfg = Config::quick();
+        for (label, run_cfg) in [("el", cfg.el_run()), ("fw", cfg.fw_run())] {
+            // The real path: one run read at 25 / 55 / 95 % and resumed, the
+            // snapshots inspected only after it has run on past all three.
+            let snaps = snapshot_run(label, &run_cfg, &DEFAULT_POINTS);
+            assert!(snaps
+                .windows(2)
+                .all(|w| w[0].stable.installs() < w[1].stable.installs()));
+            // The same run again, its installs applied eagerly on arrival.
+            let run_cfg = run_cfg.track_oracle(true);
+            let lm = Mirror {
+                inner: ElManager::new(run_cfg.el.clone()).expect("valid"),
+                eager: StableDb::new(),
+            };
+            let mut engine = build_model_with(&run_cfg, lm);
+            for snap in &snaps {
+                engine.run_until(snap.at);
+                let eager = &engine.model().lm.eager;
+                assert!(!eager.is_empty(), "{}: nothing flushed", snap.label);
+                assert_eq!(snap.stable.versions(), eager.versions(), "{}", snap.label);
+                assert_eq!(snap.stable.installs(), eager.installs(), "{}", snap.label);
+            }
+        }
+    }
+
+    /// Everything of a `RunResult` that `repro` can print (all but wall).
+    fn visible(r: &RunResult) -> String {
+        format!(
+            "{:?} {} {} {} {:?} {:?} {} {}",
+            r.metrics,
+            r.started,
+            r.committed,
+            r.killed,
+            r.p50_commit_latency_ms,
+            r.ended_at,
+            r.data_records,
+            r.perf.events
+        )
+    }
+
+    #[test]
+    fn reading_the_stable_db_mid_run_changes_nothing() {
+        let cfg = Config::quick();
+        for run_cfg in [cfg.el_run(), cfg.fw_run()] {
+            let finish = |read_at: &[CrashPoint]| {
+                let mut engine = build_model(&run_cfg);
+                let wall_start = Instant::now();
+                for p in read_at {
+                    engine.run_until(p.instant(run_cfg.runtime));
+                    assert!(!engine.model().lm.stable_db().is_empty());
+                }
+                let ended_at = engine.run_until(run_cfg.runtime);
+                let result = snapshot(&engine, &run_cfg, ended_at, wall_start);
+                (visible(&result), engine.model().lm.stable_db().clone())
+            };
+            let (never_read, table) = finish(&[]);
+            let (read_thrice, refolded) = finish(&DEFAULT_POINTS);
+            assert_eq!(never_read, read_thrice);
+            assert_eq!(table.versions(), refolded.versions());
+            assert_eq!(table.installs(), refolded.installs());
+        }
+    }
 
     #[test]
     fn snapshots_grow_along_the_run_and_all_points_verify() {

@@ -29,4 +29,4 @@ pub use record::{
     payload_matches, synth_payload, synth_payload_extend, synth_payload_into, DataRecord,
     LogRecord, TxMark, TxRecord,
 };
-pub use stabledb::{CommittedOracle, ObjectVersion, StableDb};
+pub use stabledb::{CommittedOracle, InstallLog, ObjectVersion, StableDb};

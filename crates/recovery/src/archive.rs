@@ -65,8 +65,9 @@ fn torn_on_eof(e: io::Error) -> ArchiveError {
 }
 
 /// Writes one generation's blocks as `gen-<i>.elog` files plus the stable
-/// database as `stable.elog` under `dir`. Returns the number of blocks
-/// archived.
+/// database as `stable.elog` under `dir`, entries in oid order so the
+/// bytes are a function of the table's contents and not of the order and
+/// capacity it was built with. Returns the number of blocks archived.
 pub fn save_archive(
     dir: &Path,
     surface: &[Vec<Block>],
@@ -89,7 +90,9 @@ pub fn save_archive(
     let mut w = BufWriter::new(File::create(dir.join("stable.elog"))?);
     w.write_all(DB_MAGIC)?;
     w.write_all(&(stable.len() as u64).to_le_bytes())?;
-    for (oid, v) in stable.iter() {
+    let mut entries: Vec<(Oid, ObjectVersion)> = stable.iter().collect();
+    entries.sort_unstable_by_key(|&(oid, _)| oid);
+    for (oid, v) in entries {
         w.write_all(&oid.get().to_le_bytes())?;
         w.write_all(&v.tid.get().to_le_bytes())?;
         w.write_all(&v.seq.to_le_bytes())?;
@@ -171,7 +174,7 @@ pub fn load_archive(dir: &Path) -> Result<(LogImage, StableDb), ArchiveError> {
 mod tests {
     use super::*;
     use crate::redo::recover;
-    use elog_model::{DataRecord, GenId, LogRecord, TxMark, TxRecord};
+    use elog_model::{DataRecord, GenId, InstallLog, LogRecord, TxMark, TxRecord};
     use elog_storage::block::BlockAddr;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -247,6 +250,43 @@ mod tests {
         assert_eq!(state.versions[&Oid(5)].tid, Tid(1));
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stable_file_bytes_depend_on_contents_only() {
+        let v = |tid: u64, ms: u64| ObjectVersion {
+            tid: Tid(tid),
+            seq: 1,
+            ts: SimTime::from_millis(ms),
+        };
+        // Grown one insert at a time, ascending.
+        let mut grown = StableDb::new();
+        for oid in 0..500u64 {
+            grown.install(Oid(oid * 7919 % 10_007), v(oid, oid + 2));
+        }
+        // Folded from a log three times as long (two stale rounds first, so
+        // the pre-sized table has a larger capacity), descending.
+        let mut log = InstallLog::new();
+        for round in 0..3u64 {
+            for oid in (0..500u64).rev() {
+                log.install(Oid(oid * 7919 % 10_007), v(oid, oid + round));
+            }
+        }
+        let folded = log.db();
+        assert!(folded.versions().capacity() > grown.versions().capacity());
+        assert_eq!(folded.versions(), grown.versions());
+
+        let (dir_a, dir_b) = (temp_dir("sorted-a"), temp_dir("sorted-b"));
+        save_archive(&dir_a, &sample_surface(), &grown).unwrap();
+        save_archive(&dir_b, &sample_surface(), folded).unwrap();
+        let bytes = std::fs::read(dir_a.join("stable.elog")).unwrap();
+        assert_eq!(bytes, std::fs::read(dir_b.join("stable.elog")).unwrap());
+        assert_eq!(bytes.len(), 16 + 500 * 28);
+
+        let (_, loaded) = load_archive(&dir_b).unwrap();
+        assert_eq!(loaded.versions(), grown.versions());
+        let _ = std::fs::remove_dir_all(&dir_a);
+        let _ = std::fs::remove_dir_all(&dir_b);
     }
 
     #[test]
