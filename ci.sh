@@ -84,11 +84,11 @@ echo "== hostile CLI =="
 # exit-2 value below would trip a constructor's panic further in (or,
 # unchecked, run the wrong thing: an unknown --mode as EL, tenant 65536
 # aliased onto tenant 0), so each must exit 2 with one stderr line naming
-# the flag. The bench and repro rows name files: an unwritable --out /
-# --csv or an unreadable --baseline must fail here, before the basket
-# runs, not in an `expect` after it. The exit-1 rows are well-formed
-# searches that find nothing feasible within their ceilings: one stderr
-# line saying so instead of an abort (or a ceiling printed as a minimum).
+# the flag. The `repro --csv` row names a directory: an unwritable one
+# must fail here, before the basket runs, not after it. The exit-1 rows
+# are well-formed searches that find nothing feasible within their
+# ceilings: one stderr line saying so instead of an abort (or a ceiling
+# printed as a minimum).
 # The --probe-cache and `repro --adaptive` rows are deleted flags: they
 # must be rejected by name, not silently accepted.
 HOSTILE_ERR=$(mktemp)
@@ -111,10 +111,6 @@ done <<'HOSTILE'
 2 --mode elsim --mode bogus
 2 --tenants elserve --tenants 65537
 2 --tenants elserve --tenants 99999999
-2 --date bench --date 2026-13-40
-2 --out bench --quick --out /proc/nope/x.json
-2 --baseline bench --quick --baseline /nonexistent.json
-2 --max-regress bench --max-regress 100
 2 --csv repro --quick --csv /proc/nope
 2 --gens repro --gens 9
 2 --probe-cache elsim --min-space --probe-cache /tmp/x
@@ -123,6 +119,15 @@ done <<'HOSTILE'
 1 --min-space elsim --fw-blocks 100 --tps 20000 --runtime 5 --min-space
 1 --min-space elsim --gens 18,16 --tps 6000 --runtime 5 --min-space
 HOSTILE
+# A reader that closes the pipe early is not an error either: repro must
+# exit 0 without a panic, not die of SIGABRT in `println!`.
+status=0
+./target/release/repro --quick --only rate 2>"$HOSTILE_ERR" | head -1 >/dev/null || status=${PIPESTATUS[0]}
+if [ "$status" -ne 0 ] || grep -q panicked "$HOSTILE_ERR"; then
+    echo "\`repro --quick --only rate | head -1\`: want exit 0 and no panic, got exit $status:" >&2
+    cat "$HOSTILE_ERR" >&2
+    exit 1
+fi
 rm -f "$HOSTILE_ERR"
 
 echo "== elserve one-tenant smoke =="
@@ -149,29 +154,5 @@ if ! grep -q '^\[serve\] tenants 2, committed [1-9]' "$SERVE_ERR"; then
     exit 1
 fi
 rm -f "$SERVE_ERR"
-
-echo "== bench --quick (perf regression gate) =="
-# One quick pass over the whole experiment basket plus the crash-recovery
-# bench (crash-point snapshots scanned + redone), gated against the most
-# recent committed snapshot: the run fails when top-level logging
-# throughput OR the recovery section's scan/redo record rate regressed
-# by more than 30% (see crates/harness/src/benchgate.rs). The report is
-# what the gate reads plus its provenance: the top-level scalars, the
-# per-experiment rows they are summed from, and `recovery`. Search,
-# controller and serve counters are elbench's (benchmark/); snapshots
-# that still carry those sections gate the same, the parser skips them.
-# The JSON is echoed so CI logs preserve the numbers; the report file
-# itself is throwaway (committed snapshots are produced deliberately:
-# `bench --quick --jobs 1 --out BENCH_$(date +%F).json`). With no
-# snapshot at all the glob expands to nothing and the old `ls | tail`
-# pipeline handed bench an empty --baseline — fail loudly instead.
-BASELINE=$(ls BENCH_*.json 2>/dev/null | sort | tail -n 1)
-if [ -z "$BASELINE" ]; then
-    echo "no BENCH_*.json snapshot found: the perf gate has nothing to compare" >&2
-    echo "against. Generate and commit one with:" >&2
-    echo "    bench --quick --jobs 1 --out BENCH_\$(date +%F).json" >&2
-    exit 1
-fi
-./target/release/bench --quick --out "$(mktemp)" --baseline "$BASELINE" --max-regress 30
 
 echo "CI green."

@@ -12,6 +12,7 @@
 
 use elog_harness::serve::serve_run;
 use elog_harness::{cli, report};
+use std::fmt::Write as _;
 
 fn main() {
     let cfg = cli::parse_env(cli::ELSERVE_USAGE, cli::elserve);
@@ -22,17 +23,14 @@ fn main() {
     if tenants == 1 {
         // One tenant is the classic run (same loop, same configuration),
         // so it prints through elsim's renderer too.
-        print!(
-            "{}",
-            report::render_run_report(
-                &r.metrics,
-                recirc,
-                r.aggregate.started,
-                r.aggregate.committed,
-                r.aggregate.killed,
-                r.p50_commit_latency_ms,
-            )
-        );
+        cli::print(&report::render_run_report(
+            &r.metrics,
+            recirc,
+            r.aggregate.started,
+            r.aggregate.committed,
+            r.aggregate.killed,
+            r.p50_commit_latency_ms,
+        ));
     } else {
         let m = &r.metrics;
         let budget = if cfg.budget == 0 {
@@ -40,39 +38,47 @@ fn main() {
         } else {
             format!("{} records", cfg.budget)
         };
-        println!("== elserve run ==");
-        println!("tenants             : {tenants} (budget {budget})");
-        println!(
+        let mut out = String::new();
+        let _ = writeln!(out, "== elserve run ==");
+        let _ = writeln!(out, "tenants             : {tenants} (budget {budget})");
+        let _ = writeln!(
+            out,
             "geometry            : {:?} blocks (recirc {})",
             m.per_gen_blocks, recirc
         );
-        println!(
+        let _ = writeln!(
+            out,
             "transactions        : {} started, {} committed, {} killed, {} refused",
             r.aggregate.started, r.aggregate.committed, r.aggregate.killed, r.aggregate.throttled
         );
-        println!(
+        let _ = writeln!(
+            out,
             "log bandwidth       : {:.2} block writes/s (per gen {:?})",
             m.log_write_rate, m.per_gen_write_rate
         );
-        println!(
+        let _ = writeln!(
+            out,
             "peak memory         : {} B (LTT peak {}, LOT peak {})",
             m.peak_memory_bytes, m.ltt_peak, m.lot_peak
         );
-        println!(
+        let _ = writeln!(
+            out,
             "flush utilisation   : {:.1}% (backlog {})",
             m.flush_utilisation * 100.0,
             m.flush_backlog
         );
-        println!(
+        let _ = writeln!(
+            out,
             "commit latency      : p50 {} ms, p99 {} ms (arrival -> durable)",
             report::fo(r.aggregate.p50_ms, 1),
             report::fo(r.aggregate.p99_ms, 1)
         );
-        println!(
+        let _ = writeln!(
+            out,
             "anomalies           : {} unsafe drops, {} durability violations, {} stalls",
             m.stats.unsafe_drops, m.stats.durability_violations, m.stats.buffer_stalls
         );
-        println!();
+        out.push('\n');
         let mut t = report::Table::new(
             "Per-tenant",
             &[
@@ -102,7 +108,8 @@ fn main() {
                 report::fo(rep.p99_ms, 1),
             ]);
         }
-        print!("{}", t.render());
+        out.push_str(&t.render());
+        cli::print(&out);
     }
     // stderr so stdout stays comparable across tenant counts (cf.
     // elsim's `[adaptive]` report).

@@ -45,43 +45,40 @@ fn main() {
             );
             std::process::exit(1);
         }
-        if firewall {
-            println!(
-                "minimum FW log: {} blocks ({} probes)",
+        cli::print(&if firewall {
+            format!(
+                "minimum FW log: {} blocks ({} probes)\n",
                 r.total_blocks, r.probes
-            );
+            )
         } else if gens.len() == 2 {
-            println!(
-                "minimum EL log: {:?} = {} blocks ({} probes)",
+            format!(
+                "minimum EL log: {:?} = {} blocks ({} probes)\n",
                 r.generation_blocks, r.total_blocks, r.probes
-            );
+            )
         } else {
-            println!(
-                "minimum EL log ({} gens): {:?} = {} blocks ({} probes, {} memoized, {} pruned)",
+            format!(
+                "minimum EL log ({} gens): {:?} = {} blocks ({} probes, {} memoized, {} pruned)\n",
                 gens.len(),
                 r.generation_blocks,
                 r.total_blocks,
                 r.probes,
                 r.search.memo_hits,
                 r.search.pruned_volume
-            );
-        }
+            )
+        });
         return;
     }
 
     let r = run(cfg);
     let m = &r.metrics;
-    print!(
-        "{}",
-        elog_harness::report::render_run_report(
-            m,
-            cfg.el.log.recirculation,
-            r.started,
-            r.committed,
-            r.killed,
-            r.p50_commit_latency_ms,
-        )
-    );
+    cli::print(&elog_harness::report::render_run_report(
+        m,
+        cfg.el.log.recirculation,
+        r.started,
+        r.committed,
+        r.killed,
+        r.p50_commit_latency_ms,
+    ));
     if let Some(ad) = &r.adaptive {
         // stderr so a static adaptive run's stdout stays byte-identical
         // to the non-adaptive run.

@@ -28,6 +28,11 @@ use elog_harness::experiments::registry_with;
 use elog_harness::latsearch::MAX_AXES;
 use elog_harness::report::Table;
 use elog_harness::sweep::{run_experiments, ExecOptions};
+use elog_sim::perfstats::{allocations, CountingAlloc};
+use elog_sim::PerfStats;
+
+#[global_allocator]
+static ALLOC: CountingAlloc<std::alloc::System> = CountingAlloc(std::alloc::System);
 
 const USAGE: &str = "usage: repro [--quick] [--jobs N] [--gens N] [--only NAME] \
     [--csv DIR] [--progress] [--no-analytic]";
@@ -78,7 +83,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
 }
 
 fn emit(opts: &Options, slug: &str, table: &Table) {
-    println!("{}", table.render());
+    cli::print(&format!("{}\n", table.render()));
     if let Some(dir) = &opts.csv_dir {
         let path = dir.join(format!("{slug}.csv"));
         if let Err(e) = std::fs::write(&path, table.to_csv()) {
@@ -92,10 +97,10 @@ fn emit(opts: &Options, slug: &str, table: &Table) {
 fn main() {
     let opts = cli::parse_env(USAGE, parse_args);
     let t0 = std::time::Instant::now();
-    println!(
-        "# Ephemeral Logging (SIGMOD '93) — full reproduction{}\n",
+    cli::print(&format!(
+        "# Ephemeral Logging (SIGMOD '93) — full reproduction{}\n\n",
         if opts.quick { " [quick mode]" } else { "" }
-    );
+    ));
 
     let mut experiments = registry_with(opts.gens);
     if let Some(only) = &opts.only {
@@ -116,17 +121,32 @@ fn main() {
     );
     let reports = run_experiments(&experiments, opts.quick, &opts.exec);
 
+    let mut total = PerfStats::default();
     for report in &reports {
+        total.merge(&report.perf);
         for (slug, table) in &report.tables {
             emit(&opts, slug, table);
         }
-        for note in &report.notes {
-            println!("{note}");
-        }
         if !report.notes.is_empty() {
-            println!();
+            cli::print(&format!("{}\n\n", report.notes.join("\n")));
         }
     }
 
-    eprintln!("done in {:?}", t0.elapsed());
+    // The basket's host-side totals (EXPERIMENTS.md's quick-basket rows).
+    // A verdict is memoized, or answered by the analytic threshold or a
+    // certificate (both counted in `sim_probes`), or simulated live.
+    let s = &total.search;
+    eprintln!(
+        "done in {:?}: {} events, {} probe events, {} verdicts ({} memo / {} analytic / \
+         {} certificate / {} live), {} allocations",
+        t0.elapsed(),
+        total.events,
+        s.probe_events,
+        s.sim_probes + s.memo_hits,
+        s.memo_hits,
+        s.analytic_rejections,
+        s.cert_verdicts,
+        s.sim_probes - s.analytic_rejections - s.cert_verdicts,
+        allocations(),
+    );
 }

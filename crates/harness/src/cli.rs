@@ -9,8 +9,8 @@
 //! one-line `Err` naming the flag, so the `expect("validated
 //! configuration")`s further in hold. [`parse_env`] is every binary's
 //! front door: `--help` prints the usage text and exits 0, an `Err` goes to
-//! stderr and exits 2. `repro` and `bench` keep their own flag loops and
-//! share [`value`] / [`positive`] with this one.
+//! stderr and exits 2. `repro` keeps its own flag loop and shares [`value`] /
+//! [`positive`] with this one. [`print`] is every binary's way to stdout.
 
 use crate::latsearch::{prefix_volume, MAX_AXES, MAX_PREFIX_COLUMNS};
 use crate::runner::RunConfig;
@@ -91,13 +91,30 @@ pub type Args<'a> = &'a mut dyn Iterator<Item = String>;
 pub fn parse_env<T>(usage: &str, parse: impl FnOnce(Vec<String>) -> Result<T, String>) -> T {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{usage}");
+        print(&format!("{usage}\n"));
         std::process::exit(0);
     }
     parse(args).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2)
     })
+}
+
+/// Writes `text` to stdout, or ends the process: a reader that closed the
+/// pipe (`repro | head -1`) has what it asked for, so that is a quiet exit
+/// 0; any other write error is one stderr line and exit 2. `println!`
+/// panics on both, which `panic = "abort"` turns into SIGABRT after all
+/// the work is done.
+pub fn print(text: &str) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(2);
+    }
 }
 
 /// The value following `flag`, parsed.

@@ -1,16 +1,14 @@
-//! Crash-point injection: price the recovery path the way the logging
-//! path is priced.
+//! Crash-point injection: frozen disk images of a live run.
 //!
-//! The forward path has a bench snapshot and a regression gate; this
-//! module gives the recovery crate the same treatment. A live EL or FW
-//! run is advanced to configurable *crash points* — fractions of its
-//! horizon named for the phase the log is in when the crash lands — and
-//! at each point the durable disk surface is snapshotted, serialised
-//! through the byte-level codec ([`elog_storage::encode_surface`]), and
-//! handed to `scan_bytes` + `recover` under wall-clock and allocation
-//! instrumentation ([`RecoveryStats`]). The scan/redo passes are repeated
-//! a fixed number of iterations so the tiny paper-scale log (28–123
-//! blocks) produces stable rates.
+//! A live EL or FW run is advanced to configurable *crash points* —
+//! fractions of its horizon named for the phase the log is in when the
+//! crash lands — and at each point the durable disk surface is
+//! snapshotted and serialised through the byte-level codec
+//! ([`elog_storage::encode_surface`]), together with the stable database
+//! and the oracle of acknowledged commits: everything `scan_bytes` +
+//! `recover` may read, and the ground truth to hold the result against.
+//! The tests below recover every image; `elbench`'s `recover` workload
+//! (`benchmark/`) times the same images.
 //!
 //! Crash-point semantics (documented in DESIGN.md):
 //!
@@ -22,8 +20,8 @@
 //!   forwarding all in flight. The snapshot additionally carries one
 //!   *torn duplicate* of the newest durable block (a half-written
 //!   recirculation copy, exactly what a crash mid-write leaves), so the
-//!   corrupt-block path is exercised and priced; the intact original is
-//!   still present, so recovery must still verify.
+//!   corrupt-block path is exercised; the intact original is still
+//!   present, so recovery must still verify.
 //! * **post-wrap** (95 %): every generation, recirculation included, has
 //!   cycled; stale physical copies are at their steady-state maximum and
 //!   the scan's dedup does the most work.
@@ -34,13 +32,8 @@
 
 use crate::runner::{build_model, RunConfig};
 use elog_model::{CommittedOracle, StableDb};
-use elog_recovery::{
-    check_against_oracle, estimate_recovery_time, recover, scan_bytes, RecoveryTimeModel,
-};
-use elog_sim::perfstats::allocations;
-use elog_sim::{RecoveryStats, SimTime};
-use elog_storage::{encode_surface, surface_bytes};
-use std::time::{Duration, Instant};
+use elog_sim::SimTime;
+use elog_storage::encode_surface;
 
 /// One named crash instant, as a fraction of the run's horizon.
 #[derive(Clone, Copy, Debug)]
@@ -82,7 +75,7 @@ pub const POST_WRAP: CrashPoint = CrashPoint {
     torn_tail: false,
 };
 
-/// The bench's standard crash points, in run order.
+/// The standard crash points, in run order.
 pub const DEFAULT_POINTS: [CrashPoint; 3] = [MID_FORWARDING, MID_FLUSH, POST_WRAP];
 
 /// The frozen disk image of one crash: everything recovery is allowed to
@@ -141,7 +134,7 @@ pub fn snapshot_run(label: &str, cfg: &RunConfig, points: &[CrashPoint]) -> Vec<
 /// Appends a corrupted duplicate of the last non-empty encoded block: the
 /// torn half-write a crash leaves on the device. The intact original
 /// stays in the image, so recovery still has every record — the duplicate
-/// only exercises (and prices) the corrupt-block rejection path.
+/// only exercises the corrupt-block rejection path.
 fn tear_newest(encoded: &mut Vec<Vec<u8>>) {
     if let Some(last) = encoded.iter().rev().find(|b| !b.is_empty()).cloned() {
         let mut torn = last;
@@ -151,104 +144,6 @@ fn tear_newest(encoded: &mut Vec<Vec<u8>>) {
     }
 }
 
-/// One crash point's recovery price.
-#[derive(Clone, Debug)]
-pub struct RecoveryBenchPoint {
-    /// `config/point` label.
-    pub label: String,
-    /// Virtual time of the crash.
-    pub at: SimTime,
-    /// Scan/redo iterations the counters aggregate over.
-    pub iters: u32,
-    /// Aggregated scan + redo counters.
-    pub stats: RecoveryStats,
-    /// The reconstruction matched the oracle of acknowledged commits.
-    pub verified: bool,
-    /// Modelled 1993-hardware recovery time for this log shape.
-    pub modelled: SimTime,
-}
-
-/// Prices recovery from one snapshot: `iters` byte-level scan + REDO
-/// passes under wall and allocation instrumentation, one verification.
-pub fn bench_snapshot(snap: &CrashSnapshot, iters: u32) -> RecoveryBenchPoint {
-    assert!(iters > 0, "at least one iteration");
-    let mut stats = RecoveryStats::default();
-    let mut verified = false;
-    let mut modelled = SimTime::ZERO;
-    let mut min_scan = Duration::MAX;
-    let mut min_redo = Duration::MAX;
-    for i in 0..iters {
-        let alloc0 = allocations();
-        let t0 = Instant::now();
-        let (image, _errors) = scan_bytes(snap.encoded.iter().map(Vec::as_slice));
-        let scan_wall = t0.elapsed();
-        let t1 = Instant::now();
-        let state = recover(&image, &snap.stable);
-        let redo_wall = t1.elapsed();
-        let allocs = allocations() - alloc0;
-        min_scan = min_scan.min(scan_wall);
-        min_redo = min_redo.min(redo_wall);
-        stats.merge(&RecoveryStats {
-            blocks: image.stats.blocks,
-            decoded_blocks: image.stats.decoded_blocks,
-            corrupt_blocks: image.stats.corrupt_blocks,
-            records: image.stats.records,
-            bytes: surface_bytes(&snap.encoded),
-            redone: state.redone,
-            recovered_objects: state.versions.len() as u64,
-            allocations: allocs,
-            scan_wall,
-            redo_wall,
-        });
-        if i == 0 {
-            // Every iteration reconstructs the same state; verify once.
-            verified = check_against_oracle(&snap.oracle, &state).is_ok();
-            modelled = estimate_recovery_time(
-                &RecoveryTimeModel::default(),
-                &snap.per_gen_blocks,
-                image.stats.records,
-            );
-        }
-    }
-    // Price throughput from the best iteration, not the sum: a single
-    // scan/redo pass is microseconds at paper scale, so summed wall is
-    // dominated by scheduler preemption and would make the regression
-    // gate fire on noise. The minimum is the classic noise-robust
-    // estimator for a deterministic kernel — every iteration does
-    // identical work, so the fastest one is the least-perturbed one.
-    stats.scan_wall = min_scan * iters;
-    stats.redo_wall = min_redo * iters;
-    RecoveryBenchPoint {
-        label: snap.label.clone(),
-        at: snap.at,
-        iters,
-        stats,
-        verified,
-        modelled,
-    }
-}
-
-/// The full recovery bench: the paper's FW and EL recovery subjects (the
-/// published minima the `recovery time` experiment crashes), each crashed
-/// at [`DEFAULT_POINTS`] and priced with [`bench_snapshot`].
-pub fn bench_recovery(quick: bool) -> Vec<RecoveryBenchPoint> {
-    let cfg = if quick {
-        crate::experiments::recovery_time::Config::quick()
-    } else {
-        crate::experiments::recovery_time::Config::paper()
-    };
-    // The redo pass is microseconds at these log sizes; enough iterations
-    // that scheduler jitter stays well inside the 30 % regression gate.
-    let iters = if quick { 384 } else { 768 };
-    let mut out = Vec::new();
-    for (label, run_cfg) in [("el", cfg.el_run()), ("fw", cfg.fw_run())] {
-        for snap in snapshot_run(label, &run_cfg, &DEFAULT_POINTS) {
-            out.push(bench_snapshot(&snap, iters));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +151,11 @@ mod tests {
     use crate::runner::{build_model_with, snapshot, RunResult};
     use elog_core::{Effects, ElManager, LmTimer, LogManager};
     use elog_model::{Oid, Tid};
+    use elog_recovery::{
+        check_against_oracle, estimate_recovery_time, recover, scan_bytes, RecoveredState,
+        RecoveryTimeModel, ScanStats,
+    };
+    use std::time::Instant;
 
     /// An `ElManager` beside an eagerly maintained `StableDb`: each
     /// `FlushDone` installs what the drive is about to complete before the
@@ -374,6 +274,21 @@ mod tests {
         }
     }
 
+    /// What a restart does with one image: byte-level scan, REDO over the
+    /// stable table, the oracle check, and the 1993 time model for the
+    /// log's shape.
+    fn restart(snap: &CrashSnapshot) -> (ScanStats, RecoveredState, bool, SimTime) {
+        let (image, _errors) = scan_bytes(snap.encoded.iter().map(Vec::as_slice));
+        let state = recover(&image, &snap.stable);
+        let verified = check_against_oracle(&snap.oracle, &state).is_ok();
+        let modelled = estimate_recovery_time(
+            &RecoveryTimeModel::default(),
+            &snap.per_gen_blocks,
+            image.stats.records,
+        );
+        (image.stats, state, verified, modelled)
+    }
+
     #[test]
     fn snapshots_grow_along_the_run_and_all_points_verify() {
         let cfg = Config::quick();
@@ -383,11 +298,13 @@ mod tests {
         for snap in &snaps {
             assert!(!snap.encoded.is_empty(), "{}: empty surface", snap.label);
             assert!(!snap.oracle.is_empty(), "{}: nothing committed", snap.label);
-            let point = bench_snapshot(snap, 2);
-            assert!(point.verified, "{} failed verification", point.label);
-            assert_eq!(point.stats.records % 2, 0, "two equal iterations");
-            assert!(point.stats.recovered_objects > 0);
-            assert!(point.modelled > SimTime::ZERO);
+            let (scan, state, verified, modelled) = restart(snap);
+            assert!(verified, "{} failed verification", snap.label);
+            let (again, same_state, ..) = restart(snap);
+            assert_eq!(scan.records, again.records, "two equal passes");
+            assert_eq!(state.versions, same_state.versions, "two equal passes");
+            assert!(!state.versions.is_empty());
+            assert!(modelled > SimTime::ZERO);
         }
     }
 
@@ -395,36 +312,32 @@ mod tests {
     fn torn_tail_is_counted_but_loses_no_state() {
         let cfg = Config::quick();
         let snaps = snapshot_run("el", &cfg.el_run(), &[MID_FLUSH]);
-        let point = bench_snapshot(&snaps[0], 1);
-        assert_eq!(point.stats.corrupt_blocks, 1, "torn duplicate rejected");
+        let (scan, _, verified, _) = restart(&snaps[0]);
+        assert_eq!(scan.corrupt_blocks, 1, "torn duplicate rejected");
         assert_eq!(
-            point.stats.blocks,
-            point.stats.decoded_blocks + point.stats.corrupt_blocks,
+            scan.blocks,
+            scan.decoded_blocks + scan.corrupt_blocks,
             "attempted = decoded + corrupt"
         );
-        assert!(point.stats.corrupt_block_rate() > 0.0);
-        assert!(point.verified, "torn duplicate must not lose state");
+        assert!(scan.corrupt_rate() > 0.0);
+        assert!(verified, "torn duplicate must not lose state");
     }
 
     #[test]
     fn firewall_surface_is_larger_and_still_recovers() {
         let cfg = Config::quick();
-        let el = bench_snapshot(
-            &snapshot_run("el", &cfg.el_run(), &[POST_WRAP]).remove(0),
-            1,
-        );
-        let fw = bench_snapshot(
-            &snapshot_run("fw", &cfg.fw_run(), &[POST_WRAP]).remove(0),
-            1,
-        );
-        assert!(fw.verified && el.verified);
+        let (el, _, el_verified, el_modelled) =
+            restart(&snapshot_run("el", &cfg.el_run(), &[POST_WRAP])[0]);
+        let (fw, _, fw_verified, fw_modelled) =
+            restart(&snapshot_run("fw", &cfg.fw_run(), &[POST_WRAP])[0]);
+        assert!(fw_verified && el_verified);
         assert!(
-            fw.stats.blocks > el.stats.blocks,
+            fw.blocks > el.blocks,
             "FW ({}) must out-block EL ({})",
-            fw.stats.blocks,
-            el.stats.blocks
+            fw.blocks,
+            el.blocks
         );
-        assert!(fw.modelled > el.modelled, "less log ⇒ faster recovery");
+        assert!(fw_modelled > el_modelled, "less log ⇒ faster recovery");
     }
 
     #[test]

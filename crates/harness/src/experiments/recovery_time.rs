@@ -52,8 +52,7 @@ impl Config {
         }
     }
 
-    /// The FW run this configuration crashes (also the crashpoint bench's
-    /// firewall subject).
+    /// The FW run this configuration crashes.
     pub fn fw_run(&self) -> RunConfig {
         let mut fw = RunConfig::paper(
             self.frac_long,
@@ -64,8 +63,7 @@ impl Config {
         fw
     }
 
-    /// The EL run this configuration crashes (also the crashpoint bench's
-    /// ephemeral subject).
+    /// The EL run this configuration crashes.
     pub fn el_run(&self) -> RunConfig {
         let log = LogConfig {
             generation_blocks: self.el_geometry.clone(),

@@ -23,7 +23,6 @@
 //! | §5 N-generation extension | [`experiments::fig_ngen`] |
 
 pub mod analytic;
-pub mod benchgate;
 pub mod cli;
 pub mod crashpoint;
 pub mod experiments;
@@ -35,9 +34,7 @@ pub mod serve;
 pub mod sweep;
 
 pub use analytic::AnalyticModel;
-pub use crashpoint::{
-    bench_recovery, bench_snapshot, snapshot_run, CrashPoint, CrashSnapshot, RecoveryBenchPoint,
-};
+pub use crashpoint::{snapshot_run, CrashPoint, CrashSnapshot};
 pub use latsearch::{Geometry, LatticeLimits, MemoHit, SearchMode, SearchOutcome, SearchRequest};
 pub use minspace::MinSpaceResult;
 pub use runner::{RunConfig, RunResult, SimModel, TenantLayout};

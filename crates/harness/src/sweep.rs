@@ -178,7 +178,7 @@ pub enum Output {
 
 impl Output {
     /// Host-side perf counters of the scenario's measured run, when it
-    /// had one (progress lines and the bench report read this).
+    /// had one (progress lines and `repro`'s closing totals read this).
     pub fn perf(&self) -> Option<&PerfStats> {
         match self {
             Output::Measured(r) => Some(&r.perf),
@@ -518,6 +518,8 @@ pub struct ExperimentReport {
     pub tables: Vec<(String, Table)>,
     /// Summary lines to print after the tables.
     pub notes: Vec<String>,
+    /// Host-side perf counters summed over the experiment's outcomes.
+    pub perf: PerfStats,
 }
 
 /// Runs every experiment's scenarios through one shared executor pool
@@ -542,10 +544,16 @@ pub fn run_experiments(
         .zip(spans)
         .map(|(e, span)| {
             let slice = &outcomes[span];
+            let mut perf = PerfStats::default();
+            slice
+                .iter()
+                .filter_map(|o| o.output.perf())
+                .for_each(|p| perf.merge(p));
             ExperimentReport {
                 name: e.name(),
                 tables: e.tables(slice),
                 notes: e.notes(slice),
+                perf,
             }
         })
         .collect()

@@ -46,7 +46,7 @@ pub mod time;
 pub use engine::{Engine, Simulate};
 pub use event::{EventQueue, EventToken};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use perfstats::{CountingAlloc, PerfStats, QueueStats, RecoveryStats, SearchStats};
+pub use perfstats::{CountingAlloc, PerfStats, QueueStats, SearchStats};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, MaxGauge, MeanAccumulator, TimeWeighted};
 pub use time::SimTime;

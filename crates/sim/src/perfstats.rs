@@ -12,7 +12,6 @@
 //! simulation, so enabling or ignoring them cannot change results.
 
 use std::alloc::{GlobalAlloc, Layout};
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -33,15 +32,6 @@ pub struct QueueStats {
 }
 
 impl QueueStats {
-    /// Fraction of scheduled events that died as tombstones, in `[0, 1]`.
-    pub fn tombstone_ratio(&self) -> f64 {
-        if self.scheduled == 0 {
-            0.0
-        } else {
-            self.tombstones_discarded as f64 / self.scheduled as f64
-        }
-    }
-
     /// Accumulates another queue's counters (the peak takes the max).
     pub fn merge(&mut self, other: &QueueStats) {
         self.scheduled += other.scheduled;
@@ -97,15 +87,6 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Fraction of executed probes that replayed a trace, in `[0, 1]`.
-    pub fn replay_hit_rate(&self) -> f64 {
-        if self.sim_probes == 0 {
-            0.0
-        } else {
-            self.replay_probes as f64 / self.sim_probes as f64
-        }
-    }
-
     /// Fraction of probe verdicts answered by the memo, in `[0, 1]`.
     pub fn memo_hit_rate(&self) -> f64 {
         let verdicts = self.sim_probes + self.memo_hits;
@@ -113,15 +94,6 @@ impl SearchStats {
             0.0
         } else {
             self.memo_hits as f64 / verdicts as f64
-        }
-    }
-
-    /// Mean events per executed probe (0 when no probes ran).
-    pub fn events_per_probe(&self) -> f64 {
-        if self.sim_probes == 0 {
-            0.0
-        } else {
-            self.probe_events as f64 / self.sim_probes as f64
         }
     }
 
@@ -134,109 +106,6 @@ impl SearchStats {
         self.pruned_volume += other.pruned_volume;
         self.analytic_rejections += other.analytic_rejections;
         self.cert_verdicts += other.cert_verdicts;
-    }
-}
-
-/// Counters of one crash-recovery pass: what the byte-level scan read and
-/// what the single-pass REDO rebuilt, with the wall clock of each phase.
-/// The recovery bench assembles one per crash point; `merge` folds them
-/// into the aggregate the regression gate compares.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RecoveryStats {
-    /// Blocks the scan attempted to decode (decoded + corrupt).
-    pub blocks: u64,
-    /// Blocks that decoded cleanly.
-    pub decoded_blocks: u64,
-    /// Blocks the codec rejected (torn/corrupt).
-    pub corrupt_blocks: u64,
-    /// Records examined by the scan (before deduplication).
-    pub records: u64,
-    /// Log bytes the scan examined.
-    pub bytes: u64,
-    /// Objects whose version came from the log in the REDO pass.
-    pub redone: u64,
-    /// Objects in the reconstructed state (stable ∪ redone).
-    pub recovered_objects: u64,
-    /// Heap allocations across scan + redo (0 without a counting
-    /// allocator installed).
-    pub allocations: u64,
-    /// Wall clock of the byte-level scan.
-    pub scan_wall: Duration,
-    /// Wall clock of the single-pass REDO.
-    pub redo_wall: Duration,
-}
-
-impl RecoveryStats {
-    /// Attempted blocks per scan second (0 for an unmeasured pass).
-    pub fn scan_blocks_per_sec(&self) -> f64 {
-        per_sec(self.blocks, self.scan_wall)
-    }
-
-    /// Scanned records per scan second (0 for an unmeasured pass).
-    pub fn scan_records_per_sec(&self) -> f64 {
-        per_sec(self.records, self.scan_wall)
-    }
-
-    /// Scanned records per REDO second (0 for an unmeasured pass).
-    pub fn redo_records_per_sec(&self) -> f64 {
-        per_sec(self.records, self.redo_wall)
-    }
-
-    /// Fraction of attempted blocks the codec rejected, in `[0, 1]`.
-    pub fn corrupt_block_rate(&self) -> f64 {
-        if self.blocks == 0 {
-            0.0
-        } else {
-            self.corrupt_blocks as f64 / self.blocks as f64
-        }
-    }
-
-    /// Heap allocations per scanned record (0 when nothing was scanned).
-    pub fn allocations_per_record(&self) -> f64 {
-        if self.records == 0 {
-            0.0
-        } else {
-            self.allocations as f64 / self.records as f64
-        }
-    }
-
-    /// Accumulates another pass (wall times add: serial composition).
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.blocks += other.blocks;
-        self.decoded_blocks += other.decoded_blocks;
-        self.corrupt_blocks += other.corrupt_blocks;
-        self.records += other.records;
-        self.bytes += other.bytes;
-        self.redone += other.redone;
-        self.recovered_objects += other.recovered_objects;
-        self.allocations += other.allocations;
-        self.scan_wall += other.scan_wall;
-        self.redo_wall += other.redo_wall;
-    }
-}
-
-impl fmt::Display for RecoveryStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "scan {:.2} Mrec/s ({} blocks, {} corrupt), redo {:.2} Mrec/s \
-             ({} records, {} objects)",
-            self.scan_records_per_sec() / 1e6,
-            self.blocks,
-            self.corrupt_blocks,
-            self.redo_records_per_sec() / 1e6,
-            self.records,
-            self.recovered_objects,
-        )
-    }
-}
-
-fn per_sec(count: u64, wall: Duration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs <= 0.0 {
-        0.0
-    } else {
-        count as f64 / secs
     }
 }
 
@@ -272,30 +141,6 @@ impl PerfStats {
         self.wall += other.wall;
         self.queue.merge(&other.queue);
         self.search.merge(&other.search);
-    }
-}
-
-impl fmt::Display for PerfStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:.2} Mev/s ({} events in {:.2?}; heap peak {}, {} compactions)",
-            self.events_per_sec() / 1e6,
-            self.events,
-            self.wall,
-            self.queue.heap_peak,
-            self.queue.compactions,
-        )?;
-        if self.search.sim_probes > 0 {
-            write!(
-                f,
-                " [{} probes, {:.0}% replayed, {:.0}% memoized]",
-                self.search.sim_probes + self.search.memo_hits,
-                self.search.replay_hit_rate() * 100.0,
-                self.search.memo_hit_rate() * 100.0,
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -350,17 +195,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tombstone_ratio_handles_zero() {
-        assert_eq!(QueueStats::default().tombstone_ratio(), 0.0);
-        let q = QueueStats {
-            scheduled: 100,
-            tombstones_discarded: 25,
-            ..QueueStats::default()
-        };
-        assert!((q.tombstone_ratio() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn merge_accumulates() {
         let mut a = PerfStats {
             events: 10,
@@ -401,48 +235,6 @@ mod tests {
         assert_eq!(a.search.pruned_volume, 11);
         assert_eq!(a.search.analytic_rejections, 2);
         assert_eq!(a.search.cert_verdicts, 5);
-        assert!((a.search.replay_hit_rate() - 0.75).abs() < 1e-12);
         assert!((a.search.memo_hit_rate() - 0.2).abs() < 1e-12);
-        assert!((a.search.events_per_probe() - 225.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recovery_stats_rates_and_merge() {
-        assert_eq!(RecoveryStats::default().scan_records_per_sec(), 0.0);
-        assert_eq!(RecoveryStats::default().corrupt_block_rate(), 0.0);
-        assert_eq!(RecoveryStats::default().allocations_per_record(), 0.0);
-        let mut a = RecoveryStats {
-            blocks: 100,
-            decoded_blocks: 95,
-            corrupt_blocks: 5,
-            records: 2_000,
-            allocations: 500,
-            scan_wall: Duration::from_millis(10),
-            redo_wall: Duration::from_millis(5),
-            ..RecoveryStats::default()
-        };
-        assert!((a.scan_blocks_per_sec() - 10_000.0).abs() < 1e-6);
-        assert!((a.scan_records_per_sec() - 200_000.0).abs() < 1e-6);
-        assert!((a.redo_records_per_sec() - 400_000.0).abs() < 1e-6);
-        assert!((a.corrupt_block_rate() - 0.05).abs() < 1e-12);
-        assert!((a.allocations_per_record() - 0.25).abs() < 1e-12);
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.blocks, 200);
-        assert_eq!(a.records, 4_000);
-        assert_eq!(a.scan_wall, Duration::from_millis(20));
-        // Doubling counts and wall leaves the rates unchanged.
-        assert!((a.scan_records_per_sec() - 200_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn display_is_humane() {
-        let s = PerfStats {
-            events: 2_000_000,
-            wall: Duration::from_secs(1),
-            ..PerfStats::default()
-        };
-        let text = format!("{s}");
-        assert!(text.contains("2.00 Mev/s"), "{text}");
     }
 }
