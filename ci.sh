@@ -18,7 +18,7 @@ echo "== repro --quick stdout pin =="
 # only in prose. stdout carries the tables and notes, nothing host- or
 # time-dependent (progress and timing go to stderr), and is the same at any
 # --jobs. A deliberate model change re-pins it in the same commit.
-REPRO_PIN=52c20ef98f4da569e063d1ca4b26c4e1
+REPRO_PIN=6fb4bff8ec894899d41d1fcf10db0882
 REPRO_MD5=$(./target/release/repro --quick --jobs 1 2>/dev/null | md5sum | cut -d' ' -f1)
 if [ "$REPRO_MD5" != "$REPRO_PIN" ]; then
     echo "repro --quick stdout md5 is $REPRO_MD5, pinned $REPRO_PIN:" >&2
@@ -37,22 +37,21 @@ cargo test -q --offline --workspace
 
 echo "== 3-gen lattice smoke =="
 # A small-basket N-generation minimum-space search end to end: exercises
-# the lattice search (anchor pass, pruning bound, dominance memo) through
-# the public CLI. Any panic — infeasible lattice, memo/probe mismatch —
-# fails CI.
+# the lattice search (anchor pass, pruning bound, column certificates)
+# through the public CLI. Any panic fails CI.
 ./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2
 
-echo "== analytic equivalence smoke =="
-# The probe accelerators (analytic pruning and consumption certificates
-# — DESIGN.md §5g) must be pure: the same search run with and without
-# them has to print the same geometry and probe counts.
+echo "== certificate equivalence smoke =="
+# The probe accelerator (consumption certificates — DESIGN.md §5g) must
+# be pure: the same search run with and without them (`--no-analytic`
+# simulates every probe) has to print the same geometry and probe counts.
 # Event counters legitimately differ, so compare the full stdout of a
 # quick min-space search, which reports geometry and probes but not
 # event volume.
 ANA_ON=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2)
 ANA_OFF=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2 --no-analytic)
 if [ "$ANA_ON" != "$ANA_OFF" ]; then
-    echo "accelerated and probe-only searches disagree:" >&2
+    echo "certified and probe-only searches disagree:" >&2
     diff <(echo "$ANA_ON") <(echo "$ANA_OFF") >&2 || true
     exit 1
 fi
@@ -85,7 +84,9 @@ echo "== hostile CLI =="
 # unchecked, run the wrong thing: an unknown --mode as EL, tenant 65536
 # aliased onto tenant 0), so each must exit 2 with one stderr line naming
 # the flag. The `repro --csv` row names a directory: an unwritable one
-# must fail here, before the basket runs, not after it. The exit-1 rows
+# must fail here, before the basket runs, not after it. The 4294967295
+# rows would, unchecked, size the ring's allocation (--gens, --fw-blocks:
+# 240 GB, abort) or trip FlushArray's assert (--drives). The exit-1 rows
 # are well-formed searches that find nothing feasible within their
 # ceilings: one stderr line saying so instead of an abort (or a ceiling
 # printed as a minimum).
@@ -107,6 +108,10 @@ done <<'HOSTILE'
 2 --gens elsim --gens 18,0
 2 --gens elserve --tenants 3 --gens 0
 2 --gens elsim --gens 200,200,200,8 --runtime 5 --min-space
+2 --gens elsim --gens 4294967295,4294967295 --runtime 1
+2 --fw-blocks elsim --fw-blocks 4294967295 --runtime 1
+2 --drives elsim --drives 4294967295 --runtime 1
+2 --drives elserve --drives 4294967295 --runtime 1
 2 --tps elsim --tps 0
 2 --mode elsim --mode bogus
 2 --tenants elserve --tenants 65537

@@ -1,9 +1,10 @@
 //! Online adaptive generation control.
 //!
-//! Every search in the harness (minspace, latsearch, analytic) finds the best *static* lattice geometry offline. This
-//! module closes the loop at runtime instead: an [`AdaptiveController`]
-//! watches per-generation occupancy, kill pressure and the record-lifetime
-//! histogram over a sliding window and re-shapes the lattice live —
+//! Every search in the harness (minspace, latsearch) finds the best
+//! *static* lattice geometry offline. This module closes the loop at
+//! runtime instead: an [`AdaptiveController`] watches per-generation
+//! occupancy, kill pressure and the record-lifetime histogram over a
+//! sliding window and re-shapes the lattice live —
 //! growing or shrinking the last generation's block array (through
 //! [`crate::ElManager::set_last_gen_capacity`]), toggling lifetime-hint
 //! placement, and falling back to a firewall-like posture under sustained

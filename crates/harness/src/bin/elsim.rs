@@ -57,12 +57,11 @@ fn main() {
             )
         } else {
             format!(
-                "minimum EL log ({} gens): {:?} = {} blocks ({} probes, {} memoized, {} pruned)\n",
+                "minimum EL log ({} gens): {:?} = {} blocks ({} probes, {} pruned)\n",
                 gens.len(),
                 r.generation_blocks,
                 r.total_blocks,
                 r.probes,
-                r.search.memo_hits,
                 r.search.pruned_volume
             )
         });

@@ -15,8 +15,8 @@
 //! experiments whose name contains NAME (case-insensitive), e.g.
 //! `--only recovery`. `--csv DIR` additionally writes each table as a CSV
 //! file. `--progress` reports per-scenario completion on stderr.
-//! `--no-analytic` disables the analytic probe pre-filter and the
-//! consumption certificates ([`elog_harness::analytic`]); stdout is
+//! `--no-analytic` disables the consumption certificates
+//! ([`elog_core::cert`]) so every probe is simulated; stdout is
 //! byte-identical either way — the flag exists to prove exactly that.
 //!
 //! Every experiment is a [`elog_harness::sweep::Experiment`]; this binary
@@ -133,20 +133,18 @@ fn main() {
     }
 
     // The basket's host-side totals (EXPERIMENTS.md's quick-basket rows).
-    // A verdict is memoized, or answered by the analytic threshold or a
-    // certificate (both counted in `sim_probes`), or simulated live.
+    // A verdict is answered by a certificate (counted in `sim_probes`) or
+    // simulated live.
     let s = &total.search;
     eprintln!(
-        "done in {:?}: {} events, {} probe events, {} verdicts ({} memo / {} analytic / \
-         {} certificate / {} live), {} allocations",
+        "done in {:?}: {} events, {} probe events, {} verdicts ({} certificate / {} live), \
+         {} allocations",
         t0.elapsed(),
         total.events,
         s.probe_events,
-        s.sim_probes + s.memo_hits,
-        s.memo_hits,
-        s.analytic_rejections,
+        s.sim_probes,
         s.cert_verdicts,
-        s.sim_probes - s.analytic_rejections - s.cert_verdicts,
+        s.sim_probes - s.cert_verdicts,
         allocations(),
     );
 }

@@ -33,9 +33,10 @@ macro_rules! run_flags_usage {
   --runtime S             simulated seconds (default 500)
   --drives N              flush drives (default 10)
   --flush-ms T            flush transfer time, ms (default 25)
-  --seed N                random seed (default 0x5EED1993; under elserve
-                          tenant 0 uses it raw, tenants 1.. draw
-                          independent splitmix64 streams from it)
+  --seed N                random seed, decimal or 0x-prefixed hex (default
+                          0x5EED1993; under elserve tenant 0 uses it raw,
+                          tenants 1.. draw independent splitmix64 streams
+                          from it)
   --phases SPEC           piecewise workload schedule
                           `start:frac_long[@rate_factor],...` over the
                           paper type table, e.g. `0:0.1,160:0.4,330:0.1`
@@ -57,9 +58,9 @@ pub const ELSIM_USAGE: &str = concat!(
                           given sizes as per-axis ceilings)
   --jobs N                worker threads for --min-space probes
                           (default: the machine's parallelism)
-  --no-analytic           disable the analytic pre-filter and the
-                          consumption certificates: simulate every probe
-                          in full (the output must not change)
+  --no-analytic           disable the consumption certificates: simulate
+                          every probe in full (the output must not
+                          change)
   --adaptive              run the online adaptive generation controller
                           (stderr summary; stdout is byte-identical to
                           a non-adaptive run when the workload is
@@ -134,6 +135,11 @@ pub fn positive(flag: &str, args: Args) -> Result<usize, String> {
     }
 }
 
+/// Most blocks one generation may have: 2 GiB of simulated log, 256× the
+/// largest search ceiling. The ring allocates a slot per block up front, so
+/// a size from the shell is bounded before it sizes an allocation.
+const MAX_GENERATION_BLOCKS: u32 = 1 << 20;
+
 /// The run flags `elsim` and `elserve` share, at their defaults (the
 /// paper's base configuration).
 struct RunFlags {
@@ -142,6 +148,9 @@ struct RunFlags {
     /// `--adaptive` (`elsim` only).
     adaptive: bool,
     gens: Vec<u32>,
+    /// The flag `gens` came from, for error messages: `--gens`, or
+    /// `--fw-blocks` (`elsim` only).
+    gens_flag: &'static str,
     recirc: bool,
     frac_long: f64,
     tps: f64,
@@ -159,6 +168,7 @@ impl Default for RunFlags {
             firewall: false,
             adaptive: false,
             gens: vec![18, 16],
+            gens_flag: "--gens",
             recirc: false,
             frac_long: 0.05,
             tps: 100.0,
@@ -179,6 +189,7 @@ impl RunFlags {
         match flag {
             "--gens" => {
                 let list: String = value(flag, args)?;
+                self.gens_flag = "--gens";
                 self.gens = list
                     .split(',')
                     .map(|s| s.trim().parse())
@@ -192,7 +203,14 @@ impl RunFlags {
             "--runtime" => self.runtime = value(flag, args)?,
             "--drives" => self.drives = value(flag, args)?,
             "--flush-ms" => self.flush_ms = value(flag, args)?,
-            "--seed" => self.seed = value(flag, args)?,
+            "--seed" => {
+                let raw: String = value(flag, args)?;
+                let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+                    Some(hex) => u64::from_str_radix(hex, 16),
+                    None => raw.parse(),
+                };
+                self.seed = parsed.map_err(|_| format!("{flag} {raw}: not a valid value"))?;
+            }
             "--phases" => {
                 let spec: String = value(flag, args)?;
                 self.phases =
@@ -220,13 +238,21 @@ impl RunFlags {
         arrivals
             .validate()
             .map_err(|e| format!("--tps {rate_tps}: {e}"))?;
+        let gens_flag = self.gens_flag;
         let log = LogConfig {
             generation_blocks: self.gens,
             recirculation: self.recirc,
             ..LogConfig::default()
         };
+        let gens = &log.generation_blocks;
         log.validate()
-            .map_err(|e| format!("--gens {:?}: {e}", log.generation_blocks))?;
+            .map_err(|e| format!("{gens_flag} {gens:?}: {e}"))?;
+        if let Some(big) = gens.iter().find(|&&b| b > MAX_GENERATION_BLOCKS) {
+            return Err(format!(
+                "{gens_flag} {gens:?}: a generation of {big} blocks exceeds the \
+                 {MAX_GENERATION_BLOCKS}-block ceiling"
+            ));
+        }
         let flush = FlushConfig {
             drives: self.drives,
             transfer_time: SimTime::from_millis(self.flush_ms),
@@ -235,6 +261,12 @@ impl RunFlags {
             .validate()
             .map_err(|e| format!("--drives {} --flush-ms {}: {e}", self.drives, self.flush_ms))?;
         let mut el = ElConfig::ephemeral(log, flush);
+        if u64::from(self.drives) > el.db.num_objects {
+            return Err(format!(
+                "--drives {}: at most one drive per object ({} objects)",
+                self.drives, el.db.num_objects
+            ));
+        }
         if self.firewall {
             el.memory_model = MemoryModel::Firewall;
         }
@@ -256,7 +288,7 @@ pub struct Elsim {
     pub min_space: bool,
     /// `--jobs`: worker threads for the search's probes.
     pub jobs: usize,
-    /// `--no-analytic` clears this.
+    /// Consumption certificates in the search; `--no-analytic` clears this.
     pub analytic: bool,
 }
 
@@ -282,6 +314,7 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             }
             "--fw-blocks" => {
                 run.firewall = true;
+                run.gens_flag = "--fw-blocks";
                 run.gens = vec![value("--fw-blocks", args)?];
             }
             "--adaptive" => run.adaptive = true,
@@ -425,6 +458,19 @@ mod tests {
     }
 
     #[test]
+    fn seed_reads_decimal_and_the_hex_the_usage_text_prints() {
+        let seed = |line: &str| elsim(args(line)).map(|e| e.run.seed);
+        assert_eq!(seed(""), Ok(0x5EED_1993));
+        assert_eq!(seed("--seed 0x5EED1993"), seed(""));
+        assert_eq!(seed("--seed 1592596883"), seed(""));
+        assert_eq!(seed("--seed 0X5eed1993"), seed(""));
+        for bad in ["--seed 0x", "--seed 0xg", "--seed 5EED1993", "--seed -1"] {
+            let err = seed(bad).expect_err(bad);
+            assert!(err.contains("--seed"), "`{bad}` → `{err}`");
+        }
+    }
+
+    #[test]
     fn one_tenant_elserve_builds_elsims_configuration() {
         for line in ["", SHARED] {
             let sim = elsim(args(line)).unwrap().run;
@@ -442,7 +488,7 @@ mod tests {
         type Parse = fn(Vec<String>) -> Result<(), String>;
         let sim: Parse = |a| elsim(a).map(drop);
         let serve: Parse = |a| elserve(a).map(drop);
-        let table: [(Parse, &str, &str); 26] = [
+        let table: [(Parse, &str, &str); 30] = [
             (sim, "--gens 0", "--gens"),
             (sim, "--gens 18,0", "--gens"),
             (sim, "--gens 18,x", "--gens"),
@@ -454,6 +500,12 @@ mod tests {
                 "--gens",
             ),
             (serve, "--tenants 3 --gens 0", "--gens"),
+            // Sizes that would otherwise size the ring's allocation, and a
+            // drive count `FlushArray::new` asserts against.
+            (sim, "--gens 4294967295,4294967295 --runtime 1", "--gens"),
+            (serve, "--gens 18,1048577", "--gens"),
+            (sim, "--fw-blocks 4294967295 --runtime 1", "--fw-blocks"),
+            (sim, "--drives 4294967295 --runtime 1", "--drives"),
             (sim, "--tps 0", "--tps"),
             (sim, "--tps nan", "--tps"),
             (serve, "--tps -5", "--tps"),
@@ -482,6 +534,9 @@ mod tests {
             );
             assert!(!err.contains('\n'), "`{line}` → multi-line `{err}`");
         }
+        // The ceilings themselves are legal.
+        let at_ceiling = format!("--gens 18,{MAX_GENERATION_BLOCKS} --drives 10000000");
+        assert!(elsim(args(&at_ceiling)).is_ok());
         // The two tenant limits are named in the message.
         let err = elserve(args("--tenants 65537")).unwrap_err();
         assert!(err.contains("65536"), "{err}");

@@ -8,7 +8,7 @@
 //! the two-generation minimum-space search and the N-generation lattice
 //! search under the *same* workload (shared seed index) and compares the
 //! minima — space, geometry and log bandwidth — with the lattice-search
-//! statistics (probes, memo hits, pruned volume) reported alongside.
+//! statistics (probes, pruned volume) reported alongside.
 //!
 //! `N` defaults to 3 and is CLI-selectable (`repro --gens N`); `N = 1`
 //! degenerates to the firewall binary search, `N = 2` to the
@@ -224,16 +224,9 @@ impl Experiment for FigNgen {
             let Some((minn, _)) = p.n_gen.min_space() else {
                 continue;
             };
-            let s = &minn.search;
             notes.push(format!(
-                "mix {}: {}-gen search used {} probes ({} memoized, {:.0}% hit \
-                 rate), pruned {} lattice points probe-free",
-                p.mix,
-                self.gens,
-                minn.probes,
-                s.memo_hits,
-                s.memo_hit_rate() * 100.0,
-                s.pruned_volume,
+                "mix {}: {}-gen search used {} probes, pruned {} lattice points probe-free",
+                p.mix, self.gens, minn.probes, minn.search.pruned_volume,
             ));
             if let (Some((min2, _)), true) = (p.two_gen.min_space(), self.gens >= 3) {
                 // Report both directions: extra generations can also *cost*

@@ -10,34 +10,23 @@
 //! with a binary search on the last axis, exactly the shape the
 //! two-generation search pioneered, which is its one-prefix-axis case.
 //!
-//! # Dominance rules and their trust boundary
+//! # One accelerator
 //!
-//! The verdict memo generalises the two-generation rules component-wise:
-//!
-//! * **Kill dominance** — a killing geometry dominates every
-//!   component-wise smaller-or-equal point. Shrinking any generation can
-//!   only advance head arrivals (less room before records reach a head),
-//!   so if `k` kills, every `g ≤ k` (component-wise) kills too. This rule
-//!   is trusted across the whole lattice.
-//! * **Survive dominance** — a surviving geometry dominates larger values
-//!   *only along the last axis within a fixed prefix*: if
-//!   `[p₀…p_{N-2}, s]` survives, so does `[p₀…p_{N-2}, s' ≥ s]`. Growing
-//!   the last generation only delays its own head; the traffic it
-//!   receives from the fixed prefix is unchanged. We deliberately do
-//!   *not* trust survive dominance across prefix axes: growing an early
-//!   generation changes the batching and timing of forwarded traffic
-//!   downstream, so `[g0+1, g1]` surviving does not follow from
-//!   `[g0, g1]` surviving (see the ROADMAP's trust-boundary note).
+//! [`Prober::verdict`] is two steps: the column's [`ConsumptionCert`], else
+//! simulate. The certificate's correctness argument is local to one column
+//! — with the prefix fixed, only the last ring's head advance depends on
+//! the last capacity (`alloc j ⇒ consume j − (cap − gap)`, see
+//! [`elog_core::cert`]) — and `tests/search_oracle.rs` holds it, and the
+//! search around it, to plain simulation of every lattice point.
 //!
 //! # Jobs invariance
 //!
-//! Like the two-generation search, the memo is populated only during the
-//! serial anchor pass and *frozen* before the parallel prefix scan, so
-//! probe counts — and therefore every derived statistic — are identical
-//! for every `jobs` setting. One [`Prober`] captures the workload trace
-//! on the first kill-free probe; every later probe replays it.
+//! One [`Prober`] captures the workload trace on the first kill-free
+//! probe; every later probe replays it. Scan workers share that trace and
+//! nothing else — a certificate never outlives its column — so probe
+//! counts, and every statistic derived from them, are identical for every
+//! `jobs` setting.
 
-use crate::analytic::AnalyticModel;
 use crate::minspace::MinSpaceResult;
 use crate::runner::{build_model, run_capture, RunConfig};
 use elog_core::{CertVerdict, ConsumptionCert};
@@ -53,8 +42,8 @@ pub const MAX_AXES: usize = 8;
 
 /// One lattice point: per-generation sizes in blocks, youngest first.
 ///
-/// An inline fixed-capacity vector (`Copy`, no heap) shared by the 2-gen
-/// and N-gen searches — memo entries and audit records are made of these.
+/// An inline fixed-capacity vector (`Copy`, no heap): scan columns and
+/// candidate minima are made of these.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     len: u8,
@@ -96,15 +85,9 @@ impl Geometry {
         self.as_slice().iter().sum()
     }
 
-    /// The sizes of every generation but the last (the fixed prefix the
-    /// survive-dominance rule is scoped to).
+    /// The sizes of every generation but the last.
     pub fn prefix(&self) -> &[u32] {
         &self.axes[..self.len as usize - 1]
-    }
-
-    /// The last generation's size.
-    pub fn last(&self) -> u32 {
-        self.axes[self.len as usize - 1]
     }
 
     /// This point with one more axis appended.
@@ -120,16 +103,6 @@ impl Geometry {
     pub fn to_vec(&self) -> Vec<u32> {
         self.as_slice().to_vec()
     }
-
-    /// Component-wise `self ≤ other` (same dimension).
-    fn dominated_by(&self, other: &Geometry) -> bool {
-        self.len == other.len
-            && self
-                .as_slice()
-                .iter()
-                .zip(other.as_slice())
-                .all(|(&a, &b)| a <= b)
-    }
 }
 
 impl fmt::Debug for Geometry {
@@ -138,87 +111,21 @@ impl fmt::Debug for Geometry {
     }
 }
 
-/// One memo-answered verdict, for soundness audits: the probed geometry
-/// and the verdict the memo derived for it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemoHit {
-    /// The geometry the verdict was derived for.
-    pub geometry: Geometry,
-    /// `true` = survives (no kills), `false` = kills.
-    pub survived: bool,
-}
-
-/// Verdicts observed by the anchor pass, queried under the dominance
-/// rules (see module docs for the rules and their trust boundary).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Memo {
-    /// Geometries that killed: dominate everything component-wise smaller.
-    kills: Vec<Geometry>,
-    /// Geometries that survived: dominate the same prefix at a larger
-    /// last generation.
-    survives: Vec<Geometry>,
-}
-
-impl Memo {
-    pub(crate) fn record(&mut self, g: Geometry, survived: bool) {
-        if survived {
-            self.survives.push(g);
-        } else {
-            self.kills.push(g);
-        }
-    }
-
-    pub(crate) fn lookup(&self, g: &Geometry) -> Option<bool> {
-        if self.kills.iter().any(|k| g.dominated_by(k)) {
-            return Some(false);
-        }
-        if self
-            .survives
-            .iter()
-            .any(|s| s.len == g.len && g.prefix() == s.prefix() && g.last() >= s.last())
-        {
-            return Some(true);
-        }
-        None
-    }
-}
-
-/// Per-column probe state, reset whenever the prober moves to a different
-/// prefix.
-struct ColumnState {
-    /// The column's fixed prefix (empty for single-generation searches).
-    prefix: Vec<u32>,
-    /// Largest last-generation capacity the analytic certificate rejects
-    /// under this prefix (0 when no certificate is available).
-    threshold: u32,
-    /// Consumption certificate extracted from the column's first
-    /// surviving full-horizon probe: answers smaller capacities exactly,
-    /// with zero simulation (see [`elog_core::ConsumptionCert`]).
-    cert: Option<ConsumptionCert>,
-}
-
 /// Runs geometry probes for one search: a reusable scratch configuration
 /// plus the capture/replay machinery (see module docs; the first
 /// kill-free probe captures the workload, every later probe replays it).
-///
-/// [`Prober::verdict`] is the whole pipeline. When analytic acceleration
-/// is on, two engines answer verdicts without simulating and without
-/// changing any of them: the [`AnalyticModel`] certificate rejects
-/// certainly-infeasible last-generation capacities, and the column's
-/// [`ConsumptionCert`] answers every capacity below its first surviving
-/// replay.
 pub(crate) struct Prober {
     cfg: RunConfig,
     trace: Option<Arc<WorkloadTrace>>,
-    /// Probe verdicts requested, simulated or memoised.
+    /// Probe verdicts requested, certified or simulated.
     probes: u32,
     stats: SearchStats,
-    /// Memo-derived verdicts, recorded for soundness audits.
-    memo_trail: Vec<MemoHit>,
-    /// Analytic pruning + consumption certificates enabled for this search.
-    analytic_on: bool,
-    model: Option<Arc<AnalyticModel>>,
-    column: Option<ColumnState>,
+    /// Consumption certificates enabled for this search.
+    certificates: bool,
+    /// The prefix of the column probed last and the certificate its latest
+    /// surviving replay left: answers that column's smaller capacities
+    /// exactly, with zero simulation (see [`elog_core::ConsumptionCert`]).
+    cert: Option<(Vec<u32>, ConsumptionCert)>,
 }
 
 impl Prober {
@@ -227,7 +134,7 @@ impl Prober {
     pub(crate) fn new(
         base: &RunConfig,
         trace: Option<Arc<WorkloadTrace>>,
-        analytic_on: bool,
+        certificates: bool,
     ) -> Self {
         let mut cfg = base.clone();
         cfg.stop_on_kill = true;
@@ -238,29 +145,15 @@ impl Prober {
             trace,
             probes: 0,
             stats: SearchStats::default(),
-            memo_trail: Vec::new(),
-            analytic_on,
-            model: None,
-            column: None,
+            certificates,
+            cert: None,
         }
     }
 
-    /// A fresh-countered sibling for a scan worker: same configuration,
-    /// trace and (shared, not re-derived) analytic certificate.
+    /// A fresh-countered sibling for a scan worker: same configuration
+    /// and trace, nothing else shared.
     fn worker(&self) -> Prober {
-        let mut p = Prober::new(&self.cfg, self.trace.clone(), self.analytic_on);
-        p.model = self.model.clone();
-        p
-    }
-
-    /// Builds the certificate from the captured trace if allowed and not
-    /// yet present.
-    fn ensure_model(&mut self) {
-        if self.analytic_on && self.model.is_none() {
-            if let Some(t) = &self.trace {
-                self.model = AnalyticModel::from_run(&self.cfg, t).map(Arc::new);
-            }
-        }
+        Prober::new(&self.cfg, self.trace.clone(), self.certificates)
     }
 
     /// Whether the consumption certificate is sound: §6 lifetime hints
@@ -270,102 +163,65 @@ impl Prober {
     /// recirculation (re-appends compete for the same tail) and by a zero
     /// gap (desperate one-block allocations).
     fn cert_ok(&self) -> bool {
-        self.analytic_on
+        self.certificates
             && !self.cfg.lifetime_hints
             && !self.cfg.el.log.recirculation
             && self.cfg.el.log.gap_blocks >= 1
     }
 
-    /// The per-column state for `prefix`, (re)initialised when it differs
-    /// from the current column's.
-    fn column(&mut self, prefix: &[u32]) -> &mut ColumnState {
-        if self.column.as_ref().is_none_or(|c| c.prefix != prefix) {
-            self.column = Some(ColumnState {
-                prefix: prefix.to_vec(),
-                threshold: self
-                    .model
-                    .as_ref()
-                    .map_or(0, |m| m.reject_threshold(prefix)),
-                cert: None,
-            });
-        }
-        self.column.as_mut().expect("column set above")
-    }
-
-    /// The verdict for `g` — `true` when it survives the whole horizon
-    /// without kills — from the cheapest source that has one: the frozen
-    /// dominance `memo`, the analytic threshold, the column's consumption
-    /// certificate, and only then a simulation
+    /// The verdict for the geometry `prefix + [last]` — `true` when it
+    /// survives the whole horizon without kills — from the column's
+    /// consumption certificate when it has one, else from a simulation
     /// (capturing the workload when no trace exists yet, replaying it
-    /// otherwise). Every source returns the verdict the simulation would,
-    /// and every non-memo verdict counts as the probe it replaced, so
-    /// printed probe counts never depend on which source answered.
-    pub(crate) fn verdict(&mut self, memo: Option<&Memo>, g: Geometry) -> bool {
+    /// otherwise). The certificate returns the verdict the simulation
+    /// would and counts as the probe it replaced, so printed probe counts
+    /// never depend on which of the two answered.
+    pub(crate) fn verdict(&mut self, prefix: &[u32], last: u32) -> bool {
         self.probes += 1;
-        let survived = 'answer: {
-            if let Some(v) = memo.and_then(|m| m.lookup(&g)) {
-                self.stats.memo_hits += 1;
-                self.memo_trail.push(MemoHit {
-                    geometry: g,
-                    survived: v,
-                });
-                break 'answer v;
-            }
-            self.stats.sim_probes += 1;
-            // A trace in hand makes this a replay probe, whichever source
-            // ends up answering it. (No trace also means no certificate of
-            // either kind yet: both are derived from replays.)
-            let replay = self.trace.clone();
-            self.stats.replay_probes += u64::from(replay.is_some());
-            let col = self.column(g.prefix());
-            if g.last() <= col.threshold {
-                self.stats.analytic_rejections += 1;
-                break 'answer false;
-            }
-            let certified = col
-                .cert
-                .as_ref()
-                .map_or(CertVerdict::Unknown, |c| c.verdict(g.last()));
-            if certified != CertVerdict::Unknown {
-                self.stats.cert_verdicts += 1;
-                break 'answer certified == CertVerdict::Survives;
-            }
-            let blocks = &mut self.cfg.el.log.generation_blocks;
-            blocks.clear();
-            blocks.extend_from_slice(g.as_slice());
-            let Some(trace) = replay else {
-                // First live probe(s); the first kill-free one hands back
-                // the trace every later probe replays, and with it the
-                // analytic certificate — mid-column, so drop the column
-                // and let the next probe re-derive its threshold.
-                let (r, trace) = run_capture(&self.cfg);
-                self.trace = trace;
-                self.ensure_model();
-                self.column = None;
-                self.stats.probe_events += r.perf.events;
-                break 'answer r.killed == 0;
-            };
-            let cert_ok = self.cert_ok();
-            self.cfg.trace = Some(trace);
-            let mut engine = build_model(&self.cfg);
-            self.cfg.trace = None;
-            if cert_ok {
-                // Record a consumption certificate so this run, if it
-                // survives, answers the column's smaller capacities
-                // without simulation.
-                engine.model_mut().lm.start_cert_recording();
-            }
-            engine.run_until(self.cfg.runtime);
-            self.stats.probe_events += engine.events_processed();
-            let survived = engine.model().kills() == 0;
-            if survived && cert_ok {
-                // A surviving run's certificate is complete; later probes
-                // of this column are strictly smaller capacities (the
-                // bisection only descends), for which it stays valid.
-                self.column(g.prefix()).cert = engine.model_mut().lm.take_consumption_cert();
-            }
-            survived
+        self.stats.sim_probes += 1;
+        // A trace in hand makes this a replay probe, whichever source
+        // ends up answering it. (No trace also means no certificate yet:
+        // certificates are recorded by replays.)
+        let replay = self.trace.clone();
+        self.stats.replay_probes += u64::from(replay.is_some());
+        let column_cert = self.cert.as_ref().filter(|(p, _)| p == prefix);
+        let certified = column_cert.map_or(CertVerdict::Unknown, |(_, c)| c.verdict(last));
+        if certified != CertVerdict::Unknown {
+            self.stats.cert_verdicts += 1;
+            return certified == CertVerdict::Survives;
+        }
+        let blocks = &mut self.cfg.el.log.generation_blocks;
+        blocks.clear();
+        blocks.extend_from_slice(prefix);
+        blocks.push(last);
+        let Some(trace) = replay else {
+            // First live probe(s); the first kill-free one hands back the
+            // trace every later probe replays.
+            let (r, trace) = run_capture(&self.cfg);
+            self.trace = trace;
+            self.stats.probe_events += r.perf.events;
+            return r.killed == 0;
         };
+        let cert_ok = self.cert_ok();
+        self.cfg.trace = Some(trace);
+        let mut engine = build_model(&self.cfg);
+        self.cfg.trace = None;
+        if cert_ok {
+            // Record a consumption certificate so this run, if it
+            // survives, answers the column's smaller capacities without
+            // simulation.
+            engine.model_mut().lm.start_cert_recording();
+        }
+        engine.run_until(self.cfg.runtime);
+        self.stats.probe_events += engine.events_processed();
+        let survived = engine.model().kills() == 0;
+        if survived && cert_ok {
+            // A surviving run's certificate is complete; later probes of
+            // this column are strictly smaller capacities (the bisection
+            // only descends), for which it stays valid.
+            let cert = engine.model_mut().lm.take_consumption_cert();
+            self.cert = cert.map(|c| (prefix.to_vec(), c));
+        }
         survived
     }
 
@@ -374,7 +230,6 @@ impl Prober {
     fn absorb(&mut self, other: Prober) {
         self.probes += other.probes;
         self.stats.merge(&other.stats);
-        self.memo_trail.extend(other.memo_trail);
     }
 
     /// Ends the search and packages the outcome. `blocks` is the minimum,
@@ -388,7 +243,6 @@ impl Prober {
                 search: self.stats,
             },
             trace: self.trace,
-            memo_trail: self.memo_trail,
             feasible,
         }
     }
@@ -420,137 +274,43 @@ impl LatticeLimits {
     }
 }
 
-/// One step of a last-axis search: the deterministic automaton behind
-/// every column bisection and the firewall search's doubling bracket.
-///
-/// This *is* the serial control flow of both searches: [`drive_last_axis`]
-/// steps it one authoritative probe at a time, and the `plan_*` unit tests
-/// pin it step by step against the hand-written loops it replaced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Plan {
-    /// The opening ceiling probe of a bisection: probing `hi` over the
-    /// floor `lo`; a kill here means nothing within the ceiling fits.
-    Ceiling {
-        /// Bisection floor (`gap + 1`).
-        lo: u32,
-        /// The ceiling being probed.
-        hi: u32,
-    },
-    /// The bisection loop on `[lo, hi]` (invariant `lo < hi`, `hi`
-    /// survives): probing the midpoint.
-    Bisect {
-        /// Smallest capacity still possible.
-        lo: u32,
-        /// Smallest capacity known to survive.
-        hi: u32,
-    },
-    /// The firewall search's doubling bracket: probing `upper` over the
-    /// floor `lo`, capped at `limit`.
-    Double {
-        /// Smallest capacity still possible.
-        lo: u32,
-        /// The doubling candidate being probed.
-        upper: u32,
-        /// Search ceiling.
-        limit: u32,
-    },
-    /// No more probes; `found` is the answer (`None` = nothing within
-    /// the ceiling survived).
-    Done {
-        /// The minimal surviving capacity, if any.
-        found: Option<u32>,
-    },
+/// The smallest capacity in `[lo, hi]` that `survives`, given that `hi`
+/// does and that survival is monotone in the capacity.
+fn bisect(mut lo: u32, mut hi: u32, mut survives: impl FnMut(u32) -> bool) -> u32 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if survives(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    hi
 }
 
-impl Plan {
-    /// The capacity the next authoritative probe tests (`None` when the
-    /// search is finished).
-    fn target(self) -> Option<u32> {
-        match self {
-            Plan::Ceiling { hi, .. } => Some(hi),
-            Plan::Bisect { lo, hi } => Some(lo + (hi - lo) / 2),
-            Plan::Double { upper, .. } => Some(upper),
-            Plan::Done { .. } => None,
-        }
-    }
-
-    /// The state after the current target's verdict.
-    fn after(self, survived: bool) -> Plan {
-        match self {
-            Plan::Ceiling { lo, hi } => {
-                if !survived {
-                    Plan::Done { found: None }
-                } else if lo < hi {
-                    Plan::Bisect { lo, hi }
-                } else {
-                    Plan::Done { found: Some(hi) }
-                }
-            }
-            Plan::Bisect { lo, hi } => {
-                let mid = lo + (hi - lo) / 2;
-                if survived {
-                    if lo < mid {
-                        Plan::Bisect { lo, hi: mid }
-                    } else {
-                        Plan::Done { found: Some(mid) }
-                    }
-                } else if mid + 1 < hi {
-                    Plan::Bisect { lo: mid + 1, hi }
-                } else {
-                    Plan::Done { found: Some(hi) }
-                }
-            }
-            Plan::Double { lo, upper, limit } => {
-                if survived {
-                    if lo < upper {
-                        Plan::Bisect { lo, hi: upper }
-                    } else {
-                        Plan::Done { found: Some(upper) }
-                    }
-                } else if upper >= limit {
-                    Plan::Done { found: None }
-                } else {
-                    Plan::Double {
-                        lo: upper + 1,
-                        upper: (upper * 2).min(limit),
-                        limit,
-                    }
-                }
-            }
-            Plan::Done { found } => Plan::Done { found },
-        }
-    }
-
-    /// The answer once `target()` is `None`.
-    fn found(self) -> Option<u32> {
-        match self {
-            Plan::Done { found } => found,
-            other => unreachable!("found() before Done: {other:?}"),
-        }
-    }
-}
-
-/// Runs a last-axis search plan to completion on `p`: for a fixed prefix,
-/// the smallest last generation with no kills, or `None` if nothing
-/// within the plan's ceiling survives. `on_verdict` observes each verdict
-/// (the anchor pass records them into the dominance memo).
-fn drive_last_axis(
-    p: &mut Prober,
-    memo: Option<&Memo>,
-    prefix: &[u32],
-    mut plan: Plan,
-    mut on_verdict: impl FnMut(Geometry, bool),
+/// A column's search: the smallest capacity in `[floor, ceiling]` that
+/// `survives`, or `None` when even the ceiling does not.
+fn min_under_ceiling(
+    floor: u32,
+    ceiling: u32,
+    mut survives: impl FnMut(u32) -> bool,
 ) -> Option<u32> {
-    let mut buf = [0u32; MAX_AXES];
-    buf[..prefix.len()].copy_from_slice(prefix);
-    while let Some(target) = plan.target() {
-        buf[prefix.len()] = target;
-        let g = Geometry::from_slice(&buf[..=prefix.len()]);
-        let v = p.verdict(memo, g);
-        on_verdict(g, v);
-        plan = plan.after(v);
+    survives(ceiling).then(|| bisect(floor, ceiling, survives))
+}
+
+/// The firewall search: doubles up from `floor` until a capacity
+/// `survives` (or `limit` does not), then bisects the bracket.
+fn min_by_doubling(floor: u32, limit: u32, mut survives: impl FnMut(u32) -> bool) -> Option<u32> {
+    let mut lo = floor;
+    let mut upper = floor.saturating_mul(2).min(limit);
+    while !survives(upper) {
+        if upper >= limit {
+            return None;
+        }
+        lo = upper + 1;
+        upper = upper.saturating_mul(2).min(limit);
     }
-    plan.found()
+    Some(bisect(lo, upper, survives))
 }
 
 /// Most columns a lattice scan will enumerate.
@@ -602,12 +362,7 @@ fn enumerate_prefixes(gap: u32, prefix_max: &[u32]) -> Vec<Geometry> {
 /// The lattice search: the anchor column at the all-maxima prefix, then
 /// every other column in parallel, each capped strictly below the best
 /// total the anchor proved.
-fn run_lattice(
-    mut anchor: Prober,
-    limits: &LatticeLimits,
-    jobs: usize,
-    use_memo: bool,
-) -> SearchOutcome {
+fn run_lattice(mut anchor: Prober, limits: &LatticeLimits, jobs: usize) -> SearchOutcome {
     let k = anchor.cfg.el.log.gap_blocks;
     assert!(
         !limits.prefix_max.is_empty(),
@@ -623,30 +378,17 @@ fn run_lattice(
         limits.prefix_max.iter().all(|&m| m > k) && limits.last_limit > k,
         "every ceiling must exceed the gap threshold ({k})"
     );
-    let mut memo = Memo::default();
     let anchor_prefix = Geometry::from_slice(&limits.prefix_max);
-    let ceiling = |hi| Plan::Ceiling { lo: k + 1, hi };
-    let anchor_last = drive_last_axis(
-        &mut anchor,
-        None,
-        anchor_prefix.as_slice(),
-        ceiling(limits.last_limit),
-        |g, v| memo.record(g, v),
-    );
-    // The memo is frozen here: the scan reads the anchor pass's verdicts
-    // but records none of its own (within one prefix's binary search no
-    // probe ever dominates a later one), keeping probe counts independent
-    // of `jobs`. When even the all-maxima prefix cannot fit, the scan is
-    // exhaustive instead — no bound, and no memo either: the minimal last
-    // generation need not be monotone in the prefix, so a smaller prefix
-    // may still be feasible, which is exactly the corner where
-    // cross-prefix dominance is distrusted.
-    let memo = (use_memo && anchor_last.is_some()).then_some(&memo);
+    let anchor_last = min_under_ceiling(k + 1, limits.last_limit, |c| {
+        anchor.verdict(&limits.prefix_max, c)
+    });
+    // When even the all-maxima prefix cannot fit, the scan is exhaustive
+    // instead — no bound: the minimal last generation need not be
+    // monotone in the prefix, so a smaller prefix may still be feasible.
     let bound = anchor_last.map(|last| anchor_prefix.total() + last);
     let prefixes = enumerate_prefixes(k, &limits.prefix_max);
     // Workers draw scratch probers from a pool instead of cloning the
-    // configuration per prefix; every prober already replays the anchor's
-    // trace and shares the anchor's analytic certificate.
+    // configuration per prefix; every prober replays the anchor's trace.
     let pool: Mutex<Vec<Prober>> = Mutex::new(Vec::new());
     let results = crate::sweep::parallel_map(&prefixes, jobs, |_, prefix| {
         let mut p = pool
@@ -662,7 +404,7 @@ fn run_lattice(
         });
         p.stats.pruned_volume += u64::from(limits.last_limit - cap.max(k));
         let last = if cap > k {
-            drive_last_axis(&mut p, memo, prefix.as_slice(), ceiling(cap), |_, _| {})
+            min_under_ceiling(k + 1, cap, |c| p.verdict(prefix.as_slice(), c))
         } else {
             None
         };
@@ -692,23 +434,15 @@ fn run_lattice(
 
 /// Smallest single-generation log: doubling to bracket, then bisection.
 fn run_firewall(mut p: Prober, limit: u32) -> SearchOutcome {
-    let lo = p.cfg.el.log.gap_blocks + 1; // smallest valid geometry
-    let plan = Plan::Double {
-        lo,
-        upper: (lo * 2).min(limit),
-        limit,
-    };
-    let found = drive_last_axis(&mut p, None, &[], plan, |_, _| {});
+    let floor = p.cfg.el.log.gap_blocks + 1; // smallest valid geometry
+    let found = min_by_doubling(floor, limit, |c| p.verdict(&[], c));
     p.finish(vec![found.unwrap_or(limit)], found.is_some())
 }
 
 /// Smallest last generation under a fixed prefix.
 fn run_fixed_prefix(mut p: Prober, prefix: Vec<u32>, last_limit: u32) -> SearchOutcome {
-    let plan = Plan::Ceiling {
-        lo: p.cfg.el.log.gap_blocks + 1,
-        hi: last_limit,
-    };
-    let last = drive_last_axis(&mut p, None, &prefix, plan, |_, _| {});
+    let floor = p.cfg.el.log.gap_blocks + 1;
+    let last = min_under_ceiling(floor, last_limit, |c| p.verdict(&prefix, c));
     let mut blocks = prefix;
     blocks.push(last.unwrap_or(last_limit));
     p.finish(blocks, last.is_some())
@@ -723,8 +457,8 @@ pub enum SearchMode {
         /// Search ceiling; the result clamps here when nothing survives.
         limit: u32,
     },
-    /// Full N-generation lattice minimum (anchor pass, memoised prefix
-    /// scan, anchor-bound pruning).
+    /// Full N-generation lattice minimum (anchor pass, prefix scan,
+    /// anchor-bound pruning).
     Lattice {
         /// Per-axis ceilings; their shape fixes the dimensionality.
         limits: LatticeLimits,
@@ -755,7 +489,6 @@ pub struct SearchRequest {
     base: RunConfig,
     mode: SearchMode,
     jobs: usize,
-    memo: bool,
     analytic: bool,
     seed_trace: Option<Arc<WorkloadTrace>>,
 }
@@ -768,8 +501,6 @@ pub struct SearchOutcome {
     /// The workload trace the probes captured (or were seeded with), for
     /// the caller's measured run.
     pub trace: Option<Arc<WorkloadTrace>>,
-    /// Memo-derived verdicts, for soundness audits (lattice mode only).
-    pub memo_trail: Vec<MemoHit>,
     /// `false` when nothing survived within the ceilings; `min` then
     /// holds the ceilings themselves, not a minimum.
     pub feasible: bool,
@@ -782,7 +513,6 @@ impl SearchRequest {
             base: base.clone(),
             mode,
             jobs: 1,
-            memo: true,
             analytic: true,
             seed_trace: None,
         }
@@ -812,14 +542,8 @@ impl SearchRequest {
         self
     }
 
-    /// Enables/disables the dominance memo (lattice mode; default on).
-    pub fn memo(mut self, on: bool) -> Self {
-        self.memo = on;
-        self
-    }
-
-    /// Enables/disables the analytic threshold and the consumption
-    /// certificates (default on; results are invariant in this, only the
+    /// Enables/disables the consumption certificates (default on; off
+    /// simulates every probe — results are invariant in this, only the
     /// number of simulated probe events changes).
     pub fn analytic(mut self, on: bool) -> Self {
         self.analytic = on;
@@ -845,11 +569,10 @@ impl SearchRequest {
 
     /// Runs the search.
     pub fn run(self) -> SearchOutcome {
-        let mut p = Prober::new(&self.base, self.seed_trace, self.analytic);
-        p.ensure_model();
+        let p = Prober::new(&self.base, self.seed_trace, self.analytic);
         match self.mode {
             SearchMode::Firewall { limit } => run_firewall(p, limit),
-            SearchMode::Lattice { limits } => run_lattice(p, &limits, self.jobs, self.memo),
+            SearchMode::Lattice { limits } => run_lattice(p, &limits, self.jobs),
             SearchMode::FixedPrefix { prefix, last_limit } => {
                 run_fixed_prefix(p, prefix, last_limit)
             }
@@ -861,6 +584,7 @@ impl SearchRequest {
 mod tests {
     use super::*;
     use crate::minspace::{paper_base, survives};
+    use crate::runner::run_capture;
     use elog_core::{Effects, LmTimer};
     use elog_model::{Oid, StableDb, Tid};
     use elog_sim::SimTime;
@@ -875,46 +599,10 @@ mod tests {
         assert_eq!(g.len(), 3);
         assert_eq!(g.total(), 42);
         assert_eq!(g.prefix(), &[18, 16]);
-        assert_eq!(g.last(), 8);
         assert_eq!(g.as_slice(), &[18, 16, 8]);
         assert_eq!(format!("{g:?}"), "[18, 16, 8]");
         assert_eq!(geom(&[18, 16]).with_last(8), g);
         assert_eq!(g.to_vec(), vec![18, 16, 8]);
-    }
-
-    #[test]
-    fn memo_dominance_rules_two_gen() {
-        // The exact rules the old 2-gen memo encoded.
-        let mut m = Memo::default();
-        m.record(geom(&[24, 9]), false); // kill at [24, 9]
-        m.record(geom(&[24, 10]), true); // survive at [24, 10]
-                                         // Kill dominance: component-wise smaller geometries also kill.
-        assert_eq!(m.lookup(&geom(&[20, 9])), Some(false));
-        assert_eq!(m.lookup(&geom(&[24, 8])), Some(false));
-        assert_eq!(m.lookup(&geom(&[10, 3])), Some(false));
-        // Survive dominance: same gen0, bigger gen1.
-        assert_eq!(m.lookup(&geom(&[24, 11])), Some(true));
-        assert_eq!(m.lookup(&geom(&[24, 10])), Some(true));
-        // No dominance: different gen0 above the kill, or bigger g1.
-        assert_eq!(m.lookup(&geom(&[23, 10])), None);
-        assert_eq!(m.lookup(&geom(&[25, 9])), None);
-    }
-
-    #[test]
-    fn memo_dominance_rules_three_gen() {
-        let mut m = Memo::default();
-        m.record(geom(&[12, 8, 6]), false);
-        m.record(geom(&[12, 8, 7]), true);
-        // Kill dominance is fully component-wise.
-        assert_eq!(m.lookup(&geom(&[12, 8, 6])), Some(false));
-        assert_eq!(m.lookup(&geom(&[10, 8, 5])), Some(false));
-        assert_eq!(m.lookup(&geom(&[12, 7, 6])), Some(false));
-        // Survive dominance holds only within the fixed [12, 8] prefix.
-        assert_eq!(m.lookup(&geom(&[12, 8, 9])), Some(true));
-        assert_eq!(m.lookup(&geom(&[12, 9, 7])), None, "prefix differs");
-        assert_eq!(m.lookup(&geom(&[13, 8, 7])), None, "prefix differs");
-        // Dimension mismatch never matches either rule.
-        assert_eq!(m.lookup(&geom(&[12, 8])), None);
     }
 
     #[test]
@@ -951,9 +639,9 @@ mod tests {
         assert_eq!(r.generation_blocks.len(), 3);
         assert!(survives(&base, &r.generation_blocks));
         assert_eq!(
-            r.search.sim_probes + r.search.memo_hits,
+            r.search.sim_probes,
             u64::from(r.probes),
-            "every verdict is either simulated or memoised"
+            "every verdict is a probe, certified or simulated"
         );
         assert!(
             r.search.pruned_volume > 0,
@@ -981,25 +669,16 @@ mod tests {
         let (serial, parallel) = (search(1), search(4));
         assert_eq!(serial.generation_blocks, parallel.generation_blocks);
         assert_eq!(serial.probes, parallel.probes);
-        assert_eq!(serial.search.sim_probes, parallel.search.sim_probes);
-        assert_eq!(serial.search.memo_hits, parallel.search.memo_hits);
-        assert_eq!(serial.search.pruned_volume, parallel.search.pruned_volume);
-        // The analytic engines are column-local, so their counters are
-        // jobs-invariant too — event volume included.
-        assert_eq!(
-            serial.search.analytic_rejections,
-            parallel.search.analytic_rejections
-        );
-        assert_eq!(serial.search.cert_verdicts, parallel.search.cert_verdicts);
-        assert_eq!(serial.search.probe_events, parallel.search.probe_events);
+        // Certificates are column-local and workers share nothing but the
+        // trace, so every counter is jobs-invariant — event volume included.
+        assert_eq!(serial.search, parallel.search);
     }
 
     #[test]
     fn analytic_path_matches_probe_only_path() {
-        // The accelerators' soundness contract: with the analytic
-        // pre-filter and certificates on, every probe verdict — and
-        // therefore the chosen geometry, the probe counts, and the memo
-        // trail — is identical to the exhaustive probe path; only the
+        // The certificate's soundness contract: with it on, every probe
+        // verdict — and therefore the chosen geometry and the probe
+        // counts — is identical to the simulate-everything path; only the
         // event volume may shrink.
         let base = paper_base(0.05, false, 20);
         let limits = LatticeLimits {
@@ -1010,21 +689,16 @@ mod tests {
             let req = SearchRequest::lattice(&base, limits.clone()).jobs(2);
             req.analytic(analytic).run()
         };
-        let (on, off) = (lattice(true), lattice(false));
-        let (on_trail, off_trail) = (on.memo_trail, off.memo_trail);
-        let (on, off) = (on.min, off.min);
+        let (on, off) = (lattice(true).min, lattice(false).min);
         assert_eq!(on.generation_blocks, off.generation_blocks);
         assert_eq!(on.probes, off.probes);
         assert_eq!(on.search.sim_probes, off.search.sim_probes);
         assert_eq!(on.search.replay_probes, off.search.replay_probes);
-        assert_eq!(on.search.memo_hits, off.search.memo_hits);
         assert_eq!(on.search.pruned_volume, off.search.pruned_volume);
-        assert_eq!(on_trail, off_trail);
-        assert_eq!(off.search.analytic_rejections, 0);
         assert_eq!(off.search.cert_verdicts, 0);
         assert!(
             on.search.probe_events <= off.search.probe_events,
-            "the pre-filter must not add events: {} vs {}",
+            "the certificate must not add events: {} vs {}",
             on.search.probe_events,
             off.search.probe_events
         );
@@ -1064,7 +738,7 @@ mod tests {
     #[test]
     fn infeasible_anchor_falls_back_to_exhaustive_scan() {
         // A 40% mix cannot fit the tiny ceilings at the anchor, so the
-        // scan turns exhaustive (no bound, no memo) — and at these
+        // scan turns exhaustive (no bound) — and at these
         // ceilings still finds nothing: the outcome says so and hands
         // back the ceilings, not a "minimum".
         let base = paper_base(0.4, false, 20);
@@ -1076,8 +750,7 @@ mod tests {
         assert!(!out.feasible);
         assert_eq!(out.min.generation_blocks, vec![4, 4, 5]);
         assert_eq!(out.min.total_blocks, 13);
-        assert_eq!(out.min.search.memo_hits, 0, "fallback scan is memo-free");
-        assert_eq!(out.min.search.pruned_volume, 0, "and unbounded");
+        assert_eq!(out.min.search.pruned_volume, 0, "fallback is unbounded");
         // 2 × 2 prefixes (axes 3..=4 over the gap of 2), each killed at
         // its ceiling probe.
         assert_eq!(out.min.probes, 4);
@@ -1108,134 +781,113 @@ mod tests {
         assert_eq!(l.last_limit, 64);
     }
 
-    /// The pre-`Plan` serial bisection (the old `min_last_for`),
-    /// recording every capacity it probes.
-    fn ref_min_last(
-        oracle: &mut impl FnMut(u32) -> bool,
-        probes: &mut Vec<u32>,
-        floor: u32,
-        hi_limit: u32,
-    ) -> Option<u32> {
-        let mut lo = floor;
-        let mut hi = hi_limit;
-        probes.push(hi);
-        if !oracle(hi) {
-            return None;
-        }
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            probes.push(mid);
-            if oracle(mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        Some(hi)
+    /// The smallest surviving capacity in `[floor, limit]` by linear scan.
+    fn linear_min(floor: u32, limit: u32, thresh: u32) -> Option<u32> {
+        (floor..=limit).find(|&c| c >= thresh)
     }
 
-    /// The pre-`Plan` firewall loop: doubling bracket, then bisection.
-    fn ref_firewall(
-        oracle: &mut impl FnMut(u32) -> bool,
-        probes: &mut Vec<u32>,
-        floor: u32,
-        hi_limit: u32,
-    ) -> Option<u32> {
-        let mut lo = floor;
-        let mut hi = hi_limit;
-        let mut upper = (lo * 2).min(hi);
-        loop {
-            probes.push(upper);
-            if oracle(upper) {
-                hi = upper;
-                break;
+    /// The certificate's precondition on a probe sequence: once a probe
+    /// has survived (`c ≥ thresh`), every later one is strictly smaller.
+    fn assert_descends_below_survivors(probes: &[u32], thresh: u32, at: &str) {
+        let mut least_survivor = u32::MAX;
+        for &c in probes {
+            assert!(c < least_survivor, "{at}: {probes:?} re-ascends");
+            if c >= thresh {
+                least_survivor = c;
             }
-            if upper >= hi_limit {
-                return None;
-            }
-            lo = upper + 1;
-            upper = (upper * 2).min(hi_limit);
-        }
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            probes.push(mid);
-            if oracle(mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        Some(hi)
-    }
-
-    /// Drives a [`Plan`] against the oracle, recording probes identically.
-    fn drive_plan(
-        oracle: &mut impl FnMut(u32) -> bool,
-        probes: &mut Vec<u32>,
-        mut plan: Plan,
-    ) -> Option<u32> {
-        loop {
-            let Some(t) = plan.target() else {
-                return plan.found();
-            };
-            probes.push(t);
-            plan = plan.after(oracle(t));
         }
     }
 
     #[test]
-    fn plan_bisection_matches_serial_reference() {
+    fn column_search_finds_the_linear_scan_minimum() {
         // Monotone oracles (survives iff cap ≥ threshold), exhaustively
         // over small floors/limits; threshold > limit = infeasible.
         for floor in 1..=4u32 {
             for limit in floor..=floor + 12 {
                 for thresh in floor..=limit + 2 {
-                    let (mut p_ref, mut p_plan) = (Vec::new(), Vec::new());
-                    let want = ref_min_last(&mut |c| c >= thresh, &mut p_ref, floor, limit);
-                    let got = drive_plan(
-                        &mut |c| c >= thresh,
-                        &mut p_plan,
-                        Plan::Ceiling {
-                            lo: floor,
-                            hi: limit,
-                        },
+                    let mut probes = Vec::new();
+                    let got = min_under_ceiling(floor, limit, |c| {
+                        probes.push(c);
+                        c >= thresh
+                    });
+                    let at = format!("floor {floor} limit {limit} thresh {thresh}");
+                    assert_eq!(got, linear_min(floor, limit, thresh), "{at}");
+                    assert_eq!(probes[0], limit, "the ceiling is probed first: {at}");
+                    assert!(
+                        probes[1..].windows(2).all(|w| w[0] != w[1]) && probes.len() <= 6,
+                        "ceiling + ⌈log₂ 13⌉ probes at most, none repeated: {at} {probes:?}"
                     );
-                    assert_eq!(got, want, "floor {floor} limit {limit} thresh {thresh}");
-                    assert_eq!(
-                        p_plan, p_ref,
-                        "probe sequence diverged at floor {floor} limit {limit} \
-                         thresh {thresh}"
-                    );
+                    assert_descends_below_survivors(&probes, thresh, &at);
                 }
             }
         }
     }
 
     #[test]
-    fn plan_doubling_matches_firewall_reference() {
+    fn doubling_search_finds_the_linear_scan_minimum() {
         for floor in 1..=4u32 {
             for limit in floor..=floor + 20 {
                 for thresh in floor..=limit + 2 {
-                    let (mut p_ref, mut p_plan) = (Vec::new(), Vec::new());
-                    let want = ref_firewall(&mut |c| c >= thresh, &mut p_ref, floor, limit);
-                    let got = drive_plan(
-                        &mut |c| c >= thresh,
-                        &mut p_plan,
-                        Plan::Double {
-                            lo: floor,
-                            upper: (floor * 2).min(limit),
-                            limit,
-                        },
-                    );
-                    assert_eq!(got, want, "floor {floor} limit {limit} thresh {thresh}");
-                    assert_eq!(
-                        p_plan, p_ref,
-                        "probe sequence diverged at floor {floor} limit {limit} \
-                         thresh {thresh}"
-                    );
+                    let mut probes = Vec::new();
+                    let got = min_by_doubling(floor, limit, |c| {
+                        probes.push(c);
+                        c >= thresh
+                    });
+                    let at = format!("floor {floor} limit {limit} thresh {thresh}");
+                    assert_eq!(got, linear_min(floor, limit, thresh), "{at}");
+                    assert_eq!(probes[0], (floor * 2).min(limit), "{at}");
+                    assert!(probes.iter().all(|c| (floor..=limit).contains(c)), "{at}");
+                    assert_descends_below_survivors(&probes, thresh, &at);
                 }
             }
         }
+        // A ceiling near u32::MAX brackets without overflow.
+        assert_eq!(
+            min_by_doubling(3, u32::MAX, |c| c >= u32::MAX - 1),
+            Some(u32::MAX - 1)
+        );
+    }
+
+    #[test]
+    fn first_surviving_replay_certifies_its_column_exactly() {
+        // The certificate against ground truth, one column at a time: the
+        // ceiling probe is the column's first surviving replay, and every
+        // verdict its certificate gives for a smaller capacity — the only
+        // ones the search ever asks it — must equal a plain simulation of
+        // that exact geometry (`survives`: live driver, no trace, no
+        // certificate), at loads light enough that 16 blocks hold the
+        // last generation.
+        let (mut kills, mut survivals, mut unknown) = (0, 0, 0);
+        let ceiling = 16;
+        for (mix, rate_tps, secs, prefixes) in [
+            (0.05, 40.0, 25, &[&[8u32][..], &[12], &[6, 7], &[7, 5]][..]),
+            (0.40, 20.0, 20, &[&[10u32][..], &[7, 7]][..]),
+        ] {
+            let arrivals = elog_workload::ArrivalProcess::Deterministic { rate_tps };
+            let base = paper_base(mix, false, secs).with_arrivals(arrivals);
+            let (_, trace) = run_capture(&base);
+            let trace = trace.expect("the paper geometry is kill-free here");
+            for &prefix in prefixes {
+                let at = format!("mix {mix} prefix {prefix:?}");
+                let mut p = Prober::new(&base, Some(trace.clone()), true);
+                assert!(p.verdict(prefix, ceiling), "{at}: ceiling {ceiling} kills");
+                let (_, cert) = p.cert.take().expect("a surviving replay certifies");
+                for c in base.el.log.gap_blocks + 1..ceiling {
+                    let truth = survives(&base, &[prefix, &[c]].concat());
+                    match cert.verdict(c) {
+                        CertVerdict::Unknown => unknown += 1,
+                        v => {
+                            assert_eq!(v == CertVerdict::Survives, truth, "{at} last {c}");
+                            *(if truth { &mut survivals } else { &mut kills }) += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            kills > 0 && survivals > 0 && kills + survivals > unknown,
+            "vacuous: {kills} kills and {survivals} survivals certified, {unknown} passed on"
+        );
     }
 
     #[test]
@@ -1282,5 +934,8 @@ mod tests {
             .search;
         assert!(s.replay_probes > 0);
         assert_eq!((s.resume_probes, s.resume_saved_events), (0, 0));
+        // And the two the memo and the analytic threshold left behind,
+        // hashed by the same workload.
+        assert_eq!((s.memo_hits, s.analytic_rejections), (0, 0));
     }
 }

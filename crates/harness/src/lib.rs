@@ -22,7 +22,6 @@
 //! | Design-choice ablations (ours) | [`experiments::ablations`] |
 //! | §5 N-generation extension | [`experiments::fig_ngen`] |
 
-pub mod analytic;
 pub mod cli;
 pub mod crashpoint;
 pub mod experiments;
@@ -33,9 +32,8 @@ pub mod runner;
 pub mod serve;
 pub mod sweep;
 
-pub use analytic::AnalyticModel;
 pub use crashpoint::{snapshot_run, CrashPoint, CrashSnapshot};
-pub use latsearch::{Geometry, LatticeLimits, MemoHit, SearchMode, SearchOutcome, SearchRequest};
+pub use latsearch::{Geometry, LatticeLimits, SearchMode, SearchOutcome, SearchRequest};
 pub use minspace::MinSpaceResult;
 pub use runner::{RunConfig, RunResult, SimModel, TenantLayout};
 pub use serve::{serve_run, ServeConfig, ServeOutcome, TenantReport};

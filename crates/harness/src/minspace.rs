@@ -12,13 +12,13 @@
 //! the minimal gen1 for each, parallelised across threads.
 //!
 //! The search itself — the probe engine (trace capture/replay,
-//! scratch-config reuse), the verdict memo and its dominance rules, the
-//! anchor-bound pruning, and the jobs-invariance argument — lives in
+//! scratch-config reuse, consumption certificates), the anchor-bound
+//! pruning, and the jobs-invariance argument — lives in
 //! [`crate::latsearch`] behind [`crate::SearchRequest`]; the two-generation
 //! EL search is its one-prefix-axis lattice. This module keeps the result
 //! type, the one-shot probe and the paper's base configuration.
 
-use crate::latsearch::{Geometry, Prober};
+use crate::latsearch::Prober;
 use crate::runner::RunConfig;
 use elog_core::ElConfig;
 use elog_sim::{SearchStats, SimTime};
@@ -30,17 +30,18 @@ pub struct MinSpaceResult {
     pub generation_blocks: Vec<u32>,
     /// Total blocks.
     pub total_blocks: u32,
-    /// Number of probe verdicts the search needed (simulated + memoised;
-    /// identical whether or not the memo is enabled).
+    /// Number of probe verdicts the search needed (certified + simulated;
+    /// identical whether or not the certificates are enabled).
     pub probes: u32,
-    /// Probe-engine counters (replay/memo hits, probe event volume).
+    /// Probe-engine counters (replays, certificates, probe event volume).
     pub search: SearchStats,
 }
 
 /// True when the configuration survives the whole horizon without kills.
 /// One-shot form for tests and callers outside a search loop.
 pub fn survives(base: &RunConfig, blocks: &[u32]) -> bool {
-    Prober::new(base, None, false).verdict(None, Geometry::from_slice(blocks))
+    let (&last, prefix) = blocks.split_last().expect("a geometry has a generation");
+    Prober::new(base, None, false).verdict(prefix, last)
 }
 
 /// Convenience: the paper's base run (5 % long transactions, default flush
@@ -90,11 +91,7 @@ mod tests {
         assert_eq!(r.generation_blocks.len(), 2);
         assert!(survives(&base, &r.generation_blocks));
         assert!(r.total_blocks >= 6);
-        assert_eq!(
-            r.search.sim_probes + r.search.memo_hits,
-            r.probes as u64,
-            "every verdict is either simulated or memoised"
-        );
+        assert_eq!(r.search.sim_probes, r.probes as u64);
     }
 
     #[test]

@@ -257,9 +257,9 @@ pub struct ExecOptions {
     pub jobs: usize,
     /// Emit a stderr line as each scenario completes.
     pub progress: bool,
-    /// Analytic threshold + consumption certificates in every search a
-    /// scenario launches (`--no-analytic` clears it). Output is identical
-    /// either way; only the simulated probe volume differs.
+    /// Consumption certificates in every search a scenario launches
+    /// (`--no-analytic` clears it: every probe is simulated). Output is
+    /// identical either way; only the simulated probe volume differs.
     pub analytic: bool,
 }
 

@@ -19,10 +19,9 @@
 //! generation's steady-state traffic without simulating anything.
 //!
 //! These equations are *estimates* — steady-state, fluid-limit, no queueing
-//! jitter. The search harness uses them for sizing heuristics and
-//! reporting; sound probe-free *verdicts* come from the trace-exact
-//! certificate in the harness's `analytic` module, which replaces the fluid
-//! limit with per-record arithmetic.
+//! jitter, good for sizing heuristics and reporting. The search harness's
+//! probe-free *verdicts* come from none of this: they are read off one
+//! instrumented run (`elog_core::cert`).
 
 /// Steady-state traffic of one generation.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -43,32 +43,29 @@ impl QueueStats {
 }
 
 /// Counters of one minimum-space search: how many geometry probes ran,
-/// how many were served by trace replay or the verdict memo, and how much
-/// simulation the probes cost. Carried inside [`PerfStats`] so a measured
-/// run can account for the search that produced its geometry.
+/// how many were served by trace replay or a consumption certificate, and
+/// how much simulation the probes cost. Carried inside [`PerfStats`] so a
+/// measured run can account for the search that produced its geometry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Probe simulations actually executed.
+    /// Probe verdicts the search consumed: simulated, or answered by a
+    /// consumption certificate in a simulation's place.
     pub sim_probes: u64,
     /// Of those, probes that replayed a captured workload trace instead
     /// of re-running the RNG-driven driver.
     pub replay_probes: u64,
-    /// Probe verdicts answered by the monotonicity memo (no simulation).
+    /// Frozen name, like `resume_probes`: the dominance memo is gone
+    /// (PR 24) and this is always 0.
+    #[doc(hidden)]
     pub memo_hits: u64,
     /// Events delivered across all probe simulations.
     pub probe_events: u64,
     /// Lattice points excluded by the search's pruning bound without a
     /// probe (skipped last-axis range, summed over all scan columns).
-    /// Counts *anchor-bound* pruning only; verdicts answered by the
-    /// analytic feasibility model are in [`SearchStats::analytic_rejections`]
-    /// so the two mechanisms stay separately attributable.
     pub pruned_volume: u64,
-    /// Probe verdicts answered by the analytic feasibility model: the
-    /// geometry was certified hopeless from the trace's closed-form byte
-    /// balance, so no simulation ran. Each is still counted in
-    /// `sim_probes`/`replay_probes` (the verdict sequence — and hence every
-    /// printed probe count — is identical to the probe-only search); only
-    /// `probe_events` shrinks.
+    /// Frozen name, like `resume_probes`: the analytic threshold is gone
+    /// (PR 24) and this is always 0.
+    #[doc(hidden)]
     pub analytic_rejections: u64,
     /// Frozen name, owed to the next benchmark re-record: `benchmark/`
     /// hashes and reports it, and it is always 0.
@@ -79,32 +76,19 @@ pub struct SearchStats {
     pub resume_saved_events: u64,
     /// Probe verdicts answered by a column's consumption certificate (one
     /// instrumented surviving probe certifies every smaller capacity of
-    /// its column exactly). Counted in `sim_probes`/`replay_probes` like
-    /// analytic rejections, so the verdict sequence — and every printed
-    /// probe count — matches the probe-only search; only `probe_events`
-    /// shrinks.
+    /// its column exactly). Counted in `sim_probes`/`replay_probes` too, so
+    /// the verdict sequence — and every printed probe count — matches the
+    /// probe-only search; only `probe_events` shrinks.
     pub cert_verdicts: u64,
 }
 
 impl SearchStats {
-    /// Fraction of probe verdicts answered by the memo, in `[0, 1]`.
-    pub fn memo_hit_rate(&self) -> f64 {
-        let verdicts = self.sim_probes + self.memo_hits;
-        if verdicts == 0 {
-            0.0
-        } else {
-            self.memo_hits as f64 / verdicts as f64
-        }
-    }
-
     /// Accumulates another search's counters.
     pub fn merge(&mut self, other: &SearchStats) {
         self.sim_probes += other.sim_probes;
         self.replay_probes += other.replay_probes;
-        self.memo_hits += other.memo_hits;
         self.probe_events += other.probe_events;
         self.pruned_volume += other.pruned_volume;
-        self.analytic_rejections += other.analytic_rejections;
         self.cert_verdicts += other.cert_verdicts;
     }
 }
@@ -217,10 +201,8 @@ mod tests {
             search: SearchStats {
                 sim_probes: 4,
                 replay_probes: 3,
-                memo_hits: 1,
                 probe_events: 900,
                 pruned_volume: 11,
-                analytic_rejections: 2,
                 cert_verdicts: 5,
                 ..SearchStats::default()
             },
@@ -233,8 +215,6 @@ mod tests {
         assert!((a.events_per_sec() - 2000.0).abs() < 1e-6);
         assert_eq!(a.search.sim_probes, 4);
         assert_eq!(a.search.pruned_volume, 11);
-        assert_eq!(a.search.analytic_rejections, 2);
         assert_eq!(a.search.cert_verdicts, 5);
-        assert!((a.search.memo_hit_rate() - 0.2).abs() < 1e-12);
     }
 }

@@ -67,14 +67,6 @@ impl WorkloadTrace {
         self.horizon
     }
 
-    /// Iterates the captured transactions as `(arrival time, mix type
-    /// index)` pairs, in arrival order — the exact inputs the analytic
-    /// feasibility model reconstructs per-record write times from (oid
-    /// choices are irrelevant to byte arithmetic and stay private).
-    pub fn arrivals(&self) -> impl Iterator<Item = (SimTime, usize)> + '_ {
-        self.txns.iter().map(|t| (t.at, t.type_idx as usize))
-    }
-
     /// Approximate heap footprint in bytes (compactness check).
     pub fn heap_bytes(&self) -> usize {
         self.txns.capacity() * std::mem::size_of::<TraceTxn>()
