@@ -91,16 +91,23 @@ echo "== hostile CLI =="
 # ceilings: one stderr line saying so instead of an abort (or a ceiling
 # printed as a minimum).
 # The --probe-cache and `repro --adaptive` rows are deleted flags: they
-# must be rejected by name, not silently accepted.
+# must be rejected by name, not silently accepted. The 1e12 / 1e300 rows
+# ask for arrivals finer than the 1 µs clock, which unchecked never
+# advance it; `--only nosuch` must fail before repro prints its header.
+# An exit-2 row prints nothing to stdout, and every row runs under a
+# timeout so one that regresses to a hang fails here with its command.
 HOSTILE_ERR=$(mktemp)
+HOSTILE_OUT=$(mktemp)
 while read -r want flag cmd; do
     status=0
     # shellcheck disable=SC2086
-    ./target/release/$cmd >/dev/null 2>"$HOSTILE_ERR" || status=$?
+    timeout 60 ./target/release/$cmd >"$HOSTILE_OUT" 2>"$HOSTILE_ERR" || status=$?
     if [ "$status" -ne "$want" ] || grep -q panicked "$HOSTILE_ERR" ||
-        [ "$(wc -l <"$HOSTILE_ERR")" -ne 1 ] || ! grep -q -- "$flag" "$HOSTILE_ERR"; then
+        [ "$(wc -l <"$HOSTILE_ERR")" -ne 1 ] || ! grep -q -- "$flag" "$HOSTILE_ERR" ||
+        { [ "$want" -eq 2 ] && [ -s "$HOSTILE_OUT" ]; }; then
         echo "\`$cmd\`: want exit $want and one line naming $flag, got exit $status:" >&2
         cat "$HOSTILE_ERR" >&2
+        [ "$want" -ne 2 ] || head -3 "$HOSTILE_OUT" >&2
         exit 1
     fi
 done <<'HOSTILE'
@@ -113,6 +120,9 @@ done <<'HOSTILE'
 2 --drives elsim --drives 4294967295 --runtime 1
 2 --drives elserve --drives 4294967295 --runtime 1
 2 --tps elsim --tps 0
+2 --tps elsim --tps 1e12 --runtime 1
+2 --tps elserve --tps 1e12 --runtime 1
+2 --phases elsim --phases 0:0.1@1e300 --runtime 5
 2 --mode elsim --mode bogus
 2 --tenants elserve --tenants 65537
 2 --tenants elserve --tenants 99999999
@@ -121,6 +131,7 @@ done <<'HOSTILE'
 2 --probe-cache elsim --min-space --probe-cache /tmp/x
 2 --probe-cache repro --quick --probe-cache /tmp/x
 2 --adaptive repro --quick --adaptive
+2 --only repro --quick --only nosuch
 1 --min-space elsim --fw-blocks 100 --tps 20000 --runtime 5 --min-space
 1 --min-space elsim --gens 18,16 --tps 6000 --runtime 5 --min-space
 HOSTILE
@@ -133,10 +144,10 @@ if [ "$status" -ne 0 ] || grep -q panicked "$HOSTILE_ERR"; then
     cat "$HOSTILE_ERR" >&2
     exit 1
 fi
-rm -f "$HOSTILE_ERR"
+rm -f "$HOSTILE_ERR" "$HOSTILE_OUT"
 
 echo "== elserve one-tenant smoke =="
-# One tenant is the classic run (DESIGN.md §5k): the same SimModel built
+# One unbudgeted tenant is the classic run (DESIGN.md §5k): the same SimModel built
 # from the same harness::cli configuration, so elserve --tenants 1 prints
 # byte-identical stdout to elsim. The library tests pin the loop; this
 # diff and the next smoke are the only checks on the binaries' wiring.
@@ -159,5 +170,18 @@ if ! grep -q '^\[serve\] tenants 2, committed [1-9]' "$SERVE_ERR"; then
     exit 1
 fi
 rm -f "$SERVE_ERR"
+
+echo "== elserve budget smoke =="
+# A budget refuses arrivals, which elsim's report has no line for: one
+# tenant under a budget prints the elserve report, refusals included.
+BUDGET_OUT=$(./target/release/elserve --tenants 1 --budget 1 --runtime 5 2>/dev/null)
+case "$BUDGET_OUT" in
+    *refused*) ;;
+    *)
+        echo "elserve --tenants 1 --budget 1 printed no refused count:" >&2
+        echo "$BUDGET_OUT" >&2
+        exit 1
+        ;;
+esac
 
 echo "CI green."

@@ -2,8 +2,8 @@
 //!
 //! Every search in the harness (minspace, latsearch) finds the best
 //! *static* lattice geometry offline. This module closes the loop at
-//! runtime instead: an [`AdaptiveController`] watches per-generation
-//! occupancy, kill pressure and the record-lifetime histogram over a
+//! runtime instead: an [`AdaptiveController`] watches kill pressure, the
+//! last generation's write rate and the record-lifetime histogram over a
 //! sliding window and re-shapes the lattice live —
 //! growing or shrinking the last generation's block array (through
 //! [`crate::ElManager::set_last_gen_capacity`]), toggling lifetime-hint
@@ -17,8 +17,8 @@
 //! windowed write rate in blocks/s), and the garbage-age histogram's
 //! bucket counts (a windowed residency reading via
 //! [`elog_sim::Histogram::quantile_since`]). From the write rate and the
-//! windowed worst-case residency it forms the same little analytic
-//! estimate the §6 advisory tuner uses offline:
+//! windowed worst-case residency it forms a small analytic capacity
+//! estimate — the blocks written while one record stays resident:
 //!
 //! ```text
 //! target ≈ ceil(write_rate × residency × headroom) + gap + 2
@@ -37,22 +37,21 @@
 //!   touched on the ordinary path — hinted placement routes every
 //!   long-transaction record straight into the last generation, a
 //!   different workload from the one the capacity estimate (and any
-//!   static yardstick) was priced against. At
-//!   [`AdaptiveConfig::fallback_after`] consecutive kill windows the
-//!   controller declares the firewall fallback — hints on *and* the
-//!   last generation grown to its max bound, the EL-side emulation of the
-//!   hybrid's per-queue firewalls (each transaction pinned where the
-//!   queue wrap exceeds its duration).
-//! * **Quiet window** (no kills): streaks reset; after
-//!   [`AdaptiveConfig::shrink_after`] consecutive quiet windows — and
-//!   only if a kill has *ever* been seen — the controller shrinks toward
+//!   static yardstick) was priced against. At `FALLBACK_AFTER` (5)
+//!   consecutive kill windows the controller declares the firewall
+//!   fallback — hints on *and* the last generation grown to its max
+//!   bound, the EL-side emulation of the hybrid's per-queue firewalls
+//!   (each transaction pinned where the queue wrap exceeds its duration).
+//! * **Quiet window** (no kills): streaks reset; after `SHRINK_AFTER` (2)
+//!   consecutive quiet windows — and only if a kill has *ever* been
+//!   seen — the controller shrinks toward
 //!   `max(estimate, live + gap + 2)`, where `live` is the last
 //!   generation's *live depth*
 //!   ([`crate::ElManager::last_gen_live_blocks`]: oldest non-garbage
 //!   record to tail — `used_blocks` is no liveness signal, because the
 //!   demand-driven head advance parks it at `capacity − gap`), and only
-//!   when the saving clears the [`AdaptiveConfig::deadband`]. Leaving
-//!   the fallback restores the configured hint setting.
+//!   when the saving clears the `DEADBAND` (10 %). Leaving the fallback
+//!   restores the configured hint setting.
 //!
 //! A run that never kills therefore never re-shapes and never toggles
 //! hints: controller-on output on a static, feasible workload is
@@ -75,56 +74,38 @@
 //! # Determinism
 //!
 //! The controller consumes no randomness and reads only manager state at
-//! window boundaries, so a run with a given config is a pure function of
-//! the workload stream — jobs-invariant like everything else. For the
-//! soundness property ("any controller-chosen geometry, re-simulated
-//! statically, commits the same record set") the controller also has a
-//! *scripted* mode: [`AdaptiveController::scripted`] replays a recorded
-//! decision timeline verbatim, with no decision logic at all.
+//! window boundaries, so a run is a pure function of the workload stream —
+//! jobs-invariant like everything else; its six tuning values are the
+//! constants below, not settings. For the soundness property ("any
+//! controller-chosen geometry, re-simulated statically, commits the same
+//! record set") the controller also has a *scripted* mode:
+//! [`AdaptiveController::scripted`] replays a recorded decision timeline
+//! verbatim, with no decision logic at all.
 
 use crate::manager::ElManager;
 use elog_sim::SimTime;
 
-/// Tuning knobs for the controller (see module docs for the policy).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Observation window between decisions.
-    pub window: SimTime,
-    /// Max last-generation capacity, as a multiple of the initial
-    /// capacity (never below initial + 8 blocks).
-    pub max_last_factor: u32,
-    /// Consecutive kill windows before the firewall fallback.
-    pub fallback_after: u32,
-    /// Consecutive quiet windows before a shrink step (and before the
-    /// fallback is exited).
-    pub shrink_after: u32,
-    /// Safety multiplier on the analytic capacity estimate.
-    pub headroom: f64,
-    /// Fractional capacity saving a shrink must clear to be worth a
-    /// reshape (hysteresis against reshape thrash).
-    pub deadband: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            window: SimTime::from_secs(5),
-            max_last_factor: 8,
-            fallback_after: 5,
-            shrink_after: 2,
-            headroom: 1.1,
-            deadband: 0.10,
-        }
-    }
-}
+/// Observation window between decisions.
+const WINDOW: SimTime = SimTime::from_secs(5);
+/// Max last-generation capacity, as a multiple of the initial capacity
+/// (never below initial + 8 blocks).
+const MAX_LAST_FACTOR: u32 = 8;
+/// Consecutive kill windows before the firewall fallback.
+const FALLBACK_AFTER: u32 = 5;
+/// Consecutive quiet windows before a shrink step (and before the fallback
+/// is exited).
+const SHRINK_AFTER: u32 = 2;
+/// Safety multiplier on the analytic capacity estimate.
+const HEADROOM: f64 = 1.1;
+/// Fractional capacity saving a shrink must clear to be worth a reshape
+/// (hysteresis against reshape thrash).
+const DEADBAND: f64 = 0.10;
 
 /// Counters and decision logs kept by the controller.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AdaptiveStats {
     /// Windows observed (decide or scripted).
     pub window_decisions: u64,
-    /// Per-generation occupancy readings taken (generations × windows).
-    pub occupancy_snapshots: u64,
     /// Capacity reshapes applied (grows + shrinks).
     pub reshapes: u64,
     /// Reshapes that grew the last generation.
@@ -161,7 +142,6 @@ enum Mode {
 /// every arrival for [`AdaptiveController::placement_hints`].
 #[derive(Clone, Debug)]
 pub struct AdaptiveController {
-    cfg: AdaptiveConfig,
     stats: AdaptiveStats,
     mode: Mode,
     /// Current hint-placement state (starts at the configured base).
@@ -183,12 +163,11 @@ impl AdaptiveController {
     /// Creates a live (deciding) controller for a lattice whose last
     /// generation starts at `initial_last_blocks`, with lifetime hints
     /// currently configured `base_hints`.
-    pub fn new(cfg: AdaptiveConfig, initial_last_blocks: u32, base_hints: bool) -> Self {
+    pub fn new(initial_last_blocks: u32, base_hints: bool) -> Self {
         let max_last = initial_last_blocks
-            .saturating_mul(cfg.max_last_factor.max(1))
+            .saturating_mul(MAX_LAST_FACTOR)
             .max(initial_last_blocks.saturating_add(8));
         AdaptiveController {
-            cfg,
             stats: AdaptiveStats::default(),
             mode: Mode::Decide,
             hints: base_hints,
@@ -209,12 +188,11 @@ impl AdaptiveController {
     /// [`AdaptiveStats::reshape_log`] and [`AdaptiveStats::hint_log`]
     /// verbatim at the same window cadence.
     pub fn scripted(
-        cfg: AdaptiveConfig,
         reshapes: Vec<(SimTime, u32)>,
         hints: Vec<(SimTime, bool)>,
         base_hints: bool,
     ) -> Self {
-        let mut ctl = AdaptiveController::new(cfg, u32::MAX, base_hints);
+        let mut ctl = AdaptiveController::new(u32::MAX, base_hints);
         ctl.mode = Mode::Scripted {
             reshapes,
             hints,
@@ -231,7 +209,7 @@ impl AdaptiveController {
 
     /// The observation window.
     pub fn window(&self) -> SimTime {
-        self.cfg.window
+        WINDOW
     }
 
     /// Counters and decision logs so far.
@@ -284,7 +262,6 @@ impl AdaptiveController {
     fn decide(&mut self, now: SimTime, lm: &mut ElManager) {
         let last = lm.gens.len() - 1;
         let gap = lm.cfg.log.gap_blocks;
-        self.stats.occupancy_snapshots += lm.gens.len() as u64;
 
         let cur = lm.gens[last].ring.capacity() as u32;
         let kills = lm.stats.kills;
@@ -309,7 +286,7 @@ impl AdaptiveController {
         let estimate = match age_ms {
             Some(ms) if span > 0.0 => {
                 let rate = writes_delta as f64 / span;
-                (rate * (ms / 1000.0) * self.cfg.headroom).ceil() as u32 + gap + 2
+                (rate * (ms / 1000.0) * HEADROOM).ceil() as u32 + gap + 2
             }
             _ => 0,
         };
@@ -318,7 +295,7 @@ impl AdaptiveController {
             self.armed = true;
             self.kill_windows += 1;
             self.quiet_windows = 0;
-            if self.kill_windows >= self.cfg.fallback_after && !self.in_fallback {
+            if self.kill_windows >= FALLBACK_AFTER && !self.in_fallback {
                 // Sustained pressure: the firewall fallback. Hints pin
                 // each transaction where the queue wrap exceeds its
                 // duration; max capacity makes the last queue that place
@@ -356,7 +333,7 @@ impl AdaptiveController {
         } else {
             self.kill_windows = 0;
             self.quiet_windows += 1;
-            if self.quiet_windows >= self.cfg.shrink_after {
+            if self.quiet_windows >= SHRINK_AFTER {
                 if self.in_fallback {
                     self.in_fallback = false;
                     self.set_hints(now, self.base_hints);
@@ -369,7 +346,7 @@ impl AdaptiveController {
                     // the drain can be limited by records still live, so
                     // one decision rarely lands the whole distance. The
                     // deadband alone is the anti-thrash brake.
-                    if f64::from(target) <= f64::from(cur) * (1.0 - self.cfg.deadband) {
+                    if f64::from(target) <= f64::from(cur) * (1.0 - DEADBAND) {
                         self.apply_capacity(now, lm, target);
                     }
                 }
@@ -442,7 +419,7 @@ mod tests {
     #[test]
     fn static_run_never_reshapes() {
         let mut lm = manager(16);
-        let mut ctl = AdaptiveController::new(AdaptiveConfig::default(), 16, false);
+        let mut ctl = AdaptiveController::new(16, false);
         // Plenty of write/age signal, but zero kills: a healthy run.
         for i in 0..200 {
             lm.garbage_age_ms.record(1000.0 + f64::from(i));
@@ -450,7 +427,6 @@ mod tests {
         tick(&mut ctl, &mut lm, 20);
         let s = ctl.stats();
         assert_eq!(s.window_decisions, 20);
-        assert_eq!(s.occupancy_snapshots, 40, "2 gens × 20 windows");
         assert_eq!(s.reshapes, 0);
         assert_eq!(s.hint_toggles, 0);
         assert_eq!(s.firewall_fallbacks, 0);
@@ -461,7 +437,7 @@ mod tests {
     #[test]
     fn kill_window_grows_last_generation() {
         let mut lm = manager(16);
-        let mut ctl = AdaptiveController::new(AdaptiveConfig::default(), 16, false);
+        let mut ctl = AdaptiveController::new(16, false);
         lm.stats.kills += 3;
         tick(&mut ctl, &mut lm, 1);
         let s = ctl.stats();
@@ -476,9 +452,8 @@ mod tests {
     #[test]
     fn sustained_kills_reach_firewall_fallback() {
         let mut lm = manager(16);
-        let cfg = AdaptiveConfig::default();
-        let mut ctl = AdaptiveController::new(cfg, 16, false);
-        for _ in 0..cfg.fallback_after {
+        let mut ctl = AdaptiveController::new(16, false);
+        for _ in 0..FALLBACK_AFTER {
             lm.stats.kills += 1;
             tick(&mut ctl, &mut lm, 1);
         }
@@ -487,7 +462,7 @@ mod tests {
         assert!(ctl.placement_hints(), "fallback forces hints on");
         assert_eq!(
             lm.cfg.log.generation_blocks[1],
-            16 * cfg.max_last_factor,
+            16 * MAX_LAST_FACTOR,
             "fallback grows to the max bound"
         );
         // Recovery: quiet windows exit the fallback, restore hints and
@@ -499,13 +474,13 @@ mod tests {
         let gap = lm.cfg.log.gap_blocks;
         let used = lm.gens[1].ring.used_blocks() as u32;
         assert!(lm.cfg.log.generation_blocks[1] >= used + gap + 2);
-        assert!(lm.cfg.log.generation_blocks[1] < 16 * cfg.max_last_factor);
+        assert!(lm.cfg.log.generation_blocks[1] < 16 * MAX_LAST_FACTOR);
     }
 
     #[test]
     fn shrink_respects_deadband() {
         let mut lm = manager(16);
-        let mut ctl = AdaptiveController::new(AdaptiveConfig::default(), 16, false);
+        let mut ctl = AdaptiveController::new(16, false);
         // Arm with one kill window, then go quiet: capacity 32 with an
         // empty ring shrinks toward the floor (gap 2 → floor 4).
         lm.stats.kills += 1;
@@ -525,10 +500,9 @@ mod tests {
 
     #[test]
     fn scripted_replays_decide_timeline() {
-        let cfg = AdaptiveConfig::default();
         // Decide run against a synthetic kill pattern.
         let mut lm_a = manager(16);
-        let mut ctl_a = AdaptiveController::new(cfg, 16, false);
+        let mut ctl_a = AdaptiveController::new(16, false);
         for round in 0..8 {
             if round < 4 {
                 lm_a.stats.kills += 2;
@@ -543,7 +517,7 @@ mod tests {
         // at all — the timeline must replay verbatim.
         let mut lm_b = manager(16);
         let mut ctl_b =
-            AdaptiveController::scripted(cfg, script_reshapes.clone(), script_hints.clone(), false);
+            AdaptiveController::scripted(script_reshapes.clone(), script_hints.clone(), false);
         tick(&mut ctl_b, &mut lm_b, 8);
         assert_eq!(ctl_b.stats().reshape_log, script_reshapes);
         assert_eq!(ctl_b.stats().hint_log, script_hints);

@@ -76,8 +76,7 @@ impl ElManager {
                 }
                 consumed = 0;
             }
-            let Some(seq) =
-                self.consume_head_block(now, gi, &mut gathered, &mut gathered_bytes, fx)
+            let Some(seq) = self.consume_head_block(gi, &mut gathered, &mut gathered_bytes, fx)
             else {
                 break;
             };
@@ -113,8 +112,7 @@ impl ElManager {
                     break; // would overflow the outgoing buffer
                 }
                 let before = gathered.len();
-                let Some(seq) =
-                    self.consume_head_block(now, gi, &mut gathered, &mut gathered_bytes, fx)
+                let Some(seq) = self.consume_head_block(gi, &mut gathered, &mut gathered_bytes, fx)
                 else {
                     break;
                 };
@@ -158,7 +156,6 @@ impl ElManager {
     /// block's sequence number.
     fn consume_head_block(
         &mut self,
-        now: SimTime,
         gi: usize,
         gathered: &mut Vec<CellIdx>,
         gathered_bytes: &mut u64,
@@ -210,7 +207,7 @@ impl ElManager {
                         // Uncommitted record of a live transaction at the
                         // last head with recirculation off: the paper's
                         // kill rule.
-                        self.kill_txn(now, d.tid, fx);
+                        self.kill_txn(d.tid, fx);
                         continue;
                     }
                 }
@@ -225,7 +222,7 @@ impl ElManager {
                                 continue;
                             }
                             Some(_) => {
-                                self.kill_txn(now, t.tid, fx);
+                                self.kill_txn(t.tid, fx);
                                 continue;
                             }
                             None => unreachable!("linked tx cell without LTT entry"),
@@ -375,7 +372,7 @@ impl ElManager {
                     Some(TxState::Active) | Some(TxState::Committing { .. })
                 );
                 if killable {
-                    self.kill_txn(now, tid, fx);
+                    self.kill_txn(tid, fx);
                     return true;
                 }
                 cur = self.arena.right_of(cur);
@@ -424,14 +421,14 @@ impl ElManager {
     }
 
     /// Kills a transaction: drops all its records and notifies the host.
-    pub(crate) fn kill_txn(&mut self, now: SimTime, tid: Tid, fx: &mut Effects) {
+    pub(crate) fn kill_txn(&mut self, tid: Tid, fx: &mut Effects) {
         if self.drop_transaction(tid) {
             self.stats.kills += 1;
             if let Some(l) = self.ledger.as_mut() {
                 l.on_kill(tid);
             }
             fx.kills.push(tid);
-            self.update_memory(now);
+            self.update_memory();
         }
     }
 }

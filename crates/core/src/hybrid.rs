@@ -75,8 +75,6 @@ pub struct HybridStats {
     pub regenerations: u64,
     /// Records rewritten by regeneration (the bandwidth price).
     pub regenerated_records: u64,
-    /// Accounting bytes rewritten by regeneration.
-    pub regenerated_bytes: u64,
     /// Space-pressure kills.
     pub kills: u64,
     /// Commit acknowledgements.
@@ -176,7 +174,7 @@ impl HybridManager {
         );
         assert!(prev.is_none(), "duplicate BEGIN for {tid}");
         self.queues[0].anchors.entry(block).or_default().push(tid);
-        self.update_memory(now);
+        self.update_memory();
         fx
     }
 
@@ -235,7 +233,7 @@ impl HybridManager {
     }
 
     /// Abort: the whole transaction becomes garbage at once.
-    pub fn abort(&mut self, now: SimTime, tid: Tid) -> Effects {
+    pub fn abort(&mut self, _now: SimTime, tid: Tid) -> Effects {
         let fx = self.fresh_fx();
         if self
             .txns
@@ -243,7 +241,7 @@ impl HybridManager {
             .is_some_and(|t| t.state != HTxState::Committed)
         {
             self.dispose(tid);
-            self.update_memory(now);
+            self.update_memory();
         }
         fx
     }
@@ -274,7 +272,7 @@ impl HybridManager {
                     fx.timers.push((done_at, LmTimer::FlushDone { drive }));
                 }
                 self.stable.install(oid, version);
-                self.note_flush_settled(now, version.tid);
+                self.note_flush_settled(version.tid);
             }
             LmTimer::GroupCommitTimeout { .. } => {}
         }
@@ -334,7 +332,7 @@ impl HybridManager {
                 Submitted::Replaced { superseded, .. } => {
                     // The superseded pending write belonged to an earlier
                     // transaction; its flush will now never complete.
-                    self.note_flush_settled(now, superseded.tid);
+                    self.note_flush_settled(superseded.tid);
                 }
             }
         }
@@ -343,18 +341,18 @@ impl HybridManager {
         if self.txns.get(&tid).expect("present").unflushed == 0 {
             self.dispose(tid);
         }
-        self.update_memory(now);
+        self.update_memory();
     }
 
     /// One of `tid`'s committed updates no longer needs the log (flushed,
     /// or superseded by a newer pending flush).
-    fn note_flush_settled(&mut self, now: SimTime, tid: Tid) {
+    fn note_flush_settled(&mut self, tid: Tid) {
         if let Some(txn) = self.txns.get_mut(&tid) {
             if txn.state == HTxState::Committed {
                 txn.unflushed = txn.unflushed.saturating_sub(1);
                 if txn.unflushed == 0 {
                     self.dispose(tid);
-                    self.update_memory(now);
+                    self.update_memory();
                 }
             }
         }
@@ -455,7 +453,7 @@ impl HybridManager {
                         self.dispose(tid);
                         self.stats.kills += 1;
                         fx.kills.push(tid);
-                        self.update_memory(now);
+                        self.update_memory();
                         consumed = 0;
                     }
                     None => break,
@@ -486,7 +484,7 @@ impl HybridManager {
             self.dispose(tid);
             self.stats.kills += 1;
             fx.kills.push(tid);
-            self.update_memory(now);
+            self.update_memory();
             return;
         }
         let dest = if is_last { qi } else { qi + 1 };
@@ -497,7 +495,6 @@ impl HybridManager {
             let block = self.append(now, dest, *r, false, fx);
             anchor.get_or_insert(block);
             self.stats.regenerated_records += 1;
-            self.stats.regenerated_bytes += u64::from(r.size());
         }
         // Forwarded batches are written immediately, as in EL.
         if dest != qi {
@@ -515,9 +512,8 @@ impl HybridManager {
         }
     }
 
-    fn update_memory(&mut self, now: SimTime) {
-        self.mem
-            .set(now, HYBRID_BYTES_PER_TXN * self.txns.len() as u64);
+    fn update_memory(&mut self) {
+        self.mem.set(HYBRID_BYTES_PER_TXN * self.txns.len() as u64);
     }
 
     // ---------------------------------------------------------------
@@ -543,11 +539,6 @@ impl HybridManager {
     /// Total completed log-block writes.
     pub fn log_writes(&self) -> u64 {
         self.device.total_writes()
-    }
-
-    /// Transactions currently tracked.
-    pub fn txns_len(&self) -> usize {
-        self.txns.len()
     }
 
     /// The stable database.
@@ -629,7 +620,7 @@ mod tests {
         h.drain(t(4));
         assert_eq!(h.acks, vec![Tid(1)]);
         assert_eq!(h.lm.stable_db().len(), 2);
-        assert_eq!(h.lm.txns_len(), 0, "fully flushed txn disposed");
+        assert_eq!(h.lm.txns.len(), 0, "fully flushed txn disposed");
         assert_eq!(h.lm.peak_memory_bytes(), HYBRID_BYTES_PER_TXN);
     }
 
@@ -644,7 +635,7 @@ mod tests {
         h.apply(fx);
         h.drain(t(3));
         assert!(h.lm.stable_db().is_empty());
-        assert_eq!(h.lm.txns_len(), 0);
+        assert_eq!(h.lm.txns.len(), 0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod tenant;
 pub mod traits;
 pub mod types;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveController, AdaptiveStats};
+pub use adaptive::{AdaptiveController, AdaptiveStats};
 pub use cert::{CertVerdict, ConsumptionCert};
 pub use host::SimpleHost;
 pub use hybrid::{HybridManager, HybridStats, HYBRID_BYTES_PER_TXN};

@@ -151,21 +151,6 @@ impl Lot {
         }
     }
 
-    /// Removes an uncommitted cell (abort/kill of its transaction).
-    /// Returns `true` if found; prunes empty entries.
-    pub fn remove_uncommitted(&mut self, oid: Oid, tid: Tid, cell: CellIdx) -> bool {
-        let Some(entry) = self.map.get_mut(&oid) else {
-            return false;
-        };
-        let before = entry.uncommitted.len();
-        entry.uncommitted.retain(|&(t, c)| !(t == tid && c == cell));
-        let removed = entry.uncommitted.len() != before;
-        if entry.is_empty() {
-            self.map.remove(&oid);
-        }
-        removed
-    }
-
     /// Clears the committed-unflushed cell after its flush completes
     /// (§2.3: "After the LM flushes an update … the record is garbage").
     /// Returns the cell if `cell` still is the committed one; prunes empty
@@ -278,9 +263,13 @@ mod tests {
     fn remove_uncommitted_prunes() {
         let mut lot = Lot::new();
         lot.insert_uncommitted(O, Tid(1), 10);
-        assert!(lot.remove_uncommitted(O, Tid(1), 10));
+        lot.insert_uncommitted(O, Tid(1), 11);
+        let mut removed = Vec::new();
+        lot.remove_uncommitted_of(O, Tid(1), &mut removed);
+        assert_eq!(removed, vec![10, 11]);
         assert!(lot.is_empty());
-        assert!(!lot.remove_uncommitted(O, Tid(1), 10));
+        lot.remove_uncommitted_of(O, Tid(1), &mut removed);
+        assert_eq!(removed.len(), 2, "nothing left to remove");
     }
 
     #[test]
@@ -289,7 +278,9 @@ mod tests {
         lot.insert_uncommitted(O, Tid(1), 10);
         lot.commit_object(O, Tid(1));
         lot.insert_uncommitted(O, Tid(2), 20);
-        assert!(lot.remove_uncommitted(O, Tid(2), 20));
+        let mut removed = Vec::new();
+        lot.remove_uncommitted_of(O, Tid(2), &mut removed);
+        assert_eq!(removed, vec![20]);
         assert_eq!(lot.committed_cell(O), Some(10));
         assert_eq!(lot.len(), 1);
     }
@@ -310,8 +301,9 @@ mod tests {
         for i in 0..10 {
             lot.insert_uncommitted(Oid(i), Tid(1), i as CellIdx);
         }
+        let mut removed = Vec::new();
         for i in 0..10 {
-            lot.remove_uncommitted(Oid(i), Tid(1), i as CellIdx);
+            lot.remove_uncommitted_of(Oid(i), Tid(1), &mut removed);
         }
         assert_eq!(lot.len(), 0);
         assert_eq!(lot.peak_len(), 10);

@@ -149,14 +149,6 @@ impl Ltt {
     pub fn iter(&self) -> impl Iterator<Item = (Tid, &LttEntry)> {
         self.map.iter().map(|(&t, e)| (t, e))
     }
-
-    /// Count of entries in [`TxState::Active`] or [`TxState::Committing`].
-    pub fn in_progress(&self) -> usize {
-        self.map
-            .values()
-            .filter(|e| !matches!(e.state, TxState::Committed))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +163,6 @@ mod tests {
         assert!(ltt.contains(Tid(1)));
         assert_eq!(ltt.get(Tid(1)).unwrap().state, TxState::Active);
         assert_eq!(ltt.len(), 1);
-        assert_eq!(ltt.in_progress(), 1);
     }
 
     #[test]
@@ -252,13 +243,15 @@ mod tests {
             commit_block: 7,
             requested_at: SimTime::from_secs(1),
         };
-        assert_eq!(
-            ltt.in_progress(),
-            1,
-            "committing still counts as in progress"
-        );
+        assert!(matches!(
+            ltt.get(Tid(1)).unwrap().state,
+            TxState::Committing {
+                commit_block: 7,
+                ..
+            }
+        ));
         ltt.get_mut(Tid(1)).unwrap().state = TxState::Committed;
-        assert_eq!(ltt.in_progress(), 0);
+        assert_eq!(ltt.get(Tid(1)).unwrap().state, TxState::Committed);
         assert_eq!(
             ltt.len(),
             1,

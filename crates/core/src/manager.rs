@@ -79,7 +79,9 @@ pub struct ElManager {
     pub(crate) stats: LmStats,
     pub(crate) started_at: SimTime,
     /// Age (ms) of data records at the moment they become garbage —
-    /// the statistic the §6 "adaptable EL" tuner sizes generations from.
+    /// flushed or superseded updates. The adaptive controller
+    /// (`crate::adaptive`) sizes the last generation from its windowed
+    /// upper quantile.
     pub(crate) garbage_age_ms: Histogram,
     /// Scratch buffers reused across commit/abort processing so the
     /// per-transaction hot paths stay allocation-free at steady state.
@@ -223,7 +225,7 @@ impl ElManager {
             l.on_begin(tid);
         }
         self.append_cells(now, home_gen, &[cell], false, &mut fx);
-        self.update_memory(now);
+        self.update_memory();
         fx
     }
 
@@ -285,7 +287,7 @@ impl ElManager {
             l.on_data_write(tid);
         }
         self.append_cells(now, home_gen, &[cell], false, &mut fx);
-        self.update_memory(now);
+        self.update_memory();
         fx
     }
 
@@ -340,7 +342,7 @@ impl ElManager {
     /// Aborts a transaction: all of its records become garbage at once
     /// (§2.3 — no abort record needs to be logged under REDO-only rules;
     /// recovery treats missing-COMMIT as aborted).
-    pub fn abort(&mut self, now: SimTime, tid: Tid) -> Effects {
+    pub fn abort(&mut self, _now: SimTime, tid: Tid) -> Effects {
         let fx = self.fresh_fx();
         match self.ltt.get(tid).map(|e| e.state) {
             Some(TxState::Committed) | None => {
@@ -349,7 +351,7 @@ impl ElManager {
             Some(_) => {
                 self.drop_transaction(tid);
                 self.stats.aborts += 1;
-                self.update_memory(now);
+                self.update_memory();
             }
         }
         fx
@@ -456,7 +458,7 @@ impl ElManager {
         if self.ltt.get(tid).expect("present").oids.is_empty() {
             self.finish_ltt_entry(tid);
         }
-        self.update_memory(now);
+        self.update_memory();
     }
 
     pub(crate) fn submit_flush(
@@ -466,7 +468,6 @@ impl ElManager {
         version: ObjectVersion,
         fx: &mut Effects,
     ) {
-        self.stats.flush_submits += 1;
         match self.flush.submit(now, oid, version) {
             Submitted::Started { drive, done_at } => {
                 fx.timers.push((done_at, LmTimer::FlushDone { drive }));
@@ -497,7 +498,7 @@ impl ElManager {
                 }
             }
         }
-        self.update_memory(now);
+        self.update_memory();
     }
 
     /// Disposes a finished committed transaction: its tx-record cell is
@@ -519,9 +520,6 @@ impl ElManager {
         let Some(entry) = self.ltt.remove(tid) else {
             return false;
         };
-        if matches!(entry.state, TxState::Committing { .. }) {
-            self.stats.kills_committing += 1;
-        }
         debug_assert!(
             !matches!(entry.state, TxState::Committed),
             "cannot drop a committed transaction"
@@ -570,7 +568,7 @@ impl ElManager {
     }
 
     /// Recomputes the memory gauge after a table-size change.
-    pub(crate) fn update_memory(&mut self, now: SimTime) {
+    pub(crate) fn update_memory(&mut self) {
         let bytes = match self.cfg.memory_model {
             MemoryModel::Firewall => FW_BYTES_PER_TXN * self.ltt.len() as u64,
             MemoryModel::Ephemeral => {
@@ -578,7 +576,7 @@ impl ElManager {
                     + EL_BYTES_PER_OBJECT * self.lot.len() as u64
             }
         };
-        self.mem.set(now, bytes);
+        self.mem.set(bytes);
     }
 
     // ------------------------------------------------------------------
@@ -628,13 +626,6 @@ impl ElManager {
     /// Peak memory-model bytes.
     pub fn peak_memory_bytes(&self) -> u64 {
         self.mem.peak()
-    }
-
-    /// Distribution of data-record ages (ms) at garbage time — flushed or
-    /// superseded updates. The §6 auto-tuner derives generation sizes from
-    /// its upper quantiles.
-    pub fn garbage_age_ms(&self) -> &Histogram {
-        &self.garbage_age_ms
     }
 
     /// Arms per-tenant accounting: tids are attributed to one of `tenants`
@@ -717,11 +708,6 @@ impl ElManager {
             .iter()
             .map(|g| g.ring.surface().cloned().collect())
             .collect()
-    }
-
-    /// Snapshot of every LTT entry's state (debug/test aid).
-    pub fn debug_ltt_states(&self) -> Vec<(Tid, crate::ltt::TxState)> {
-        self.ltt.iter().map(|(t, e)| (t, e.state)).collect()
     }
 
     /// Checks cross-structure invariants; panics on violation. O(cells) —

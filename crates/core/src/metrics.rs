@@ -31,8 +31,6 @@ pub struct LmMetrics {
     pub per_gen_fill: Vec<Option<f64>>,
     /// Peak bytes under the memory model (Figure 6 metric).
     pub peak_memory_bytes: u64,
-    /// Current bytes under the memory model.
-    pub current_memory_bytes: u64,
     /// Peak LTT entries.
     pub ltt_peak: usize,
     /// Peak LOT entries.
@@ -71,7 +69,6 @@ impl LmMetrics {
             per_gen_write_rate,
             per_gen_fill,
             peak_memory_bytes: lm.mem.peak(),
-            current_memory_bytes: lm.mem.current(),
             ltt_peak: lm.ltt.peak_len(),
             lot_peak: lm.lot.peak_len(),
             flushes: lm.flush.total_flushes(),

@@ -30,8 +30,6 @@ pub struct TenantCounters {
     pub garbage_records: u64,
     /// Data records currently held in the in-RAM cell arena.
     pub live_records: u64,
-    /// Peak of [`TenantCounters::live_records`].
-    pub live_records_peak: u64,
     /// LTT entries currently held.
     pub ltt_live: u64,
     /// Peak of [`TenantCounters::ltt_live`].
@@ -63,12 +61,6 @@ impl TenantLedger {
         self.counters.len()
     }
 
-    /// The tenant a tid belongs to (out-of-range high bits clamp to the
-    /// last tenant, so a stray tid cannot panic the accounting).
-    pub fn tenant_of(&self, tid: Tid) -> usize {
-        ((tid.0 >> self.tid_shift) as usize).min(self.counters.len() - 1)
-    }
-
     /// One tenant's counters.
     pub fn get(&self, tenant: usize) -> &TenantCounters {
         &self.counters[tenant]
@@ -79,6 +71,9 @@ impl TenantLedger {
         &self.counters
     }
 
+    /// The counters of the tenant a tid belongs to (out-of-range high bits
+    /// clamp to the last tenant, so a stray tid cannot panic the
+    /// accounting).
     fn slot(&mut self, tid: Tid) -> &mut TenantCounters {
         let t = ((tid.0 >> self.tid_shift) as usize).min(self.counters.len() - 1);
         &mut self.counters[t]
@@ -95,7 +90,6 @@ impl TenantLedger {
         let s = self.slot(tid);
         s.data_records += 1;
         s.live_records += 1;
-        s.live_records_peak = s.live_records_peak.max(s.live_records);
     }
 
     /// A data record's cell was freed; `garbage` marks the in-place
@@ -130,14 +124,13 @@ mod tests {
     #[test]
     fn attributes_by_high_bits_and_clamps() {
         let mut l = TenantLedger::new(2, 48);
-        assert_eq!(l.tenant_of(Tid(7)), 0);
-        assert_eq!(l.tenant_of(Tid((1 << 48) | 7)), 1);
-        // Out-of-range tenants clamp to the last slot.
-        assert_eq!(l.tenant_of(Tid(5 << 48)), 1);
         l.on_begin(Tid(1));
         l.on_begin(Tid((1 << 48) | 2));
         assert_eq!(l.get(0).begins, 1);
         assert_eq!(l.get(1).begins, 1);
+        // Out-of-range tenants clamp to the last slot.
+        l.on_begin(Tid(5 << 48));
+        assert_eq!(l.get(1).begins, 2);
     }
 
     #[test]
@@ -150,7 +143,6 @@ mod tests {
         l.on_data_free(Tid(0), true);
         l.on_data_free(Tid(0), false);
         assert_eq!(l.get(0).live_records, 0);
-        assert_eq!(l.get(0).live_records_peak, 2);
         assert_eq!(l.get(0).garbage_records, 1);
         l.on_ltt_removed(Tid(0));
         assert_eq!(l.get(0).ltt_live, 0);

@@ -139,8 +139,6 @@ impl ElConfig {
 pub struct LmStats {
     /// Transactions killed for space reasons.
     pub kills: u64,
-    /// Kills that hit a transaction already in the Committing state.
-    pub kills_committing: u64,
     /// Client-initiated aborts.
     pub aborts: u64,
     /// COMMIT acknowledgements delivered.
@@ -168,6 +166,4 @@ pub struct LmStats {
     /// Buffer-pool overcommits (more concurrent writes than configured
     /// buffers; the paper's 4-buffer pool never overcommits at its rates).
     pub buffer_stalls: u64,
-    /// Flush requests submitted to the drive array.
-    pub flush_submits: u64,
 }

@@ -192,11 +192,6 @@ impl FlushArray {
         self.drives[drive].in_service()
     }
 
-    /// Per-drive statistics.
-    pub fn drive_stats(&self, drive: usize) -> &DriveStats {
-        self.drives[drive].stats()
-    }
-
     /// Aggregate utilisation: busy time across drives / (elapsed × drives).
     pub fn utilisation(&self, elapsed: SimTime) -> f64 {
         let span = elapsed.as_secs_f64() * self.drives.len() as f64;

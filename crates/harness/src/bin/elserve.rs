@@ -4,11 +4,11 @@
 //!
 //! `elserve --help` prints the flag table
 //! ([`elog_harness::cli::ELSERVE_USAGE`]); the run flags are `elsim`'s, with
-//! `--tps` counted per tenant. One tenant is the `elsim` run — the stdout
-//! is byte-identical.
+//! `--tps` counted per tenant. One tenant with no admission budget is the
+//! `elsim` run — the stdout is byte-identical.
 //!
 //! A `[serve]` summary always goes to stderr, so stdout stays comparable
-//! across configurations (and byte-identical to `elsim` at one tenant).
+//! across configurations (and byte-identical to `elsim` at one unbudgeted tenant).
 
 use elog_harness::serve::serve_run;
 use elog_harness::{cli, report};
@@ -16,13 +16,14 @@ use std::fmt::Write as _;
 
 fn main() {
     let cfg = cli::parse_env(cli::ELSERVE_USAGE, cli::elserve);
-    let tenants = cfg.layout.tenants();
+    let tenants = cfg.tenants();
     let recirc = cfg.base.el.log.recirculation;
 
     let r = serve_run(&cfg);
-    if tenants == 1 {
-        // One tenant is the classic run (same loop, same configuration),
-        // so it prints through elsim's renderer too.
+    if tenants == 1 && cfg.budget == 0 {
+        // One unbudgeted tenant is the classic run (same loop, same
+        // configuration), so it prints through elsim's renderer too. A
+        // budget refuses arrivals, which that report has no line for.
         cli::print(&report::render_run_report(
             &r.metrics,
             recirc,

@@ -79,6 +79,18 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
+    if let Some(only) = &opts.only {
+        let names: Vec<String> = registry_with(opts.gens)
+            .iter()
+            .map(|e| e.name().to_string())
+            .collect();
+        if !names.iter().any(|n| n.to_lowercase().contains(only)) {
+            return Err(format!(
+                "--only {only:?} matches no experiment; the registry holds {}",
+                names.join(", ")
+            ));
+        }
+    }
     Ok(opts)
 }
 
@@ -105,13 +117,6 @@ fn main() {
     let mut experiments = registry_with(opts.gens);
     if let Some(only) = &opts.only {
         experiments.retain(|e| e.name().to_lowercase().contains(only));
-        if experiments.is_empty() {
-            eprintln!("--only {only:?} matches no experiment; registry:");
-            for e in registry_with(opts.gens) {
-                eprintln!("  {}", e.name());
-            }
-            std::process::exit(2);
-        }
     }
     eprintln!(
         "[{:?}] running {} experiments on {} worker(s)...",

@@ -18,7 +18,7 @@ use crate::serve::{parse_oid_ranges, validate_layout, validate_tenants, ServeCon
 use elog_core::{ElConfig, MemoryModel};
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
-use elog_workload::{ArrivalProcess, PhaseSchedule};
+use elog_workload::{ArrivalProcess, PhaseSchedule, MAX_RATE_TPS};
 use std::str::FromStr;
 
 /// The flag table of the run flags `elsim` and `elserve` share.
@@ -28,7 +28,8 @@ macro_rules! run_flags_usage {
   --recirc                enable recirculation in the last generation
   --frac-long P           fraction of 10 s transactions (default 0.05)
   --tps R                 arrivals per second, per tenant under elserve
-                          (default 100)
+                          (default 100; at most 1000000, one per simulated
+                          microsecond, also once scaled by --phases)
   --poisson               Poisson instead of deterministic arrivals
   --runtime S             simulated seconds (default 500)
   --drives N              flush drives (default 10)
@@ -70,8 +71,9 @@ pub const ELSIM_USAGE: &str = concat!(
 /// `elserve --help`.
 pub const ELSERVE_USAGE: &str = concat!(
     "elserve [options]
-  --tenants T             logical tenants (default 2, at most 65536; 1 is
-                          the elsim run: the stdout is byte-identical)
+  --tenants T             logical tenants (default 2, at most 65536; 1
+                          with --budget 0 is the elsim run: the stdout is
+                          byte-identical)
   --budget N              per-tenant live-record admission budget; a
                           tenant at its budget has arrivals refused
                           until flushes drain its footprint (default 0
@@ -238,6 +240,20 @@ impl RunFlags {
         arrivals
             .validate()
             .map_err(|e| format!("--tps {rate_tps}: {e}"))?;
+        if let Some(phases) = &self.phases {
+            let factor = phases
+                .phases()
+                .iter()
+                .map(|p| p.rate_factor)
+                .fold(1.0, f64::max);
+            if rate_tps * factor > MAX_RATE_TPS {
+                return Err(format!(
+                    "--phases: the largest rate factor lifts --tps {rate_tps} above \
+                     {MAX_RATE_TPS} arrivals per second, one per microsecond of the \
+                     simulation clock"
+                ));
+            }
+        }
         let gens_flag = self.gens_flag;
         let log = LogConfig {
             generation_blocks: self.gens,
@@ -401,6 +417,7 @@ pub fn elserve(args: impl IntoIterator<Item = String>) -> Result<ServeConfig, St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::TenantLayout;
 
     fn args(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
@@ -453,8 +470,9 @@ mod tests {
         assert_eq!(fw.memory_model, MemoryModel::Firewall);
 
         let s = elserve(args("--tenants 4 --budget 64")).unwrap();
-        assert_eq!((s.layout.tenants(), s.budget), (4, 64));
-        assert_eq!(s.base.tenants.as_ref(), Some(&s.layout));
+        assert_eq!((s.tenants(), s.budget), (4, 64));
+        let even = TenantLayout::even(s.base.el.db.num_objects, 4);
+        assert_eq!(s.base.tenants, Some(even));
     }
 
     #[test]
@@ -488,7 +506,7 @@ mod tests {
         type Parse = fn(Vec<String>) -> Result<(), String>;
         let sim: Parse = |a| elsim(a).map(drop);
         let serve: Parse = |a| elserve(a).map(drop);
-        let table: [(Parse, &str, &str); 30] = [
+        let table: [(Parse, &str, &str); 36] = [
             (sim, "--gens 0", "--gens"),
             (sim, "--gens 18,0", "--gens"),
             (sim, "--gens 18,x", "--gens"),
@@ -509,6 +527,14 @@ mod tests {
             (sim, "--tps 0", "--tps"),
             (sim, "--tps nan", "--tps"),
             (serve, "--tps -5", "--tps"),
+            // Rates finer than the 1 µs clock: arrivals would pile onto one
+            // instant (or never advance it) instead of erroring.
+            (sim, "--tps 1e12 --runtime 1", "--tps"),
+            (serve, "--tps 1e12 --runtime 1", "--tps"),
+            (sim, "--poisson --tps 1e9 --runtime 1", "--tps"),
+            (sim, "--tps 1500000", "--tps"),
+            (sim, "--phases 0:0.1@1e300 --runtime 5", "--phases"),
+            (serve, "--tps 600000 --phases 0:0.1,5:0.1@2", "--phases"),
             (sim, "--mode bogus", "--mode"),
             (sim, "--frac-long 2", "--frac-long"),
             (sim, "--drives 0", "--drives"),
@@ -537,6 +563,8 @@ mod tests {
         // The ceilings themselves are legal.
         let at_ceiling = format!("--gens 18,{MAX_GENERATION_BLOCKS} --drives 10000000");
         assert!(elsim(args(&at_ceiling)).is_ok());
+        assert!(elsim(args("--tps 1000000")).is_ok());
+        assert!(elsim(args("--tps 500000 --phases 0:0.1@2")).is_ok());
         // The two tenant limits are named in the message.
         let err = elserve(args("--tenants 65537")).unwrap_err();
         assert!(err.contains("65536"), "{err}");

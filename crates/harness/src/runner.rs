@@ -13,12 +13,11 @@
 //! translation vanishes and there is nothing for the two kinds of run to
 //! disagree on.
 
-use crate::serve::{global_tid, split_tid, tenant_seed, CommittedRecord, MAX_TENANTS};
+use crate::serve::{global_tid, split_tid, tenant_seed, MAX_TENANTS};
 use elog_core::{
-    AdaptiveConfig, AdaptiveController, AdaptiveStats, Effects, ElConfig, ElManager, LmMetrics,
-    LmTimer, LogManager,
+    AdaptiveController, AdaptiveStats, Effects, ElConfig, ElManager, LmMetrics, LmTimer, LogManager,
 };
-use elog_model::{BufferPool, CommittedOracle, ObjectVersion, Oid, Tid};
+use elog_model::{CommittedOracle, Oid, Tid};
 use elog_sim::FxHashMap;
 use elog_sim::{Engine, EventQueue, EventToken, PerfStats, SimRng, SimTime, Simulate};
 use elog_workload::{
@@ -136,8 +135,8 @@ pub struct RunConfig {
     pub seed: u64,
     /// Abort the run at the first kill (fast minimum-space probes).
     pub stop_on_kill: bool,
-    /// Maintain the committed-state oracle and buffer pool (recovery
-    /// verification needs them; measurement sweeps skip the cost).
+    /// Maintain the committed-state oracle (recovery verification needs
+    /// it; measurement sweeps skip the cost).
     pub track_oracle: bool,
     /// §6 lifetime hints: place each transaction's records directly in the
     /// generation whose wrap time exceeds its expected duration.
@@ -206,7 +205,7 @@ impl RunConfig {
         self
     }
 
-    /// Sets whether the committed-state oracle and buffer pool are kept.
+    /// Sets whether the committed-state oracle is kept.
     pub fn track_oracle(mut self, on: bool) -> Self {
         self.track_oracle = on;
         self
@@ -233,21 +232,6 @@ impl RunConfig {
     /// Replaces the log geometry (blocks per generation).
     pub fn geometry(mut self, blocks: Vec<u32>) -> Self {
         self.el.log.generation_blocks = blocks;
-        self
-    }
-
-    /// Resizes the geometry to `n` generations, repeating the youngest
-    /// retained size to grow (so `[18, 16]` → `[18, 16, 16]`) and
-    /// truncating to shrink. Lattice searches overwrite the sizes anyway;
-    /// this fixes only the dimensionality.
-    ///
-    /// # Panics
-    /// Panics when `n` is 0 — a log needs at least one generation.
-    pub fn num_generations(mut self, n: usize) -> Self {
-        assert!(n >= 1, "a log needs at least one generation (got n = 0)");
-        let g = &mut self.el.log.generation_blocks;
-        let last = *g.last().expect("validated configs have a generation");
-        g.resize(n, last);
         self
     }
 
@@ -347,8 +331,6 @@ pub struct SimModel<L: LogManager = ElManager> {
     pub lm: L,
     /// Ground truth of acknowledged commits (when tracked).
     pub oracle: CommittedOracle,
-    /// RAM image of object versions (when tracked).
-    pub pool: BufferPool,
     /// Per-tenant oid range base: local oid + base = shared-space oid.
     oid_base: Vec<u64>,
     /// Admission budget: a tenant whose live-record footprint reaches this
@@ -358,9 +340,6 @@ pub struct SimModel<L: LogManager = ElManager> {
     pub(crate) budget: u64,
     /// Arrivals refused per tenant.
     pub(crate) throttled: Vec<u64>,
-    /// Committed `(tid, seq, oid)` triples per tenant, when recorded (the
-    /// tenant-isolation tests).
-    pub(crate) committed_sets: Option<Vec<Vec<CommittedRecord>>>,
     /// Pending event tokens per shared-space tid, cancelled on kill.
     tokens: FxHashMap<Tid, Vec<EventToken>>,
     /// Retired token vectors, reused by later transactions.
@@ -392,9 +371,6 @@ impl<L: LogManager> SimModel<L> {
             let (tenant, local) = split_tid(tid);
             let t = tenant as usize;
             let updates = self.driver[t].on_commit_ack(now, local);
-            if let Some(sets) = &mut self.committed_sets {
-                sets[t].extend(updates.iter().map(|u| (local.0, u.seq, u.oid.0)));
-            }
             if self.track_tokens {
                 if let Some(mut tokens) = self.tokens.remove(&tid) {
                     tokens.clear();
@@ -407,15 +383,11 @@ impl<L: LogManager> SimModel<L> {
                     tid,
                     updates.iter().map(|u| (Oid(base + u.oid.0), u.seq, u.ts)),
                 );
-                for u in updates {
-                    self.pool.promote(Oid(base + u.oid.0), tid);
-                }
             }
         }
         for tid in fx.kills.drain(..) {
             self.kills += 1;
             let (tenant, local) = split_tid(tid);
-            let t = tenant as usize;
             if self.track_tokens {
                 if let Some(mut tokens) = self.tokens.remove(&tid) {
                     for token in tokens.drain(..) {
@@ -424,13 +396,7 @@ impl<L: LogManager> SimModel<L> {
                     self.token_pool.push(tokens);
                 }
             }
-            if self.track_oracle {
-                for u in self.driver[t].updates_of(local).unwrap_or_default() {
-                    self.pool
-                        .discard_uncommitted(Oid(self.oid_base[t] + u.oid.0), tid);
-                }
-            }
-            self.driver[t].on_kill(now, local);
+            self.driver[tenant as usize].on_kill(local);
         }
         self.lm.recycle(fx);
     }
@@ -466,7 +432,7 @@ impl<L: LogManager> Simulate for SimModel<L> {
                                 queue.schedule(at, Ev::Arrival(tenant));
                             }
                         }
-                        self.driver[t].on_kill(now, new.tid);
+                        self.driver[t].on_kill(new.tid);
                     } else {
                         let tid = global_tid(tenant, new.tid);
                         // The controller owns hint placement while it runs
@@ -509,9 +475,6 @@ impl<L: LogManager> Simulate for SimModel<L> {
                 let t = tenant as usize;
                 if let Some((oid, size)) = self.driver[t].on_write_data(now, local, seq) {
                     let oid = Oid(self.oid_base[t] + oid.0);
-                    if self.track_oracle {
-                        self.pool.stage(oid, ObjectVersion { tid, seq, ts: now });
-                    }
                     let fx = self.lm.write_data(now, tid, oid, seq, size);
                     self.apply(now, fx, queue);
                 }
@@ -622,17 +585,15 @@ pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimMode
             .generation_blocks
             .last()
             .expect("validated configs have a generation");
-        AdaptiveController::new(AdaptiveConfig::default(), last, cfg.lifetime_hints)
+        AdaptiveController::new(last, cfg.lifetime_hints)
     });
     let model = SimModel {
         driver: Drivers(drivers),
         lm,
         oracle: CommittedOracle::new(),
-        pool: BufferPool::new(),
         oid_base: ranges.iter().map(|r| r.0).collect(),
         budget: 0,
         throttled: vec![0; ranges.len()],
-        committed_sets: None,
         tokens: FxHashMap::default(),
         token_pool: Vec::new(),
         wl_events: Vec::new(),
@@ -804,14 +765,6 @@ mod tests {
             r.ended_at < SimTime::from_secs(60),
             "must stop at first kill"
         );
-    }
-
-    #[test]
-    fn num_generations_resizes_geometry() {
-        let cfg = quick_cfg(0.05, vec![18, 16], false, 5).num_generations(3);
-        assert_eq!(cfg.el.log.generation_blocks, vec![18, 16, 16]);
-        let cfg = cfg.num_generations(1);
-        assert_eq!(cfg.el.log.generation_blocks, vec![18]);
     }
 
     #[test]

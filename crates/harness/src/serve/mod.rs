@@ -3,9 +3,9 @@
 //!
 //! Each tenant owns a contiguous slice of the shared oid space (a
 //! [`TenantLayout`]), its own tid namespace (tenant index in the tid's high
-//! bits), and its own streamed workload spec (the per-tenant
-//! [`PhaseSchedule`] overrides). This module holds the tenancy rules —
-//! namespacing, seeds, layout validation — and the per-tenant report; the
+//! bits), and its own workload stream (seeded by [`tenant_seed`]). This
+//! module holds the tenancy rules — namespacing, seeds, layout
+//! validation — and the per-tenant report; the
 //! event loop is [`crate::runner::SimModel`], the same one `elsim` runs,
 //! built over `base.tenants`. It merges the tenants' arrival streams
 //! deterministically — events fire in global `(time, tenant, sequence)`
@@ -33,13 +33,7 @@ use crate::runner::{build_model_with, snapshot, RunConfig, TenantLayout};
 use crate::sweep::derive_seed;
 use elog_core::{ElManager, LmMetrics};
 use elog_sim::{PerfStats, SimTime};
-use elog_workload::PhaseSchedule;
 use std::time::Instant;
-
-/// A committed record as recorded for the tenant-isolation tests:
-/// `(local tid, seq, local oid)` — local on purpose, so a tenant's record
-/// set is directly comparable between a solo run and a multi-tenant run.
-pub type CommittedRecord = (u64, u32, u64);
 
 /// Tenant index lives in bits 48.. of a tid; the low 48 bits are the
 /// tenant-local tid. 2^48 transactions per tenant is unreachable (a 500 s
@@ -170,21 +164,12 @@ pub fn validate_layout(layout: &TenantLayout, num_objects: u64) -> Result<(), St
 /// arrivals, geometry, seed) plus the tenancy knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// The shared-instance configuration. `base.tenants` always mirrors
-    /// [`ServeConfig::layout`] so probe verdict keys are tenant-aware.
+    /// The shared-instance configuration; `base.tenants` is the per-tenant
+    /// oid partition of the shared database (`None` = one tenant owning
+    /// the whole oid space).
     pub base: RunConfig,
-    /// Per-tenant oid partition of the shared database.
-    pub layout: TenantLayout,
     /// Live-record admission budget per tenant (0 = unlimited).
     pub budget: u64,
-    /// Per-tenant phase-schedule overrides (empty = every tenant streams
-    /// `base.phases`; otherwise one entry per tenant).
-    pub tenant_phases: Vec<Option<PhaseSchedule>>,
-    /// Keep delivering in-flight events past the arrival horizon up to
-    /// this virtual time (`None` = stop at the horizon, like `run`). The
-    /// isolation tests drain so stragglers' acks land; rates are computed
-    /// over the horizon either way.
-    pub drain: Option<SimTime>,
 }
 
 impl ServeConfig {
@@ -192,18 +177,14 @@ impl ServeConfig {
     pub fn new(base: RunConfig, tenants: usize) -> Self {
         let layout = TenantLayout::even(base.el.db.num_objects, tenants);
         ServeConfig {
-            base: base.with_tenants(Some(layout.clone())),
-            layout,
+            base: base.with_tenants(Some(layout)),
             budget: 0,
-            tenant_phases: Vec::new(),
-            drain: None,
         }
     }
 
-    /// Replaces the oid partition (also mirrored into `base.tenants`).
+    /// Replaces the oid partition.
     pub fn with_layout(mut self, layout: TenantLayout) -> Self {
-        self.base.tenants = Some(layout.clone());
-        self.layout = layout;
+        self.base.tenants = Some(layout);
         self
     }
 
@@ -213,16 +194,9 @@ impl ServeConfig {
         self
     }
 
-    /// Sets per-tenant phase schedules (one entry per tenant).
-    pub fn with_tenant_phases(mut self, phases: Vec<Option<PhaseSchedule>>) -> Self {
-        self.tenant_phases = phases;
-        self
-    }
-
-    /// Drains in-flight events up to `until` after the arrival horizon.
-    pub fn with_drain(mut self, until: SimTime) -> Self {
-        self.drain = Some(until);
-        self
+    /// Number of tenants served.
+    pub fn tenants(&self) -> usize {
+        self.base.tenants.as_ref().map_or(1, TenantLayout::tenants)
     }
 
     /// The workload seed of one tenant ([`tenant_seed`] of `base.seed`) —
@@ -250,8 +224,6 @@ pub struct TenantReport {
     pub data_records: u64,
     /// Records that became garbage in place.
     pub garbage_records: u64,
-    /// Peak live records in the shared arena.
-    pub live_peak: u64,
     /// Peak LTT entries.
     pub ltt_peak: u64,
     /// p50 whole-transaction commit latency (arrival → durable), ms.
@@ -267,7 +239,7 @@ pub struct ServeOutcome {
     pub metrics: LmMetrics,
     /// Per-tenant reports, indexed by tenant.
     pub per_tenant: Vec<TenantReport>,
-    /// Tenant sums: counter fields are exact sums; the two peak fields sum
+    /// Tenant sums: counter fields are exact sums; the peak field sums
     /// per-tenant peaks (an upper bound on the simultaneous peak); the
     /// latency quantiles come from the merged cross-tenant histogram.
     pub aggregate: TenantReport,
@@ -284,17 +256,10 @@ pub struct ServeOutcome {
 
 /// Runs a serve configuration to its horizon and snapshots the results.
 pub fn serve_run(cfg: &ServeConfig) -> ServeOutcome {
-    serve_run_recorded(cfg, false).0
-}
-
-/// Like [`serve_run`], but also records every committed `(tid, seq, oid)`
-/// triple per tenant (in tenant-local spaces) for the isolation tests.
-pub fn serve_run_recorded(
-    cfg: &ServeConfig,
-    record_commits: bool,
-) -> (ServeOutcome, Vec<Vec<CommittedRecord>>) {
-    validate_layout(&cfg.layout, cfg.base.el.db.num_objects)
-        .expect("serve layout must tile the oid space");
+    if let Some(layout) = &cfg.base.tenants {
+        validate_layout(layout, cfg.base.el.db.num_objects)
+            .expect("serve layout must tile the oid space");
+    }
     assert!(cfg.base.trace.is_none(), "serve drives live workloads only");
     assert!(
         !cfg.base.stop_on_kill
@@ -303,22 +268,15 @@ pub fn serve_run_recorded(
             && !cfg.base.adaptive,
         "serve supports plain measured runs only"
     );
-    let tenants = cfg.layout.tenants();
+    let tenants = cfg.tenants();
     let mut lm = ElManager::new(cfg.base.el.clone()).expect("validated configuration");
     lm.enable_tenant_ledger(tenants, TENANT_TID_SHIFT);
-    // `layout` is the authority; `base.tenants` only mirrors it.
-    let base = cfg.base.clone().with_tenants(Some(cfg.layout.clone()));
-    let mut engine = build_model_with(&base, lm);
-    let model = engine.model_mut();
-    model.budget = cfg.budget;
-    model.committed_sets = record_commits.then(|| vec![Vec::new(); tenants]);
-    for (t, phases) in cfg.tenant_phases.iter().enumerate() {
-        model.driver[t].set_phases(phases.clone());
-    }
+    let mut engine = build_model_with(&cfg.base, lm);
+    engine.model_mut().budget = cfg.budget;
     let wall_start = Instant::now();
-    let horizon = base.runtime;
-    let ended_at = engine.run_until(cfg.drain.map_or(horizon, |d| d.max(horizon)));
-    let run = snapshot(&engine, &base, ended_at, wall_start);
+    let horizon = cfg.base.runtime;
+    let ended_at = engine.run_until(horizon);
+    let run = snapshot(&engine, &cfg.base, ended_at, wall_start);
 
     let model = engine.model();
     let ledger = model.lm.tenant_ledger().expect("armed above");
@@ -334,7 +292,6 @@ pub fn serve_run_recorded(
             aggregate.throttled += model.throttled[t];
             aggregate.data_records += c.data_records;
             aggregate.garbage_records += c.garbage_records;
-            aggregate.live_peak += c.live_records_peak;
             aggregate.ltt_peak += c.ltt_peak;
             if t > 0 {
                 full.merge(&s.full_latency_ms);
@@ -346,7 +303,6 @@ pub fn serve_run_recorded(
                 throttled: model.throttled[t],
                 data_records: c.data_records,
                 garbage_records: c.garbage_records,
-                live_peak: c.live_records_peak,
                 ltt_peak: c.ltt_peak,
                 p50_ms: s.full_latency_ms.quantile(0.5),
                 p99_ms: s.full_latency_ms.quantile(0.99),
@@ -355,7 +311,7 @@ pub fn serve_run_recorded(
         .collect();
     aggregate.p50_ms = full.quantile(0.5);
     aggregate.p99_ms = full.quantile(0.99);
-    let outcome = ServeOutcome {
+    ServeOutcome {
         metrics: run.metrics,
         per_tenant,
         aggregate,
@@ -363,9 +319,7 @@ pub fn serve_run_recorded(
         ended_at,
         horizon,
         perf: run.perf,
-    };
-    let committed = engine.model_mut().committed_sets.take().unwrap_or_default();
-    (outcome, committed)
+    }
 }
 
 #[cfg(test)]

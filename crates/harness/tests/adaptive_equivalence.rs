@@ -15,7 +15,7 @@
 //!   live (DESIGN.md §5j): a controller run is one static-geometry run
 //!   per timeline segment, glued at recorded boundaries.
 
-use elog_core::adaptive::{AdaptiveConfig, AdaptiveController};
+use elog_core::adaptive::AdaptiveController;
 use elog_core::ElConfig;
 use elog_harness::experiments::registry_with;
 use elog_harness::runner::{build_model, RunConfig};
@@ -198,7 +198,6 @@ fn scripted_replay_of_controller_decisions_commits_the_same_record_set() {
 
         let mut replay = build_model(&cfg);
         replay.model_mut().adaptive = Some(AdaptiveController::scripted(
-            AdaptiveConfig::default(),
             st.reshape_log.clone(),
             st.hint_log.clone(),
             cfg.lifetime_hints,

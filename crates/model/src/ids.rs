@@ -38,19 +38,6 @@ impl Oid {
     pub const fn get(self) -> u64 {
         self.0
     }
-
-    /// Wraparound distance to `other` within a cyclic range of size `range`.
-    ///
-    /// §3: "When calculating the difference between two oids, we assume that
-    /// the range of integers assigned to their disk drive wraps around."
-    #[inline]
-    pub fn wrap_distance(self, other: Oid, range: u64) -> u64 {
-        debug_assert!(range > 0);
-        let a = self.0 % range;
-        let b = other.0 % range;
-        let d = a.abs_diff(b);
-        d.min(range - d)
-    }
 }
 
 impl fmt::Display for Oid {
@@ -75,12 +62,6 @@ impl GenId {
     pub const fn next(self) -> GenId {
         GenId(self.0 + 1)
     }
-
-    /// True when this is the last (oldest) of `n` generations.
-    #[inline]
-    pub const fn is_last(self, n: usize) -> bool {
-        self.0 as usize + 1 == n
-    }
 }
 
 impl fmt::Display for GenId {
@@ -101,34 +82,9 @@ mod tests {
     }
 
     #[test]
-    fn wrap_distance_symmetric() {
-        let r = 1_000_000;
-        assert_eq!(Oid(10).wrap_distance(Oid(20), r), 10);
-        assert_eq!(Oid(20).wrap_distance(Oid(10), r), 10);
-    }
-
-    #[test]
-    fn wrap_distance_wraps() {
-        let r = 100;
-        // 5 and 95 are 10 apart going through 0, not 90.
-        assert_eq!(Oid(5).wrap_distance(Oid(95), r), 10);
-        // Values are first reduced into the drive's local range.
-        assert_eq!(Oid(205).wrap_distance(Oid(95), r), 10);
-    }
-
-    #[test]
-    fn wrap_distance_max_is_half_range() {
-        let r = 100;
-        assert_eq!(Oid(0).wrap_distance(Oid(50), r), 50);
-        assert_eq!(Oid(0).wrap_distance(Oid(51), r), 49);
-    }
-
-    #[test]
     fn generation_navigation() {
         let g = GenId(0);
         assert_eq!(g.next(), GenId(1));
-        assert!(!g.is_last(2));
-        assert!(g.next().is_last(2));
-        assert!(GenId(0).is_last(1));
+        assert_eq!(g.next().next().get(), 2);
     }
 }

@@ -8,21 +8,15 @@
 //! * the log-record model of the paper (§2.1: *data* records chronicling
 //!   object updates and *transaction* records marking BEGIN/COMMIT/ABORT),
 //! * the fixed simulation parameters of §3 ([`config`]),
-//! * the in-RAM [`bufferpool`] of updated object values — EL's log is
-//!   *write-only*, so forwarded/recirculated record contents are regenerated
-//!   from main memory, never read back from disk,
 //! * the [`stabledb`]: the version-stamped stable database that committed
 //!   updates are flushed to, plus a committed-state oracle used to verify
 //!   recovery end-to-end.
 
-pub mod bufferpool;
 pub mod config;
 pub mod ids;
-pub mod rates;
 pub mod record;
 pub mod stabledb;
 
-pub use bufferpool::BufferPool;
 pub use config::{DbConfig, FlushConfig, LogConfig};
 pub use ids::{GenId, Oid, Tid};
 pub use record::{

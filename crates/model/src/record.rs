@@ -128,12 +128,6 @@ impl LogRecord {
             LogRecord::Data(r) => Some(r.oid),
         }
     }
-
-    /// True for transaction records.
-    #[inline]
-    pub fn is_tx(&self) -> bool {
-        matches!(self, LogRecord::Tx(_))
-    }
 }
 
 /// The splitmix-style word stream behind [`synth_payload`]: the seed for an
@@ -245,12 +239,10 @@ mod tests {
         assert_eq!(d.size(), 100);
         assert_eq!(d.tid(), Tid(7));
         assert_eq!(d.oid(), Some(Oid(42)));
-        assert!(!d.is_tx());
 
         let t = tx(7, TxMark::Commit);
         assert_eq!(t.size(), 8);
         assert_eq!(t.oid(), None);
-        assert!(t.is_tx());
         assert_eq!(t.ts(), SimTime::from_millis(2));
     }
 

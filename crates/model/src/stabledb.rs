@@ -233,25 +233,6 @@ impl CommittedOracle {
     pub fn iter(&self) -> impl Iterator<Item = (Oid, ObjectVersion)> + '_ {
         self.versions.iter().map(|(&o, &v)| (o, v))
     }
-
-    /// Compares against a reconstructed state, returning the oids that
-    /// disagree (missing, extra, or wrong version). Empty means identical.
-    pub fn diff(&self, other: &FxHashMap<Oid, ObjectVersion>) -> Vec<Oid> {
-        let mut bad: Vec<Oid> = Vec::new();
-        for (&oid, &v) in &self.versions {
-            if other.get(&oid) != Some(&v) {
-                bad.push(oid);
-            }
-        }
-        for &oid in other.keys() {
-            if !self.versions.contains_key(&oid) {
-                bad.push(oid);
-            }
-        }
-        bad.sort_unstable();
-        bad.dedup();
-        bad
-    }
 }
 
 #[cfg(test)]
@@ -421,45 +402,6 @@ mod tests {
         o.commit(Tid(3), [(Oid(5), 1, SimTime::from_millis(20))]);
         assert_eq!(o.version(Oid(5)).unwrap().tid, Tid(2));
         assert_eq!(o.committed_txns(), 3);
-    }
-
-    #[test]
-    fn diff_detects_all_mismatch_kinds() {
-        let mut o = CommittedOracle::new();
-        o.commit(
-            Tid(1),
-            [
-                (Oid(1), 1, SimTime::from_millis(1)),
-                (Oid(2), 2, SimTime::from_millis(1)),
-            ],
-        );
-
-        let mut rebuilt: FxHashMap<Oid, ObjectVersion> = FxHashMap::default();
-        rebuilt.insert(Oid(1), v(1, 1, 1)); // correct
-        rebuilt.insert(Oid(3), v(9, 1, 9)); // extra
-                                            // Oid(2) missing.
-        let bad = o.diff(&rebuilt);
-        assert_eq!(bad, vec![Oid(2), Oid(3)]);
-
-        rebuilt.remove(&Oid(3));
-        rebuilt.insert(
-            Oid(2),
-            ObjectVersion {
-                tid: Tid(1),
-                seq: 2,
-                ts: SimTime::from_millis(1),
-            },
-        );
-        assert!(o.diff(&rebuilt).is_empty());
-    }
-
-    #[test]
-    fn diff_flags_wrong_version() {
-        let mut o = CommittedOracle::new();
-        o.commit(Tid(4), [(Oid(7), 1, SimTime::from_millis(4))]);
-        let mut rebuilt = FxHashMap::default();
-        rebuilt.insert(Oid(7), v(4, 2, 4)); // wrong seq
-        assert_eq!(o.diff(&rebuilt), vec![Oid(7)]);
     }
 
     #[test]

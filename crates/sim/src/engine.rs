@@ -100,11 +100,6 @@ impl<M: Simulate> Engine<M> {
         &mut self.queue
     }
 
-    /// Consumes the engine, returning the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
-
     /// Runs until the queue empties or the model stops; returns final time.
     pub fn run_to_completion(&mut self) -> SimTime {
         self.run_until(SimTime::MAX)

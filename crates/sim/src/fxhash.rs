@@ -1,6 +1,6 @@
 //! A deterministic, fast hasher for dense integer keys.
 //!
-//! The simulator's hot tables (LOT, LTT, buffer pool, stable DB, workload
+//! The simulator's hot tables (LOT, LTT, stable DB, workload
 //! driver) are keyed by dense `u64` ids. `std`'s default SipHash is both
 //! randomly seeded — which costs a `RandomState` per map and makes
 //! iteration order vary between processes — and an order of magnitude

@@ -48,5 +48,5 @@ pub use event::{EventQueue, EventToken};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use perfstats::{CountingAlloc, PerfStats, QueueStats, SearchStats};
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, MaxGauge, MeanAccumulator, TimeWeighted};
+pub use stats::{Counter, Histogram, MaxGauge, MeanAccumulator};
 pub use time::SimTime;

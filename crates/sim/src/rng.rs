@@ -68,14 +68,6 @@ impl SimRng {
         let u: f64 = self.inner.random_range(f64::MIN_POSITIVE..1.0);
         -mean * u.ln()
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.inner.random_range(0..=i);
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,15 +138,5 @@ mod tests {
         let total: f64 = (0..n).map(|_| r.next_exp(mean)).sum();
         let observed = total / n as f64;
         assert!((observed - mean).abs() < 0.01, "observed mean {observed}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::new(6);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

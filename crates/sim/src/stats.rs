@@ -83,9 +83,7 @@ impl MeanAccumulator {
 /// Tracks the maximum of a time-varying quantity.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MaxGauge {
-    current: u64,
     peak: u64,
-    peak_at: SimTime,
 }
 
 impl MaxGauge {
@@ -95,82 +93,13 @@ impl MaxGauge {
     }
 
     /// Sets the current value, updating the peak.
-    pub fn set(&mut self, now: SimTime, v: u64) {
-        self.current = v;
-        if v > self.peak {
-            self.peak = v;
-            self.peak_at = now;
-        }
-    }
-
-    /// Most recent value.
-    pub fn current(&self) -> u64 {
-        self.current
+    pub fn set(&mut self, v: u64) {
+        self.peak = self.peak.max(v);
     }
 
     /// Greatest value ever set.
     pub fn peak(&self) -> u64 {
         self.peak
-    }
-
-    /// Time at which the peak was (first) reached.
-    pub fn peak_at(&self) -> SimTime {
-        self.peak_at
-    }
-}
-
-/// Time-weighted average of a piecewise-constant quantity.
-///
-/// `update(now, v)` declares that the quantity has held its previous value
-/// since the last update and is `v` from `now` on.
-#[derive(Clone, Copy, Debug)]
-pub struct TimeWeighted {
-    last_value: f64,
-    last_at: SimTime,
-    weighted_sum: f64,
-    origin: SimTime,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new(SimTime::ZERO, 0.0)
-    }
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `start` with initial value `v0`.
-    pub fn new(start: SimTime, v0: f64) -> Self {
-        TimeWeighted {
-            last_value: v0,
-            last_at: start,
-            weighted_sum: 0.0,
-            origin: start,
-        }
-    }
-
-    /// Records a change of value at time `now`.
-    pub fn update(&mut self, now: SimTime, v: f64) {
-        debug_assert!(now >= self.last_at, "time-weighted update out of order");
-        let dt = now.saturating_sub(self.last_at).as_secs_f64();
-        self.weighted_sum += self.last_value * dt;
-        self.last_value = v;
-        self.last_at = now;
-    }
-
-    /// Average over `[origin, now]`, extending the last value to `now`.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let tail = now.saturating_sub(self.last_at).as_secs_f64();
-        let span = now.saturating_sub(self.origin).as_secs_f64();
-        if span == 0.0 {
-            self.last_value
-        } else {
-            (self.weighted_sum + self.last_value * tail) / span
-        }
-    }
-
-    /// Current (most recently set) value.
-    pub fn current(&self) -> f64 {
-        self.last_value
     }
 }
 
@@ -441,29 +370,10 @@ mod tests {
     #[test]
     fn max_gauge_tracks_peak_and_time() {
         let mut g = MaxGauge::new();
-        g.set(SimTime::from_secs(1), 10);
-        g.set(SimTime::from_secs(2), 30);
-        g.set(SimTime::from_secs(3), 20);
-        assert_eq!(g.current(), 20);
+        g.set(10);
+        g.set(30);
+        g.set(20);
         assert_eq!(g.peak(), 30);
-        assert_eq!(g.peak_at(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.update(SimTime::from_secs(10), 100.0); // 0 for 10 s
-        tw.update(SimTime::from_secs(20), 0.0); // 100 for 10 s
-                                                // over 20 s: (0*10 + 100*10)/20 = 50
-        assert!((tw.average(SimTime::from_secs(20)) - 50.0).abs() < 1e-9);
-        // extend 20 more seconds at 0: (1000)/40 = 25
-        assert!((tw.average(SimTime::from_secs(40)) - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_degenerate_span() {
-        let tw = TimeWeighted::new(SimTime::from_secs(5), 7.0);
-        assert_eq!(tw.average(SimTime::from_secs(5)), 7.0);
     }
 
     #[test]

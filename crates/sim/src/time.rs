@@ -58,12 +58,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole milliseconds (truncating).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -174,10 +168,10 @@ mod tests {
     fn arithmetic_roundtrips() {
         let a = SimTime::from_millis(15);
         let b = SimTime::from_millis(25);
-        assert_eq!((a + b).as_millis(), 40);
-        assert_eq!((b - a).as_millis(), 10);
-        assert_eq!((a * 4).as_millis(), 60);
-        assert_eq!((b / 5).as_millis(), 5);
+        assert_eq!(a + b, SimTime::from_millis(40));
+        assert_eq!(b - a, SimTime::from_millis(10));
+        assert_eq!(a * 4, SimTime::from_millis(60));
+        assert_eq!(b / 5, SimTime::from_millis(5));
     }
 
     #[test]

@@ -13,6 +13,12 @@
 
 use elog_sim::{SimRng, SimTime};
 
+/// Fastest arrival rate a process may have: one arrival per tick of the
+/// 1 µs simulation clock. Finer intervals round to the same instant — a
+/// deterministic interval under 0.5 µs rounds to zero and the arrival
+/// chain never advances the clock.
+pub const MAX_RATE_TPS: f64 = 1e6;
+
 /// How transaction arrivals are spaced.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ArrivalProcess {
@@ -47,7 +53,8 @@ pub enum ArrivalProcess {
 impl ArrivalProcess {
     /// Validates the process parameters.
     ///
-    /// Rates and dwell times must be positive and finite. For
+    /// Rates and dwell times must be positive and finite, and no rate may
+    /// exceed [`MAX_RATE_TPS`]. For
     /// [`ArrivalProcess::MarkovBursty`] the switch probability drawn after
     /// each arrival is `1/(rate × mean_dwell_s)`; when `rate ×
     /// mean_dwell_s < 1` in either state that probability would have to
@@ -63,9 +70,19 @@ impl ArrivalProcess {
                 Err(format!("{name} must be positive and finite, got {v}"))
             }
         };
+        let rate = |name: &str, v: f64| {
+            positive(name, v)?;
+            if v > MAX_RATE_TPS {
+                return Err(format!(
+                    "{name} {v} exceeds {MAX_RATE_TPS} arrivals per second, one per \
+                     microsecond of the simulation clock"
+                ));
+            }
+            Ok(())
+        };
         match *self {
             ArrivalProcess::Deterministic { rate_tps } | ArrivalProcess::Poisson { rate_tps } => {
-                positive("rate_tps", rate_tps)
+                rate("rate_tps", rate_tps)
             }
             ArrivalProcess::MarkovBursty {
                 base_tps,
@@ -73,8 +90,8 @@ impl ArrivalProcess {
                 mean_dwell_s,
                 ..
             } => {
-                positive("base_tps", base_tps)?;
-                positive("burst_tps", burst_tps)?;
+                rate("base_tps", base_tps)?;
+                rate("burst_tps", burst_tps)?;
                 positive("mean_dwell_s", mean_dwell_s)?;
                 let slow = base_tps.min(burst_tps);
                 if slow * mean_dwell_s < 1.0 {
@@ -283,5 +300,44 @@ mod tests {
         assert!(ArrivalProcess::Deterministic { rate_tps: 100.0 }
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn rates_finer_than_the_clock_are_rejected() {
+        let bursty = |base_tps, burst_tps| ArrivalProcess::MarkovBursty {
+            base_tps,
+            burst_tps,
+            mean_dwell_s: 1.0,
+            in_burst: false,
+        };
+        let above = f64::from_bits(MAX_RATE_TPS.to_bits() + 1);
+        for (at, over) in [
+            (
+                ArrivalProcess::Deterministic {
+                    rate_tps: MAX_RATE_TPS,
+                },
+                ArrivalProcess::Deterministic { rate_tps: above },
+            ),
+            (
+                ArrivalProcess::Poisson {
+                    rate_tps: MAX_RATE_TPS,
+                },
+                ArrivalProcess::Poisson { rate_tps: 1e9 },
+            ),
+            (bursty(10.0, MAX_RATE_TPS), bursty(10.0, above)),
+            (bursty(MAX_RATE_TPS, 10.0), bursty(1e12, 10.0)),
+        ] {
+            assert!(at.validate().is_ok(), "{at:?}");
+            let err = over.validate().unwrap_err();
+            assert!(err.contains("microsecond"), "{over:?}: {err}");
+        }
+        // At the bound the deterministic interval is one clock tick.
+        let mut p = ArrivalProcess::Deterministic {
+            rate_tps: MAX_RATE_TPS,
+        };
+        assert_eq!(
+            p.next_interval(&mut SimRng::new(1)),
+            SimTime::from_micros(1)
+        );
     }
 }

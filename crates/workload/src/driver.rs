@@ -230,16 +230,9 @@ impl WorkloadDriver {
     /// Panics on a replay driver, after arrivals have begun, or when the
     /// schedule's type table does not match the base mix.
     pub fn with_phases(mut self, schedule: Option<PhaseSchedule>) -> Self {
-        if schedule.is_some() {
-            self.set_phases(schedule);
-        }
-        self
-    }
-
-    /// Replaces the phase schedule in place (`None` clears it): the
-    /// per-tenant override of a driver that was built with the run-wide
-    /// schedule. Same conditions and panics as [`Self::with_phases`].
-    pub fn set_phases(&mut self, schedule: Option<PhaseSchedule>) {
+        let Some(schedule) = schedule else {
+            return self;
+        };
         assert!(
             matches!(self.source, Source::Live { .. }),
             "phase schedules apply to live drivers only; replay traces \
@@ -247,10 +240,11 @@ impl WorkloadDriver {
         );
         assert_eq!(self.next_tid, 0, "schedule must be set before arrivals");
         assert!(
-            schedule.as_ref().is_none_or(|s| s.matches_types(&self.mix)),
+            schedule.matches_types(&self.mix),
             "phase schedule type table does not match the base mix"
         );
-        self.schedule = schedule;
+        self.schedule = Some(schedule);
+        self
     }
 
     /// Starts capturing a [`WorkloadTrace`]. Must be called before the
@@ -363,7 +357,7 @@ impl WorkloadDriver {
         );
         self.stats.started += 1;
         self.stats.per_type_started[type_idx] += 1;
-        self.stats.active.set(now, self.active.len() as u64);
+        self.stats.active.set(self.active.len() as u64);
         Some(NewTxn { tid, type_idx })
     }
 
@@ -438,7 +432,7 @@ impl WorkloadDriver {
             .full_latency_ms
             .record(now.saturating_sub(txn.started_at).as_micros() as f64 / 1000.0);
         self.stats.committed += 1;
-        self.stats.active.set(now, self.active.len() as u64);
+        self.stats.active.set(self.active.len() as u64);
         if self.track_updates {
             // Hand the updates out through `ack_buf` and recycle the old
             // buffer, so steady-state acks allocate nothing.
@@ -451,7 +445,7 @@ impl WorkloadDriver {
     /// Handles a kill from the log manager: drops the transaction and
     /// releases its oids. The caller is responsible for cancelling the
     /// transaction's still-pending events.
-    pub fn on_kill(&mut self, now: SimTime, tid: Tid) {
+    pub fn on_kill(&mut self, tid: Tid) {
         if let Some(mut txn) = self.active.remove(&tid) {
             if let Source::Live { picker, .. } = &mut self.source {
                 picker.release_all(txn.updates.iter().map(|u| u.oid));
@@ -461,7 +455,7 @@ impl WorkloadDriver {
                 self.spare_updates.push(txn.updates);
             }
             self.stats.killed += 1;
-            self.stats.active.set(now, self.active.len() as u64);
+            self.stats.active.set(self.active.len() as u64);
         }
     }
 
@@ -597,7 +591,7 @@ mod tests {
         let (oid, _) = d
             .on_write_data(SimTime::from_millis(1), new.tid, 1)
             .unwrap();
-        d.on_kill(SimTime::from_millis(2), new.tid);
+        d.on_kill(new.tid);
         assert!(!d.picker().unwrap().is_held(oid));
         assert_eq!(d.stats().killed, 1);
         assert_eq!(d.active_txns(), 0);
@@ -608,7 +602,7 @@ mod tests {
         assert!(!d.on_write_commit(SimTime::from_millis(4), new.tid));
         assert!(d.on_commit_ack(SimTime::from_millis(5), new.tid).is_empty());
         assert_eq!(d.stats().killed, 1, "double kill not counted");
-        d.on_kill(SimTime::from_millis(6), new.tid);
+        d.on_kill(new.tid);
         assert_eq!(d.stats().killed, 1);
     }
 
@@ -847,7 +841,7 @@ mod tests {
         let mut d = driver(0.0, 10);
         d.enable_capture();
         let (new, _) = arrive(&mut d, SimTime::ZERO).unwrap();
-        d.on_kill(SimTime::from_millis(1), new.tid);
+        d.on_kill(new.tid);
         assert!(d.take_trace().is_none(), "killed run is truncated");
     }
 }

@@ -40,7 +40,7 @@ pub mod oidpick;
 pub mod spec;
 pub mod trace;
 
-pub use arrival::ArrivalProcess;
+pub use arrival::{ArrivalProcess, MAX_RATE_TPS};
 pub use driver::{WorkloadDriver, WorkloadEvent, WorkloadStats};
 pub use oidpick::OidPicker;
 pub use spec::{Phase, PhaseSchedule, TxMix, TxType, EPSILON};

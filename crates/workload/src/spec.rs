@@ -136,97 +136,6 @@ impl TxMix {
     pub fn mean_update_rate(&self, tps: f64) -> f64 {
         tps * self.mean_updates_per_txn()
     }
-
-    /// Expected log payload bytes per second at `tps` arrivals, counting
-    /// data records plus BEGIN and COMMIT records of `tx_record_size` each.
-    pub fn mean_log_bytes_per_sec(&self, tps: f64, tx_record_size: u32) -> f64 {
-        let data: f64 = self
-            .types
-            .iter()
-            .map(|t| t.probability * f64::from(t.data_records) * f64::from(t.record_size))
-            .sum();
-        tps * (data + 2.0 * f64::from(tx_record_size))
-    }
-
-    /// Byte-weighted fraction of freshly written log bytes still *live*
-    /// (their transaction not yet committed) `age_secs` after their write —
-    /// the `g(age)` curve of the §4 steady-state balance (see
-    /// `elog_model::rates`).
-    ///
-    /// A type-`t` transaction's `j`-th data record is written at offset
-    /// `o_j` and stays live until the COMMIT request at `T`, so it
-    /// survives age `a` iff `T − o_j > a`; its BEGIN record (of
-    /// `tx_record_size` bytes) lives the full `T`; its COMMIT record dies
-    /// immediately. The fraction weighs each record by its size and each
-    /// type by its probability.
-    pub fn live_byte_fraction(&self, tx_record_size: u32, age_secs: f64) -> f64 {
-        let (live, total) = self.live_byte_sums(tx_record_size, age_secs);
-        if total <= 0.0 {
-            0.0
-        } else {
-            live / total
-        }
-    }
-
-    /// Byte-weighted mean *remaining* life (seconds) of the bytes still
-    /// live at `age_secs` — how much longer the surviving cohort must be
-    /// retained. Zero when nothing survives.
-    pub fn mean_remaining_life(&self, tx_record_size: u32, age_secs: f64) -> f64 {
-        let mut weighted = 0.0;
-        let mut live = 0.0;
-        for t in &self.types {
-            let dur = t.duration.as_secs_f64();
-            for j in 1..=t.data_records {
-                let life = dur - t.data_write_offset(j).as_secs_f64();
-                if life > age_secs {
-                    let w = t.probability * f64::from(t.record_size);
-                    weighted += w * (life - age_secs);
-                    live += w;
-                }
-            }
-            if dur > age_secs {
-                let w = t.probability * f64::from(tx_record_size);
-                weighted += w * (dur - age_secs);
-                live += w;
-            }
-        }
-        if live <= 0.0 {
-            0.0
-        } else {
-            weighted / live
-        }
-    }
-
-    fn live_byte_sums(&self, tx_record_size: u32, age_secs: f64) -> (f64, f64) {
-        let mut live = 0.0;
-        let mut total = 0.0;
-        for t in &self.types {
-            let dur = t.duration.as_secs_f64();
-            for j in 1..=t.data_records {
-                let w = t.probability * f64::from(t.record_size);
-                total += w;
-                if dur - t.data_write_offset(j).as_secs_f64() > age_secs {
-                    live += w;
-                }
-            }
-            // BEGIN lives until the commit request; COMMIT dies at once.
-            let w = t.probability * f64::from(tx_record_size);
-            total += 2.0 * w;
-            if dur > age_secs {
-                live += w;
-            }
-        }
-        (live, total)
-    }
-
-    /// Expected concurrently active transactions (Little's law: tps · E[T]).
-    pub fn mean_active_txns(&self, tps: f64) -> f64 {
-        tps * self
-            .types
-            .iter()
-            .map(|t| t.probability * t.duration.as_secs_f64())
-            .sum::<f64>()
-    }
 }
 
 /// One segment of a piecewise workload schedule.
@@ -411,15 +320,6 @@ mod tests {
         assert!((mix.mean_update_rate(100.0) - 210.0).abs() < 1e-9);
         let mix40 = TxMix::paper_mix(0.40);
         assert!((mix40.mean_update_rate(100.0) - 280.0).abs() < 1e-9);
-        // Active txns at 5 %: 100·(0.95·1 + 0.05·10) = 145.
-        assert!((mix.mean_active_txns(100.0) - 145.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn log_byte_rate() {
-        let mix = TxMix::paper_mix(0.05);
-        // data 210·100 + tx 2·100·8 = 22 600 B/s.
-        assert!((mix.mean_log_bytes_per_sec(100.0, 8) - 22_600.0).abs() < 1e-9);
     }
 
     #[test]
@@ -434,40 +334,6 @@ mod tests {
         assert_eq!(t.data_write_offset(4), SimTime::from_millis(9_999));
         assert_eq!(t.data_write_offset(1), SimTime::from_micros(9_999_000 / 4));
         assert!(t.data_write_offset(1) < t.data_write_offset(2));
-    }
-
-    #[test]
-    fn live_byte_fraction_is_monotone_and_bounded() {
-        let mix = TxMix::paper_mix(0.05);
-        let g0 = mix.live_byte_fraction(8, 0.0);
-        // COMMIT bytes are dead on arrival, everything else lives.
-        assert!(g0 > 0.9 && g0 < 1.0, "g(0) = {g0}");
-        let mut prev = g0;
-        for age in [0.2, 0.5, 0.9, 1.5, 5.0, 9.0, 11.0] {
-            let g = mix.live_byte_fraction(8, age);
-            assert!(g <= prev + 1e-12, "g must not increase: {g} after {prev}");
-            assert!((0.0..=1.0).contains(&g));
-            prev = g;
-        }
-        // Past every duration nothing survives.
-        assert_eq!(mix.live_byte_fraction(8, 11.0), 0.0);
-        // Between 1 s and 10 s only long-transaction bytes survive.
-        let mid = mix.live_byte_fraction(8, 2.0);
-        assert!(mid > 0.0 && mid < 0.2, "long tail only: {mid}");
-    }
-
-    #[test]
-    fn mean_remaining_life_shrinks_with_age() {
-        let mix = TxMix::paper_mix(0.05);
-        let fresh = mix.mean_remaining_life(8, 0.0);
-        assert!(fresh > 0.0);
-        // Conditioning on surviving 2 s selects the 10 s transactions, so
-        // the conditional remaining life *rises* vs the fresh mix…
-        let aged = mix.mean_remaining_life(8, 2.0);
-        assert!(aged > fresh);
-        // …but within the surviving cohort it decays with age.
-        assert!(mix.mean_remaining_life(8, 8.0) < aged);
-        assert_eq!(mix.mean_remaining_life(8, 11.0), 0.0);
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl WorkloadTrace {
         self.horizon
     }
 
-    /// Approximate heap footprint in bytes (compactness check).
-    pub fn heap_bytes(&self) -> usize {
-        self.txns.capacity() * std::mem::size_of::<TraceTxn>()
-            + self.oids.capacity() * std::mem::size_of::<Oid>()
-    }
-
     /// Checks that a replay under `horizon` would be exact: the trace must
     /// have been captured under the *same* arrival horizon (a longer one
     /// would be missing arrivals, a shorter one would replay arrivals the
@@ -147,6 +141,5 @@ mod tests {
         assert_eq!(t.oids[3], Oid(9));
         assert_eq!(t.oids[1], UNWRITTEN, "horizon hole survives as sentinel");
         assert_eq!(t.horizon(), SimTime::from_secs(1));
-        assert!(t.heap_bytes() > 0);
     }
 }

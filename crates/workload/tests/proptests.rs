@@ -100,7 +100,7 @@ proptest! {
                 prop_assert_eq!(ups.len(), writes);
                 live.pop();
             } else if i % 7 == 0 {
-                d.on_kill(t + SimTime::from_millis(55), new.tid);
+                d.on_kill(new.tid);
                 live.pop();
             }
             t += SimTime::from_millis(100);
