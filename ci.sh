@@ -10,6 +10,16 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== no external crates =="
+# The workspace depends on nothing outside crates/: every package on a
+# normal, dev or build edge of the tree is an elog-* crate.
+TREE=$(cargo tree --offline --workspace -e normal,dev,build --prefix none)
+STRAY=$(echo "$TREE" | awk 'NF && $1 !~ /^elog-/ {print $1}' | sort -u)
+if [ -n "$STRAY" ]; then
+    echo "external crates in the dependency tree:" $STRAY >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --offline --release --workspace
 
@@ -43,16 +53,16 @@ echo "== 3-gen lattice smoke =="
 
 echo "== certificate equivalence smoke =="
 # The probe accelerator (consumption certificates — DESIGN.md §5g) must
-# be pure: the same search run with and without them (`--no-analytic`
+# be pure: the same search run with and without them (`--no-cert`
 # simulates every probe) has to print the same geometry and probe counts.
 # Event counters legitimately differ, so compare the full stdout of a
 # quick min-space search, which reports geometry and probes but not
 # event volume.
-ANA_ON=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2)
-ANA_OFF=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2 --no-analytic)
-if [ "$ANA_ON" != "$ANA_OFF" ]; then
+CERT_ON=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2)
+CERT_OFF=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2 --no-cert)
+if [ "$CERT_ON" != "$CERT_OFF" ]; then
     echo "certified and probe-only searches disagree:" >&2
-    diff <(echo "$ANA_ON") <(echo "$ANA_OFF") >&2 || true
+    diff <(echo "$CERT_ON") <(echo "$CERT_OFF") >&2 || true
     exit 1
 fi
 
@@ -90,8 +100,9 @@ echo "== hostile CLI =="
 # are well-formed searches that find nothing feasible within their
 # ceilings: one stderr line saying so instead of an abort (or a ceiling
 # printed as a minimum).
-# The --probe-cache and `repro --adaptive` rows are deleted flags: they
-# must be rejected by name, not silently accepted. The 1e12 / 1e300 rows
+# The --probe-cache, `repro --adaptive` and --no-analytic (now --no-cert)
+# rows are deleted flags: they must be rejected by name, not silently
+# accepted. The 1e12 / 1e300 rows
 # ask for arrivals finer than the 1 µs clock, which unchecked never
 # advance it; `--only nosuch` must fail before repro prints its header.
 # An exit-2 row prints nothing to stdout, and every row runs under a
@@ -131,6 +142,7 @@ done <<'HOSTILE'
 2 --probe-cache elsim --min-space --probe-cache /tmp/x
 2 --probe-cache repro --quick --probe-cache /tmp/x
 2 --adaptive repro --quick --adaptive
+2 --no-analytic elsim --no-analytic
 2 --only repro --quick --only nosuch
 1 --min-space elsim --fw-blocks 100 --tps 20000 --runtime 5 --min-space
 1 --min-space elsim --gens 18,16 --tps 6000 --runtime 5 --min-space

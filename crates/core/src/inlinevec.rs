@@ -85,29 +85,21 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use elog_sim::{cases, SimRng};
 
     /// Random push / insert / retain against `Vec`. The length hovers
     /// around `N`: it crosses the spill boundary upwards and, spilled,
     /// comes back down through it, several times a case.
-    fn run_case<const N: usize>(seed: u64) {
-        let mut rng = seed;
+    fn run_case<const N: usize>(rng: &mut SimRng) {
         let mut got = InlineVec::<u64, N>::default();
         let mut want = Vec::new();
         let (mut grew, mut shrank) = (false, false);
         for step in 0..400 {
-            let x = splitmix(&mut rng) % 16;
-            let at = splitmix(&mut rng) as usize % (want.len() + 1);
+            let x = rng.next_u64() % 16;
+            let at = rng.next_u64() as usize % (want.len() + 1);
             // Grow while short, shrink while long: a walk around N.
-            let grow = want.len() <= N && !splitmix(&mut rng).is_multiple_of(4);
-            match splitmix(&mut rng) % 16 {
+            let grow = want.len() <= N && !rng.next_u64().is_multiple_of(4);
+            match rng.next_u64() % 16 {
                 0..=6 if grow => {
                     got.push(x);
                     want.push(x);
@@ -146,23 +138,9 @@ mod tests {
 
     #[test]
     fn matches_vec_across_the_spill_boundary() {
-        let case = |seed| {
-            run_case::<1>(seed);
-            run_case::<4>(seed);
-        };
-        // One case when a failure is being replayed, the basket otherwise.
-        if let Ok(seed) = std::env::var("INLINEVEC_SEED") {
-            let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
-            return case(seed);
-        }
-        let mut rng = 0x1A71_4E5E_u64;
-        for _ in 0..200 {
-            let seed = splitmix(&mut rng);
-            assert!(
-                std::panic::catch_unwind(|| case(seed)).is_ok(),
-                "case seed {seed:#x} failed (panic above)\nrepro: INLINEVEC_SEED={seed:#x} \
-                 cargo test --offline -p elog-core --lib inlinevec"
-            );
-        }
+        cases::run("inlinevec::tests::matches_vec", 200, |rng| {
+            run_case::<1>(rng);
+            run_case::<4>(rng);
+        });
     }
 }

@@ -3,8 +3,7 @@
 use elog_core::cell::{CellArena, CellIdx, NIL};
 use elog_core::{Effects, ElManager, LmTimer};
 use elog_model::{DataRecord, FlushConfig, LogConfig, LogRecord, Oid, Tid};
-use elog_sim::{EventQueue, SimTime};
-use proptest::prelude::*;
+use elog_sim::{cases, EventQueue, SimRng, SimTime};
 
 fn rec(n: u64) -> LogRecord {
     LogRecord::Data(DataRecord {
@@ -16,53 +15,59 @@ fn rec(n: u64) -> LogRecord {
     })
 }
 
-proptest! {
-    /// The circular list stays structurally sound under arbitrary
-    /// interleavings of tail pushes and unlinks, and matches a reference
-    /// VecDeque model.
-    #[test]
-    fn cell_list_matches_vec_model(ops in proptest::collection::vec(0u8..4, 1..200)) {
-        let mut arena = CellArena::new();
-        let mut head: CellIdx = NIL;
-        let mut model: Vec<CellIdx> = Vec::new();
-        let mut n = 0u64;
-        for op in ops {
-            match op {
-                // push tail
-                0 | 1 => {
-                    let c = arena.alloc(rec(n), 0, n);
-                    n += 1;
-                    arena.push_tail(&mut head, c);
-                    model.push(c);
-                }
-                // unlink head-most
-                2 => {
-                    if let Some(&c) = model.first() {
-                        arena.unlink(&mut head, c);
-                        arena.free(c);
-                        model.remove(0);
-                    }
-                }
-                // unlink middle
-                _ => {
-                    if !model.is_empty() {
-                        let i = model.len() / 2;
-                        let c = model.remove(i);
-                        arena.unlink(&mut head, c);
-                        arena.free(c);
-                    }
+/// The circular list stays structurally sound under arbitrary
+/// interleavings of tail pushes and unlinks, and matches a reference
+/// VecDeque model.
+fn cell_list_case(rng: &mut SimRng) {
+    let mut arena = CellArena::new();
+    let mut head: CellIdx = NIL;
+    let mut model: Vec<CellIdx> = Vec::new();
+    let mut n = 0u64;
+    for _ in 0..rng.range(1..200) {
+        match rng.next_u64_below(4) {
+            // push tail
+            0 | 1 => {
+                let c = arena.alloc(rec(n), 0, n);
+                n += 1;
+                arena.push_tail(&mut head, c);
+                model.push(c);
+            }
+            // unlink head-most
+            2 => {
+                if let Some(&c) = model.first() {
+                    arena.unlink(&mut head, c);
+                    arena.free(c);
+                    model.remove(0);
                 }
             }
-            arena.check_list(head);
-            prop_assert_eq!(arena.iter_list(head), model.clone());
-            prop_assert_eq!(arena.live(), model.len());
+            // unlink middle
+            _ => {
+                if !model.is_empty() {
+                    let i = model.len() / 2;
+                    let c = model.remove(i);
+                    arena.unlink(&mut head, c);
+                    arena.free(c);
+                }
+            }
         }
+        arena.check_list(head);
+        assert_eq!(arena.iter_list(head), model);
+        assert_eq!(arena.live(), model.len());
     }
+}
 
-    /// Freed slots are recycled: arena capacity never exceeds the peak
-    /// live count.
-    #[test]
-    fn arena_reuses_slots(pushes in 1usize..64, cycles in 1usize..16) {
+#[test]
+fn cell_list_matches_vec_model() {
+    cases::run("cell_list_matches_vec_model", 64, cell_list_case);
+}
+
+/// Freed slots are recycled: arena capacity never exceeds the peak
+/// live count.
+#[test]
+fn arena_reuses_slots() {
+    cases::run("arena_reuses_slots", 64, |rng| {
+        let pushes = rng.range(1..64) as usize;
+        let cycles = rng.range(1..16);
         let mut arena = CellArena::new();
         let mut head: CellIdx = NIL;
         for _ in 0..cycles {
@@ -78,9 +83,9 @@ proptest! {
                 arena.free(c);
             }
         }
-        prop_assert_eq!(arena.live(), 0);
-        prop_assert_eq!(arena.peak_live(), pushes);
-    }
+        assert_eq!(arena.live(), 0);
+        assert_eq!(arena.peak_live(), pushes);
+    });
 }
 
 /// Drives a manager with a random but well-formed transaction schedule and
@@ -166,38 +171,56 @@ fn run_random_schedule(
     (lm, acks, kills)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// After any random schedule fully drains, the manager's tables are
-    /// empty (every record became garbage) and the invariants hold.
-    #[test]
-    fn manager_drains_clean(seed in 1u64.., g0 in 3u32..12, g1 in 3u32..12, recirc: bool) {
-        let (lm, acks, _) = run_random_schedule(seed, g0, g1, recirc, 60);
-        // After the drain, committed work is flushed and tables are empty.
-        prop_assert_eq!(lm.ltt_len(), 0);
-        prop_assert_eq!(lm.lot_len(), 0);
-        prop_assert!(acks > 0, "some transactions must commit");
-        // Durability holds can only be overrun when a generation is small
-        // enough to wrap within one 15 ms device write under this test's
-        // compressed timeline (the schedule advances microseconds per
-        // record). With ≥8 blocks per generation the holds must always be
-        // respected; smaller geometries merely count the violation, which
-        // is the designed tiny-geometry signal.
-        if g0.min(g1) >= 8 {
-            prop_assert_eq!(lm.stats().durability_violations, 0);
-        }
+/// After a random schedule fully drains, the manager's tables are empty
+/// (every record became garbage) and the invariants hold. Returns the
+/// durability violations counted on the way.
+fn drains_clean(seed: u64, g0: u32, g1: u32, recirc: bool) -> u64 {
+    let (lm, acks, _) = run_random_schedule(seed, g0, g1, recirc, 60);
+    // After the drain, committed work is flushed and tables are empty.
+    assert_eq!(lm.ltt_len(), 0);
+    assert_eq!(lm.lot_len(), 0);
+    assert!(acks > 0, "some transactions must commit");
+    // Durability holds can only be overrun when a generation is small
+    // enough to wrap within one 15 ms device write under this test's
+    // compressed timeline (the schedule advances microseconds per
+    // record). With ≥8 blocks per generation the holds must always be
+    // respected; smaller geometries merely count the violation, which
+    // is the designed tiny-geometry signal.
+    let violations = lm.stats().durability_violations;
+    if g0.min(g1) >= 8 {
+        assert_eq!(violations, 0);
     }
+    violations
+}
 
-    /// The stable database ends up holding exactly the set of objects whose
-    /// newest committed update was flushed — never an aborted object
-    /// version.
-    #[test]
-    fn aborted_work_never_reaches_stable_db(seed in 1u64..) {
+#[test]
+fn manager_drains_clean() {
+    cases::run("manager_drains_clean", 24, |rng| {
+        let seed = rng.range(1..u64::MAX);
+        let (g0, g1) = (rng.range(3..12) as u32, rng.range(3..12) as u32);
+        drains_clean(seed, g0, g1, rng.next_f64() < 0.5);
+    });
+}
+
+/// The case the property once shrank to: the smallest geometry,
+/// recirculating. It drains clean while counting the tiny-geometry
+/// durability violations.
+#[test]
+fn manager_drains_clean_on_recirculating_3_3() {
+    assert_eq!(drains_clean(1, 3, 3, true), 68);
+}
+
+/// The stable database ends up holding exactly the set of objects whose
+/// newest committed update was flushed — never an aborted object
+/// version.
+#[test]
+fn aborted_work_never_reaches_stable_db() {
+    cases::run("aborted_work_never_reaches_stable_db", 24, |rng| {
+        let seed = rng.range(1..u64::MAX);
         let (lm, acks, kills) = run_random_schedule(seed, 6, 6, true, 40);
         // Flush count can exceed stable-db size only via superseded
         // versions; it can never be smaller.
-        prop_assert!(lm.flush_array().total_flushes() >= lm.stable_db().len() as u64);
-        prop_assert!(acks + kills <= 40 + 1);
-    }
+        assert!(lm.flush_array().total_flushes() >= lm.stable_db().len() as u64);
+        assert!(acks + kills <= 40 + 1);
+    });
 }

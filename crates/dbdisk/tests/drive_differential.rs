@@ -9,13 +9,13 @@
 
 use elog_dbdisk::{Drive, DriveStats};
 use elog_model::{ObjectVersion, Oid, Tid};
-use elog_sim::SimTime;
+use elog_sim::{cases, SimRng, SimTime};
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
 const LO: u64 = 1_000;
 const RANGE: u64 = 64;
-const CASES: u64 = 300;
+const CASES: usize = 300;
 const STEPS: u64 = 600;
 
 /// The reference: O(n) everything, no flag.
@@ -88,14 +88,6 @@ impl NaiveDrive {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn agree<T: PartialEq + Debug>(step: u64, what: &str, got: T, want: T) {
     assert!(
         got == want,
@@ -103,16 +95,15 @@ fn agree<T: PartialEq + Debug>(step: u64, what: &str, got: T, want: T) {
     );
 }
 
-fn run_case(seed: u64) {
-    let mut rng = seed;
+fn run_case(rng: &mut SimRng) {
     let mut drive = Drive::new(3, LO, LO + RANGE);
     let mut naive = NaiveDrive::default();
     let mut now = SimTime::ZERO;
     for step in 0..STEPS {
-        now += SimTime::from_micros(splitmix(&mut rng) % 1_000);
-        let local = splitmix(&mut rng) % RANGE;
+        now += SimTime::from_micros(rng.next_u64() % 1_000);
+        let local = rng.next_u64() % RANGE;
         let oid = Oid(LO + local);
-        match splitmix(&mut rng) % 8 {
+        match rng.next_u64() % 8 {
             // Submit, as `FlushArray::submit` does: replace or enqueue.
             0..=2 => {
                 let v = ObjectVersion {
@@ -126,7 +117,7 @@ fn run_case(seed: u64) {
                 );
                 agree(step, "replace_pending", got, want);
                 if want.is_none() {
-                    let urgent = splitmix(&mut rng).is_multiple_of(8);
+                    let urgent = rng.next_u64().is_multiple_of(8);
                     drive.enqueue(oid, v, urgent);
                     naive.enqueue(local, v, urgent);
                 }
@@ -172,19 +163,6 @@ fn run_case(seed: u64) {
 
 #[test]
 fn drive_matches_naive_reference() {
-    // One case when a failure is being replayed, the whole basket otherwise.
-    if let Ok(seed) = std::env::var("DRIVE_DIFF_SEED") {
-        let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
-        return run_case(seed);
-    }
-    let mut rng = 0xD15C_5EED_u64;
-    for _ in 0..CASES {
-        let seed = splitmix(&mut rng);
-        // A panic inside the drive (a broken invariant) names its case too.
-        assert!(
-            std::panic::catch_unwind(|| run_case(seed)).is_ok(),
-            "case seed {seed:#x} failed (panic above)\nrepro: DRIVE_DIFF_SEED={seed:#x} \
-             cargo test --offline -p elog-dbdisk --test drive_differential"
-        );
-    }
+    // A panic inside the drive (a broken invariant) names its case too.
+    cases::run("drive_matches_naive_reference", CASES, run_case);
 }

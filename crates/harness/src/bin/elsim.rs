@@ -36,7 +36,7 @@ fn main() {
                 },
             )
         };
-        let out = req.jobs(a.jobs).analytic(a.analytic).run();
+        let out = req.jobs(a.jobs).certificates(a.certificates).run();
         let r = out.min;
         if !out.feasible {
             eprintln!(

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--quick] [--jobs N] [--gens N] [--only NAME] [--csv DIR] [--progress]
-//!       [--no-analytic]
+//!       [--no-cert]
 //! ```
 //!
 //! `--quick` shrinks runtimes and sweeps for a fast smoke pass; the default
@@ -15,7 +15,7 @@
 //! experiments whose name contains NAME (case-insensitive), e.g.
 //! `--only recovery`. `--csv DIR` additionally writes each table as a CSV
 //! file. `--progress` reports per-scenario completion on stderr.
-//! `--no-analytic` disables the consumption certificates
+//! `--no-cert` disables the consumption certificates
 //! ([`elog_core::cert`]) so every probe is simulated; stdout is
 //! byte-identical either way — the flag exists to prove exactly that.
 //!
@@ -35,7 +35,7 @@ use elog_sim::PerfStats;
 static ALLOC: CountingAlloc<std::alloc::System> = CountingAlloc(std::alloc::System);
 
 const USAGE: &str = "usage: repro [--quick] [--jobs N] [--gens N] [--only NAME] \
-    [--csv DIR] [--progress] [--no-analytic]";
+    [--csv DIR] [--progress] [--no-cert]";
 
 struct Options {
     quick: bool,
@@ -58,7 +58,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--progress" => opts.exec.progress = true,
-            "--no-analytic" => opts.exec.analytic = false,
+            "--no-cert" => opts.exec.certificates = false,
             "--jobs" => opts.exec.jobs = cli::positive("--jobs", args)?,
             "--gens" => {
                 opts.gens = cli::positive("--gens", args)?;

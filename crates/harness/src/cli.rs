@@ -59,7 +59,7 @@ pub const ELSIM_USAGE: &str = concat!(
                           given sizes as per-axis ceilings)
   --jobs N                worker threads for --min-space probes
                           (default: the machine's parallelism)
-  --no-analytic           disable the consumption certificates: simulate
+  --no-cert               disable the consumption certificates: simulate
                           every probe in full (the output must not
                           change)
   --adaptive              run the online adaptive generation controller
@@ -304,8 +304,8 @@ pub struct Elsim {
     pub min_space: bool,
     /// `--jobs`: worker threads for the search's probes.
     pub jobs: usize,
-    /// Consumption certificates in the search; `--no-analytic` clears this.
-    pub analytic: bool,
+    /// Consumption certificates in the search; `--no-cert` clears this.
+    pub certificates: bool,
 }
 
 /// Parses and validates an `elsim` command line (without the program
@@ -315,7 +315,7 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
     let mut run = RunFlags::default();
     let mut min_space = false;
     let mut jobs = crate::sweep::default_jobs();
-    let mut analytic = true;
+    let mut certificates = true;
     while let Some(arg) = args.next() {
         if run.accept(&arg, args)? {
             continue;
@@ -335,7 +335,7 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             }
             "--adaptive" => run.adaptive = true,
             "--min-space" => min_space = true,
-            "--no-analytic" => analytic = false,
+            "--no-cert" => certificates = false,
             "--jobs" => jobs = positive("--jobs", args)?,
             "--tenants" | "--budget" | "--oid-ranges" => {
                 return Err(format!(
@@ -369,7 +369,7 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
         run,
         min_space,
         jobs,
-        analytic,
+        certificates,
     })
 }
 
@@ -437,7 +437,7 @@ mod tests {
             "--mode fw --gens 123",
             "--fw-blocks 123",
             "--adaptive",
-            "--min-space --jobs 2 --no-analytic",
+            "--min-space --jobs 2 --no-cert",
         ];
         for line in elsim_lines {
             assert!(elsim(args(line)).is_ok(), "elsim {line}");

@@ -489,7 +489,7 @@ pub struct SearchRequest {
     base: RunConfig,
     mode: SearchMode,
     jobs: usize,
-    analytic: bool,
+    certificates: bool,
     seed_trace: Option<Arc<WorkloadTrace>>,
 }
 
@@ -513,7 +513,7 @@ impl SearchRequest {
             base: base.clone(),
             mode,
             jobs: 1,
-            analytic: true,
+            certificates: true,
             seed_trace: None,
         }
     }
@@ -545,8 +545,8 @@ impl SearchRequest {
     /// Enables/disables the consumption certificates (default on; off
     /// simulates every probe — results are invariant in this, only the
     /// number of simulated probe events changes).
-    pub fn analytic(mut self, on: bool) -> Self {
-        self.analytic = on;
+    pub fn certificates(mut self, on: bool) -> Self {
+        self.certificates = on;
         self
     }
 
@@ -569,7 +569,7 @@ impl SearchRequest {
 
     /// Runs the search.
     pub fn run(self) -> SearchOutcome {
-        let p = Prober::new(&self.base, self.seed_trace, self.analytic);
+        let p = Prober::new(&self.base, self.seed_trace, self.certificates);
         match self.mode {
             SearchMode::Firewall { limit } => run_firewall(p, limit),
             SearchMode::Lattice { limits } => run_lattice(p, &limits, self.jobs),
@@ -685,9 +685,9 @@ mod tests {
             prefix_max: vec![10, 8],
             last_limit: 64,
         };
-        let lattice = |analytic| {
+        let lattice = |certificates| {
             let req = SearchRequest::lattice(&base, limits.clone()).jobs(2);
-            req.analytic(analytic).run()
+            req.certificates(certificates).run()
         };
         let (on, off) = (lattice(true).min, lattice(false).min);
         assert_eq!(on.generation_blocks, off.generation_blocks);
@@ -711,9 +711,9 @@ mod tests {
         // capacity in the column probe-free — changing nothing but the
         // event count.
         let base = paper_base(0.05, false, 30);
-        let run = |analytic| {
+        let run = |certificates| {
             let out = SearchRequest::fixed_prefix(&base, vec![14], 96)
-                .analytic(analytic)
+                .certificates(certificates)
                 .run();
             assert!(out.feasible);
             out.min

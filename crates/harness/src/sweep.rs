@@ -32,7 +32,7 @@ use elog_core::{HybridManager, LogManager};
 use elog_recovery::{
     check_against_oracle, estimate_recovery_time, recover, scan_blocks, RecoveryTimeModel,
 };
-use elog_sim::{PerfStats, SimTime};
+use elog_sim::{splitmix64, PerfStats, SimTime};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -42,12 +42,10 @@ use std::time::Instant;
 /// and the scenario's seed index (splitmix64 finalisation — consecutive
 /// indices give statistically independent streams).
 pub fn derive_seed(base_seed: u64, seed_index: u64) -> u64 {
-    let mut z = base_seed
-        .wrapping_add(seed_index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    // The state sits `seed_index` golden-ratio steps past the base: index
+    // 0 is splitmix64's first draw from `base_seed`.
+    let mut state = base_seed.wrapping_add(seed_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    splitmix64(&mut state)
 }
 
 /// What one scenario simulates.
@@ -258,9 +256,9 @@ pub struct ExecOptions {
     /// Emit a stderr line as each scenario completes.
     pub progress: bool,
     /// Consumption certificates in every search a scenario launches
-    /// (`--no-analytic` clears it: every probe is simulated). Output is
+    /// (`--no-cert` clears it: every probe is simulated). Output is
     /// identical either way; only the simulated probe volume differs.
-    pub analytic: bool,
+    pub certificates: bool,
 }
 
 impl Default for ExecOptions {
@@ -268,7 +266,7 @@ impl Default for ExecOptions {
         ExecOptions {
             jobs: default_jobs(),
             progress: false,
-            analytic: true,
+            certificates: true,
         }
     }
 }
@@ -343,9 +341,9 @@ fn measure_minimum(
     Output::MinSpace { min, measured }
 }
 
-/// Runs one scenario's job with its derived seed; `analytic` reaches
+/// Runs one scenario's job with its derived seed; `certificates` reaches
 /// every search the job launches.
-fn run_job(scenario: &Scenario, analytic: bool) -> Output {
+fn run_job(scenario: &Scenario, certificates: bool) -> Output {
     let seeded = |cfg: &RunConfig| cfg.clone().seed(derive_seed(cfg.seed, scenario.seed_index));
     match &scenario.job {
         Job::Measure(cfg) => Output::Measured(run(&seeded(cfg))),
@@ -355,7 +353,7 @@ fn run_job(scenario: &Scenario, analytic: bool) -> Output {
             // already defaults to the machine's width): every search
             // launched from here runs its prefix scan on one thread.
             let out = SearchRequest::with_mode(&base, mode.clone())
-                .analytic(analytic)
+                .certificates(certificates)
                 .run();
             assert!(out.feasible, "nothing feasible within {mode:?}");
             measure_minimum(&base, out.min, out.trace)
@@ -381,7 +379,7 @@ fn run_job(scenario: &Scenario, analytic: bool) -> Output {
             norec.el.log.recirculation = false;
             let limits = LatticeLimits::uniform(2, *g0_max, *g1_limit);
             let norec_out = SearchRequest::lattice(&norec, limits)
-                .analytic(analytic)
+                .certificates(certificates)
                 .run();
             assert!(
                 norec_out.feasible,
@@ -389,7 +387,7 @@ fn run_job(scenario: &Scenario, analytic: bool) -> Output {
             );
             let g0 = norec_out.min.generation_blocks[0];
             let recirc_out = SearchRequest::fixed_prefix(&base, vec![g0], *g1_limit)
-                .analytic(analytic)
+                .certificates(certificates)
                 .seed_trace(norec_out.trace)
                 .run();
             assert!(
@@ -453,7 +451,7 @@ pub fn run_scenarios(scenarios: &[Scenario], opts: &ExecOptions) -> Vec<RunOutco
     let done = AtomicUsize::new(0);
     let results = parallel_map(scenarios, opts.jobs, |_, s| {
         let started = Instant::now();
-        let out = run_job(s, opts.analytic);
+        let out = run_job(s, opts.certificates);
         if opts.progress {
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
             let wall = started.elapsed();

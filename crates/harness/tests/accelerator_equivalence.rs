@@ -3,7 +3,7 @@
 //! a pure accelerator. Every search run with it enabled must choose the
 //! same geometry, consume the same number of verdicts in the same order,
 //! and report the same derived statistics as the simulate-everything path
-//! (`.analytic(false)`, `--no-analytic`); only the simulated event volume
+//! (`.certificates(false)`, `--no-cert`); only the simulated event volume
 //! may shrink. (`search_oracle.rs` holds both paths to ground truth.)
 
 use elog_harness::experiments::registry;
@@ -40,7 +40,7 @@ fn fixed_prefix_search_certifies_and_matches_probe_only_path() {
     let base = paper_base(0.05, false, 30);
     let on = SearchRequest::fixed_prefix(&base, vec![14], 96).run();
     let off = SearchRequest::fixed_prefix(&base, vec![14], 96)
-        .analytic(false)
+        .certificates(false)
         .run();
     assert!(on.feasible && off.feasible);
     assert_equivalent(&on.min, &off.min);
@@ -58,7 +58,7 @@ fn recirculation_disables_the_certificate_and_falls_back_to_full_replay() {
     let base = paper_base(0.05, true, 30);
     let on = SearchRequest::fixed_prefix(&base, vec![14], 96).run();
     let off = SearchRequest::fixed_prefix(&base, vec![14], 96)
-        .analytic(false)
+        .certificates(false)
         .run();
     assert!(on.feasible && off.feasible);
     assert_equivalent(&on.min, &off.min);
@@ -76,7 +76,7 @@ fn lattice_search_is_equivalent_and_jobs_invariant() {
     };
     let on = SearchRequest::lattice(&base, limits.clone()).run();
     let off = SearchRequest::lattice(&base, limits.clone())
-        .analytic(false)
+        .certificates(false)
         .run();
     assert_equivalent(&on.min, &off.min);
     assert!(
@@ -92,15 +92,15 @@ fn lattice_search_is_equivalent_and_jobs_invariant() {
 
 #[test]
 fn registry_reports_are_identical_without_the_accelerators() {
-    // The registry-level claim `repro --no-analytic` exists to prove:
-    // `ExecOptions::analytic` reaches every search a scenario launches,
+    // The registry-level claim `repro --no-cert` exists to prove:
+    // `ExecOptions::certificates` reaches every search a scenario launches,
     // the rendered tables and notes do not move, and only the simulated
     // probe volume grows.
-    let render = |analytic| {
+    let render = |certificates| {
         let exec = ExecOptions {
             jobs: 1,
             progress: false,
-            analytic,
+            certificates,
         };
         let mut out = String::new();
         let mut probe_events = 0;
@@ -127,7 +127,7 @@ fn registry_reports_are_identical_without_the_accelerators() {
     let (on, on_events) = render(true);
     let (off, off_events) = render(false);
     assert!(on.contains("fig_ngen") && on.contains("scarce"), "{on}");
-    assert_eq!(on, off, "--no-analytic changed a report");
+    assert_eq!(on, off, "--no-cert changed a report");
     assert!(
         off_events > on_events,
         "certificates saved nothing: {off_events} vs {on_events}"

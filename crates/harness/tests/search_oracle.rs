@@ -2,7 +2,7 @@
 //! enough to simulate whole, the search — certificates, anchor bound,
 //! bisection and all — must return what exhaustive simulation returns.
 //!
-//! Each case draws a small lattice from a splitmix64 seed (2 generations
+//! Each case draws a small lattice from its seed (2 generations
 //! with ceilings ≤ 12 / 16, or 3 with ≤ 7 / 7 / 12; 20–30 s horizons;
 //! 5 % or 40 % long transactions, at an arrival rate low enough that some
 //! of so small a lattice survives), builds the truth table by plain
@@ -16,7 +16,7 @@
 //!   the larger prefix);
 //! * geometry, probe count and [`SearchStats`] are identical at `jobs` 1
 //!   and 2, and — certificate counters aside — identical to the
-//!   `.analytic(false)` search that simulates every probe.
+//!   `.certificates(false)` search that simulates every probe.
 //!
 //! The per-column half of the oracle — every verdict a column's first
 //! certificate gives, against the same table — needs the prober and lives
@@ -24,47 +24,37 @@
 
 use elog_harness::minspace::{self, paper_base};
 use elog_harness::{LatticeLimits, RunConfig, SearchOutcome, SearchRequest};
-use elog_sim::SearchStats;
+use elog_sim::{cases, SearchStats, SimRng};
 use elog_workload::ArrivalProcess;
 
-/// splitmix64 — deterministic case generator, no RNG dependency.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A draw from `lo..=hi`.
-fn pick(rng: &mut u64, lo: u32, hi: u32) -> u32 {
-    lo + (splitmix(rng) % u64::from(hi - lo + 1)) as u32
+fn pick(rng: &mut SimRng, lo: u32, hi: u32) -> u32 {
+    lo + rng.next_u64_below(u64::from(hi - lo + 1)) as u32
 }
 
-/// The case `seed` names: a workload and the lattice to search under it.
-fn draw(seed: u64) -> (RunConfig, LatticeLimits) {
-    let mut rng = seed;
+/// A case: a workload and the lattice to search under it.
+fn draw(rng: &mut SimRng) -> (RunConfig, LatticeLimits) {
     // The paper's 100 TPS needs ≈ 30 blocks; lattices this small have their
     // feasibility boundary inside them at a fraction of that load.
-    let (mix, rate_tps) = if splitmix(&mut rng).is_multiple_of(2) {
-        (0.05, pick(&mut rng, 20, 50))
+    let (mix, rate_tps) = if rng.next_u64().is_multiple_of(2) {
+        (0.05, pick(rng, 20, 50))
     } else {
-        (0.40, pick(&mut rng, 10, 28))
+        (0.40, pick(rng, 10, 28))
     };
     let rate_tps = f64::from(rate_tps);
-    let secs = u64::from(pick(&mut rng, 20, 30));
+    let secs = u64::from(pick(rng, 20, 30));
     let base = paper_base(mix, false, secs)
-        .seed(splitmix(&mut rng))
+        .seed(rng.next_u64())
         .with_arrivals(ArrivalProcess::Deterministic { rate_tps });
-    let limits = if splitmix(&mut rng).is_multiple_of(2) {
+    let limits = if rng.next_u64().is_multiple_of(2) {
         LatticeLimits {
-            prefix_max: vec![pick(&mut rng, 9, 12)],
-            last_limit: pick(&mut rng, 13, 16),
+            prefix_max: vec![pick(rng, 9, 12)],
+            last_limit: pick(rng, 13, 16),
         }
     } else {
         LatticeLimits {
-            prefix_max: vec![pick(&mut rng, 6, 7), pick(&mut rng, 6, 7)],
-            last_limit: pick(&mut rng, 10, 12),
+            prefix_max: vec![pick(rng, 6, 7), pick(rng, 6, 7)],
+            last_limit: pick(rng, 10, 12),
         }
     };
     (base, limits)
@@ -89,10 +79,10 @@ fn sans_certificates(s: &SearchStats) -> SearchStats {
     }
 }
 
-/// Runs the case `seed` names; returns whether its lattice was feasible
-/// and how many verdicts certificates answered in the search.
-fn run_case(seed: u64) -> (bool, u64) {
-    let (base, limits) = draw(seed);
+/// Runs one case; returns whether its lattice was feasible and how many
+/// verdicts certificates answered in the search.
+fn run_case(rng: &mut SimRng) -> (bool, u64) {
+    let (base, limits) = draw(rng);
     let floor = base.el.log.gap_blocks + 1;
 
     // Ground truth: simulate every lattice point, remember each column's
@@ -121,7 +111,7 @@ fn run_case(seed: u64) -> (bool, u64) {
     let search = |jobs: usize, certificates: bool| -> SearchOutcome {
         SearchRequest::lattice(&base, limits.clone())
             .jobs(jobs)
-            .analytic(certificates)
+            .certificates(certificates)
             .run()
     };
     let serial = search(1, true);
@@ -156,27 +146,15 @@ const CASES: usize = 24;
 
 #[test]
 fn search_returns_the_exhaustive_minimum() {
-    // One case when a failure is being replayed, the whole basket otherwise.
-    if let Ok(seed) = std::env::var("SEARCH_ORACLE_SEED") {
-        let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
-        run_case(seed);
-        return;
-    }
-    let mut rng = 0x05EA_5C40_AC1E_u64;
     let (mut feasible, mut certified) = (0, 0);
-    for _ in 0..CASES {
-        let seed = splitmix(&mut rng);
-        let Ok((found, cert_verdicts)) = std::panic::catch_unwind(|| run_case(seed)) else {
-            panic!(
-                "case seed {seed:#x} failed (panic above)\nrepro: SEARCH_ORACLE_SEED={seed:#x} \
-                 cargo test --offline -p elog-harness --test search_oracle"
-            );
-        };
+    let ran = cases::run("search_returns_the_exhaustive_minimum", CASES, |rng| {
+        let (found, cert_verdicts) = run_case(rng);
         feasible += usize::from(found);
         certified += cert_verdicts;
-    }
+    });
+    // A replayed single case is not a basket.
     assert!(
-        (CASES / 2..CASES).contains(&feasible) && certified > 0,
+        ran < CASES || ((CASES / 2..CASES).contains(&feasible) && certified > 0),
         "vacuous basket: {feasible} of {CASES} lattices feasible, {certified} certificate verdicts"
     );
 }

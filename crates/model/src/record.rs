@@ -14,7 +14,7 @@
 //! of the workload specification, not of this type.
 
 use crate::ids::{Oid, Tid};
-use elog_sim::SimTime;
+use elog_sim::{splitmix64, SimTime};
 
 /// The milestone a transaction record marks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -130,7 +130,7 @@ impl LogRecord {
     }
 }
 
-/// The splitmix-style word stream behind [`synth_payload`]: the seed for an
+/// The splitmix64 word stream behind [`synth_payload`]: the seed for an
 /// update plus the per-word mix, shared by the generator and the streaming
 /// verifier so they can never disagree.
 struct PayloadWords {
@@ -151,12 +151,7 @@ impl PayloadWords {
 
     #[inline]
     fn next_word(&mut self) -> [u8; 8] {
-        self.x = self.x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        z.to_le_bytes()
+        splitmix64(&mut self.x).to_le_bytes()
     }
 }
 
@@ -164,7 +159,7 @@ impl PayloadWords {
 ///
 /// The simulation never stores real object values, but the recovery tests
 /// verify byte-exact reconstruction, so each `(oid, tid, seq)` triple maps to
-/// reproducible pseudo-random content via a splitmix-style mixer.
+/// reproducible pseudo-random content via splitmix64.
 ///
 /// Allocating wrapper around [`synth_payload_into`].
 pub fn synth_payload(oid: Oid, tid: Tid, seq: u32, len: usize) -> Vec<u8> {

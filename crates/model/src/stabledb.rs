@@ -238,6 +238,7 @@ impl CommittedOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elog_sim::{cases, SimRng};
 
     fn v(tid: u64, seq: u32, ms: u64) -> ObjectVersion {
         ObjectVersion {
@@ -281,18 +282,6 @@ mod tests {
         assert_eq!(a.version(Oid(1)).unwrap().tid, Tid(2));
     }
 
-    /// splitmix64, as the other differential tests draw their cases.
-    fn splitmix64(seed: u64) -> impl FnMut() -> u64 {
-        let mut x = seed;
-        move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-    }
-
     /// Every read the `StableDb` API offers, lazy against eager.
     fn assert_same(lazy: &InstallLog, eager: &StableDb, at: &str) {
         let db = lazy.db();
@@ -321,57 +310,44 @@ mod tests {
     /// cache warm or cold as the draw falls; installs go to one fork only,
     /// so a clone that saw a later install of its origin's (or the
     /// reverse) disagrees with its own shadow at the next read.
-    fn install_log_case(seed: u64) {
-        let mut rng = splitmix64(seed);
+    fn install_log_case(rng: &mut SimRng) {
         let mut forks = vec![(InstallLog::new(), StableDb::new())];
         for step in 0..4_000 {
-            let pick = (rng() % forks.len() as u64) as usize;
-            match rng() % 16 {
+            let pick = (rng.next_u64() % forks.len() as u64) as usize;
+            match rng.next_u64() % 16 {
                 0..=10 => {
-                    let oid = Oid(rng() % SMALL_OIDS);
-                    let version = v(rng() % 4, (rng() % 2) as u32, rng() % 16);
+                    let oid = Oid(rng.next_u64() % SMALL_OIDS);
+                    let version = v(
+                        rng.next_u64() % 4,
+                        (rng.next_u64() % 2) as u32,
+                        rng.next_u64() % 16,
+                    );
                     forks[pick].0.install(oid, version);
                     forks[pick].1.install(oid, version);
                 }
                 11..=14 => {
                     let (lazy, eager) = &forks[pick];
-                    assert_same(
-                        lazy,
-                        eager,
-                        &format!("seed {seed:#x} step {step} fork {pick}"),
-                    );
+                    assert_same(lazy, eager, &format!("step {step} fork {pick}"));
                 }
                 _ => {
                     let fork = forks[pick].clone();
                     if forks.len() < 4 {
                         forks.push(fork);
                     } else {
-                        let evict = 1 + (rng() % 3) as usize;
+                        let evict = 1 + (rng.next_u64() % 3) as usize;
                         forks[evict] = fork;
                     }
                 }
             }
         }
         for (pick, (lazy, eager)) in forks.iter().enumerate() {
-            assert_same(lazy, eager, &format!("seed {seed:#x} end fork {pick}"));
+            assert_same(lazy, eager, &format!("end fork {pick}"));
         }
     }
 
     #[test]
     fn install_log_matches_eager_stable_db() {
-        // One case when a failure is being replayed, the basket otherwise.
-        if let Ok(seed) = std::env::var("STABLE_SEED") {
-            let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
-            return install_log_case(seed);
-        }
-        for k in 1..=24u64 {
-            let seed = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k);
-            assert!(
-                std::panic::catch_unwind(|| install_log_case(seed)).is_ok(),
-                "case seed {seed:#x} failed (panic above)\nrepro: STABLE_SEED={seed:#x} \
-                 cargo test --offline -p elog-model --lib stabledb::tests::install_log_matches"
-            );
-        }
+        cases::run("stabledb::tests::install_log_matches", 24, install_log_case);
     }
 
     #[test]

@@ -9,9 +9,8 @@ use elog_model::{
     StableDb, Tid, TxMark, TxRecord,
 };
 use elog_recovery::{check_against_oracle, recover, scan_blocks, LogImage, RecoveredState};
-use elog_sim::SimTime;
+use elog_sim::{cases, SimRng, SimTime};
 use elog_storage::{Block, BlockAddr};
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -22,19 +21,15 @@ struct TxPlan {
     abort: bool,
 }
 
-fn arb_plan() -> impl Strategy<Value = TxPlan> {
-    (
-        0u64..2_000,
-        20u64..3_000,
-        1u8..6,
-        proptest::bool::weighted(0.15),
-    )
-        .prop_map(|(start_ms, duration_ms, updates, abort)| TxPlan {
-            start_ms,
-            duration_ms,
-            updates,
-            abort,
-        })
+impl TxPlan {
+    fn draw(rng: &mut SimRng) -> TxPlan {
+        TxPlan {
+            start_ms: rng.range(0..2_000),
+            duration_ms: rng.range(20..3_000),
+            updates: rng.range(1..6) as u8,
+            abort: rng.next_f64() < 0.15,
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -45,93 +40,124 @@ enum Action {
     Abort(Tid),
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+#[test]
+fn any_crash_preserves_acknowledged_commits() {
+    cases::run("any_crash_preserves_acknowledged_commits", 32, |rng| {
+        let plans: Vec<TxPlan> = (0..rng.range(1..40)).map(|_| TxPlan::draw(rng)).collect();
+        let crash_ms = rng.range(100..6_000);
+        let recirc = rng.next_f64() < 0.5;
+        let (g0, g1) = (rng.range(4..10) as u32, rng.range(6..14) as u32);
+        crash_case(&plans, crash_ms, recirc, g0, g1);
+    });
+}
 
-    #[test]
-    fn any_crash_preserves_acknowledged_commits(
-        plans in proptest::collection::vec(arb_plan(), 1..40),
-        crash_ms in 100u64..6_000,
-        recirc: bool,
-        g0 in 4u32..10,
-        g1 in 6u32..14,
-    ) {
-        // Flatten every transaction's lifecycle into one global,
-        // time-sorted schedule (overlapping transactions must reach the
-        // host in chronological order).
-        let mut schedule: Vec<(SimTime, Action)> = Vec::new();
-        let mut updates_of: Vec<Vec<(Oid, u32, SimTime)>> = vec![Vec::new(); plans.len()];
-        for (i, p) in plans.iter().enumerate() {
-            let tid = Tid(i as u64);
-            let t0 = SimTime::from_millis(p.start_ms);
-            schedule.push((t0, Action::Begin(tid)));
-            for u in 0..p.updates {
-                let at = t0 + SimTime::from_millis(
+/// The case the property once shrank to: nine overlapping transactions, a
+/// crash at 1 812 ms, a recirculating [5, 13] log.
+#[test]
+fn crash_at_1812ms_on_recirculating_5_13_preserves_acknowledged_commits() {
+    let plan = |start_ms, duration_ms, updates| TxPlan {
+        start_ms,
+        duration_ms,
+        updates,
+        abort: false,
+    };
+    let plans = [
+        plan(0, 20, 5),
+        plan(0, 20, 5),
+        plan(0, 20, 4),
+        plan(0, 1351, 3),
+        plan(604, 383, 2),
+        plan(419, 1572, 1),
+        plan(1694, 1283, 4),
+        plan(1370, 430, 1),
+        plan(260, 2095, 1),
+    ];
+    crash_case(&plans, 1812, true, 5, 13);
+}
+
+/// Replays `plans` against a `[g0, g1]` log, crashes at `crash_ms` and
+/// recovers: every acknowledged commit must be in the recovered state.
+fn crash_case(plans: &[TxPlan], crash_ms: u64, recirc: bool, g0: u32, g1: u32) {
+    // Flatten every transaction's lifecycle into one global,
+    // time-sorted schedule (overlapping transactions must reach the
+    // host in chronological order).
+    let mut schedule: Vec<(SimTime, Action)> = Vec::new();
+    let mut updates_of: Vec<Vec<(Oid, u32, SimTime)>> = vec![Vec::new(); plans.len()];
+    for (i, p) in plans.iter().enumerate() {
+        let tid = Tid(i as u64);
+        let t0 = SimTime::from_millis(p.start_ms);
+        schedule.push((t0, Action::Begin(tid)));
+        for u in 0..p.updates {
+            let at = t0
+                + SimTime::from_millis(
                     u64::from(u + 1) * p.duration_ms / (u64::from(p.updates) + 1),
                 );
-                // Unique-per-(txn,seq) oid keeps the oid-uniqueness
-                // constraint satisfied without a picker.
-                let oid = Oid(((i as u64 * 8 + u64::from(u)) * 1_237_547) % 10_000_000);
-                schedule.push((at, Action::Write(tid, oid, u32::from(u) + 1)));
-                updates_of[i].push((oid, u32::from(u) + 1, at));
-            }
-            let t_end = t0 + SimTime::from_millis(p.duration_ms);
-            schedule.push((
-                t_end,
-                if p.abort { Action::Abort(tid) } else { Action::Commit(tid) },
-            ));
+            // Unique-per-(txn,seq) oid keeps the oid-uniqueness
+            // constraint satisfied without a picker.
+            let oid = Oid(((i as u64 * 8 + u64::from(u)) * 1_237_547) % 10_000_000);
+            schedule.push((at, Action::Write(tid, oid, u32::from(u) + 1)));
+            updates_of[i].push((oid, u32::from(u) + 1, at));
         }
-        schedule.sort_by_key(|&(at, _)| at);
+        let t_end = t0 + SimTime::from_millis(p.duration_ms);
+        schedule.push((
+            t_end,
+            if p.abort {
+                Action::Abort(tid)
+            } else {
+                Action::Commit(tid)
+            },
+        ));
+    }
+    schedule.sort_by_key(|&(at, _)| at);
 
-        let log = LogConfig {
-            generation_blocks: vec![g0, g1],
-            recirculation: recirc,
-            ..LogConfig::default()
-        };
-        let mut host = SimpleHost::new(ElManager::ephemeral(log, FlushConfig::default()));
-        let mut oracle = CommittedOracle::new();
-        let mut acked = 0usize;
-        let crash = SimTime::from_millis(crash_ms);
+    let log = LogConfig {
+        generation_blocks: vec![g0, g1],
+        recirculation: recirc,
+        ..LogConfig::default()
+    };
+    let mut host = SimpleHost::new(ElManager::ephemeral(log, FlushConfig::default()));
+    let mut oracle = CommittedOracle::new();
+    let mut acked = 0usize;
+    let crash = SimTime::from_millis(crash_ms);
 
-        for (at, action) in schedule {
-            if at >= crash {
-                break;
-            }
-            match action {
-                Action::Begin(tid) => host.begin(at, tid),
-                Action::Write(tid, oid, seq) => {
-                    // Skip writes of killed transactions (the workload
-                    // driver would have cancelled them).
-                    host.write(at, tid, oid, seq, 100);
-                }
-                Action::Commit(tid) => host.commit(at, tid),
-                Action::Abort(tid) => host.abort(at, tid),
-            }
-            while acked < host.acks.len() {
-                let t = host.acks[acked];
-                oracle.commit(t, updates_of[t.get() as usize].iter().copied());
-                acked += 1;
-            }
+    for (at, action) in schedule {
+        if at >= crash {
+            break;
         }
-        host.run_until(crash); // CRASH — open/in-flight buffers lost.
+        match action {
+            Action::Begin(tid) => host.begin(at, tid),
+            Action::Write(tid, oid, seq) => {
+                // Skip writes of killed transactions (the workload
+                // driver would have cancelled them).
+                host.write(at, tid, oid, seq, 100);
+            }
+            Action::Commit(tid) => host.commit(at, tid),
+            Action::Abort(tid) => host.abort(at, tid),
+        }
         while acked < host.acks.len() {
             let t = host.acks[acked];
             oracle.commit(t, updates_of[t.get() as usize].iter().copied());
             acked += 1;
         }
-
-        prop_assert_eq!(host.lm.stats().durability_violations, 0);
-        let surface = host.lm.log_surface();
-        let state = recover(&scan_blocks(surface.iter()), host.lm.stable_db());
-        let report = check_against_oracle(&oracle, &state);
-        prop_assert!(
-            report.is_ok(),
-            "crash at {}ms lost data: missing {:?} stale {:?}",
-            crash_ms,
-            report.missing,
-            report.stale
-        );
     }
+    host.run_until(crash); // CRASH — open/in-flight buffers lost.
+    while acked < host.acks.len() {
+        let t = host.acks[acked];
+        oracle.commit(t, updates_of[t.get() as usize].iter().copied());
+        acked += 1;
+    }
+
+    assert_eq!(host.lm.stats().durability_violations, 0);
+    let surface = host.lm.log_surface();
+    let state = recover(&scan_blocks(surface.iter()), host.lm.stable_db());
+    let report = check_against_oracle(&oracle, &state);
+    assert!(
+        report.is_ok(),
+        "crash at {}ms lost data: missing {:?} stale {:?}",
+        crash_ms,
+        report.missing,
+        report.stale
+    );
 }
 
 /// Packs a slice of records into blocks of one generation (a handful of
@@ -166,116 +192,123 @@ fn canon(state: &RecoveredState) -> (Vec<(Oid, ObjectVersion)>, u64, u64, u64, u
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// One `(tid, oid, seq, ts_ms)` draw from ranges tight enough that updates
+/// collide densely.
+fn draw_update(rng: &mut SimRng) -> (u64, u64, u32, u64) {
+    (
+        rng.range(0..5),
+        rng.range(0..6),
+        rng.range(1..4) as u32,
+        rng.range(0..6),
+    )
+}
 
-    /// `recover(scan_blocks(perm(gens)))` is one function of the record
-    /// *set*: every permutation of the generations — and every finer
-    /// interleaving, down to single-block pseudo-generations — must
-    /// reconstruct the identical state. The generator forces the nasty
-    /// case on purpose: few oids, few distinct timestamps, so distinct
-    /// transactions routinely update the same object at the same virtual
-    /// time and only the `(ts, tid, seq)` total order can pick a winner.
-    #[test]
-    fn recovery_is_invariant_under_generation_permutation(
-        // (tid, oid, seq, ts_ms): tight ranges ⇒ dense collisions.
-        recs in proptest::collection::vec((0u64..5, 0u64..6, 1u32..4, 0u64..6), 4..32),
-        commit in proptest::collection::vec(proptest::bool::weighted(0.8), 5..6),
-        // Stable-DB seeds, colliding with log timestamps.
-        stable_seed in proptest::collection::vec((0u64..5, 0u64..6, 1u32..4, 0u64..6), 0..6),
-        forward in proptest::collection::vec(proptest::bool::weighted(0.3), 32..33),
-        shuffles in proptest::collection::vec(any::<prop::sample::Index>(), 64..65),
-        gens_n in 2usize..5,
-    ) {
-        // Canonical record set: data records spread round-robin across
-        // generations; commit records for committed tids; `forward`
-        // duplicates a record into the *next* generation (a forwarded
-        // physical copy, exactly what recirculation leaves behind).
-        let mut gens: Vec<Vec<LogRecord>> = vec![Vec::new(); gens_n];
-        // `(tid, oid, seq)` identifies one update in the real system, so
-        // every physical copy of it carries the same timestamp; pin the
-        // first sampled ts per key (later samples of the same key become
-        // exact duplicate copies, which is what forwarding leaves).
-        let mut ts_of: std::collections::HashMap<(u64, u64, u32), u64> =
-            std::collections::HashMap::new();
-        for (i, &(tid, oid, seq, ts)) in recs.iter().enumerate() {
-            let ts = *ts_of.entry((tid, oid, seq)).or_insert(ts);
-            let r = LogRecord::Data(DataRecord {
+/// `recover(scan_blocks(perm(gens)))` is one function of the record
+/// *set*: every permutation of the generations — and every finer
+/// interleaving, down to single-block pseudo-generations — must
+/// reconstruct the identical state. The generator forces the nasty
+/// case on purpose: few oids, few distinct timestamps, so distinct
+/// transactions routinely update the same object at the same virtual
+/// time and only the `(ts, tid, seq)` total order can pick a winner.
+fn permutation_case(rng: &mut SimRng) {
+    let recs: Vec<_> = (0..rng.range(4..32)).map(|_| draw_update(rng)).collect();
+    let commit: Vec<bool> = (0..5).map(|_| rng.next_f64() < 0.8).collect();
+    // Stable-DB seeds, colliding with log timestamps.
+    let stable_seed: Vec<_> = (0..rng.range(0..6)).map(|_| draw_update(rng)).collect();
+    let gens_n = rng.range(2..5) as usize;
+
+    // Canonical record set: data records spread round-robin across
+    // generations; commit records for committed tids; three in ten
+    // records are duplicated into the *next* generation (a forwarded
+    // physical copy, exactly what recirculation leaves behind).
+    let mut gens: Vec<Vec<LogRecord>> = vec![Vec::new(); gens_n];
+    // `(tid, oid, seq)` identifies one update in the real system, so
+    // every physical copy of it carries the same timestamp; pin the
+    // first sampled ts per key (later samples of the same key become
+    // exact duplicate copies, which is what forwarding leaves).
+    let mut ts_of: std::collections::HashMap<(u64, u64, u32), u64> =
+        std::collections::HashMap::new();
+    for (i, &(tid, oid, seq, ts)) in recs.iter().enumerate() {
+        let ts = *ts_of.entry((tid, oid, seq)).or_insert(ts);
+        let r = LogRecord::Data(DataRecord {
+            tid: Tid(tid),
+            oid: Oid(oid),
+            seq,
+            ts: SimTime::from_millis(ts),
+            size: 100,
+        });
+        gens[i % gens_n].push(r);
+        if rng.next_f64() < 0.3 {
+            gens[(i + 1) % gens_n].push(r);
+        }
+    }
+    for (t, &c) in commit.iter().enumerate() {
+        if c {
+            gens[t % gens_n].push(LogRecord::Tx(TxRecord {
+                tid: Tid(t as u64),
+                mark: TxMark::Commit,
+                ts: SimTime::from_millis(10),
+                size: 8,
+            }));
+        }
+    }
+    let mut stable = StableDb::new();
+    for &(tid, oid, seq, ts) in &stable_seed {
+        stable.install(
+            Oid(oid),
+            ObjectVersion {
                 tid: Tid(tid),
-                oid: Oid(oid),
                 seq,
                 ts: SimTime::from_millis(ts),
-                size: 100,
-            });
-            gens[i % gens_n].push(r);
-            if forward[i % forward.len()] {
-                gens[(i + 1) % gens_n].push(r);
-            }
-        }
-        for (t, &c) in commit.iter().enumerate() {
-            if c {
-                gens[t % gens_n].push(LogRecord::Tx(TxRecord {
-                    tid: Tid(t as u64),
-                    mark: TxMark::Commit,
-                    ts: SimTime::from_millis(10),
-                    size: 8,
-                }));
-            }
-        }
-        let mut stable = StableDb::new();
-        for &(tid, oid, seq, ts) in &stable_seed {
-            stable.install(Oid(oid), ObjectVersion {
-                tid: Tid(tid),
-                seq,
-                ts: SimTime::from_millis(ts),
-            });
-        }
+            },
+        );
+    }
 
-        let packed: Vec<Vec<Block>> = gens
-            .iter()
-            .enumerate()
-            .map(|(g, rs)| pack_gen(g as u8, rs))
-            .collect();
-        let reference = canon(&recover(&scan_blocks(packed.iter()), &stable));
+    let packed: Vec<Vec<Block>> = gens
+        .iter()
+        .enumerate()
+        .map(|(g, rs)| pack_gen(g as u8, rs))
+        .collect();
+    let reference = canon(&recover(&scan_blocks(packed.iter()), &stable));
 
-        // Whole-generation permutations (Fisher–Yates driven by the
-        // sampled indices; several distinct shuffles per case).
-        let mut order: Vec<usize> = (0..gens_n).collect();
-        let mut shuffle_at = 0usize;
-        for _ in 0..4 {
-            for i in (1..order.len()).rev() {
-                order.swap(i, shuffles[shuffle_at % shuffles.len()].index(i + 1));
-                shuffle_at += 1;
-            }
-            let permuted: Vec<&Vec<Block>> = order.iter().map(|&g| &packed[g]).collect();
-            let got = canon(&recover(&scan_blocks(permuted), &stable));
-            prop_assert_eq!(&got, &reference, "generation order {:?} changed recovery", order);
+    // Whole-generation permutations (Fisher–Yates; several distinct
+    // shuffles per case).
+    let mut order: Vec<usize> = (0..gens_n).collect();
+    for _ in 0..4 {
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.next_u64_below(i as u64 + 1) as usize);
         }
+        let permuted: Vec<&Vec<Block>> = order.iter().map(|&g| &packed[g]).collect();
+        let got = canon(&recover(&scan_blocks(permuted), &stable));
+        assert_eq!(
+            &got, &reference,
+            "generation order {order:?} changed recovery"
+        );
+    }
 
-        // Block-level interleavings: every block becomes its own
-        // pseudo-generation, then the whole pile is shuffled — the finest
-        // arrangement scan_blocks can be handed.
-        let mut singles: Vec<Vec<Block>> = packed
-            .iter()
-            .flat_map(|g| g.iter().cloned().map(|b| vec![b]))
-            .collect();
-        for _ in 0..2 {
-            for i in (1..singles.len()).rev() {
-                singles.swap(i, shuffles[shuffle_at % shuffles.len()].index(i + 1));
-                shuffle_at += 1;
-            }
-            let got = canon(&recover(&scan_blocks(singles.iter()), &stable));
-            prop_assert_eq!(&got, &reference, "block interleaving changed recovery");
+    // Block-level interleavings: every block becomes its own
+    // pseudo-generation, then the whole pile is shuffled — the finest
+    // arrangement scan_blocks can be handed.
+    let mut singles: Vec<Vec<Block>> = packed
+        .iter()
+        .flat_map(|g| g.iter().cloned().map(|b| vec![b]))
+        .collect();
+    for _ in 0..2 {
+        for i in (1..singles.len()).rev() {
+            singles.swap(i, rng.next_u64_below(i as u64 + 1) as usize);
         }
+        let got = canon(&recover(&scan_blocks(singles.iter()), &stable));
+        assert_eq!(&got, &reference, "block interleaving changed recovery");
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+#[test]
+fn recovery_is_invariant_under_generation_permutation() {
+    cases::run(
+        "recovery_is_invariant_under_generation_permutation",
+        48,
+        permutation_case,
+    );
 }
 
 /// REDO as the definition reads, one `insert` at a time into ordered maps:
@@ -328,19 +361,18 @@ fn reference_recover(image: &LogImage, stable: &StableDb) -> RecoveredState {
 /// with each other and with stable stamps; the stable database runs from
 /// empty to a few hundred objects, so the table `recover` copies has been
 /// through every growth step a small one sees.
-fn recover_case(seed: u64) {
-    let mut rng = seed;
-    let oids = 1 + splitmix(&mut rng) % 300;
-    let tids = 1 + splitmix(&mut rng) % 40;
-    let times = 1 + splitmix(&mut rng) % 50;
+fn recover_case(rng: &mut SimRng) {
+    let oids = 1 + rng.next_u64() % 300;
+    let tids = 1 + rng.next_u64() % 40;
+    let times = 1 + rng.next_u64() % 50;
     let mut stable = StableDb::new();
-    for _ in 0..splitmix(&mut rng) % 400 {
+    for _ in 0..rng.next_u64() % 400 {
         stable.install(
-            Oid(splitmix(&mut rng) % oids),
+            Oid(rng.next_u64() % oids),
             ObjectVersion {
-                tid: Tid(splitmix(&mut rng) % tids),
-                seq: 1 + (splitmix(&mut rng) % 3) as u32,
-                ts: SimTime::from_millis(splitmix(&mut rng) % times),
+                tid: Tid(rng.next_u64() % tids),
+                seq: 1 + (rng.next_u64() % 3) as u32,
+                ts: SimTime::from_millis(rng.next_u64() % times),
             },
         );
     }
@@ -348,13 +380,13 @@ fn recover_case(seed: u64) {
     // carries one timestamp (the first drawn).
     let mut ts_of = std::collections::HashMap::new();
     let mut records = Vec::new();
-    for _ in 0..splitmix(&mut rng) % 250 {
+    for _ in 0..rng.next_u64() % 250 {
         let key = (
-            splitmix(&mut rng) % tids,
-            splitmix(&mut rng) % oids,
-            1 + (splitmix(&mut rng) % 3) as u32,
+            rng.next_u64() % tids,
+            rng.next_u64() % oids,
+            1 + (rng.next_u64() % 3) as u32,
         );
-        let ts = *ts_of.entry(key).or_insert(splitmix(&mut rng) % times);
+        let ts = *ts_of.entry(key).or_insert(rng.next_u64() % times);
         records.push(LogRecord::Data(DataRecord {
             tid: Tid(key.0),
             oid: Oid(key.1),
@@ -364,12 +396,12 @@ fn recover_case(seed: u64) {
         }));
     }
     for tid in 0..tids {
-        let mark = match splitmix(&mut rng) % 8 {
+        let mark = match rng.next_u64() % 8 {
             0 => continue,
             1 => TxMark::Abort,
             _ => TxMark::Commit,
         };
-        let at = splitmix(&mut rng) as usize % (records.len() + 1);
+        let at = rng.next_u64() as usize % (records.len() + 1);
         records.insert(
             at,
             LogRecord::Tx(TxRecord {
@@ -394,20 +426,11 @@ fn recover_case(seed: u64) {
 /// candidate map; the reference does neither. Field for field the same.
 #[test]
 fn recover_matches_the_insert_by_insert_reference() {
-    // One case when a failure is being replayed, the basket otherwise.
-    if let Ok(seed) = std::env::var("RECOVER_SEED") {
-        let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
-        return recover_case(seed);
-    }
-    let mut rng = 0x2ED0_F01D_u64;
-    for _ in 0..300 {
-        let seed = splitmix(&mut rng);
-        assert!(
-            std::panic::catch_unwind(|| recover_case(seed)).is_ok(),
-            "case seed {seed:#x} failed (panic above)\nrepro: RECOVER_SEED={seed:#x} \
-             cargo test --offline -p elog-recovery --test prop_recovery recover_matches"
-        );
-    }
+    cases::run(
+        "recover_matches_the_insert_by_insert_reference",
+        300,
+        recover_case,
+    );
 }
 
 /// Pins the tie-break itself so a regression is caught by name, not by a

@@ -401,7 +401,9 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cases;
     use crate::perfstats::QueueStats;
+    use crate::rng::SimRng;
     use std::collections::{BTreeMap, BTreeSet};
 
     fn t(ms: u64) -> SimTime {
@@ -643,42 +645,29 @@ mod tests {
         }
     }
 
-    fn splitmix64(seed: u64) -> impl FnMut() -> u64 {
-        let mut x = seed;
-        move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-    }
-
     /// The queue and the oracle driven in lockstep: every op compares its
-    /// result, then `len()` and the counters, and names seed and step.
+    /// result, then `len()` and the counters, and names the step.
     struct Pair {
         queue: EventQueue<u64>,
         reference: Reference,
         /// Every token ever issued stays here, so later cancels also hit
         /// fired and already-cancelled events whose slot has been reused.
         tokens: Vec<(EventToken, (SimTime, u64))>,
-        seed: u64,
         step: u64,
     }
 
     impl Pair {
-        fn new(seed: u64) -> Self {
+        fn new() -> Self {
             Pair {
                 queue: EventQueue::new(),
                 reference: Reference::default(),
                 tokens: Vec::new(),
-                seed,
                 step: 0,
             }
         }
 
         fn checked<T: PartialEq + std::fmt::Debug>(&mut self, op: &str, got: T, want: T) -> T {
-            let ctx = format!("seed {:#x} step {} ({op})", self.seed, self.step);
+            let ctx = format!("step {} ({op})", self.step);
             assert_eq!(got, want, "{ctx}");
             assert_eq!(self.queue.len(), self.reference.pending.len(), "{ctx}");
             assert_eq!(self.queue.perf(), self.reference.stats, "{ctx}");
@@ -721,44 +710,27 @@ mod tests {
 
         fn drain(&mut self) {
             while self.pop().is_some() {}
-            assert_eq!(pending(&self.queue), 0, "seed {:#x} drain", self.seed);
+            assert_eq!(pending(&self.queue), 0, "drain");
         }
     }
 
-    /// Runs `case` on `cases` seeds — or only on the one in `EVENT_SEED`
-    /// when a failure is being replayed.
-    fn for_seeds(test: &str, cases: u64, case: fn(u64)) {
-        if let Ok(seed) = std::env::var("EVENT_SEED") {
-            let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
-            return case(seed);
-        }
-        for k in 0..cases {
-            let seed = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k + 1);
-            assert!(
-                std::panic::catch_unwind(|| case(seed)).is_ok(),
-                "case seed {seed:#x} failed (panic above)\nrepro: EVENT_SEED={seed:#x} \
-                 cargo test --offline -p elog-sim --lib event::tests::{test}"
-            );
-        }
-    }
-
-    /// `steps` ops of a splitmix64-driven schedule / cancel /
-    /// cancel-after-fire / pop / peek interleaving.
-    fn random_ops(pair: &mut Pair, rng: &mut impl FnMut() -> u64, steps: u64) {
+    /// `steps` ops of a random schedule / cancel / cancel-after-fire /
+    /// pop / peek interleaving.
+    fn random_ops(pair: &mut Pair, rng: &mut SimRng, steps: u64) {
         let mut now = 0u64; // µs
         for _ in 0..steps {
-            match rng() % 10 {
+            match rng.next_u64() % 10 {
                 // Schedule, with an occasional far-future delay and ties.
                 0..=4 => {
-                    let delay = match rng() % 100 {
-                        0 => 20_000_000 + rng() % 1_000_000,
+                    let delay = match rng.next_u64() % 100 {
+                        0 => 20_000_000 + rng.next_u64() % 1_000_000,
                         1..=10 => 25_000,
-                        _ => rng() % 600_000,
+                        _ => rng.next_u64() % 600_000,
                     };
                     pair.schedule(SimTime::from_micros(now + delay));
                 }
                 5..=6 if !pair.tokens.is_empty() => {
-                    pair.cancel((rng() % pair.tokens.len() as u64) as usize);
+                    pair.cancel((rng.next_u64() % pair.tokens.len() as u64) as usize);
                 }
                 7 => {
                     pair.peek_time();
@@ -767,7 +739,7 @@ mod tests {
                     pair.pop();
                 }
                 _ => {
-                    let horizon = SimTime::from_micros(now + rng() % 400_000);
+                    let horizon = SimTime::from_micros(now + rng.next_u64() % 400_000);
                     if let Some((at, _)) = pair.pop_at_or_before(horizon) {
                         now = now.max(at.as_micros());
                     }
@@ -776,16 +748,16 @@ mod tests {
         }
     }
 
-    fn differential_case(seed: u64) {
-        let mut pair = Pair::new(seed);
-        random_ops(&mut pair, &mut splitmix64(seed), 20_000);
+    fn differential_case(rng: &mut SimRng) {
+        let mut pair = Pair::new();
+        random_ops(&mut pair, rng, 20_000);
         pair.drain();
     }
 
     #[test]
     fn heap_matches_btreemap_reference_on_random_workload() {
-        for_seeds(
-            "heap_matches_btreemap_reference_on_random_workload",
+        cases::run(
+            "event::tests::heap_matches_btreemap_reference_on_random_workload",
             8,
             differential_case,
         );
@@ -795,9 +767,9 @@ mod tests {
     const WINDOW: u64 = WHEEL_SLOTS as u64; // ticks
 
     /// A pair whose cursor stands on the tick of a random `now` (µs).
-    fn pair_at_random_now(seed: u64, rng: &mut impl FnMut() -> u64) -> (Pair, u64) {
-        let mut pair = Pair::new(seed);
-        let now = rng() % 100_000_000;
+    fn pair_at_random_now(rng: &mut SimRng) -> (Pair, u64) {
+        let mut pair = Pair::new();
+        let now = rng.next_u64() % 100_000_000;
         pair.schedule(SimTime::from_micros(now));
         pair.pop();
         (pair, now)
@@ -807,20 +779,19 @@ mod tests {
     /// plus a tick — the last wheel bucket, the bucket that aliases the
     /// cursor's own, and the first overflow tick — then a jump of ten
     /// windows over an empty wheel.
-    fn window_edges_case(seed: u64) {
-        let mut rng = splitmix64(seed);
-        let (mut pair, now) = pair_at_random_now(seed, &mut rng);
+    fn window_edges_case(rng: &mut SimRng) {
+        let (mut pair, now) = pair_at_random_now(rng);
         let mut tick = now >> TICK_SHIFT;
         for _ in 0..4 {
             for delay in [WINDOW - 1, WINDOW, WINDOW + 1, 1, 1 + WINDOW, 0, 2 * WINDOW] {
                 for _ in 0..2 {
-                    let at = ((tick + delay) << TICK_SHIFT) + rng() % TICK;
+                    let at = ((tick + delay) << TICK_SHIFT) + rng.next_u64() % TICK;
                     pair.schedule(SimTime::from_micros(at));
                 }
             }
             // Move the cursor with the edges still pending, so the next
             // round's land among them and the overflow migrates in between.
-            for _ in 0..rng() % 8 {
+            for _ in 0..rng.next_u64() % 8 {
                 if let Some((at, _)) = pair.pop() {
                     tick = at.as_micros() >> TICK_SHIFT;
                 }
@@ -835,7 +806,7 @@ mod tests {
             11 * WINDOW,
             3,
         ] {
-            let at = ((pair.queue.cursor + delay) << TICK_SHIFT) + rng() % TICK;
+            let at = ((pair.queue.cursor + delay) << TICK_SHIFT) + rng.next_u64() % TICK;
             pair.schedule(SimTime::from_micros(at));
         }
         pair.peek_time();
@@ -844,8 +815,8 @@ mod tests {
 
     #[test]
     fn window_edges_and_empty_wheel_jump_match_reference() {
-        for_seeds(
-            "window_edges_and_empty_wheel_jump_match_reference",
+        cases::run(
+            "event::tests::window_edges_and_empty_wheel_jump_match_reference",
             16,
             window_edges_case,
         );
@@ -853,13 +824,12 @@ mod tests {
 
     /// `SimTime::MAX` beside ordinary times: no tick arithmetic overflows,
     /// before or after the cursor itself stands on the last tick.
-    fn time_max_case(seed: u64) {
-        let mut rng = splitmix64(seed);
-        let (mut pair, now) = pair_at_random_now(seed, &mut rng);
+    fn time_max_case(rng: &mut SimRng) {
+        let (mut pair, now) = pair_at_random_now(rng);
         let never = pair.schedule(SimTime::MAX);
-        pair.schedule(SimTime::from_micros(now + rng() % 1_000_000));
+        pair.schedule(SimTime::from_micros(now + rng.next_u64() % 1_000_000));
         pair.schedule(SimTime::MAX);
-        pair.schedule(SimTime::from_micros(u64::MAX - 1 - rng() % TICK));
+        pair.schedule(SimTime::from_micros(u64::MAX - 1 - rng.next_u64() % TICK));
         assert_eq!(
             pair.pop_at_or_before(SimTime::MAX)
                 .map(|(at, _)| at < SimTime::MAX),
@@ -882,19 +852,18 @@ mod tests {
 
     #[test]
     fn time_max_matches_reference() {
-        for_seeds("time_max_matches_reference", 8, time_max_case);
+        cases::run("event::tests::time_max_matches_reference", 8, time_max_case);
     }
 
     /// A horizon stop finds only a far event, which leaves the cursor on
     /// that event's tick, ahead of the clock; what is then scheduled at the
     /// clock, just after it and around the far event still pops in order.
-    fn horizon_stop_case(seed: u64) {
-        let mut rng = splitmix64(seed);
-        let (mut pair, now) = pair_at_random_now(seed, &mut rng);
-        let far = now + (1 + rng() % (3 * WINDOW)) * TICK;
+    fn horizon_stop_case(rng: &mut SimRng) {
+        let (mut pair, now) = pair_at_random_now(rng);
+        let far = now + (1 + rng.next_u64() % (3 * WINDOW)) * TICK;
         pair.schedule(SimTime::from_micros(far));
         assert_eq!(pair.pop_at_or_before(SimTime::from_micros(now)), None);
-        assert_eq!(pair.queue.cursor, far >> TICK_SHIFT, "seed {seed:#x}");
+        assert_eq!(pair.queue.cursor, far >> TICK_SHIFT);
         let cursor_tick = far >> TICK_SHIFT << TICK_SHIFT;
         for at in [
             now + 1,
@@ -919,8 +888,8 @@ mod tests {
 
     #[test]
     fn horizon_stop_with_cursor_ahead_matches_reference() {
-        for_seeds(
-            "horizon_stop_with_cursor_ahead_matches_reference",
+        cases::run(
+            "event::tests::horizon_stop_with_cursor_ahead_matches_reference",
             16,
             horizon_stop_case,
         );
@@ -929,20 +898,23 @@ mod tests {
     /// A cancel in each region — the tick being drained, a wheel bucket, the
     /// overflow — then cancels until tombstones are the majority of ≥ 64
     /// pending and every region is compacted, then a full drain.
-    fn cancel_and_compact_case(seed: u64) {
-        let mut rng = splitmix64(seed);
-        let (mut pair, now) = pair_at_random_now(seed, &mut rng);
+    fn cancel_and_compact_case(rng: &mut SimRng) {
+        let (mut pair, now) = pair_at_random_now(rng);
         let tick_start = now >> TICK_SHIFT << TICK_SHIFT;
         let mut region = |pair: &mut Pair, lo: u64, span: u64| -> Vec<usize> {
-            (0..30 + rng() % 10)
-                .map(|_| pair.schedule(SimTime::from_micros(tick_start + lo + rng() % span)))
+            (0..30 + rng.next_u64() % 10)
+                .map(|_| {
+                    pair.schedule(SimTime::from_micros(
+                        tick_start + lo + rng.next_u64() % span,
+                    ))
+                })
                 .collect()
         };
         let current = region(&mut pair, 0, TICK);
         let wheel = region(&mut pair, TICK, (WINDOW - 1) * TICK);
         let overflow = region(&mut pair, WINDOW * TICK, 3 * WINDOW * TICK);
-        assert_eq!(pair.queue.current.len(), current.len(), "seed {seed:#x}");
-        assert_eq!(pair.queue.overflow.len(), overflow.len(), "seed {seed:#x}");
+        assert_eq!(pair.queue.current.len(), current.len());
+        assert_eq!(pair.queue.overflow.len(), overflow.len());
         for victims in [&current, &wheel, &overflow] {
             pair.cancel(victims[0]);
             pair.cancel(victims[0]); // a second cancel is a no-op
@@ -956,14 +928,14 @@ mod tests {
                 }
             }
         }
-        assert!(pair.queue.perf().compactions >= 1, "seed {seed:#x}");
+        assert!(pair.queue.perf().compactions >= 1);
         pair.drain();
     }
 
     #[test]
     fn cancel_in_every_region_then_compaction_matches_reference() {
-        for_seeds(
-            "cancel_in_every_region_then_compaction_matches_reference",
+        cases::run(
+            "event::tests::cancel_in_every_region_then_compaction_matches_reference",
             16,
             cancel_and_compact_case,
         );
@@ -971,38 +943,31 @@ mod tests {
 
     /// A clone taken mid-stream delivers what the original delivers and
     /// honours the tokens that were outstanding when it was taken.
-    fn clone_case(seed: u64) {
-        let mut rng = splitmix64(seed);
-        let mut pair = Pair::new(seed);
-        let steps = 2_000 + rng() % 2_000;
-        random_ops(&mut pair, &mut rng, steps);
+    fn clone_case(rng: &mut SimRng) {
+        let mut pair = Pair::new();
+        let steps = 2_000 + rng.next_u64() % 2_000;
+        random_ops(&mut pair, rng, steps);
         let mut twin = pair.queue.clone();
         while !pair.queue.is_empty() {
-            if rng().is_multiple_of(3) {
-                let index = (rng() % pair.tokens.len() as u64) as usize;
+            if rng.next_u64().is_multiple_of(3) {
+                let index = (rng.next_u64() % pair.tokens.len() as u64) as usize;
                 twin.cancel(pair.tokens[index].0);
                 pair.cancel(index);
             } else {
-                assert_eq!(twin.pop(), pair.pop(), "seed {seed:#x} step {}", pair.step);
+                assert_eq!(twin.pop(), pair.pop(), "step {}", pair.step);
             }
-            assert_eq!(
-                twin.len(),
-                pair.queue.len(),
-                "seed {seed:#x} step {}",
-                pair.step
-            );
-            assert_eq!(
-                twin.perf(),
-                pair.queue.perf(),
-                "seed {seed:#x} step {}",
-                pair.step
-            );
+            assert_eq!(twin.len(), pair.queue.len(), "step {}", pair.step);
+            assert_eq!(twin.perf(), pair.queue.perf(), "step {}", pair.step);
         }
-        assert_eq!(twin.pop(), None, "seed {seed:#x}");
+        assert_eq!(twin.pop(), None);
     }
 
     #[test]
     fn clone_mid_stream_delivers_the_same_sequence() {
-        for_seeds("clone_mid_stream_delivers_the_same_sequence", 8, clone_case);
+        cases::run(
+            "event::tests::clone_mid_stream_delivers_the_same_sequence",
+            8,
+            clone_case,
+        );
     }
 }

@@ -5,8 +5,9 @@
 //! This crate rebuilds the substrate of the SIGMOD '93 ephemeral-logging
 //! evaluation: an event-driven simulator with a microsecond virtual clock, a
 //! stable priority event queue with cancellation, deterministic seeded random
-//! streams, and statistics accumulators (counters, time-weighted gauges,
-//! histograms).
+//! streams, statistics accumulators (counters, time-weighted gauges,
+//! histograms), and the seeded case runner the workspace's randomized tests
+//! share.
 //!
 //! The kernel is deliberately single-threaded: runs are deterministic for a
 //! given seed, which the experiment harness relies on when searching for
@@ -35,6 +36,7 @@
 //! assert_eq!(end, SimTime::from_millis(30));
 //! ```
 
+pub mod cases;
 pub mod engine;
 pub mod event;
 pub mod fxhash;
@@ -47,6 +49,6 @@ pub use engine::{Engine, Simulate};
 pub use event::{EventQueue, EventToken};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use perfstats::{CountingAlloc, PerfStats, QueueStats, SearchStats};
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use stats::{Counter, Histogram, MaxGauge, MeanAccumulator};
 pub use time::SimTime;

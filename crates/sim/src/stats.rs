@@ -446,8 +446,7 @@ mod tests {
     }
 
     /// Guess-and-verify against the plain search on one seed's shapes.
-    fn bucket_case(seed: u64) {
-        let mut rng = crate::rng::SimRng::new(seed);
+    fn bucket_case(rng: &mut crate::rng::SimRng) {
         let mut unit = move || rng.next_f64();
         let hi = 1.0 + unit() * 1e5;
         let mut written = vec![unit() - 0.5];
@@ -476,7 +475,7 @@ mod tests {
                 assert_eq!(
                     h.bucket(x),
                     h.bounds.partition_point(|&b| b < x),
-                    "seed {seed:#x} shape {which} ({:?}) sample {x:e}",
+                    "shape {which} ({:?}) sample {x:e}",
                     h.shape
                 );
             }
@@ -485,19 +484,7 @@ mod tests {
 
     #[test]
     fn histogram_guess_matches_partition_point() {
-        // One case when a failure is being replayed, the basket otherwise.
-        if let Ok(seed) = std::env::var("HIST_SEED") {
-            let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
-            return bucket_case(seed);
-        }
-        for k in 1..=40u64 {
-            let seed = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k);
-            assert!(
-                std::panic::catch_unwind(|| bucket_case(seed)).is_ok(),
-                "case seed {seed:#x} failed (panic above)\nrepro: HIST_SEED={seed:#x} \
-                 cargo test --offline -p elog-sim --lib stats::tests::histogram_guess"
-            );
-        }
+        crate::cases::run("stats::tests::histogram_guess", 40, bucket_case);
     }
 
     #[test]

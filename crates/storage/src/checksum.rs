@@ -78,6 +78,7 @@ pub fn update(mut state: u32, data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elog_sim::{cases, SimRng};
 
     /// The one-table, one-byte-per-step CRC `update` used to be, with its
     /// own bit-by-bit table: the oracle the slice-by-8 loop is held to.
@@ -107,25 +108,16 @@ mod tests {
         state
     }
 
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// One random buffer: every length 0..=67 at every start offset 0..8
     /// (all eight alignments of the 8-byte step, tails of every length on
     /// both sides of several whole steps), then random multi-chunk splits
     /// fed incrementally from a random running state.
-    fn run_case(seed: u64) {
-        let mut rng = seed;
-        let buf: Vec<u8> = (0..2048).map(|_| splitmix(&mut rng) as u8).collect();
+    fn run_case(rng: &mut SimRng) {
+        let buf: Vec<u8> = (0..2048).map(|_| rng.next_u64() as u8).collect();
         for start in 0..8 {
             for len in 0..=67 {
                 let data = &buf[start..start + len];
-                let state = splitmix(&mut rng) as u32;
+                let state = rng.next_u64() as u32;
                 assert_eq!(
                     update(state, data),
                     update_bytewise(state, data),
@@ -134,13 +126,13 @@ mod tests {
             }
         }
         for _ in 0..32 {
-            let from = splitmix(&mut rng) as usize % buf.len();
+            let from = rng.next_u64() as usize % buf.len();
             let data = &buf[from..];
-            let start_state = splitmix(&mut rng) as u32;
+            let start_state = rng.next_u64() as u32;
             let mut state = start_state;
             let mut rest = data;
             while !rest.is_empty() {
-                let take = 1 + splitmix(&mut rng) as usize % rest.len().min(40);
+                let take = 1 + rng.next_u64() as usize % rest.len().min(40);
                 state = update(state, &rest[..take]);
                 rest = &rest[take..];
             }
@@ -159,20 +151,7 @@ mod tests {
 
     #[test]
     fn slice_by_8_matches_the_bytewise_reference() {
-        // One case when a failure is being replayed, the basket otherwise.
-        if let Ok(seed) = std::env::var("CRC_SEED") {
-            let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
-            return run_case(seed);
-        }
-        let mut rng = 0xC4C3_2EDB_u64;
-        for _ in 0..50 {
-            let seed = splitmix(&mut rng);
-            assert!(
-                std::panic::catch_unwind(|| run_case(seed)).is_ok(),
-                "case seed {seed:#x} failed (panic above)\nrepro: CRC_SEED={seed:#x} \
-                 cargo test --offline -p elog-storage --lib checksum"
-            );
-        }
+        cases::run("checksum::tests::slice_by_8", 50, run_case);
     }
 
     #[test]

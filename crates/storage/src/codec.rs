@@ -25,7 +25,6 @@
 
 use crate::block::{Block, BlockAddr};
 use crate::checksum::crc32;
-use bytes::{Buf, BufMut};
 use elog_model::{
     payload_matches, synth_payload_extend, DataRecord, GenId, LogRecord, Oid, Tid, TxMark, TxRecord,
 };
@@ -98,44 +97,55 @@ fn wire_len(r: &LogRecord) -> usize {
 fn encode_record(out: &mut Vec<u8>, r: &LogRecord) {
     match r {
         LogRecord::Data(d) => {
-            out.put_u8(0);
-            out.put_u64_le(d.tid.get());
-            out.put_u64_le(d.oid.get());
-            out.put_u32_le(d.seq);
-            out.put_u64_le(d.ts.as_micros());
-            out.put_u32_le(d.size);
+            out.push(0);
+            out.extend_from_slice(&d.tid.get().to_le_bytes());
+            out.extend_from_slice(&d.oid.get().to_le_bytes());
+            out.extend_from_slice(&d.seq.to_le_bytes());
+            out.extend_from_slice(&d.ts.as_micros().to_le_bytes());
+            out.extend_from_slice(&d.size.to_le_bytes());
             let payload_len = data_payload_len(d);
-            out.put_u16_le(payload_len as u16);
+            out.extend_from_slice(&(payload_len as u16).to_le_bytes());
             // Stream the payload straight into the output buffer: no
             // per-record temporary.
             synth_payload_extend(d.oid, d.tid, d.seq, payload_len, out);
         }
         LogRecord::Tx(t) => {
-            out.put_u8(t.mark.tag());
-            out.put_u64_le(t.tid.get());
-            out.put_u64_le(t.ts.as_micros());
-            out.put_u32_le(t.size);
+            out.push(t.mark.tag());
+            out.extend_from_slice(&t.tid.get().to_le_bytes());
+            out.extend_from_slice(&t.ts.as_micros().to_le_bytes());
+            out.extend_from_slice(&t.size.to_le_bytes());
         }
     }
+}
+
+/// Splits the next `N` bytes off the front of `buf`. Every caller checks
+/// the length first, so a short slice is a bug and panics.
+#[inline]
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .expect("length checked before the read");
+    *buf = rest;
+    *head
 }
 
 fn decode_record(buf: &mut &[u8]) -> Result<LogRecord, CodecError> {
     if buf.is_empty() {
         return Err(CodecError::Truncated);
     }
-    let tag = buf.get_u8();
+    let [tag] = take(buf);
     match tag {
         0 => {
-            if buf.remaining() < DATA_RECORD_HEADER_BYTES - 1 {
+            if buf.len() < DATA_RECORD_HEADER_BYTES - 1 {
                 return Err(CodecError::Truncated);
             }
-            let tid = Tid(buf.get_u64_le());
-            let oid = Oid(buf.get_u64_le());
-            let seq = buf.get_u32_le();
-            let ts = SimTime::from_micros(buf.get_u64_le());
-            let size = buf.get_u32_le();
-            let payload_len = buf.get_u16_le() as usize;
-            if buf.remaining() < payload_len {
+            let tid = Tid(u64::from_le_bytes(take(buf)));
+            let oid = Oid(u64::from_le_bytes(take(buf)));
+            let seq = u32::from_le_bytes(take(buf));
+            let ts = SimTime::from_micros(u64::from_le_bytes(take(buf)));
+            let size = u32::from_le_bytes(take(buf));
+            let payload_len = usize::from(u16::from_le_bytes(take(buf)));
+            if buf.len() < payload_len {
                 return Err(CodecError::Truncated);
             }
             let payload = &buf[..payload_len];
@@ -143,7 +153,7 @@ fn decode_record(buf: &mut &[u8]) -> Result<LogRecord, CodecError> {
             if !payload_matches(oid, tid, seq, payload) {
                 return Err(CodecError::BadPayload);
             }
-            buf.advance(payload_len);
+            *buf = &buf[payload_len..];
             Ok(LogRecord::Data(DataRecord {
                 tid,
                 oid,
@@ -154,12 +164,12 @@ fn decode_record(buf: &mut &[u8]) -> Result<LogRecord, CodecError> {
         }
         t => {
             let mark = TxMark::from_tag(t).ok_or(CodecError::BadRecordTag(t))?;
-            if buf.remaining() < TX_RECORD_BYTES - 1 {
+            if buf.len() < TX_RECORD_BYTES - 1 {
                 return Err(CodecError::Truncated);
             }
-            let tid = Tid(buf.get_u64_le());
-            let ts = SimTime::from_micros(buf.get_u64_le());
-            let size = buf.get_u32_le();
+            let tid = Tid(u64::from_le_bytes(take(buf)));
+            let ts = SimTime::from_micros(u64::from_le_bytes(take(buf)));
+            let size = u32::from_le_bytes(take(buf));
             Ok(LogRecord::Tx(TxRecord {
                 tid,
                 mark,
@@ -177,15 +187,14 @@ const BODY_CRC_OFFSET: usize = 36;
 pub fn encode_block(b: &Block) -> Vec<u8> {
     let body_len: usize = b.records.iter().map(wire_len).sum();
     let mut out = Vec::with_capacity(BLOCK_HEADER_BYTES + body_len);
-    out.put_u32_le(MAGIC);
-    out.put_u16_le(VERSION);
-    out.put_u8(b.addr.gen.0);
-    out.put_u8(0);
-    out.put_u64_le(b.addr.seq);
-    out.put_u64_le(b.written_at.as_micros());
-    out.put_u32_le(b.records.len() as u32);
-    out.put_u32_le(b.payload_used);
-    out.put_u32_le(body_len as u32);
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&[b.addr.gen.0, 0]);
+    out.extend_from_slice(&b.addr.seq.to_le_bytes());
+    out.extend_from_slice(&b.written_at.as_micros().to_le_bytes());
+    out.extend_from_slice(&(b.records.len() as u32).to_le_bytes());
+    out.extend_from_slice(&b.payload_used.to_le_bytes());
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
     debug_assert_eq!(out.len(), BODY_CRC_OFFSET);
     // body_crc (patched below, once the body exists) and padding.
     out.extend_from_slice(&[0u8; 12]);
@@ -248,20 +257,20 @@ fn decode_into(mut buf: &[u8], block: &mut Block) -> Result<(), CodecError> {
     if buf.len() < BLOCK_HEADER_BYTES {
         return Err(CodecError::Truncated);
     }
-    let magic = buf.get_u32_le();
-    let version = buf.get_u16_le();
+    let magic = u32::from_le_bytes(take(&mut buf));
+    let version = u16::from_le_bytes(take(&mut buf));
     if magic != MAGIC || version != VERSION {
         return Err(CodecError::BadHeader);
     }
-    let gen = GenId(buf.get_u8());
-    let _pad = buf.get_u8();
-    let seq = buf.get_u64_le();
-    let written_at = SimTime::from_micros(buf.get_u64_le());
-    let record_count = buf.get_u32_le() as usize;
-    let payload_used = buf.get_u32_le();
-    let body_len = buf.get_u32_le() as usize;
-    let expected_crc = buf.get_u32_le();
-    buf.advance(8); // padding
+    let [gen, _pad] = take(&mut buf);
+    let gen = GenId(gen);
+    let seq = u64::from_le_bytes(take(&mut buf));
+    let written_at = SimTime::from_micros(u64::from_le_bytes(take(&mut buf)));
+    let record_count = u32::from_le_bytes(take(&mut buf)) as usize;
+    let payload_used = u32::from_le_bytes(take(&mut buf));
+    let body_len = u32::from_le_bytes(take(&mut buf)) as usize;
+    let expected_crc = u32::from_le_bytes(take(&mut buf));
+    let _pad: [u8; 8] = take(&mut buf);
     if buf.len() < body_len {
         return Err(CodecError::Truncated);
     }
@@ -296,6 +305,7 @@ fn decode_into(mut buf: &[u8], block: &mut Block) -> Result<(), CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elog_sim::{cases, splitmix64, SimRng};
 
     fn sample_block() -> Block {
         let mut b = Block::new(BlockAddr {
@@ -334,38 +344,30 @@ mod tests {
         b
     }
 
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// 0..=24 records of every kind; data sizes straddle the 35-byte wire
     /// header (payload length 0) and run past the paper's 100.
-    fn random_block(rng: &mut u64) -> Block {
+    fn random_block(next: &mut impl FnMut() -> u64) -> Block {
         let mut b = Block::new(BlockAddr {
-            gen: GenId(splitmix(rng) as u8),
-            seq: splitmix(rng),
+            gen: GenId(next() as u8),
+            seq: next(),
         });
-        b.written_at = SimTime::from_micros(splitmix(rng) >> 8);
-        for _ in 0..splitmix(rng) % 25 {
-            let tid = Tid(splitmix(rng) >> 16);
-            let ts = SimTime::from_micros(splitmix(rng) >> 8);
-            let r = match splitmix(rng) % 5 {
+        b.written_at = SimTime::from_micros(next() >> 8);
+        for _ in 0..next() % 25 {
+            let tid = Tid(next() >> 16);
+            let ts = SimTime::from_micros(next() >> 8);
+            let r = match next() % 5 {
                 0 => LogRecord::Tx(TxRecord {
                     tid,
-                    mark: TxMark::from_tag(1 + (splitmix(rng) % 3) as u8).unwrap(),
+                    mark: TxMark::from_tag(1 + (next() % 3) as u8).unwrap(),
                     ts,
                     size: 8,
                 }),
                 _ => LogRecord::Data(DataRecord {
                     tid,
-                    oid: Oid(splitmix(rng) % 10_000_000),
-                    seq: 1 + (splitmix(rng) % 9) as u32,
+                    oid: Oid(next() % 10_000_000),
+                    seq: 1 + (next() % 9) as u32,
                     ts,
-                    size: 20 + (splitmix(rng) % 160) as u32,
+                    size: 20 + (next() % 160) as u32,
                 }),
             };
             b.push(r, u32::MAX);
@@ -387,8 +389,8 @@ mod tests {
             gen: GenId(0),
             seq: 0,
         });
-        let mut rng = 0x00E1_06B1_0C4B_u64;
-        let random = random_block(&mut rng);
+        let mut state = 0x00E1_06B1_0C4B_u64;
+        let random = random_block(&mut || splitmix64(&mut state));
         assert!(random.records.len() > 8, "the pinned block is not trivial");
         for (label, block, want) in [
             ("sample", sample_block(), 0x27a1_db84_9ac1_6c50u64),
@@ -407,26 +409,25 @@ mod tests {
     /// byte, a cut tail, a forged record count), decoded through ONE
     /// reused scratch and, block by block, fresh: same results, and no
     /// record of an earlier block in a later result or after an error.
-    fn reuse_case(seed: u64) {
-        let mut rng = seed;
+    fn reuse_case(rng: &mut SimRng) {
         let mut scratch = Block::new(BlockAddr {
             gen: GenId(0),
             seq: 0,
         });
         let mut corrupted = 0;
         for i in 0..24 {
-            let mut bytes = encode_block(&random_block(&mut rng));
+            let mut bytes = encode_block(&random_block(&mut || rng.next_u64()));
             let n = bytes.len();
             // The middle block always; one in four of the others.
-            if i == 12 || splitmix(&mut rng).is_multiple_of(4) {
+            if i == 12 || rng.next_u64().is_multiple_of(4) {
                 corrupted += 1;
-                match splitmix(&mut rng) % 3 {
+                match rng.next_u64() % 3 {
                     0 if n > BLOCK_HEADER_BYTES => {
-                        let at = BLOCK_HEADER_BYTES
-                            + splitmix(&mut rng) as usize % (n - BLOCK_HEADER_BYTES);
+                        let at =
+                            BLOCK_HEADER_BYTES + rng.next_u64() as usize % (n - BLOCK_HEADER_BYTES);
                         bytes[at] ^= 0x10;
                     }
-                    1 => bytes.truncate(splitmix(&mut rng) as usize % n),
+                    1 => bytes.truncate(rng.next_u64() as usize % n),
                     _ => bytes[24..28].copy_from_slice(&u32::MAX.to_le_bytes()),
                 }
             }
@@ -446,20 +447,7 @@ mod tests {
 
     #[test]
     fn reused_scratch_decodes_like_fresh() {
-        // One case when a failure is being replayed, the basket otherwise.
-        if let Ok(seed) = std::env::var("CODEC_SEED") {
-            let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
-            return reuse_case(seed);
-        }
-        let mut rng = 0xC0DE_C5C4_A7C4_u64;
-        for _ in 0..100 {
-            let seed = splitmix(&mut rng);
-            assert!(
-                std::panic::catch_unwind(|| reuse_case(seed)).is_ok(),
-                "case seed {seed:#x} failed (panic above)\nrepro: CODEC_SEED={seed:#x} \
-                 cargo test --offline -p elog-storage --lib codec"
-            );
-        }
+        cases::run("codec::tests::reused_scratch", 100, reuse_case);
     }
 
     /// `record_count` is a header field, outside `body_crc`. Forged to
