@@ -20,6 +20,21 @@ if [ -n "$STRAY" ]; then
     exit 1
 fi
 
+echo "== unsafe inventory =="
+# `unsafe` code lives in two files: the counting allocator
+# (sim/src/perfstats.rs) and the CRC-32 carry-less-multiply kernel
+# (storage/src/checksum.rs). Both crates warn on
+# clippy::undocumented_unsafe_blocks, which the clippy step denies, so each
+# block there carries a `// SAFETY:` comment. The pattern is the keyword in
+# code (a block, fn, impl, trait, extern or attribute), not the word in
+# comments and report strings ("unsafe drops").
+UNSAFE_FILES=$(grep -rlE '\bunsafe\s*(\{|\(|fn\b|impl\b|trait\b|extern\b)' crates/*/src --include='*.rs' |
+    grep -vxF -e crates/sim/src/perfstats.rs -e crates/storage/src/checksum.rs || true)
+if [ -n "$UNSAFE_FILES" ]; then
+    echo "unsafe outside sim/src/perfstats.rs and storage/src/checksum.rs:" $UNSAFE_FILES >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --offline --release --workspace
 

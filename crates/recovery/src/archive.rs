@@ -12,7 +12,7 @@
 use crate::scan::{scan_bytes, LogImage};
 use elog_model::{ObjectVersion, Oid, StableDb, Tid};
 use elog_sim::SimTime;
-use elog_storage::{Block, CodecError};
+use elog_storage::Block;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -29,8 +29,6 @@ pub enum ArchiveError {
     Io(io::Error),
     /// A file did not start with the expected magic.
     BadMagic,
-    /// A block failed to decode (its codec error is attached).
-    BadBlock(CodecError),
     /// A file ended inside a length prefix, a block or a stable-database
     /// entry it had announced (torn write).
     Torn,
@@ -47,7 +45,6 @@ impl std::fmt::Display for ArchiveError {
         match self {
             ArchiveError::Io(e) => write!(f, "archive i/o: {e}"),
             ArchiveError::BadMagic => write!(f, "archive has wrong magic"),
-            ArchiveError::BadBlock(e) => write!(f, "archive block corrupt: {e}"),
             ArchiveError::Torn => write!(f, "archive truncated mid-write"),
         }
     }

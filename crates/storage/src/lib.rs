@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Block storage substrate for the ephemeral log.
 //!
@@ -9,8 +10,9 @@
 //!
 //! * [`block`] — the typed in-memory image of one 2048-byte log block
 //!   (48 bytes of bookkeeping + 2000 bytes of record payload);
-//! * [`checksum`] — a CRC-32 (IEEE) implementation for block integrity,
-//!   written in-tree to keep the dependency set minimal;
+//! * [`checksum`] — a CRC-32 (IEEE) for block integrity, written in-tree
+//!   to keep the dependency set minimal: a carry-less-multiply kernel on
+//!   x86_64 CPUs with PCLMULQDQ, slice-by-8 tables everywhere else;
 //! * [`codec`] — a self-describing wire format for blocks and records, used
 //!   by the recovery path that reads real bytes (see DESIGN.md §5 for how
 //!   wire sizes relate to the paper's accounting sizes);
