@@ -36,7 +36,7 @@ if [ -n "$UNSAFE_FILES" ]; then
 fi
 
 echo "== cargo build --release =="
-cargo build --offline --release --workspace
+cargo build --offline --release --workspace --bins --examples
 
 echo "== repro --quick stdout pin =="
 # Every PR that claims "no model change" claims this md5; it used to live
@@ -120,6 +120,9 @@ echo "== hostile CLI =="
 # accepted. The 1e12 / 1e300 rows
 # ask for arrivals finer than the 1 µs clock, which unchecked never
 # advance it; `--only nosuch` must fail before repro prints its header.
+# The crash_recovery rows are the example's one argument: unchecked, `abc`
+# silently crashes at the default instant, `-5` recovers an empty log, and
+# `inf` saturates the clock so that arrivals never stop.
 # An exit-2 row prints nothing to stdout, and every row runs under a
 # timeout so one that regresses to a hang fails here with its command.
 HOSTILE_ERR=$(mktemp)
@@ -159,6 +162,9 @@ done <<'HOSTILE'
 2 --adaptive repro --quick --adaptive
 2 --no-analytic elsim --no-analytic
 2 --only repro --quick --only nosuch
+2 crash_at_secs examples/crash_recovery abc
+2 crash_at_secs examples/crash_recovery -5
+2 crash_at_secs examples/crash_recovery inf
 1 --min-space elsim --fw-blocks 100 --tps 20000 --runtime 5 --min-space
 1 --min-space elsim --gens 18,16 --tps 6000 --runtime 5 --min-space
 HOSTILE
@@ -172,6 +178,14 @@ if [ "$status" -ne 0 ] || grep -q panicked "$HOSTILE_ERR"; then
     exit 1
 fi
 rm -f "$HOSTILE_ERR" "$HOSTILE_OUT"
+
+echo "== crash_recovery example smoke =="
+# The example crashes a run, restarts it from the bytes of its log surface
+# and verifies the result against the acknowledged commits.
+if ! ./target/release/examples/crash_recovery | grep -q '^ok: '; then
+    echo "crash_recovery printed no ok: line" >&2
+    exit 1
+fi
 
 echo "== elserve one-tenant smoke =="
 # One unbudgeted tenant is the classic run (DESIGN.md §5k): the same SimModel built

@@ -1,4 +1,4 @@
-//! A minimal event-loop host for driving one [`ElManager`] directly.
+//! A minimal event-loop host for driving one log manager directly.
 //!
 //! The full experiment harness (`elog-harness`) couples the manager with a
 //! workload generator and an oracle; this little host is for everything
@@ -7,15 +7,17 @@
 //! the manager's timers serviced without standing up a whole simulation.
 
 use crate::manager::ElManager;
+use crate::traits::LogManager;
 use crate::types::{Effects, LmTimer};
 use elog_model::{Oid, Tid};
 use elog_sim::{EventQueue, SimTime};
 
-/// Drives a single log manager: schedules its timers, collects its
-/// notifications, and keeps virtual time monotone.
-pub struct SimpleHost {
+/// Drives a single log manager ([`ElManager`] by default): schedules its
+/// timers, collects its notifications, and keeps virtual time monotone.
+#[derive(Clone)]
+pub struct SimpleHost<L: LogManager = ElManager> {
     /// The log manager under test.
-    pub lm: ElManager,
+    pub lm: L,
     queue: EventQueue<LmTimer>,
     /// Commit acknowledgements received, in order.
     pub acks: Vec<Tid>,
@@ -24,9 +26,9 @@ pub struct SimpleHost {
     now: SimTime,
 }
 
-impl SimpleHost {
+impl<L: LogManager> SimpleHost<L> {
     /// Wraps a manager.
-    pub fn new(lm: ElManager) -> Self {
+    pub fn new(lm: L) -> Self {
         SimpleHost {
             lm,
             queue: EventQueue::new(),
@@ -47,7 +49,7 @@ impl SimpleHost {
         }
         self.acks.append(&mut fx.acks);
         self.kills.append(&mut fx.kills);
-        self.lm.recycle_fx(fx);
+        self.lm.recycle(fx);
     }
 
     /// Delivers every pending timer scheduled at or before `until`, then

@@ -550,48 +550,7 @@ impl HybridManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elog_sim::EventQueue;
-
-    struct Host {
-        lm: HybridManager,
-        q: EventQueue<LmTimer>,
-        acks: Vec<Tid>,
-        kills: Vec<Tid>,
-    }
-
-    impl Host {
-        fn new(lm: HybridManager) -> Self {
-            Host {
-                lm,
-                q: EventQueue::new(),
-                acks: vec![],
-                kills: vec![],
-            }
-        }
-        fn apply(&mut self, fx: Effects) {
-            for (at, t) in fx.timers {
-                self.q.schedule(at, t);
-            }
-            self.acks.extend(fx.acks);
-            self.kills.extend(fx.kills);
-        }
-        fn run_until(&mut self, until: SimTime) {
-            while let Some(at) = self.q.peek_time() {
-                if at > until {
-                    break;
-                }
-                let (at, t) = self.q.pop().unwrap();
-                let fx = self.lm.handle_timer(at, t);
-                self.apply(fx);
-            }
-        }
-        fn drain(&mut self, at: SimTime) {
-            self.run_until(at);
-            let fx = self.lm.quiesce(at);
-            self.apply(fx);
-            self.run_until(SimTime::MAX);
-        }
-    }
+    use crate::SimpleHost;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -608,16 +567,13 @@ mod tests {
 
     #[test]
     fn commit_and_flush_lifecycle() {
-        let mut h = Host::new(hybrid(vec![8, 8], false));
-        let fx = h.lm.begin(t(0), Tid(1));
-        h.apply(fx);
-        let fx = h.lm.write_data(t(1), Tid(1), Oid(1_000_000), 1, 100);
-        h.apply(fx);
-        let fx = h.lm.write_data(t(2), Tid(1), Oid(5_000_000), 2, 100);
-        h.apply(fx);
-        let fx = h.lm.commit_request(t(3), Tid(1));
-        h.apply(fx);
-        h.drain(t(4));
+        let mut h = SimpleHost::new(hybrid(vec![8, 8], false));
+        h.begin(t(0), Tid(1));
+        h.write(t(1), Tid(1), Oid(1_000_000), 1, 100);
+        h.write(t(2), Tid(1), Oid(5_000_000), 2, 100);
+        h.commit(t(3), Tid(1));
+        h.quiesce(t(4));
+        h.run_to_completion();
         assert_eq!(h.acks, vec![Tid(1)]);
         assert_eq!(h.lm.stable_db().len(), 2);
         assert_eq!(h.lm.txns.len(), 0, "fully flushed txn disposed");
@@ -626,14 +582,12 @@ mod tests {
 
     #[test]
     fn abort_leaves_no_trace() {
-        let mut h = Host::new(hybrid(vec![8, 8], false));
-        let fx = h.lm.begin(t(0), Tid(1));
-        h.apply(fx);
-        let fx = h.lm.write_data(t(1), Tid(1), Oid(7), 1, 100);
-        h.apply(fx);
-        let fx = h.lm.abort(t(2), Tid(1));
-        h.apply(fx);
-        h.drain(t(3));
+        let mut h = SimpleHost::new(hybrid(vec![8, 8], false));
+        h.begin(t(0), Tid(1));
+        h.write(t(1), Tid(1), Oid(7), 1, 100);
+        h.abort(t(2), Tid(1));
+        h.quiesce(t(3));
+        h.run_to_completion();
         assert!(h.lm.stable_db().is_empty());
         assert_eq!(h.lm.txns.len(), 0);
     }
@@ -643,31 +597,25 @@ mod tests {
     fn anchor_relocation_regenerates_all_records() {
         // A long transaction's anchor at queue 0's head drags every record
         // to queue 1 — including records physically in younger blocks.
-        let mut h = Host::new(hybrid(vec![3, 24], false));
-        let fx = h.lm.begin(t(0), Tid(999));
-        h.apply(fx);
-        let fx = h.lm.write_data(t(1), Tid(999), Oid(1), 1, 100);
-        h.apply(fx);
+        let mut h = SimpleHost::new(hybrid(vec![3, 24], false));
+        h.begin(t(0), Tid(999));
+        h.write(t(1), Tid(999), Oid(1), 1, 100);
 
         // Push ~8 blocks of short-transaction traffic through queue 0.
         let mut tid = 0u64;
         for burst in 0..30 {
             let at = t(10 + burst * 10);
-            h.run_until(at);
-            let fx = h.lm.begin(at, Tid(tid));
-            h.apply(fx);
+            h.begin(at, Tid(tid));
             for r in 0..3u32 {
                 let oid = ((tid * 3 + u64::from(r)) * 997_003) % 10_000_000;
-                let fx = h.lm.write_data(at + t(1), Tid(tid), Oid(oid), r + 1, 100);
-                h.apply(fx);
+                h.write(at + t(1), Tid(tid), Oid(oid), r + 1, 100);
             }
-            let fx = h.lm.commit_request(at + t(5), Tid(tid));
-            h.apply(fx);
+            h.commit(at + t(5), Tid(tid));
             tid += 1;
         }
-        let fx = h.lm.commit_request(t(500), Tid(999));
-        h.apply(fx);
-        h.drain(t(501));
+        h.commit(t(500), Tid(999));
+        h.quiesce(t(501));
+        h.run_to_completion();
 
         assert!(
             h.acks.contains(&Tid(999)),
@@ -684,27 +632,22 @@ mod tests {
     #[test]
     #[allow(clippy::explicit_counter_loop)]
     fn no_recirc_last_queue_kills_active_anchor() {
-        let mut h = Host::new(hybrid(vec![3, 3], false));
-        let fx = h.lm.begin(t(0), Tid(999));
-        h.apply(fx);
-        let fx = h.lm.write_data(t(1), Tid(999), Oid(1), 1, 100);
-        h.apply(fx);
+        let mut h = SimpleHost::new(hybrid(vec![3, 3], false));
+        h.begin(t(0), Tid(999));
+        h.write(t(1), Tid(999), Oid(1), 1, 100);
         let mut tid = 0u64;
         for burst in 0..150 {
             let at = t(10 + burst * 10);
-            h.run_until(at);
-            let fx = h.lm.begin(at, Tid(tid));
-            h.apply(fx);
+            h.begin(at, Tid(tid));
             for r in 0..3u32 {
                 let oid = ((tid * 3 + u64::from(r)) * 997_003) % 10_000_000;
-                let fx = h.lm.write_data(at + t(1), Tid(tid), Oid(oid), r + 1, 100);
-                h.apply(fx);
+                h.write(at + t(1), Tid(tid), Oid(oid), r + 1, 100);
             }
-            let fx = h.lm.commit_request(at + t(5), Tid(tid));
-            h.apply(fx);
+            h.commit(at + t(5), Tid(tid));
             tid += 1;
         }
-        h.drain(t(2000));
+        h.quiesce(t(2000));
+        h.run_to_completion();
         assert!(
             h.kills.contains(&Tid(999)),
             "6-block hybrid log must kill it"
@@ -715,24 +658,20 @@ mod tests {
     fn memory_is_per_transaction_only() {
         // A transaction with many updates costs the same as one with one
         // update — the hybrid's whole selling point.
-        let mut small = Host::new(hybrid(vec![16, 16], false));
-        let fx = small.lm.begin(t(0), Tid(1));
-        small.apply(fx);
-        let fx = small.lm.write_data(t(1), Tid(1), Oid(1), 1, 100);
-        small.apply(fx);
+        let mut small = SimpleHost::new(hybrid(vec![16, 16], false));
+        small.begin(t(0), Tid(1));
+        small.write(t(1), Tid(1), Oid(1), 1, 100);
 
-        let mut big = Host::new(hybrid(vec![16, 16], false));
-        let fx = big.lm.begin(t(0), Tid(1));
-        big.apply(fx);
+        let mut big = SimpleHost::new(hybrid(vec![16, 16], false));
+        big.begin(t(0), Tid(1));
         for i in 0..15u32 {
-            let fx = big.lm.write_data(
+            big.write(
                 t(1 + u64::from(i)),
                 Tid(1),
                 Oid(u64::from(i) * 500_000),
                 i + 1,
                 100,
             );
-            big.apply(fx);
         }
         assert_eq!(small.lm.peak_memory_bytes(), big.lm.peak_memory_bytes());
     }

@@ -206,28 +206,17 @@ impl LogManager for crate::HybridManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ElManager, HybridManager};
+    use crate::{ElManager, HybridManager, SimpleHost};
     use elog_model::{DbConfig, FlushConfig, LogConfig};
 
-    fn drive<L: LogManager>(lm: &mut L) -> (Vec<Tid>, u64) {
-        let mut acks = Vec::new();
-        let mut timers = Vec::new();
-        let t0 = SimTime::ZERO;
-        let mut fx = lm.begin(t0, Tid(1));
-        fx.merge(lm.write_data(SimTime::from_millis(1), Tid(1), Oid(7), 1, 100));
-        fx.merge(lm.commit_request(SimTime::from_millis(2), Tid(1)));
-        fx.merge(lm.quiesce(SimTime::from_millis(3)));
-        timers.extend(fx.timers);
-        acks.extend(fx.acks);
-        // Deliver timers in time order until quiescent.
-        while !timers.is_empty() {
-            timers.sort_by_key(|(at, _)| *at);
-            let (at, t) = timers.remove(0);
-            let fx = lm.handle_timer(at, t);
-            timers.extend(fx.timers);
-            acks.extend(fx.acks);
-        }
-        (acks, lm.log_writes())
+    fn drive<L: LogManager>(lm: L) -> (Vec<Tid>, u64) {
+        let mut h = SimpleHost::new(lm);
+        h.begin(SimTime::ZERO, Tid(1));
+        h.write(SimTime::from_millis(1), Tid(1), Oid(7), 1, 100);
+        h.commit(SimTime::from_millis(2), Tid(1));
+        h.quiesce(SimTime::from_millis(3));
+        h.run_to_completion();
+        (h.acks, h.lm.log_writes())
     }
 
     #[test]
@@ -236,14 +225,14 @@ mod tests {
             generation_blocks: vec![8, 8],
             ..LogConfig::default()
         };
-        let mut el = ElManager::ephemeral(log.clone(), FlushConfig::default());
-        let (acks, writes) = drive(&mut el);
+        let el = ElManager::ephemeral(log.clone(), FlushConfig::default());
+        let (acks, writes) = drive(el);
         assert_eq!(acks, vec![Tid(1)]);
         assert!(writes > 0);
 
-        let mut hy = HybridManager::new(DbConfig::default(), log, FlushConfig::default())
+        let hy = HybridManager::new(DbConfig::default(), log, FlushConfig::default())
             .expect("valid configuration");
-        let (acks, writes) = drive(&mut hy);
+        let (acks, writes) = drive(hy);
         assert_eq!(acks, vec![Tid(1)]);
         assert!(writes > 0);
     }

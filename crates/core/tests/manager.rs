@@ -1,97 +1,16 @@
-//! End-to-end tests of the log manager through its public API, driven by a
-//! miniature event loop.
+//! End-to-end tests of the log manager through its public API, driven by
+//! `SimpleHost`.
 #![allow(clippy::explicit_counter_loop)] // tids advance with bursts by design
 
-use elog_core::{Effects, ElConfig, ElManager, LmTimer, MemoryModel};
+use elog_core::{ElConfig, ElManager, MemoryModel, SimpleHost};
 use elog_model::config::UnflushedAtHead;
 use elog_model::{FlushConfig, LogConfig, Oid, Tid};
-use elog_sim::{EventQueue, SimTime};
+use elog_sim::SimTime;
 
 const MS: u64 = 1;
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_millis(ms * MS)
-}
-
-/// Mini host: schedules the manager's timers and records notifications.
-struct Host {
-    lm: ElManager,
-    q: EventQueue<LmTimer>,
-    acks: Vec<Tid>,
-    kills: Vec<Tid>,
-    now: SimTime,
-}
-
-impl Host {
-    fn new(lm: ElManager) -> Self {
-        Host {
-            lm,
-            q: EventQueue::new(),
-            acks: Vec::new(),
-            kills: Vec::new(),
-            now: SimTime::ZERO,
-        }
-    }
-
-    fn apply(&mut self, fx: Effects) {
-        for (at, timer) in fx.timers {
-            self.q.schedule(at, timer);
-        }
-        self.acks.extend(fx.acks);
-        self.kills.extend(fx.kills);
-    }
-
-    /// Delivers pending timers up to and including `until`.
-    fn run_until(&mut self, until: SimTime) {
-        while let Some(at) = self.q.peek_time() {
-            if at > until {
-                break;
-            }
-            let (at, timer) = self.q.pop().expect("peeked");
-            assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            let fx = self.lm.handle_timer(at, timer);
-            self.apply(fx);
-        }
-        self.now = self.now.max(until);
-    }
-
-    fn begin(&mut self, at: SimTime, tid: u64) {
-        self.run_until(at);
-        let fx = self.lm.begin(at, Tid(tid));
-        self.apply(fx);
-    }
-
-    fn write(&mut self, at: SimTime, tid: u64, oid: u64, seq: u32, size: u32) {
-        self.run_until(at);
-        let fx = self.lm.write_data(at, Tid(tid), Oid(oid), seq, size);
-        self.apply(fx);
-    }
-
-    fn commit(&mut self, at: SimTime, tid: u64) {
-        self.run_until(at);
-        let fx = self.lm.commit_request(at, Tid(tid));
-        self.apply(fx);
-    }
-
-    fn abort(&mut self, at: SimTime, tid: u64) {
-        self.run_until(at);
-        let fx = self.lm.abort(at, Tid(tid));
-        self.apply(fx);
-    }
-
-    fn quiesce(&mut self, at: SimTime) {
-        self.run_until(at);
-        let fx = self.lm.quiesce(at);
-        self.apply(fx);
-    }
-
-    /// Quiesce and drain everything outstanding (writes + flushes).
-    fn drain(&mut self, from: SimTime) -> SimTime {
-        self.quiesce(from);
-        self.run_until(SimTime::MAX);
-        self.now
-    }
 }
 
 fn small_el(g0: u32, g1: u32, recirc: bool) -> ElManager {
@@ -105,14 +24,16 @@ fn small_el(g0: u32, g1: u32, recirc: bool) -> ElManager {
 
 #[test]
 fn single_transaction_commit_and_flush() {
-    let mut h = Host::new(small_el(8, 8, false));
-    h.begin(t(0), 1);
-    h.write(t(100), 1, 42, 1, 100);
-    h.write(t(200), 1, 43, 2, 100);
-    h.commit(t(300), 1);
+    let mut h = SimpleHost::new(small_el(8, 8, false));
+    h.begin(t(0), Tid(1));
+    h.write(t(100), Tid(1), Oid(42), 1, 100);
+    h.write(t(200), Tid(1), Oid(43), 2, 100);
+    h.commit(t(300), Tid(1));
     assert!(h.acks.is_empty(), "no ack before the buffer is durable");
 
-    let end = h.drain(t(301));
+    h.quiesce(t(301));
+
+    let end = h.run_to_completion();
     assert_eq!(h.acks, vec![Tid(1)]);
     assert!(h.kills.is_empty());
 
@@ -140,15 +61,15 @@ fn group_commit_acks_when_block_fills() {
     // 2000-byte payload: 19 × 100 B data records + 8 B begin + 8 B commit
     // won't fill it; write enough records from a second txn to fill the
     // block and trigger the write without quiescing.
-    let mut h = Host::new(small_el(8, 8, false));
-    h.begin(t(0), 1);
-    h.write(t(1), 1, 1, 1, 100);
-    h.commit(t(2), 1);
+    let mut h = SimpleHost::new(small_el(8, 8, false));
+    h.begin(t(0), Tid(1));
+    h.write(t(1), Tid(1), Oid(1), 1, 100);
+    h.commit(t(2), Tid(1));
     assert!(h.acks.is_empty());
 
-    h.begin(t(3), 2);
+    h.begin(t(3), Tid(2));
     for i in 0..20 {
-        h.write(t(4 + i), 2, 100 + i, (i + 1) as u32, 100);
+        h.write(t(4 + i), Tid(2), Oid(100 + i), (i + 1) as u32, 100);
     }
     // The first block sealed; 15 ms later txn 1's commit is durable.
     h.run_until(t(60));
@@ -158,10 +79,10 @@ fn group_commit_acks_when_block_fills() {
 
 #[test]
 fn commit_latency_is_write_latency_after_seal() {
-    let mut h = Host::new(small_el(8, 8, false));
-    h.begin(t(0), 1);
-    h.write(t(1), 1, 7, 1, 100);
-    h.commit(t(10), 1);
+    let mut h = SimpleHost::new(small_el(8, 8, false));
+    h.begin(t(0), Tid(1));
+    h.write(t(1), Tid(1), Oid(7), 1, 100);
+    h.commit(t(10), Tid(1));
     h.quiesce(t(10));
     h.run_until(t(24));
     assert!(h.acks.is_empty(), "15 ms write not done at +14 ms");
@@ -174,19 +95,19 @@ fn commit_latency_is_write_latency_after_seal() {
 /// records/burst the update rate is 300/s — inside the flush array's
 /// 400/s, so no committed-unflushed backlog builds up.
 #[allow(clippy::explicit_counter_loop)] // tid advances with each burst by design
-fn pump_short_txns(h: &mut Host, bursts: u64, records: u32, first_tid: u64) -> u64 {
+fn pump_short_txns(h: &mut SimpleHost, bursts: u64, records: u32, first_tid: u64) -> u64 {
     let mut tid = first_tid;
     for burst in 0..bursts {
         let at = t(10 + burst * 10);
-        h.begin(at, tid);
+        h.begin(at, Tid(tid));
         for r in 0..records {
             // Spread oids over the whole space so flush work range-partitions
             // across all drives (clustered oids would serialise on one
             // drive and starve flushing, as §3's partitioning implies).
             let oid = ((tid * u64::from(records) + u64::from(r)) * 997_003) % 10_000_000;
-            h.write(at + t(1), tid, oid, r + 1, 100);
+            h.write(at + t(1), Tid(tid), Oid(oid), r + 1, 100);
         }
-        h.commit(at + t(5), tid);
+        h.commit(at + t(5), Tid(tid));
         tid += 1;
     }
     tid
@@ -198,17 +119,18 @@ fn long_transaction_records_are_forwarded_not_killed() {
     // gen0 of 3 blocks wraps every ~190 ms under 31.6 KB/s of short-txn
     // traffic; the long transaction's record must be forwarded to gen1,
     // which at 12 blocks never pressures it.
-    let mut h = Host::new(small_el(3, 12, false));
-    h.begin(t(0), 999);
-    h.write(t(1), 999, 5, 1, 100);
+    let mut h = SimpleHost::new(small_el(3, 12, false));
+    h.begin(t(0), Tid(999));
+    h.write(t(1), Tid(999), Oid(5), 1, 100);
 
     pump_short_txns(&mut h, 40, 3, 0);
-    h.commit(t(450), 999);
-    h.drain(t(451));
+    h.commit(t(450), Tid(999));
+    h.quiesce(t(451));
+    h.run_to_completion();
 
     assert!(h.kills.is_empty(), "long txn must survive via forwarding");
     assert!(h.acks.contains(&Tid(999)));
-    let m = h.lm.metrics(h.now);
+    let m = h.lm.metrics(h.now());
     assert!(m.stats.forwarded_records > 0, "gen0 wrap must forward");
     assert!(m.per_gen_writes[1] > 0, "gen1 received forwarded buffers");
     assert_eq!(m.stats.unsafe_drops, 0);
@@ -222,12 +144,13 @@ fn no_recirc_last_generation_kills_long_transaction() {
     // recirculation is disabled and a transaction's non-garbage log record
     // reaches the head of the last generation while it is still executing,
     // the LM kills the transaction").
-    let mut h = Host::new(small_el(3, 3, false));
-    h.begin(t(0), 999);
-    h.write(t(1), 999, 5, 1, 100);
+    let mut h = SimpleHost::new(small_el(3, 3, false));
+    h.begin(t(0), Tid(999));
+    h.write(t(1), Tid(999), Oid(5), 1, 100);
 
     pump_short_txns(&mut h, 150, 3, 0); // 1.5 s of traffic; 999 never commits
-    h.drain(t(2000));
+    h.quiesce(t(2000));
+    h.run_to_completion();
     assert!(
         h.kills.contains(&Tid(999)),
         "long txn must die in a 6-block log"
@@ -252,13 +175,14 @@ fn recirculation_saves_the_long_transaction() {
         drives: 10,
         transfer_time: SimTime::from_millis(30),
     };
-    let mut h = Host::new(ElManager::ephemeral(log, flush));
-    h.begin(t(0), 999);
-    h.write(t(1), 999, 5, 1, 100);
+    let mut h = SimpleHost::new(ElManager::ephemeral(log, flush));
+    h.begin(t(0), Tid(999));
+    h.write(t(1), Tid(999), Oid(5), 1, 100);
 
     pump_short_txns(&mut h, 150, 3, 0);
-    h.commit(t(1600), 999);
-    h.drain(t(1601));
+    h.commit(t(1600), Tid(999));
+    h.quiesce(t(1601));
+    h.run_to_completion();
     assert!(
         !h.kills.contains(&Tid(999)),
         "recirculation must keep it alive"
@@ -273,42 +197,56 @@ fn recirculation_saves_the_long_transaction() {
 
 #[test]
 fn firewall_kills_under_space_pressure() {
-    let mut h = Host::new(ElManager::firewall(4, FlushConfig::default()));
-    h.begin(t(0), 999);
-    h.write(t(1), 999, 5, 1, 100);
+    let mut h = SimpleHost::new(ElManager::firewall(4, FlushConfig::default()));
+    h.begin(t(0), Tid(999));
+    h.write(t(1), Tid(999), Oid(5), 1, 100);
 
     let mut tid = 0;
     for burst in 0..40u64 {
         let at = t(10 + burst * 10);
-        h.begin(at, tid);
+        h.begin(at, Tid(tid));
         for r in 0..10u32 {
-            h.write(at + t(1), tid, 1000 + tid * 100 + u64::from(r), r + 1, 100);
+            h.write(
+                at + t(1),
+                Tid(tid),
+                Oid(1000 + tid * 100 + u64::from(r)),
+                r + 1,
+                100,
+            );
         }
-        h.commit(at + t(5), tid);
+        h.commit(at + t(5), Tid(tid));
         tid += 1;
     }
-    h.drain(t(1000));
+    h.quiesce(t(1000));
+    h.run_to_completion();
     assert!(h.kills.contains(&Tid(999)), "firewall txn must be killed");
     h.lm.check_invariants();
 }
 
 #[test]
 fn firewall_with_enough_space_never_kills() {
-    let mut h = Host::new(ElManager::firewall(64, FlushConfig::default()));
-    h.begin(t(0), 999);
-    h.write(t(1), 999, 5, 1, 100);
+    let mut h = SimpleHost::new(ElManager::firewall(64, FlushConfig::default()));
+    h.begin(t(0), Tid(999));
+    h.write(t(1), Tid(999), Oid(5), 1, 100);
     let mut tid = 0;
     for burst in 0..40u64 {
         let at = t(10 + burst * 10);
-        h.begin(at, tid);
+        h.begin(at, Tid(tid));
         for r in 0..10u32 {
-            h.write(at + t(1), tid, 1000 + tid * 100 + u64::from(r), r + 1, 100);
+            h.write(
+                at + t(1),
+                Tid(tid),
+                Oid(1000 + tid * 100 + u64::from(r)),
+                r + 1,
+                100,
+            );
         }
-        h.commit(at + t(5), tid);
+        h.commit(at + t(5), Tid(tid));
         tid += 1;
     }
-    h.commit(t(500), 999);
-    h.drain(t(501));
+    h.commit(t(500), Tid(999));
+    h.quiesce(t(501));
+    h.run_to_completion();
     assert!(h.kills.is_empty());
     assert!(h.acks.contains(&Tid(999)));
     assert_eq!(h.lm.stats().unsafe_drops, 0);
@@ -316,20 +254,21 @@ fn firewall_with_enough_space_never_kills() {
 
 #[test]
 fn abort_cleans_everything() {
-    let mut h = Host::new(small_el(8, 8, false));
-    h.begin(t(0), 1);
-    h.write(t(1), 1, 42, 1, 100);
-    h.write(t(2), 1, 43, 2, 100);
-    h.abort(t(3), 1);
+    let mut h = SimpleHost::new(small_el(8, 8, false));
+    h.begin(t(0), Tid(1));
+    h.write(t(1), Tid(1), Oid(42), 1, 100);
+    h.write(t(2), Tid(1), Oid(43), 2, 100);
+    h.abort(t(3), Tid(1));
     assert_eq!(h.lm.ltt_len(), 0);
     assert_eq!(h.lm.lot_len(), 0);
     assert_eq!(h.lm.stats().aborts, 1);
     h.lm.check_invariants();
 
     // A write after abort is ignored, not fatal.
-    h.write(t(4), 1, 44, 3, 100);
+    h.write(t(4), Tid(1), Oid(44), 3, 100);
     assert_eq!(h.lm.stats().ignored_writes, 1);
-    h.drain(t(5));
+    h.quiesce(t(5));
+    h.run_to_completion();
     assert!(h.lm.stable_db().is_empty(), "aborted updates never flush");
 }
 
@@ -345,18 +284,19 @@ fn supersession_makes_old_committed_update_garbage() {
         drives: 1,
         transfer_time: SimTime::from_millis(500),
     };
-    let mut h = Host::new(ElManager::ephemeral(log, flush));
+    let mut h = SimpleHost::new(ElManager::ephemeral(log, flush));
 
-    h.begin(t(0), 1);
-    h.write(t(1), 1, 42, 1, 100);
-    h.commit(t(2), 1);
+    h.begin(t(0), Tid(1));
+    h.write(t(1), Tid(1), Oid(42), 1, 100);
+    h.commit(t(2), Tid(1));
     h.quiesce(t(2));
     h.run_until(t(30)); // ack for txn 1; flush of (42, txn1) in service
 
-    h.begin(t(31), 2);
-    h.write(t(32), 2, 42, 1, 100);
-    h.commit(t(33), 2);
-    let end = h.drain(t(34));
+    h.begin(t(31), Tid(2));
+    h.write(t(32), Tid(2), Oid(42), 1, 100);
+    h.commit(t(33), Tid(2));
+    h.quiesce(t(34));
+    let end = h.run_to_completion();
 
     assert_eq!(h.acks, vec![Tid(1), Tid(2)]);
     let v = h.lm.stable_db().version(Oid(42)).unwrap();
@@ -381,33 +321,29 @@ fn a_cloned_manager_and_its_original_diverge_independently() {
         generation_blocks: vec![8, 8],
         ..LogConfig::default()
     };
-    let mut a = Host::new(ElManager::ephemeral(log, flush));
-    a.begin(t(0), 1);
+    let mut a = SimpleHost::new(ElManager::ephemeral(log, flush));
+    a.begin(t(0), Tid(1));
     for (i, oid) in [10, 11, 12].into_iter().enumerate() {
-        a.write(t(1 + i as u64), 1, oid, 1 + i as u32, 100);
+        a.write(t(1 + i as u64), Tid(1), Oid(oid), 1 + i as u32, 100);
     }
-    a.commit(t(5), 1);
+    a.commit(t(5), Tid(1));
     a.quiesce(t(5));
     a.run_until(t(100)); // acked; first flush landed, two still on the drive
     assert_eq!(a.acks, vec![Tid(1)]);
 
     // Fork with the fold cold (never read), then warm the original's.
-    let mut b = Host {
-        lm: a.lm.clone(),
-        q: a.q.clone(),
-        acks: a.acks.clone(),
-        kills: Vec::new(),
-        now: a.now,
-    };
+    let mut b = a.clone();
     assert_eq!(a.lm.stable_db().len(), 1);
 
     // Only the original commits a second transaction.
-    a.begin(t(101), 2);
-    a.write(t(102), 2, 10, 1, 100);
-    a.write(t(103), 2, 20, 2, 100);
-    a.commit(t(104), 2);
-    a.drain(t(105));
-    b.drain(t(105));
+    a.begin(t(101), Tid(2));
+    a.write(t(102), Tid(2), Oid(10), 1, 100);
+    a.write(t(103), Tid(2), Oid(20), 2, 100);
+    a.commit(t(104), Tid(2));
+    a.quiesce(t(105));
+    a.run_to_completion();
+    b.quiesce(t(105));
+    b.run_to_completion();
 
     let (da, db) = (a.lm.stable_db(), b.lm.stable_db());
     assert_eq!((da.len(), da.installs()), (4, 5));
@@ -418,12 +354,13 @@ fn a_cloned_manager_and_its_original_diverge_independently() {
     assert_eq!(da.version(Oid(12)), db.version(Oid(12)));
 
     // A fork taken with the fold warm does not keep serving it.
-    let mut c = Host::new(a.lm.clone());
+    let mut c = SimpleHost::new(a.lm.clone());
     assert_eq!(c.lm.stable_db().installs(), 5);
-    c.begin(t(1000), 3);
-    c.write(t(1001), 3, 30, 1, 100);
-    c.commit(t(1002), 3);
-    c.drain(t(1003));
+    c.begin(t(1000), Tid(3));
+    c.write(t(1001), Tid(3), Oid(30), 1, 100);
+    c.commit(t(1002), Tid(3));
+    c.quiesce(t(1003));
+    c.run_to_completion();
     assert_eq!(c.lm.stable_db().installs(), 6);
     assert_eq!(a.lm.stable_db().installs(), 5);
     for h in [&a, &b, &c] {
@@ -439,12 +376,12 @@ fn memory_models_price_differently() {
         ..LogConfig::default()
     };
 
-    let mut el = Host::new(ElManager::ephemeral(log, flush.clone()));
-    let mut fw = Host::new(ElManager::firewall(16, flush));
+    let mut el = SimpleHost::new(ElManager::ephemeral(log, flush.clone()));
+    let mut fw = SimpleHost::new(ElManager::firewall(16, flush));
     for h in [&mut el, &mut fw] {
-        h.begin(t(0), 1);
-        h.write(t(1), 1, 42, 1, 100);
-        h.write(t(2), 1, 43, 2, 100);
+        h.begin(t(0), Tid(1));
+        h.write(t(1), Tid(1), Oid(42), 1, 100);
+        h.write(t(2), Tid(1), Oid(43), 2, 100);
     }
     // EL: 40 per txn + 40 per object = 40 + 80 = 120.
     assert_eq!(el.lm.peak_memory_bytes(), 120);
@@ -465,19 +402,26 @@ fn force_flush_policy_expedites() {
         drives: 1,
         transfer_time: SimTime::from_millis(2000),
     };
-    let mut h = Host::new(ElManager::ephemeral(log, flush));
+    let mut h = SimpleHost::new(ElManager::ephemeral(log, flush));
 
     let mut tid = 0;
     for burst in 0..30u64 {
         let at = t(10 + burst * 10);
-        h.begin(at, tid);
+        h.begin(at, Tid(tid));
         for r in 0..10u32 {
-            h.write(at + t(1), tid, 1000 + tid * 100 + u64::from(r), r + 1, 100);
+            h.write(
+                at + t(1),
+                Tid(tid),
+                Oid(1000 + tid * 100 + u64::from(r)),
+                r + 1,
+                100,
+            );
         }
-        h.commit(at + t(5), tid);
+        h.commit(at + t(5), Tid(tid));
         tid += 1;
     }
-    h.drain(t(10_000));
+    h.quiesce(t(10_000));
+    h.run_to_completion();
     assert!(
         h.lm.stats().forced_flushes > 0,
         "policy must expedite head arrivals"
@@ -487,10 +431,10 @@ fn force_flush_policy_expedites() {
 
 #[test]
 fn quiesce_is_idempotent() {
-    let mut h = Host::new(small_el(8, 8, false));
-    h.begin(t(0), 1);
-    h.write(t(1), 1, 42, 1, 100);
-    h.commit(t(2), 1);
+    let mut h = SimpleHost::new(small_el(8, 8, false));
+    h.begin(t(0), Tid(1));
+    h.write(t(1), Tid(1), Oid(42), 1, 100);
+    h.commit(t(2), Tid(1));
     h.quiesce(t(3));
     h.quiesce(t(3));
     h.quiesce(t(3));
@@ -500,10 +444,10 @@ fn quiesce_is_idempotent() {
 
 #[test]
 fn log_surface_contains_committed_records() {
-    let mut h = Host::new(small_el(8, 8, false));
-    h.begin(t(0), 1);
-    h.write(t(1), 1, 42, 1, 100);
-    h.commit(t(2), 1);
+    let mut h = SimpleHost::new(small_el(8, 8, false));
+    h.begin(t(0), Tid(1));
+    h.write(t(1), Tid(1), Oid(42), 1, 100);
+    h.commit(t(2), Tid(1));
     h.quiesce(t(2));
     h.run_until(t(17)); // install done at +15 ms
 
@@ -522,11 +466,11 @@ fn group_commit_timeout_bounds_latency() {
     };
     let mut cfg = ElConfig::ephemeral(log, FlushConfig::default());
     cfg.group_commit_timeout = Some(SimTime::from_millis(20));
-    let mut h = Host::new(ElManager::new(cfg).unwrap());
+    let mut h = SimpleHost::new(ElManager::new(cfg).unwrap());
 
-    h.begin(t(0), 1);
-    h.write(t(1), 1, 42, 1, 100);
-    h.commit(t(2), 1);
+    h.begin(t(0), Tid(1));
+    h.write(t(1), Tid(1), Oid(42), 1, 100);
+    h.commit(t(2), Tid(1));
     // No quiesce: the 20 ms timeout seals the buffer, +15 ms write.
     h.run_until(t(120));
     assert_eq!(h.acks, vec![Tid(1)], "timeout must bound commit latency");
@@ -534,13 +478,14 @@ fn group_commit_timeout_bounds_latency() {
 
 #[test]
 fn metrics_snapshot_consistency() {
-    let mut h = Host::new(small_el(8, 8, false));
+    let mut h = SimpleHost::new(small_el(8, 8, false));
     for tid in 0..10u64 {
-        h.begin(t(tid * 10), tid);
-        h.write(t(tid * 10 + 1), tid, 100 + tid, 1, 100);
-        h.commit(t(tid * 10 + 5), tid);
+        h.begin(t(tid * 10), Tid(tid));
+        h.write(t(tid * 10 + 1), Tid(tid), Oid(100 + tid), 1, 100);
+        h.commit(t(tid * 10 + 5), Tid(tid));
     }
-    let end = h.drain(t(200));
+    h.quiesce(t(200));
+    let end = h.run_to_completion();
     let m = h.lm.metrics(end);
     assert_eq!(m.total_blocks, 16);
     assert_eq!(m.per_gen_blocks, vec![8, 8]);
@@ -554,10 +499,11 @@ fn metrics_snapshot_consistency() {
 
 #[test]
 fn commit_of_update_free_transaction() {
-    let mut h = Host::new(small_el(8, 8, false));
-    h.begin(t(0), 1);
-    h.commit(t(1), 1);
-    h.drain(t(2));
+    let mut h = SimpleHost::new(small_el(8, 8, false));
+    h.begin(t(0), Tid(1));
+    h.commit(t(1), Tid(1));
+    h.quiesce(t(2));
+    h.run_to_completion();
     assert_eq!(h.acks, vec![Tid(1)]);
     assert_eq!(h.lm.ltt_len(), 0, "entry disposed immediately after ack");
     h.lm.check_invariants();

@@ -1,37 +1,25 @@
-//! Crash-point injection: frozen disk images of a live run.
+//! Crash and restart: the one recovery pipeline.
 //!
-//! A live EL or FW run is advanced to configurable *crash points* —
-//! fractions of its horizon named for the phase the log is in when the
-//! crash lands — and at each point the durable disk surface is
-//! snapshotted and serialised through the byte-level codec
-//! ([`elog_storage::encode_surface`]), together with the stable database
-//! and the oracle of acknowledged commits: everything `scan_bytes` +
-//! `recover` may read, and the ground truth to hold the result against.
-//! The tests below recover every image; `elbench`'s `recover` workload
-//! (`benchmark/`) times the same images.
+//! [`crash`] freezes a live run's durable state: the disk surface encoded
+//! through the byte-level codec, the stable database and the oracle of
+//! acknowledged commits. [`restart`] is what a restart does with that
+//! image: `scan_bytes` → `recover` → `check_against_oracle`, plus the 1993
+//! time model. Every recovery in the harness goes through the pair
+//! (`repro`'s recovery table, the `crash_recovery` example, the
+//! integration tests), and `elbench`'s `recover` workload (`benchmark/`)
+//! times the same images.
 //!
-//! Crash-point semantics (documented in DESIGN.md):
-//!
-//! * **mid-forwarding** (25 % of the horizon): generation 0 has wrapped
-//!   and is actively forwarding long-transaction records; the last
-//!   generation is still filling. The surface holds the most *stale*
-//!   gen0 copies relative to its size.
-//! * **mid-flush** (55 %): steady state — flush traffic, commits and
-//!   forwarding all in flight. The snapshot additionally carries one
-//!   *torn duplicate* of the newest durable block (a half-written
-//!   recirculation copy, exactly what a crash mid-write leaves), so the
-//!   corrupt-block path is exercised; the intact original is still
-//!   present, so recovery must still verify.
-//! * **post-wrap** (95 %): every generation, recirculation included, has
-//!   cycled; stale physical copies are at their steady-state maximum and
-//!   the scan's dedup does the most work.
-//!
-//! Because the engine supports incremental `run_until`, one forward run
-//! per configuration serves all its crash points: the run is paused at
-//! each point, snapshotted, and resumed.
+//! [`snapshot_run`] pauses one run at each of several [`CrashPoint`]s —
+//! fractions of its horizon named for the phase the log is in (DESIGN.md
+//! §5e) — and crashes it there. [`MID_FLUSH`] adds a torn duplicate of the
+//! newest block, so the corrupt-block path runs without losing state.
 
-use crate::runner::{build_model, RunConfig};
+use crate::runner::{build_model, RunConfig, SimModel};
 use elog_model::{CommittedOracle, StableDb};
+use elog_recovery::{
+    check_against_oracle, estimate_recovery_time, recover, scan_bytes, RecoveredState,
+    RecoveryTimeModel, ScanStats, VerifyReport,
+};
 use elog_sim::SimTime;
 use elog_storage::encode_surface;
 
@@ -97,8 +85,52 @@ pub struct CrashSnapshot {
     pub per_gen_blocks: Vec<u64>,
 }
 
-/// Advances one run through `points` (sorted by fraction), snapshotting
-/// the disk surface at each. `label` prefixes each snapshot's label.
+/// Freezes `model` as a crash at `at` leaves it: the durable blocks
+/// serialised, the stable database, and the acknowledged commits (empty
+/// unless the run tracks its oracle). Open and in-flight buffers are lost.
+pub fn crash(label: impl Into<String>, model: &SimModel, at: SimTime) -> CrashSnapshot {
+    CrashSnapshot {
+        label: label.into(),
+        at,
+        encoded: encode_surface(&model.lm.log_surface()),
+        stable: model.lm.stable_db().clone(),
+        oracle: model.oracle.clone(),
+        per_gen_blocks: model.lm.metrics(at).per_gen_blocks,
+    }
+}
+
+/// What one restart from a crash image produced.
+#[derive(Clone, Debug)]
+pub struct Restart {
+    /// The byte-level scan's accounting (torn blocks are `corrupt_blocks`).
+    pub scan: ScanStats,
+    /// The state REDO rebuilt over the stable database.
+    pub state: RecoveredState,
+    /// The rebuilt state held against the acknowledged commits.
+    pub report: VerifyReport,
+    /// Modelled 1993-hardware recovery time for the log's shape.
+    pub modelled: SimTime,
+}
+
+/// Restarts from `snap`: byte-level scan, REDO over the stable table, the
+/// oracle check, and the 1993 time model for the log's shape.
+pub fn restart(snap: &CrashSnapshot) -> Restart {
+    let (image, _errors) = scan_bytes(snap.encoded.iter().map(Vec::as_slice));
+    let state = recover(&image, &snap.stable);
+    Restart {
+        report: check_against_oracle(&snap.oracle, &state),
+        modelled: estimate_recovery_time(
+            &RecoveryTimeModel::default(),
+            &snap.per_gen_blocks,
+            image.stats.records,
+        ),
+        scan: image.stats,
+        state,
+    }
+}
+
+/// Advances one run through `points` (sorted by fraction), crashing it at
+/// each. `label` prefixes each snapshot's label.
 pub fn snapshot_run(label: &str, cfg: &RunConfig, points: &[CrashPoint]) -> Vec<CrashSnapshot> {
     let cfg = cfg.clone().track_oracle(true);
     let mut sorted: Vec<CrashPoint> = points.to_vec();
@@ -113,20 +145,11 @@ pub fn snapshot_run(label: &str, cfg: &RunConfig, points: &[CrashPoint]) -> Vec<
         );
         let at = p.instant(cfg.runtime);
         engine.run_until(at);
-        let model = engine.model();
-        let mut encoded = encode_surface(&model.lm.log_surface());
+        let mut snap = crash(format!("{label}/{}", p.name), engine.model(), at);
         if p.torn_tail {
-            tear_newest(&mut encoded);
+            tear_newest(&mut snap.encoded);
         }
-        let metrics = model.lm.metrics(at);
-        snaps.push(CrashSnapshot {
-            label: format!("{label}/{}", p.name),
-            at,
-            encoded,
-            stable: model.lm.stable_db().clone(),
-            oracle: model.oracle.clone(),
-            per_gen_blocks: metrics.per_gen_blocks,
-        });
+        snaps.push(snap);
     }
     snaps
 }
@@ -151,10 +174,6 @@ mod tests {
     use crate::runner::{build_model_with, snapshot, RunResult};
     use elog_core::{Effects, ElManager, LmTimer, LogManager};
     use elog_model::{Oid, Tid};
-    use elog_recovery::{
-        check_against_oracle, estimate_recovery_time, recover, scan_bytes, RecoveredState,
-        RecoveryTimeModel, ScanStats,
-    };
     use std::time::Instant;
 
     /// An `ElManager` beside an eagerly maintained `StableDb`: each
@@ -274,21 +293,6 @@ mod tests {
         }
     }
 
-    /// What a restart does with one image: byte-level scan, REDO over the
-    /// stable table, the oracle check, and the 1993 time model for the
-    /// log's shape.
-    fn restart(snap: &CrashSnapshot) -> (ScanStats, RecoveredState, bool, SimTime) {
-        let (image, _errors) = scan_bytes(snap.encoded.iter().map(Vec::as_slice));
-        let state = recover(&image, &snap.stable);
-        let verified = check_against_oracle(&snap.oracle, &state).is_ok();
-        let modelled = estimate_recovery_time(
-            &RecoveryTimeModel::default(),
-            &snap.per_gen_blocks,
-            image.stats.records,
-        );
-        (image.stats, state, verified, modelled)
-    }
-
     #[test]
     fn snapshots_grow_along_the_run_and_all_points_verify() {
         let cfg = Config::quick();
@@ -298,13 +302,16 @@ mod tests {
         for snap in &snaps {
             assert!(!snap.encoded.is_empty(), "{}: empty surface", snap.label);
             assert!(!snap.oracle.is_empty(), "{}: nothing committed", snap.label);
-            let (scan, state, verified, modelled) = restart(snap);
-            assert!(verified, "{} failed verification", snap.label);
-            let (again, same_state, ..) = restart(snap);
-            assert_eq!(scan.records, again.records, "two equal passes");
-            assert_eq!(state.versions, same_state.versions, "two equal passes");
-            assert!(!state.versions.is_empty());
-            assert!(modelled > SimTime::ZERO);
+            let first = restart(snap);
+            assert!(first.report.is_ok(), "{} failed verification", snap.label);
+            let again = restart(snap);
+            assert_eq!(first.scan.records, again.scan.records, "two equal passes");
+            assert_eq!(
+                first.state.versions, again.state.versions,
+                "two equal passes"
+            );
+            assert!(!first.state.versions.is_empty());
+            assert!(first.modelled > SimTime::ZERO);
         }
     }
 
@@ -312,7 +319,7 @@ mod tests {
     fn torn_tail_is_counted_but_loses_no_state() {
         let cfg = Config::quick();
         let snaps = snapshot_run("el", &cfg.el_run(), &[MID_FLUSH]);
-        let (scan, _, verified, _) = restart(&snaps[0]);
+        let Restart { scan, report, .. } = restart(&snaps[0]);
         assert_eq!(scan.corrupt_blocks, 1, "torn duplicate rejected");
         assert_eq!(
             scan.blocks,
@@ -320,24 +327,22 @@ mod tests {
             "attempted = decoded + corrupt"
         );
         assert!(scan.corrupt_rate() > 0.0);
-        assert!(verified, "torn duplicate must not lose state");
+        assert!(report.is_ok(), "torn duplicate must not lose state");
     }
 
     #[test]
     fn firewall_surface_is_larger_and_still_recovers() {
         let cfg = Config::quick();
-        let (el, _, el_verified, el_modelled) =
-            restart(&snapshot_run("el", &cfg.el_run(), &[POST_WRAP])[0]);
-        let (fw, _, fw_verified, fw_modelled) =
-            restart(&snapshot_run("fw", &cfg.fw_run(), &[POST_WRAP])[0]);
-        assert!(fw_verified && el_verified);
+        let el = restart(&snapshot_run("el", &cfg.el_run(), &[POST_WRAP])[0]);
+        let fw = restart(&snapshot_run("fw", &cfg.fw_run(), &[POST_WRAP])[0]);
+        assert!(fw.report.is_ok() && el.report.is_ok());
         assert!(
-            fw.blocks > el.blocks,
+            fw.scan.blocks > el.scan.blocks,
             "FW ({}) must out-block EL ({})",
-            fw.blocks,
-            el.blocks
+            fw.scan.blocks,
+            el.scan.blocks
         );
-        assert!(fw_modelled > el_modelled, "less log ⇒ faster recovery");
+        assert!(fw.modelled > el.modelled, "less log ⇒ faster recovery");
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //!
 //! The paper does not measure recovery ("We do not simulate recovery so we
 //! cannot cite any quantitative results"); we go one step further and *do*
-//! recover: a run is crashed at its horizon, the surface is scanned, the
-//! single-pass REDO executes, and the result is verified against the
-//! oracle of acknowledged commits. Reported per configuration: the
-//! modelled 1993-hardware recovery time, proportional to blocks. (Earlier
+//! recover: a run is crashed at its horizon, the bytes of its surface are
+//! scanned, the single-pass REDO executes, and the result is verified
+//! against the oracle of acknowledged commits (`crashpoint::{crash,
+//! restart}`). Reported per configuration: the modelled 1993-hardware
+//! recovery time, proportional to blocks. (Earlier
 //! revisions also printed the wall-clock of the in-memory pass; that
 //! column is gone — sweep output must be byte-identical at any `--jobs`,
 //! and wall time is not.)
@@ -15,7 +16,7 @@
 use crate::report::Table;
 use crate::runner::RunConfig;
 use crate::sweep::{failure_notes, Experiment, Job, RunOutcome, Scenario};
-use elog_core::{ElConfig, MemoryModel};
+use elog_core::ElConfig;
 use elog_model::{FlushConfig, LogConfig};
 
 /// Experiment parameters.
@@ -54,13 +55,11 @@ impl Config {
 
     /// The FW run this configuration crashes.
     pub fn fw_run(&self) -> RunConfig {
-        let mut fw = RunConfig::paper(
+        RunConfig::paper(
             self.frac_long,
             ElConfig::firewall(self.fw_blocks, FlushConfig::default()),
         )
-        .runtime_secs(self.runtime_secs);
-        fw.el.memory_model = MemoryModel::Firewall;
-        fw
+        .runtime_secs(self.runtime_secs)
     }
 
     /// The EL run this configuration crashes.
@@ -109,14 +108,16 @@ pub fn table(outcomes: &[RunOutcome]) -> Table {
         ],
     );
     for o in outcomes {
-        let Some(p) = o.recovery() else { continue };
+        let Some((blocks, r)) = o.recovery() else {
+            continue;
+        };
         t.row(vec![
             o.label.clone(),
-            p.total_blocks.to_string(),
-            p.records_scanned.to_string(),
-            p.modelled.to_string(),
-            p.recovered_objects.to_string(),
-            p.verified.to_string(),
+            blocks.to_string(),
+            r.scan.records.to_string(),
+            r.modelled.to_string(),
+            r.state.versions.len().to_string(),
+            r.report.is_ok().to_string(),
         ]);
     }
     t
@@ -167,13 +168,14 @@ mod tests {
             .iter()
             .map(|o| o.recovery().expect("recovery outcome"))
             .collect();
-        for (o, p) in outcomes.iter().zip(&points) {
-            assert!(p.verified, "{} recovery must verify", o.label);
-            assert!(p.recovered_objects > 0);
+        for (o, (_, r)) in outcomes.iter().zip(&points) {
+            assert!(r.report.is_ok(), "{} recovery must verify", o.label);
+            assert!(!r.state.versions.is_empty());
         }
         // EL's smaller log must be modelled as faster to recover.
-        assert!(points[1].total_blocks < points[0].total_blocks);
-        assert!(points[1].modelled < points[0].modelled);
+        let ((fw_blocks, fw), (el_blocks, el)) = (points[0], points[1]);
+        assert!(el_blocks < fw_blocks);
+        assert!(el.modelled < fw.modelled);
         assert_eq!(table(&outcomes).len(), 2);
     }
 }

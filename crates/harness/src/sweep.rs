@@ -24,15 +24,13 @@
 //! produced it; aggregation reads the slots in order. Progress lines go
 //! to stderr only.
 
+use crate::crashpoint::{crash, restart, Restart};
 use crate::latsearch::{LatticeLimits, SearchMode, SearchRequest};
 use crate::minspace::MinSpaceResult;
 use crate::report::Table;
 use crate::runner::{build_model, build_model_with, run, RunConfig, RunResult};
 use elog_core::{HybridManager, LogManager};
-use elog_recovery::{
-    check_against_oracle, estimate_recovery_time, recover, scan_blocks, RecoveryTimeModel,
-};
-use elog_sim::{splitmix64, PerfStats, SimTime};
+use elog_sim::{splitmix64, PerfStats};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -75,7 +73,8 @@ pub enum Job {
         /// gen1 binary-search ceiling.
         g1_limit: u32,
     },
-    /// Run to the horizon, crash, scan the log surface, single-pass REDO,
+    /// Run to the horizon, then [`crate::crashpoint::crash`] and
+    /// [`crate::crashpoint::restart`]: byte-level scan, single-pass REDO,
     /// verify against the oracle.
     CrashRecover(RunConfig),
     /// One measured run of the §6 EL–FW hybrid manager (built from the
@@ -119,24 +118,6 @@ impl Scenario {
     }
 }
 
-/// Recovery outcome of a [`Job::CrashRecover`] scenario.
-///
-/// Wall-clock of the in-memory pass is deliberately absent: sweep output
-/// must be byte-identical across `--jobs` settings, and wall time is not.
-#[derive(Clone, Debug)]
-pub struct RecoveryOutcome {
-    /// Configured blocks.
-    pub total_blocks: u64,
-    /// Records examined by the scan.
-    pub records_scanned: u64,
-    /// Modelled 1993-hardware recovery time.
-    pub modelled: SimTime,
-    /// Objects reconstructed.
-    pub recovered_objects: usize,
-    /// Verification against the commit oracle passed.
-    pub verified: bool,
-}
-
 /// Outcome of a [`Job::Hybrid`] scenario.
 #[derive(Clone, Debug)]
 pub struct HybridOutcome {
@@ -164,8 +145,9 @@ pub enum Output {
         /// Full measured run at the minimum geometry.
         measured: RunResult,
     },
-    /// A crash-recovery outcome.
-    Recovery(RecoveryOutcome),
+    /// A crash-recovery outcome: the crashed run's configured blocks and
+    /// its restart. Wall time is absent: output is the same at any `--jobs`.
+    Recovery(u64, Restart),
     /// A hybrid-manager measurement.
     Hybrid(HybridOutcome),
     /// A multi-tenant serve measurement.
@@ -215,10 +197,10 @@ impl RunOutcome {
         }
     }
 
-    /// The recovery outcome, for [`Job::CrashRecover`] jobs.
-    pub fn recovery(&self) -> Option<&RecoveryOutcome> {
+    /// Configured blocks and restart, for [`Job::CrashRecover`] jobs.
+    pub fn recovery(&self) -> Option<(u64, &Restart)> {
         match &self.output {
-            Output::Recovery(r) => Some(r),
+            Output::Recovery(blocks, r) => Some((*blocks, r)),
             _ => None,
         }
     }
@@ -402,24 +384,8 @@ fn run_job(scenario: &Scenario, certificates: bool) -> Output {
             let cfg = seeded(cfg).track_oracle(true);
             let mut engine = build_model(&cfg);
             engine.run_until(cfg.runtime);
-            let model = engine.model();
-            let surface = model.lm.log_surface();
-            let image = scan_blocks(surface.iter());
-            let state = recover(&image, model.lm.stable_db());
-            let report = check_against_oracle(&model.oracle, &state);
-            let metrics = model.lm.metrics(cfg.runtime);
-            let modelled = estimate_recovery_time(
-                &RecoveryTimeModel::default(),
-                &metrics.per_gen_blocks,
-                image.stats.records,
-            );
-            Output::Recovery(RecoveryOutcome {
-                total_blocks: metrics.total_blocks,
-                records_scanned: image.stats.records,
-                modelled,
-                recovered_objects: state.versions.len(),
-                verified: report.is_ok(),
-            })
+            let snap = crash(&scenario.label, engine.model(), cfg.runtime);
+            Output::Recovery(snap.per_gen_blocks.iter().sum(), restart(&snap))
         }
         Job::Hybrid(cfg) => {
             let cfg = seeded(cfg);

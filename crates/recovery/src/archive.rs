@@ -12,7 +12,7 @@
 use crate::scan::{scan_bytes, LogImage};
 use elog_model::{ObjectVersion, Oid, StableDb, Tid};
 use elog_sim::SimTime;
-use elog_storage::Block;
+use elog_storage::{encode_block, Block};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -77,7 +77,7 @@ pub fn save_archive(
         let mut w = BufWriter::new(File::create(path)?);
         w.write_all(GEN_MAGIC)?;
         for b in gen_blocks {
-            let bytes = b.to_bytes();
+            let bytes = encode_block(b);
             w.write_all(&(bytes.len() as u32).to_le_bytes())?;
             w.write_all(&bytes)?;
             blocks += 1;

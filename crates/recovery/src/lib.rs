@@ -10,12 +10,13 @@
 //! Keen, *Logging and Recovery in a Highly Concurrent Stable Object
 //! Store*); this crate implements the algorithm those constraints imply:
 //!
-//! 1. **Scan** every physically readable block of every generation
-//!    ([`scan`]). Recirculation destroys physical ordering, stale copies
-//!    of forwarded records survive until overwritten, and consumed blocks
-//!    remain readable — so the scan takes everything and relies on
-//!    timestamps (§2.1: "We assume that all log records are timestamped,
-//!    so that the recovery manager can establish the temporal order").
+//! 1. **Scan** the bytes of every readable block of every generation
+//!    ([`scan_bytes`], the only scan: torn blocks are skipped).
+//!    Recirculation destroys physical ordering, stale copies of forwarded
+//!    records survive until overwritten, and consumed blocks remain
+//!    readable — so the scan takes everything and relies on timestamps
+//!    (§2.1: "We assume that all log records are timestamped, so that the
+//!    recovery manager can establish the temporal order").
 //! 2. **Redo** in one pass ([`redo`]): a transaction is committed iff a
 //!    durable COMMIT record exists; for each object the newest committed
 //!    update wins, and it is applied only if newer than the stable
@@ -37,6 +38,6 @@ pub mod verify;
 
 pub use archive::{load_archive, save_archive, ArchiveError};
 pub use redo::{recover, RecoveredState};
-pub use scan::{scan_blocks, scan_bytes, LogImage, ScanStats};
+pub use scan::{scan_bytes, LogImage, ScanStats};
 pub use timing::{estimate_recovery_time, RecoveryTimeModel};
 pub use verify::{check_against_oracle, VerifyReport};

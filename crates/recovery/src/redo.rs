@@ -83,7 +83,7 @@ pub fn recover(image: &LogImage, stable: &StableDb) -> RecoveredState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan_blocks;
+    use crate::scan::scan;
     use elog_model::{DataRecord, GenId, LogRecord, Tid, TxMark, TxRecord};
     use elog_sim::SimTime;
     use elog_storage::block::BlockAddr;
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn committed_update_is_redone() {
         let g = block(vec![data(1, 5, 1, 10), commit(1, 20)]);
-        let image = scan_blocks([&g]);
+        let image = scan(&[g]);
         let out = recover(&image, &StableDb::new());
         assert_eq!(out.redone, 1);
         assert_eq!(out.versions[&Oid(5)].tid, Tid(1));
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn uncommitted_update_is_skipped() {
         let g = block(vec![data(1, 5, 1, 10)]);
-        let image = scan_blocks([&g]);
+        let image = scan(&[g]);
         let out = recover(&image, &StableDb::new());
         assert!(out.versions.is_empty());
         assert_eq!(out.skipped_uncommitted, 1);
@@ -150,7 +150,7 @@ mod tests {
             data(3, 5, 1, 20),
             commit(3, 21),
         ]);
-        let image = scan_blocks([&g]);
+        let image = scan(&[g]);
         let out = recover(&image, &StableDb::new());
         assert_eq!(out.versions[&Oid(5)].tid, Tid(2), "ts 30 beats 10 and 20");
     }
@@ -162,8 +162,8 @@ mod tests {
         // generation is ingested first, the (ts, tid, seq)-greatest wins.
         let fwd = block(vec![data(2, 5, 1, 10), commit(2, 11)]);
         let rev = block(vec![data(7, 5, 1, 10), commit(7, 11)]);
-        let a = recover(&scan_blocks([&fwd, &rev]), &StableDb::new());
-        let b = recover(&scan_blocks([&rev, &fwd]), &StableDb::new());
+        let a = recover(&scan(&[fwd.clone(), rev.clone()]), &StableDb::new());
+        let b = recover(&scan(&[rev, fwd]), &StableDb::new());
         assert_eq!(a.versions[&Oid(5)], b.versions[&Oid(5)]);
         assert_eq!(a.versions[&Oid(5)].tid, Tid(7), "max (ts, tid, seq) wins");
     }
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn equal_timestamp_same_tid_resolves_by_seq() {
         let g = block(vec![data(1, 5, 3, 10), data(1, 5, 1, 10), commit(1, 11)]);
-        let out = recover(&scan_blocks([&g]), &StableDb::new());
+        let out = recover(&scan(&[g]), &StableDb::new());
         assert_eq!(out.versions[&Oid(5)].seq, 3);
     }
 
@@ -180,7 +180,7 @@ mod tests {
         // Log copy shares the stable version's timestamp but has a higher
         // tid: the log wins under (ts, tid, seq); a *lower* tid loses.
         let g = block(vec![data(9, 5, 1, 10), commit(9, 11)]);
-        let image = scan_blocks([&g]);
+        let image = scan(&[g]);
         let mut stable = StableDb::new();
         stable.install(
             Oid(5),
@@ -195,7 +195,7 @@ mod tests {
         assert_eq!(out.redone, 1);
 
         let g = block(vec![data(1, 5, 1, 10), commit(1, 11)]);
-        let image = scan_blocks([&g]);
+        let image = scan(&[g]);
         let out = recover(&image, &stable);
         assert_eq!(out.versions[&Oid(5)].tid, Tid(3));
         assert_eq!(out.skipped_stale, 1);
@@ -206,7 +206,7 @@ mod tests {
         // A flushed update's record still physically in the log: the
         // stable version has the same timestamp, so the log copy is stale.
         let g = block(vec![data(1, 5, 1, 10), commit(1, 11)]);
-        let image = scan_blocks([&g]);
+        let image = scan(&[g]);
         let mut stable = StableDb::new();
         stable.install(
             Oid(5),
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn stable_only_object_survives() {
         let g = block(vec![]);
-        let image = scan_blocks([&g]);
+        let image = scan(&[g]);
         let mut stable = StableDb::new();
         stable.install(
             Oid(9),
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn log_newer_than_stable_wins() {
         let g = block(vec![data(2, 5, 1, 50), commit(2, 51)]);
-        let image = scan_blocks([&g]);
+        let image = scan(&[g]);
         let mut stable = StableDb::new();
         stable.install(
             Oid(5),
@@ -269,7 +269,7 @@ mod tests {
                 size: 8,
             }),
         ]);
-        let image = scan_blocks([&g]);
+        let image = scan(&[g]);
         let out = recover(&image, &StableDb::new());
         assert!(out.versions.is_empty());
     }

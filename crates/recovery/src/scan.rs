@@ -13,9 +13,6 @@ pub struct LogImage {
     pub data: Vec<elog_model::DataRecord>,
     /// Tids with a durable COMMIT record.
     pub committed: FxHashSet<Tid>,
-    /// Tids with a durable ABORT record (written only by clients that use
-    /// explicit abort records; the simulator's aborts leave none).
-    pub aborted: FxHashSet<Tid>,
     /// Scan statistics.
     pub stats: ScanStats,
 }
@@ -32,10 +29,8 @@ pub struct ScanStats {
     pub records: u64,
     /// Duplicate physical copies skipped.
     pub duplicates: u64,
-    /// Blocks rejected by the codec (torn/corrupt) in the byte-level scan.
+    /// Blocks the codec rejected (torn or corrupt).
     pub corrupt_blocks: u64,
-    /// Total payload bytes examined.
-    pub payload_bytes: u64,
 }
 
 impl ScanStats {
@@ -53,7 +48,6 @@ impl LogImage {
     fn ingest(&mut self, block: &Block) {
         self.stats.blocks += 1;
         self.stats.decoded_blocks += 1;
-        self.stats.payload_bytes += u64::from(block.payload_used);
         for rec in &block.records {
             self.stats.records += 1;
             match rec {
@@ -61,10 +55,8 @@ impl LogImage {
                     TxMark::Commit => {
                         self.committed.insert(t.tid);
                     }
-                    TxMark::Abort => {
-                        self.aborted.insert(t.tid);
-                    }
-                    TxMark::Begin => {}
+                    // REDO-only: an abort leaves nothing to undo.
+                    TxMark::Begin | TxMark::Abort => {}
                 },
                 LogRecord::Data(d) => self.data.push(*d),
             }
@@ -80,23 +72,9 @@ impl LogImage {
     }
 }
 
-/// Scans typed blocks (the in-memory disk surface of the simulator).
-pub fn scan_blocks<'a, I>(generations: I) -> LogImage
-where
-    I: IntoIterator<Item = &'a Vec<Block>>,
-{
-    let mut image = LogImage::default();
-    for gen_blocks in generations {
-        for block in gen_blocks {
-            image.ingest(block);
-        }
-    }
-    image.dedup();
-    image
-}
-
-/// Scans serialised blocks, skipping (and counting) corrupt ones — the
-/// crash-realistic path: a torn block write must not poison recovery.
+/// Scans serialised blocks — the bytes a crash leaves on the log device —
+/// skipping (and counting) corrupt ones: a torn block write must not
+/// poison recovery.
 pub fn scan_bytes<'a, I>(blocks: I) -> (LogImage, Vec<CodecError>)
 where
     I: IntoIterator<Item = &'a [u8]>,
@@ -125,11 +103,22 @@ where
     (image, errors)
 }
 
+/// Encodes `surface` and scans the bytes, which must all decode: how a
+/// test hands hand-built blocks to recovery.
+#[cfg(test)]
+pub(crate) fn scan(surface: &[Vec<Block>]) -> LogImage {
+    let encoded = elog_storage::encode_surface(surface);
+    let (image, errors) = scan_bytes(encoded.iter().map(Vec::as_slice));
+    assert!(errors.is_empty(), "{errors:?}");
+    image
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use elog_model::{DataRecord, TxRecord};
     use elog_sim::SimTime;
+    use elog_storage::encode_block;
 
     fn block(gen: u8, seq: u64, records: Vec<LogRecord>) -> Block {
         let mut b = Block::new(BlockAddr {
@@ -171,10 +160,10 @@ mod tests {
             0,
             vec![tx(1, TxMark::Commit, 2), tx(2, TxMark::Abort, 3)],
         )];
-        let image = scan_blocks([&g0, &g1]);
+        let image = scan(&[g0, g1]);
         assert_eq!(image.data.len(), 1);
         assert!(image.committed.contains(&Tid(1)));
-        assert!(image.aborted.contains(&Tid(2)));
+        assert!(!image.committed.contains(&Tid(2)));
         assert_eq!(image.stats.blocks, 2);
         assert_eq!(image.stats.records, 4);
     }
@@ -185,7 +174,7 @@ mod tests {
         // (forwarded copy).
         let g0 = vec![block(0, 0, vec![data(1, 5, 1, 1)])];
         let g1 = vec![block(1, 0, vec![data(1, 5, 1, 1)])];
-        let image = scan_blocks([&g0, &g1]);
+        let image = scan(&[g0, g1]);
         assert_eq!(image.data.len(), 1);
         assert_eq!(image.stats.duplicates, 1);
     }
@@ -197,14 +186,13 @@ mod tests {
             0,
             vec![data(1, 5, 1, 1), data(1, 5, 2, 2), data(2, 5, 1, 3)],
         )];
-        let image = scan_blocks([&g0]);
-        assert_eq!(image.data.len(), 3);
+        assert_eq!(scan(&[g0]).data.len(), 3);
     }
 
     #[test]
     fn byte_scan_skips_corrupt_blocks() {
         let good = block(0, 0, vec![data(1, 5, 1, 1), tx(1, TxMark::Commit, 2)]);
-        let good_bytes = good.to_bytes();
+        let good_bytes = encode_block(&good);
         let mut bad_bytes = good_bytes.clone();
         let n = bad_bytes.len();
         bad_bytes[n - 1] ^= 0xFF;
@@ -223,10 +211,18 @@ mod tests {
     fn forged_record_count_is_one_corrupt_block_and_the_scan_goes_on() {
         // The header is outside `body_crc`: a torn header claiming 2^32 − 1
         // records must cost one skipped block, not the process.
-        let before = block(0, 0, vec![data(1, 5, 1, 1)]).to_bytes();
-        let mut forged = block(0, 1, vec![data(2, 6, 1, 2), tx(2, TxMark::Commit, 3)]).to_bytes();
+        let before = encode_block(&block(0, 0, vec![data(1, 5, 1, 1)]));
+        let mut forged = encode_block(&block(
+            0,
+            1,
+            vec![data(2, 6, 1, 2), tx(2, TxMark::Commit, 3)],
+        ));
         forged[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
-        let after = block(0, 2, vec![data(3, 7, 1, 4), tx(3, TxMark::Commit, 5)]).to_bytes();
+        let after = encode_block(&block(
+            0,
+            2,
+            vec![data(3, 7, 1, 4), tx(3, TxMark::Commit, 5)],
+        ));
         let (image, errors) = scan_bytes([before.as_slice(), forged.as_slice(), after.as_slice()]);
         assert_eq!(errors, vec![CodecError::Truncated]);
         assert_eq!(image.stats.corrupt_blocks, 1);
@@ -240,15 +236,14 @@ mod tests {
     #[test]
     fn corrupt_rate_zero_on_clean_or_empty_scans() {
         assert_eq!(ScanStats::default().corrupt_rate(), 0.0);
-        let g0 = vec![block(0, 0, vec![data(1, 5, 1, 1)])];
-        let image = scan_blocks([&g0]);
+        let image = scan(&[vec![block(0, 0, vec![data(1, 5, 1, 1)])]]);
         assert_eq!(image.stats.corrupt_rate(), 0.0);
         assert_eq!(image.stats.blocks, image.stats.decoded_blocks);
     }
 
     #[test]
     fn empty_scan() {
-        let image = scan_blocks(std::iter::empty::<&Vec<Block>>());
+        let image = scan(&[]);
         assert!(image.data.is_empty());
         assert!(image.committed.is_empty());
         assert_eq!(image.stats.blocks, 0);

@@ -8,9 +8,9 @@ use elog_model::{
     CommittedOracle, DataRecord, FlushConfig, GenId, LogConfig, LogRecord, ObjectVersion, Oid,
     StableDb, Tid, TxMark, TxRecord,
 };
-use elog_recovery::{check_against_oracle, recover, scan_blocks, LogImage, RecoveredState};
+use elog_recovery::{check_against_oracle, recover, scan_bytes, LogImage, RecoveredState};
 use elog_sim::{cases, SimRng, SimTime};
-use elog_storage::{Block, BlockAddr};
+use elog_storage::{encode_surface, Block, BlockAddr};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -148,8 +148,8 @@ fn crash_case(plans: &[TxPlan], crash_ms: u64, recirc: bool, g0: u32, g1: u32) {
     }
 
     assert_eq!(host.lm.stats().durability_violations, 0);
-    let surface = host.lm.log_surface();
-    let state = recover(&scan_blocks(surface.iter()), host.lm.stable_db());
+    let encoded = encode_surface(&host.lm.log_surface());
+    let state = recover(&scan(&encoded), host.lm.stable_db());
     let report = check_against_oracle(&oracle, &state);
     assert!(
         report.is_ok(),
@@ -161,8 +161,8 @@ fn crash_case(plans: &[TxPlan], crash_ms: u64, recirc: bool, g0: u32, g1: u32) {
 }
 
 /// Packs a slice of records into blocks of one generation (a handful of
-/// records per block, like the real log manager would).
-fn pack_gen(gen: u8, records: &[LogRecord]) -> Vec<Block> {
+/// records per block, like the real log manager would), encoded.
+fn pack_gen(gen: u8, records: &[LogRecord]) -> Vec<Vec<u8>> {
     let mut blocks = Vec::new();
     for (i, chunk) in records.chunks(4).enumerate() {
         let mut b = Block::new(BlockAddr {
@@ -174,7 +174,14 @@ fn pack_gen(gen: u8, records: &[LogRecord]) -> Vec<Block> {
         }
         blocks.push(b);
     }
-    blocks
+    encode_surface(&[blocks])
+}
+
+/// The byte-level scan of encoded blocks, every one of which must decode.
+fn scan<'a>(blocks: impl IntoIterator<Item = &'a Vec<u8>>) -> LogImage {
+    let (image, errors) = scan_bytes(blocks.into_iter().map(Vec::as_slice));
+    assert!(errors.is_empty(), "{errors:?}");
+    image
 }
 
 /// The recovered state reduced to a comparable form: the full version map
@@ -203,7 +210,7 @@ fn draw_update(rng: &mut SimRng) -> (u64, u64, u32, u64) {
     )
 }
 
-/// `recover(scan_blocks(perm(gens)))` is one function of the record
+/// `recover(scan_bytes(perm(gens)))` is one function of the record
 /// *set*: every permutation of the generations — and every finer
 /// interleaving, down to single-block pseudo-generations — must
 /// reconstruct the identical state. The generator forces the nasty
@@ -264,12 +271,12 @@ fn permutation_case(rng: &mut SimRng) {
         );
     }
 
-    let packed: Vec<Vec<Block>> = gens
+    let packed: Vec<Vec<Vec<u8>>> = gens
         .iter()
         .enumerate()
         .map(|(g, rs)| pack_gen(g as u8, rs))
         .collect();
-    let reference = canon(&recover(&scan_blocks(packed.iter()), &stable));
+    let reference = canon(&recover(&scan(packed.iter().flatten()), &stable));
 
     // Whole-generation permutations (Fisher–Yates; several distinct
     // shuffles per case).
@@ -278,26 +285,22 @@ fn permutation_case(rng: &mut SimRng) {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.next_u64_below(i as u64 + 1) as usize);
         }
-        let permuted: Vec<&Vec<Block>> = order.iter().map(|&g| &packed[g]).collect();
-        let got = canon(&recover(&scan_blocks(permuted), &stable));
+        let permuted = order.iter().flat_map(|&g| &packed[g]);
+        let got = canon(&recover(&scan(permuted), &stable));
         assert_eq!(
             &got, &reference,
             "generation order {order:?} changed recovery"
         );
     }
 
-    // Block-level interleavings: every block becomes its own
-    // pseudo-generation, then the whole pile is shuffled — the finest
-    // arrangement scan_blocks can be handed.
-    let mut singles: Vec<Vec<Block>> = packed
-        .iter()
-        .flat_map(|g| g.iter().cloned().map(|b| vec![b]))
-        .collect();
+    // Block-level interleavings: the whole pile of blocks is shuffled —
+    // the finest arrangement the scan can be handed.
+    let mut singles: Vec<&Vec<u8>> = packed.iter().flatten().collect();
     for _ in 0..2 {
         for i in (1..singles.len()).rev() {
             singles.swap(i, rng.next_u64_below(i as u64 + 1) as usize);
         }
-        let got = canon(&recover(&scan_blocks(singles.iter()), &stable));
+        let got = canon(&recover(&scan(singles.iter().copied()), &stable));
         assert_eq!(&got, &reference, "block interleaving changed recovery");
     }
 }
@@ -412,7 +415,7 @@ fn recover_case(rng: &mut SimRng) {
             }),
         );
     }
-    let image = scan_blocks([&pack_gen(0, &records)]);
+    let image = scan(&pack_gen(0, &records));
     assert_eq!(
         canon(&recover(&image, &stable)),
         canon(&reference_recover(&image, &stable)),
@@ -463,7 +466,7 @@ fn equal_timestamp_tie_break_is_pinned_to_ts_tid_seq() {
     let gen_b = pack_gen(1, &[rec(7, 1), commit(7)]);
 
     for (label, order) in [("a,b", [&gen_a, &gen_b]), ("b,a", [&gen_b, &gen_a])] {
-        let state = recover(&scan_blocks(order), &StableDb::new());
+        let state = recover(&scan(order.into_iter().flatten()), &StableDb::new());
         let v = state.versions[&oid];
         assert_eq!(v.tid, Tid(7), "scan order {label}: higher tid must win");
         assert_eq!(v.seq, 1);
@@ -471,7 +474,7 @@ fn equal_timestamp_tie_break_is_pinned_to_ts_tid_seq() {
 
     // Same tid, same ts: higher seq wins (the later update of that txn).
     let gen_c = pack_gen(0, &[rec(7, 1), rec(7, 2), commit(7)]);
-    let state = recover(&scan_blocks([&gen_c]), &StableDb::new());
+    let state = recover(&scan(&gen_c), &StableDb::new());
     assert_eq!(
         state.versions[&oid].seq, 2,
         "higher seq must win at equal ts"
@@ -488,7 +491,7 @@ fn equal_timestamp_tie_break_is_pinned_to_ts_tid_seq() {
             ts,
         },
     );
-    let state = recover(&scan_blocks([&gen_b]), &stable);
+    let state = recover(&scan(&gen_b), &stable);
     assert_eq!(state.redone, 0, "equal-key stable version wins");
     assert_eq!(state.skipped_stale, 1);
     assert_eq!(state.versions[&oid].tid, Tid(7));

@@ -6,7 +6,6 @@
 //! on-disk) representation: the records it contains plus enough header
 //! metadata for a recovery scan to order blocks and detect staleness.
 
-use crate::codec;
 use elog_model::{GenId, LogRecord};
 use elog_sim::SimTime;
 
@@ -93,11 +92,6 @@ impl Block {
     /// Number of records packed.
     pub fn len(&self) -> usize {
         self.records.len()
-    }
-
-    /// Serialises to the wire format (see [`codec`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        codec::encode_block(self)
     }
 }
 

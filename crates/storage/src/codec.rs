@@ -571,12 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn block_to_bytes_convenience() {
-        let b = sample_block();
-        assert_eq!(b.to_bytes(), encode_block(&b));
-    }
-
-    #[test]
     fn encode_surface_flattens_generations_in_order() {
         let b0 = sample_block();
         let mut b1 = Block::new(BlockAddr {

@@ -2,27 +2,49 @@
 //!
 //! Runs the paper's 5 % workload against an EL manager, "pulls the plug"
 //! mid-run (open and in-flight buffers are lost; only the durable surface
-//! and the stable database survive), executes the single-pass recovery,
-//! and verifies the reconstruction against the oracle of acknowledged
-//! commits.
+//! and the stable database survive), restarts from the bytes the crash left
+//! on the log device with the single-pass recovery, and verifies the
+//! reconstruction against the oracle of acknowledged commits.
 //!
 //! ```text
 //! cargo run --release --example crash_recovery [crash_at_secs]
 //! ```
 
 use elog_core::ElConfig;
+use elog_harness::cli;
+use elog_harness::crashpoint::{crash, restart};
 use elog_harness::runner::{build_model, RunConfig};
 use elog_model::{FlushConfig, LogConfig};
-use elog_recovery::{
-    check_against_oracle, estimate_recovery_time, recover, scan_blocks, RecoveryTimeModel,
-};
 use elog_sim::SimTime;
 
+const USAGE: &str = "crash_recovery [crash_at_secs]
+  crash_at_secs           simulated seconds before the crash (default 42.5,
+                          at most 3600)";
+
+/// The latest crash instant accepted: an hour of the paper's workload,
+/// which simulates in about a second.
+const MAX_CRASH_AT_SECS: f64 = 3600.0;
+
+/// The crash instant, in seconds. Anything outside `[0, 3600]` is refused:
+/// a negative instant crashes before the first arrival, and an infinite
+/// one saturates the clock so that arrivals never stop.
+fn parse(args: Vec<String>) -> Result<f64, String> {
+    let raw = match args.as_slice() {
+        [] => return Ok(42.5),
+        [raw] => raw.clone(),
+        _ => return Err(format!("crash_at_secs: one argument, got {}", args.len())),
+    };
+    let at: f64 = cli::value("crash_at_secs", &mut args.into_iter())?;
+    if !(0.0..=MAX_CRASH_AT_SECS).contains(&at) {
+        return Err(format!(
+            "crash_at_secs {raw}: must be a number of seconds in [0, {MAX_CRASH_AT_SECS}]"
+        ));
+    }
+    Ok(at)
+}
+
 fn main() {
-    let crash_at: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42.5);
+    let crash_at = cli::parse_env(USAGE, parse);
 
     let log = LogConfig {
         generation_blocks: vec![18, 16],
@@ -34,8 +56,9 @@ fn main() {
     cfg.track_oracle = true;
 
     println!("running 5% mix at 100 TPS; crashing at t = {crash_at} s ...");
+    let at = SimTime::from_secs_f64(crash_at);
     let mut engine = build_model(&cfg);
-    engine.run_until(SimTime::from_secs_f64(crash_at)); // CRASH.
+    engine.run_until(at);
     let model = engine.model();
 
     let stats = model.driver.stats();
@@ -46,53 +69,42 @@ fn main() {
         model.driver.active_txns()
     );
 
-    // Everything in RAM is gone. What survives:
-    let surface = model.lm.log_surface();
-    let stable = model.lm.stable_db();
-    let blocks: usize = surface.iter().map(Vec::len).sum();
+    // CRASH. Everything in RAM is gone; what survives is the image.
+    let snap = crash("el", model, at);
     println!(
-        "durable surface: {blocks} log blocks across {} generations; stable DB {} objects",
-        surface.len(),
-        stable.len()
+        "durable surface: {} log blocks across {} generations; stable DB {} objects",
+        snap.encoded.len(),
+        snap.per_gen_blocks.len(),
+        snap.stable.len()
     );
 
-    // Single-pass recovery.
+    // Single-pass recovery from the bytes.
     let wall = std::time::Instant::now();
-    let image = scan_blocks(surface.iter());
-    let state = recover(&image, stable);
+    let r = restart(&snap);
     let wall = wall.elapsed();
 
     println!(
         "scan: {} records ({} duplicates from forwarding/recirculation), {} committed txns",
-        image.stats.records, image.stats.duplicates, state.committed_txns
+        r.scan.records, r.scan.duplicates, r.state.committed_txns
     );
     println!(
         "redo: {} redone, {} stale skipped, {} uncommitted skipped -> {} objects total",
-        state.redone,
-        state.skipped_stale,
-        state.skipped_uncommitted,
-        state.versions.len()
+        r.state.redone,
+        r.state.skipped_stale,
+        r.state.skipped_uncommitted,
+        r.state.versions.len()
     );
-
-    let modelled = estimate_recovery_time(
-        &RecoveryTimeModel::default(),
-        &model
-            .lm
-            .metrics(SimTime::from_secs_f64(crash_at))
-            .per_gen_blocks,
-        image.stats.records,
+    println!(
+        "recovery time: {} modelled on 1993 hardware, {wall:?} measured in memory",
+        r.modelled
     );
-    println!("recovery time: {modelled} modelled on 1993 hardware, {wall:?} measured in memory");
-
-    // Verification.
-    let report = check_against_oracle(&model.oracle, &state);
     println!(
         "verification: {} exact, {} newer (commits durable but unacknowledged at crash), {} missing, {} stale",
-        report.exact,
-        report.acceptable_newer,
-        report.missing.len(),
-        report.stale.len()
+        r.report.exact,
+        r.report.acceptable_newer,
+        r.report.missing.len(),
+        r.report.stale.len()
     );
-    assert!(report.is_ok(), "recovery lost acknowledged data!");
+    assert!(r.report.is_ok(), "recovery lost acknowledged data!");
     println!("\nok: no acknowledged transaction was lost.");
 }

@@ -3,11 +3,11 @@
 //! byte-identical across repeats and across process boundaries.
 
 use elog_core::ElConfig;
+use elog_harness::crashpoint::{crash, restart};
 use elog_harness::experiments::registry;
 use elog_harness::runner::{build_model, run, RunConfig};
 use elog_harness::sweep::{run_experiments, ExecOptions, ExperimentReport};
 use elog_model::{FlushConfig, LogConfig};
-use elog_recovery::{recover, scan_blocks};
 use elog_sim::SimTime;
 use elog_workload::ArrivalProcess;
 
@@ -53,17 +53,15 @@ fn identical_seeds_identical_crash_surfaces() {
     let snapshot = |seed: u64| {
         let mut c = cfg(seed, false);
         c.track_oracle = true;
+        let at = SimTime::from_secs(9);
         let mut engine = build_model(&c);
-        engine.run_until(SimTime::from_secs(9));
-        let model = engine.model();
-        let surface = model.lm.log_surface();
-        let image = scan_blocks(surface.iter());
-        let state = recover(&image, model.lm.stable_db());
+        engine.run_until(at);
+        let r = restart(&crash("9s", engine.model(), at));
         (
-            image.stats.records,
-            image.stats.blocks,
-            state.versions.len(),
-            state.committed_txns,
+            r.scan.records,
+            r.scan.blocks,
+            r.state.versions.len(),
+            r.state.committed_txns,
         )
     };
     assert_eq!(snapshot(123), snapshot(123));

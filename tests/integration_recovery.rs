@@ -1,19 +1,20 @@
 //! Cross-crate integration: crash the *full* simulation (workload driver +
-//! log manager + flush array) at many instants and verify single-pass
-//! recovery against the oracle, for EL and FW, with and without
-//! recirculation, through both the typed and byte-level scan paths.
+//! log manager + flush array) at many instants and restart it from the
+//! bytes of its log surface, verifying single-pass recovery against the
+//! oracle, for EL and FW, with and without recirculation.
 
-use elog_core::{ElConfig, MemoryModel};
+use elog_core::ElConfig;
+use elog_harness::crashpoint::{crash, restart};
 use elog_harness::runner::{build_model, RunConfig};
 use elog_model::{FlushConfig, LogConfig};
-use elog_recovery::{check_against_oracle, recover, scan_blocks, scan_bytes};
 use elog_sim::SimTime;
 
 fn crash_and_verify(mut cfg: RunConfig, crash_secs: f64) {
     cfg.track_oracle = true;
     cfg.runtime = SimTime::from_secs_f64(crash_secs + 5.0);
+    let at = SimTime::from_secs_f64(crash_secs);
     let mut engine = build_model(&cfg);
-    engine.run_until(SimTime::from_secs_f64(crash_secs));
+    engine.run_until(at);
     let model = engine.model();
     assert_eq!(
         model.lm.stats().durability_violations,
@@ -21,18 +22,17 @@ fn crash_and_verify(mut cfg: RunConfig, crash_secs: f64) {
         "paper-scale geometry must never violate durability holds"
     );
 
-    let surface = model.lm.log_surface();
-    let image = scan_blocks(surface.iter());
-    let state = recover(&image, model.lm.stable_db());
-    let report = check_against_oracle(&model.oracle, &state);
+    let snap = crash(format!("{crash_secs}s"), model, at);
+    let r = restart(&snap);
+    assert_eq!(r.scan.corrupt_blocks, 0, "a clean surface decodes whole");
     assert!(
-        report.is_ok(),
+        r.report.is_ok(),
         "crash at {crash_secs}s: missing {:?} stale {:?}",
-        report.missing,
-        report.stale
+        r.report.missing,
+        r.report.stale
     );
     // The oracle's every object must be covered.
-    assert!(report.exact + report.acceptable_newer >= model.oracle.len() as u64);
+    assert!(r.report.exact + r.report.acceptable_newer >= snap.oracle.len() as u64);
 }
 
 fn el_cfg(recirc: bool) -> RunConfig {
@@ -55,35 +55,8 @@ fn el_crash_matrix() {
 #[test]
 fn fw_crash_matrix() {
     for crash in [4.1, 12.9] {
-        let mut cfg = RunConfig::paper(0.05, ElConfig::firewall(140, FlushConfig::default()));
-        cfg.el.memory_model = MemoryModel::Firewall;
+        let cfg = RunConfig::paper(0.05, ElConfig::firewall(140, FlushConfig::default()));
         crash_and_verify(cfg, crash);
-    }
-}
-
-#[test]
-fn byte_level_recovery_agrees_with_typed_recovery() {
-    let mut cfg = el_cfg(true);
-    cfg.track_oracle = true;
-    cfg.runtime = SimTime::from_secs(12);
-    let mut engine = build_model(&cfg);
-    engine.run_until(SimTime::from_secs(10));
-    let model = engine.model();
-
-    let surface = model.lm.log_surface();
-    let typed = recover(&scan_blocks(surface.iter()), model.lm.stable_db());
-
-    let encoded: Vec<Vec<u8>> = surface
-        .iter()
-        .flat_map(|g| g.iter().map(|b| b.to_bytes()))
-        .collect();
-    let (image, errors) = scan_bytes(encoded.iter().map(Vec::as_slice));
-    assert!(errors.is_empty(), "clean surface must decode: {errors:?}");
-    let bytes = recover(&image, model.lm.stable_db());
-
-    assert_eq!(typed.versions.len(), bytes.versions.len());
-    for (oid, v) in &typed.versions {
-        assert_eq!(bytes.versions.get(oid), Some(v), "divergence at {oid}");
     }
 }
 
@@ -101,9 +74,8 @@ fn recovery_scales_with_log_size_not_history() {
     for cfg in [short, long] {
         let mut engine = build_model(&cfg);
         engine.run_until(cfg.runtime);
-        let surface = engine.model().lm.log_surface();
-        let image = scan_blocks(surface.iter());
-        records.push(image.stats.records);
+        let snap = crash("horizon", engine.model(), cfg.runtime);
+        records.push(restart(&snap).scan.records);
     }
     let ratio = records[1] as f64 / records[0].max(1) as f64;
     assert!(
