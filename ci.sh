@@ -122,7 +122,12 @@ echo "== hostile CLI =="
 # advance it; `--only nosuch` must fail before repro prints its header.
 # The crash_recovery rows are the example's one argument: unchecked, `abc`
 # silently crashes at the default instant, `-5` recovers an empty log, and
-# `inf` saturates the clock so that arrivals never stop.
+# `inf` saturates the clock so that arrivals never stop. The other example
+# rows, unchecked, abort in an assert (`frac_long` 2 or nan, `g0` 0 or 2),
+# silently run the defaults (`abc`) or sweep zero seconds (`runtime_secs`
+# 0). `--tenants 2 --min-space` and `--budget 8 --adaptive` ask a served
+# run to search or adapt, which it does not. A pattern with `.*` must
+# match the one stderr line whole: the flag and the limit it broke.
 # An exit-2 row prints nothing to stdout, and every row runs under a
 # timeout so one that regresses to a hang fails here with its command.
 HOSTILE_ERR=$(mktemp)
@@ -142,19 +147,21 @@ while read -r want flag cmd; do
 done <<'HOSTILE'
 2 --gens elsim --gens 0
 2 --gens elsim --gens 18,0
-2 --gens elserve --tenants 3 --gens 0
+2 --gens elsim --tenants 3 --gens 0
 2 --gens elsim --gens 200,200,200,8 --runtime 5 --min-space
 2 --gens elsim --gens 4294967295,4294967295 --runtime 1
 2 --fw-blocks elsim --fw-blocks 4294967295 --runtime 1
 2 --drives elsim --drives 4294967295 --runtime 1
-2 --drives elserve --drives 4294967295 --runtime 1
+2 --drives elsim --tenants 2 --drives 4294967295 --runtime 1
 2 --tps elsim --tps 0
 2 --tps elsim --tps 1e12 --runtime 1
-2 --tps elserve --tps 1e12 --runtime 1
+2 --tps elsim --tenants 2 --tps 1e12 --runtime 1
 2 --phases elsim --phases 0:0.1@1e300 --runtime 5
 2 --mode elsim --mode bogus
-2 --tenants elserve --tenants 65537
-2 --tenants elserve --tenants 99999999
+2 --tenants.*65536 elsim --tenants 65537
+2 --tenants.*objects elsim --tenants 99999999
+2 --tenants.*--min-space elsim --tenants 2 --min-space
+2 --budget.*--adaptive elsim --budget 8 --adaptive
 2 --csv repro --quick --csv /proc/nope
 2 --gens repro --gens 9
 2 --probe-cache elsim --min-space --probe-cache /tmp/x
@@ -165,6 +172,14 @@ done <<'HOSTILE'
 2 crash_at_secs examples/crash_recovery abc
 2 crash_at_secs examples/crash_recovery -5
 2 crash_at_secs examples/crash_recovery inf
+2 frac_long examples/compare_fw_el 2
+2 frac_long examples/compare_fw_el nan
+2 frac_long examples/compare_fw_el abc 5
+2 g0 examples/tune_generations 0 5
+2 g0 examples/tune_generations 2 5
+2 runtime_secs examples/tune_generations 18 0
+2 runtime_secs examples/scarce_flush abc
+2 runtime_secs examples/scarce_flush 0
 1 --min-space elsim --fw-blocks 100 --tps 20000 --runtime 5 --min-space
 1 --min-space elsim --gens 18,16 --tps 6000 --runtime 5 --min-space
 HOSTILE
@@ -187,39 +202,27 @@ if ! ./target/release/examples/crash_recovery | grep -q '^ok: '; then
     exit 1
 fi
 
-echo "== elserve one-tenant smoke =="
-# One unbudgeted tenant is the classic run (DESIGN.md §5k): the same SimModel built
-# from the same harness::cli configuration, so elserve --tenants 1 prints
-# byte-identical stdout to elsim. The library tests pin the loop; this
-# diff and the next smoke are the only checks on the binaries' wiring.
-EL_SIM=$(./target/release/elsim --gens 18,16 --runtime 30)
-EL_SERVE=$(./target/release/elserve --tenants 1 --gens 18,16 --runtime 30 2>/dev/null)
-if [ "$EL_SIM" != "$EL_SERVE" ]; then
-    echo "1-tenant elserve diverged from elsim:" >&2
-    diff <(echo "$EL_SIM") <(echo "$EL_SERVE") >&2 || true
-    exit 1
-fi
-
-echo "== elserve multi-tenant smoke =="
+echo "== multi-tenant smoke =="
 # Two tenants: the [serve] summary must land on stderr with a committed
 # count.
 SERVE_ERR=$(mktemp)
-./target/release/elserve --tenants 2 --runtime 30 >/dev/null 2>"$SERVE_ERR"
+./target/release/elsim --tenants 2 --runtime 30 >/dev/null 2>"$SERVE_ERR"
 if ! grep -q '^\[serve\] tenants 2, committed [1-9]' "$SERVE_ERR"; then
-    echo "elserve printed no [serve] summary (or committed nothing):" >&2
+    echo "elsim --tenants 2 printed no [serve] summary (or committed nothing):" >&2
     cat "$SERVE_ERR" >&2
     exit 1
 fi
 rm -f "$SERVE_ERR"
 
-echo "== elserve budget smoke =="
-# A budget refuses arrivals, which elsim's report has no line for: one
-# tenant under a budget prints the elserve report, refusals included.
-BUDGET_OUT=$(./target/release/elserve --tenants 1 --budget 1 --runtime 5 2>/dev/null)
+echo "== budget smoke =="
+# A budget refuses arrivals, which the plain run report has no line for:
+# one tenant under a budget prints the per-tenant report, refusals
+# included.
+BUDGET_OUT=$(./target/release/elsim --tenants 1 --budget 1 --runtime 5 2>/dev/null)
 case "$BUDGET_OUT" in
     *refused*) ;;
     *)
-        echo "elserve --tenants 1 --budget 1 printed no refused count:" >&2
+        echo "elsim --tenants 1 --budget 1 printed no refused count:" >&2
         echo "$BUDGET_OUT" >&2
         exit 1
         ;;

@@ -19,30 +19,17 @@ use elog_sim::FxHashMap;
 
 /// One object's entry: its non-garbage data-record cells.
 #[derive(Clone, Debug, Default)]
-pub struct LotEntry {
+struct LotEntry {
     /// Cell of the most recently committed, not-yet-flushed update.
-    pub committed: Option<CellIdx>,
+    committed: Option<CellIdx>,
     /// Cells of uncommitted updates, `(owner tid, cell)`, oldest first.
-    pub uncommitted: InlineVec<(Tid, CellIdx), 1>,
+    uncommitted: InlineVec<(Tid, CellIdx), 1>,
 }
 
 impl LotEntry {
     fn is_empty(&self) -> bool {
         self.committed.is_none() && self.uncommitted.is_empty()
     }
-}
-
-/// What [`Lot::commit_object`] decided.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommitOutcome {
-    /// The cell promoted to committed-unflushed (the transaction's newest
-    /// update of the object).
-    pub promoted: CellIdx,
-    /// Cells that became garbage: the previously committed-unflushed cell
-    /// (if any) plus any older updates of the object by the same
-    /// transaction. The caller must unlink and free them, and notify the
-    /// owning transactions' LTT entries (owners are read from the cells).
-    pub garbage: Vec<CellIdx>,
 }
 
 /// The logged object table.
@@ -82,23 +69,15 @@ impl Lot {
     }
 
     /// Processes `tid`'s commit for `oid` (§2.3): the transaction's newest
-    /// update becomes the committed-unflushed one; the previously committed
-    /// cell and older same-transaction updates become garbage.
+    /// update becomes the committed-unflushed one and is the return value;
+    /// the previously committed cell and older same-transaction updates
+    /// become garbage, *appended* to `garbage` (the caller clears it,
+    /// unlinks and frees the cells, and notifies their owners' LTT
+    /// entries). The commit hot path calls this once per object of every
+    /// committing transaction; reusing one buffer keeps it allocation-free.
     ///
     /// Returns `None` when the transaction has no uncommitted update of the
-    /// object (caller bug or already-processed oid). Allocating wrapper
-    /// around [`Lot::commit_object_into`] for tests and one-off callers.
-    pub fn commit_object(&mut self, oid: Oid, tid: Tid) -> Option<CommitOutcome> {
-        let mut garbage = Vec::new();
-        let promoted = self.commit_object_into(oid, tid, &mut garbage)?;
-        Some(CommitOutcome { promoted, garbage })
-    }
-
-    /// [`Lot::commit_object`] with a caller-provided scratch buffer:
-    /// garbage cells are *appended* to `garbage` (the caller clears it),
-    /// the promoted cell is the return value. The commit hot path calls
-    /// this once per object of every committing transaction; reusing one
-    /// buffer across calls keeps it allocation-free.
+    /// object (caller bug or already-processed oid).
     pub fn commit_object_into(
         &mut self,
         oid: Oid,
@@ -180,11 +159,6 @@ impl Lot {
         self.map.get(&oid).and_then(|e| e.committed)
     }
 
-    /// The entry for `oid`, if present (diagnostics/tests).
-    pub fn entry(&self, oid: Oid) -> Option<&LotEntry> {
-        self.map.get(&oid)
-    }
-
     /// Total number of cells referenced by the table (invariant checks).
     pub fn total_cells(&self) -> usize {
         self.map
@@ -200,6 +174,13 @@ mod tests {
 
     const O: Oid = Oid(7);
 
+    /// Commits `tid`'s update of [`O`]: the promoted cell and the garbage.
+    fn commit(lot: &mut Lot, tid: Tid) -> Option<(CellIdx, Vec<CellIdx>)> {
+        let mut garbage = Vec::new();
+        let promoted = lot.commit_object_into(O, tid, &mut garbage)?;
+        Some((promoted, garbage))
+    }
+
     #[test]
     fn lifecycle_single_txn() {
         let mut lot = Lot::new();
@@ -207,9 +188,7 @@ mod tests {
         assert_eq!(lot.len(), 1);
         assert!(!lot.is_committed_cell(O, 10));
 
-        let out = lot.commit_object(O, Tid(1)).unwrap();
-        assert_eq!(out.promoted, 10);
-        assert!(out.garbage.is_empty());
+        assert_eq!(commit(&mut lot, Tid(1)), Some((10, vec![])));
         assert!(lot.is_committed_cell(O, 10));
 
         assert_eq!(lot.flush_done(O, 10), Some(10));
@@ -220,11 +199,9 @@ mod tests {
     fn commit_supersedes_previous_committed() {
         let mut lot = Lot::new();
         lot.insert_uncommitted(O, Tid(1), 10);
-        lot.commit_object(O, Tid(1));
+        commit(&mut lot, Tid(1));
         lot.insert_uncommitted(O, Tid(2), 20);
-        let out = lot.commit_object(O, Tid(2)).unwrap();
-        assert_eq!(out.promoted, 20);
-        assert_eq!(out.garbage, vec![10]);
+        assert_eq!(commit(&mut lot, Tid(2)), Some((20, vec![10])));
         assert!(lot.is_committed_cell(O, 20));
         assert_eq!(lot.total_cells(), 1);
     }
@@ -235,9 +212,7 @@ mod tests {
         lot.insert_uncommitted(O, Tid(1), 10);
         lot.insert_uncommitted(O, Tid(1), 11);
         lot.insert_uncommitted(O, Tid(1), 12);
-        let out = lot.commit_object(O, Tid(1)).unwrap();
-        assert_eq!(out.promoted, 12);
-        assert_eq!(out.garbage, vec![10, 11]);
+        assert_eq!(commit(&mut lot, Tid(1)), Some((12, vec![10, 11])));
     }
 
     #[test]
@@ -245,18 +220,21 @@ mod tests {
         let mut lot = Lot::new();
         lot.insert_uncommitted(O, Tid(1), 10);
         lot.insert_uncommitted(O, Tid(2), 20);
-        let out = lot.commit_object(O, Tid(1)).unwrap();
-        assert_eq!(out.promoted, 10);
-        let e = lot.entry(O).unwrap();
-        assert_eq!(&e.uncommitted[..], [(Tid(2), 20)]);
+        assert_eq!(commit(&mut lot, Tid(1)), Some((10, vec![])));
+        assert_eq!(lot.committed_cell(O), Some(10));
+        // Tid 2's update is still uncommitted, and the only one.
+        assert_eq!(lot.total_cells(), 2);
+        let mut removed = Vec::new();
+        lot.remove_uncommitted_of(O, Tid(2), &mut removed);
+        assert_eq!(removed, vec![20]);
     }
 
     #[test]
     fn commit_without_update_is_none() {
         let mut lot = Lot::new();
-        assert!(lot.commit_object(O, Tid(1)).is_none());
+        assert!(commit(&mut lot, Tid(1)).is_none());
         lot.insert_uncommitted(O, Tid(2), 20);
-        assert!(lot.commit_object(O, Tid(1)).is_none());
+        assert!(commit(&mut lot, Tid(1)).is_none());
     }
 
     #[test]
@@ -276,7 +254,7 @@ mod tests {
     fn remove_uncommitted_keeps_committed() {
         let mut lot = Lot::new();
         lot.insert_uncommitted(O, Tid(1), 10);
-        lot.commit_object(O, Tid(1));
+        commit(&mut lot, Tid(1));
         lot.insert_uncommitted(O, Tid(2), 20);
         let mut removed = Vec::new();
         lot.remove_uncommitted_of(O, Tid(2), &mut removed);
@@ -289,7 +267,7 @@ mod tests {
     fn stale_flush_completion_ignored() {
         let mut lot = Lot::new();
         lot.insert_uncommitted(O, Tid(1), 10);
-        lot.commit_object(O, Tid(1));
+        commit(&mut lot, Tid(1));
         assert_eq!(lot.flush_done(O, 99), None, "not the committed cell");
         assert_eq!(lot.committed_cell(O), Some(10));
         assert_eq!(lot.flush_done(Oid(123), 10), None, "unknown object");

@@ -451,9 +451,6 @@ impl ElManager {
         self.scratch_cells = garbage;
         self.scratch_oids = oids;
         self.stats.acks += 1;
-        if let Some(l) = self.ledger.as_mut() {
-            l.on_commit(tid);
-        }
         fx.acks.push(tid);
         if self.ltt.get(tid).expect("present").oids.is_empty() {
             self.finish_ltt_entry(tid);

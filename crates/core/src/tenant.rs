@@ -1,10 +1,11 @@
 //! Per-tenant accounting for the multi-tenant service mode.
 //!
-//! One [`crate::ElManager`] can serve several logical tenants at once (the
-//! harness's `elserve` mode): each tenant owns a disjoint oid range and a
-//! disjoint tid namespace — the tenant index lives in the high bits of the
-//! tid, so the ledger attributes every manager-side event (begin, data
-//! write, garbage, kill) to its tenant with a shift and no table lookups.
+//! One [`crate::ElManager`] can serve several logical tenants at once
+//! (`elsim --tenants`, the harness's `serve` module): each tenant owns a
+//! disjoint oid range and a disjoint tid namespace — the tenant index
+//! lives in the high bits of the tid, so the ledger attributes every
+//! manager-side event (begin, data write, garbage, kill) to its tenant
+//! with a shift and no table lookups.
 //!
 //! The ledger is strictly observational: it never feeds back into manager
 //! decisions, so enabling it cannot perturb a run. The *host* reads it —
@@ -17,12 +18,8 @@ use elog_model::Tid;
 /// Counters for one tenant (all monotone except the two live gauges).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TenantCounters {
-    /// Transactions begun.
-    pub begins: u64,
     /// Data records logged.
     pub data_records: u64,
-    /// Commit acknowledgements delivered.
-    pub commits: u64,
     /// Transactions killed by the log manager.
     pub kills: u64,
     /// Data records that became garbage in place (superseded at commit or
@@ -56,19 +53,9 @@ impl TenantLedger {
         }
     }
 
-    /// Number of tenants tracked.
-    pub fn tenants(&self) -> usize {
-        self.counters.len()
-    }
-
     /// One tenant's counters.
     pub fn get(&self, tenant: usize) -> &TenantCounters {
         &self.counters[tenant]
-    }
-
-    /// All counters, indexed by tenant.
-    pub fn counters(&self) -> &[TenantCounters] {
-        &self.counters
     }
 
     /// The counters of the tenant a tid belongs to (out-of-range high bits
@@ -81,7 +68,6 @@ impl TenantLedger {
 
     pub(crate) fn on_begin(&mut self, tid: Tid) {
         let s = self.slot(tid);
-        s.begins += 1;
         s.ltt_live += 1;
         s.ltt_peak = s.ltt_peak.max(s.ltt_live);
     }
@@ -103,10 +89,6 @@ impl TenantLedger {
         }
     }
 
-    pub(crate) fn on_commit(&mut self, tid: Tid) {
-        self.slot(tid).commits += 1;
-    }
-
     pub(crate) fn on_kill(&mut self, tid: Tid) {
         self.slot(tid).kills += 1;
     }
@@ -126,11 +108,13 @@ mod tests {
         let mut l = TenantLedger::new(2, 48);
         l.on_begin(Tid(1));
         l.on_begin(Tid((1 << 48) | 2));
-        assert_eq!(l.get(0).begins, 1);
-        assert_eq!(l.get(1).begins, 1);
+        l.on_data_write(Tid((1 << 48) | 2));
+        assert_eq!((l.get(0).ltt_peak, l.get(0).data_records), (1, 0));
+        assert_eq!((l.get(1).ltt_peak, l.get(1).data_records), (1, 1));
         // Out-of-range tenants clamp to the last slot.
         l.on_begin(Tid(5 << 48));
-        assert_eq!(l.get(1).begins, 2);
+        l.on_data_write(Tid(5 << 48));
+        assert_eq!((l.get(1).ltt_peak, l.get(1).data_records), (2, 2));
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! configuration and prints the run report; with it, it searches the
 //! minimum geometry instead (1 generation: firewall binary search; 2:
 //! gen0 scan × gen1 bisection; 3+: lattice search with the given sizes as
-//! per-axis ceilings).
+//! per-axis ceilings). More than one `--tenants`, or a `--budget`, serves
+//! the tenants from the one shared log and prints the per-tenant report,
+//! with a `[serve]` summary on stderr.
 
 use elog_core::MemoryModel;
-use elog_harness::cli;
 use elog_harness::latsearch::{LatticeLimits, SearchRequest};
 use elog_harness::runner::run;
+use elog_harness::serve::{serve_run, ServeConfig};
+use elog_harness::{cli, report};
 
 fn main() {
     let a = cli::parse_env(cli::ELSIM_USAGE, cli::elsim);
@@ -68,9 +71,31 @@ fn main() {
         return;
     }
 
+    // The parser keeps a partition only for more than one tenant, so this
+    // is "T > 1 or a budget": the one unbudgeted tenant is the plain run.
+    if cfg.tenants.is_some() || a.budget > 0 {
+        let cfg = ServeConfig {
+            base: a.run,
+            budget: a.budget,
+        };
+        let r = serve_run(&cfg);
+        cli::print(&report::render_serve_report(&cfg, &r));
+        // stderr so stdout stays comparable across tenant counts (cf. the
+        // `[adaptive]` summary).
+        eprintln!(
+            "[serve] tenants {}, committed {}, killed {}, refused {}, p99 {} ms",
+            cfg.tenants(),
+            r.aggregate.committed,
+            r.aggregate.killed,
+            r.aggregate.throttled,
+            report::fo(r.aggregate.p99_ms, 1)
+        );
+        return;
+    }
+
     let r = run(cfg);
     let m = &r.metrics;
-    cli::print(&elog_harness::report::render_run_report(
+    cli::print(&report::render_run_report(
         m,
         cfg.el.log.recirculation,
         r.started,

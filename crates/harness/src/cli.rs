@@ -1,58 +1,59 @@
 //! The command lines of the harness binaries.
 //!
-//! `elsim` and `elserve` take the same run flags (`--gens --recirc
-//! --frac-long --tps --poisson --runtime --drives --flush-ms --seed
-//! --phases`); [`RunFlags`] parses them once and validates them into a
-//! [`RunConfig`], so a 1-tenant `elserve` and `elsim` hand the run loop the
-//! same configuration by construction. Everything arriving from the shell
-//! is checked here — geometry, rates, tenant counts — and comes back as a
-//! one-line `Err` naming the flag, so the `expect("validated
-//! configuration")`s further in hold. [`parse_env`] is every binary's
-//! front door: `--help` prints the usage text and exits 0, an `Err` goes to
-//! stderr and exits 2. `repro` keeps its own flag loop and shares [`value`] /
-//! [`positive`] with this one. [`print`] is every binary's way to stdout.
+//! [`elsim`] is the simulator's one parser: it validates the run flags into
+//! a [`RunConfig`] whose `tenants` field carries `--tenants` /
+//! `--oid-ranges`, so a one-tenant run and a served run are one
+//! configuration type built by one function. Everything arriving from the
+//! shell is checked here — geometry, rates, tenant counts — and comes back
+//! as a one-line `Err` naming the flag, so the `expect("validated
+//! configuration")`s further in hold. [`parse_env`] is every binary's (and
+//! example's) front door: `--help` prints the usage text and exits 0, an
+//! `Err` goes to stderr and exits 2. `repro` keeps its own flag loop and
+//! shares [`value`] / [`positive`] with this one; the examples read their
+//! positional arguments with [`value_or`], [`runtime_secs`] and
+//! [`no_more`]. [`print`] is every binary's way to stdout.
 
 use crate::latsearch::{prefix_volume, MAX_AXES, MAX_PREFIX_COLUMNS};
-use crate::runner::RunConfig;
-use crate::serve::{parse_oid_ranges, validate_layout, validate_tenants, ServeConfig};
+use crate::runner::{RunConfig, TenantLayout};
+use crate::serve::{parse_oid_ranges, validate_layout, validate_tenants};
 use elog_core::{ElConfig, MemoryModel};
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
 use elog_workload::{ArrivalProcess, PhaseSchedule, MAX_RATE_TPS};
 use std::str::FromStr;
 
-/// The flag table of the run flags `elsim` and `elserve` share.
-macro_rules! run_flags_usage {
-    () => {
-        "  --gens G0,G1[,G2...]    generation sizes in blocks (default 18,16)
+/// `elsim --help`.
+pub const ELSIM_USAGE: &str = "elsim [options]
+  --mode el|fw            technique (default el)
+  --fw-blocks N           FW log size (default 123; implies --mode fw)
+  --gens G0,G1[,G2...]    generation sizes in blocks (default 18,16)
   --recirc                enable recirculation in the last generation
   --frac-long P           fraction of 10 s transactions (default 0.05)
-  --tps R                 arrivals per second, per tenant under elserve
-                          (default 100; at most 1000000, one per simulated
-                          microsecond, also once scaled by --phases)
+  --tps R                 arrivals per second, per tenant (default 100; at
+                          most 1000000, one per simulated microsecond, also
+                          once scaled by --phases)
   --poisson               Poisson instead of deterministic arrivals
   --runtime S             simulated seconds (default 500)
   --drives N              flush drives (default 10)
   --flush-ms T            flush transfer time, ms (default 25)
   --seed N                random seed, decimal or 0x-prefixed hex (default
-                          0x5EED1993; under elserve tenant 0 uses it raw,
-                          tenants 1.. draw independent splitmix64 streams
-                          from it)
+                          0x5EED1993; tenant 0 uses it raw, tenants 1..
+                          draw independent splitmix64 streams from it)
   --phases SPEC           piecewise workload schedule
                           `start:frac_long[@rate_factor],...` over the
                           paper type table, e.g. `0:0.1,160:0.4,330:0.1`
-                          (first start must be 0; seconds, ascending)"
-    };
-}
-
-/// `elsim --help`.
-pub const ELSIM_USAGE: &str = concat!(
-    "elsim [options]
-  --mode el|fw            technique (default el)
-  --fw-blocks N           FW log size (default 123; implies --mode fw)
-",
-    run_flags_usage!(),
-    "
+                          (first start must be 0; seconds, ascending)
+  --tenants T             logical tenants sharing the one log (default 1,
+                          at most 65536); more than one prints the
+                          per-tenant report
+  --budget N              per-tenant live-record admission budget; a
+                          tenant at its budget has arrivals refused until
+                          flushes drain its footprint (default 0 =
+                          unlimited; refusals never touch neighbours); a
+                          budget prints the per-tenant report
+  --oid-ranges B:L,...    explicit per-tenant oid ranges (one BASE:LEN
+                          per tenant; must tile the whole oid space
+                          disjointly). Default: an even partition
   --min-space             search the minimum geometry instead of running
                           (1 gen: firewall binary search; 2: gen0 scan x
                           gen1 bisection; 3+: lattice search with the
@@ -65,25 +66,7 @@ pub const ELSIM_USAGE: &str = concat!(
   --adaptive              run the online adaptive generation controller
                           (stderr summary; stdout is byte-identical to
                           a non-adaptive run when the workload is
-                          static, because the controller never acts)"
-);
-
-/// `elserve --help`.
-pub const ELSERVE_USAGE: &str = concat!(
-    "elserve [options]
-  --tenants T             logical tenants (default 2, at most 65536; 1
-                          with --budget 0 is the elsim run: the stdout is
-                          byte-identical)
-  --budget N              per-tenant live-record admission budget; a
-                          tenant at its budget has arrivals refused
-                          until flushes drain its footprint (default 0
-                          = unlimited; refusals never touch neighbours)
-  --oid-ranges B:L,...    explicit per-tenant oid ranges (one BASE:LEN
-                          per tenant; must tile the whole oid space
-                          disjointly). Default: an even partition
-",
-    run_flags_usage!()
-);
+                          static, because the controller never acts)";
 
 /// A binary's command line, as its parser consumes it.
 pub type Args<'a> = &'a mut dyn Iterator<Item = String>;
@@ -137,21 +120,50 @@ pub fn positive(flag: &str, args: Args) -> Result<usize, String> {
     }
 }
 
+/// The next positional argument, parsed and named as by [`value`], or
+/// `default` once the command line has run out.
+pub fn value_or<T: FromStr>(name: &str, args: Args, default: T) -> Result<T, String> {
+    match args.next() {
+        Some(raw) => value(name, &mut std::iter::once(raw)),
+        None => Ok(default),
+    }
+}
+
+/// Errs on an argument left over once a positional command line is read.
+pub fn no_more(args: Args) -> Result<(), String> {
+    match args.next() {
+        Some(extra) => Err(format!("unexpected argument `{extra}`; --help lists them")),
+        None => Ok(()),
+    }
+}
+
+/// The examples' optional `runtime_secs` argument: simulated seconds per
+/// run, 120 when absent. Zero measures nothing, and more than an hour is a
+/// paper-scale sweep, which is `repro`'s job.
+pub fn runtime_secs(args: Args) -> Result<u64, String> {
+    let secs = value_or("runtime_secs", args, 120)?;
+    if !(1..=3600).contains(&secs) {
+        return Err(format!(
+            "runtime_secs {secs}: must be 1 to 3600 simulated seconds"
+        ));
+    }
+    Ok(secs)
+}
+
 /// Most blocks one generation may have: 2 GiB of simulated log, 256× the
 /// largest search ceiling. The ring allocates a slot per block up front, so
 /// a size from the shell is bounded before it sizes an allocation.
 const MAX_GENERATION_BLOCKS: u32 = 1 << 20;
 
-/// The run flags `elsim` and `elserve` share, at their defaults (the
-/// paper's base configuration).
+/// The flags that shape the run, at their defaults (the paper's base
+/// configuration).
 struct RunFlags {
-    /// `--mode fw` / `--fw-blocks` (`elsim` only): firewall memory pricing.
+    /// `--mode fw` / `--fw-blocks`: firewall memory pricing.
     firewall: bool,
-    /// `--adaptive` (`elsim` only).
     adaptive: bool,
     gens: Vec<u32>,
-    /// The flag `gens` came from, for error messages: `--gens`, or
-    /// `--fw-blocks` (`elsim` only).
+    /// The flag `gens` came from, for error messages: `--gens` or
+    /// `--fw-blocks`.
     gens_flag: &'static str,
     recirc: bool,
     frac_long: f64,
@@ -185,44 +197,6 @@ impl Default for RunFlags {
 }
 
 impl RunFlags {
-    /// Consumes `flag` (and its value) when it is a shared run flag;
-    /// `Ok(false)` leaves it to the binary's own flags.
-    fn accept(&mut self, flag: &str, args: Args) -> Result<bool, String> {
-        match flag {
-            "--gens" => {
-                let list: String = value(flag, args)?;
-                self.gens_flag = "--gens";
-                self.gens = list
-                    .split(',')
-                    .map(|s| s.trim().parse())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| format!("--gens {list}: not a list of block counts"))?;
-            }
-            "--recirc" => self.recirc = true,
-            "--frac-long" => self.frac_long = value(flag, args)?,
-            "--tps" => self.tps = value(flag, args)?,
-            "--poisson" => self.poisson = true,
-            "--runtime" => self.runtime = value(flag, args)?,
-            "--drives" => self.drives = value(flag, args)?,
-            "--flush-ms" => self.flush_ms = value(flag, args)?,
-            "--seed" => {
-                let raw: String = value(flag, args)?;
-                let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => raw.parse(),
-                };
-                self.seed = parsed.map_err(|_| format!("{flag} {raw}: not a valid value"))?;
-            }
-            "--phases" => {
-                let spec: String = value(flag, args)?;
-                self.phases =
-                    Some(PhaseSchedule::parse(&spec).map_err(|e| format!("--phases {spec}: {e}"))?);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
     /// Validates the flags into a run configuration.
     fn build(self) -> Result<RunConfig, String> {
         if !(0.0..=1.0).contains(&self.frac_long) {
@@ -298,8 +272,11 @@ impl RunFlags {
 /// What an `elsim` command line asks for.
 #[derive(Debug)]
 pub struct Elsim {
-    /// The configuration to run (or to search from, under `--min-space`).
+    /// The configuration to run (or to search from, under `--min-space`);
+    /// `run.tenants` is the oid partition when `--tenants` is above 1.
     pub run: RunConfig,
+    /// `--budget`: per-tenant live-record admission budget (0 = unlimited).
+    pub budget: u64,
     /// `--min-space`: search the minimum geometry instead of running.
     pub min_space: bool,
     /// `--jobs`: worker threads for the search's probes.
@@ -313,16 +290,17 @@ pub struct Elsim {
 pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
     let args: Args = &mut args.into_iter();
     let mut run = RunFlags::default();
+    let mut tenants = 1usize;
+    let mut budget = 0u64;
+    let mut oid_ranges = None;
     let mut min_space = false;
     let mut jobs = crate::sweep::default_jobs();
     let mut certificates = true;
     while let Some(arg) = args.next() {
-        if run.accept(&arg, args)? {
-            continue;
-        }
-        match arg.as_str() {
+        let flag = arg.as_str();
+        match flag {
             "--mode" => {
-                run.firewall = match value::<String>("--mode", args)?.as_str() {
+                run.firewall = match value::<String>(flag, args)?.as_str() {
                     "el" => false,
                     "fw" => true,
                     other => return Err(format!("--mode {other}: expected `el` or `fw`")),
@@ -331,19 +309,71 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             "--fw-blocks" => {
                 run.firewall = true;
                 run.gens_flag = "--fw-blocks";
-                run.gens = vec![value("--fw-blocks", args)?];
+                run.gens = vec![value(flag, args)?];
+            }
+            "--gens" => {
+                let list: String = value(flag, args)?;
+                run.gens_flag = "--gens";
+                run.gens = list
+                    .split(',')
+                    .map(|s| s.trim().parse())
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| format!("--gens {list}: not a list of block counts"))?;
+            }
+            "--recirc" => run.recirc = true,
+            "--frac-long" => run.frac_long = value(flag, args)?,
+            "--tps" => run.tps = value(flag, args)?,
+            "--poisson" => run.poisson = true,
+            "--runtime" => run.runtime = value(flag, args)?,
+            "--drives" => run.drives = value(flag, args)?,
+            "--flush-ms" => run.flush_ms = value(flag, args)?,
+            "--seed" => {
+                let raw: String = value(flag, args)?;
+                let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+                    Some(hex) => u64::from_str_radix(hex, 16),
+                    None => raw.parse(),
+                };
+                run.seed = parsed.map_err(|_| format!("{flag} {raw}: not a valid value"))?;
+            }
+            "--phases" => {
+                let spec: String = value(flag, args)?;
+                run.phases =
+                    Some(PhaseSchedule::parse(&spec).map_err(|e| format!("--phases {spec}: {e}"))?);
+            }
+            "--tenants" => tenants = value(flag, args)?,
+            "--budget" => budget = value(flag, args)?,
+            "--oid-ranges" => {
+                let spec: String = value(flag, args)?;
+                oid_ranges =
+                    Some(parse_oid_ranges(&spec).map_err(|e| format!("--oid-ranges {spec}: {e}"))?);
             }
             "--adaptive" => run.adaptive = true,
             "--min-space" => min_space = true,
             "--no-cert" => certificates = false,
-            "--jobs" => jobs = positive("--jobs", args)?,
-            "--tenants" | "--budget" | "--oid-ranges" => {
-                return Err(format!(
-                    "{arg} is an elserve flag; elsim runs a single workload"
-                ));
-            }
+            "--jobs" => jobs = positive(flag, args)?,
             _ => return Err(format!("unknown flag `{arg}`; elsim --help lists them")),
         }
+    }
+    // A served run measures one fixed geometry: a search would probe every
+    // tenant's workload as one, and `serve_run` runs no controller.
+    let served = if tenants > 1 {
+        Some(("--tenants", tenants as u64))
+    } else if budget > 0 {
+        Some(("--budget", budget))
+    } else {
+        None
+    };
+    let solo = if min_space {
+        Some("--min-space")
+    } else if run.adaptive {
+        Some("--adaptive")
+    } else {
+        None
+    };
+    if let (Some((flag, n)), Some(other)) = (served, solo) {
+        return Err(format!(
+            "{flag} {n} cannot be combined with {other}: a served run neither searches nor adapts"
+        ));
     }
     if run.gens.len() > MAX_AXES {
         return Err(format!(
@@ -352,7 +382,7 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
         ));
     }
     let firewall = run.firewall;
-    let run = run.build()?;
+    let mut run = run.build()?;
     let log = &run.el.log;
     let gens = &log.generation_blocks;
     if min_space && !firewall && gens.len() >= 3 {
@@ -365,98 +395,67 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             ));
         }
     }
+    let num_objects = run.el.db.num_objects;
+    validate_tenants(tenants, num_objects).map_err(|e| format!("--tenants {tenants}: {e}"))?;
+    if let Some(layout) = &oid_ranges {
+        if layout.tenants() != tenants {
+            return Err(format!(
+                "--oid-ranges lists {} ranges for {tenants} tenants; one range per tenant",
+                layout.tenants()
+            ));
+        }
+        validate_layout(layout, num_objects).map_err(|e| format!("--oid-ranges: {e}"))?;
+    }
+    // One tenant owns the whole oid space (the only one-range layout that
+    // validates), which is the classic run: only a partition is kept.
+    if tenants > 1 {
+        let layout = oid_ranges.unwrap_or_else(|| TenantLayout::even(num_objects, tenants));
+        run = run.with_tenants(Some(layout));
+    }
     Ok(Elsim {
         run,
+        budget,
         min_space,
         jobs,
         certificates,
     })
 }
 
-/// Parses and validates an `elserve` command line (without the program
-/// name) into the serve configuration to run. The error is one line for
-/// stderr.
-pub fn elserve(args: impl IntoIterator<Item = String>) -> Result<ServeConfig, String> {
-    let args: Args = &mut args.into_iter();
-    let mut run = RunFlags::default();
-    let mut tenants = 2usize;
-    let mut budget = 0u64;
-    let mut oid_ranges = None;
-    while let Some(arg) = args.next() {
-        if run.accept(&arg, args)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--tenants" => tenants = value("--tenants", args)?,
-            "--budget" => budget = value("--budget", args)?,
-            "--oid-ranges" => {
-                let spec: String = value("--oid-ranges", args)?;
-                oid_ranges =
-                    Some(parse_oid_ranges(&spec).map_err(|e| format!("--oid-ranges {spec}: {e}"))?);
-            }
-            _ => return Err(format!("unknown flag `{arg}`; elserve --help lists them")),
-        }
-    }
-    let base = run.build()?;
-    let num_objects = base.el.db.num_objects;
-    validate_tenants(tenants, num_objects).map_err(|e| format!("--tenants {tenants}: {e}"))?;
-    let cfg = ServeConfig::new(base, tenants).with_budget(budget);
-    let Some(layout) = oid_ranges else {
-        return Ok(cfg);
-    };
-    if layout.tenants() != tenants {
-        return Err(format!(
-            "--oid-ranges lists {} ranges for {tenants} tenants; one range per tenant",
-            layout.tenants()
-        ));
-    }
-    validate_layout(&layout, num_objects).map_err(|e| format!("--oid-ranges: {e}"))?;
-    Ok(cfg.with_layout(layout))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::TenantLayout;
 
     fn args(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
     }
 
-    /// The ten flags both binaries document, each with a non-default
-    /// value.
-    const SHARED: &str = "--gens 36,32,8 --recirc --frac-long 0.2 --tps 50 --poisson \
+    /// The ten workload and geometry flags, each with a non-default value.
+    const RUN: &str = "--gens 36,32,8 --recirc --frac-long 0.2 --tps 50 --poisson \
         --runtime 60 --drives 8 --flush-ms 45 --seed 7 --phases 0:0.1,30:0.4@2";
 
     #[test]
     fn every_documented_flag_parses() {
-        let elsim_lines = [
+        let lines = [
             "",
-            SHARED,
+            RUN,
             "--mode el",
             "--mode fw --gens 123",
             "--fw-blocks 123",
             "--adaptive",
             "--min-space --jobs 2 --no-cert",
-        ];
-        for line in elsim_lines {
-            assert!(elsim(args(line)).is_ok(), "elsim {line}");
-        }
-        let elserve_lines = [
-            "",
-            SHARED,
             "--tenants 4 --budget 64",
             "--tenants 65536",
             "--tenants 2 --oid-ranges 0:4000000,4000000:6000000",
+            "--tenants 1 --oid-ranges 0:10000000 --min-space --adaptive",
         ];
-        for line in elserve_lines {
-            assert!(elserve(args(line)).is_ok(), "elserve {line}");
+        for line in lines {
+            assert!(elsim(args(line)).is_ok(), "elsim {line}");
         }
     }
 
     #[test]
     fn flags_land_in_the_configuration() {
-        let e = elsim(args(&format!("{SHARED} --adaptive --min-space --jobs 3"))).unwrap();
+        let e = elsim(args(&format!("{RUN} --adaptive --min-space --jobs 3"))).unwrap();
         assert_eq!(e.run.el.log.generation_blocks, vec![36, 32, 8]);
         assert!(e.run.el.log.recirculation && e.run.adaptive && e.min_space);
         assert_eq!(e.run.arrivals, ArrivalProcess::Poisson { rate_tps: 50.0 });
@@ -464,15 +463,21 @@ mod tests {
         assert_eq!((e.run.el.flush.drives, e.run.seed, e.jobs), (8, 7, 3));
         assert_eq!(e.run.el.flush.transfer_time, SimTime::from_millis(45));
         assert!(e.run.phases.is_some());
+        assert_eq!((e.run.tenants, e.budget), (None, 0));
 
         let fw = elsim(args("--fw-blocks 123")).unwrap().run.el;
         assert_eq!(fw.log.generation_blocks, vec![123]);
         assert_eq!(fw.memory_model, MemoryModel::Firewall);
 
-        let s = elserve(args("--tenants 4 --budget 64")).unwrap();
-        assert_eq!((s.tenants(), s.budget), (4, 64));
-        let even = TenantLayout::even(s.base.el.db.num_objects, 4);
-        assert_eq!(s.base.tenants, Some(even));
+        let s = elsim(args("--tenants 4 --budget 64")).unwrap();
+        let even = TenantLayout::even(s.run.el.db.num_objects, 4);
+        assert_eq!((s.run.tenants, s.budget), (Some(even), 64));
+        let ranges = "--tenants 2 --oid-ranges 0:4000000,4000000:6000000";
+        let split = elsim(args(ranges)).unwrap().run.tenants.unwrap();
+        assert_eq!(split.ranges, vec![(0, 4_000_000), (4_000_000, 6_000_000)]);
+        // One tenant owns the whole oid space: that is the classic run.
+        let one = elsim(args("--tenants 1 --oid-ranges 0:10000000")).unwrap();
+        assert_eq!(one.run.tenants, None);
     }
 
     #[test]
@@ -489,71 +494,49 @@ mod tests {
     }
 
     #[test]
-    fn one_tenant_elserve_builds_elsims_configuration() {
-        for line in ["", SHARED] {
-            let sim = elsim(args(line)).unwrap().run;
-            let serve = elserve(args(&format!("{line} --tenants 1"))).unwrap();
-            assert_eq!(
-                format!("{:?}", serve.base.with_tenants(None)),
-                format!("{sim:?}"),
-                "`{line}`"
-            );
-        }
-    }
-
-    #[test]
     fn hostile_values_are_errors_naming_the_flag() {
-        type Parse = fn(Vec<String>) -> Result<(), String>;
-        let sim: Parse = |a| elsim(a).map(drop);
-        let serve: Parse = |a| elserve(a).map(drop);
-        let table: [(Parse, &str, &str); 36] = [
-            (sim, "--gens 0", "--gens"),
-            (sim, "--gens 18,0", "--gens"),
-            (sim, "--gens 18,x", "--gens"),
-            (sim, "--gens 9,9,9,9,9,9,9,9,9", "--gens"),
-            (sim, "--gens", "--gens"),
-            (
-                sim,
-                "--gens 200,200,200,8 --runtime 5 --min-space",
-                "--gens",
-            ),
-            (serve, "--tenants 3 --gens 0", "--gens"),
+        let table = [
+            ("--gens 0", "--gens"),
+            ("--gens 18,0", "--gens"),
+            ("--gens 18,x", "--gens"),
+            ("--gens 9,9,9,9,9,9,9,9,9", "--gens"),
+            ("--gens", "--gens"),
+            ("--gens 200,200,200,8 --runtime 5 --min-space", "--gens"),
+            ("--tenants 3 --gens 0", "--gens"),
             // Sizes that would otherwise size the ring's allocation, and a
             // drive count `FlushArray::new` asserts against.
-            (sim, "--gens 4294967295,4294967295 --runtime 1", "--gens"),
-            (serve, "--gens 18,1048577", "--gens"),
-            (sim, "--fw-blocks 4294967295 --runtime 1", "--fw-blocks"),
-            (sim, "--drives 4294967295 --runtime 1", "--drives"),
-            (sim, "--tps 0", "--tps"),
-            (sim, "--tps nan", "--tps"),
-            (serve, "--tps -5", "--tps"),
+            ("--gens 4294967295,4294967295 --runtime 1", "--gens"),
+            ("--gens 18,1048577", "--gens"),
+            ("--fw-blocks 4294967295 --runtime 1", "--fw-blocks"),
+            ("--drives 4294967295 --runtime 1", "--drives"),
+            ("--tps 0", "--tps"),
+            ("--tps nan", "--tps"),
+            ("--tps -5", "--tps"),
             // Rates finer than the 1 µs clock: arrivals would pile onto one
             // instant (or never advance it) instead of erroring.
-            (sim, "--tps 1e12 --runtime 1", "--tps"),
-            (serve, "--tps 1e12 --runtime 1", "--tps"),
-            (sim, "--poisson --tps 1e9 --runtime 1", "--tps"),
-            (sim, "--tps 1500000", "--tps"),
-            (sim, "--phases 0:0.1@1e300 --runtime 5", "--phases"),
-            (serve, "--tps 600000 --phases 0:0.1,5:0.1@2", "--phases"),
-            (sim, "--mode bogus", "--mode"),
-            (sim, "--frac-long 2", "--frac-long"),
-            (sim, "--drives 0", "--drives"),
-            (sim, "--flush-ms 0", "--flush-ms"),
-            (sim, "--shards 2", "--shards"),
-            (serve, "--shards 2", "--shards"),
-            (sim, "--probe-jobs 4", "--probe-jobs"),
-            (serve, "--probe-jobs 4", "--probe-jobs"),
-            (sim, "--jobs 0", "--jobs"),
-            (sim, "--phases 5:0.1", "--phases"),
-            (sim, "--tenants 2", "--tenants"),
-            (serve, "--tenants 0", "--tenants"),
-            (serve, "--tenants 65537", "--tenants"),
-            (serve, "--tenants 99999999", "--tenants"),
-            (serve, "--tenants 3 --oid-ranges 0:5,5:5", "--oid-ranges"),
-            (serve, "--jobs 2", "--jobs"),
+            ("--tps 1e12 --runtime 1", "--tps"),
+            ("--poisson --tps 1e9 --runtime 1", "--tps"),
+            ("--tps 1500000", "--tps"),
+            ("--phases 0:0.1@1e300 --runtime 5", "--phases"),
+            ("--tps 600000 --phases 0:0.1,5:0.1@2", "--phases"),
+            ("--mode bogus", "--mode"),
+            ("--frac-long 2", "--frac-long"),
+            ("--drives 0", "--drives"),
+            ("--flush-ms 0", "--flush-ms"),
+            ("--shards 2", "--shards"),
+            ("--probe-jobs 4", "--probe-jobs"),
+            ("--jobs 0", "--jobs"),
+            ("--phases 5:0.1", "--phases"),
+            // A served run neither searches nor adapts.
+            ("--tenants 2 --min-space", "--tenants"),
+            ("--budget 8 --adaptive", "--budget"),
+            ("--tenants 0", "--tenants"),
+            ("--tenants 65537", "--tenants"),
+            ("--tenants 99999999", "--tenants"),
+            ("--tenants 3 --oid-ranges 0:5,5:5", "--oid-ranges"),
         ];
-        for (parse, line, flag) in table {
-            let err = parse(args(line)).expect_err(line);
+        for (line, flag) in table {
+            let err = elsim(args(line)).expect_err(line);
             assert!(
                 err.contains(flag),
                 "`{line}` → `{err}` does not name {flag}"
@@ -566,9 +549,9 @@ mod tests {
         assert!(elsim(args("--tps 1000000")).is_ok());
         assert!(elsim(args("--tps 500000 --phases 0:0.1@2")).is_ok());
         // The two tenant limits are named in the message.
-        let err = elserve(args("--tenants 65537")).unwrap_err();
+        let err = elsim(args("--tenants 65537")).unwrap_err();
         assert!(err.contains("65536"), "{err}");
-        let err = elserve(args("--tenants 99999999")).unwrap_err();
+        let err = elsim(args("--tenants 99999999")).unwrap_err();
         assert!(err.contains("10000000 objects"), "{err}");
     }
 }

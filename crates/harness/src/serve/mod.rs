@@ -1,13 +1,14 @@
-//! `elserve` — multi-tenant service mode: T logical tenants admitted into
-//! one shared ephemeral log.
+//! Multi-tenant service mode (`elsim --tenants T`): T logical tenants
+//! admitted into one shared ephemeral log.
 //!
 //! Each tenant owns a contiguous slice of the shared oid space (a
 //! [`TenantLayout`]), its own tid namespace (tenant index in the tid's high
 //! bits), and its own workload stream (seeded by [`tenant_seed`]). This
 //! module holds the tenancy rules — namespacing, seeds, layout
-//! validation — and the per-tenant report; the
-//! event loop is [`crate::runner::SimModel`], the same one `elsim` runs,
-//! built over `base.tenants`. It merges the tenants' arrival streams
+//! validation — and [`serve_run`]'s per-tenant outcome, which
+//! `crate::report::render_serve_report` prints; the event loop is
+//! [`crate::runner::SimModel`], the same one a plain run uses, built over
+//! `base.tenants`. It merges the tenants' arrival streams
 //! deterministically — events fire in global `(time, tenant, sequence)`
 //! order because tenants bootstrap in index order and the event queue
 //! breaks time ties by schedule sequence.

@@ -26,17 +26,13 @@
 //!    committed-state oracle maintained outside the crash boundary.
 //!
 //! [`timing`] models the headline claim: recovery time proportional to log
-//! size, parameterised by device read bandwidth. [`archive`] adds the
-//! §6-adjacent mechanical piece: serialising a surface to real files and
-//! recovering from them.
+//! size, parameterised by device read bandwidth.
 
-pub mod archive;
 pub mod redo;
 pub mod scan;
 pub mod timing;
 pub mod verify;
 
-pub use archive::{load_archive, save_archive, ArchiveError};
 pub use redo::{recover, RecoveredState};
 pub use scan::{scan_bytes, LogImage, ScanStats};
 pub use timing::{estimate_recovery_time, RecoveryTimeModel};

@@ -11,12 +11,26 @@
 use elog_core::MemoryModel;
 use elog_harness::minspace::paper_base;
 use elog_harness::runner::run;
-use elog_harness::{LatticeLimits, SearchRequest};
+use elog_harness::{cli, LatticeLimits, SearchRequest};
+
+const USAGE: &str = "compare_fw_el [frac_long] [runtime_secs]
+  frac_long               fraction of 10 s transactions, in [0, 1]
+                          (default 0.05)
+  runtime_secs            simulated seconds per run, 1 to 3600 (default 120)";
+
+fn parse(args: Vec<String>) -> Result<(f64, u64), String> {
+    let args: cli::Args = &mut args.into_iter();
+    let frac_long: f64 = cli::value_or("frac_long", args, 0.05)?;
+    if !(0.0..=1.0).contains(&frac_long) {
+        return Err(format!("frac_long {frac_long}: must lie in [0, 1]"));
+    }
+    let runtime = cli::runtime_secs(args)?;
+    cli::no_more(args)?;
+    Ok((frac_long, runtime))
+}
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let frac_long: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0.05);
-    let runtime: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(120);
+    let (frac_long, runtime) = cli::parse_env(USAGE, parse);
     println!(
         "mix: {:.0}% ten-second transactions, {runtime} s simulated\n",
         frac_long * 100.0

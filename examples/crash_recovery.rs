@@ -29,17 +29,14 @@ const MAX_CRASH_AT_SECS: f64 = 3600.0;
 /// a negative instant crashes before the first arrival, and an infinite
 /// one saturates the clock so that arrivals never stop.
 fn parse(args: Vec<String>) -> Result<f64, String> {
-    let raw = match args.as_slice() {
-        [] => return Ok(42.5),
-        [raw] => raw.clone(),
-        _ => return Err(format!("crash_at_secs: one argument, got {}", args.len())),
-    };
-    let at: f64 = cli::value("crash_at_secs", &mut args.into_iter())?;
+    let args: cli::Args = &mut args.into_iter();
+    let at: f64 = cli::value_or("crash_at_secs", args, 42.5)?;
     if !(0.0..=MAX_CRASH_AT_SECS).contains(&at) {
         return Err(format!(
-            "crash_at_secs {raw}: must be a number of seconds in [0, {MAX_CRASH_AT_SECS}]"
+            "crash_at_secs {at}: must be a number of seconds in [0, {MAX_CRASH_AT_SECS}]"
         ));
     }
+    cli::no_more(args)?;
     Ok(at)
 }
 

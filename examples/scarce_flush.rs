@@ -10,14 +10,22 @@
 //! cargo run --release --example scarce_flush [runtime_secs]
 //! ```
 
+use elog_harness::cli;
 use elog_harness::experiments::scarce;
 use elog_harness::sweep::{run_scenarios, ExecOptions};
 
+const USAGE: &str = "scarce_flush [runtime_secs]
+  runtime_secs            simulated seconds per run, 1 to 3600 (default 120)";
+
+fn parse(args: Vec<String>) -> Result<u64, String> {
+    let args: cli::Args = &mut args.into_iter();
+    let runtime = cli::runtime_secs(args)?;
+    cli::no_more(args)?;
+    Ok(runtime)
+}
+
 fn main() {
-    let runtime: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(120);
+    let runtime = cli::parse_env(USAGE, parse);
 
     let cfg = scarce::Config {
         frac_long: 0.05,

@@ -10,13 +10,32 @@
 //! cargo run --release --example tune_generations [g0] [runtime_secs]
 //! ```
 
+use elog_harness::cli;
 use elog_harness::experiments::fig7;
 use elog_harness::sweep::{run_scenarios, ExecOptions};
+use elog_model::LogConfig;
+
+const USAGE: &str = "tune_generations [g0] [runtime_secs]
+  g0                      gen0 size in blocks, above the 2-block gap
+                          (default 18)
+  runtime_secs            simulated seconds per run, 1 to 3600 (default 120)";
+
+fn parse(args: Vec<String>) -> Result<(u32, u64), String> {
+    let args: cli::Args = &mut args.into_iter();
+    let g0 = cli::value_or("g0", args, 18)?;
+    LogConfig {
+        generation_blocks: vec![g0],
+        ..LogConfig::default()
+    }
+    .validate()
+    .map_err(|e| format!("g0 {g0}: {e}"))?;
+    let runtime = cli::runtime_secs(args)?;
+    cli::no_more(args)?;
+    Ok((g0, runtime))
+}
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let g0: u32 = args.next().and_then(|s| s.parse().ok()).unwrap_or(18);
-    let runtime: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(120);
+    let (g0, runtime) = cli::parse_env(USAGE, parse);
 
     let cfg = fig7::Config {
         frac_long: 0.05,

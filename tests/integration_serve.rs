@@ -1,4 +1,4 @@
-//! Serve-mode pins: the 1-tenant degeneracy (elserve ≡ elsim) and the
+//! Serve-mode pins: the 1-tenant degeneracy (`serve_run` ≡ `run`) and the
 //! tenant-isolation property (a tenant's committed record set is identical
 //! alone or alongside T−1 others).
 
@@ -23,8 +23,7 @@ fn base(runtime_secs: u64, rate_tps: f64) -> RunConfig {
 /// One tenant is the classic run: the same model built by the same
 /// function over the same configuration, so the whole metrics snapshot and
 /// the engine's own event and queue counters must agree with `run()` —
-/// not a hand-picked subset. (ci.sh diffs the two binaries' stdout on top
-/// of this.)
+/// not a hand-picked subset.
 #[test]
 fn one_tenant_serve_matches_the_classic_run() {
     let cfg = base(20, 100.0);
