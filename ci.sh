@@ -10,6 +10,10 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+# A broken or private intra-doc link is a warning rustdoc only prints here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== no external crates =="
 # The workspace depends on nothing outside crates/: every package on a
 # normal, dev or build edge of the tree is an elog-* crate.

@@ -2,10 +2,9 @@
 //!
 //! A drive owns the oid range `[lo, hi)`, serves at most one transfer at a
 //! time (§3), and between transfers picks its next request with the
-//! [`NearestOid`](crate::scheduler::NearestOid) scheduler. Urgent requests
-//! (every committed-unflushed record the log manager drops at the last
-//! head, and the ForceFlush ablation) pre-empt the distance order but not
-//! the transfer in progress.
+//! [`NearestOid`] scheduler. Urgent requests (every committed-unflushed
+//! record the log manager drops at the last head, and the ForceFlush
+//! ablation) pre-empt the distance order but not the transfer in progress.
 
 use crate::scheduler::NearestOid;
 use elog_model::{ObjectVersion, Oid};

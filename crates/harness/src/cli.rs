@@ -11,7 +11,7 @@
 //! `Err` goes to stderr and exits 2. `repro` keeps its own flag loop and
 //! shares [`value`] / [`positive`] with this one; the examples read their
 //! positional arguments with [`value_or`], [`runtime_secs`] and
-//! [`no_more`]. [`print`] is every binary's way to stdout.
+//! [`no_more`]. [`print()`] is every binary's way to stdout.
 
 use crate::latsearch::{prefix_volume, MAX_AXES, MAX_PREFIX_COLUMNS};
 use crate::runner::{RunConfig, TenantLayout};

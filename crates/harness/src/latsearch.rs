@@ -12,7 +12,7 @@
 //!
 //! # One accelerator
 //!
-//! [`Prober::verdict`] is two steps: the column's [`ConsumptionCert`], else
+//! `Prober::verdict` is two steps: the column's [`ConsumptionCert`], else
 //! simulate. The certificate's correctness argument is local to one column
 //! — with the prefix fixed, only the last ring's head advance depends on
 //! the last capacity (`alloc j ⇒ consume j − (cap − gap)`, see
@@ -21,7 +21,7 @@
 //!
 //! # Jobs invariance
 //!
-//! One [`Prober`] captures the workload trace on the first kill-free
+//! One `Prober` captures the workload trace on the first kill-free
 //! probe; every later probe replays it. Scan workers share that trace and
 //! nothing else — a certificate never outlives its column — so probe
 //! counts, and every statistic derived from them, are identical for every

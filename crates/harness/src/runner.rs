@@ -7,7 +7,7 @@
 //! driver per tenant of [`RunConfig::tenants`]. Each driver works in its
 //! own *local* tid and oid space; the loop namespaces both where driver
 //! output crosses into the shared queue and manager — tid high bits carry
-//! the tenant index ([`global_tid`]), oids shift by the tenant's range
+//! the tenant index (`serve::global_tid`), oids shift by the tenant's range
 //! base — and translates back when events and manager effects (acks,
 //! kills) return. Tenant 0's mapping is the identity, so at one tenant the
 //! translation vanishes and there is nothing for the two kinds of run to

@@ -25,7 +25,7 @@
 use crate::ids::{Oid, Tid};
 use elog_sim::{FxHashMap, SimTime};
 use std::collections::hash_map::Entry;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One installed (or committed) version of an object.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,9 +51,14 @@ impl ObjectVersion {
 }
 
 /// The on-disk stable version of the database.
-#[derive(Clone, Debug, Default)]
+///
+/// The table is shared: cloning a `StableDb` (a crash snapshot) or its
+/// [`StableDb::table`] (a recovered state) is a reference-count bump, and
+/// an install into a database whose table is shared copies it first, so no
+/// holder ever sees another's later installs.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StableDb {
-    versions: FxHashMap<Oid, ObjectVersion>,
+    versions: Arc<FxHashMap<Oid, ObjectVersion>>,
     installs: u64,
 }
 
@@ -70,20 +75,7 @@ impl StableDb {
     /// version is independent of flush-completion order even when two
     /// transactions stamped the same instant.
     pub fn install(&mut self, oid: Oid, version: ObjectVersion) -> bool {
-        // One probe: the table is the run's largest and far out of cache.
-        let newer = match self.versions.entry(oid) {
-            Entry::Occupied(mut held) => {
-                let newer = version.order_key() > held.get().order_key();
-                if newer {
-                    held.insert(version);
-                }
-                newer
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(version);
-                true
-            }
-        };
+        let newer = keep_newer(Arc::make_mut(&mut self.versions), oid, version);
         self.installs += u64::from(newer);
         newer
     }
@@ -113,11 +105,29 @@ impl StableDb {
         self.versions.iter().map(|(&o, &v)| (o, v))
     }
 
-    /// The whole version table, borrowed. Recovery starts from a clone of
-    /// it: for `Copy` entries that is a copy of the table's memory, with
-    /// no hashing and no growth.
-    pub fn versions(&self) -> &FxHashMap<Oid, ObjectVersion> {
+    /// The version table itself. Recovery keeps an `Arc::clone` of it
+    /// under the log's winners instead of copying it.
+    pub fn table(&self) -> &Arc<FxHashMap<Oid, ObjectVersion>> {
         &self.versions
+    }
+}
+
+/// Stores `version` unless `table` already holds one at least as new under
+/// [`ObjectVersion::order_key`]; true when it was stored. One probe: the
+/// table is the run's largest and far out of cache.
+fn keep_newer(table: &mut FxHashMap<Oid, ObjectVersion>, oid: Oid, version: ObjectVersion) -> bool {
+    match table.entry(oid) {
+        Entry::Occupied(mut held) => {
+            let newer = version.order_key() > held.get().order_key();
+            if newer {
+                held.insert(version);
+            }
+            newer
+        }
+        Entry::Vacant(slot) => {
+            slot.insert(version);
+            true
+        }
     }
 }
 
@@ -137,7 +147,7 @@ impl StableDb {
 /// and 6.4 MB for a 500 s run — which under the uniform oid picker is what
 /// the table itself grows to. There is deliberately no compaction
 /// threshold: it would only pay under a skewed picker that re-flushes hot
-/// objects, and there is none yet (ROADMAP item 3(d)).
+/// objects, and there is none yet (ROADMAP item 5).
 #[derive(Clone, Debug, Default)]
 pub struct InstallLog {
     log: Vec<(Oid, ObjectVersion)>,
@@ -162,14 +172,17 @@ impl InstallLog {
     /// The stable database holding every install so far.
     pub fn db(&self) -> &StableDb {
         self.folded.get_or_init(|| {
-            let mut db = StableDb {
-                versions: FxHashMap::with_capacity_and_hasher(self.log.len(), Default::default()),
-                installs: 0,
-            };
-            for &(oid, version) in &self.log {
-                db.install(oid, version);
+            // Folded into an unshared map, so no install can copy it.
+            let mut table = FxHashMap::with_capacity_and_hasher(self.log.len(), Default::default());
+            let installs = self
+                .log
+                .iter()
+                .filter(|&&(oid, version)| keep_newer(&mut table, oid, version))
+                .count() as u64;
+            StableDb {
+                versions: Arc::new(table),
+                installs,
             }
-            db
         })
     }
 }
@@ -288,7 +301,7 @@ mod tests {
         assert_eq!(db.len(), eager.len(), "{at}: len");
         assert_eq!(db.is_empty(), eager.is_empty(), "{at}: is_empty");
         assert_eq!(db.installs(), eager.installs(), "{at}: installs");
-        assert_eq!(db.versions(), eager.versions(), "{at}: versions");
+        assert_eq!(db, eager, "{at}: table");
         for oid in (0..SMALL_OIDS).map(Oid) {
             assert_eq!(db.version(oid), eager.version(oid), "{at}: {oid:?}");
         }
@@ -348,6 +361,29 @@ mod tests {
     #[test]
     fn install_log_matches_eager_stable_db() {
         cases::run("stabledb::tests::install_log_matches", 24, install_log_case);
+    }
+
+    #[test]
+    fn an_install_into_a_clone_copies_the_shared_table() {
+        let mut log = InstallLog::new();
+        log.install(Oid(1), v(1, 1, 10));
+        log.install(Oid(2), v(1, 2, 10));
+        let folded = log.db();
+        // What a recovered state keeps of the table it was built over.
+        let reader = Arc::clone(folded.table());
+        let mut fork = folded.clone();
+        assert!(Arc::ptr_eq(fork.table(), folded.table()), "a clone shares");
+        assert!(fork.install(Oid(1), v(2, 1, 20)));
+        assert!(
+            !Arc::ptr_eq(fork.table(), folded.table()),
+            "and copies on write"
+        );
+        assert_eq!(fork.version(Oid(1)), Some(v(2, 1, 20)));
+        assert_eq!((fork.len(), fork.installs()), (2, 3));
+        assert_eq!(folded.version(Oid(1)), Some(v(1, 1, 10)));
+        assert_eq!((folded.len(), folded.installs()), (2, 2));
+        assert_eq!(reader.get(&Oid(1)), Some(&v(1, 1, 10)));
+        assert_eq!(reader.len(), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! blocks, "the traditional two pass (undo, redo) recovery method … is no
 //! longer appropriate. Now, we can read the entire log into memory and
 //! perform recovery with a single pass. Recovery in less than a second may
-//! be feasible." The details are in the companion report it cites ([9],
+//! be feasible." The details are in the companion report it cites (\[9\],
 //! Keen, *Logging and Recovery in a Highly Concurrent Stable Object
 //! Store*); this crate implements the algorithm those constraints imply:
 //!
@@ -21,7 +21,9 @@
 //!    durable COMMIT record exists; for each object the newest committed
 //!    update wins, and it is applied only if newer than the stable
 //!    database's version stamp (the paper's §6 version-number timestamp
-//!    assumption). REDO-only rules mean there is nothing to undo.
+//!    assumption). REDO-only rules mean there is nothing to undo. The
+//!    winners overlay the stable table ([`Versions`]), which is shared,
+//!    not copied.
 //! 3. **Verify** ([`verify`]): compare a reconstruction against the
 //!    committed-state oracle maintained outside the crash boundary.
 //!
@@ -33,7 +35,7 @@ pub mod scan;
 pub mod timing;
 pub mod verify;
 
-pub use redo::{recover, RecoveredState};
+pub use redo::{recover, RecoveredState, Versions};
 pub use scan::{scan_bytes, LogImage, ScanStats};
 pub use timing::{estimate_recovery_time, RecoveryTimeModel};
 pub use verify::{check_against_oracle, VerifyReport};

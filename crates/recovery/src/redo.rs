@@ -14,16 +14,24 @@
 //!   the stable database's version stamp — stale physical copies
 //!   (superseded or already-flushed updates whose commit records were
 //!   collected) lose this comparison automatically.
+//!
+//! "Applied" means kept: the recovered table is the surviving candidates
+//! laid over the stable table, which is shared with the [`StableDb`], not
+//! copied. A restart costs the log it reads and one probe of the stable
+//! table per candidate, whatever the size of the database.
 
 use crate::scan::LogImage;
 use elog_model::{ObjectVersion, Oid, StableDb};
 use elog_sim::FxHashMap;
+use std::fmt;
+use std::ops::Index;
+use std::sync::Arc;
 
 /// The reconstructed post-crash state.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct RecoveredState {
     /// Final version of every object that has one (stable ∪ redone).
-    pub versions: FxHashMap<Oid, ObjectVersion>,
+    pub versions: Versions,
     /// Objects whose version came from the log (redone), not the stable DB.
     pub redone: u64,
     /// Log updates skipped because the stable version was as new or newer.
@@ -34,22 +42,80 @@ pub struct RecoveredState {
     pub committed_txns: u64,
 }
 
+/// The recovered version of every object: the log's winners over the
+/// stable table. Reads as one map from oid to version; the stable table
+/// behind it is shared with the [`StableDb`] it was recovered from, and a
+/// later install there copies that table rather than change this one.
+#[derive(Clone)]
+pub struct Versions {
+    /// The stable database's table at recovery.
+    stable: Arc<FxHashMap<Oid, ObjectVersion>>,
+    /// The redone versions, each newer than its stable stamp (if any).
+    redone: FxHashMap<Oid, ObjectVersion>,
+    /// Redone oids with no stable version.
+    fresh: usize,
+}
+
+impl Versions {
+    /// The recovered version of `oid`: the redone one, else the stable one.
+    pub fn get(&self, oid: &Oid) -> Option<&ObjectVersion> {
+        self.redone.get(oid).or_else(|| self.stable.get(oid))
+    }
+
+    /// Number of objects with a recovered version.
+    pub fn len(&self) -> usize {
+        self.stable.len() + self.fresh
+    }
+
+    /// True when no object has a version.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Iterates over `(oid, version)` pairs, each oid once, in unspecified
+    /// order: the redone versions, then the stable ones they do not shadow.
+    pub fn iter(&self) -> impl Iterator<Item = (Oid, ObjectVersion)> + '_ {
+        let unshadowed = self
+            .stable
+            .iter()
+            .filter(|(oid, _)| !self.redone.contains_key(oid));
+        self.redone.iter().chain(unshadowed).map(|(&o, &v)| (o, v))
+    }
+}
+
+impl Index<&Oid> for Versions {
+    type Output = ObjectVersion;
+
+    fn index(&self, oid: &Oid) -> &ObjectVersion {
+        self.get(oid)
+            .expect("indexed an oid with no recovered version")
+    }
+}
+
+/// Equal when they map the same oids to the same versions, however each
+/// splits them between stable and redone.
+impl PartialEq for Versions {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().all(|(oid, v)| other.get(&oid) == Some(&v))
+    }
+}
+
+impl fmt::Debug for Versions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Runs single-pass recovery over a scanned image and the stable database.
 pub fn recover(image: &LogImage, stable: &StableDb) -> RecoveredState {
-    // Start from the stable versions: one table copy, so the stable
-    // database costs a memcpy and everything below costs the log.
-    let mut out = RecoveredState {
-        versions: stable.versions().clone(),
-        committed_txns: image.committed.len() as u64,
-        ..RecoveredState::default()
-    };
     // Single pass over data records: keep the newest committed candidate
     // per object.
+    let mut skipped_uncommitted = 0;
     let mut candidates: FxHashMap<Oid, ObjectVersion> =
         FxHashMap::with_capacity_and_hasher(image.data.len(), Default::default());
     for d in &image.data {
         if !image.committed.contains(&d.tid) {
-            out.skipped_uncommitted += 1;
+            skipped_uncommitted += 1;
             continue;
         }
         let v = ObjectVersion {
@@ -65,19 +131,32 @@ pub fn recover(image: &LogImage, stable: &StableDb) -> RecoveredState {
             }
         }
     }
-    // Apply candidates newer than the stable version (same total order as
-    // the candidate fold, so a scan-order permutation cannot flip the
-    // stable-vs-log verdict either).
-    for (oid, v) in candidates {
-        match out.versions.get(&oid) {
-            Some(stable_v) if stable_v.order_key() >= v.order_key() => out.skipped_stale += 1,
-            _ => {
-                out.versions.insert(oid, v);
-                out.redone += 1;
-            }
+    // Keep the candidates newer than the stable version (same total order
+    // as the candidate fold, so a scan-order permutation cannot flip the
+    // stable-vs-log verdict either). The survivors are the redone overlay.
+    let table = stable.table();
+    let (mut skipped_stale, mut fresh) = (0, 0);
+    candidates.retain(|oid, v| match table.get(oid) {
+        Some(held) if held.order_key() >= v.order_key() => {
+            skipped_stale += 1;
+            false
         }
+        held => {
+            fresh += usize::from(held.is_none());
+            true
+        }
+    });
+    RecoveredState {
+        redone: candidates.len() as u64,
+        skipped_stale,
+        skipped_uncommitted,
+        committed_txns: image.committed.len() as u64,
+        versions: Versions {
+            stable: Arc::clone(table),
+            redone: candidates,
+            fresh,
+        },
     }
-    out
 }
 
 #[cfg(test)]
@@ -272,5 +351,63 @@ mod tests {
         let image = scan(&[g]);
         let out = recover(&image, &StableDb::new());
         assert!(out.versions.is_empty());
+    }
+
+    fn version(tid: u64, ms: u64) -> ObjectVersion {
+        ObjectVersion {
+            tid: Tid(tid),
+            seq: 1,
+            ts: SimTime::from_millis(ms),
+        }
+    }
+
+    #[test]
+    fn stable_only_redone_fresh_and_stale_oids_in_one_overlay() {
+        let mut stable = StableDb::new();
+        stable.install(Oid(1), version(1, 10)); // stable-only
+        stable.install(Oid(2), version(1, 10)); // redone over it
+        stable.install(Oid(4), version(3, 50)); // newer than the log: stale
+        let g = block(vec![
+            data(2, 2, 1, 20),
+            data(2, 3, 1, 20), // fresh: no stable version
+            data(2, 4, 1, 20),
+            commit(2, 21),
+        ]);
+        let out = recover(&scan(&[g]), &stable);
+        assert_eq!((out.redone, out.skipped_stale), (2, 1));
+        assert_eq!(out.versions.len(), 4, "three stable + one fresh");
+        assert_eq!(out.versions[&Oid(1)], version(1, 10));
+        assert_eq!(out.versions[&Oid(2)], version(2, 20));
+        assert_eq!(out.versions[&Oid(3)], version(2, 20));
+        assert_eq!(out.versions[&Oid(4)], version(3, 50));
+        assert_eq!(out.versions.get(&Oid(5)), None);
+        let mut all: Vec<_> = out.versions.iter().collect();
+        all.sort_unstable_by_key(|&(oid, _)| oid);
+        assert_eq!(
+            all,
+            [
+                (Oid(1), version(1, 10)),
+                (Oid(2), version(2, 20)),
+                (Oid(3), version(2, 20)),
+                (Oid(4), version(3, 50)),
+            ],
+            "each oid once, the redone version over the stable one"
+        );
+    }
+
+    #[test]
+    fn a_later_install_leaves_a_recovered_state_unchanged() {
+        let mut stable = StableDb::new();
+        stable.install(Oid(1), version(1, 10));
+        let g = block(vec![data(2, 2, 1, 20), commit(2, 21)]);
+        let out = recover(&scan(&[g]), &stable);
+        let before = format!("{:?}", out.versions);
+        let mut fork = stable.clone();
+        fork.install(Oid(1), version(3, 30));
+        stable.install(Oid(1), version(4, 40));
+        stable.install(Oid(9), version(4, 40));
+        assert_eq!(format!("{:?}", out.versions), before);
+        assert_eq!(out.versions[&Oid(1)], version(1, 10));
+        assert_eq!(out.versions.len(), 2);
     }
 }

@@ -57,7 +57,8 @@ pub fn check_against_oracle(oracle: &CommittedOracle, recovered: &RecoveredState
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elog_model::{ObjectVersion, Tid};
+    use crate::{recover, LogImage};
+    use elog_model::{ObjectVersion, StableDb, Tid};
     use elog_sim::SimTime;
 
     fn v(tid: u64, ms: u64) -> ObjectVersion {
@@ -77,11 +78,11 @@ mod tests {
     }
 
     fn recovered_with(entries: &[(u64, ObjectVersion)]) -> RecoveredState {
-        let mut r = RecoveredState::default();
+        let mut stable = StableDb::new();
         for &(oid, ver) in entries {
-            r.versions.insert(Oid(oid), ver);
+            stable.install(Oid(oid), ver);
         }
-        r
+        recover(&LogImage::default(), &stable)
     }
 
     #[test]

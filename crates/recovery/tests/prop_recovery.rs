@@ -184,14 +184,23 @@ fn scan<'a>(blocks: impl IntoIterator<Item = &'a Vec<u8>>) -> LogImage {
     image
 }
 
-/// The recovered state reduced to a comparable form: the full version map
-/// in canonical (oid) order plus every counter.
-fn canon(state: &RecoveredState) -> (Vec<(Oid, ObjectVersion)>, u64, u64, u64, u64) {
-    let mut versions: Vec<(Oid, ObjectVersion)> =
-        state.versions.iter().map(|(&o, &v)| (o, v)).collect();
+/// A recovered state in comparable form: the version map in oid order,
+/// its length, then `redone`, `skipped_stale`, `skipped_uncommitted` and
+/// `committed_txns`.
+type Canon = (Vec<(Oid, ObjectVersion)>, usize, u64, u64, u64, u64);
+
+/// `state` reduced to [`Canon`]; the overlay's `iter` must yield each oid
+/// once.
+fn canon(state: &RecoveredState) -> Canon {
+    let mut versions: Vec<(Oid, ObjectVersion)> = state.versions.iter().collect();
     versions.sort_by_key(|&(o, _)| o);
+    assert!(
+        versions.windows(2).all(|w| w[0].0 != w[1].0),
+        "iter yielded an oid twice"
+    );
     (
         versions,
+        state.versions.len(),
         state.redone,
         state.skipped_stale,
         state.skipped_uncommitted,
@@ -315,21 +324,18 @@ fn recovery_is_invariant_under_generation_permutation() {
 }
 
 /// REDO as the definition reads, one `insert` at a time into ordered maps:
-/// every stable version, then the newest committed update per object,
-/// then each candidate against the stable stamp.
-fn reference_recover(image: &LogImage, stable: &StableDb) -> RecoveredState {
+/// a copy of every stable version, then the newest committed update per
+/// object, then each candidate against the stable stamp.
+fn reference_recover(image: &LogImage, stable: &StableDb) -> Canon {
     let mut versions = BTreeMap::new();
     for (oid, v) in stable.iter() {
         versions.insert(oid, v);
     }
-    let mut out = RecoveredState {
-        committed_txns: image.committed.len() as u64,
-        ..RecoveredState::default()
-    };
+    let (mut redone, mut skipped_stale, mut skipped_uncommitted) = (0, 0, 0);
     let mut candidates: BTreeMap<Oid, ObjectVersion> = BTreeMap::new();
     for d in &image.data {
         if !image.committed.contains(&d.tid) {
-            out.skipped_uncommitted += 1;
+            skipped_uncommitted += 1;
             continue;
         }
         let v = ObjectVersion {
@@ -349,21 +355,27 @@ fn reference_recover(image: &LogImage, stable: &StableDb) -> RecoveredState {
             .get(&oid)
             .is_some_and(|s| s.order_key() >= v.order_key())
         {
-            out.skipped_stale += 1;
+            skipped_stale += 1;
         } else {
             versions.insert(oid, v);
-            out.redone += 1;
+            redone += 1;
         }
     }
-    out.versions = versions.into_iter().collect();
-    out
+    (
+        versions.iter().map(|(&o, &v)| (o, v)).collect(),
+        versions.len(),
+        redone,
+        skipped_stale,
+        skipped_uncommitted,
+        image.committed.len() as u64,
+    )
 }
 
 /// One random image × one random stable database. Oids, tids and
 /// timestamps come from ranges narrow enough that log records collide
 /// with each other and with stable stamps; the stable database runs from
-/// empty to a few hundred objects, so the table `recover` copies has been
-/// through every growth step a small one sees.
+/// empty to a few hundred objects, so the table `recover` lays its
+/// winners over has been through every growth step a small one sees.
 fn recover_case(rng: &mut SimRng) {
     let oids = 1 + rng.next_u64() % 300;
     let tids = 1 + rng.next_u64() % 40;
@@ -418,15 +430,16 @@ fn recover_case(rng: &mut SimRng) {
     let image = scan(&pack_gen(0, &records));
     assert_eq!(
         canon(&recover(&image, &stable)),
-        canon(&reference_recover(&image, &stable)),
+        reference_recover(&image, &stable),
         "{} stable objects, {} log records",
         stable.len(),
         records.len()
     );
 }
 
-/// `recover` starts from a copy of the stable table and pre-sizes its
-/// candidate map; the reference does neither. Field for field the same.
+/// `recover` overlays its winners on the shared stable table; the
+/// reference copies that table and inserts into the copy. Field for field,
+/// and in length, the same.
 #[test]
 fn recover_matches_the_insert_by_insert_reference() {
     cases::run(

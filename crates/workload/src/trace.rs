@@ -13,7 +13,7 @@
 //! kill-free history, so replaying a kill-free capture is exact there too.
 //!
 //! [`WorkloadTrace`] is that captured interface in two flat vectors: one
-//! [`TraceTxn`] per transaction (arrival time, type, oid-slot offset) and
+//! `TraceTxn` per transaction (arrival time, type, oid-slot offset) and
 //! one shared oid array. No per-event heap objects, no RNG state — a
 //! replaying driver walks the vectors instead of sampling.
 
