@@ -39,6 +39,19 @@ if [ -n "$UNSAFE_FILES" ]; then
     exit 1
 fi
 
+echo "== one log manager =="
+# ElManager (EL and the FW baseline) is the only production LogManager.
+# Substitutes that plug into the trait (test recorders and mirrors, the
+# benchmark's timing wrapper) live in crates/harness, tests/ and benchmark/,
+# not in crates/core.
+LM_IMPLS=$(grep -rnE '\bimpl\b.*\bLogManager\s+for\b' crates/core/src --include='*.rs' || true)
+if [ "$(echo "$LM_IMPLS" | grep -c .)" -ne 1 ] ||
+    ! echo "$LM_IMPLS" | grep -qE 'LogManager\s+for\s+(crate::)?ElManager\b'; then
+    echo "crates/core must implement LogManager for ElManager alone:" >&2
+    echo "${LM_IMPLS:-no impl found}" >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --offline --release --workspace --bins --examples
 
@@ -47,7 +60,7 @@ echo "== repro --quick stdout pin =="
 # only in prose. stdout carries the tables and notes, nothing host- or
 # time-dependent (progress and timing go to stderr), and is the same at any
 # --jobs. A deliberate model change re-pins it in the same commit.
-REPRO_PIN=6fb4bff8ec894899d41d1fcf10db0882
+REPRO_PIN=5a88ed19feea1ce2cac936ab6e58dd3d
 REPRO_MD5=$(./target/release/repro --quick --jobs 1 2>/dev/null | md5sum | cut -d' ' -f1)
 if [ "$REPRO_MD5" != "$REPRO_PIN" ]; then
     echo "repro --quick stdout md5 is $REPRO_MD5, pinned $REPRO_PIN:" >&2

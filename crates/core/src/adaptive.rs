@@ -40,8 +40,8 @@
 //!   static yardstick) was priced against. At `FALLBACK_AFTER` (5)
 //!   consecutive kill windows the controller declares the firewall
 //!   fallback — hints on *and* the last generation grown to its max
-//!   bound, the EL-side emulation of the hybrid's per-queue firewalls
-//!   (each transaction pinned where the queue wrap exceeds its duration).
+//!   bound, the EL-side emulation of §6's per-queue firewalls (each
+//!   transaction pinned where the queue wrap exceeds its duration).
 //! * **Quiet window** (no kills): streaks reset; after `SHRINK_AFTER` (2)
 //!   consecutive quiet windows — and only if a kill has *ever* been
 //!   seen — the controller shrinks toward

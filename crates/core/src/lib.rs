@@ -21,9 +21,7 @@
 //! * the in-RAM bookkeeping structures of §2: the cell arena with its
 //!   circular doubly-linked lists ([`cell`]), the Logged Object Table
 //!   ([`lot`]) and the Logged Transaction Table ([`ltt`]);
-//! * the §6 EL–FW [`hybrid`] (per-queue firewalls, whole-transaction
-//!   regeneration, one anchor per transaction) and the §6 lifetime-hint
-//!   placement ([`ElManager::begin_in`]);
+//! * the §6 lifetime-hint placement ([`ElManager::begin_in`]);
 //! * metrics matching the paper's evaluation criteria ([`metrics`]).
 //!
 //! # Quickstart
@@ -51,7 +49,6 @@ pub mod append;
 pub mod cell;
 pub mod cert;
 pub mod host;
-pub mod hybrid;
 pub mod inlinevec;
 pub mod lot;
 pub mod ltt;
@@ -64,7 +61,6 @@ pub mod types;
 pub use adaptive::{AdaptiveController, AdaptiveStats};
 pub use cert::{CertVerdict, ConsumptionCert};
 pub use host::SimpleHost;
-pub use hybrid::{HybridManager, HybridStats, HYBRID_BYTES_PER_TXN};
 pub use manager::ElManager;
 pub use metrics::LmMetrics;
 pub use tenant::{TenantCounters, TenantLedger};

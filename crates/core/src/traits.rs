@@ -1,12 +1,14 @@
-//! The [`LogManager`] abstraction: the transaction-facing surface shared
-//! by every log-management technique in this crate.
+//! The [`LogManager`] abstraction: the transaction-facing surface of
+//! [`crate::ElManager`] (ephemeral logging and the FW baseline), the one
+//! production log manager.
 //!
-//! [`crate::ElManager`] (ephemeral logging and the FW baseline) and
-//! [`crate::HybridManager`] (§6 EL–FW hybrid) expose the same passive
-//! state-machine shape — every call takes the virtual `now` and returns
-//! [`Effects`] for the host to apply. This trait captures that shape so
-//! hosts (notably the harness's `SimModel`) can be generic over the
-//! technique instead of duplicating their event loops per manager.
+//! The manager is a passive state machine — every call takes the virtual
+//! `now` and returns [`Effects`] for the host to apply. This trait is the
+//! seam where a host (notably the harness's `SimModel`, built by
+//! `runner::build_model_with`) accepts a substitute instead: a
+//! test-only recorder or mirror that checks what the host feeds the
+//! manager, a stub that overrides one accessor, or the reference
+//! benchmark's timing wrapper and no-op manager.
 
 use crate::adaptive::AdaptiveController;
 use crate::types::{Effects, LmTimer};
@@ -154,86 +156,5 @@ impl LogManager for crate::ElManager {
 
     fn stable_db(&self) -> &StableDb {
         crate::ElManager::stable_db(self)
-    }
-}
-
-impl LogManager for crate::HybridManager {
-    fn begin(&mut self, now: SimTime, tid: Tid) -> Effects {
-        crate::HybridManager::begin(self, now, tid)
-    }
-
-    fn write_data(&mut self, now: SimTime, tid: Tid, oid: Oid, seq: u32, size: u32) -> Effects {
-        crate::HybridManager::write_data(self, now, tid, oid, seq, size)
-    }
-
-    fn commit_request(&mut self, now: SimTime, tid: Tid) -> Effects {
-        crate::HybridManager::commit_request(self, now, tid)
-    }
-
-    fn abort(&mut self, now: SimTime, tid: Tid) -> Effects {
-        crate::HybridManager::abort(self, now, tid)
-    }
-
-    fn handle_timer(&mut self, now: SimTime, timer: LmTimer) -> Effects {
-        crate::HybridManager::handle_timer(self, now, timer)
-    }
-
-    fn quiesce(&mut self, now: SimTime) -> Effects {
-        crate::HybridManager::quiesce(self, now)
-    }
-
-    fn recycle(&mut self, fx: Effects) {
-        crate::HybridManager::recycle_fx(self, fx);
-    }
-
-    fn peak_memory_bytes(&self) -> u64 {
-        crate::HybridManager::peak_memory_bytes(self)
-    }
-
-    fn log_writes(&self) -> u64 {
-        crate::HybridManager::log_writes(self)
-    }
-
-    fn log_write_rate(&self, now: SimTime) -> f64 {
-        crate::HybridManager::log_write_rate(self, now)
-    }
-
-    fn stable_db(&self) -> &StableDb {
-        crate::HybridManager::stable_db(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{ElManager, HybridManager, SimpleHost};
-    use elog_model::{DbConfig, FlushConfig, LogConfig};
-
-    fn drive<L: LogManager>(lm: L) -> (Vec<Tid>, u64) {
-        let mut h = SimpleHost::new(lm);
-        h.begin(SimTime::ZERO, Tid(1));
-        h.write(SimTime::from_millis(1), Tid(1), Oid(7), 1, 100);
-        h.commit(SimTime::from_millis(2), Tid(1));
-        h.quiesce(SimTime::from_millis(3));
-        h.run_to_completion();
-        (h.acks, h.lm.log_writes())
-    }
-
-    #[test]
-    fn both_managers_round_trip_through_the_trait() {
-        let log = LogConfig {
-            generation_blocks: vec![8, 8],
-            ..LogConfig::default()
-        };
-        let el = ElManager::ephemeral(log.clone(), FlushConfig::default());
-        let (acks, writes) = drive(el);
-        assert_eq!(acks, vec![Tid(1)]);
-        assert!(writes > 0);
-
-        let hy = HybridManager::new(DbConfig::default(), log, FlushConfig::default())
-            .expect("valid configuration");
-        let (acks, writes) = drive(hy);
-        assert_eq!(acks, vec![Tid(1)]);
-        assert!(writes > 0);
     }
 }

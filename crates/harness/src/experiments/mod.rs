@@ -13,7 +13,6 @@ pub mod fig7;
 pub mod fig_adaptive;
 pub mod fig_ngen;
 pub mod fig_tenants;
-pub mod hybrid;
 pub mod rates;
 pub mod recovery_time;
 pub mod scarce;
@@ -32,7 +31,6 @@ pub fn registry_with(gens: usize) -> Vec<Box<dyn Experiment>> {
         Box::new(scarce::Scarce),
         Box::new(recovery_time::RecoveryTime),
         Box::new(ablations::Ablations),
-        Box::new(hybrid::Hybrid),
         Box::new(fig_ngen::FigNgen { gens }),
         Box::new(fig_adaptive::FigAdaptive),
         Box::new(fig_tenants::FigTenants),

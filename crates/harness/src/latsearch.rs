@@ -675,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn analytic_path_matches_probe_only_path() {
+    fn certificate_path_matches_probe_only_path() {
         // The certificate's soundness contract: with it on, every probe
         // verdict — and therefore the chosen geometry and the probe
         // counts — is identical to the simulate-everything path; only the

@@ -318,9 +318,9 @@ impl IndexMut<usize> for Drivers {
 
 /// The composite model driven by the event engine.
 ///
-/// Generic over the logging technique: any [`LogManager`] — [`ElManager`]
-/// (the default) or `HybridManager` — plugs into the same workload drivers
-/// and event loop, so no experiment needs a bespoke loop per technique.
+/// Generic over the log manager: [`ElManager`] (the default, EL or FW) or
+/// any substitute [`LogManager`] — a test recorder, a timing wrapper —
+/// plugs into the same workload drivers and event loop.
 ///
 /// Cloning a model mid-run snapshots the entire simulation state.
 #[derive(Clone)]
@@ -538,7 +538,7 @@ pub struct RunResult {
 }
 
 /// Builds the composite model around a caller-supplied log manager
-/// (`HybridManager`, a pre-warmed `ElManager`, …). The workload side comes
+/// (a pre-warmed `ElManager`, a test recorder, …). The workload side comes
 /// from `cfg` as usual: one driver over the whole oid space, or one per
 /// range of [`RunConfig::tenants`].
 pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimModel<L>> {

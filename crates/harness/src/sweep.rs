@@ -28,8 +28,7 @@ use crate::crashpoint::{crash, restart, Restart};
 use crate::latsearch::{LatticeLimits, SearchMode, SearchRequest};
 use crate::minspace::MinSpaceResult;
 use crate::report::Table;
-use crate::runner::{build_model, build_model_with, run, RunConfig, RunResult};
-use elog_core::{HybridManager, LogManager};
+use crate::runner::{build_model, run, RunConfig, RunResult};
 use elog_sim::{splitmix64, PerfStats};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -77,9 +76,6 @@ pub enum Job {
     /// [`crate::crashpoint::restart`]: byte-level scan, single-pass REDO,
     /// verify against the oracle.
     CrashRecover(RunConfig),
-    /// One measured run of the §6 EL–FW hybrid manager (built from the
-    /// configuration's `el.db` / `el.log` / `el.flush`).
-    Hybrid(RunConfig),
     /// One measured multi-tenant serve run (`crate::serve`). Seeding
     /// rewrites the base seed, from which the per-tenant streams derive.
     Serve(crate::serve::ServeConfig),
@@ -118,21 +114,6 @@ impl Scenario {
     }
 }
 
-/// Outcome of a [`Job::Hybrid`] scenario.
-#[derive(Clone, Debug)]
-pub struct HybridOutcome {
-    /// Peak memory bytes under hybrid pricing.
-    pub peak_memory_bytes: u64,
-    /// Log bandwidth, block writes per second.
-    pub log_write_rate: f64,
-    /// Records regenerated when anchors reached a head.
-    pub regenerated_records: u64,
-    /// Commit acknowledgements.
-    pub acks: u64,
-    /// Kills.
-    pub kills: u64,
-}
-
 /// What a scenario produced.
 #[derive(Clone, Debug)]
 pub enum Output {
@@ -148,8 +129,6 @@ pub enum Output {
     /// A crash-recovery outcome: the crashed run's configured blocks and
     /// its restart. Wall time is absent: output is the same at any `--jobs`.
     Recovery(u64, Restart),
-    /// A hybrid-manager measurement.
-    Hybrid(HybridOutcome),
     /// A multi-tenant serve measurement.
     Serve(crate::serve::ServeOutcome),
     /// The scenario panicked; the payload is the panic message.
@@ -201,14 +180,6 @@ impl RunOutcome {
     pub fn recovery(&self) -> Option<(u64, &Restart)> {
         match &self.output {
             Output::Recovery(blocks, r) => Some((*blocks, r)),
-            _ => None,
-        }
-    }
-
-    /// The hybrid outcome, for [`Job::Hybrid`] jobs.
-    pub fn hybrid(&self) -> Option<&HybridOutcome> {
-        match &self.output {
-            Output::Hybrid(h) => Some(h),
             _ => None,
         }
     }
@@ -386,22 +357,6 @@ fn run_job(scenario: &Scenario, certificates: bool) -> Output {
             engine.run_until(cfg.runtime);
             let snap = crash(&scenario.label, engine.model(), cfg.runtime);
             Output::Recovery(snap.per_gen_blocks.iter().sum(), restart(&snap))
-        }
-        Job::Hybrid(cfg) => {
-            let cfg = seeded(cfg);
-            let lm =
-                HybridManager::new(cfg.el.db.clone(), cfg.el.log.clone(), cfg.el.flush.clone())
-                    .expect("valid configuration");
-            let mut engine = build_model_with(&cfg, lm);
-            engine.run_until(cfg.runtime);
-            let model = engine.model();
-            Output::Hybrid(HybridOutcome {
-                peak_memory_bytes: model.lm.peak_memory_bytes(),
-                log_write_rate: LogManager::log_write_rate(&model.lm, cfg.runtime),
-                regenerated_records: model.lm.stats().regenerated_records,
-                acks: model.lm.stats().acks,
-                kills: model.kills(),
-            })
         }
         Job::Serve(cfg) => {
             let mut cfg = cfg.clone();

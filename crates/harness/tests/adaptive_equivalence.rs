@@ -46,7 +46,7 @@ fn render(jobs: usize, adaptive: bool) -> String {
         let mut scenarios = e.scenarios(true);
         for s in &mut scenarios {
             let cfg = match &mut s.job {
-                Job::Measure(cfg) | Job::CrashRecover(cfg) | Job::Hybrid(cfg) => cfg,
+                Job::Measure(cfg) | Job::CrashRecover(cfg) => cfg,
                 Job::MinSpace { base, .. } | Job::ElRecircMin { base, .. } => base,
                 Job::Serve(serve) => &mut serve.base,
             };

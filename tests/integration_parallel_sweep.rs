@@ -14,10 +14,19 @@ fn exec(jobs: usize) -> ExecOptions {
 }
 
 /// Renders every registry experiment's full quick report to one string —
-/// exactly what `repro --quick` prints to stdout.
+/// exactly what `repro --quick` prints to stdout. Every experiment must
+/// contribute at least one non-empty table, so a registry entry that
+/// silently renders nothing fails here, whichever experiment it is.
 fn quick_report(jobs: usize) -> String {
     let experiments = registry();
     let reports = run_experiments(&experiments, true, &exec(jobs));
+    for report in &reports {
+        assert!(
+            report.tables.iter().any(|(_, table)| !table.is_empty()),
+            "experiment {} rendered no non-empty table",
+            report.name
+        );
+    }
     let mut out = String::new();
     for report in &reports {
         for (slug, table) in &report.tables {
@@ -39,10 +48,6 @@ fn quick_report_is_byte_identical_across_job_counts() {
     let serial = quick_report(1);
     let parallel = quick_report(4);
     assert!(!serial.is_empty());
-    assert!(
-        serial.contains("Figure 4") && serial.contains("Recovery") && serial.contains("hybrid"),
-        "report must cover all experiments:\n{serial}"
-    );
     assert_eq!(
         serial, parallel,
         "--jobs 4 must match --jobs 1 byte for byte"
