@@ -21,19 +21,17 @@
 //!
 //! # Jobs invariance
 //!
-//! One `Prober` captures the workload trace on the first kill-free
-//! probe; every later probe replays it. Scan workers share that trace and
-//! nothing else — a certificate never outlives its column — so probe
-//! counts, and every statistic derived from them, are identical for every
-//! `jobs` setting.
+//! Every probe generates its own workload from the base seed, so a
+//! verdict depends on its geometry alone. Scan workers share nothing — a
+//! certificate never outlives its column — so probe counts, and every
+//! statistic derived from them, are identical for every `jobs` setting.
 
 use crate::minspace::MinSpaceResult;
-use crate::runner::{build_model, run_capture, RunConfig};
+use crate::runner::{build_model, RunConfig};
 use elog_core::{CertVerdict, ConsumptionCert};
 use elog_sim::SearchStats;
-use elog_workload::WorkloadTrace;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Most generation axes a lattice search supports. The simulator itself
 /// allows up to 64 generations; searches beyond a handful of axes are
@@ -112,37 +110,28 @@ impl fmt::Debug for Geometry {
 }
 
 /// Runs geometry probes for one search: a reusable scratch configuration
-/// plus the capture/replay machinery (see module docs; the first
-/// kill-free probe captures the workload, every later probe replays it).
+/// plus the column's consumption certificate.
 pub(crate) struct Prober {
     cfg: RunConfig,
-    trace: Option<Arc<WorkloadTrace>>,
     /// Probe verdicts requested, certified or simulated.
     probes: u32,
     stats: SearchStats,
     /// Consumption certificates enabled for this search.
     certificates: bool,
     /// The prefix of the column probed last and the certificate its latest
-    /// surviving replay left: answers that column's smaller capacities
+    /// surviving probe left: answers that column's smaller capacities
     /// exactly, with zero simulation (see [`elog_core::ConsumptionCert`]).
     cert: Option<(Vec<u32>, ConsumptionCert)>,
 }
 
 impl Prober {
-    /// A prober over `base` replaying `trace` (or capturing one on its
-    /// first kill-free probe).
-    pub(crate) fn new(
-        base: &RunConfig,
-        trace: Option<Arc<WorkloadTrace>>,
-        certificates: bool,
-    ) -> Self {
+    /// A prober over `base`.
+    pub(crate) fn new(base: &RunConfig, certificates: bool) -> Self {
         let mut cfg = base.clone();
         cfg.stop_on_kill = true;
         cfg.track_oracle = false;
-        cfg.trace = None;
         Prober {
             cfg,
-            trace,
             probes: 0,
             stats: SearchStats::default(),
             certificates,
@@ -150,10 +139,10 @@ impl Prober {
         }
     }
 
-    /// A fresh-countered sibling for a scan worker: same configuration
-    /// and trace, nothing else shared.
+    /// A fresh-countered sibling for a scan worker: same configuration,
+    /// nothing else shared.
     fn worker(&self) -> Prober {
-        Prober::new(&self.cfg, self.trace.clone(), self.certificates)
+        Prober::new(&self.cfg, self.certificates)
     }
 
     /// Whether the consumption certificate is sound: §6 lifetime hints
@@ -171,19 +160,13 @@ impl Prober {
 
     /// The verdict for the geometry `prefix + [last]` — `true` when it
     /// survives the whole horizon without kills — from the column's
-    /// consumption certificate when it has one, else from a simulation
-    /// (capturing the workload when no trace exists yet, replaying it
-    /// otherwise). The certificate returns the verdict the simulation
-    /// would and counts as the probe it replaced, so printed probe counts
-    /// never depend on which of the two answered.
+    /// consumption certificate when it has one, else from a simulation that
+    /// generates its own workload. The certificate returns the verdict the
+    /// simulation would and counts as the probe it replaced, so printed
+    /// probe counts never depend on which of the two answered.
     pub(crate) fn verdict(&mut self, prefix: &[u32], last: u32) -> bool {
         self.probes += 1;
         self.stats.sim_probes += 1;
-        // A trace in hand makes this a replay probe, whichever source
-        // ends up answering it. (No trace also means no certificate yet:
-        // certificates are recorded by replays.)
-        let replay = self.trace.clone();
-        self.stats.replay_probes += u64::from(replay.is_some());
         let column_cert = self.cert.as_ref().filter(|(p, _)| p == prefix);
         let certified = column_cert.map_or(CertVerdict::Unknown, |(_, c)| c.verdict(last));
         if certified != CertVerdict::Unknown {
@@ -194,18 +177,8 @@ impl Prober {
         blocks.clear();
         blocks.extend_from_slice(prefix);
         blocks.push(last);
-        let Some(trace) = replay else {
-            // First live probe(s); the first kill-free one hands back the
-            // trace every later probe replays.
-            let (r, trace) = run_capture(&self.cfg);
-            self.trace = trace;
-            self.stats.probe_events += r.perf.events;
-            return r.killed == 0;
-        };
         let cert_ok = self.cert_ok();
-        self.cfg.trace = Some(trace);
         let mut engine = build_model(&self.cfg);
-        self.cfg.trace = None;
         if cert_ok {
             // Record a consumption certificate so this run, if it
             // survives, answers the column's smaller capacities without
@@ -242,7 +215,6 @@ impl Prober {
                 probes: self.probes,
                 search: self.stats,
             },
-            trace: self.trace,
             feasible,
         }
     }
@@ -388,7 +360,7 @@ fn run_lattice(mut anchor: Prober, limits: &LatticeLimits, jobs: usize) -> Searc
     let bound = anchor_last.map(|last| anchor_prefix.total() + last);
     let prefixes = enumerate_prefixes(k, &limits.prefix_max);
     // Workers draw scratch probers from a pool instead of cloning the
-    // configuration per prefix; every prober replays the anchor's trace.
+    // configuration per prefix.
     let pool: Mutex<Vec<Prober>> = Mutex::new(Vec::new());
     let results = crate::sweep::parallel_map(&prefixes, jobs, |_, prefix| {
         let mut p = pool
@@ -490,7 +462,6 @@ pub struct SearchRequest {
     mode: SearchMode,
     jobs: usize,
     certificates: bool,
-    seed_trace: Option<Arc<WorkloadTrace>>,
 }
 
 /// What a [`SearchRequest`] found.
@@ -498,9 +469,6 @@ pub struct SearchRequest {
 pub struct SearchOutcome {
     /// The minimum geometry and the probe-engine counters.
     pub min: MinSpaceResult,
-    /// The workload trace the probes captured (or were seeded with), for
-    /// the caller's measured run.
-    pub trace: Option<Arc<WorkloadTrace>>,
     /// `false` when nothing survived within the ceilings; `min` then
     /// holds the ceilings themselves, not a minimum.
     pub feasible: bool,
@@ -514,7 +482,6 @@ impl SearchRequest {
             mode,
             jobs: 1,
             certificates: true,
-            seed_trace: None,
         }
     }
 
@@ -550,14 +517,6 @@ impl SearchRequest {
         self
     }
 
-    /// Seeds the probes with an already-captured workload trace (must
-    /// match the base's seed, mix, arrivals and horizon); without one the
-    /// first kill-free probe captures its own.
-    pub fn seed_trace(mut self, trace: Option<Arc<WorkloadTrace>>) -> Self {
-        self.seed_trace = trace;
-        self
-    }
-
     /// Frozen name, owed to the next benchmark re-record: `benchmark/`
     /// pins its protocol with `.probe_jobs(1)`, and serial probing is the
     /// only kind there is.
@@ -569,7 +528,7 @@ impl SearchRequest {
 
     /// Runs the search.
     pub fn run(self) -> SearchOutcome {
-        let p = Prober::new(&self.base, self.seed_trace, self.certificates);
+        let p = Prober::new(&self.base, self.certificates);
         match self.mode {
             SearchMode::Firewall { limit } => run_firewall(p, limit),
             SearchMode::Lattice { limits } => run_lattice(p, &limits, self.jobs),
@@ -584,7 +543,7 @@ impl SearchRequest {
 mod tests {
     use super::*;
     use crate::minspace::{paper_base, survives};
-    use crate::runner::run_capture;
+    use crate::runner::{run, run_capture};
     use elog_core::{Effects, LmTimer};
     use elog_model::{Oid, StableDb, Tid};
     use elog_sim::SimTime;
@@ -634,7 +593,6 @@ mod tests {
         };
         let out = SearchRequest::lattice(&base, limits).jobs(2).run();
         assert!(out.feasible);
-        assert!(out.trace.is_some(), "search must capture a trace");
         let r = out.min;
         assert_eq!(r.generation_blocks.len(), 3);
         assert!(survives(&base, &r.generation_blocks));
@@ -669,8 +627,8 @@ mod tests {
         let (serial, parallel) = (search(1), search(4));
         assert_eq!(serial.generation_blocks, parallel.generation_blocks);
         assert_eq!(serial.probes, parallel.probes);
-        // Certificates are column-local and workers share nothing but the
-        // trace, so every counter is jobs-invariant — event volume included.
+        // Certificates are column-local and workers share nothing, so
+        // every counter is jobs-invariant — event volume included.
         assert_eq!(serial.search, parallel.search);
     }
 
@@ -693,7 +651,6 @@ mod tests {
         assert_eq!(on.generation_blocks, off.generation_blocks);
         assert_eq!(on.probes, off.probes);
         assert_eq!(on.search.sim_probes, off.search.sim_probes);
-        assert_eq!(on.search.replay_probes, off.search.replay_probes);
         assert_eq!(on.search.pruned_volume, off.search.pruned_volume);
         assert_eq!(off.search.cert_verdicts, 0);
         assert!(
@@ -706,7 +663,7 @@ mod tests {
 
     #[test]
     fn cert_answers_fixed_prefix_bisection() {
-        // Fixed-prefix bisection: once a replay probe survives the whole
+        // Fixed-prefix bisection: once a probe survives the whole
         // horizon, its consumption certificate answers every smaller
         // capacity in the column probe-free — changing nothing but the
         // event count.
@@ -721,7 +678,6 @@ mod tests {
         let (on, off) = (run(true), run(false));
         assert_eq!(on.generation_blocks, off.generation_blocks);
         assert_eq!(on.probes, off.probes);
-        assert_eq!(on.search.replay_probes, off.search.replay_probes);
         assert!(
             on.search.cert_verdicts > 0,
             "bisection under one prefix must use the certificate"
@@ -849,14 +805,14 @@ mod tests {
     }
 
     #[test]
-    fn first_surviving_replay_certifies_its_column_exactly() {
+    fn first_surviving_probe_certifies_its_column_exactly() {
         // The certificate against ground truth, one column at a time: the
-        // ceiling probe is the column's first surviving replay, and every
-        // verdict its certificate gives for a smaller capacity — the only
-        // ones the search ever asks it — must equal a plain simulation of
-        // that exact geometry (`survives`: live driver, no trace, no
-        // certificate), at loads light enough that 16 blocks hold the
-        // last generation.
+        // ceiling probe is the column's first surviving probe — a fresh
+        // prober's very first simulation — and every verdict its
+        // certificate gives for a smaller capacity — the only ones the
+        // search ever asks it — must equal a plain simulation of that
+        // exact geometry (`survives`: no certificate), at loads light
+        // enough that 16 blocks hold the last generation.
         let (mut kills, mut survivals, mut unknown) = (0, 0, 0);
         let ceiling = 16;
         for (mix, rate_tps, secs, prefixes) in [
@@ -865,13 +821,11 @@ mod tests {
         ] {
             let arrivals = elog_workload::ArrivalProcess::Deterministic { rate_tps };
             let base = paper_base(mix, false, secs).with_arrivals(arrivals);
-            let (_, trace) = run_capture(&base);
-            let trace = trace.expect("the paper geometry is kill-free here");
             for &prefix in prefixes {
                 let at = format!("mix {mix} prefix {prefix:?}");
-                let mut p = Prober::new(&base, Some(trace.clone()), true);
+                let mut p = Prober::new(&base, true);
                 assert!(p.verdict(prefix, ceiling), "{at}: ceiling {ceiling} kills");
-                let (_, cert) = p.cert.take().expect("a surviving replay certifies");
+                let (_, cert) = p.cert.take().expect("a surviving probe certifies");
                 for c in base.el.log.gap_blocks + 1..ceiling {
                     let truth = survives(&base, &[prefix, &[c]].concat());
                     match cert.verdict(c) {
@@ -932,10 +886,29 @@ mod tests {
             .run()
             .min
             .search;
-        assert!(s.replay_probes > 0);
         assert_eq!((s.resume_probes, s.resume_saved_events), (0, 0));
         // And the two the memo and the analytic threshold left behind,
         // hashed by the same workload.
         assert_eq!((s.memo_hits, s.analytic_rejections), (0, 0));
+
+        // The three trace replay left behind: the search workload hashes
+        // `replay_probes`, and the forward drill times `run_capture` and
+        // replays what it returns — which is nothing.
+        assert_eq!(s.replay_probes, 0);
+        let (captured, trace) = run_capture(&base);
+        assert!(trace.is_none(), "nothing captures a workload");
+        let plain = run(&base);
+        assert_eq!(
+            format!(
+                "{:?}",
+                (captured.metrics, captured.started, captured.committed)
+            ),
+            format!("{:?}", (plain.metrics, plain.started, plain.committed)),
+        );
+        assert_eq!(
+            (captured.killed, captured.ended_at, captured.data_records),
+            (plain.killed, plain.ended_at, plain.data_records)
+        );
+        assert_eq!(captured.perf.events, plain.perf.events);
     }
 }

@@ -11,8 +11,8 @@
 //! changes what reaches gen1 — so the search scans gen0 and binary-searches
 //! the minimal gen1 for each, parallelised across threads.
 //!
-//! The search itself — the probe engine (trace capture/replay,
-//! scratch-config reuse, consumption certificates), the anchor-bound
+//! The search itself — the probe engine (scratch-config reuse,
+//! consumption certificates), the anchor-bound
 //! pruning, and the jobs-invariance argument — lives in
 //! [`crate::latsearch`] behind [`crate::SearchRequest`]; the two-generation
 //! EL search is its one-prefix-axis lattice. This module keeps the result
@@ -33,7 +33,7 @@ pub struct MinSpaceResult {
     /// Number of probe verdicts the search needed (certified + simulated;
     /// identical whether or not the certificates are enabled).
     pub probes: u32,
-    /// Probe-engine counters (replays, certificates, probe event volume).
+    /// Probe-engine counters (certificates, probe event volume).
     pub search: SearchStats,
 }
 
@@ -41,7 +41,7 @@ pub struct MinSpaceResult {
 /// One-shot form for tests and callers outside a search loop.
 pub fn survives(base: &RunConfig, blocks: &[u32]) -> bool {
     let (&last, prefix) = blocks.split_last().expect("a geometry has a generation");
-    Prober::new(base, None, false).verdict(prefix, last)
+    Prober::new(base, false).verdict(prefix, last)
 }
 
 /// Convenience: the paper's base run (5 % long transactions, default flush
@@ -75,8 +75,6 @@ mod tests {
         // 20 s of 5% mix needs well under 512 blocks.
         assert!(r.total_blocks < 512);
         assert!(r.probes > 0);
-        // All probes after the first kill-free one replay the capture.
-        assert!(r.search.replay_probes > 0);
         assert_eq!(r.search.sim_probes, r.probes as u64);
     }
 

@@ -141,15 +141,10 @@ pub struct RunConfig {
     /// §6 lifetime hints: place each transaction's records directly in the
     /// generation whose wrap time exceeds its expected duration.
     pub lifetime_hints: bool,
-    /// Replay this captured workload instead of generating one. The trace
-    /// must come from a kill-free run with the same seed, mix, arrivals,
-    /// runtime and oid-space size; only the log geometry may differ (see
-    /// `elog_workload::trace`). `None` runs the live RNG-driven driver.
-    pub trace: Option<Arc<WorkloadTrace>>,
     /// Piecewise update-mix/rate schedule over the horizon (`None` = the
-    /// static `mix` for the whole run). Applies to live generation only;
-    /// captured traces already encode the schedule, so replay probes and
-    /// searches stay phase-faithful automatically.
+    /// static `mix` for the whole run). Live generation is the only kind
+    /// there is, so every probe of a search draws the same phased stream
+    /// from its seed.
     pub phases: Option<PhaseSchedule>,
     /// Run the online adaptive generation controller
     /// (`elog_core::adaptive`). Ignored by stop-on-kill probes: a probe
@@ -177,7 +172,6 @@ impl RunConfig {
             stop_on_kill: false,
             track_oracle: false,
             lifetime_hints: false,
-            trace: None,
             phases: None,
             adaptive: false,
             tenants: None,
@@ -232,12 +226,6 @@ impl RunConfig {
     /// Replaces the log geometry (blocks per generation).
     pub fn geometry(mut self, blocks: Vec<u32>) -> Self {
         self.el.log.generation_blocks = blocks;
-        self
-    }
-
-    /// Sets (or clears) the workload trace to replay.
-    pub fn with_trace(mut self, trace: Option<Arc<WorkloadTrace>>) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -549,33 +537,20 @@ pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimMode
         "a run has 1..={MAX_TENANTS} tenants, got {}",
         ranges.len()
     );
-    let drivers = match &cfg.trace {
-        Some(trace) => {
-            assert_eq!(ranges.len(), 1, "a trace replays a single workload");
-            trace
-                .check_replayable(cfg.runtime)
-                .expect("trace horizon must match the run's horizon");
-            vec![WorkloadDriver::replay(
+    let drivers = ranges
+        .iter()
+        .enumerate()
+        .map(|(t, &(_, len))| {
+            WorkloadDriver::new(
                 cfg.mix.clone(),
-                trace.clone(),
-                cfg.track_oracle,
-            )]
-        }
-        None => ranges
-            .iter()
-            .enumerate()
-            .map(|(t, &(_, len))| {
-                WorkloadDriver::new(
-                    cfg.mix.clone(),
-                    cfg.arrivals,
-                    len,
-                    cfg.runtime,
-                    &SimRng::new(tenant_seed(cfg.seed, t)),
-                )
-                .with_phases(cfg.phases.clone())
-            })
-            .collect(),
-    };
+                cfg.arrivals,
+                len,
+                cfg.runtime,
+                &SimRng::new(tenant_seed(cfg.seed, t)),
+            )
+            .with_phases(cfg.phases.clone())
+        })
+        .collect();
     // Stop-on-kill probes measure one fixed geometry; re-shaping under
     // them would corrupt the verdict, so the controller never engages.
     let adaptive = (cfg.adaptive && !cfg.stop_on_kill).then(|| {
@@ -652,18 +627,12 @@ pub fn run(cfg: &RunConfig) -> RunResult {
     snapshot(&engine, cfg, ended_at, wall_start)
 }
 
-/// Like [`run`], but captures the workload into a [`WorkloadTrace`] as it
-/// goes. The trace comes back `Some` only when the run was kill-free (a
-/// killed capture is truncated); `cfg.trace` must be `None`.
+/// Frozen name, owed to the next benchmark re-record: `benchmark/` times
+/// a capture run. Nothing captures a workload any more, so this is [`run`]
+/// with no trace.
+#[doc(hidden)]
 pub fn run_capture(cfg: &RunConfig) -> (RunResult, Option<Arc<WorkloadTrace>>) {
-    assert!(cfg.trace.is_none(), "cannot capture while replaying");
-    let mut engine = build_model(cfg);
-    engine.model_mut().driver.enable_capture();
-    let wall_start = Instant::now();
-    let ended_at = engine.run_until(cfg.runtime);
-    let result = snapshot(&engine, cfg, ended_at, wall_start);
-    let trace = engine.model_mut().driver.take_trace().map(Arc::new);
-    (result, trace)
+    (run(cfg), None)
 }
 
 /// The results of a finished (or stopped) run, summed over its tenants.

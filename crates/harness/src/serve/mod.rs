@@ -261,7 +261,6 @@ pub fn serve_run(cfg: &ServeConfig) -> ServeOutcome {
         validate_layout(layout, cfg.base.el.db.num_objects)
             .expect("serve layout must tile the oid space");
     }
-    assert!(cfg.base.trace.is_none(), "serve drives live workloads only");
     assert!(
         !cfg.base.stop_on_kill
             && !cfg.base.track_oracle

@@ -277,19 +277,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Re-runs the search's minimal geometry without `stop_on_kill`, reusing
-/// the search's captured trace, and folds the search counters into the
-/// measured run's perf stats.
-fn measure_minimum(
-    base: &RunConfig,
-    min: MinSpaceResult,
-    trace: Option<std::sync::Arc<elog_workload::WorkloadTrace>>,
-) -> Output {
+/// Re-runs the search's minimal geometry without `stop_on_kill`, and
+/// folds the search counters into the measured run's perf stats.
+fn measure_minimum(base: &RunConfig, min: MinSpaceResult) -> Output {
     let mut measured = run(&base
         .clone()
         .geometry(min.generation_blocks.clone())
-        .stop_on_kill(false)
-        .with_trace(trace));
+        .stop_on_kill(false));
     measured.perf.search = min.search;
     Output::MinSpace { min, measured }
 }
@@ -309,7 +303,7 @@ fn run_job(scenario: &Scenario, certificates: bool) -> Output {
                 .certificates(certificates)
                 .run();
             assert!(out.feasible, "nothing feasible within {mode:?}");
-            measure_minimum(&base, out.min, out.trace)
+            measure_minimum(&base, out.min)
         }
         Job::ElRecircMin {
             base,
@@ -326,8 +320,6 @@ fn run_job(scenario: &Scenario, certificates: bool) -> Output {
             // garbage before its head), then the last generation shrinks
             // with recirculation on. A joint minimum would pick a
             // degenerate tiny generation 0 that recirculates everything.
-            // The workload trace is geometry- and recirculation-independent,
-            // so one capture serves both searches and the measured run.
             let mut norec = base.clone();
             norec.el.log.recirculation = false;
             let limits = LatticeLimits::uniform(2, *g0_max, *g1_limit);
@@ -341,7 +333,6 @@ fn run_job(scenario: &Scenario, certificates: bool) -> Output {
             let g0 = norec_out.min.generation_blocks[0];
             let recirc_out = SearchRequest::fixed_prefix(&base, vec![g0], *g1_limit)
                 .certificates(certificates)
-                .seed_trace(norec_out.trace)
                 .run();
             assert!(
                 recirc_out.feasible,
@@ -349,7 +340,7 @@ fn run_job(scenario: &Scenario, certificates: bool) -> Output {
             );
             let mut min = recirc_out.min;
             min.search.merge(&norec_out.min.search);
-            measure_minimum(&base, min, recirc_out.trace)
+            measure_minimum(&base, min)
         }
         Job::CrashRecover(cfg) => {
             let cfg = seeded(cfg).track_oracle(true);

@@ -6,8 +6,8 @@
 //! with ceilings ≤ 12 / 16, or 3 with ≤ 7 / 7 / 12; 20–30 s horizons;
 //! 5 % or 40 % long transactions, at an arrival rate low enough that some
 //! of so small a lattice survives), builds the truth table by plain
-//! [`minspace::survives`] on **every** lattice point — live driver, no
-//! trace, no certificate — and holds the search to it:
+//! [`minspace::survives`] on **every** lattice point — no certificate —
+//! and holds the search to it:
 //!
 //! * every column of the table is monotone along the last axis (the
 //!   bisection's premise, and what "the minimum" means below);

@@ -43,16 +43,18 @@ impl QueueStats {
 }
 
 /// Counters of one minimum-space search: how many geometry probes ran,
-/// how many were served by trace replay or a consumption certificate, and
-/// how much simulation the probes cost. Carried inside [`PerfStats`] so a
+/// how many a consumption certificate answered, and how much simulation
+/// the probes cost. Carried inside [`PerfStats`] so a
 /// measured run can account for the search that produced its geometry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Probe verdicts the search consumed: simulated, or answered by a
     /// consumption certificate in a simulation's place.
     pub sim_probes: u64,
-    /// Of those, probes that replayed a captured workload trace instead
-    /// of re-running the RNG-driven driver.
+    /// Frozen name, owed to the next benchmark re-record: `benchmark/`
+    /// hashes it. Every probe generates its own workload, so it is
+    /// always 0.
+    #[doc(hidden)]
     pub replay_probes: u64,
     /// Frozen name, like `resume_probes`: the dominance memo is gone
     /// (PR 24) and this is always 0.
@@ -76,7 +78,7 @@ pub struct SearchStats {
     pub resume_saved_events: u64,
     /// Probe verdicts answered by a column's consumption certificate (one
     /// instrumented surviving probe certifies every smaller capacity of
-    /// its column exactly). Counted in `sim_probes`/`replay_probes` too, so
+    /// its column exactly). Counted in `sim_probes` too, so
     /// the verdict sequence — and every printed probe count — matches the
     /// probe-only search; only `probe_events` shrinks.
     pub cert_verdicts: u64,
@@ -86,7 +88,6 @@ impl SearchStats {
     /// Accumulates another search's counters.
     pub fn merge(&mut self, other: &SearchStats) {
         self.sim_probes += other.sim_probes;
-        self.replay_probes += other.replay_probes;
         self.probe_events += other.probe_events;
         self.pruned_volume += other.pruned_volume;
         self.cert_verdicts += other.cert_verdicts;
@@ -200,7 +201,6 @@ mod tests {
             },
             search: SearchStats {
                 sim_probes: 4,
-                replay_probes: 3,
                 probe_events: 900,
                 pruned_volume: 11,
                 cert_verdicts: 5,

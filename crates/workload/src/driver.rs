@@ -8,19 +8,20 @@
 //! wrap them in its own composite event type and keep the cancellation
 //! tokens needed to retract a killed transaction's remaining writes.
 //!
-//! Two sources feed the stream (see [`crate::trace`]): **live** — the
-//! RNG-driven generator of the paper, optionally capturing a
-//! [`WorkloadTrace`] as it runs — and **replay** — walking a previously
-//! captured trace with no RNG, no oid picker and no per-event allocation,
-//! which is what the minimum-space searches probe geometries with.
+//! Every run — a measured one, a minimum-space probe, a served tenant —
+//! generates its own workload from its seed: two RNG substreams (type and
+//! gap draws; oid picks) and the oid picker. Live transactions sit in a
+//! tid-indexed window, one fixed-size slot per tid from the oldest
+//! unretired one, with their oids in one shared slab; an ack or kill
+//! retires a slot, and retired slots pop off the front. Steady state
+//! allocates nothing per transaction.
 
 use crate::arrival::ArrivalProcess;
 use crate::oidpick::OidPicker;
 use crate::spec::{PhaseSchedule, TxMix};
-use crate::trace::{TraceBuilder, WorkloadTrace, UNWRITTEN};
 use elog_model::{Oid, Tid};
-use elog_sim::FxHashMap;
 use elog_sim::{Histogram, MaxGauge, SimRng, SimTime};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Events the driver asks to be scheduled.
@@ -62,12 +63,26 @@ pub struct Update {
     pub ts: SimTime,
 }
 
-#[derive(Clone, Debug)]
-struct ActiveTxn {
-    type_idx: usize,
+/// Frozen name, owed to the next benchmark re-record: `benchmark/`'s
+/// replay drill still names the captured-workload type. Nothing captures
+/// a workload any more, so the type is uninhabited.
+#[doc(hidden)]
+pub enum WorkloadTrace {}
+
+/// One transaction's slot in the driver's window.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
     started_at: SimTime,
-    updates: Vec<Update>,
+    /// When the COMMIT record was written (t3), once it was.
     commit_written: Option<SimTime>,
+    /// Absolute index of the transaction's first oid in the slab; its
+    /// `seq`-th data record's oid sits at `oid_start + seq - 1`.
+    oid_start: u64,
+    type_idx: u32,
+    /// Data records written so far (they are written in `seq` order).
+    written: u32,
+    /// False once the transaction is acknowledged or killed.
+    live: bool,
 }
 
 /// Aggregate workload statistics.
@@ -109,53 +124,38 @@ impl WorkloadStats {
     }
 }
 
-/// Where the workload's nondeterminism comes from.
-///
-/// The variants differ in size (the live generator owns two RNGs and a
-/// picker, the replayer one `Arc`), but a driver holds exactly one
-/// `Source` for its whole life — boxing the large variant would buy
-/// nothing and cost a pointer chase on the generation hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-enum Source {
-    /// RNG-driven generation (the paper's model), optionally capturing.
-    Live {
-        arrivals: ArrivalProcess,
-        rng_mix: SimRng,
-        rng_oid: SimRng,
-        picker: OidPicker,
-        capture: Option<TraceBuilder>,
-    },
-    /// Replaying a captured trace: no RNG, no picker, no allocation.
-    Replay { trace: Arc<WorkloadTrace> },
-}
-
 /// The workload driver (see module docs).
 #[derive(Clone, Debug)]
 pub struct WorkloadDriver {
     mix: TxMix,
-    /// Live-only piecewise mix/rate schedule (see [`PhaseSchedule`]).
-    /// `None` means the static `mix` for the whole run. Replay drivers
-    /// never carry one: captured traces store per-transaction type
-    /// indices and arrival times, which already encode the schedule.
+    /// Piecewise mix/rate schedule (see [`PhaseSchedule`]). `None` means
+    /// the static `mix` for the whole run.
     schedule: Option<PhaseSchedule>,
-    source: Source,
+    arrivals: ArrivalProcess,
+    /// Type and inter-arrival draws.
+    rng_mix: SimRng,
+    /// Oid picks.
+    rng_oid: SimRng,
+    picker: OidPicker,
     /// No arrivals are generated at or after this time.
     horizon: SimTime,
-    next_tid: u64,
-    active: FxHashMap<Tid, ActiveTxn>,
+    /// Slots of tids `front_tid..front_tid + window.len()`, in tid order;
+    /// the front slot is live.
+    window: VecDeque<Slot>,
+    front_tid: u64,
+    /// The window's oids, in tid order; `oids[0]` has absolute index
+    /// `oid_front`.
+    oids: VecDeque<Oid>,
+    oid_front: u64,
+    /// Live slots in the window.
+    live: usize,
     stats: WorkloadStats,
-    /// When false (replay without an oracle), per-transaction updates are
-    /// not recorded and [`Self::on_commit_ack`] returns an empty slice.
-    track_updates: bool,
-    /// Retired update vectors, reused by later arrivals.
-    spare_updates: Vec<Vec<Update>>,
     /// The last acknowledged transaction's updates (borrowed out).
     ack_buf: Vec<Update>,
 }
 
 impl WorkloadDriver {
-    /// Creates a live driver.
+    /// Creates a driver.
     ///
     /// * `mix` — transaction types and pdf;
     /// * `arrivals` — arrival process (the paper uses deterministic);
@@ -182,93 +182,47 @@ impl WorkloadDriver {
         WorkloadDriver {
             mix,
             schedule: None,
-            source: Source::Live {
-                arrivals,
-                rng_mix: rng.substream("workload/mix"),
-                rng_oid: rng.substream("workload/oid"),
-                picker: OidPicker::new(num_objects),
-                capture: None,
-            },
+            arrivals,
+            rng_mix: rng.substream("workload/mix"),
+            rng_oid: rng.substream("workload/oid"),
+            picker: OidPicker::new(num_objects),
             horizon,
-            next_tid: 0,
-            active: FxHashMap::default(),
+            window: VecDeque::new(),
+            front_tid: 0,
+            oids: VecDeque::new(),
+            oid_front: 0,
+            live: 0,
             stats: WorkloadStats::new(n_types),
-            track_updates: true,
-            spare_updates: Vec::new(),
             ack_buf: Vec::new(),
         }
     }
 
-    /// Creates a replay driver walking `trace`.
-    ///
-    /// `mix` must be the capture run's mix (type indices and record counts
-    /// are resolved against it). `track_updates` keeps per-transaction
-    /// update lists for oracle-tracking callers; probe runs pass `false`
-    /// and pay no per-update bookkeeping.
-    pub fn replay(mix: TxMix, trace: Arc<WorkloadTrace>, track_updates: bool) -> Self {
-        let n_types = mix.types().len();
-        let horizon = trace.horizon();
-        WorkloadDriver {
-            mix,
-            schedule: None,
-            source: Source::Replay { trace },
-            horizon,
-            next_tid: 0,
-            active: FxHashMap::default(),
-            stats: WorkloadStats::new(n_types),
-            track_updates,
-            spare_updates: Vec::new(),
-            ack_buf: Vec::new(),
-        }
+    /// Frozen name, owed to the next benchmark re-record: `benchmark/`'s
+    /// replay drill still calls it. [`WorkloadTrace`] is uninhabited, so
+    /// no call can reach this body.
+    #[doc(hidden)]
+    pub fn replay(_mix: TxMix, trace: Arc<WorkloadTrace>, _oracle: bool) -> Self {
+        match *trace {}
     }
 
-    /// Attaches a phase schedule (live drivers only; must be set before
-    /// the first arrival). `None` is a no-op, so callers can pass an
-    /// optional config straight through.
+    /// Attaches a phase schedule (must be set before the first arrival).
+    /// `None` is a no-op, so callers can pass an optional config straight
+    /// through.
     ///
     /// # Panics
-    /// Panics on a replay driver, after arrivals have begun, or when the
-    /// schedule's type table does not match the base mix.
+    /// Panics after arrivals have begun, or when the schedule's type table
+    /// does not match the base mix.
     pub fn with_phases(mut self, schedule: Option<PhaseSchedule>) -> Self {
         let Some(schedule) = schedule else {
             return self;
         };
-        assert!(
-            matches!(self.source, Source::Live { .. }),
-            "phase schedules apply to live drivers only; replay traces \
-             already encode the schedule"
-        );
-        assert_eq!(self.next_tid, 0, "schedule must be set before arrivals");
+        assert_eq!(self.next_tid(), 0, "schedule must be set before arrivals");
         assert!(
             schedule.matches_types(&self.mix),
             "phase schedule type table does not match the base mix"
         );
         self.schedule = Some(schedule);
         self
-    }
-
-    /// Starts capturing a [`WorkloadTrace`]. Must be called before the
-    /// first arrival; panics on a replay driver.
-    pub fn enable_capture(&mut self) {
-        assert_eq!(self.next_tid, 0, "capture must start before any arrival");
-        match &mut self.source {
-            Source::Live { capture, .. } => *capture = Some(TraceBuilder::default()),
-            Source::Replay { .. } => panic!("cannot capture while replaying"),
-        }
-    }
-
-    /// Takes the captured trace, if capture was enabled *and* the run was
-    /// kill-free (a killed capture is truncated and unusable — see
-    /// [`crate::trace`] module docs).
-    pub fn take_trace(&mut self) -> Option<WorkloadTrace> {
-        let Source::Live { capture, .. } = &mut self.source else {
-            return None;
-        };
-        let builder = capture.take()?;
-        if self.stats.killed > 0 {
-            return None;
-        }
-        Some(builder.finish(self.horizon))
     }
 
     /// The first event to schedule: an arrival at `start`.
@@ -288,50 +242,25 @@ impl WorkloadDriver {
         if now >= self.horizon {
             return None;
         }
-        let tid = Tid(self.next_tid);
-        let type_idx = match &mut self.source {
-            Source::Live {
-                arrivals,
-                rng_mix,
-                capture,
-                ..
-            } => {
-                // Under a phase schedule the active phase's mix is
-                // sampled and its rate factor compresses (or stretches)
-                // the gap to the next arrival; both are recorded in the
-                // capture (type index, arrival times), so replay needs no
-                // schedule of its own.
-                let (mix_now, rate_factor) = match &self.schedule {
-                    Some(s) => {
-                        let p = s.phase_at(now);
-                        (&p.mix, p.rate_factor)
-                    }
-                    None => (&self.mix, 1.0),
-                };
-                let type_idx = mix_now.sample(rng_mix);
-                let mut gap = arrivals.next_interval(rng_mix);
-                if rate_factor != 1.0 {
-                    gap = SimTime::from_secs_f64(gap.as_secs_f64() / rate_factor);
-                }
-                let next = now + gap;
-                if next < self.horizon {
-                    events.push((next, WorkloadEvent::Arrival));
-                }
-                if let Some(b) = capture {
-                    b.on_arrival(now, type_idx, self.mix.types()[type_idx].data_records);
-                }
-                type_idx
+        let tid = Tid(self.next_tid());
+        // Under a phase schedule the active phase's mix is sampled and its
+        // rate factor compresses (or stretches) the gap to the next arrival.
+        let (mix_now, rate_factor) = match &self.schedule {
+            Some(s) => {
+                let p = s.phase_at(now);
+                (&p.mix, p.rate_factor)
             }
-            Source::Replay { trace } => {
-                let t = trace.txns.get(self.next_tid as usize)?;
-                debug_assert_eq!(t.at, now, "replay arrival off schedule");
-                if let Some(next) = trace.txns.get(self.next_tid as usize + 1) {
-                    events.push((next.at, WorkloadEvent::Arrival));
-                }
-                t.type_idx as usize
-            }
+            None => (&self.mix, 1.0),
         };
-        self.next_tid += 1;
+        let type_idx = mix_now.sample(&mut self.rng_mix);
+        let mut gap = self.arrivals.next_interval(&mut self.rng_mix);
+        if rate_factor != 1.0 {
+            gap = SimTime::from_secs_f64(gap.as_secs_f64() / rate_factor);
+        }
+        let next = now + gap;
+        if next < self.horizon {
+            events.push((next, WorkloadEvent::Arrival));
+        }
         let ty = self.mix.types()[type_idx];
         for seq in 1..=ty.data_records {
             events.push((
@@ -341,69 +270,48 @@ impl WorkloadDriver {
         }
         events.push((now + ty.duration, WorkloadEvent::WriteCommit { tid }));
 
-        let updates = if self.track_updates {
-            self.spare_updates.pop().unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        self.active.insert(
-            tid,
-            ActiveTxn {
-                type_idx,
-                started_at: now,
-                updates,
-                commit_written: None,
-            },
-        );
+        self.window.push_back(Slot {
+            started_at: now,
+            commit_written: None,
+            oid_start: self.oid_front + self.oids.len() as u64,
+            type_idx: type_idx as u32,
+            written: 0,
+            live: true,
+        });
+        self.oids
+            .resize(self.oids.len() + ty.data_records as usize, Oid(u64::MAX));
+        self.live += 1;
         self.stats.started += 1;
         self.stats.per_type_started[type_idx] += 1;
-        self.stats.active.set(self.active.len() as u64);
+        self.stats.active.set(self.live as u64);
         Some(NewTxn { tid, type_idx })
     }
 
     /// Handles a data-record write: picks the oid and returns it with the
     /// record size. Returns `None` when the transaction no longer exists
     /// (killed, and the cancellation raced this event).
-    pub fn on_write_data(&mut self, now: SimTime, tid: Tid, seq: u32) -> Option<(Oid, u32)> {
-        let txn = self.active.get_mut(&tid)?;
+    pub fn on_write_data(&mut self, _now: SimTime, tid: Tid, seq: u32) -> Option<(Oid, u32)> {
+        let i = self.live_index(tid)?;
+        let slot = &mut self.window[i];
         debug_assert!(
-            txn.commit_written.is_none(),
+            slot.commit_written.is_none(),
             "data write after commit for {tid}"
         );
-        let oid = match &mut self.source {
-            Source::Live {
-                rng_oid,
-                picker,
-                capture,
-                ..
-            } => {
-                let oid = picker.pick(rng_oid);
-                if let Some(b) = capture {
-                    b.on_write_data(tid.0 as usize, seq, oid);
-                }
-                oid
-            }
-            Source::Replay { trace } => {
-                let t = &trace.txns[tid.0 as usize];
-                let oid = trace.oids[t.oid_start as usize + seq as usize - 1];
-                debug_assert_ne!(oid, UNWRITTEN, "replay delivered an unwritten slot");
-                oid
-            }
-        };
-        if self.track_updates {
-            txn.updates.push(Update { oid, seq, ts: now });
-        }
+        debug_assert_eq!(seq, slot.written + 1, "{tid} wrote out of order");
+        slot.written = seq;
+        let at = (slot.oid_start + u64::from(seq) - 1 - self.oid_front) as usize;
+        let oid = self.picker.pick(&mut self.rng_oid);
+        self.oids[at] = oid;
         self.stats.data_records += 1;
-        let size = self.mix.types()[txn.type_idx].record_size;
-        Some((oid, size))
+        Some((oid, self.mix.types()[slot.type_idx as usize].record_size))
     }
 
     /// Handles the COMMIT-record write (t3). Returns `false` when the
     /// transaction no longer exists.
     pub fn on_write_commit(&mut self, now: SimTime, tid: Tid) -> bool {
-        match self.active.get_mut(&tid) {
-            Some(txn) => {
-                txn.commit_written = Some(now);
+        match self.live_index(tid) {
+            Some(i) => {
+                self.window[i].commit_written = Some(now);
                 true
             }
             None => false,
@@ -412,33 +320,36 @@ impl WorkloadDriver {
 
     /// Handles the commit acknowledgement (t4): the transaction's oids stop
     /// being "chosen by an active transaction", and its updates are
-    /// returned so the caller can feed a committed-state oracle. The slice
-    /// is valid until the next driver call (its storage is recycled); it
-    /// is empty when updates are not tracked.
+    /// returned so the caller can feed a committed-state oracle. Each
+    /// update's `ts` is its write instant, `arrival + data_write_offset`:
+    /// the instant [`Self::on_arrival`] scheduled it at. The slice is valid
+    /// until the next driver call (its storage is reused).
     pub fn on_commit_ack(&mut self, now: SimTime, tid: Tid) -> &[Update] {
         self.ack_buf.clear();
-        let Some(txn) = self.active.remove(&tid) else {
+        let Some(i) = self.live_index(tid) else {
             return &self.ack_buf;
         };
-        if let Source::Live { picker, .. } = &mut self.source {
-            picker.release_all(txn.updates.iter().map(|u| u.oid));
+        let slot = self.window[i];
+        let ty = self.mix.types()[slot.type_idx as usize];
+        let first = (slot.oid_start - self.oid_front) as usize;
+        for (oid, seq) in self.oids.range(first..).zip(1..=slot.written) {
+            self.ack_buf.push(Update {
+                oid: *oid,
+                seq,
+                ts: slot.started_at + ty.data_write_offset(seq),
+            });
         }
-        if let Some(t3) = txn.commit_written {
+        self.picker.release_all(self.ack_buf.iter().map(|u| u.oid));
+        if let Some(t3) = slot.commit_written {
             self.stats
                 .commit_latency_ms
                 .record(now.saturating_sub(t3).as_micros() as f64 / 1000.0);
         }
         self.stats
             .full_latency_ms
-            .record(now.saturating_sub(txn.started_at).as_micros() as f64 / 1000.0);
+            .record(now.saturating_sub(slot.started_at).as_micros() as f64 / 1000.0);
         self.stats.committed += 1;
-        self.stats.active.set(self.active.len() as u64);
-        if self.track_updates {
-            // Hand the updates out through `ack_buf` and recycle the old
-            // buffer, so steady-state acks allocate nothing.
-            let old = std::mem::replace(&mut self.ack_buf, txn.updates);
-            self.spare_updates.push(old);
-        }
+        self.retire(i);
         &self.ack_buf
     }
 
@@ -446,28 +357,62 @@ impl WorkloadDriver {
     /// releases its oids. The caller is responsible for cancelling the
     /// transaction's still-pending events.
     pub fn on_kill(&mut self, tid: Tid) {
-        if let Some(mut txn) = self.active.remove(&tid) {
-            if let Source::Live { picker, .. } = &mut self.source {
-                picker.release_all(txn.updates.iter().map(|u| u.oid));
-            }
-            if self.track_updates {
-                txn.updates.clear();
-                self.spare_updates.push(txn.updates);
-            }
+        if let Some(i) = self.live_index(tid) {
+            let slot = self.window[i];
+            let first = (slot.oid_start - self.oid_front) as usize;
+            let written = first..first + slot.written as usize;
+            self.picker.release_all(self.oids.range(written).copied());
             self.stats.killed += 1;
-            self.stats.active.set(self.active.len() as u64);
+            self.retire(i);
+        }
+    }
+
+    /// The next tid to assign (tids are dense, from 0).
+    fn next_tid(&self) -> u64 {
+        self.front_tid + self.window.len() as u64
+    }
+
+    /// The window index of `tid`, when it is live.
+    fn live_index(&self, tid: Tid) -> Option<usize> {
+        let i = usize::try_from(tid.0.checked_sub(self.front_tid)?).ok()?;
+        self.window.get(i).filter(|s| s.live).map(|_| i)
+    }
+
+    /// Retires the live slot at window index `i`, then pops every retired
+    /// slot (and its oids) off the front.
+    fn retire(&mut self, i: usize) {
+        self.window[i].live = false;
+        self.live -= 1;
+        self.stats.active.set(self.live as u64);
+        while let Some(front) = self.window.front().filter(|s| !s.live) {
+            let n = self.mix.types()[front.type_idx as usize].data_records;
+            self.window.pop_front();
+            self.front_tid += 1;
+            self.oids.drain(..n as usize);
+            self.oid_front += u64::from(n);
         }
     }
 
     /// Number of transactions currently between BEGIN and ack.
     pub fn active_txns(&self) -> usize {
-        self.active.len()
+        self.live
     }
 
-    /// The updates a live transaction has performed so far (empty when
-    /// updates are not tracked).
-    pub fn updates_of(&self, tid: Tid) -> Option<&[Update]> {
-        self.active.get(&tid).map(|t| t.updates.as_slice())
+    /// The oids a live transaction has written so far, in `seq` order.
+    pub fn oids_of(&self, tid: Tid) -> Option<impl ExactSizeIterator<Item = Oid> + '_> {
+        let slot = &self.window[self.live_index(tid)?];
+        let first = (slot.oid_start - self.oid_front) as usize;
+        Some(
+            self.oids
+                .range(first..first + slot.written as usize)
+                .copied(),
+        )
+    }
+
+    /// Slots and oid slots the window holds: one slot per tid from the
+    /// oldest live transaction on, live or retired (diagnostics).
+    pub fn window_len(&self) -> (usize, usize) {
+        (self.window.len(), self.oids.len())
     }
 
     /// Aggregate statistics.
@@ -475,12 +420,9 @@ impl WorkloadDriver {
         &self.stats
     }
 
-    /// The oid picker (for diagnostics); `None` when replaying.
-    pub fn picker(&self) -> Option<&OidPicker> {
-        match &self.source {
-            Source::Live { picker, .. } => Some(picker),
-            Source::Replay { .. } => None,
-        }
+    /// The oid picker (for diagnostics).
+    pub fn picker(&self) -> &OidPicker {
+        &self.picker
     }
 
     /// The configured mix.
@@ -568,13 +510,13 @@ mod tests {
         assert_eq!(size, 100);
         let (oid2, _) = d.on_write_data(SimTime::from_millis(999), tid, 2).unwrap();
         assert_ne!(oid1, oid2, "same txn never reuses an oid");
-        assert!(d.picker().unwrap().is_held(oid1));
+        assert!(d.picker().is_held(oid1));
 
         assert!(d.on_write_commit(SimTime::from_secs(1), tid));
         let updates = d.on_commit_ack(SimTime::from_micros(1_030_000), tid);
         assert_eq!(updates.len(), 2);
         assert_eq!(updates[0].oid, oid1);
-        assert!(!d.picker().unwrap().is_held(oid1), "ack releases oids");
+        assert!(!d.picker().is_held(oid1), "ack releases oids");
         assert_eq!(d.stats().committed, 1);
         assert_eq!(d.stats().commit_latency_ms.total(), 1);
         // ~30 ms latency recorded.
@@ -592,7 +534,7 @@ mod tests {
             .on_write_data(SimTime::from_millis(1), new.tid, 1)
             .unwrap();
         d.on_kill(new.tid);
-        assert!(!d.picker().unwrap().is_held(oid));
+        assert!(!d.picker().is_held(oid));
         assert_eq!(d.stats().killed, 1);
         assert_eq!(d.active_txns(), 0);
         // Stray events for the dead txn are ignored gracefully.
@@ -637,93 +579,114 @@ mod tests {
     fn updates_of_live_txn_visible() {
         let mut d = driver(0.0, 10);
         let (new, _) = arrive(&mut d, SimTime::ZERO).unwrap();
-        assert_eq!(d.updates_of(new.tid).unwrap().len(), 0);
-        d.on_write_data(SimTime::from_millis(1), new.tid, 1);
-        assert_eq!(d.updates_of(new.tid).unwrap().len(), 1);
-        assert!(d.updates_of(Tid(999)).is_none());
+        assert_eq!(d.oids_of(new.tid).unwrap().len(), 0);
+        let (oid, _) = d
+            .on_write_data(SimTime::from_millis(1), new.tid, 1)
+            .unwrap();
+        assert!(d.oids_of(new.tid).unwrap().eq([oid]));
+        assert!(d.oids_of(Tid(999)).is_none());
+    }
+
+    #[test]
+    fn a_long_transaction_pins_the_window_front() {
+        use crate::spec::PhaseSchedule;
+        // One long (10 s, 4-record) transaction at the front, then short
+        // ones that all commit while it runs.
+        let mut d =
+            driver(0.5, 100).with_phases(Some(PhaseSchedule::parse("0:1.0,0.001:0.0").unwrap()));
+        let (front, _) = arrive(&mut d, SimTime::ZERO).unwrap();
+        assert_eq!(front.type_idx, 1);
+        let mut t = SimTime::ZERO;
+        let mut shorts = Vec::new();
+        for _ in 0..20 {
+            t += SimTime::from_millis(10);
+            let (new, _) = arrive(&mut d, t).unwrap();
+            assert_eq!(new.type_idx, 0);
+            d.on_write_data(t, new.tid, 1).unwrap();
+            d.on_write_data(t, new.tid, 2).unwrap();
+            shorts.push(new.tid);
+        }
+        assert_eq!(d.window_len(), (21, 4 + 40));
+        for &tid in &shorts {
+            d.on_write_commit(t, tid);
+            assert_eq!(d.on_commit_ack(t, tid).len(), 2);
+            // Retired slots stay behind the live front.
+            assert_eq!(d.window_len(), (21, 44));
+        }
+        assert_eq!(d.active_txns(), 1);
+        assert_eq!(d.picker().held(), 0);
+        // The front's ack pops it and everything retired behind it.
+        d.on_write_commit(SimTime::from_secs(10), front.tid);
+        d.on_commit_ack(SimTime::from_secs(11), front.tid);
+        assert_eq!(d.window_len(), (0, 0));
+        assert_eq!(d.active_txns(), 0);
+        assert_eq!(d.picker().double_releases(), 0);
+        // Tids stay dense across the emptied window.
+        let (next, _) = arrive(&mut d, SimTime::from_secs(12)).unwrap();
+        assert_eq!(next.tid, Tid(21));
+        assert_eq!(d.window_len(), (1, 2));
     }
 
     /// Drives `d` through its full event stream with a tiny hand-rolled
     /// event loop (no log manager: acks fire one ε after the commit
-    /// write), returning the committed count.
-    fn drain(d: &mut WorkloadDriver) -> (u64, Vec<Oid>) {
-        let mut queue: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, Tid, u32)>> =
-            std::collections::BinaryHeap::new();
+    /// write), checking that every ack hands back exactly the updates the
+    /// transaction wrote, each stamped with its delivery instant. Returns
+    /// the committed count.
+    fn drain(d: &mut WorkloadDriver) -> u64 {
+        use std::cmp::Reverse;
+        use std::collections::{BinaryHeap, HashMap};
         // Kind: 0 arrival, 1 data, 2 commit, 3 ack.
+        let mut queue: BinaryHeap<Reverse<(SimTime, u64, Tid, u32)>> = BinaryHeap::new();
         let mut events = Vec::new();
-        let mut oids = Vec::new();
-        queue.push(std::cmp::Reverse((SimTime::ZERO, 0, Tid(0), 0)));
-        while let Some(std::cmp::Reverse((now, kind, tid, seq))) = queue.pop() {
+        let mut written: HashMap<Tid, Vec<Update>> = HashMap::new();
+        queue.push(Reverse((SimTime::ZERO, 0, Tid(0), 0)));
+        while let Some(Reverse((now, kind, tid, seq))) = queue.pop() {
             match kind {
                 0 => {
-                    if let Some(new) = d.on_arrival(now, &mut events) {
+                    if d.on_arrival(now, &mut events).is_some() {
                         for &(at, ev) in &events {
                             let (k, t, s) = match ev {
                                 WorkloadEvent::Arrival => (0, Tid(0), 0),
                                 WorkloadEvent::WriteData { tid, seq } => (1, tid, seq),
                                 WorkloadEvent::WriteCommit { tid } => (2, tid, 0),
                             };
-                            queue.push(std::cmp::Reverse((at, k, t, s)));
+                            queue.push(Reverse((at, k, t, s)));
                         }
-                        let _ = new;
                     }
                 }
                 1 => {
-                    if let Some((oid, _)) = d.on_write_data(now, tid, seq) {
-                        oids.push(oid);
-                    }
+                    let (oid, _) = d.on_write_data(now, tid, seq).unwrap();
+                    let ts = now;
+                    written
+                        .entry(tid)
+                        .or_default()
+                        .push(Update { oid, seq, ts });
                 }
                 2 => {
-                    if d.on_write_commit(now, tid) {
-                        queue.push(std::cmp::Reverse((
-                            now + SimTime::from_millis(1),
-                            3,
-                            tid,
-                            0,
-                        )));
-                    }
+                    assert!(d.on_write_commit(now, tid));
+                    queue.push(Reverse((now + SimTime::from_millis(1), 3, tid, 0)));
                 }
                 _ => {
-                    d.on_commit_ack(now, tid);
+                    let expect = written.remove(&tid).unwrap_or_default();
+                    assert_eq!(d.on_commit_ack(now, tid), expect, "{tid}");
                 }
             }
         }
-        (d.stats().committed, oids)
+        assert!(written.is_empty());
+        d.stats().committed
     }
 
     #[test]
-    fn replay_reproduces_capture_exactly() {
-        let mut live = driver(0.3, 5);
-        live.enable_capture();
-        let (live_committed, live_oids) = drain(&mut live);
-        let trace = live.take_trace().expect("kill-free capture");
-        assert_eq!(trace.transactions() as u64, live.stats().started);
-
-        let mut rep = WorkloadDriver::replay(TxMix::paper_mix(0.3), Arc::new(trace), true);
-        assert!(rep.picker().is_none());
-        let (rep_committed, rep_oids) = drain(&mut rep);
-        assert_eq!(live_committed, rep_committed);
-        assert_eq!(live_oids, rep_oids, "oid stream must replay exactly");
-        assert_eq!(live.stats().started, rep.stats().started);
-        assert_eq!(live.stats().data_records, rep.stats().data_records);
-        assert_eq!(live.stats().per_type_started, rep.stats().per_type_started);
-    }
-
-    #[test]
-    fn untracked_replay_acks_empty() {
-        let mut live = driver(0.0, 2);
-        live.enable_capture();
-        drain(&mut live);
-        let trace = Arc::new(live.take_trace().unwrap());
-        let mut rep = WorkloadDriver::replay(TxMix::paper_mix(0.0), trace, false);
-        let (new, _) = arrive(&mut rep, SimTime::ZERO).unwrap();
-        rep.on_write_data(SimTime::from_millis(500), new.tid, 1);
-        assert_eq!(rep.updates_of(new.tid).unwrap().len(), 0, "not tracked");
-        rep.on_write_commit(SimTime::from_secs(1), new.tid);
-        assert!(rep
-            .on_commit_ack(SimTime::from_micros(1_030_000), new.tid)
-            .is_empty());
-        assert_eq!(rep.stats().committed, 1);
+    fn acked_updates_carry_their_write_instants() {
+        // The window keeps no per-update timestamps: an ack rebuilds each
+        // `ts` from the arrival time and the type's write offsets, which
+        // must equal the instant the write event was delivered at.
+        let mut d = driver(0.3, 5);
+        assert_eq!(drain(&mut d), d.stats().started);
+        assert!(d.stats().per_type_started.iter().all(|&n| n > 0));
+        assert_eq!(d.window_len(), (0, 0), "every transaction retired");
+        assert_eq!(d.picker().held(), 0);
+        assert_eq!(d.picker().double_releases(), 0);
     }
 
     #[test]
@@ -787,61 +750,24 @@ mod tests {
             .find_map(|&(t, e)| (e == WorkloadEvent::Arrival).then_some(t))
             .unwrap();
         assert_eq!(next, SimTime::from_secs(10) + SimTime::from_millis(5));
-    }
 
-    #[test]
-    fn phased_capture_replays_without_schedule() {
-        use crate::spec::PhaseSchedule;
-        // A drifting capture replayed by a schedule-less replay driver
-        // must reproduce the stream exactly: the trace's type indices and
-        // arrival times already encode the phases.
-        let schedule = PhaseSchedule::parse("0:0.0,2:1.0@2").unwrap();
-        let mut live = WorkloadDriver::new(
+        // A whole drifting run: both phases produce transactions, and the
+        // 2× phase really accelerates arrivals — 2 s at 50 TPS + 2 s at
+        // 100 TPS ≈ 300 starts, not 200.
+        let mut d = WorkloadDriver::new(
             TxMix::paper_mix(0.5),
             ArrivalProcess::Deterministic { rate_tps: 50.0 },
             10_000_000,
             SimTime::from_secs(4),
             &SimRng::new(7),
         )
-        .with_phases(Some(schedule));
-        live.enable_capture();
-        let (live_committed, live_oids) = drain(&mut live);
-        let trace = live.take_trace().expect("kill-free capture");
-
-        let mut rep = WorkloadDriver::replay(TxMix::paper_mix(0.5), Arc::new(trace), true);
-        let (rep_committed, rep_oids) = drain(&mut rep);
-        assert_eq!(live_committed, rep_committed);
-        assert_eq!(live_oids, rep_oids);
-        assert_eq!(live.stats().per_type_started, rep.stats().per_type_started);
-        // The drift is visible: both phases produced transactions.
-        assert!(live.stats().per_type_started.iter().all(|&n| n > 0));
-        // And the 2× phase really accelerated arrivals: 2 s at 50 TPS +
-        // 2 s at 100 TPS ≈ 300 starts, not 200.
+        .with_phases(Some(PhaseSchedule::parse("0:0.0,2:1.0@2").unwrap()));
+        drain(&mut d);
+        assert!(d.stats().per_type_started.iter().all(|&n| n > 0));
         assert!(
-            live.stats().started > 250,
+            d.stats().started > 250,
             "rate factor must raise arrivals, got {}",
-            live.stats().started
+            d.stats().started
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "replay")]
-    fn replay_driver_rejects_schedule() {
-        use crate::spec::PhaseSchedule;
-        let mut live = driver(0.0, 1);
-        live.enable_capture();
-        drain(&mut live);
-        let trace = Arc::new(live.take_trace().unwrap());
-        let _ = WorkloadDriver::replay(TxMix::paper_mix(0.0), trace, false)
-            .with_phases(Some(PhaseSchedule::parse("0:0.0").unwrap()));
-    }
-
-    #[test]
-    fn killed_capture_yields_no_trace() {
-        let mut d = driver(0.0, 10);
-        d.enable_capture();
-        let (new, _) = arrive(&mut d, SimTime::ZERO).unwrap();
-        d.on_kill(new.tid);
-        assert!(d.take_trace().is_none(), "killed run is truncated");
     }
 }

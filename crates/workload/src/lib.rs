@@ -30,18 +30,16 @@
 //! * [`oidpick`] — uniform oid selection "subject to the constraint that
 //!   the number has not already been chosen for an update by a transaction
 //!   which is still active";
-//! * [`driver`] — the event-producing driver gluing it all together;
-//! * [`trace`] — flat capture/replay of the workload-visible event stream,
-//!   so geometry probes skip the RNG-driven generator entirely.
+//! * [`driver`] — the event-producing driver gluing it all together. It
+//!   is the one workload source: every run, search probes included,
+//!   generates its own stream from its seed.
 
 pub mod arrival;
 pub mod driver;
 pub mod oidpick;
 pub mod spec;
-pub mod trace;
 
 pub use arrival::{ArrivalProcess, MAX_RATE_TPS};
-pub use driver::{WorkloadDriver, WorkloadEvent, WorkloadStats};
+pub use driver::{WorkloadDriver, WorkloadEvent, WorkloadStats, WorkloadTrace};
 pub use oidpick::OidPicker;
 pub use spec::{Phase, PhaseSchedule, TxMix, TxType, EPSILON};
-pub use trace::WorkloadTrace;

@@ -160,10 +160,9 @@ pub struct Phase {
 /// Phases may change only the *probabilities* over a shared transaction
 /// type table plus a rate factor; durations, record counts and record
 /// sizes must be identical across phases. This keeps every type index
-/// meaningful for the whole run, which is what lets trace capture store a
-/// bare `type_idx` per transaction and replay remain phase-faithful with
-/// no schedule attached (replay reads the recorded indices and recorded
-/// arrival times, both already shaped by the schedule).
+/// meaningful for the whole run: the driver resolves a transaction's
+/// durations and record counts against the base mix, whichever phase it
+/// arrived in.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseSchedule {
     phases: Vec<Phase>,

@@ -83,7 +83,9 @@ fn picker_matches_reference_model() {
 }
 
 /// Driver conservation: after any run, started = active + committed +
-/// killed, and every commit releases exactly its own oids.
+/// killed, and every commit releases exactly its own oids. Retiring the
+/// survivors in a random order — acks and kills mixed — then leaves
+/// nothing held, nothing released twice and an empty window.
 #[test]
 fn driver_conserves_transactions() {
     cases::run("driver_conserves_transactions", 64, |rng| {
@@ -131,10 +133,27 @@ fn driver_conserves_transactions() {
         assert_eq!(s.started, bursts);
         assert_eq!(s.started, s.committed + s.killed + d.active_txns() as u64);
         // Held oids are exactly the live transactions' updates.
-        let expected_held: usize = live
-            .iter()
-            .map(|tid| d.updates_of(*tid).map_or(0, <[_]>::len))
-            .sum();
-        assert_eq!(d.picker().unwrap().held(), expected_held);
+        let mut expected_held = 0;
+        for tid in &live {
+            for oid in d.oids_of(*tid).expect("live") {
+                assert!(d.picker().is_held(oid), "{oid} of {tid} not held");
+                expected_held += 1;
+            }
+        }
+        assert_eq!(d.picker().held(), expected_held);
+
+        while !live.is_empty() {
+            let tid = live.swap_remove(rng.range(0..live.len() as u64) as usize);
+            if rng.next_f64() < 0.5 {
+                d.on_write_commit(t, tid);
+                d.on_commit_ack(t + SimTime::from_millis(10), tid);
+            } else {
+                d.on_kill(tid);
+            }
+        }
+        assert_eq!(d.active_txns(), 0);
+        assert_eq!(d.picker().held(), 0);
+        assert_eq!(d.picker().double_releases(), 0);
+        assert_eq!(d.window_len(), (0, 0));
     });
 }

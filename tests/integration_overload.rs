@@ -62,4 +62,8 @@ fn overload_keeps_table_and_drive_invariants() {
     }
     // Stopping to look must not change the run.
     assert_eq!(engine.model().lm.metrics(cfg.runtime).flushes, FLUSHES);
+    // 1 246 kills and 22 312 acks each released their oids exactly once.
+    let driver = &engine.model().driver;
+    assert_eq!(driver.stats().killed, 1_246);
+    assert_eq!(driver.picker().double_releases(), 0);
 }
