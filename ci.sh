@@ -58,6 +58,7 @@ echo "== frozen names =="
 # re-record"). The set is closed: a new shim, or a shim deleted without
 # this list, fails here. ROADMAP item 1(a) deletes them all at the re-record.
 FROZEN_WANT='crates/core/src/traits.rs:last_gen_allocated
+crates/harness/src/latsearch.rs:jobs
 crates/harness/src/latsearch.rs:probe_jobs
 crates/harness/src/runner.rs:run_capture
 crates/harness/src/runner.rs:shards
@@ -116,9 +117,22 @@ cargo test -q --offline --workspace
 
 echo "== 3-gen lattice smoke =="
 # A small-basket N-generation minimum-space search end to end: exercises
-# the lattice search (anchor pass, pruning bound, column certificates)
+# the lattice search (anchor pass, running bound, column certificates)
 # through the public CLI. Any panic fails CI.
-./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2
+./target/release/elsim --gens 10,8,8 --runtime 20 --min-space
+
+echo "== running-bound pin =="
+# The 2-gen lattice search's geometry and probe count, pinned: a change
+# that loses the running bound (each column capped by the best geometry
+# found before it — DESIGN.md §5f) spends more probes, and one that moves
+# the minimum prints another geometry.
+LATTICE_PIN='minimum EL log: [18, 16] = 34 blocks (75 probes)'
+LATTICE_OUT=$(./target/release/elsim --gens 18,16 --runtime 60 --min-space)
+if [ "$LATTICE_OUT" != "$LATTICE_PIN" ]; then
+    echo "elsim --gens 18,16 --runtime 60 --min-space printed \`$LATTICE_OUT\`," >&2
+    echo "pinned \`$LATTICE_PIN\`" >&2
+    exit 1
+fi
 
 echo "== certificate equivalence smoke =="
 # The probe accelerator (consumption certificates — DESIGN.md §5g) must
@@ -127,8 +141,8 @@ echo "== certificate equivalence smoke =="
 # Event counters legitimately differ, so compare the full stdout of a
 # quick min-space search, which reports geometry and probes but not
 # event volume.
-CERT_ON=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2)
-CERT_OFF=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --jobs 2 --no-cert)
+CERT_ON=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space)
+CERT_OFF=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --no-cert)
 if [ "$CERT_ON" != "$CERT_OFF" ]; then
     echo "certified and probe-only searches disagree:" >&2
     diff <(echo "$CERT_ON") <(echo "$CERT_OFF") >&2 || true
@@ -169,8 +183,8 @@ echo "== hostile CLI =="
 # are well-formed searches that find nothing feasible within their
 # ceilings: one stderr line saying so instead of an abort (or a ceiling
 # printed as a minimum).
-# The --probe-cache, `repro --adaptive` and --no-analytic (now --no-cert)
-# rows are deleted flags: they must be rejected by name, not silently
+# The --probe-cache, `elsim --jobs`, `repro --adaptive` and --no-analytic
+# (now --no-cert) rows are deleted flags: they must be rejected by name, not silently
 # accepted. The 1e12 / 1e300 rows
 # ask for arrivals finer than the 1 µs clock, which unchecked never
 # advance it; `--only nosuch` must fail before repro prints its header.
@@ -219,6 +233,7 @@ done <<'HOSTILE'
 2 --csv repro --quick --csv /proc/nope
 2 --gens repro --gens 9
 2 --probe-cache elsim --min-space --probe-cache /tmp/x
+2 --jobs elsim --min-space --jobs 2
 2 --probe-cache repro --quick --probe-cache /tmp/x
 2 --adaptive repro --quick --adaptive
 2 --no-analytic elsim --no-analytic

@@ -39,7 +39,7 @@ fn main() {
                 },
             )
         };
-        let out = req.jobs(a.jobs).certificates(a.certificates).run();
+        let out = req.certificates(a.certificates).run();
         let r = out.min;
         if !out.feasible {
             eprintln!(

@@ -58,8 +58,6 @@ pub const ELSIM_USAGE: &str = "elsim [options]
                           (1 gen: firewall binary search; 2: gen0 scan x
                           gen1 bisection; 3+: lattice search with the
                           given sizes as per-axis ceilings)
-  --jobs N                worker threads for --min-space probes
-                          (default: the machine's parallelism)
   --no-cert               disable the consumption certificates: simulate
                           every probe in full (the output must not
                           change)
@@ -279,8 +277,6 @@ pub struct Elsim {
     pub budget: u64,
     /// `--min-space`: search the minimum geometry instead of running.
     pub min_space: bool,
-    /// `--jobs`: worker threads for the search's probes.
-    pub jobs: usize,
     /// Consumption certificates in the search; `--no-cert` clears this.
     pub certificates: bool,
 }
@@ -294,7 +290,6 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
     let mut budget = 0u64;
     let mut oid_ranges = None;
     let mut min_space = false;
-    let mut jobs = crate::sweep::default_jobs();
     let mut certificates = true;
     while let Some(arg) = args.next() {
         let flag = arg.as_str();
@@ -350,7 +345,6 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             "--adaptive" => run.adaptive = true,
             "--min-space" => min_space = true,
             "--no-cert" => certificates = false,
-            "--jobs" => jobs = positive(flag, args)?,
             _ => return Err(format!("unknown flag `{arg}`; elsim --help lists them")),
         }
     }
@@ -416,7 +410,6 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
         run,
         budget,
         min_space,
-        jobs,
         certificates,
     })
 }
@@ -442,7 +435,7 @@ mod tests {
             "--mode fw --gens 123",
             "--fw-blocks 123",
             "--adaptive",
-            "--min-space --jobs 2 --no-cert",
+            "--min-space --no-cert",
             "--tenants 4 --budget 64",
             "--tenants 65536",
             "--tenants 2 --oid-ranges 0:4000000,4000000:6000000",
@@ -455,12 +448,12 @@ mod tests {
 
     #[test]
     fn flags_land_in_the_configuration() {
-        let e = elsim(args(&format!("{RUN} --adaptive --min-space --jobs 3"))).unwrap();
+        let e = elsim(args(&format!("{RUN} --adaptive --min-space"))).unwrap();
         assert_eq!(e.run.el.log.generation_blocks, vec![36, 32, 8]);
         assert!(e.run.el.log.recirculation && e.run.adaptive && e.min_space);
         assert_eq!(e.run.arrivals, ArrivalProcess::Poisson { rate_tps: 50.0 });
         assert_eq!(e.run.runtime, SimTime::from_secs(60));
-        assert_eq!((e.run.el.flush.drives, e.run.seed, e.jobs), (8, 7, 3));
+        assert_eq!((e.run.el.flush.drives, e.run.seed), (8, 7));
         assert_eq!(e.run.el.flush.transfer_time, SimTime::from_millis(45));
         assert!(e.run.phases.is_some());
         assert_eq!((e.run.tenants, e.budget), (None, 0));
@@ -525,7 +518,7 @@ mod tests {
             ("--flush-ms 0", "--flush-ms"),
             ("--shards 2", "--shards"),
             ("--probe-jobs 4", "--probe-jobs"),
-            ("--jobs 0", "--jobs"),
+            ("--min-space --jobs 2", "--jobs"),
             ("--phases 5:0.1", "--phases"),
             // A served run neither searches nor adapts.
             ("--tenants 2 --min-space", "--tenants"),

@@ -19,19 +19,23 @@
 //! [`elog_core::cert`]) — and `tests/search_oracle.rs` holds it, and the
 //! search around it, to plain simulation of every lattice point.
 //!
-//! # Jobs invariance
+//! # Running bound
 //!
-//! Every probe generates its own workload from the base seed, so a
-//! verdict depends on its geometry alone. Scan workers share nothing — a
-//! certificate never outlives its column — so probe counts, and every
-//! statistic derived from them, are identical for every `jobs` setting.
+//! The scan is one sequential pass: the anchor column (every prefix axis
+//! at its ceiling) first, then every other column in ascending
+//! lexicographic order, each bisected only below the best geometry found
+//! so far — a smaller total, or an equal one under a larger prefix. Every
+//! capacity above that cap could not win, so it is pruned probe-free
+//! ([`SearchStats::pruned_volume`]); since survival is monotone along the
+//! last axis, the result is the exhaustive minimum. Every probe generates
+//! its own workload from the base seed, so a verdict depends on its
+//! geometry alone and a search is deterministic.
 
 use crate::minspace::MinSpaceResult;
 use crate::runner::{build_model, RunConfig};
 use elog_core::{CertVerdict, ConsumptionCert};
 use elog_sim::SearchStats;
 use std::fmt;
-use std::sync::Mutex;
 
 /// Most generation axes a lattice search supports. The simulator itself
 /// allows up to 64 generations; searches beyond a handful of axes are
@@ -139,12 +143,6 @@ impl Prober {
         }
     }
 
-    /// A fresh-countered sibling for a scan worker: same configuration,
-    /// nothing else shared.
-    fn worker(&self) -> Prober {
-        Prober::new(&self.cfg, self.certificates)
-    }
-
     /// Whether the consumption certificate is sound: §6 lifetime hints
     /// consult capacities at BEGIN time (early state then depends on the
     /// last generation's capacity), and the last generation's
@@ -196,13 +194,6 @@ impl Prober {
             self.cert = cert.map(|c| (prefix.to_vec(), c));
         }
         survived
-    }
-
-    /// Folds a scan worker's counters into this prober (order-independent,
-    /// so parallel scans stay deterministic).
-    fn absorb(&mut self, other: Prober) {
-        self.probes += other.probes;
-        self.stats.merge(&other.stats);
     }
 
     /// Ends the search and packages the outcome. `blocks` is the minimum,
@@ -332,10 +323,10 @@ fn enumerate_prefixes(gap: u32, prefix_max: &[u32]) -> Vec<Geometry> {
 }
 
 /// The lattice search: the anchor column at the all-maxima prefix, then
-/// every other column in parallel, each capped strictly below the best
-/// total the anchor proved.
-fn run_lattice(mut anchor: Prober, limits: &LatticeLimits, jobs: usize) -> SearchOutcome {
-    let k = anchor.cfg.el.log.gap_blocks;
+/// every other column in ascending order, each capped by the best
+/// geometry found so far.
+fn run_lattice(mut p: Prober, limits: &LatticeLimits) -> SearchOutcome {
+    let k = p.cfg.el.log.gap_blocks;
     assert!(
         !limits.prefix_max.is_empty(),
         "lattice search needs at least one prefix axis (2 generations); \
@@ -352,56 +343,38 @@ fn run_lattice(mut anchor: Prober, limits: &LatticeLimits, jobs: usize) -> Searc
     );
     let anchor_prefix = Geometry::from_slice(&limits.prefix_max);
     let anchor_last = min_under_ceiling(k + 1, limits.last_limit, |c| {
-        anchor.verdict(&limits.prefix_max, c)
+        p.verdict(&limits.prefix_max, c)
     });
-    // When even the all-maxima prefix cannot fit, the scan is exhaustive
-    // instead — no bound: the minimal last generation need not be
-    // monotone in the prefix, so a smaller prefix may still be feasible.
-    let bound = anchor_last.map(|last| anchor_prefix.total() + last);
-    let prefixes = enumerate_prefixes(k, &limits.prefix_max);
-    // Workers draw scratch probers from a pool instead of cloning the
-    // configuration per prefix.
-    let pool: Mutex<Vec<Prober>> = Mutex::new(Vec::new());
-    let results = crate::sweep::parallel_map(&prefixes, jobs, |_, prefix| {
-        let mut p = pool
-            .lock()
-            .expect("prober pool")
-            .pop()
-            .unwrap_or_else(|| anchor.worker());
-        // Any last generation above `cap` would tie or exceed the bound:
-        // that part of the column (all of it, when `cap` is below the
-        // floor) is pruned probe-free.
-        let cap = bound.map_or(limits.last_limit, |b| {
-            (b.saturating_sub(prefix.total()).saturating_sub(1)).min(limits.last_limit)
+    // Prefer the smaller total; on ties the larger prefix (less forwarded
+    // traffic, lower bandwidth). While nothing is feasible the scan is
+    // unbounded: the minimal last generation need not be monotone in the
+    // prefix, so a smaller prefix may still fit.
+    let mut best = anchor_last.map(|last| anchor_prefix.with_last(last));
+    for prefix in enumerate_prefixes(k, &limits.prefix_max) {
+        // Only a last generation that would replace `best` is worth
+        // finding: one that lowers its total, or ties it under a larger
+        // prefix. Columns come ascending, so that tie is allowed once the
+        // best is a scanned column and never while it is the anchor.
+        // Everything above `cap` (all of the column, when `cap` is below
+        // the floor) is pruned probe-free.
+        let cap = best.map_or(limits.last_limit, |b| {
+            let room = b.total().saturating_sub(prefix.total());
+            let room = if prefix.as_slice() > b.prefix() {
+                room
+            } else {
+                room.saturating_sub(1)
+            };
+            room.min(limits.last_limit)
         });
         p.stats.pruned_volume += u64::from(limits.last_limit - cap.max(k));
-        let last = if cap > k {
-            min_under_ceiling(k + 1, cap, |c| p.verdict(prefix.as_slice(), c))
-        } else {
-            None
-        };
-        pool.lock().expect("prober pool").push(p);
-        last
-    });
-    for p in pool.into_inner().expect("prober pool") {
-        anchor.absorb(p);
-    }
-    // Prefer the smaller total; on ties the larger prefix (less forwarded
-    // traffic, lower bandwidth). Every capped candidate beats the anchor.
-    let mut best = anchor_last.map(|last| anchor_prefix.with_last(last));
-    for (prefix, r) in prefixes.iter().zip(results) {
-        if let Some(last) = r.expect("probe simulation panicked") {
-            let cand = prefix.with_last(last);
-            if best.is_none_or(|b| {
-                cand.total() < b.total()
-                    || (cand.total() == b.total() && cand.prefix() > b.prefix())
-            }) {
-                best = Some(cand);
+        if cap > k {
+            if let Some(last) = min_under_ceiling(k + 1, cap, |c| p.verdict(prefix.as_slice(), c)) {
+                best = Some(prefix.with_last(last));
             }
         }
     }
     let clamped = anchor_prefix.with_last(limits.last_limit);
-    anchor.finish(best.unwrap_or(clamped).to_vec(), best.is_some())
+    p.finish(best.unwrap_or(clamped).to_vec(), best.is_some())
 }
 
 /// Smallest single-generation log: doubling to bracket, then bisection.
@@ -430,7 +403,7 @@ pub enum SearchMode {
         limit: u32,
     },
     /// Full N-generation lattice minimum (anchor pass, prefix scan,
-    /// anchor-bound pruning).
+    /// running-bound pruning).
     Lattice {
         /// Per-axis ceilings; their shape fixes the dimensionality.
         limits: LatticeLimits,
@@ -451,16 +424,13 @@ pub enum SearchMode {
 /// ```no_run
 /// # use elog_harness::{SearchRequest, LatticeLimits, minspace::paper_base};
 /// let base = paper_base(0.05, false, 500);
-/// let out = SearchRequest::lattice(&base, LatticeLimits::uniform(3, 12, 256))
-///     .jobs(4)
-///     .run();
+/// let out = SearchRequest::lattice(&base, LatticeLimits::uniform(3, 12, 256)).run();
 /// assert!(out.feasible);
 /// ```
 #[derive(Clone, Debug)]
 pub struct SearchRequest {
     base: RunConfig,
     mode: SearchMode,
-    jobs: usize,
     certificates: bool,
 }
 
@@ -480,7 +450,6 @@ impl SearchRequest {
         SearchRequest {
             base: base.clone(),
             mode,
-            jobs: 1,
             certificates: true,
         }
     }
@@ -502,18 +471,23 @@ impl SearchRequest {
         Self::with_mode(base, SearchMode::FixedPrefix { prefix, last_limit })
     }
 
-    /// Worker threads for the lattice prefix scan (default 1; results are
-    /// invariant in this).
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
     /// Enables/disables the consumption certificates (default on; off
     /// simulates every probe — results are invariant in this, only the
     /// number of simulated probe events changes).
     pub fn certificates(mut self, on: bool) -> Self {
         self.certificates = on;
+        self
+    }
+
+    /// Frozen name, owed to the next benchmark re-record: `benchmark/`
+    /// pins its protocol with `.jobs(1)`, and the prefix scan is one
+    /// sequential pass — each column's cap depends on the columns before it.
+    #[doc(hidden)]
+    pub fn jobs(self, n: usize) -> Self {
+        assert_eq!(
+            n, 1,
+            "the prefix scan is sequential; there is no width to set"
+        );
         self
     }
 
@@ -531,7 +505,7 @@ impl SearchRequest {
         let p = Prober::new(&self.base, self.certificates);
         match self.mode {
             SearchMode::Firewall { limit } => run_firewall(p, limit),
-            SearchMode::Lattice { limits } => run_lattice(p, &limits, self.jobs),
+            SearchMode::Lattice { limits } => run_lattice(p, &limits),
             SearchMode::FixedPrefix { prefix, last_limit } => {
                 run_fixed_prefix(p, prefix, last_limit)
             }
@@ -591,7 +565,7 @@ mod tests {
             prefix_max: vec![14, 10],
             last_limit: 64,
         };
-        let out = SearchRequest::lattice(&base, limits).jobs(2).run();
+        let out = SearchRequest::lattice(&base, limits).run();
         assert!(out.feasible);
         let r = out.min;
         assert_eq!(r.generation_blocks.len(), 3);
@@ -603,7 +577,7 @@ mod tests {
         );
         assert!(
             r.search.pruned_volume > 0,
-            "the anchor bound must prune part of the lattice"
+            "the running bound must prune part of the lattice"
         );
         // The boundary really is a boundary: shrinking the last
         // generation at the chosen prefix must kill (when legal).
@@ -614,22 +588,53 @@ mod tests {
     }
 
     #[test]
-    fn lattice_search_is_jobs_invariant() {
-        let base = paper_base(0.05, false, 15);
+    fn running_bound_prunes_past_the_anchor_bound() {
+        // The anchor bound alone caps every column strictly below the
+        // anchor's total; the running bound tightens that cap as smaller
+        // geometries turn up, so it prunes more and still finds the
+        // exhaustive minimum.
+        let base = paper_base(0.05, false, 30);
+        let (g0_max, last_limit) = (24, 256);
+        let k = base.el.log.gap_blocks;
+        let anchor = SearchRequest::fixed_prefix(&base, vec![g0_max], last_limit).run();
+        assert!(anchor.feasible);
+        let anchor_total = anchor.min.total_blocks;
+        let anchor_pruned: u64 = (k + 1..g0_max)
+            .map(|g0| {
+                let cap = (anchor_total.saturating_sub(g0 + 1)).min(last_limit);
+                u64::from(last_limit - cap.max(k))
+            })
+            .sum();
+
         let limits = LatticeLimits {
-            prefix_max: vec![8, 8],
-            last_limit: 48,
+            prefix_max: vec![g0_max],
+            last_limit,
         };
-        let search = |jobs| {
-            let req = SearchRequest::lattice(&base, limits.clone());
-            req.jobs(jobs).run().min
-        };
-        let (serial, parallel) = (search(1), search(4));
-        assert_eq!(serial.generation_blocks, parallel.generation_blocks);
-        assert_eq!(serial.probes, parallel.probes);
-        // Certificates are column-local and workers share nothing, so
-        // every counter is jobs-invariant — event volume included.
-        assert_eq!(serial.search, parallel.search);
+        let out = SearchRequest::lattice(&base, limits).run();
+        assert!(out.feasible);
+        let r = out.min;
+        assert!(
+            r.search.pruned_volume > anchor_pruned,
+            "running bound pruned {}, the anchor bound alone {anchor_pruned}",
+            r.search.pruned_volume
+        );
+        assert_eq!(r.generation_blocks, vec![21, 12]);
+
+        // Exhaustive over columns: columns are monotone along the last
+        // axis (`tests/search_oracle.rs`), so no geometry beats the minimum
+        // iff no column survives at the largest last generation that would
+        // — a smaller total, or an equal one under a larger prefix.
+        assert!(survives(&base, &r.generation_blocks));
+        let (min_g0, total) = (r.generation_blocks[0], r.total_blocks);
+        for g0 in k + 1..=g0_max {
+            let beats = total.saturating_sub(g0 + u32::from(g0 <= min_g0));
+            if beats > k {
+                assert!(
+                    !survives(&base, &[g0, beats]),
+                    "[{g0}, {beats}] beats {total}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -644,7 +649,7 @@ mod tests {
             last_limit: 64,
         };
         let lattice = |certificates| {
-            let req = SearchRequest::lattice(&base, limits.clone()).jobs(2);
+            let req = SearchRequest::lattice(&base, limits.clone());
             req.certificates(certificates).run()
         };
         let (on, off) = (lattice(true).min, lattice(false).min);
@@ -702,7 +707,7 @@ mod tests {
             prefix_max: vec![4, 4],
             last_limit: 5,
         };
-        let out = SearchRequest::lattice(&base, limits).jobs(2).run();
+        let out = SearchRequest::lattice(&base, limits).run();
         assert!(!out.feasible);
         assert_eq!(out.min.generation_blocks, vec![4, 4, 5]);
         assert_eq!(out.min.total_blocks, 13);
@@ -858,8 +863,15 @@ mod tests {
             format!("{req:?}"),
             "probe_jobs(1) is the identity"
         );
+        assert_eq!(
+            format!("{:?}", req.clone().jobs(1)),
+            format!("{req:?}"),
+            "jobs(1) is the identity"
+        );
         let err = std::panic::catch_unwind(|| paper_base(0.05, false, 15).shards(2));
         assert!(err.is_err(), "shards(2) must panic");
+        let err = std::panic::catch_unwind(|| SearchRequest::firewall(&base, 64).jobs(2));
+        assert!(err.is_err(), "jobs(2) must panic");
 
         // The three names prefix resume left behind: `benchmark/`'s tracing
         // manager overrides `last_gen_allocated`, its `search` workload

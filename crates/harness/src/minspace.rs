@@ -9,11 +9,10 @@
 //! can only delay head arrivals), so per-axis binary search is sound. For
 //! two-generation EL the total is *not* jointly monotone — a bigger gen0
 //! changes what reaches gen1 — so the search scans gen0 and binary-searches
-//! the minimal gen1 for each, parallelised across threads.
+//! the minimal gen1 for each, capped by the best geometry found so far.
 //!
 //! The search itself — the probe engine (scratch-config reuse,
-//! consumption certificates), the anchor-bound
-//! pruning, and the jobs-invariance argument — lives in
+//! consumption certificates) and the running-bound pruning — lives in
 //! [`crate::latsearch`] behind [`crate::SearchRequest`]; the two-generation
 //! EL search is its one-prefix-axis lattice. This module keeps the result
 //! type, the one-shot probe and the paper's base configuration.
@@ -85,7 +84,7 @@ mod tests {
             prefix_max: vec![24],
             last_limit: 128,
         };
-        let r = SearchRequest::lattice(&base, limits).jobs(2).run().min;
+        let r = SearchRequest::lattice(&base, limits).run().min;
         assert_eq!(r.generation_blocks.len(), 2);
         assert!(survives(&base, &r.generation_blocks));
         assert!(r.total_blocks >= 6);

@@ -297,8 +297,8 @@ fn run_job(scenario: &Scenario, certificates: bool) -> Output {
         Job::MinSpace { base, mode } => {
             let base = seeded(base);
             // Parallelism belongs to the scenario level (`--jobs`, which
-            // already defaults to the machine's width): every search
-            // launched from here runs its prefix scan on one thread.
+            // already defaults to the machine's width): a search is one
+            // sequential scan, each column capped by the ones before it.
             let out = SearchRequest::with_mode(&base, mode.clone())
                 .certificates(certificates)
                 .run();

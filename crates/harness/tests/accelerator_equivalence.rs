@@ -65,9 +65,9 @@ fn recirculation_disables_the_certificate_and_falls_back_to_full_replay() {
 }
 
 #[test]
-fn lattice_search_is_equivalent_and_jobs_invariant() {
-    // The full lattice walk, certificates on vs off and serial vs
-    // parallel: one verdict sequence, four ways of computing it.
+fn lattice_search_is_equivalent() {
+    // The full lattice walk, certificates on vs off: one verdict
+    // sequence, two ways of computing it.
     let base = paper_base(0.2, false, 20);
     let limits = LatticeLimits {
         prefix_max: vec![10, 8],
@@ -82,11 +82,6 @@ fn lattice_search_is_equivalent_and_jobs_invariant() {
         on.min.search.cert_verdicts > 0,
         "vacuous equivalence: no certificate ever answered"
     );
-
-    let par_on = SearchRequest::lattice(&base, limits.clone()).jobs(4).run();
-    assert_eq!(on.min.generation_blocks, par_on.min.generation_blocks);
-    assert_eq!(on.min.probes, par_on.min.probes);
-    assert_eq!(on.min.search, par_on.min.search);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Ground-truth oracle for the minimum-space search: on lattices small
-//! enough to simulate whole, the search — certificates, anchor bound,
+//! enough to simulate whole, the search — certificates, running bound,
 //! bisection and all — must return what exhaustive simulation returns.
 //!
 //! Each case draws a small lattice from its seed (2 generations
@@ -14,9 +14,9 @@
 //! * `feasible` iff some point survives, and the reported geometry is the
 //!   table's minimum under the search's own tie-break (smaller total, then
 //!   the larger prefix);
-//! * geometry, probe count and [`SearchStats`] are identical at `jobs` 1
-//!   and 2, and — certificate counters aside — identical to the
-//!   `.certificates(false)` search that simulates every probe.
+//! * geometry, probe count and [`SearchStats`] — certificate counters
+//!   aside — are identical to the `.certificates(false)` search that
+//!   simulates every probe.
 //!
 //! The per-column half of the oracle — every verdict a column's first
 //! certificate gives, against the same table — needs the prober and lives
@@ -108,38 +108,35 @@ fn run_case(rng: &mut SimRng) -> (bool, u64) {
         }
     }
 
-    let search = |jobs: usize, certificates: bool| -> SearchOutcome {
+    let search = |certificates: bool| -> SearchOutcome {
         SearchRequest::lattice(&base, limits.clone())
-            .jobs(jobs)
             .certificates(certificates)
             .run()
     };
-    let serial = search(1, true);
+    let certified = search(true);
     assert_eq!(
-        serial.feasible,
+        certified.feasible,
         best.is_some(),
         "table minimum {best:?}, search says {:?}",
-        serial.min.generation_blocks
+        certified.min.generation_blocks
     );
     if let Some(best) = &best {
         assert_eq!(
-            &serial.min.generation_blocks, best,
+            &certified.min.generation_blocks, best,
             "not the table's minimum"
         );
     }
-    let parallel = search(2, true);
-    assert_eq!(serial.min, parallel.min, "jobs 1 vs jobs 2");
-    let plain = search(1, false);
-    assert_eq!(serial.min.generation_blocks, plain.min.generation_blocks);
-    assert_eq!(serial.feasible, plain.feasible);
-    assert_eq!(serial.min.probes, plain.min.probes);
+    let plain = search(false);
+    assert_eq!(certified.min.generation_blocks, plain.min.generation_blocks);
+    assert_eq!(certified.feasible, plain.feasible);
+    assert_eq!(certified.min.probes, plain.min.probes);
     assert_eq!(
-        sans_certificates(&serial.min.search),
+        sans_certificates(&certified.min.search),
         sans_certificates(&plain.min.search)
     );
     assert_eq!(plain.min.search.cert_verdicts, 0);
-    assert!(serial.min.search.probe_events <= plain.min.search.probe_events);
-    (serial.feasible, serial.min.search.cert_verdicts)
+    assert!(certified.min.search.probe_events <= plain.min.search.probe_events);
+    (certified.feasible, certified.min.search.cert_verdicts)
 }
 
 const CASES: usize = 24;

@@ -62,8 +62,9 @@ pub struct SearchStats {
     pub memo_hits: u64,
     /// Events delivered across all probe simulations.
     pub probe_events: u64,
-    /// Lattice points excluded by the search's pruning bound without a
-    /// probe (skipped last-axis range, summed over all scan columns).
+    /// Lattice points excluded by the search's running bound without a
+    /// probe: each scan column's last-axis range above the cap set by the
+    /// best geometry found before it, summed over all columns.
     pub pruned_volume: u64,
     /// Frozen name, like `resume_probes`: the analytic threshold is gone
     /// (PR 24) and this is always 0.

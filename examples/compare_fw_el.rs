@@ -53,7 +53,6 @@ fn main() {
             last_limit: 512,
         },
     )
-    .jobs(elog_harness::sweep::default_jobs())
     .run()
     .min;
     let mut cfg = el_base.clone();

@@ -7,7 +7,7 @@ use elog_harness::minspace::paper_base;
 use elog_harness::runner::run;
 use elog_harness::{LatticeLimits, MinSpaceResult, SearchRequest};
 
-/// Two-generation minimum on the default thread count.
+/// Two-generation minimum-space search.
 fn el_min_space(base: &elog_harness::RunConfig, g0_max: u32, g1_limit: u32) -> MinSpaceResult {
     SearchRequest::lattice(
         base,
@@ -16,7 +16,6 @@ fn el_min_space(base: &elog_harness::RunConfig, g0_max: u32, g1_limit: u32) -> M
             last_limit: g1_limit,
         },
     )
-    .jobs(elog_harness::sweep::default_jobs())
     .run()
     .min
 }

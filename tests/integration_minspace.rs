@@ -5,7 +5,7 @@ use elog_core::MemoryModel;
 use elog_harness::minspace::paper_base;
 use elog_harness::{LatticeLimits, MinSpaceResult, RunConfig, SearchRequest};
 
-/// Two-generation minimum on the default thread count.
+/// Two-generation minimum-space search.
 fn el_min_space(base: &RunConfig, g0_max: u32, g1_limit: u32) -> MinSpaceResult {
     SearchRequest::lattice(
         base,
@@ -14,7 +14,6 @@ fn el_min_space(base: &RunConfig, g0_max: u32, g1_limit: u32) -> MinSpaceResult 
             last_limit: g1_limit,
         },
     )
-    .jobs(elog_harness::sweep::default_jobs())
     .run()
     .min
 }
