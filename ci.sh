@@ -134,6 +134,20 @@ if [ "$LATTICE_OUT" != "$LATTICE_PIN" ]; then
     exit 1
 fi
 
+echo "== overload pin =="
+# The flush-limited overload run end to end (199 580 flushes, mean oid
+# distance 248 238, backlog 175 970): every drive's pick order over 500 s
+# of deep queues, expedites and unsafe drops. tests/integration_overload.rs
+# pins 60 s; a pick-order slip in the pending-flush index (DESIGN.md §5h)
+# shows here first. A change that means to move the model re-pins it.
+OVERLOAD_PIN=0be1c66c7661fc319167bf90154f7636
+OVERLOAD_MD5=$(./target/release/elsim --tps 400 --gens 60,50 --runtime 500 | md5sum | cut -d' ' -f1)
+if [ "$OVERLOAD_MD5" != "$OVERLOAD_PIN" ]; then
+    echo "elsim --tps 400 --gens 60,50 --runtime 500 stdout md5 is $OVERLOAD_MD5," >&2
+    echo "pinned $OVERLOAD_PIN" >&2
+    exit 1
+fi
+
 echo "== certificate equivalence smoke =="
 # The probe accelerator (consumption certificates — DESIGN.md §5g) must
 # be pure: the same search run with and without them (`--no-cert`

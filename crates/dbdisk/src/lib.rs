@@ -18,12 +18,19 @@
 //! minimum wraparound oid-distance from the last oid it served. The mean of
 //! those distances is the locality statistic of the scarce-bandwidth
 //! experiment in §4 (109 000 at 45 ms vs 235 000 at 25 ms).
+//!
+//! The array owns one [`PendingIndex`] holding every drive's queued
+//! requests; a [`Drive`] keeps its range, urgent FIFO, request in service,
+//! seek origin and pending count, and asks the index for the nearest oid
+//! inside its own range. A request submitted to an idle drive starts at
+//! once without entering the index: an idle drive has nothing pending,
+//! because every completion starts the next request.
 
 pub mod drive;
 pub mod scheduler;
 
 pub use drive::{Drive, DriveStats};
-pub use scheduler::NearestOid;
+pub use scheduler::PendingIndex;
 
 use elog_model::{FlushConfig, ObjectVersion, Oid};
 use elog_sim::{MeanAccumulator, SimTime};
@@ -60,6 +67,8 @@ pub enum Submitted {
 #[derive(Clone, Debug)]
 pub struct FlushArray {
     drives: Vec<Drive>,
+    /// The pending requests of every drive.
+    index: PendingIndex,
     objects_per_drive: u64,
     transfer_time: SimTime,
     distance: MeanAccumulator,
@@ -91,6 +100,7 @@ impl FlushArray {
             .collect();
         FlushArray {
             drives,
+            index: PendingIndex::new(num_objects),
             objects_per_drive: per,
             transfer_time: cfg.transfer_time,
             distance: MeanAccumulator::new(),
@@ -115,21 +125,20 @@ impl FlushArray {
     pub fn submit(&mut self, now: SimTime, oid: Oid, version: ObjectVersion) -> Submitted {
         let di = self.drive_for(oid);
         let drive = &mut self.drives[di];
-        if let Some(superseded) = drive.replace_pending(oid, version) {
+        if !drive.is_busy() {
+            // Nothing is pending on an idle drive: the request is the pick.
+            let dist = drive.start(now, oid, version);
+            let done_at = self.started(now, dist);
+            return Submitted::Started { drive: di, done_at };
+        }
+        if let Some(superseded) = drive.replace_pending(&mut self.index, oid, version) {
             return Submitted::Replaced {
                 drive: di,
                 superseded,
             };
         }
-        drive.enqueue(oid, version, false);
-        if drive.is_busy() {
-            Submitted::Queued { drive: di }
-        } else {
-            let done_at = self
-                .start_next(now, di)
-                .expect("drive idle with a pending request must start");
-            Submitted::Started { drive: di, done_at }
-        }
+        drive.enqueue(&mut self.index, oid, version, false);
+        Submitted::Queued { drive: di }
     }
 
     /// Marks a pending request urgent: the drive serves it next, after
@@ -139,7 +148,7 @@ impl FlushArray {
     /// when the oid has no pending request (it may already be in service).
     pub fn expedite(&mut self, oid: Oid) -> bool {
         let di = self.drive_for(oid);
-        self.drives[di].expedite(oid)
+        self.drives[di].expedite(&mut self.index, oid)
     }
 
     /// Handles a transfer-completion event on `drive`.
@@ -158,16 +167,38 @@ impl FlushArray {
     }
 
     fn start_next(&mut self, now: SimTime, drive: usize) -> Option<SimTime> {
-        let dist = self.drives[drive].start_nearest(now)?;
+        let dist = self.drives[drive].start_nearest(&mut self.index, now)?;
+        Some(self.started(now, dist))
+    }
+
+    /// Records a started transfer's seek distance; returns its completion
+    /// time.
+    fn started(&mut self, now: SimTime, dist: Option<u64>) -> SimTime {
         if let Some(dist) = dist {
             self.distance.record(dist as f64);
         }
-        Some(now + self.transfer_time)
+        now + self.transfer_time
     }
 
-    /// [`Drive::check_invariants`] on every drive.
+    /// Panics unless the index is consistent ([`PendingIndex::check_invariants`]),
+    /// every drive agrees with it ([`Drive::check_invariants`]), no idle
+    /// drive has work pending, and every entry lies in some drive's range.
     pub fn check_invariants(&self) {
-        self.drives.iter().for_each(Drive::check_invariants);
+        self.index.check_invariants();
+        for d in &self.drives {
+            d.check_invariants(&self.index);
+            assert!(
+                d.is_busy() || d.pending_len() == 0,
+                "idle drive {} has requests pending",
+                d.id()
+            );
+        }
+        let pending: usize = self.drives.iter().map(Drive::pending_len).sum();
+        assert_eq!(
+            pending,
+            self.index.len(),
+            "index entries outside every drive's range"
+        );
     }
 
     /// Mean wraparound distance between successively flushed oids, across
@@ -183,7 +214,7 @@ impl FlushArray {
 
     /// Total requests currently pending (not in service) across drives.
     pub fn total_pending(&self) -> usize {
-        self.drives.iter().map(|d| d.pending_len()).sum()
+        self.index.len()
     }
 
     /// The request in transfer on `drive`: what its next
