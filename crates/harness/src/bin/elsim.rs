@@ -3,14 +3,14 @@
 //! `elsim --help` prints the flag table
 //! ([`elog_harness::cli::ELSIM_USAGE`]). Without `--min-space` it runs the
 //! configuration and prints the run report; with it, it searches the
-//! minimum geometry instead (1 generation: firewall binary search; 2:
-//! gen0 scan × gen1 bisection; 3+: lattice search with the given sizes as
-//! per-axis ceilings). More than one `--tenants`, or a `--budget`, serves
+//! minimum geometry instead, over every geometry with as many generations
+//! as `--gens` gives (1 generation, or `--mode fw`: the firewall log). More
+//! than one `--tenants`, or a `--budget`, serves
 //! the tenants from the one shared log and prints the per-tenant report,
 //! with a `[serve]` summary on stderr.
 
 use elog_core::MemoryModel;
-use elog_harness::latsearch::{LatticeLimits, SearchRequest};
+use elog_harness::latsearch::SearchRequest;
 use elog_harness::runner::run;
 use elog_harness::serve::{serve_run, ServeConfig};
 use elog_harness::{cli, report};
@@ -22,32 +22,16 @@ fn main() {
 
     if a.min_space {
         let firewall = cfg.el.memory_model == MemoryModel::Firewall || gens.len() == 1;
-        let req = if firewall {
-            SearchRequest::firewall(cfg, 4096)
-        } else {
-            // Two generations scan gen0 up to 48; for N ≥ 3 the given
-            // sizes act as the per-axis scan ceilings.
-            let prefix_max = match gens.len() {
-                2 => vec![48],
-                n => gens[..n - 1].to_vec(),
-            };
-            SearchRequest::lattice(
-                cfg,
-                LatticeLimits {
-                    prefix_max,
-                    last_limit: 1024,
-                },
-            )
-        };
+        let req = SearchRequest::min_space(cfg, if firewall { 1 } else { gens.len() });
         let out = req.certificates(a.certificates).run();
-        let r = out.min;
-        if !out.feasible {
+        if let Some(limit) = out.limit {
             eprintln!(
-                "--min-space: no geometry within the ceilings {:?} runs without kills ({} probes)",
-                r.generation_blocks, r.probes
+                "--min-space: no minimum: {limit} ({} probes)",
+                out.min.probes
             );
             std::process::exit(1);
         }
+        let r = out.min;
         cli::print(&if firewall {
             format!(
                 "minimum FW log: {} blocks ({} probes)\n",

@@ -13,7 +13,7 @@
 //! positional arguments with [`value_or`], [`runtime_secs`] and
 //! [`no_more`]. [`print()`] is every binary's way to stdout.
 
-use crate::latsearch::{prefix_volume, MAX_AXES, MAX_PREFIX_COLUMNS};
+use crate::latsearch::MAX_AXES;
 use crate::runner::{RunConfig, TenantLayout};
 use crate::serve::{parse_oid_ranges, validate_layout, validate_tenants};
 use elog_core::{ElConfig, MemoryModel};
@@ -54,10 +54,10 @@ pub const ELSIM_USAGE: &str = "elsim [options]
   --oid-ranges B:L,...    explicit per-tenant oid ranges (one BASE:LEN
                           per tenant; must tile the whole oid space
                           disjointly). Default: an even partition
-  --min-space             search the minimum geometry instead of running
-                          (1 gen: firewall binary search; 2: gen0 scan x
-                          gen1 bisection; 3+: lattice search with the
-                          given sizes as per-axis ceilings)
+  --min-space             search the minimum geometry instead of running,
+                          over every geometry with as many generations as
+                          --gens gives (their sizes are not read; 1 gen
+                          or --mode fw: the firewall log)
   --no-cert               disable the consumption certificates: simulate
                           every probe in full (the output must not
                           change)
@@ -148,8 +148,8 @@ pub fn runtime_secs(args: Args) -> Result<u64, String> {
     Ok(secs)
 }
 
-/// Most blocks one generation may have: 2 GiB of simulated log, 256× the
-/// largest search ceiling. The ring allocates a slot per block up front, so
+/// Most blocks one generation may have: 2 GiB of simulated log, 1 024×
+/// the search's doubling stop. The ring allocates a slot per block up front, so
 /// a size from the shell is bounded before it sizes an allocation.
 const MAX_GENERATION_BLOCKS: u32 = 1 << 20;
 
@@ -375,20 +375,7 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             run.gens.len()
         ));
     }
-    let firewall = run.firewall;
     let mut run = run.build()?;
-    let log = &run.el.log;
-    let gens = &log.generation_blocks;
-    if min_space && !firewall && gens.len() >= 3 {
-        // The leading sizes are the lattice search's scan ceilings.
-        let columns = prefix_volume(log.gap_blocks, &gens[..gens.len() - 1]);
-        if columns > MAX_PREFIX_COLUMNS {
-            return Err(format!(
-                "--gens {gens:?}: --min-space would scan {columns} prefix columns (at most \
-                 {MAX_PREFIX_COLUMNS}); lower the leading sizes, which act as scan ceilings"
-            ));
-        }
-    }
     let num_objects = run.el.db.num_objects;
     validate_tenants(tenants, num_objects).map_err(|e| format!("--tenants {tenants}: {e}"))?;
     if let Some(layout) = &oid_ranges {
@@ -494,7 +481,6 @@ mod tests {
             ("--gens 18,x", "--gens"),
             ("--gens 9,9,9,9,9,9,9,9,9", "--gens"),
             ("--gens", "--gens"),
-            ("--gens 200,200,200,8 --runtime 5 --min-space", "--gens"),
             ("--tenants 3 --gens 0", "--gens"),
             // Sizes that would otherwise size the ring's allocation, and a
             // drive count `FlushArray::new` asserts against.

@@ -7,7 +7,7 @@
 //! block writes/s) and modest memory. The EL advantage shrinks as the
 //! long-transaction fraction grows.
 
-use crate::latsearch::{LatticeLimits, SearchMode};
+use crate::latsearch::SearchMode;
 use crate::minspace::MinSpaceResult;
 use crate::report::{f, Table};
 use crate::runner::{RunConfig, RunResult};
@@ -22,12 +22,6 @@ pub struct Config {
     pub mixes: Vec<f64>,
     /// Simulated seconds per probe/measurement run (paper: 500).
     pub runtime_secs: u64,
-    /// gen0 scan ceiling for the EL search.
-    pub g0_max: u32,
-    /// gen1 binary-search ceiling.
-    pub g1_limit: u32,
-    /// FW binary-search ceiling.
-    pub fw_limit: u32,
 }
 
 impl Config {
@@ -36,9 +30,6 @@ impl Config {
         Config {
             mixes: vec![0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40],
             runtime_secs: 500,
-            g0_max: 32,
-            g1_limit: 512,
-            fw_limit: 1024,
         }
     }
 
@@ -47,9 +38,6 @@ impl Config {
         Config {
             mixes: vec![0.05, 0.20, 0.40],
             runtime_secs: 60,
-            g0_max: 24,
-            g1_limit: 256,
-            fw_limit: 512,
         }
     }
 }
@@ -109,9 +97,7 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             i as u64,
             Job::MinSpace {
                 base: base_cfg(frac, cfg.runtime_secs, MemoryModel::Firewall),
-                mode: SearchMode::Firewall {
-                    limit: cfg.fw_limit,
-                },
+                mode: SearchMode::MinSpace { gens: 1 },
             },
         ));
         out.push(Scenario::new(
@@ -120,9 +106,7 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             i as u64,
             Job::MinSpace {
                 base: base_cfg(frac, cfg.runtime_secs, MemoryModel::Ephemeral),
-                mode: SearchMode::Lattice {
-                    limits: LatticeLimits::uniform(2, cfg.g0_max, cfg.g1_limit),
-                },
+                mode: SearchMode::MinSpace { gens: 2 },
             },
         ));
     }
@@ -254,7 +238,6 @@ mod tests {
         let cfg = Config {
             mixes: vec![0.05, 0.40],
             runtime_secs: 40,
-            ..Config::quick()
         };
         let scenarios = scenarios_for(&cfg);
         assert_eq!(scenarios.len(), 4);

@@ -48,8 +48,6 @@ pub struct Config {
     /// Last-generation size the adaptive runs start from (the operator's
     /// light-phase provisioning).
     pub start_last: u32,
-    /// Binary-search ceiling for the static-optimum searches.
-    pub last_limit: u32,
 }
 
 impl Config {
@@ -61,7 +59,6 @@ impl Config {
             runtime_secs: 500,
             prefix: vec![18],
             start_last: 24,
-            last_limit: 256,
         }
     }
 
@@ -75,7 +72,6 @@ impl Config {
             runtime_secs: 120,
             prefix: vec![18],
             start_last: 24,
-            last_limit: 96,
         }
     }
 
@@ -128,7 +124,6 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
                 base: base_cfg(cfg, mix),
                 mode: SearchMode::FixedPrefix {
                     prefix: cfg.prefix.clone(),
-                    last_limit: cfg.last_limit,
                 },
             },
         ));

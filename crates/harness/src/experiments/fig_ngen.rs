@@ -15,7 +15,7 @@
 //! two-generation search itself (a useful self-check: both sides of the
 //! comparison then agree).
 
-use crate::latsearch::{LatticeLimits, SearchMode};
+use crate::latsearch::SearchMode;
 use crate::report::{f, Table};
 use crate::sweep::{failure_notes, Experiment, Job, RunOutcome, Scenario};
 use elog_core::ElConfig;
@@ -30,16 +30,6 @@ pub struct Config {
     pub runtime_secs: u64,
     /// Generations for the lattice side of the comparison (≥ 1).
     pub gens: usize,
-    /// Scan ceiling for the first prefix axis; later axes halve it
-    /// (forwarded traffic shrinks with depth, so do the ceilings).
-    pub first_cap: u32,
-    /// Binary-search ceiling for the last generation (also the firewall
-    /// ceiling when `gens == 1`).
-    pub last_limit: u32,
-    /// gen0 scan ceiling of the two-generation baseline.
-    pub g0_max: u32,
-    /// gen1 binary-search ceiling of the two-generation baseline.
-    pub g1_limit: u32,
 }
 
 impl Config {
@@ -49,10 +39,6 @@ impl Config {
             mixes: vec![0.05, 0.20, 0.40],
             runtime_secs: 500,
             gens,
-            first_cap: 24,
-            last_limit: 256,
-            g0_max: 24,
-            g1_limit: 256,
         }
     }
 
@@ -62,20 +48,7 @@ impl Config {
             mixes: vec![0.05],
             runtime_secs: 40,
             gens,
-            first_cap: 12,
-            last_limit: 64,
-            g0_max: 16,
-            g1_limit: 64,
         }
-    }
-
-    /// The lattice side's per-prefix-axis ceilings: `first_cap` halved per
-    /// axis, floored just above the gap threshold so every axis has at
-    /// least two candidate sizes.
-    pub fn prefix_caps(&self, gap_blocks: u32) -> Vec<u32> {
-        (0..self.gens.saturating_sub(1))
-            .map(|i| (self.first_cap >> i).max(gap_blocks + 2))
-            .collect()
     }
 }
 
@@ -101,29 +74,17 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             i as u64,
             Job::MinSpace {
                 base: base.clone(),
-                mode: SearchMode::Lattice {
-                    limits: LatticeLimits::uniform(2, cfg.g0_max, cfg.g1_limit),
-                },
+                mode: SearchMode::MinSpace { gens: 2 },
             },
         ));
-        let mode = if cfg.gens == 1 {
-            SearchMode::Firewall {
-                limit: cfg.last_limit,
-            }
-        } else {
-            SearchMode::Lattice {
-                limits: LatticeLimits {
-                    prefix_max: cfg.prefix_caps(base.el.log.gap_blocks),
-                    last_limit: cfg.last_limit,
-                },
-            }
-        };
-        let lattice_job = Job::MinSpace { base, mode };
         out.push(Scenario::new(
             format!("fig_ngen mix={mix} {}gen", cfg.gens),
             format!("{mix}"),
             i as u64,
-            lattice_job,
+            Job::MinSpace {
+                base,
+                mode: SearchMode::MinSpace { gens: cfg.gens },
+            },
         ));
     }
     out
@@ -267,10 +228,6 @@ mod tests {
             mixes: vec![0.05],
             runtime_secs: 20,
             gens,
-            first_cap: 10,
-            last_limit: 48,
-            g0_max: 12,
-            g1_limit: 48,
         }
     }
 
@@ -303,12 +260,9 @@ mod tests {
 
     #[test]
     fn single_gen_degenerates_to_firewall() {
-        // One generation needs FW-sized room: 48 blocks cannot hold even
-        // 20 s of this mix, and a clamped ceiling is a failure, not a row.
-        let cfg = Config {
-            last_limit: 256,
-            ..tiny(1)
-        };
+        // One generation needs FW-sized room: the firewall search finds
+        // it, and it exceeds the 2-generation minimum of the same workload.
+        let cfg = tiny(1);
         let outcomes = run_scenarios(
             &scenarios_for(&cfg),
             &ExecOptions {
@@ -319,14 +273,8 @@ mod tests {
         );
         let pts = points(&outcomes);
         let (minn, _) = pts[0].n_gen.min_space().expect("fw search succeeded");
+        let (min2, _) = pts[0].two_gen.min_space().expect("2-gen search succeeded");
         assert_eq!(minn.generation_blocks.len(), 1);
-        assert!(minn.total_blocks < cfg.last_limit);
-    }
-
-    #[test]
-    fn prefix_caps_halve_and_floor() {
-        let cfg = tiny(4);
-        assert_eq!(cfg.prefix_caps(2), vec![10, 5, 4]);
-        assert_eq!(tiny(1).prefix_caps(2), Vec::<u32>::new());
+        assert!(minn.total_blocks > min2.total_blocks);
     }
 }

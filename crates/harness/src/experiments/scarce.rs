@@ -22,10 +22,6 @@ pub struct Config {
     pub frac_long: f64,
     /// Simulated seconds per run.
     pub runtime_secs: u64,
-    /// gen0 scan ceiling for the minimum search.
-    pub g0_max: u32,
-    /// gen1 search ceiling.
-    pub g1_limit: u32,
 }
 
 impl Config {
@@ -34,8 +30,6 @@ impl Config {
         Config {
             frac_long: 0.05,
             runtime_secs: 500,
-            g0_max: 32,
-            g1_limit: 256,
         }
     }
 
@@ -44,8 +38,6 @@ impl Config {
         Config {
             frac_long: 0.05,
             runtime_secs: 60,
-            g0_max: 24,
-            g1_limit: 128,
         }
     }
 }
@@ -82,8 +74,6 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
                 Job::ElRecircMin {
                     base: RunConfig::paper(cfg.frac_long, ElConfig::ephemeral(log, flush))
                         .runtime_secs(cfg.runtime_secs),
-                    g0_max: cfg.g0_max,
-                    g1_limit: cfg.g1_limit,
                 },
             )
         })

@@ -1,14 +1,15 @@
-//! Lattice minimum-space search for N-generation geometries.
+//! Minimum-space search for N-generation geometries.
 //!
-//! The paper's §5 extension evaluates ephemeral logs with more than two
-//! generations. The two-generation search (scan gen0, binary-search gen1)
-//! is one slice of a more general problem: a geometry is a point in an
-//! N-dimensional lattice, kill-freedom is monotone along every single
-//! axis, but the *total* is not jointly monotone — growing an early
-//! generation changes what reaches the later ones. This module walks that
-//! lattice as nested scans over generations `0..N-2` (the *prefix* axes)
-//! with a binary search on the last axis, exactly the shape the
-//! two-generation search pioneered, which is its one-prefix-axis case.
+//! §4 sizes a log by continuing to "reduce the disk space until we
+//! observed transactions being killed", with no box around the procedure. A
+//! geometry is a point in an N-dimensional lattice; kill-freedom is
+//! monotone along every single axis, but the *total* is not jointly
+//! monotone — growing an early generation changes what reaches the later
+//! ones. This module walks that lattice as a scan over generations
+//! `0..N-2` (the *prefix* axes) with a bisection on the last axis. One
+//! generation (the firewall log) is the zero-prefix-axis case of the same
+//! code, and a fixed prefix ([`SearchRequest::fixed_prefix`]) is its
+//! one-column case.
 //!
 //! # One accelerator
 //!
@@ -19,17 +20,23 @@
 //! [`elog_core::cert`]) — and `tests/search_oracle.rs` holds it, and the
 //! search around it, to plain simulation of every lattice point.
 //!
-//! # Running bound
+//! # Running bound, no box
 //!
-//! The scan is one sequential pass: the anchor column (every prefix axis
-//! at its ceiling) first, then every other column in ascending
-//! lexicographic order, each bisected only below the best geometry found
-//! so far — a smaller total, or an equal one under a larger prefix. Every
-//! capacity above that cap could not win, so it is pruned probe-free
-//! ([`SearchStats::pruned_volume`]); since survival is monotone along the
-//! last axis, the result is the exhaustive minimum. Every probe generates
-//! its own workload from the base seed, so a verdict depends on its
-//! geometry alone and a search is deterministic.
+//! The search has no caller-set ceiling. It finds a *first bound* by
+//! doubling a uniform geometry `[s; N]` from `s = gap+1` until it
+//! survives, then bisecting that geometry's last axis. It then walks the
+//! prefix columns in ascending lexicographic order with a lazy odometer,
+//! bisecting each below the best geometry found so far — a smaller total,
+//! or an equal one under a larger prefix. A column with no room under that
+//! bound cannot win, and neither can any larger value of the axis that
+//! just turned, so the odometer carries at once and the walk ends when the
+//! first axis carries out. Survival is monotone along the last axis, so
+//! the result is the exhaustive minimum and does not depend on any box.
+//! Two crate constants, [`DOUBLING_STOP`] and [`MAX_PREFIX_COLUMNS`], can
+//! end a search early, and then only without a minimum
+//! ([`SearchOutcome::feasible`] is `false`): neither can change an
+//! answer. Every probe generates its own workload from the base seed, so
+//! a verdict depends on its geometry alone and a search is deterministic.
 
 use crate::minspace::MinSpaceResult;
 use crate::runner::{build_model, RunConfig};
@@ -58,15 +65,25 @@ impl Geometry {
     /// # Panics
     /// Panics when `blocks` is empty or longer than [`MAX_AXES`].
     pub fn from_slice(blocks: &[u32]) -> Self {
+        let (&last, prefix) = blocks.split_last().expect("a geometry has a generation");
+        Geometry::column(prefix, last)
+    }
+
+    /// The point `prefix + [last]`.
+    ///
+    /// # Panics
+    /// Panics when `prefix` has [`MAX_AXES`] or more axes.
+    pub fn column(prefix: &[u32], last: u32) -> Self {
         assert!(
-            !blocks.is_empty() && blocks.len() <= MAX_AXES,
+            prefix.len() < MAX_AXES,
             "geometry needs 1..={MAX_AXES} generations, got {}",
-            blocks.len()
+            prefix.len() + 1
         );
         let mut axes = [0u32; MAX_AXES];
-        axes[..blocks.len()].copy_from_slice(blocks);
+        axes[..prefix.len()].copy_from_slice(prefix);
+        axes[prefix.len()] = last;
         Geometry {
-            len: blocks.len() as u8,
+            len: prefix.len() as u8 + 1,
             axes,
         }
     }
@@ -90,15 +107,6 @@ impl Geometry {
     /// The sizes of every generation but the last.
     pub fn prefix(&self) -> &[u32] {
         &self.axes[..self.len as usize - 1]
-    }
-
-    /// This point with one more axis appended.
-    pub fn with_last(&self, last: u32) -> Geometry {
-        let mut g = *self;
-        assert!(g.len() < MAX_AXES, "geometry axis overflow");
-        g.axes[g.len as usize] = last;
-        g.len += 1;
-        g
     }
 
     /// The sizes as an owned vector (for [`MinSpaceResult`]).
@@ -196,45 +204,76 @@ impl Prober {
         survived
     }
 
-    /// Ends the search and packages the outcome. `blocks` is the minimum,
-    /// or the clamped ceilings when nothing was `feasible`.
-    fn finish(self, blocks: Vec<u32>, feasible: bool) -> SearchOutcome {
+    /// The smallest valid capacity: one block above the gap threshold.
+    fn floor(&self) -> u32 {
+        self.cfg.el.log.gap_blocks + 1
+    }
+
+    /// Ends the search and packages the outcome: `found` is the minimum,
+    /// or the geometry the search stopped at and the limit that stopped it.
+    fn finish(self, found: Result<Geometry, (Geometry, SearchLimit)>) -> SearchOutcome {
+        let (blocks, limit) = match found {
+            Ok(min) => (min, None),
+            Err((stopped, limit)) => (stopped, Some(limit)),
+        };
         SearchOutcome {
             min: MinSpaceResult {
-                total_blocks: blocks.iter().sum(),
-                generation_blocks: blocks,
+                total_blocks: blocks.total(),
+                generation_blocks: blocks.to_vec(),
                 probes: self.probes,
                 search: self.stats,
             },
-            feasible,
+            limit,
         }
     }
 }
 
-/// Search ceilings for one lattice search.
+/// Largest per-generation size the first bound's uniform doubling tries.
+/// A search whose doubled geometry still kills here ends without a
+/// minimum ([`SearchLimit::Doubling`]).
+pub const DOUBLING_STOP: u32 = 1024;
+
+/// Most prefix columns a search walks: one whose first bound admits more
+/// ends without a minimum ([`SearchLimit::Columns`]) before its walk.
+pub const MAX_PREFIX_COLUMNS: u64 = 1 << 20;
+
+/// The search limit that ended a search without a minimum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SearchLimit {
+    /// The doubled geometry still kills with [`DOUBLING_STOP`] blocks in
+    /// every generation it doubles.
+    Doubling,
+    /// The first bound admits this many prefix columns, more than
+    /// [`MAX_PREFIX_COLUMNS`].
+    Columns(u64),
+}
+
+impl fmt::Display for SearchLimit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SearchLimit::Doubling => write!(
+                f,
+                "search limit reached: still kills at {DOUBLING_STOP} blocks per generation"
+            ),
+            SearchLimit::Columns(n) => write!(
+                f,
+                "search limit reached: the first bound admits {n} prefix columns \
+                 (at most {MAX_PREFIX_COLUMNS})"
+            ),
+        }
+    }
+}
+
+/// Frozen name, owed to the next benchmark re-record: `benchmark/` builds
+/// one for [`SearchRequest::lattice`], which reads only the number of
+/// generations, `prefix_max.len() + 1`.
+#[doc(hidden)]
 #[derive(Clone, Debug)]
 pub struct LatticeLimits {
-    /// Scan ceiling per prefix axis (generations `0..N-2`); its length
-    /// fixes the dimensionality: `prefix_max.len() + 1` generations.
+    /// One entry per prefix axis; the values are ignored.
     pub prefix_max: Vec<u32>,
-    /// Binary-search ceiling for the last generation.
+    /// Ignored.
     pub last_limit: u32,
-}
-
-impl LatticeLimits {
-    /// Limits for an N-generation search with a uniform prefix ceiling.
-    pub fn uniform(gens: usize, prefix_max: u32, last_limit: u32) -> Self {
-        assert!(gens >= 2, "a lattice search needs at least 2 generations");
-        LatticeLimits {
-            prefix_max: vec![prefix_max; gens - 1],
-            last_limit,
-        }
-    }
-
-    /// Number of generations the search covers.
-    pub fn gens(&self) -> usize {
-        self.prefix_max.len() + 1
-    }
 }
 
 /// The smallest capacity in `[lo, hi]` that `survives`, given that `hi`
@@ -261,160 +300,139 @@ fn min_under_ceiling(
     survives(ceiling).then(|| bisect(floor, ceiling, survives))
 }
 
-/// The firewall search: doubles up from `floor` until a capacity
-/// `survives` (or `limit` does not), then bisects the bracket.
-fn min_by_doubling(floor: u32, limit: u32, mut survives: impl FnMut(u32) -> bool) -> Option<u32> {
-    let mut lo = floor;
-    let mut upper = floor.saturating_mul(2).min(limit);
-    while !survives(upper) {
-        if upper >= limit {
-            return None;
-        }
-        lo = upper + 1;
-        upper = upper.saturating_mul(2).min(limit);
-    }
-    Some(bisect(lo, upper, survives))
-}
-
-/// Most columns a lattice scan will enumerate.
-pub(crate) const MAX_PREFIX_COLUMNS: u64 = 1 << 20;
-
-/// Columns in the scan lattice: axis `i` ranges over `[gap+1,
-/// prefix_max[i]]` (saturating, so hostile ceilings compare as "too many").
-pub(crate) fn prefix_volume(gap: u32, prefix_max: &[u32]) -> u64 {
-    prefix_max.iter().fold(1u64, |v, &m| {
-        v.saturating_mul(u64::from(m.saturating_sub(gap)))
-    })
-}
-
-/// Every prefix point of the scan lattice in lexicographic ascending
-/// order. The all-maxima corner (the anchor) is excluded — the anchor
-/// pass already probed it.
-fn enumerate_prefixes(gap: u32, prefix_max: &[u32]) -> Vec<Geometry> {
-    let lo = gap + 1;
-    let volume = prefix_volume(gap, prefix_max);
-    assert!(
-        volume <= MAX_PREFIX_COLUMNS,
-        "prefix lattice has {volume} columns; tighten the ceilings"
-    );
-    let mut out = Vec::with_capacity(volume.saturating_sub(1) as usize);
-    let mut point: Vec<u32> = vec![lo; prefix_max.len()];
+/// The first bound: the geometry `at(s)` (whose last axis is `s`) at the
+/// first `s` of the doubling `floor, 2·floor, …`, stopped at
+/// [`DOUBLING_STOP`], that `survives`, with its last axis then bisected.
+/// A kill raises the bisection's floor only when the next geometry keeps
+/// its column. `Err` holds the stop geometry when even that kills.
+fn first_bound(
+    floor: u32,
+    at: impl Fn(u32) -> Geometry,
+    mut survives: impl FnMut(&[u32], u32) -> bool,
+) -> Result<Geometry, (Geometry, SearchLimit)> {
+    let (mut lo, mut s) = (floor, floor);
     loop {
-        let g = Geometry::from_slice(&point);
-        // Odometer increment (last axis fastest) before the push decision
-        // would reorder; push first, then advance.
-        let is_anchor = point.iter().zip(prefix_max).all(|(&v, &m)| v == m);
-        if !is_anchor {
-            out.push(g);
+        let g = at(s);
+        if survives(g.prefix(), s) {
+            let last = bisect(lo, s, |c| survives(g.prefix(), c));
+            return Ok(Geometry::column(g.prefix(), last));
         }
-        let mut axis = point.len();
-        loop {
-            if axis == 0 {
-                return out;
-            }
-            axis -= 1;
-            if point[axis] < prefix_max[axis] {
-                point[axis] += 1;
-                break;
-            }
-            point[axis] = lo;
+        if s >= DOUBLING_STOP {
+            return Err((g, SearchLimit::Doubling));
         }
+        let next = s.saturating_mul(2).min(DOUBLING_STOP);
+        if at(next).prefix() == g.prefix() {
+            lo = s + 1;
+        }
+        s = next;
     }
 }
 
-/// The lattice search: the anchor column at the all-maxima prefix, then
-/// every other column in ascending order, each capped by the best
-/// geometry found so far.
-fn run_lattice(mut p: Prober, limits: &LatticeLimits) -> SearchOutcome {
-    let k = p.cfg.el.log.gap_blocks;
-    assert!(
-        !limits.prefix_max.is_empty(),
-        "lattice search needs at least one prefix axis (2 generations); \
-         use SearchRequest::firewall for single-generation logs"
-    );
-    assert!(
-        limits.gens() <= MAX_AXES,
-        "lattice search supports at most {MAX_AXES} generations, got {}",
-        limits.gens()
-    );
-    assert!(
-        limits.prefix_max.iter().all(|&m| m > k) && limits.last_limit > k,
-        "every ceiling must exceed the gap threshold ({k})"
-    );
-    let anchor_prefix = Geometry::from_slice(&limits.prefix_max);
-    let anchor_last = min_under_ceiling(k + 1, limits.last_limit, |c| {
-        p.verdict(&limits.prefix_max, c)
-    });
-    // Prefer the smaller total; on ties the larger prefix (less forwarded
-    // traffic, lower bandwidth). While nothing is feasible the scan is
-    // unbounded: the minimal last generation need not be monotone in the
-    // prefix, so a smaller prefix may still fit.
-    let mut best = anchor_last.map(|last| anchor_prefix.with_last(last));
-    for prefix in enumerate_prefixes(k, &limits.prefix_max) {
-        // Only a last generation that would replace `best` is worth
-        // finding: one that lowers its total, or ties it under a larger
-        // prefix. Columns come ascending, so that tie is allowed once the
-        // best is a scanned column and never while it is the anchor.
-        // Everything above `cap` (all of the column, when `cap` is below
-        // the floor) is pruned probe-free.
-        let cap = best.map_or(limits.last_limit, |b| {
-            let room = b.total().saturating_sub(prefix.total());
-            let room = if prefix.as_slice() > b.prefix() {
-                room
-            } else {
-                room.saturating_sub(1)
-            };
-            room.min(limits.last_limit)
-        });
-        p.stats.pruned_volume += u64::from(limits.last_limit - cap.max(k));
-        if cap > k {
-            if let Some(last) = min_under_ceiling(k + 1, cap, |c| p.verdict(prefix.as_slice(), c)) {
-                best = Some(prefix.with_last(last));
-            }
+/// The largest last capacity under `prefix` that would replace `bound`: a
+/// smaller total, or an equal one under a larger prefix (less forwarded
+/// traffic, lower bandwidth).
+fn room(bound: Geometry, prefix: &[u32]) -> u32 {
+    let room = bound.total().saturating_sub(prefix.iter().sum());
+    if prefix > bound.prefix() {
+        room
+    } else {
+        room.saturating_sub(1)
+    }
+}
+
+/// Prefix columns with at least `floor` blocks of room under `bound`, the
+/// tie-break aside (so an upper bound): every prefix axis at least
+/// `floor`, with `t` blocks of slack over the all-floor geometry shared
+/// among `m` axes, is `C(t + m, m)` columns.
+fn admitted_columns(bound: Geometry, floor: u32) -> u64 {
+    let m = bound.len() as u128 - 1;
+    let slack = u128::from(bound.total().saturating_sub(floor * bound.len() as u32));
+    let count = (1..=m).fold(1u128, |c, i| c * (slack + i) / i);
+    u64::try_from(count).unwrap_or(u64::MAX)
+}
+
+/// The walk's lazy odometer: prefix columns in ascending lexicographic
+/// order, the last axis turning fastest. A column that does not fit
+/// carries at once — every axis after the one that just turned sits at the
+/// floor, so every larger value of that axis leaves less room still.
+struct Odometer {
+    axes: [u32; MAX_AXES],
+    len: usize,
+    floor: u32,
+    started: bool,
+}
+
+impl Odometer {
+    fn new(len: usize, floor: u32) -> Self {
+        Odometer {
+            axes: [floor; MAX_AXES],
+            len,
+            floor,
+            started: false,
         }
     }
-    let clamped = anchor_prefix.with_last(limits.last_limit);
-    p.finish(best.unwrap_or(clamped).to_vec(), best.is_some())
+
+    /// The next column that `fits`; `None` (the first axis carried out)
+    /// ends the walk.
+    fn next(&mut self, fits: impl Fn(&[u32]) -> bool) -> Option<&[u32]> {
+        let mut turned = if self.started {
+            self.turn(self.len.checked_sub(1)?)
+        } else {
+            self.started = true;
+            0
+        };
+        while !fits(&self.axes[..self.len]) {
+            turned = self.turn(turned.checked_sub(1)?);
+        }
+        Some(&self.axes[..self.len])
+    }
+
+    /// Advances `axis` and resets every later one to the floor.
+    fn turn(&mut self, axis: usize) -> usize {
+        self.axes[axis] += 1;
+        self.axes[axis + 1..self.len].fill(self.floor);
+        axis
+    }
 }
 
-/// Smallest single-generation log: doubling to bracket, then bisection.
-fn run_firewall(mut p: Prober, limit: u32) -> SearchOutcome {
-    let floor = p.cfg.el.log.gap_blocks + 1; // smallest valid geometry
-    let found = min_by_doubling(floor, limit, |c| p.verdict(&[], c));
-    p.finish(vec![found.unwrap_or(limit)], found.is_some())
-}
-
-/// Smallest last generation under a fixed prefix.
-fn run_fixed_prefix(mut p: Prober, prefix: Vec<u32>, last_limit: u32) -> SearchOutcome {
-    let floor = p.cfg.el.log.gap_blocks + 1;
-    let last = min_under_ceiling(floor, last_limit, |c| p.verdict(&prefix, c));
-    let mut blocks = prefix;
-    blocks.push(last.unwrap_or(last_limit));
-    p.finish(blocks, last.is_some())
+/// The walk from the first bound: every prefix column with room under the
+/// running bound, in ascending order, bisected below it.
+fn walk(p: &mut Prober, first: Geometry) -> Result<Geometry, (Geometry, SearchLimit)> {
+    let floor = p.floor();
+    let columns = admitted_columns(first, floor);
+    if columns > MAX_PREFIX_COLUMNS {
+        return Err((first, SearchLimit::Columns(columns)));
+    }
+    let mut best = first;
+    let mut odometer = Odometer::new(first.len() - 1, floor);
+    while let Some(prefix) = odometer.next(|prefix| room(best, prefix) >= floor) {
+        if prefix == first.prefix() {
+            continue; // the first bound bisected this column
+        }
+        let cap = room(best, prefix);
+        p.stats.pruned_volume += u64::from(room(first, prefix) - cap);
+        if let Some(last) = min_under_ceiling(floor, cap, |c| p.verdict(prefix, c)) {
+            best = Geometry::column(prefix, last);
+        }
+    }
+    Ok(best)
 }
 
 /// What a [`SearchRequest`] searches over.
 #[derive(Clone, Debug)]
 pub enum SearchMode {
-    /// Single-generation (FW baseline) minimum: doubling + bisection,
-    /// capped at `limit`.
-    Firewall {
-        /// Search ceiling; the result clamps here when nothing survives.
-        limit: u32,
+    /// The minimum over every geometry of `gens` generations (first bound,
+    /// then the running-bound walk); one generation is the firewall log.
+    MinSpace {
+        /// Number of generations, `1..=MAX_AXES`.
+        gens: usize,
     },
-    /// Full N-generation lattice minimum (anchor pass, prefix scan,
-    /// running-bound pruning).
-    Lattice {
-        /// Per-axis ceilings; their shape fixes the dimensionality.
-        limits: LatticeLimits,
-    },
-    /// Fixed prefix, bisect only the last generation (Figure 7's
-    /// "progressively decreased its size" protocol).
+    /// Fixed prefix, minimise only the last generation (Figure 7's
+    /// "progressively decreased its size" protocol): the first bound
+    /// doubles the last axis alone.
     FixedPrefix {
         /// The frozen sizes of every generation but the last.
         prefix: Vec<u32>,
-        /// Bisection ceiling for the last generation.
-        last_limit: u32,
     },
 }
 
@@ -422,10 +440,10 @@ pub enum SearchMode {
 /// minimum-space machinery.
 ///
 /// ```no_run
-/// # use elog_harness::{SearchRequest, LatticeLimits, minspace::paper_base};
+/// # use elog_harness::{SearchRequest, minspace::paper_base};
 /// let base = paper_base(0.05, false, 500);
-/// let out = SearchRequest::lattice(&base, LatticeLimits::uniform(3, 12, 256)).run();
-/// assert!(out.feasible);
+/// let out = SearchRequest::min_space(&base, 3).run();
+/// assert!(out.feasible());
 /// ```
 #[derive(Clone, Debug)]
 pub struct SearchRequest {
@@ -437,11 +455,19 @@ pub struct SearchRequest {
 /// What a [`SearchRequest`] found.
 #[derive(Clone, Debug)]
 pub struct SearchOutcome {
-    /// The minimum geometry and the probe-engine counters.
+    /// The minimum geometry and the probe-engine counters; after a search
+    /// limit, the geometry the search stopped at, which is no minimum.
     pub min: MinSpaceResult,
-    /// `false` when nothing survived within the ceilings; `min` then
-    /// holds the ceilings themselves, not a minimum.
-    pub feasible: bool,
+    /// The search limit that ended the search, if one did.
+    pub limit: Option<SearchLimit>,
+}
+
+impl SearchOutcome {
+    /// `true` when the search found the minimum; `false` only when a
+    /// search limit ([`SearchLimit`]) ended it first.
+    pub fn feasible(&self) -> bool {
+        self.limit.is_none()
+    }
 }
 
 impl SearchRequest {
@@ -454,21 +480,35 @@ impl SearchRequest {
         }
     }
 
-    /// Single-generation (FW) minimum-space search capped at `limit`.
-    pub fn firewall(base: &RunConfig, limit: u32) -> Self {
-        Self::with_mode(base, SearchMode::Firewall { limit })
+    /// The minimum over every geometry of `gens` generations (1 is the
+    /// firewall log).
+    ///
+    /// # Panics
+    /// Panics unless `gens` is in `1..=MAX_AXES`.
+    pub fn min_space(base: &RunConfig, gens: usize) -> Self {
+        assert!(
+            (1..=MAX_AXES).contains(&gens),
+            "a search covers 1..={MAX_AXES} generations, got {gens}"
+        );
+        Self::with_mode(base, SearchMode::MinSpace { gens })
     }
 
-    /// N-generation lattice search over `limits` (the 2-generation search
-    /// is the one-prefix-axis case).
+    /// Frozen name, owed to the next benchmark re-record: `benchmark/`
+    /// calls it; it is [`SearchRequest::min_space`] at
+    /// `limits.prefix_max.len() + 1` generations.
+    #[doc(hidden)]
     pub fn lattice(base: &RunConfig, limits: LatticeLimits) -> Self {
-        Self::with_mode(base, SearchMode::Lattice { limits })
+        Self::min_space(base, limits.prefix_max.len() + 1)
     }
 
-    /// Fixed-prefix search: bisect only the last generation.
-    pub fn fixed_prefix(base: &RunConfig, prefix: Vec<u32>, last_limit: u32) -> Self {
-        assert!(!prefix.is_empty(), "use firewall() for one generation");
-        Self::with_mode(base, SearchMode::FixedPrefix { prefix, last_limit })
+    /// Fixed-prefix search: minimise only the last generation.
+    pub fn fixed_prefix(base: &RunConfig, prefix: Vec<u32>) -> Self {
+        assert!(
+            (1..MAX_AXES).contains(&prefix.len()),
+            "a fixed prefix has 1..{MAX_AXES} axes, got {}",
+            prefix.len()
+        );
+        Self::with_mode(base, SearchMode::FixedPrefix { prefix })
     }
 
     /// Enables/disables the consumption certificates (default on; off
@@ -480,14 +520,11 @@ impl SearchRequest {
     }
 
     /// Frozen name, owed to the next benchmark re-record: `benchmark/`
-    /// pins its protocol with `.jobs(1)`, and the prefix scan is one
-    /// sequential pass — each column's cap depends on the columns before it.
+    /// pins its protocol with `.jobs(1)`, and the walk is one sequential
+    /// pass — each column's cap depends on the columns before it.
     #[doc(hidden)]
     pub fn jobs(self, n: usize) -> Self {
-        assert_eq!(
-            n, 1,
-            "the prefix scan is sequential; there is no width to set"
-        );
+        assert_eq!(n, 1, "the walk is sequential; there is no width to set");
         self
     }
 
@@ -502,14 +539,21 @@ impl SearchRequest {
 
     /// Runs the search.
     pub fn run(self) -> SearchOutcome {
-        let p = Prober::new(&self.base, self.certificates);
-        match self.mode {
-            SearchMode::Firewall { limit } => run_firewall(p, limit),
-            SearchMode::Lattice { limits } => run_lattice(p, &limits),
-            SearchMode::FixedPrefix { prefix, last_limit } => {
-                run_fixed_prefix(p, prefix, last_limit)
+        let mut p = Prober::new(&self.base, self.certificates);
+        let floor = p.floor();
+        let found = match &self.mode {
+            SearchMode::MinSpace { gens } => {
+                let uniform = |s| Geometry::column(&[s; MAX_AXES][..gens - 1], s);
+                first_bound(floor, uniform, |prefix, c| p.verdict(prefix, c))
+                    .and_then(|first| walk(&mut p, first))
             }
-        }
+            SearchMode::FixedPrefix { prefix } => first_bound(
+                floor,
+                |s| Geometry::column(prefix, s),
+                |prefix, c| p.verdict(prefix, c),
+            ),
+        };
+        p.finish(found)
     }
 }
 
@@ -521,6 +565,7 @@ mod tests {
     use elog_core::{Effects, LmTimer};
     use elog_model::{Oid, StableDb, Tid};
     use elog_sim::SimTime;
+    use std::cell::Cell;
 
     fn geom(blocks: &[u32]) -> Geometry {
         Geometry::from_slice(blocks)
@@ -534,39 +579,75 @@ mod tests {
         assert_eq!(g.prefix(), &[18, 16]);
         assert_eq!(g.as_slice(), &[18, 16, 8]);
         assert_eq!(format!("{g:?}"), "[18, 16, 8]");
-        assert_eq!(geom(&[18, 16]).with_last(8), g);
+        assert_eq!(Geometry::column(&[18, 16], 8), g);
+        assert_eq!(Geometry::column(&[], 5).as_slice(), &[5]);
         assert_eq!(g.to_vec(), vec![18, 16, 8]);
     }
 
     #[test]
-    fn prefix_enumeration_is_lexicographic_and_skips_anchor() {
-        // One axis: k+1..max, anchor (the max) excluded — exactly the
-        // 2-gen scan's gen0 range.
-        let one = enumerate_prefixes(2, &[6]);
-        assert_eq!(
-            one,
-            vec![geom(&[3]), geom(&[4]), geom(&[5])],
-            "one-axis enumeration"
-        );
-        // Two axes: lexicographic, all-maxima corner excluded.
-        let two = enumerate_prefixes(2, &[4, 5]);
-        let expect: Vec<Geometry> = (3..=4)
-            .flat_map(|a| (3..=5).map(move |b| geom(&[a, b])))
-            .filter(|g| g.as_slice() != [4, 5])
-            .collect();
-        assert_eq!(two, expect);
-        assert_eq!(two.len(), 2 * 3 - 1);
+    fn odometer_walks_ascending_and_carries_when_a_column_has_no_room() {
+        // A column fits while its total stays under a bound that tightens
+        // every third visit, as the running bound does. The walk must visit
+        // exactly what a pass over a box holding every fitting column
+        // visits under the same rule, in the same order, while asking
+        // `fits` at most `len + 1` times per visit: it carries instead of
+        // running an axis out to a box's edge.
+        let floor = 2;
+        for len in 1..=3usize {
+            for start in [6u32, 11, 15] {
+                let mut bound = start;
+                let mut want: Vec<Vec<u32>> = Vec::new();
+                let mut point = vec![floor; len];
+                'boxed: loop {
+                    if point.iter().sum::<u32>() <= bound {
+                        want.push(point.clone());
+                        if want.len().is_multiple_of(3) {
+                            bound -= 1;
+                        }
+                    }
+                    for axis in (0..len).rev() {
+                        if point[axis] < start {
+                            point[axis] += 1;
+                            point[axis + 1..].fill(floor);
+                            continue 'boxed;
+                        }
+                    }
+                    break;
+                }
+
+                let (bound, asked) = (Cell::new(start), Cell::new(0));
+                let mut odometer = Odometer::new(len, floor);
+                let mut got: Vec<Vec<u32>> = Vec::new();
+                while let Some(prefix) = odometer.next(|p| {
+                    asked.set(asked.get() + 1);
+                    p.iter().sum::<u32>() <= bound.get()
+                }) {
+                    got.push(prefix.to_vec());
+                    if got.len().is_multiple_of(3) {
+                        bound.set(bound.get() - 1);
+                    }
+                }
+                let at = format!("len {len}, bound {start}");
+                assert_eq!(got, want, "{at}");
+                assert!(!got.is_empty(), "{at}: vacuous");
+                assert!(
+                    asked.get() <= (got.len() + 1) * (len + 1),
+                    "{at}: {}",
+                    asked.get()
+                );
+            }
+        }
+        // No prefix axes: the one empty column, then the end.
+        let mut odometer = Odometer::new(0, floor);
+        assert_eq!(odometer.next(|_| true), Some(&[][..]));
+        assert_eq!(odometer.next(|_| true), None);
     }
 
     #[test]
     fn three_gen_search_finds_feasible_minimum() {
         let base = paper_base(0.05, false, 20);
-        let limits = LatticeLimits {
-            prefix_max: vec![14, 10],
-            last_limit: 64,
-        };
-        let out = SearchRequest::lattice(&base, limits).run();
-        assert!(out.feasible);
+        let out = SearchRequest::min_space(&base, 3).run();
+        assert!(out.feasible());
         let r = out.min;
         assert_eq!(r.generation_blocks.len(), 3);
         assert!(survives(&base, &r.generation_blocks));
@@ -577,7 +658,7 @@ mod tests {
         );
         assert!(
             r.search.pruned_volume > 0,
-            "the running bound must prune part of the lattice"
+            "the running bound must prune past the first bound"
         );
         // The boundary really is a boundary: shrinking the last
         // generation at the chosen prefix must kill (when legal).
@@ -589,44 +670,29 @@ mod tests {
 
     #[test]
     fn running_bound_prunes_past_the_anchor_bound() {
-        // The anchor bound alone caps every column strictly below the
-        // anchor's total; the running bound tightens that cap as smaller
-        // geometries turn up, so it prunes more and still finds the
-        // exhaustive minimum.
+        // The first bound alone caps every column at the room it leaves
+        // it; the running bound tightens that cap as smaller geometries
+        // turn up, so it prunes capacities the first bound admits
+        // (`pruned_volume`) and still finds the exhaustive minimum.
         let base = paper_base(0.05, false, 30);
-        let (g0_max, last_limit) = (24, 256);
         let k = base.el.log.gap_blocks;
-        let anchor = SearchRequest::fixed_prefix(&base, vec![g0_max], last_limit).run();
-        assert!(anchor.feasible);
-        let anchor_total = anchor.min.total_blocks;
-        let anchor_pruned: u64 = (k + 1..g0_max)
-            .map(|g0| {
-                let cap = (anchor_total.saturating_sub(g0 + 1)).min(last_limit);
-                u64::from(last_limit - cap.max(k))
-            })
-            .sum();
-
-        let limits = LatticeLimits {
-            prefix_max: vec![g0_max],
-            last_limit,
-        };
-        let out = SearchRequest::lattice(&base, limits).run();
-        assert!(out.feasible);
+        let out = SearchRequest::min_space(&base, 2).run();
+        assert!(out.feasible());
         let r = out.min;
         assert!(
-            r.search.pruned_volume > anchor_pruned,
-            "running bound pruned {}, the anchor bound alone {anchor_pruned}",
-            r.search.pruned_volume
+            r.search.pruned_volume > 0,
+            "the running bound pruned nothing past the first bound"
         );
         assert_eq!(r.generation_blocks, vec![21, 12]);
 
         // Exhaustive over columns: columns are monotone along the last
         // axis (`tests/search_oracle.rs`), so no geometry beats the minimum
         // iff no column survives at the largest last generation that would
-        // — a smaller total, or an equal one under a larger prefix.
+        // — a smaller total, or an equal one under a larger prefix. Every
+        // column with room is checked, not a box of them.
         assert!(survives(&base, &r.generation_blocks));
         let (min_g0, total) = (r.generation_blocks[0], r.total_blocks);
-        for g0 in k + 1..=g0_max {
+        for g0 in k + 1..total {
             let beats = total.saturating_sub(g0 + u32::from(g0 <= min_g0));
             if beats > k {
                 assert!(
@@ -644,15 +710,11 @@ mod tests {
         // counts — is identical to the simulate-everything path; only the
         // event volume may shrink.
         let base = paper_base(0.05, false, 20);
-        let limits = LatticeLimits {
-            prefix_max: vec![10, 8],
-            last_limit: 64,
-        };
-        let lattice = |certificates| {
-            let req = SearchRequest::lattice(&base, limits.clone());
+        let search = |certificates| {
+            let req = SearchRequest::min_space(&base, 3);
             req.certificates(certificates).run()
         };
-        let (on, off) = (lattice(true).min, lattice(false).min);
+        let (on, off) = (search(true).min, search(false).min);
         assert_eq!(on.generation_blocks, off.generation_blocks);
         assert_eq!(on.probes, off.probes);
         assert_eq!(on.search.sim_probes, off.search.sim_probes);
@@ -674,10 +736,10 @@ mod tests {
         // event count.
         let base = paper_base(0.05, false, 30);
         let run = |certificates| {
-            let out = SearchRequest::fixed_prefix(&base, vec![14], 96)
+            let out = SearchRequest::fixed_prefix(&base, vec![14])
                 .certificates(certificates)
                 .run();
-            assert!(out.feasible);
+            assert!(out.feasible());
             out.min
         };
         let (on, off) = (run(true), run(false));
@@ -697,49 +759,74 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_anchor_falls_back_to_exhaustive_scan() {
-        // A 40% mix cannot fit the tiny ceilings at the anchor, so the
-        // scan turns exhaustive (no bound) — and at these
-        // ceilings still finds nothing: the outcome says so and hands
-        // back the ceilings, not a "minimum".
-        let base = paper_base(0.4, false, 20);
-        let limits = LatticeLimits {
-            prefix_max: vec![4, 4],
-            last_limit: 5,
-        };
-        let out = SearchRequest::lattice(&base, limits).run();
-        assert!(!out.feasible);
-        assert_eq!(out.min.generation_blocks, vec![4, 4, 5]);
-        assert_eq!(out.min.total_blocks, 13);
-        assert_eq!(out.min.search.pruned_volume, 0, "fallback is unbounded");
-        // 2 × 2 prefixes (axes 3..=4 over the gap of 2), each killed at
-        // its ceiling probe.
-        assert_eq!(out.min.probes, 4);
-    }
-
-    #[test]
-    fn every_mode_reports_infeasible_with_clamped_ceilings() {
-        let base = paper_base(0.4, false, 20);
+    fn every_mode_reports_infeasible_at_the_search_limit() {
+        // 20 000 TPS of 40 % long transactions outgrow 1 024 blocks in
+        // every generation: each mode stops at the doubling stop, says so,
+        // and hands back the geometry it stopped at, not a "minimum".
+        let arrivals = elog_workload::ArrivalProcess::Deterministic { rate_tps: 20_000.0 };
+        let base = paper_base(0.4, false, 5).with_arrivals(arrivals);
+        let s = DOUBLING_STOP;
         let requests = [
-            SearchRequest::firewall(&base, 5),
-            SearchRequest::lattice(&base, LatticeLimits::uniform(2, 4, 5)),
-            SearchRequest::fixed_prefix(&base, vec![4], 5),
+            (SearchRequest::min_space(&base, 1), vec![s]),
+            (SearchRequest::min_space(&base, 3), vec![s, s, s]),
+            (SearchRequest::fixed_prefix(&base, vec![4]), vec![4, s]),
         ];
-        for (req, ceilings) in requests.into_iter().zip([vec![5], vec![4, 5], vec![4, 5]]) {
+        for (req, stopped) in requests {
             let mode = format!("{:?}", req.mode);
             let out = req.run();
-            assert!(!out.feasible, "{mode}");
-            assert_eq!(out.min.generation_blocks, ceilings, "{mode}");
-            assert!(out.min.probes > 0, "{mode}");
+            assert!(!out.feasible(), "{mode}");
+            assert_eq!(out.limit, Some(SearchLimit::Doubling), "{mode}");
+            assert_eq!(out.min.generation_blocks, stopped, "{mode}");
+            // 3, 6, …, 768, then the stop itself.
+            assert_eq!(out.min.probes, 10, "{mode}");
         }
+        assert!(SearchLimit::Doubling
+            .to_string()
+            .contains("search limit reached"));
     }
 
     #[test]
-    fn uniform_limits_shape() {
-        let l = LatticeLimits::uniform(4, 12, 64);
-        assert_eq!(l.prefix_max, vec![12, 12, 12]);
-        assert_eq!(l.gens(), 4);
-        assert_eq!(l.last_limit, 64);
+    fn column_guard_counts_the_columns_the_first_bound_admits() {
+        // `admitted_columns` against a count over a box holding every
+        // prefix with room for a last axis under the bound.
+        for floor in [1u32, 3] {
+            for m in 1..=3usize {
+                for slack in 0..12u32 {
+                    let total = floor * (m as u32 + 1) + slack;
+                    let bound = Geometry::column(&vec![floor; m], floor + slack);
+                    let mut count = 0u64;
+                    let mut point = vec![floor; m];
+                    'boxed: loop {
+                        count += u64::from(point.iter().sum::<u32>() + floor <= total);
+                        for axis in (0..m).rev() {
+                            if point[axis] < total {
+                                point[axis] += 1;
+                                point[axis + 1..].fill(floor);
+                                continue 'boxed;
+                            }
+                        }
+                        break;
+                    }
+                    assert_eq!(
+                        admitted_columns(bound, floor),
+                        count,
+                        "floor {floor}, {m} prefix axes, total {total}"
+                    );
+                }
+            }
+        }
+        // A first bound that admits more columns than the guard allows
+        // ends the search before the walk spends a probe.
+        let base = paper_base(0.05, false, 5);
+        let mut p = Prober::new(&base, true);
+        let first = geom(&[DOUBLING_STOP; MAX_AXES]);
+        let columns = admitted_columns(first, p.floor());
+        assert!(columns > MAX_PREFIX_COLUMNS, "{columns}");
+        assert_eq!(
+            walk(&mut p, first),
+            Err((first, SearchLimit::Columns(columns)))
+        );
+        assert_eq!(p.probes, 0);
     }
 
     /// The smallest surviving capacity in `[floor, limit]` by linear scan.
@@ -786,27 +873,78 @@ mod tests {
 
     #[test]
     fn doubling_search_finds_the_linear_scan_minimum() {
+        // One axis (the firewall log and a fixed prefix): the doubling
+        // bracket, then a bisection above the last kill.
         for floor in 1..=4u32 {
-            for limit in floor..=floor + 20 {
-                for thresh in floor..=limit + 2 {
-                    let mut probes = Vec::new();
-                    let got = min_by_doubling(floor, limit, |c| {
+            for thresh in floor..=floor + 40 {
+                let mut probes = Vec::new();
+                let got = first_bound(
+                    floor,
+                    |s| Geometry::column(&[], s),
+                    |_, c| {
                         probes.push(c);
                         c >= thresh
-                    });
-                    let at = format!("floor {floor} limit {limit} thresh {thresh}");
-                    assert_eq!(got, linear_min(floor, limit, thresh), "{at}");
-                    assert_eq!(probes[0], (floor * 2).min(limit), "{at}");
-                    assert!(probes.iter().all(|c| (floor..=limit).contains(c)), "{at}");
-                    assert_descends_below_survivors(&probes, thresh, &at);
-                }
+                    },
+                );
+                let at = format!("floor {floor} thresh {thresh}");
+                assert_eq!(got, Ok(geom(&[thresh])), "{at}");
+                assert_eq!(probes[0], floor, "{at}");
+                assert!(probes.iter().all(|&c| c >= floor), "{at}");
+                assert_descends_below_survivors(&probes, thresh, &at);
+                let mut sorted = probes.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(
+                    sorted.len(),
+                    probes.len(),
+                    "{at}: a probe repeated {probes:?}"
+                );
             }
         }
-        // A ceiling near u32::MAX brackets without overflow.
-        assert_eq!(
-            min_by_doubling(3, u32::MAX, |c| c >= u32::MAX - 1),
-            Some(u32::MAX - 1)
+        // A uniform geometry doubles every axis; each step is a new column,
+        // so the bisection of the surviving one starts from the floor.
+        let mut probes = Vec::new();
+        let got = first_bound(
+            3,
+            |s| Geometry::column(&[s, s], s),
+            |prefix, c| {
+                probes.push(Geometry::column(prefix, c));
+                prefix.iter().sum::<u32>() + c >= 40
+            },
         );
+        assert_eq!(got, Ok(geom(&[24, 24, 3])));
+        assert_eq!(
+            probes[..4],
+            [
+                geom(&[3, 3, 3]),
+                geom(&[6, 6, 6]),
+                geom(&[12, 12, 12]),
+                geom(&[24, 24, 24])
+            ]
+        );
+    }
+
+    #[test]
+    fn doubling_stops_at_the_per_generation_limit() {
+        // A geometry that kills at every size stops at `DOUBLING_STOP`,
+        // whatever the floor: the doubling is clamped to the stop, never
+        // past it, and the stop geometry comes back with the limit.
+        for (floor, probes_want) in [(3u32, 10), (1, 11), (1000, 2), (1024, 1)] {
+            let mut probes = Vec::new();
+            let got = first_bound(
+                floor,
+                |s| Geometry::column(&[s], s),
+                |prefix, c| {
+                    probes.push((prefix.to_vec(), c));
+                    false
+                },
+            );
+            let stop = DOUBLING_STOP;
+            assert_eq!(got, Err((geom(&[stop, stop]), SearchLimit::Doubling)));
+            assert_eq!(probes.len(), probes_want, "floor {floor}: {probes:?}");
+            assert_eq!(probes.last(), Some(&(vec![stop], stop)));
+            assert!(probes.iter().all(|&(_, c)| c <= stop));
+        }
     }
 
     #[test]
@@ -857,7 +995,7 @@ mod tests {
             format!("{base:?}"),
             "shards(1) is the identity"
         );
-        let req = SearchRequest::firewall(&base, 64);
+        let req = SearchRequest::min_space(&base, 2);
         assert_eq!(
             format!("{:?}", req.clone().probe_jobs(1)),
             format!("{req:?}"),
@@ -870,8 +1008,19 @@ mod tests {
         );
         let err = std::panic::catch_unwind(|| paper_base(0.05, false, 15).shards(2));
         assert!(err.is_err(), "shards(2) must panic");
-        let err = std::panic::catch_unwind(|| SearchRequest::firewall(&base, 64).jobs(2));
+        let err = std::panic::catch_unwind(|| SearchRequest::min_space(&base, 1).jobs(2));
         assert!(err.is_err(), "jobs(2) must panic");
+        // `benchmark/`'s lattice request is the minimum-space search at its
+        // generation count; the values in its limits are ignored.
+        let limits = LatticeLimits {
+            prefix_max: vec![48],
+            last_limit: 1024,
+        };
+        assert_eq!(
+            format!("{:?}", SearchRequest::lattice(&base, limits)),
+            format!("{req:?}"),
+            "lattice(limits) is min_space(limits.prefix_max.len() + 1)"
+        );
 
         // The three names prefix resume left behind: `benchmark/`'s tracing
         // manager overrides `last_gen_allocated`, its `search` workload
@@ -894,7 +1043,7 @@ mod tests {
         }
         assert_eq!(elog_core::LogManager::last_gen_allocated(&Overrides), 7);
         let recirc = paper_base(0.05, true, 15);
-        let s = SearchRequest::fixed_prefix(&recirc, vec![14], 96)
+        let s = SearchRequest::fixed_prefix(&recirc, vec![14])
             .run()
             .min
             .search;

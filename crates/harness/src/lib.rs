@@ -33,7 +33,7 @@ pub mod serve;
 pub mod sweep;
 
 pub use crashpoint::{snapshot_run, CrashPoint, CrashSnapshot};
-pub use latsearch::{Geometry, LatticeLimits, SearchMode, SearchOutcome, SearchRequest};
+pub use latsearch::{Geometry, SearchLimit, SearchMode, SearchOutcome, SearchRequest};
 pub use minspace::MinSpaceResult;
 pub use runner::{RunConfig, RunResult, SimModel, TenantLayout};
 pub use serve::{serve_run, ServeConfig, ServeOutcome, TenantReport};

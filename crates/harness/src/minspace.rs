@@ -8,8 +8,9 @@
 //! Kill-freedom is monotone in a single generation's size (more blocks
 //! can only delay head arrivals), so per-axis binary search is sound. For
 //! two-generation EL the total is *not* jointly monotone — a bigger gen0
-//! changes what reaches gen1 — so the search scans gen0 and binary-searches
-//! the minimal gen1 for each, capped by the best geometry found so far.
+//! changes what reaches gen1 — so the search walks gen0 and binary-searches
+//! the minimal gen1 for each, capped by the best geometry found so far,
+//! until no gen0 leaves room under that bound.
 //!
 //! The search itself — the probe engine (scratch-config reuse,
 //! consumption certificates) and the running-bound pruning — lives in
@@ -58,14 +59,14 @@ pub fn paper_base(frac_long: f64, recirc: bool, secs: u64) -> RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latsearch::{LatticeLimits, SearchRequest};
+    use crate::latsearch::{SearchLimit, SearchRequest};
     use elog_core::MemoryModel;
 
     #[test]
     fn fw_search_finds_monotone_boundary() {
         let mut base = paper_base(0.05, false, 20);
         base.el.memory_model = MemoryModel::Firewall;
-        let r = SearchRequest::firewall(&base, 512).run().min;
+        let r = SearchRequest::min_space(&base, 1).run().min;
         // The boundary must actually be a boundary.
         assert!(survives(&base, &[r.total_blocks]));
         if r.total_blocks > base.el.log.gap_blocks + 1 {
@@ -80,11 +81,7 @@ mod tests {
     #[test]
     fn el_search_finds_feasible_minimum() {
         let base = paper_base(0.05, false, 20);
-        let limits = LatticeLimits {
-            prefix_max: vec![24],
-            last_limit: 128,
-        };
-        let r = SearchRequest::lattice(&base, limits).run().min;
+        let r = SearchRequest::min_space(&base, 2).run().min;
         assert_eq!(r.generation_blocks.len(), 2);
         assert!(survives(&base, &r.generation_blocks));
         assert!(r.total_blocks >= 6);
@@ -94,8 +91,8 @@ mod tests {
     #[test]
     fn fixed_g0_last_gen_search() {
         let base = paper_base(0.05, true, 20);
-        let out = SearchRequest::fixed_prefix(&base, vec![18], 128).run();
-        assert!(out.feasible);
+        let out = SearchRequest::fixed_prefix(&base, vec![18]).run();
+        assert!(out.feasible());
         let r = out.min;
         assert_eq!(r.generation_blocks[0], 18);
         assert!(survives(&base, &r.generation_blocks));
@@ -106,11 +103,16 @@ mod tests {
 
     #[test]
     fn infeasible_limit_detected() {
-        // 40% long transactions cannot fit a 4-block last generation with
-        // a 3-block gen0.
-        let base = paper_base(0.4, false, 20);
-        let out = SearchRequest::fixed_prefix(&base, vec![3], 4).run();
-        assert!(!out.feasible);
-        assert_eq!(out.min.generation_blocks, vec![3, 4], "clamped at limit");
+        // 6 000 TPS of the paper mix outgrow a 1 024-block last generation
+        // behind an 18-block gen0: the search stops at the doubling stop.
+        let arrivals = elog_workload::ArrivalProcess::Deterministic { rate_tps: 6000.0 };
+        let base = paper_base(0.05, false, 5).with_arrivals(arrivals);
+        let out = SearchRequest::fixed_prefix(&base, vec![18]).run();
+        assert_eq!(out.limit, Some(SearchLimit::Doubling));
+        assert_eq!(
+            out.min.generation_blocks,
+            vec![18, crate::latsearch::DOUBLING_STOP],
+            "the stop geometry"
+        );
     }
 }

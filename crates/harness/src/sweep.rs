@@ -25,7 +25,7 @@
 //! to stderr only.
 
 use crate::crashpoint::{crash, restart, Restart};
-use crate::latsearch::{LatticeLimits, SearchMode, SearchRequest};
+use crate::latsearch::{SearchMode, SearchRequest};
 use crate::minspace::MinSpaceResult;
 use crate::report::Table;
 use crate::runner::{build_model, run, RunConfig, RunResult};
@@ -51,8 +51,9 @@ pub enum Job {
     /// One full measured run.
     Measure(RunConfig),
     /// One minimum-space search of any [`SearchMode`], then a measured
-    /// run at the minimum. A search that finds nothing feasible within
-    /// its ceilings fails the scenario: a clamped ceiling is not a row.
+    /// run at the minimum. A search that ends at a search limit
+    /// ([`crate::SearchLimit`]) fails the scenario: the geometry it
+    /// stopped at is not a row.
     MinSpace {
         /// Base configuration (the search overwrites the geometry,
         /// dimensionality included).
@@ -67,10 +68,6 @@ pub enum Job {
     ElRecircMin {
         /// Base configuration, recirculation on.
         base: RunConfig,
-        /// gen0 scan ceiling for the no-recirculation step.
-        g0_max: u32,
-        /// gen1 binary-search ceiling.
-        g1_limit: u32,
     },
     /// Run to the horizon, then [`crate::crashpoint::crash`] and
     /// [`crate::crashpoint::restart`]: byte-level scan, single-pass REDO,
@@ -131,7 +128,8 @@ pub enum Output {
     Recovery(u64, Restart),
     /// A multi-tenant serve measurement.
     Serve(crate::serve::ServeOutcome),
-    /// The scenario panicked; the payload is the panic message.
+    /// The scenario panicked, or its search ended at a search limit; the
+    /// payload is the message.
     Failed(String),
 }
 
@@ -302,14 +300,14 @@ fn run_job(scenario: &Scenario, certificates: bool) -> Output {
             let out = SearchRequest::with_mode(&base, mode.clone())
                 .certificates(certificates)
                 .run();
-            assert!(out.feasible, "nothing feasible within {mode:?}");
+            // A value, not a panic: release builds abort on panic, so
+            // only a returned failure reaches the notes there.
+            if let Some(limit) = out.limit {
+                return Output::Failed(limit.to_string());
+            }
             measure_minimum(&base, out.min)
         }
-        Job::ElRecircMin {
-            base,
-            g0_max,
-            g1_limit,
-        } => {
+        Job::ElRecircMin { base } => {
             let base = seeded(base);
             assert!(
                 base.el.log.recirculation,
@@ -322,22 +320,19 @@ fn run_job(scenario: &Scenario, certificates: bool) -> Output {
             // degenerate tiny generation 0 that recirculates everything.
             let mut norec = base.clone();
             norec.el.log.recirculation = false;
-            let limits = LatticeLimits::uniform(2, *g0_max, *g1_limit);
-            let norec_out = SearchRequest::lattice(&norec, limits)
+            let norec_out = SearchRequest::min_space(&norec, 2)
                 .certificates(certificates)
                 .run();
-            assert!(
-                norec_out.feasible,
-                "no feasible no-recirculation geometry within [{g0_max}, {g1_limit}]"
-            );
+            if let Some(limit) = norec_out.limit {
+                return Output::Failed(format!("no-recirculation step: {limit}"));
+            }
             let g0 = norec_out.min.generation_blocks[0];
-            let recirc_out = SearchRequest::fixed_prefix(&base, vec![g0], *g1_limit)
+            let recirc_out = SearchRequest::fixed_prefix(&base, vec![g0])
                 .certificates(certificates)
                 .run();
-            assert!(
-                recirc_out.feasible,
-                "no-recirculation gen0 must stay feasible with recirculation"
-            );
+            if let Some(limit) = recirc_out.limit {
+                return Output::Failed(format!("recirculation step: {limit}"));
+            }
             let mut min = recirc_out.min;
             min.search.merge(&norec_out.min.search);
             measure_minimum(&base, min)
@@ -512,11 +507,13 @@ mod tests {
 
     #[test]
     fn infeasible_min_space_is_a_failure_note_not_a_row() {
-        // 40% long transactions cannot fit a 5-block firewall log; the
-        // clamped ceiling must not reach a table as a "minimum".
+        // 20 000 TPS of 40 % long transactions outgrow a 1 024-block
+        // firewall log; the geometry the search stopped at must not reach
+        // a table as a "minimum".
+        let arrivals = elog_workload::ArrivalProcess::Deterministic { rate_tps: 20_000.0 };
         let job = Job::MinSpace {
-            base: crate::minspace::paper_base(0.4, false, 20),
-            mode: SearchMode::Firewall { limit: 5 },
+            base: crate::minspace::paper_base(0.4, false, 5).with_arrivals(arrivals),
+            mode: SearchMode::MinSpace { gens: 1 },
         };
         let outcomes = run_scenarios(
             &[Scenario::new("tiny fw", "0.4", 0, job)],
@@ -530,7 +527,7 @@ mod tests {
         let notes = failure_notes(&outcomes);
         assert_eq!(notes.len(), 1);
         assert!(
-            notes[0].starts_with("FAILED tiny fw: nothing feasible within Firewall"),
+            notes[0].starts_with("FAILED tiny fw: search limit reached"),
             "{notes:?}"
         );
     }

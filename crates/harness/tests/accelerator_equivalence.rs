@@ -9,7 +9,7 @@
 use elog_harness::experiments::registry;
 use elog_harness::minspace::paper_base;
 use elog_harness::sweep::{run_scenarios, ExecOptions};
-use elog_harness::{LatticeLimits, MinSpaceResult, SearchRequest};
+use elog_harness::{MinSpaceResult, SearchRequest};
 
 fn assert_equivalent(on: &MinSpaceResult, off: &MinSpaceResult) {
     assert_eq!(
@@ -37,11 +37,11 @@ fn fixed_prefix_search_certifies_and_matches_probe_only_path() {
     // first surviving probe's consumption certificate answers the rest
     // of the bisection probe-free, without changing the outcome.
     let base = paper_base(0.05, false, 30);
-    let on = SearchRequest::fixed_prefix(&base, vec![14], 96).run();
-    let off = SearchRequest::fixed_prefix(&base, vec![14], 96)
+    let on = SearchRequest::fixed_prefix(&base, vec![14]).run();
+    let off = SearchRequest::fixed_prefix(&base, vec![14])
         .certificates(false)
         .run();
-    assert!(on.feasible && off.feasible);
+    assert!(on.feasible() && off.feasible());
     assert_equivalent(&on.min, &off.min);
     assert!(
         on.min.search.cert_verdicts > 0,
@@ -55,11 +55,11 @@ fn recirculation_disables_the_certificate_and_falls_back_to_full_replay() {
     // law, so the same search shape must simulate every probe — changing
     // nothing at all, the event count included.
     let base = paper_base(0.05, true, 30);
-    let on = SearchRequest::fixed_prefix(&base, vec![14], 96).run();
-    let off = SearchRequest::fixed_prefix(&base, vec![14], 96)
+    let on = SearchRequest::fixed_prefix(&base, vec![14]).run();
+    let off = SearchRequest::fixed_prefix(&base, vec![14])
         .certificates(false)
         .run();
-    assert!(on.feasible && off.feasible);
+    assert!(on.feasible() && off.feasible());
     assert_equivalent(&on.min, &off.min);
     assert_eq!(on.min.search, off.min.search);
 }
@@ -69,14 +69,8 @@ fn lattice_search_is_equivalent() {
     // The full lattice walk, certificates on vs off: one verdict
     // sequence, two ways of computing it.
     let base = paper_base(0.2, false, 20);
-    let limits = LatticeLimits {
-        prefix_max: vec![10, 8],
-        last_limit: 64,
-    };
-    let on = SearchRequest::lattice(&base, limits.clone()).run();
-    let off = SearchRequest::lattice(&base, limits.clone())
-        .certificates(false)
-        .run();
+    let on = SearchRequest::min_space(&base, 3).run();
+    let off = SearchRequest::min_space(&base, 3).certificates(false).run();
     assert_equivalent(&on.min, &off.min);
     assert!(
         on.min.search.cert_verdicts > 0,

@@ -62,9 +62,10 @@ pub struct SearchStats {
     pub memo_hits: u64,
     /// Events delivered across all probe simulations.
     pub probe_events: u64,
-    /// Lattice points excluded by the search's running bound without a
-    /// probe: each scan column's last-axis range above the cap set by the
-    /// best geometry found before it, summed over all columns.
+    /// Last-axis capacities the search's running bound skipped without a
+    /// probe below what its first bound alone would admit: each scanned
+    /// column's range between its cap (set by the best geometry found
+    /// before it) and the first bound's room, summed over the columns.
     pub pruned_volume: u64,
     /// Frozen name, like `resume_probes`: the analytic threshold is gone
     /// (PR 24) and this is always 0.

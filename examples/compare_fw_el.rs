@@ -11,7 +11,7 @@
 use elog_core::MemoryModel;
 use elog_harness::minspace::paper_base;
 use elog_harness::runner::run;
-use elog_harness::{cli, LatticeLimits, SearchRequest};
+use elog_harness::{cli, SearchRequest};
 
 const USAGE: &str = "compare_fw_el [frac_long] [runtime_secs]
   frac_long               fraction of 10 s transactions, in [0, 1]
@@ -39,22 +39,14 @@ fn main() {
     // Firewall: single log, kill the oldest transaction when space runs out.
     let mut fw_base = paper_base(frac_long, false, runtime);
     fw_base.el.memory_model = MemoryModel::Firewall;
-    let fw_min = SearchRequest::firewall(&fw_base, 2048).run().min;
+    let fw_min = SearchRequest::min_space(&fw_base, 1).run().min;
     let mut cfg = fw_base.clone();
     cfg.el.log.generation_blocks = fw_min.generation_blocks.clone();
     let fw = run(&cfg);
 
     // Ephemeral logging: two generations, no recirculation (Figure 4 setup).
     let el_base = paper_base(frac_long, false, runtime);
-    let el_min = SearchRequest::lattice(
-        &el_base,
-        LatticeLimits {
-            prefix_max: vec![32],
-            last_limit: 512,
-        },
-    )
-    .run()
-    .min;
+    let el_min = SearchRequest::min_space(&el_base, 2).run().min;
     let mut cfg = el_base.clone();
     cfg.el.log.generation_blocks = el_min.generation_blocks.clone();
     let el = run(&cfg);

@@ -30,8 +30,6 @@ fn main() {
     let cfg = scarce::Config {
         frac_long: 0.05,
         runtime_secs: runtime,
-        g0_max: 28,
-        g1_limit: 128,
     };
     println!("comparing 25 ms (ample) vs 45 ms (scarce) flush transfers, {runtime} s runs...\n");
     let outcomes = run_scenarios(&scarce::scenarios_for(&cfg), &ExecOptions::default());

@@ -5,19 +5,11 @@
 use elog_core::MemoryModel;
 use elog_harness::minspace::paper_base;
 use elog_harness::runner::run;
-use elog_harness::{LatticeLimits, MinSpaceResult, SearchRequest};
+use elog_harness::{MinSpaceResult, SearchRequest};
 
 /// Two-generation minimum-space search.
-fn el_min_space(base: &elog_harness::RunConfig, g0_max: u32, g1_limit: u32) -> MinSpaceResult {
-    SearchRequest::lattice(
-        base,
-        LatticeLimits {
-            prefix_max: vec![g0_max],
-            last_limit: g1_limit,
-        },
-    )
-    .run()
-    .min
+fn el_min_space(base: &elog_harness::RunConfig) -> MinSpaceResult {
+    SearchRequest::min_space(base, 2).run().min
 }
 
 #[test]
@@ -26,10 +18,10 @@ fn el_beats_fw_on_space_at_5_percent() {
 
     let mut fw_base = paper_base(0.05, false, runtime);
     fw_base.el.memory_model = MemoryModel::Firewall;
-    let fw_min = SearchRequest::firewall(&fw_base, 1024).run().min;
+    let fw_min = SearchRequest::min_space(&fw_base, 1).run().min;
 
     let el_base = paper_base(0.05, false, runtime);
-    let el_min = el_min_space(&el_base, 28, 256);
+    let el_min = el_min_space(&el_base);
 
     let ratio = f64::from(fw_min.total_blocks) / f64::from(el_min.total_blocks);
     assert!(
@@ -81,10 +73,10 @@ fn equal_lifetimes_erase_els_advantage() {
     let runtime = 40;
     let mut fw_base = paper_base(0.0, false, runtime);
     fw_base.el.memory_model = MemoryModel::Firewall;
-    let fw_min = SearchRequest::firewall(&fw_base, 512).run().min;
+    let fw_min = SearchRequest::min_space(&fw_base, 1).run().min;
 
     let el_base = paper_base(0.0, false, runtime);
-    let el_min = el_min_space(&el_base, 28, 256);
+    let el_min = el_min_space(&el_base);
 
     let ratio = f64::from(fw_min.total_blocks) / f64::from(el_min.total_blocks);
     assert!(
@@ -99,12 +91,12 @@ fn equal_lifetimes_erase_els_advantage() {
 fn recirculation_shrinks_the_last_generation() {
     let runtime = 60;
     let norec = paper_base(0.05, false, runtime);
-    let norec_min = el_min_space(&norec, 28, 256);
+    let norec_min = el_min_space(&norec);
     let g0 = norec_min.generation_blocks[0];
 
     let rec = paper_base(0.05, true, runtime);
-    let rec_out = SearchRequest::fixed_prefix(&rec, vec![g0], 256).run();
-    assert!(rec_out.feasible);
+    let rec_out = SearchRequest::fixed_prefix(&rec, vec![g0]).run();
+    assert!(rec_out.feasible());
     let rec_min = rec_out.min;
 
     assert!(

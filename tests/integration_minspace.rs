@@ -3,19 +3,11 @@
 
 use elog_core::MemoryModel;
 use elog_harness::minspace::paper_base;
-use elog_harness::{LatticeLimits, MinSpaceResult, RunConfig, SearchRequest};
+use elog_harness::{MinSpaceResult, RunConfig, SearchRequest};
 
 /// Two-generation minimum-space search.
-fn el_min_space(base: &RunConfig, g0_max: u32, g1_limit: u32) -> MinSpaceResult {
-    SearchRequest::lattice(
-        base,
-        LatticeLimits {
-            prefix_max: vec![g0_max],
-            last_limit: g1_limit,
-        },
-    )
-    .run()
-    .min
+fn el_min_space(base: &RunConfig) -> MinSpaceResult {
+    SearchRequest::min_space(base, 2).run().min
 }
 
 /// Log payload rate at 100 TPS for the paper mix (bytes/s):
@@ -33,7 +25,7 @@ fn fw_minimum_tracks_oldest_transaction_arithmetic() {
     for frac in [0.05, 0.20] {
         let mut base = paper_base(frac, false, runtime);
         base.el.memory_model = MemoryModel::Firewall;
-        let min = SearchRequest::firewall(&base, 2048).run().min;
+        let min = SearchRequest::min_space(&base, 1).run().min;
         let floor = 10.0 * payload_rate(frac) / 2000.0;
         assert!(
             f64::from(min.total_blocks) > floor * 0.95,
@@ -53,8 +45,8 @@ fn el_minimum_is_insensitive_to_longer_runtimes() {
     // The minimum reflects steady-state occupancy, not accumulated
     // history: doubling the horizon must not move it much. (Longer runs
     // sample more of the workload's tail, so ±2 blocks of drift is fine.)
-    let short = el_min_space(&paper_base(0.05, false, 30), 26, 192);
-    let long = el_min_space(&paper_base(0.05, false, 60), 26, 192);
+    let short = el_min_space(&paper_base(0.05, false, 30));
+    let long = el_min_space(&paper_base(0.05, false, 60));
     let d = i64::from(short.total_blocks) - i64::from(long.total_blocks);
     assert!(
         d.abs() <= 4,
@@ -67,8 +59,8 @@ fn el_minimum_is_insensitive_to_longer_runtimes() {
 #[test]
 fn el_minimum_grows_with_long_fraction() {
     // Figure 4's EL curve rises with the mix.
-    let at_5 = el_min_space(&paper_base(0.05, false, 40), 26, 256);
-    let at_40 = el_min_space(&paper_base(0.40, false, 40), 26, 256);
+    let at_5 = el_min_space(&paper_base(0.05, false, 40));
+    let at_40 = el_min_space(&paper_base(0.40, false, 40));
     assert!(
         at_40.total_blocks > at_5.total_blocks,
         "EL needs more space at 40% ({}) than at 5% ({})",
@@ -79,8 +71,8 @@ fn el_minimum_grows_with_long_fraction() {
 
 #[test]
 fn search_is_deterministic() {
-    let a = el_min_space(&paper_base(0.05, false, 30), 24, 128);
-    let b = el_min_space(&paper_base(0.05, false, 30), 24, 128);
+    let a = el_min_space(&paper_base(0.05, false, 30));
+    let b = el_min_space(&paper_base(0.05, false, 30));
     assert_eq!(a.generation_blocks, b.generation_blocks);
     assert_eq!(a.probes, b.probes);
 }
