@@ -65,10 +65,13 @@ crates/harness/src/latsearch.rs:probe_jobs
 crates/harness/src/runner.rs:run_capture
 crates/harness/src/runner.rs:shards
 crates/sim/src/perfstats.rs:analytic_rejections
+crates/sim/src/perfstats.rs:cancelled
+crates/sim/src/perfstats.rs:compactions
 crates/sim/src/perfstats.rs:memo_hits
 crates/sim/src/perfstats.rs:replay_probes
 crates/sim/src/perfstats.rs:resume_probes
 crates/sim/src/perfstats.rs:resume_saved_events
+crates/sim/src/perfstats.rs:tombstones_discarded
 crates/workload/src/driver.rs:WorkloadTrace
 crates/workload/src/driver.rs:replay'
 # Each `#[doc(hidden)]` line names the first item after it (other

@@ -256,9 +256,10 @@ impl ElManager {
     /// Logs a data record: transaction `tid` updated `oid` (its `seq`-th
     /// update), producing a REDO record of `size` accounting bytes.
     ///
-    /// Writes from unknown or non-active transactions are ignored (the
-    /// workload's cancellation of a killed transaction's events can race
-    /// one write).
+    /// Writes from unknown or non-active (killed, aborted) transactions are
+    /// ignored and counted in `ignored_writes`. The tid is the host's
+    /// input: the harness's workload driver drops a killed transaction's
+    /// writes before they get here, but another host need not.
     pub fn write_data(&mut self, now: SimTime, tid: Tid, oid: Oid, seq: u32, size: u32) -> Effects {
         let mut fx = self.fresh_fx();
         assert!(

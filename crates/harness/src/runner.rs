@@ -18,8 +18,7 @@ use elog_core::{
     AdaptiveController, AdaptiveStats, Effects, ElConfig, ElManager, LmMetrics, LmTimer, LogManager,
 };
 use elog_model::{CommittedOracle, Oid, Tid};
-use elog_sim::FxHashMap;
-use elog_sim::{Engine, EventQueue, EventToken, PerfStats, SimRng, SimTime, Simulate};
+use elog_sim::{Engine, EventQueue, PerfStats, SimRng, SimTime, Simulate};
 use elog_workload::{
     ArrivalProcess, PhaseSchedule, TxMix, WorkloadDriver, WorkloadEvent, WorkloadStats,
     WorkloadTrace,
@@ -328,16 +327,8 @@ pub struct SimModel<L: LogManager = ElManager> {
     pub(crate) budget: u64,
     /// Arrivals refused per tenant.
     pub(crate) throttled: Vec<u64>,
-    /// Pending event tokens per shared-space tid, cancelled on kill.
-    tokens: FxHashMap<Tid, Vec<EventToken>>,
-    /// Retired token vectors, reused by later transactions.
-    token_pool: Vec<Vec<EventToken>>,
     /// Scratch buffer `on_arrival` fills (no per-arrival allocation).
     wl_events: Vec<(SimTime, WorkloadEvent)>,
-    /// Cancellation tokens are tracked only when they can matter: a
-    /// stop-on-kill probe ends at its first kill, so nothing is ever
-    /// cancelled and the bookkeeping is skipped wholesale.
-    track_tokens: bool,
     stop_on_kill: bool,
     track_oracle: bool,
     lifetime_hints: bool,
@@ -359,12 +350,6 @@ impl<L: LogManager> SimModel<L> {
             let (tenant, local) = split_tid(tid);
             let t = tenant as usize;
             let updates = self.driver[t].on_commit_ack(now, local);
-            if self.track_tokens {
-                if let Some(mut tokens) = self.tokens.remove(&tid) {
-                    tokens.clear();
-                    self.token_pool.push(tokens);
-                }
-            }
             if self.track_oracle {
                 let base = self.oid_base[t];
                 self.oracle.commit(
@@ -373,17 +358,11 @@ impl<L: LogManager> SimModel<L> {
                 );
             }
         }
+        // A killed transaction's writes stay queued: the driver retires its
+        // slot here and turns each of them into a no-op when it arrives.
         for tid in fx.kills.drain(..) {
             self.kills += 1;
             let (tenant, local) = split_tid(tid);
-            if self.track_tokens {
-                if let Some(mut tokens) = self.tokens.remove(&tid) {
-                    for token in tokens.drain(..) {
-                        queue.cancel(token);
-                    }
-                    self.token_pool.push(tokens);
-                }
-            }
             self.driver[tenant as usize].on_kill(local);
         }
         self.lm.recycle(fx);
@@ -437,22 +416,8 @@ impl<L: LogManager> Simulate for SimModel<L> {
                             self.lm.begin(now, tid)
                         };
                         self.apply(now, fx, queue);
-                        // Everything but the chained arrival is a write of
-                        // the new transaction: its tokens retract them on
-                        // a kill.
-                        let mut tokens = self
-                            .track_tokens
-                            .then(|| self.token_pool.pop().unwrap_or_default());
                         for &(at, ev) in &events {
-                            let token = queue.schedule(at, Ev::of(tenant, ev));
-                            if ev != WorkloadEvent::Arrival {
-                                if let Some(tokens) = &mut tokens {
-                                    tokens.push(token);
-                                }
-                            }
-                        }
-                        if let Some(tokens) = tokens {
-                            self.tokens.insert(tid, tokens);
+                            queue.schedule(at, Ev::of(tenant, ev));
                         }
                     }
                 }
@@ -569,13 +534,7 @@ pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimMode
         oid_base: ranges.iter().map(|r| r.0).collect(),
         budget: 0,
         throttled: vec![0; ranges.len()],
-        tokens: FxHashMap::default(),
-        token_pool: Vec::new(),
         wl_events: Vec::new(),
-        // In a stop-on-kill probe the first kill ends the run, so pending
-        // events of killed transactions are never delivered either way;
-        // skipping their tokens changes no observable result.
-        track_tokens: !cfg.stop_on_kill || cfg.track_oracle,
         stop_on_kill: cfg.stop_on_kill,
         track_oracle: cfg.track_oracle,
         lifetime_hints: cfg.lifetime_hints,
@@ -734,6 +693,24 @@ mod tests {
             r.ended_at < SimTime::from_secs(60),
             "must stop at first kill"
         );
+    }
+
+    /// A killed transaction's writes stay queued and are delivered, and the
+    /// driver drops every one of them: the manager never sees a write or
+    /// COMMIT of a dead tid, and nothing is cancelled.
+    #[test]
+    fn a_killing_run_forwards_no_write_of_a_killed_transaction() {
+        let overload = quick_cfg(0.05, vec![60, 50], false, 60)
+            .with_arrivals(ArrivalProcess::Deterministic { rate_tps: 400.0 });
+        let short_log = quick_cfg(0.4, vec![8, 6], false, 60);
+        for cfg in [overload, short_log] {
+            let mut engine = build_model(&cfg);
+            engine.run_until(cfg.runtime);
+            let (model, blocks) = (engine.model(), &cfg.el.log.generation_blocks);
+            assert!(model.kills() > 0, "{blocks:?} must kill");
+            assert_eq!(model.lm.stats().ignored_writes, 0);
+            assert_eq!(engine.queue().perf().cancelled, 0);
+        }
     }
 
     #[test]

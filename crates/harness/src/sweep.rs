@@ -365,7 +365,7 @@ pub fn run_scenarios(scenarios: &[Scenario], opts: &ExecOptions) -> Vec<RunOutco
             // Stderr only: stdout is the byte-stable report surface.
             match out.perf() {
                 Some(p) => eprintln!(
-                    "[sweep {d}/{total}] {} ({wall:.2?}, {:.2} Mev/s, heap peak {})",
+                    "[sweep {d}/{total}] {} ({wall:.2?}, {:.2} Mev/s, pending peak {})",
                     s.label,
                     p.events_per_sec() / 1e6,
                     p.queue.heap_peak,

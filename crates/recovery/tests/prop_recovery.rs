@@ -126,11 +126,9 @@ fn crash_case(plans: &[TxPlan], crash_ms: u64, recirc: bool, g0: u32, g1: u32) {
         }
         match action {
             Action::Begin(tid) => host.begin(at, tid),
-            Action::Write(tid, oid, seq) => {
-                // Skip writes of killed transactions (the workload
-                // driver would have cancelled them).
-                host.write(at, tid, oid, seq, 100);
-            }
+            // A killed transaction's writes are still sent; the manager
+            // ignores them.
+            Action::Write(tid, oid, seq) => host.write(at, tid, oid, seq, 100),
             Action::Commit(tid) => host.commit(at, tid),
             Action::Abort(tid) => host.abort(at, tid),
         }

@@ -5,7 +5,7 @@
 //!
 //! This crate rebuilds the substrate of the SIGMOD '93 ephemeral-logging
 //! evaluation: an event-driven simulator with a microsecond virtual clock, a
-//! stable priority event queue with cancellation, deterministic seeded random
+//! stable priority event queue, deterministic seeded random
 //! streams, statistics accumulators (counters, time-weighted gauges,
 //! histograms), and the seeded case runner the workspace's randomized tests
 //! share.
@@ -47,7 +47,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, Simulate};
-pub use event::{EventQueue, EventToken};
+pub use event::EventQueue;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use perfstats::{CountingAlloc, PerfStats, QueueStats, SearchStats};
 pub use rng::{splitmix64, SimRng};

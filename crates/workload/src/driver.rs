@@ -5,8 +5,9 @@
 //! after arrival, then a wait for the group-commit acknowledgement. The
 //! driver is queue-agnostic: each callback returns the *new events* (absolute
 //! time + payload) the caller must schedule, so the experiment harness can
-//! wrap them in its own composite event type and keep the cancellation
-//! tokens needed to retract a killed transaction's remaining writes.
+//! wrap them in its own composite event type. A killed transaction's
+//! remaining writes stay scheduled: once its slot is retired, each of them
+//! is a no-op when it arrives.
 //!
 //! Every run — a measured one, a minimum-space probe, a served tenant —
 //! generates its own workload from its seed: two RNG substreams (type and
@@ -20,7 +21,7 @@ use crate::arrival::ArrivalProcess;
 use crate::oidpick::OidPicker;
 use crate::spec::{PhaseSchedule, TxMix};
 use elog_model::{Oid, Tid};
-use elog_sim::{Histogram, MaxGauge, SimRng, SimTime};
+use elog_sim::{Histogram, SimRng, SimTime};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -103,8 +104,6 @@ pub struct WorkloadStats {
     /// resolve both the ~1 s short type and 10 s+ stragglers, and tail
     /// quantiles (p99) care about relative, not absolute, resolution.
     pub full_latency_ms: Histogram,
-    /// Concurrently active transactions.
-    pub active: MaxGauge,
     /// Started count per type index.
     pub per_type_started: Vec<u64>,
 }
@@ -118,7 +117,6 @@ impl WorkloadStats {
             data_records: 0,
             commit_latency_ms: Histogram::linear(500.0, 100),
             full_latency_ms: Histogram::geometric(1.0, 120_000.0, 20),
-            active: MaxGauge::new(),
             per_type_started: vec![0; n_types],
         }
     }
@@ -283,13 +281,12 @@ impl WorkloadDriver {
         self.live += 1;
         self.stats.started += 1;
         self.stats.per_type_started[type_idx] += 1;
-        self.stats.active.set(self.live as u64);
         Some(NewTxn { tid, type_idx })
     }
 
     /// Handles a data-record write: picks the oid and returns it with the
     /// record size. Returns `None` when the transaction no longer exists
-    /// (killed, and the cancellation raced this event).
+    /// (it was killed before this write came due).
     pub fn on_write_data(&mut self, _now: SimTime, tid: Tid, seq: u32) -> Option<(Oid, u32)> {
         let i = self.live_index(tid)?;
         let slot = &mut self.window[i];
@@ -354,8 +351,8 @@ impl WorkloadDriver {
     }
 
     /// Handles a kill from the log manager: drops the transaction and
-    /// releases its oids. The caller is responsible for cancelling the
-    /// transaction's still-pending events.
+    /// releases its oids. The transaction's still-pending events need no
+    /// retraction: they find no live slot and do nothing.
     pub fn on_kill(&mut self, tid: Tid) {
         if let Some(i) = self.live_index(tid) {
             let slot = self.window[i];
@@ -383,7 +380,6 @@ impl WorkloadDriver {
     fn retire(&mut self, i: usize) {
         self.window[i].live = false;
         self.live -= 1;
-        self.stats.active.set(self.live as u64);
         while let Some(front) = self.window.front().filter(|s| !s.live) {
             let n = self.mix.types()[front.type_idx as usize].data_records;
             self.window.pop_front();
@@ -559,7 +555,6 @@ mod tests {
         }
         assert_eq!(d.stats().started, 50);
         assert_eq!(d.active_txns(), 50);
-        assert_eq!(d.stats().active.peak(), 50);
     }
 
     #[test]
