@@ -96,7 +96,8 @@ if [ "$FROZEN_HAVE" != "$FROZEN_WANT" ]; then
 fi
 
 echo "== doc names =="
-# Every name README.md and DESIGN.md put in backticks as code — an
+# Every name README.md, DESIGN.md and EXPERIMENTS.md put in backticks as
+# code — an
 # identifier, or a path of them joined by `::` or `.` (`Type::method`,
 # `file.rs`) — must be made of identifiers that occur in the code, its
 # tests, ci.sh or their file names. A deletion that leaves its name in a
@@ -105,7 +106,7 @@ echo "== doc names =="
 # searched tree), one a line; every one of them resolves today, so it is
 # empty.
 DOC_ALLOW=''
-DOC_NAMES=$(grep -ohE '`[A-Za-z_][A-Za-z0-9_]*((::|\.)[A-Za-z_][A-Za-z0-9_]*)*(\(\))?`' README.md DESIGN.md |
+DOC_NAMES=$(grep -ohE '`[A-Za-z_][A-Za-z0-9_]*((::|\.)[A-Za-z_][A-Za-z0-9_]*)*(\(\))?`' README.md DESIGN.md EXPERIMENTS.md |
     tr -d '`()' | tr ':.' '\n\n' | grep . | sort -u)
 TREE_NAMES=$({
     find crates tests examples benchmark/src -type f
@@ -114,7 +115,52 @@ TREE_NAMES=$({
 } | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
 STALE=$(comm -23 <(echo "$DOC_NAMES") <(printf '%s\n%s\n' "$TREE_NAMES" "$DOC_ALLOW" | sort -u))
 if [ -n "$STALE" ]; then
-    echo "README.md / DESIGN.md name code that does not exist:" $STALE >&2
+    echo "README.md / DESIGN.md / EXPERIMENTS.md name code that does not exist:" $STALE >&2
+    exit 1
+fi
+
+echo "== doc map =="
+# "doc names" accepts a path whose every segment occurs somewhere; this
+# step checks where the docs point. (a) A backticked path that starts at a
+# workspace crate (`core::…` or `elog_core::…`) must name, as its second
+# segment, a module file of that crate or a `pub` name of its lib.rs; a
+# brace list (`core::{cell, lot}`) counts member by member. (b) DESIGN.md
+# §7 lists every file under crates/*/src, each under its `crates/X/src/`
+# line, and no other.
+DOC_CRATES=$(ls crates | paste -sd'|')
+MAP_BAD=$(grep -ohE "\`(elog_)?($DOC_CRATES)::[^\`]*\`" README.md DESIGN.md EXPERIMENTS.md | sort -u |
+    while read -r path; do
+        p=${path//\`/}
+        crate=${p%%::*}
+        crate=${crate#elog_}
+        rest=${p#*::}
+        case $rest in
+            "{"*) members=${rest#\{} && members=${members%%\}*} ;;
+            *) members=${rest%%::*} ;;
+        esac
+        pubs=$(grep -vE '^[[:space:]]*//' "crates/$crate/src/lib.rs" | tr '\n' ' ' | tr ';' '\n' |
+            grep -E '^[[:space:]]*pub\b' | grep -oE '[A-Za-z_][A-Za-z0-9_]*' || true)
+        echo "$members" | tr ',' '\n' | while read -r m; do
+            m=$(echo "${m%%::*}" | grep -oE '^[A-Za-z_][A-Za-z0-9_]*' || true)
+            if [ -z "$m" ] || { [ ! -f "crates/$crate/src/$m.rs" ] &&
+                [ ! -f "crates/$crate/src/$m/mod.rs" ] && ! grep -qxF "$m" <<<"$pubs"; }; then
+                echo "$path"
+            fi
+        done
+    done | sort -u)
+if [ -n "$MAP_BAD" ]; then
+    echo "README.md / DESIGN.md / EXPERIMENTS.md point at no module or pub name:" $MAP_BAD >&2
+    exit 1
+fi
+LAYOUT_HAVE=$(awk '
+    /^## / { in7 = /^## 7\./ }
+    in7 && /^crates\/[a-z]+\/src\/$/ { dir = $1; next }
+    in7 { while (match($0, /[A-Za-z0-9_\/]+\.rs/)) { print dir substr($0, RSTART, RLENGTH); $0 = substr($0, RSTART + RLENGTH) } }
+' DESIGN.md | sort)
+LAYOUT_WANT=$(find crates/*/src -name '*.rs' | sort)
+if [ "$LAYOUT_HAVE" != "$LAYOUT_WANT" ]; then
+    echo "DESIGN.md §7 and crates/*/src list different files (< files, > DESIGN.md):" >&2
+    diff <(echo "$LAYOUT_WANT") <(echo "$LAYOUT_HAVE") >&2 || true
     exit 1
 fi
 

@@ -307,20 +307,7 @@ impl ElManager {
                             }
                             continue;
                         };
-                        if self.alloc_violates_hold(gi, addr.seq) {
-                            self.stats.durability_violations += 1;
-                        }
-                        let block = self.fresh_block(addr);
-                        self.gens[gi].open = Some(block);
-                        if let Some(timeout) = self.cfg.group_commit_timeout {
-                            fx.timers.push((
-                                now + timeout,
-                                crate::types::LmTimer::GroupCommitTimeout {
-                                    gen: gi,
-                                    block_seq: addr.seq,
-                                },
-                            ));
-                        }
+                        self.install_open(now, gi, addr, fx);
                     }
                     Some(b) if b.free_bytes(payload_cap) < size => {
                         self.seal_open(now, gi, fx);
@@ -331,28 +318,14 @@ impl ElManager {
             if !self.arena.is_live(cell) {
                 continue; // killed while we made space for it
             }
-            let addr = self.gens[gi].open.as_ref().expect("open after loop").addr;
-            {
-                let c = self.arena.get_mut(cell);
-                c.gen = gi as u8;
-                c.block = addr.seq;
-            }
-            let mut h = self.gens[gi].h;
-            self.arena.push_tail(&mut h, cell);
-            self.gens[gi].h = h;
-            let record = self.arena.get(cell).record;
-            self.gens[gi]
-                .open
-                .as_mut()
-                .expect("open")
-                .push(record, payload_cap);
+            let (dest_block, record) = self.link_into_open(gi, cell);
             self.stats.recirculated_records += 1;
             self.stats.recirculated_bytes += u64::from(record.size());
             self.holds.push(Hold {
                 src_gen: gi,
                 src_seq,
                 dest_gen: gi,
-                dest_block: addr.seq,
+                dest_block,
             });
         }
     }

@@ -18,6 +18,7 @@ use crate::manager::{ElManager, Inflight};
 use crate::types::{Effects, LmTimer};
 use elog_model::LogRecord;
 use elog_sim::SimTime;
+use elog_storage::BlockAddr;
 
 impl ElManager {
     /// Appends `cells`' records to generation `gi`'s tail, linking each
@@ -74,20 +75,7 @@ impl ElManager {
                 // Killed by gap maintenance while we were opening a buffer.
                 continue;
             }
-            let addr = self.gens[gi]
-                .open
-                .as_ref()
-                .expect("open buffer present after loop")
-                .addr;
-            {
-                let c = self.arena.get_mut(cell);
-                c.gen = gi as u8;
-                c.block = addr.seq;
-            }
-            let mut h = self.gens[gi].h;
-            self.arena.push_tail(&mut h, cell);
-            self.gens[gi].h = h;
-            let record = self.arena.get(cell).record;
+            let (seq, record) = self.link_into_open(gi, cell);
             if gi + 1 == self.gens.len() && self.cert.is_some() {
                 let (tid, data, committed) = match record {
                     LogRecord::Data(d) => (d.tid, true, self.lot.is_committed_cell(d.oid, cell)),
@@ -97,14 +85,9 @@ impl ElManager {
                     }
                 };
                 if let Some(cert) = self.cert.as_mut() {
-                    cert.on_append(cell, addr.seq, tid, data, committed);
+                    cert.on_append(cell, seq, tid, data, committed);
                 }
             }
-            self.gens[gi]
-                .open
-                .as_mut()
-                .expect("open buffer present")
-                .push(record, self.cfg.log.block_payload);
             appended += 1;
         }
         if immediate && self.gens[gi].open.as_ref().is_some_and(|b| !b.is_empty()) {
@@ -135,6 +118,23 @@ impl ElManager {
                     .expect("generation wedged: cannot allocate after kill")
             }
         };
+        self.install_open(now, gi, addr, fx);
+        // Maintain the full k-block gap now that the buffer exists (the
+        // recirculation path may append into it while we do).
+        let k = u64::from(self.cfg.log.gap_blocks);
+        self.ensure_gap(now, gi, k, fx);
+    }
+
+    /// Makes the block just allocated at `addr` generation `gi`'s open
+    /// buffer and arms its group-commit timer. Reusing a slot a hold still
+    /// pins counts as a durability violation.
+    pub(crate) fn install_open(
+        &mut self,
+        now: SimTime,
+        gi: usize,
+        addr: BlockAddr,
+        fx: &mut Effects,
+    ) {
         if self.alloc_violates_hold(gi, addr.seq) {
             self.stats.durability_violations += 1;
         }
@@ -154,10 +154,22 @@ impl ElManager {
                 },
             ));
         }
-        // Maintain the full k-block gap now that the buffer exists (the
-        // recirculation path may append into it while we do).
-        let k = u64::from(self.cfg.log.gap_blocks);
-        self.ensure_gap(now, gi, k, fx);
+    }
+
+    /// Links live `cell` at the tail of generation `gi`'s list, stamped
+    /// with the open buffer's block, and adds its record to that buffer.
+    /// Returns the block's sequence number and the record.
+    pub(crate) fn link_into_open(&mut self, gi: usize, cell: CellIdx) -> (u64, LogRecord) {
+        let gen = &mut self.gens[gi];
+        let open = gen.open.as_mut().expect("open buffer present");
+        let seq = open.addr.seq;
+        let c = self.arena.get_mut(cell);
+        c.gen = gi as u8;
+        c.block = seq;
+        let record = c.record;
+        self.arena.push_tail(&mut gen.h, cell);
+        open.push(record, self.cfg.log.block_payload);
+        (seq, record)
     }
 
     /// Seals the open buffer of `gi` and starts its device write.

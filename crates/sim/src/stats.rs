@@ -258,22 +258,7 @@ impl Histogram {
     ///
     /// Returns `None` when empty. The overflow bucket reports the true max.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    self.max
-                });
-            }
-        }
-        Some(self.max)
+        self.walk(|i| self.counts[i], q)
     }
 
     /// Raw bucket counts (last entry is the overflow bucket) — a snapshot
@@ -311,14 +296,22 @@ impl Histogram {
             );
             c - b
         };
-        let total: u64 = (0..self.counts.len()).map(delta).sum();
+        self.walk(delta, q)
+    }
+
+    /// The quantile walk over per-bucket counts `count(i)`: the first
+    /// bucket whose running count reaches `q` of the total, reported by
+    /// its upper bound (the overflow bucket by the max); `None` when the
+    /// counts are all zero.
+    fn walk(&self, count: impl Fn(usize) -> u64, q: f64) -> Option<f64> {
+        let total: u64 = (0..self.counts.len()).map(&count).sum();
         if total == 0 {
             return None;
         }
         let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
         for i in 0..self.counts.len() {
-            seen += delta(i);
+            seen += count(i);
             if seen >= target {
                 return Some(if i < self.bounds.len() {
                     self.bounds[i]
