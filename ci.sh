@@ -262,18 +262,18 @@ esac
 echo "== hostile CLI =="
 # Bad input is a typed error from harness::cli, never a backtrace. Each
 # exit-2 value below would trip a constructor's panic further in (or,
-# unchecked, run the wrong thing: an unknown --mode as EL, tenant 65536
-# aliased onto tenant 0), so each must exit 2 with one stderr line naming
-# the flag. The `repro --csv` row names a directory: an unwritable one
-# must fail here, before the basket runs, not after it. The 4294967295
-# rows would, unchecked, size the ring's allocation (--gens, --fw-blocks:
-# 240 GB, abort) or trip FlushArray's assert (--drives). The exit-1 rows
+# unchecked, run the wrong thing: tenant 65536 aliased onto tenant 0), so
+# each must exit 2 with one stderr line naming the flag. The `repro --csv`
+# row names a directory: an unwritable one must fail here, before the
+# basket runs, not after it. The 4294967295 rows would, unchecked, size
+# the ring's allocation (--gens, two generations or the one-generation FW
+# log: up to 240 GB, abort) or trip FlushArray's assert (--drives). The exit-1 rows
 # are well-formed searches that still kill at the doubling stop (1 024
 # blocks a generation): one stderr line naming that search limit instead
 # of an abort (or the stop geometry printed as a minimum).
-# The --probe-cache, `elsim --jobs`, `repro --adaptive` and --no-analytic
-# (now --no-cert) rows are deleted flags: they must be rejected by name, not silently
-# accepted. The 1e12 / 1e300 rows
+# The --probe-cache, `elsim --jobs`, `repro --adaptive`, --no-analytic
+# (now --no-cert), --mode and --fw-blocks (the FW log is `--gens N`) rows
+# are deleted flags: they must be rejected by name, not silently accepted. The 1e12 / 1e300 rows
 # ask for arrivals finer than the 1 µs clock, which unchecked never
 # advance it; `--only nosuch` must fail before repro prints its header.
 # The crash_recovery rows are the example's one argument: unchecked, `abc`
@@ -305,6 +305,7 @@ done <<'HOSTILE'
 2 --gens elsim --gens 18,0
 2 --gens elsim --tenants 3 --gens 0
 2 --gens elsim --gens 4294967295,4294967295 --runtime 1
+2 --gens elsim --gens 4294967295 --runtime 1
 2 --fw-blocks elsim --fw-blocks 4294967295 --runtime 1
 2 --drives elsim --drives 4294967295 --runtime 1
 2 --drives elsim --tenants 2 --drives 4294967295 --runtime 1
@@ -336,7 +337,7 @@ done <<'HOSTILE'
 2 runtime_secs examples/tune_generations 18 0
 2 runtime_secs examples/scarce_flush abc
 2 runtime_secs examples/scarce_flush 0
-1 --min-space elsim --fw-blocks 100 --tps 20000 --runtime 5 --min-space
+1 --min-space elsim --gens 100 --tps 20000 --runtime 5 --min-space
 1 --min-space elsim --gens 18,16 --tps 6000 --runtime 5 --min-space
 HOSTILE
 # A reader that closes the pipe early is not an error either: repro must

@@ -22,7 +22,7 @@ use crate::ltt::TxState;
 use crate::manager::ElManager;
 use crate::types::Effects;
 use elog_model::config::UnflushedAtHead;
-use elog_model::{LogRecord, Tid};
+use elog_model::{LogRecord, Tid, BLOCK_PAYLOAD_BYTES};
 use elog_sim::SimTime;
 
 /// A durability hold: blocks of `src_gen` from `src_seq` on may not be
@@ -99,7 +99,7 @@ impl ElManager {
         // overshoot would spill into a second, mostly-empty immediate
         // write, doubling the next generation's block consumption.
         if !gathered.is_empty() && !is_last {
-            let payload = u64::from(self.cfg.log.block_payload);
+            let payload = u64::from(BLOCK_PAYLOAD_BYTES);
             while self.cfg.log.gather_to_fill && gathered_bytes < payload {
                 let head = self.gens[gi].ring.head();
                 if head >= self.gens[gi].ring.tail() {
@@ -288,7 +288,6 @@ impl ElManager {
         src_seq: u64,
         fx: &mut Effects,
     ) {
-        let payload_cap = self.cfg.log.block_payload;
         for cell in cells.drain(..) {
             if !self.arena.is_live(cell) {
                 continue; // died in transit (space-pressure kill)
@@ -309,7 +308,7 @@ impl ElManager {
                         };
                         self.install_open(now, gi, addr, fx);
                     }
-                    Some(b) if b.free_bytes(payload_cap) < size => {
+                    Some(b) if b.free_bytes() < size => {
                         self.seal_open(now, gi, fx);
                     }
                     Some(_) => break,

@@ -16,7 +16,7 @@ use crate::cell::CellIdx;
 use crate::ltt::TxState;
 use crate::manager::{ElManager, Inflight};
 use crate::types::{Effects, LmTimer};
-use elog_model::LogRecord;
+use elog_model::{LogRecord, BLOCK_PAYLOAD_BYTES};
 use elog_sim::SimTime;
 use elog_storage::BlockAddr;
 
@@ -46,7 +46,7 @@ impl ElManager {
                 continue;
             }
             let size = self.arena.get(cell).record.size();
-            debug_assert!(size <= self.cfg.log.block_payload);
+            debug_assert!(size <= BLOCK_PAYLOAD_BYTES);
             let mut attempts = 0u32;
             loop {
                 match &self.gens[gi].open {
@@ -65,7 +65,7 @@ impl ElManager {
                         }
                         self.open_buffer(now, gi, fx);
                     }
-                    Some(b) if b.free_bytes(self.cfg.log.block_payload) < size => {
+                    Some(b) if b.free_bytes() < size => {
                         self.seal_open(now, gi, fx);
                     }
                     Some(_) => break,
@@ -168,7 +168,7 @@ impl ElManager {
         c.block = seq;
         let record = c.record;
         self.arena.push_tail(&mut gen.h, cell);
-        open.push(record, self.cfg.log.block_payload);
+        open.push(record);
         (seq, record)
     }
 

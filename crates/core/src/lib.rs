@@ -66,6 +66,5 @@ pub use metrics::LmMetrics;
 pub use tenant::{TenantCounters, TenantLedger};
 pub use traits::LogManager;
 pub use types::{
-    Effects, ElConfig, LmStats, LmTimer, MemoryModel, EL_BYTES_PER_OBJECT, EL_BYTES_PER_TXN,
-    FW_BYTES_PER_TXN,
+    Effects, ElConfig, LmStats, LmTimer, EL_BYTES_PER_OBJECT, EL_BYTES_PER_TXN, FW_BYTES_PER_TXN,
 };

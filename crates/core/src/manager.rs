@@ -4,8 +4,9 @@
 //! FW *is* the degenerate EL geometry: a single generation with no
 //! recirculation, where a record reaching the head while its transaction is
 //! still active forces a System-R-style kill. The differences are captured
-//! entirely by [`ElConfig`]: the generation list, the recirculation flag and
-//! the memory-pricing model.
+//! entirely by [`ElConfig`]'s geometry: the generation list and the
+//! recirculation flag. Even the memory pricing is read off it
+//! ([`LogConfig::is_firewall`](elog_model::LogConfig::is_firewall)).
 //!
 //! The manager is a passive state machine under a virtual clock: every
 //! public method takes `now` and returns [`Effects`] — timers the host must
@@ -22,13 +23,13 @@ use crate::lot::Lot;
 use crate::ltt::{Ltt, TxState};
 use crate::metrics::LmMetrics;
 use crate::types::{
-    Effects, ElConfig, LmStats, LmTimer, MemoryModel, EL_BYTES_PER_OBJECT, EL_BYTES_PER_TXN,
-    FW_BYTES_PER_TXN,
+    Effects, ElConfig, LmStats, LmTimer, EL_BYTES_PER_OBJECT, EL_BYTES_PER_TXN, FW_BYTES_PER_TXN,
 };
 use elog_dbdisk::{FlushArray, Submitted};
 use elog_model::config::ConfigError;
 use elog_model::{
     DataRecord, InstallLog, LogRecord, ObjectVersion, Oid, StableDb, Tid, TxMark, TxRecord,
+    BLOCK_PAYLOAD_BYTES, TX_RECORD_SIZE,
 };
 use elog_sim::FxHashMap;
 use elog_sim::{Histogram, MaxGauge, SimTime};
@@ -122,7 +123,7 @@ impl ElManager {
                 inflight_buffers: 0,
             })
             .collect::<Vec<_>>();
-        let device = LogDevice::new(cfg.log.disk_write_latency, gens.len());
+        let device = LogDevice::new(gens.len());
         let flush = FlushArray::new(&cfg.flush, cfg.db.num_objects);
         Ok(ElManager {
             cfg,
@@ -216,7 +217,7 @@ impl ElManager {
             tid,
             mark: TxMark::Begin,
             ts: now,
-            size: self.cfg.db.tx_record_size,
+            size: TX_RECORD_SIZE,
         });
         let cell = self.arena.alloc(record, home_gen as u8, 0);
         self.ltt.begin(tid, cell);
@@ -263,9 +264,8 @@ impl ElManager {
     pub fn write_data(&mut self, now: SimTime, tid: Tid, oid: Oid, seq: u32, size: u32) -> Effects {
         let mut fx = self.fresh_fx();
         assert!(
-            size > 0 && size <= self.cfg.log.block_payload,
-            "record size {size} outside (0, {}]",
-            self.cfg.log.block_payload
+            size > 0 && size <= BLOCK_PAYLOAD_BYTES,
+            "record size {size} outside (0, {BLOCK_PAYLOAD_BYTES}]"
         );
         let home_gen = match self.ltt.get(tid) {
             Some(e) if e.state == TxState::Active => e.home_gen as usize,
@@ -317,7 +317,7 @@ impl ElManager {
             tid,
             mark: TxMark::Commit,
             ts: now,
-            size: self.cfg.db.tx_record_size,
+            size: TX_RECORD_SIZE,
         });
         self.append_cells(now, home_gen, &[cell], false, &mut fx);
         // Making space for the COMMIT record can kill transactions — and
@@ -567,12 +567,10 @@ impl ElManager {
 
     /// Recomputes the memory gauge after a table-size change.
     pub(crate) fn update_memory(&mut self) {
-        let bytes = match self.cfg.memory_model {
-            MemoryModel::Firewall => FW_BYTES_PER_TXN * self.ltt.len() as u64,
-            MemoryModel::Ephemeral => {
-                EL_BYTES_PER_TXN * self.ltt.len() as u64
-                    + EL_BYTES_PER_OBJECT * self.lot.len() as u64
-            }
+        let bytes = if self.cfg.log.is_firewall() {
+            FW_BYTES_PER_TXN * self.ltt.len() as u64
+        } else {
+            EL_BYTES_PER_TXN * self.ltt.len() as u64 + EL_BYTES_PER_OBJECT * self.lot.len() as u64
         };
         self.mem.set(bytes);
     }

@@ -56,9 +56,7 @@ impl LmMetrics {
         let per_gen_writes: Vec<u64> = (0..n).map(|g| lm.device.stats(g).writes.get()).collect();
         let per_gen_write_rate: Vec<f64> =
             (0..n).map(|g| lm.device.write_rate(g, elapsed)).collect();
-        let per_gen_fill: Vec<Option<f64>> = (0..n)
-            .map(|g| lm.device.mean_fill(g, lm.cfg.log.block_payload))
-            .collect();
+        let per_gen_fill: Vec<Option<f64>> = (0..n).map(|g| lm.device.mean_fill(g)).collect();
         LmMetrics {
             elapsed,
             total_blocks: per_gen_blocks.iter().sum(),

@@ -66,22 +66,15 @@ impl Effects {
     }
 }
 
-/// How main-memory consumption is priced (§4 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MemoryModel {
-    /// "We estimate that the FW method requires 22 bytes for each
-    /// transaction … in the system."
-    Firewall,
-    /// "The EL method requires 40 bytes for each transaction and 40 bytes
-    /// for each updated (but unflushed) object."
-    Ephemeral,
-}
-
-/// Paper constant: FW bytes per transaction in the system.
+/// Paper constant (§4): "We estimate that the FW method requires 22 bytes
+/// for each transaction … in the system." Charged when the geometry is the
+/// firewall's ([`LogConfig::is_firewall`]).
 pub const FW_BYTES_PER_TXN: u64 = 22;
-/// Paper constant: EL bytes per LTT entry.
+/// Paper constant (§4): "The EL method requires 40 bytes for each
+/// transaction and 40 bytes for each updated (but unflushed) object" —
+/// per LTT entry.
 pub const EL_BYTES_PER_TXN: u64 = 40;
-/// Paper constant: EL bytes per LOT entry.
+/// Paper constant: EL bytes per LOT entry (see [`EL_BYTES_PER_TXN`]).
 pub const EL_BYTES_PER_OBJECT: u64 = 40;
 
 /// Full log-manager configuration.
@@ -89,12 +82,10 @@ pub const EL_BYTES_PER_OBJECT: u64 = 40;
 pub struct ElConfig {
     /// Database constants.
     pub db: DbConfig,
-    /// Log geometry and device timing.
+    /// Log geometry.
     pub log: LogConfig,
     /// Flush-array geometry and timing.
     pub flush: FlushConfig,
-    /// Memory-accounting model.
-    pub memory_model: MemoryModel,
     /// Optional upper bound on how long a non-empty buffer may stay open
     /// before being force-written. The paper's group commit has no timeout
     /// (arrival rates keep buffers filling); recovery-focused deployments
@@ -109,21 +100,14 @@ impl ElConfig {
             db: DbConfig::default(),
             log,
             flush,
-            memory_model: MemoryModel::Ephemeral,
             group_commit_timeout: None,
         }
     }
 
-    /// The FW baseline: a single generation of `blocks`, no recirculation,
-    /// firewall memory pricing.
+    /// The FW baseline: a single generation of `blocks`, no recirculation
+    /// ([`LogConfig::firewall`]), which the manager prices as FW.
     pub fn firewall(blocks: u32, flush: FlushConfig) -> Self {
-        ElConfig {
-            db: DbConfig::default(),
-            log: LogConfig::firewall(blocks),
-            flush,
-            memory_model: MemoryModel::Firewall,
-            group_commit_timeout: None,
-        }
+        Self::ephemeral(LogConfig::firewall(blocks), flush)
     }
 
     /// Validates all sub-configurations.

@@ -2,7 +2,7 @@
 //! `SimpleHost`.
 #![allow(clippy::explicit_counter_loop)] // tids advance with bursts by design
 
-use elog_core::{ElConfig, ElManager, MemoryModel, SimpleHost};
+use elog_core::{ElConfig, ElManager, SimpleHost};
 use elog_model::config::UnflushedAtHead;
 use elog_model::{FlushConfig, LogConfig, Oid, Tid};
 use elog_sim::SimTime;
@@ -369,24 +369,38 @@ fn a_cloned_manager_and_its_original_diverge_independently() {
 }
 
 #[test]
-fn memory_models_price_differently() {
+fn geometry_prices_memory() {
     let flush = FlushConfig::default();
     let log = LogConfig {
         generation_blocks: vec![8, 8],
         ..LogConfig::default()
     };
 
+    // The pricing is read off the geometry: one generation without
+    // recirculation is FW however it is built; recirculation makes it EL.
+    let one_gen = LogConfig {
+        generation_blocks: vec![16],
+        ..LogConfig::default()
+    };
+    let recirculating = LogConfig {
+        recirculation: true,
+        ..one_gen.clone()
+    };
     let mut el = SimpleHost::new(ElManager::ephemeral(log, flush.clone()));
-    let mut fw = SimpleHost::new(ElManager::firewall(16, flush));
-    for h in [&mut el, &mut fw] {
+    let mut fw = SimpleHost::new(ElManager::firewall(16, flush.clone()));
+    let mut fw_built = SimpleHost::new(ElManager::ephemeral(one_gen, flush.clone()));
+    let mut el_one_gen = SimpleHost::new(ElManager::ephemeral(recirculating, flush));
+    for h in [&mut el, &mut fw, &mut fw_built, &mut el_one_gen] {
         h.begin(t(0), Tid(1));
         h.write(t(1), Tid(1), Oid(42), 1, 100);
         h.write(t(2), Tid(1), Oid(43), 2, 100);
     }
     // EL: 40 per txn + 40 per object = 40 + 80 = 120.
     assert_eq!(el.lm.peak_memory_bytes(), 120);
+    assert_eq!(el_one_gen.lm.peak_memory_bytes(), 120);
     // FW: 22 per txn = 22.
     assert_eq!(fw.lm.peak_memory_bytes(), 22);
+    assert_eq!(fw_built.lm.peak_memory_bytes(), 22);
 }
 
 #[test]
@@ -507,18 +521,6 @@ fn commit_of_update_free_transaction() {
     assert_eq!(h.acks, vec![Tid(1)]);
     assert_eq!(h.lm.ltt_len(), 0, "entry disposed immediately after ack");
     h.lm.check_invariants();
-}
-
-#[test]
-fn memory_model_flag_is_respected() {
-    let log = LogConfig {
-        generation_blocks: vec![8],
-        ..LogConfig::default()
-    };
-    let mut cfg = ElConfig::ephemeral(log, FlushConfig::default());
-    cfg.memory_model = MemoryModel::Firewall;
-    let lm = ElManager::new(cfg).unwrap();
-    assert_eq!(lm.config().memory_model, MemoryModel::Firewall);
 }
 
 #[test]

@@ -4,12 +4,11 @@
 //! ([`elog_harness::cli::ELSIM_USAGE`]). Without `--min-space` it runs the
 //! configuration and prints the run report; with it, it searches the
 //! minimum geometry instead, over every geometry with as many generations
-//! as `--gens` gives (1 generation, or `--mode fw`: the firewall log). More
-//! than one `--tenants`, or a `--budget`, serves
-//! the tenants from the one shared log and prints the per-tenant report,
-//! with a `[serve]` summary on stderr.
+//! as `--gens` gives (1 generation without `--recirc`: the firewall log,
+//! so `--gens 123` runs and prices FW). More than one `--tenants`, or a
+//! `--budget`, serves the tenants from the one shared log and prints the
+//! per-tenant report, with a `[serve]` summary on stderr.
 
-use elog_core::MemoryModel;
 use elog_harness::latsearch::SearchRequest;
 use elog_harness::runner::run;
 use elog_harness::serve::{serve_run, ServeConfig};
@@ -21,8 +20,7 @@ fn main() {
     let gens = &cfg.el.log.generation_blocks;
 
     if a.min_space {
-        let firewall = cfg.el.memory_model == MemoryModel::Firewall || gens.len() == 1;
-        let req = SearchRequest::min_space(cfg, if firewall { 1 } else { gens.len() });
+        let req = SearchRequest::min_space(cfg, gens.len());
         let out = req.certificates(a.certificates).run();
         if let Some(limit) = out.limit {
             eprintln!(
@@ -32,7 +30,7 @@ fn main() {
             std::process::exit(1);
         }
         let r = out.min;
-        cli::print(&if firewall {
+        cli::print(&if cfg.el.log.is_firewall() {
             format!(
                 "minimum FW log: {} blocks ({} probes)\n",
                 r.total_blocks, r.probes

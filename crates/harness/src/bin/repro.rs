@@ -21,12 +21,12 @@
 //!
 //! Every experiment is a [`elog_harness::sweep::Experiment`]; this binary
 //! just flattens the registry's scenarios through one executor pool and
-//! prints each experiment's tables in registry order.
+//! prints [`elog_harness::report::render_repro`] of the reports.
 
 use elog_harness::cli;
 use elog_harness::experiments::registry_with;
 use elog_harness::latsearch::MAX_AXES;
-use elog_harness::report::Table;
+use elog_harness::report::render_repro;
 use elog_harness::sweep::{run_experiments, ExecOptions};
 use elog_sim::perfstats::{allocations, CountingAlloc};
 use elog_sim::PerfStats;
@@ -94,26 +94,9 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn emit(opts: &Options, slug: &str, table: &Table) {
-    cli::print(&format!("{}\n", table.render()));
-    if let Some(dir) = &opts.csv_dir {
-        let path = dir.join(format!("{slug}.csv"));
-        if let Err(e) = std::fs::write(&path, table.to_csv()) {
-            eprintln!("--csv {}: cannot write: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-}
-
 fn main() {
     let opts = cli::parse_env(USAGE, parse_args);
     let t0 = std::time::Instant::now();
-    cli::print(&format!(
-        "# Ephemeral Logging (SIGMOD '93) — full reproduction{}\n\n",
-        if opts.quick { " [quick mode]" } else { "" }
-    ));
-
     let mut experiments = registry_with(opts.gens);
     if let Some(only) = &opts.only {
         experiments.retain(|e| e.name().to_lowercase().contains(only));
@@ -129,13 +112,17 @@ fn main() {
     let mut total = PerfStats::default();
     for report in &reports {
         total.merge(&report.perf);
+        let Some(dir) = &opts.csv_dir else { continue };
         for (slug, table) in &report.tables {
-            emit(&opts, slug, table);
-        }
-        if !report.notes.is_empty() {
-            cli::print(&format!("{}\n\n", report.notes.join("\n")));
+            let path = dir.join(format!("{slug}.csv"));
+            if let Err(e) = std::fs::write(&path, table.to_csv()) {
+                eprintln!("--csv {}: cannot write: {e}", path.display());
+                std::process::exit(2);
+            }
+            eprintln!("wrote {}", path.display());
         }
     }
+    cli::print(&render_repro(&reports, opts.quick));
 
     // The basket's host-side totals (EXPERIMENTS.md's quick-basket rows).
     // A verdict is answered by a certificate (counted in `sim_probes`) or

@@ -16,7 +16,7 @@
 use crate::latsearch::MAX_AXES;
 use crate::runner::{RunConfig, TenantLayout};
 use crate::serve::{parse_oid_ranges, validate_layout, validate_tenants};
-use elog_core::{ElConfig, MemoryModel};
+use elog_core::ElConfig;
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
 use elog_workload::{ArrivalProcess, PhaseSchedule, MAX_RATE_TPS};
@@ -24,9 +24,8 @@ use std::str::FromStr;
 
 /// `elsim --help`.
 pub const ELSIM_USAGE: &str = "elsim [options]
-  --mode el|fw            technique (default el)
-  --fw-blocks N           FW log size (default 123; implies --mode fw)
-  --gens G0,G1[,G2...]    generation sizes in blocks (default 18,16)
+  --gens G0,G1[,G2...]    generation sizes in blocks (default 18,16); one
+                          size without --recirc is the FW log, e.g. 123
   --recirc                enable recirculation in the last generation
   --frac-long P           fraction of 10 s transactions (default 0.05)
   --tps R                 arrivals per second, per tenant (default 100; at
@@ -57,7 +56,7 @@ pub const ELSIM_USAGE: &str = "elsim [options]
   --min-space             search the minimum geometry instead of running,
                           over every geometry with as many generations as
                           --gens gives (their sizes are not read; 1 gen
-                          or --mode fw: the firewall log)
+                          without --recirc: the firewall log)
   --no-cert               disable the consumption certificates: simulate
                           every probe in full (the output must not
                           change)
@@ -156,13 +155,8 @@ const MAX_GENERATION_BLOCKS: u32 = 1 << 20;
 /// The flags that shape the run, at their defaults (the paper's base
 /// configuration).
 struct RunFlags {
-    /// `--mode fw` / `--fw-blocks`: firewall memory pricing.
-    firewall: bool,
     adaptive: bool,
     gens: Vec<u32>,
-    /// The flag `gens` came from, for error messages: `--gens` or
-    /// `--fw-blocks`.
-    gens_flag: &'static str,
     recirc: bool,
     frac_long: f64,
     tps: f64,
@@ -177,10 +171,8 @@ struct RunFlags {
 impl Default for RunFlags {
     fn default() -> Self {
         RunFlags {
-            firewall: false,
             adaptive: false,
             gens: vec![18, 16],
-            gens_flag: "--gens",
             recirc: false,
             frac_long: 0.05,
             tps: 100.0,
@@ -226,7 +218,6 @@ impl RunFlags {
                 ));
             }
         }
-        let gens_flag = self.gens_flag;
         let log = LogConfig {
             generation_blocks: self.gens,
             recirculation: self.recirc,
@@ -234,10 +225,10 @@ impl RunFlags {
         };
         let gens = &log.generation_blocks;
         log.validate()
-            .map_err(|e| format!("{gens_flag} {gens:?}: {e}"))?;
+            .map_err(|e| format!("--gens {gens:?}: {e}"))?;
         if let Some(big) = gens.iter().find(|&&b| b > MAX_GENERATION_BLOCKS) {
             return Err(format!(
-                "{gens_flag} {gens:?}: a generation of {big} blocks exceeds the \
+                "--gens {gens:?}: a generation of {big} blocks exceeds the \
                  {MAX_GENERATION_BLOCKS}-block ceiling"
             ));
         }
@@ -248,15 +239,12 @@ impl RunFlags {
         flush
             .validate()
             .map_err(|e| format!("--drives {} --flush-ms {}: {e}", self.drives, self.flush_ms))?;
-        let mut el = ElConfig::ephemeral(log, flush);
+        let el = ElConfig::ephemeral(log, flush);
         if u64::from(self.drives) > el.db.num_objects {
             return Err(format!(
                 "--drives {}: at most one drive per object ({} objects)",
                 self.drives, el.db.num_objects
             ));
-        }
-        if self.firewall {
-            el.memory_model = MemoryModel::Firewall;
         }
         Ok(RunConfig::paper(self.frac_long, el)
             .with_arrivals(arrivals)
@@ -294,21 +282,8 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
     while let Some(arg) = args.next() {
         let flag = arg.as_str();
         match flag {
-            "--mode" => {
-                run.firewall = match value::<String>(flag, args)?.as_str() {
-                    "el" => false,
-                    "fw" => true,
-                    other => return Err(format!("--mode {other}: expected `el` or `fw`")),
-                }
-            }
-            "--fw-blocks" => {
-                run.firewall = true;
-                run.gens_flag = "--fw-blocks";
-                run.gens = vec![value(flag, args)?];
-            }
             "--gens" => {
                 let list: String = value(flag, args)?;
-                run.gens_flag = "--gens";
                 run.gens = list
                     .split(',')
                     .map(|s| s.trim().parse())
@@ -418,9 +393,7 @@ mod tests {
         let lines = [
             "",
             RUN,
-            "--mode el",
-            "--mode fw --gens 123",
-            "--fw-blocks 123",
+            "--gens 123",
             "--adaptive",
             "--min-space --no-cert",
             "--tenants 4 --budget 64",
@@ -445,9 +418,11 @@ mod tests {
         assert!(e.run.phases.is_some());
         assert_eq!((e.run.tenants, e.budget), (None, 0));
 
-        let fw = elsim(args("--fw-blocks 123")).unwrap().run.el;
+        let fw = elsim(args("--gens 123")).unwrap().run.el;
         assert_eq!(fw.log.generation_blocks, vec![123]);
-        assert_eq!(fw.memory_model, MemoryModel::Firewall);
+        assert!(fw.log.is_firewall());
+        let recirculating = elsim(args("--gens 123 --recirc")).unwrap().run.el;
+        assert!(!recirculating.log.is_firewall());
 
         let s = elsim(args("--tenants 4 --budget 64")).unwrap();
         let even = TenantLayout::even(s.run.el.db.num_objects, 4);
@@ -486,7 +461,7 @@ mod tests {
             // drive count `FlushArray::new` asserts against.
             ("--gens 4294967295,4294967295 --runtime 1", "--gens"),
             ("--gens 18,1048577", "--gens"),
-            ("--fw-blocks 4294967295 --runtime 1", "--fw-blocks"),
+            ("--gens 4294967295 --runtime 1", "--gens"),
             ("--drives 4294967295 --runtime 1", "--drives"),
             ("--tps 0", "--tps"),
             ("--tps nan", "--tps"),
@@ -498,13 +473,14 @@ mod tests {
             ("--tps 1500000", "--tps"),
             ("--phases 0:0.1@1e300 --runtime 5", "--phases"),
             ("--tps 600000 --phases 0:0.1,5:0.1@2", "--phases"),
-            ("--mode bogus", "--mode"),
             ("--frac-long 2", "--frac-long"),
             ("--drives 0", "--drives"),
             ("--flush-ms 0", "--flush-ms"),
             ("--shards 2", "--shards"),
             ("--probe-jobs 4", "--probe-jobs"),
             ("--min-space --jobs 2", "--jobs"),
+            ("--mode fw", "--mode"),
+            ("--fw-blocks 1", "--fw-blocks"),
             ("--phases 5:0.1", "--phases"),
             // A served run neither searches nor adapts.
             ("--tenants 2 --min-space", "--tenants"),

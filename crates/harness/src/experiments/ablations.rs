@@ -10,8 +10,8 @@
 //! * **buffer pool size** — the 4-buffers-per-generation choice;
 //! * **arrival process** — the paper's deterministic arrivals against the
 //!   Poisson extension;
-//! * **generation count** — 1 (≡ FW geometry under EL pricing), 2
-//!   (paper), and 3;
+//! * **generation count** — 1 (one recirculating generation: not the FW
+//!   log, so priced as EL), 2 (paper), and 3;
 //! * **unflushed-at-head policy** (§2.2) — forward (paper) vs force-flush.
 
 use crate::report::{f, Table};

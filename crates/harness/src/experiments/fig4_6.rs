@@ -12,7 +12,7 @@ use crate::minspace::MinSpaceResult;
 use crate::report::{f, Table};
 use crate::runner::{RunConfig, RunResult};
 use crate::sweep::{failure_notes, Experiment, Job, RunOutcome, Scenario};
-use elog_core::{ElConfig, MemoryModel};
+use elog_core::ElConfig;
 use elog_model::{FlushConfig, LogConfig};
 
 /// Sweep parameters.
@@ -74,13 +74,14 @@ impl MixPoint {
     }
 }
 
-fn base_cfg(frac_long: f64, runtime_secs: u64, memory: MemoryModel) -> RunConfig {
+/// The base both searches start from; the FW search's one-generation
+/// geometries are the firewall log, priced as FW.
+fn base_cfg(frac_long: f64, runtime_secs: u64) -> RunConfig {
     let log = LogConfig {
         recirculation: false,
         ..LogConfig::default()
     };
-    let mut el = ElConfig::ephemeral(log, FlushConfig::default());
-    el.memory_model = memory;
+    let el = ElConfig::ephemeral(log, FlushConfig::default());
     RunConfig::paper(frac_long, el).runtime_secs(runtime_secs)
 }
 
@@ -96,7 +97,7 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             frac.to_string(),
             i as u64,
             Job::MinSpace {
-                base: base_cfg(frac, cfg.runtime_secs, MemoryModel::Firewall),
+                base: base_cfg(frac, cfg.runtime_secs),
                 mode: SearchMode::MinSpace { gens: 1 },
             },
         ));
@@ -105,7 +106,7 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             frac.to_string(),
             i as u64,
             Job::MinSpace {
-                base: base_cfg(frac, cfg.runtime_secs, MemoryModel::Ephemeral),
+                base: base_cfg(frac, cfg.runtime_secs),
                 mode: SearchMode::MinSpace { gens: 2 },
             },
         ));

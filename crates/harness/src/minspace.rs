@@ -60,12 +60,10 @@ pub fn paper_base(frac_long: f64, recirc: bool, secs: u64) -> RunConfig {
 mod tests {
     use super::*;
     use crate::latsearch::{SearchLimit, SearchRequest};
-    use elog_core::MemoryModel;
 
     #[test]
     fn fw_search_finds_monotone_boundary() {
-        let mut base = paper_base(0.05, false, 20);
-        base.el.memory_model = MemoryModel::Firewall;
+        let base = paper_base(0.05, false, 20);
         let r = SearchRequest::min_space(&base, 1).run().min;
         // The boundary must actually be a boundary.
         assert!(survives(&base, &[r.total_blocks]));

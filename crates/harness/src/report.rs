@@ -1,10 +1,11 @@
-//! Plain-text/markdown/CSV table rendering for experiment output, and
-//! `elsim`'s two run reports.
+//! Plain-text/markdown/CSV table rendering for experiment output,
+//! `repro`'s stdout ([`render_repro`]) and `elsim`'s two run reports.
 //!
 //! Deliberately dependency-free: experiment rows are small and regular, so
 //! sixty lines of formatting beat a serialisation stack.
 
 use crate::serve::{ServeConfig, ServeOutcome};
+use crate::sweep::ExperimentReport;
 use std::fmt::Write as _;
 
 /// A simple column-aligned table.
@@ -81,6 +82,27 @@ impl Table {
         }
         out
     }
+}
+
+/// What `repro` prints to stdout: a header, then per experiment, in the
+/// order given, each table followed by a blank line and the notes as one
+/// block. The tests that compare reports compare this string.
+pub fn render_repro(reports: &[ExperimentReport], quick: bool) -> String {
+    let mut out = format!(
+        "# Ephemeral Logging (SIGMOD '93) — full reproduction{}\n\n",
+        if quick { " [quick mode]" } else { "" }
+    );
+    for report in reports {
+        for (_slug, table) in &report.tables {
+            out.push_str(&table.render());
+            out.push('\n');
+        }
+        if !report.notes.is_empty() {
+            out.push_str(&report.notes.join("\n"));
+            out.push_str("\n\n");
+        }
+    }
+    out
 }
 
 /// Renders `elsim`'s report of a plain run: one tenant, no admission

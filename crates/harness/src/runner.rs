@@ -128,7 +128,7 @@ pub struct RunConfig {
     pub arrivals: ArrivalProcess,
     /// Simulated span during which transactions arrive. Paper: 500 s.
     pub runtime: SimTime,
-    /// Log-manager configuration (geometry, flush array, memory model).
+    /// Log-manager configuration (geometry, flush array).
     pub el: ElConfig,
     /// Random seed (one seed ⇒ one deterministic run).
     pub seed: u64,
@@ -207,12 +207,6 @@ impl RunConfig {
     /// Sets §6 lifetime-hint placement.
     pub fn lifetime_hints(mut self, on: bool) -> Self {
         self.lifetime_hints = on;
-        self
-    }
-
-    /// Replaces the transaction mix.
-    pub fn with_mix(mut self, mix: TxMix) -> Self {
-        self.mix = mix;
         self
     }
 

@@ -183,12 +183,6 @@ impl ServeConfig {
         }
     }
 
-    /// Replaces the oid partition.
-    pub fn with_layout(mut self, layout: TenantLayout) -> Self {
-        self.base.tenants = Some(layout);
-        self
-    }
-
     /// Sets the per-tenant live-record admission budget (0 = unlimited).
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.budget = budget;

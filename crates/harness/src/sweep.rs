@@ -427,6 +427,23 @@ pub struct ExperimentReport {
     pub perf: PerfStats,
 }
 
+impl ExperimentReport {
+    /// Aggregates `e`'s outcomes (in scenario order) into its report.
+    pub fn new(e: &dyn Experiment, outcomes: &[RunOutcome]) -> Self {
+        let mut perf = PerfStats::default();
+        outcomes
+            .iter()
+            .filter_map(|o| o.output.perf())
+            .for_each(|p| perf.merge(p));
+        ExperimentReport {
+            name: e.name(),
+            tables: e.tables(outcomes),
+            notes: e.notes(outcomes),
+            perf,
+        }
+    }
+}
+
 /// Runs every experiment's scenarios through one shared executor pool
 /// (scenarios from different experiments interleave freely — seeding is
 /// per-scenario, so grouping does not affect results) and aggregates
@@ -447,20 +464,7 @@ pub fn run_experiments(
     experiments
         .iter()
         .zip(spans)
-        .map(|(e, span)| {
-            let slice = &outcomes[span];
-            let mut perf = PerfStats::default();
-            slice
-                .iter()
-                .filter_map(|o| o.output.perf())
-                .for_each(|p| perf.merge(p));
-            ExperimentReport {
-                name: e.name(),
-                tables: e.tables(slice),
-                notes: e.notes(slice),
-                perf,
-            }
-        })
+        .map(|(e, span)| ExperimentReport::new(e.as_ref(), &outcomes[span]))
         .collect()
 }
 

@@ -8,7 +8,8 @@
 
 use elog_harness::experiments::registry;
 use elog_harness::minspace::paper_base;
-use elog_harness::sweep::{run_scenarios, ExecOptions};
+use elog_harness::report::render_repro;
+use elog_harness::sweep::{run_experiments, ExecOptions};
 use elog_harness::{MinSpaceResult, SearchRequest};
 
 fn assert_equivalent(on: &MinSpaceResult, off: &MinSpaceResult) {
@@ -90,31 +91,17 @@ fn registry_reports_are_identical_without_the_accelerators() {
             progress: false,
             certificates,
         };
-        let mut out = String::new();
-        let mut probe_events = 0;
-        for e in registry() {
-            let n = e.name();
-            if !(n.contains("scarce") || n.contains("fig_ngen")) {
-                continue;
-            }
-            let outcomes = run_scenarios(&e.scenarios(true), &exec);
-            for (slug, table) in e.tables(&outcomes) {
-                out += &format!("{slug}\n{}\n", table.render());
-            }
-            for note in e.notes(&outcomes) {
-                out += &format!("{note}\n");
-            }
-            probe_events += outcomes
-                .iter()
-                .filter_map(|o| o.output.perf())
-                .map(|p| p.search.probe_events)
-                .sum::<u64>();
-        }
-        (out, probe_events)
+        let experiments: Vec<_> = registry()
+            .into_iter()
+            .filter(|e| e.name().contains("scarce") || e.name().contains("fig_ngen"))
+            .collect();
+        assert_eq!(experiments.len(), 2, "registry lost a target experiment");
+        let reports = run_experiments(&experiments, true, &exec);
+        let probe_events: u64 = reports.iter().map(|r| r.perf.search.probe_events).sum();
+        (render_repro(&reports, true), probe_events)
     };
     let (on, on_events) = render(true);
     let (off, off_events) = render(false);
-    assert!(on.contains("fig_ngen") && on.contains("scarce"), "{on}");
     assert_eq!(on, off, "--no-cert changed a report");
     assert!(
         off_events > on_events,

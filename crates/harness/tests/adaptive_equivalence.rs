@@ -18,15 +18,16 @@
 use elog_core::adaptive::AdaptiveController;
 use elog_core::ElConfig;
 use elog_harness::experiments::registry_with;
+use elog_harness::report::render_repro;
 use elog_harness::runner::{build_model, RunConfig};
-use elog_harness::sweep::{run_scenarios, ExecOptions, Job};
+use elog_harness::sweep::{run_scenarios, ExecOptions, ExperimentReport, Job};
 use elog_model::{CommittedOracle, FlushConfig, LogConfig};
 use elog_sim::cases;
 use elog_workload::PhaseSchedule;
 
-/// Renders the measured-run slice of the quick registry the way `repro`
-/// prints it — every table, then every note, in registry order — with
-/// `adaptive` set on every scenario's run configuration.
+/// Renders the measured-run slice of the quick registry as `repro` prints
+/// it (`render_repro`), with `adaptive` set on every scenario's run
+/// configuration.
 fn render(jobs: usize, adaptive: bool) -> String {
     let experiments: Vec<_> = registry_with(2)
         .into_iter()
@@ -41,7 +42,7 @@ fn render(jobs: usize, adaptive: bool) -> String {
         progress: false,
         ..Default::default()
     };
-    let mut out = String::new();
+    let mut reports = Vec::new();
     for e in &experiments {
         let mut scenarios = e.scenarios(true);
         for s in &mut scenarios {
@@ -53,18 +54,15 @@ fn render(jobs: usize, adaptive: bool) -> String {
             cfg.adaptive = adaptive;
         }
         let outcomes = run_scenarios(&scenarios, &exec);
-        for (slug, table) in e.tables(&outcomes) {
-            out.push_str(&slug);
-            out.push('\n');
-            out.push_str(&table.render());
-            out.push('\n');
-        }
-        for note in e.notes(&outcomes) {
-            out.push_str(&note);
-            out.push('\n');
-        }
+        let report = ExperimentReport::new(e.as_ref(), &outcomes);
+        assert!(
+            report.tables.iter().any(|(_, table)| !table.is_empty()),
+            "{} produced no table",
+            report.name
+        );
+        reports.push(report);
     }
-    out
+    render_repro(&reports, true)
 }
 
 /// A static-workload sweep with the controller on renders the same
@@ -72,7 +70,6 @@ fn render(jobs: usize, adaptive: bool) -> String {
 #[test]
 fn static_reports_are_controller_and_jobs_invariant() {
     let baseline = render(1, false);
-    assert!(!baseline.is_empty(), "experiments produced no report");
     for jobs in [1usize, 2, 4] {
         assert_eq!(
             baseline,

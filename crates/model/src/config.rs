@@ -1,15 +1,30 @@
 //! Simulation configuration.
 //!
-//! §3 of the paper fixes several parameters; this module encodes them as
-//! defaults and validates user overrides. Three groups:
+//! §3 of the paper fixes several parameters. The ones no experiment varies
+//! are constants ([`BLOCK_PAYLOAD_BYTES`], [`LOG_WRITE_LATENCY`],
+//! [`TX_RECORD_SIZE`]); the rest are defaults this module validates
+//! overrides of. Three groups:
 //!
-//! * [`DbConfig`] — database-wide constants (object count, record sizes);
-//! * [`LogConfig`] — log geometry and device timing (blocks per generation,
-//!   buffer count, write latency, gap threshold);
+//! * [`DbConfig`] — database-wide constants (object count);
+//! * [`LogConfig`] — log geometry (blocks per generation, recirculation,
+//!   buffer count, gap threshold, head policy);
 //! * [`FlushConfig`] — the stable-database disk array used for flushing.
 
 use elog_sim::SimTime;
 use std::fmt;
+
+/// Usable payload bytes per log block. Paper: 2000 (2048 minus 48
+/// reserved).
+pub const BLOCK_PAYLOAD_BYTES: u32 = 2000;
+
+/// Time to transfer one buffer to the log device. Paper: τ_DiskWrite =
+/// 15 ms.
+pub const LOG_WRITE_LATENCY: SimTime = SimTime::from_millis(15);
+
+/// Accounting size of BEGIN/COMMIT/ABORT records. Paper: 8 bytes. (The
+/// codec's wire image of a transaction record is larger; this is the
+/// size the log's space accounting charges.)
+pub const TX_RECORD_SIZE: u32 = 8;
 
 /// Database-wide constants.
 #[derive(Clone, Debug, PartialEq)]
@@ -17,15 +32,12 @@ pub struct DbConfig {
     /// Total number of objects; oids are drawn from `[0, num_objects)`.
     /// Paper: NUM_OBJECTS = 10^7.
     pub num_objects: u64,
-    /// Accounting size of BEGIN/COMMIT/ABORT records. Paper: 8 bytes.
-    pub tx_record_size: u32,
 }
 
 impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             num_objects: 10_000_000,
-            tx_record_size: 8,
         }
     }
 }
@@ -46,7 +58,7 @@ pub enum UnflushedAtHead {
     ForceFlush,
 }
 
-/// Log geometry and log-device timing.
+/// Log geometry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LogConfig {
     /// Capacity of each generation, youngest first, in blocks.
@@ -55,16 +67,10 @@ pub struct LogConfig {
     /// Whether records recirculate in the last generation (§2.1). Off in the
     /// Figure 4–6 experiments, on in Figure 7 and the scarce-flush study.
     pub recirculation: bool,
-    /// Usable payload bytes per block. Paper: 2000 (2048 minus 48 reserved).
-    pub block_payload: u32,
-    /// Gross block size, for bandwidth-in-bytes reporting. Paper: 2048.
-    pub block_total: u32,
     /// Minimum free blocks per generation (threshold k). Paper: k = 2.
     pub gap_blocks: u32,
     /// Block buffers per generation. Paper: 4.
     pub buffers_per_generation: u32,
-    /// Time to transfer one buffer to the log device. Paper: 15 ms.
-    pub disk_write_latency: SimTime,
     /// Policy for committed-unflushed records reaching a head.
     pub unflushed_at_head: UnflushedAtHead,
     /// Backward gathering (§2.2): when forwarding, consume additional
@@ -80,11 +86,8 @@ impl Default for LogConfig {
         LogConfig {
             generation_blocks: vec![18, 16],
             recirculation: false,
-            block_payload: 2000,
-            block_total: 2048,
             gap_blocks: 2,
             buffers_per_generation: 4,
-            disk_write_latency: SimTime::from_millis(15),
             unflushed_at_head: UnflushedAtHead::Forward,
             gather_to_fill: true,
         }
@@ -111,6 +114,13 @@ impl LogConfig {
         }
     }
 
+    /// True for the FW baseline's geometry (see [`LogConfig::firewall`]):
+    /// one generation, recirculation off. The technique is the geometry,
+    /// so this is what prices the log manager's memory.
+    pub fn is_firewall(&self) -> bool {
+        self.generation_blocks.len() == 1 && !self.recirculation
+    }
+
     /// Validates the configuration, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -120,11 +130,6 @@ impl LogConfig {
         if self.generation_blocks.len() > 64 {
             return Err(ConfigError::new(
                 "more than 64 generations is not supported",
-            ));
-        }
-        if self.block_payload == 0 || self.block_payload > self.block_total {
-            return Err(ConfigError::new(
-                "block payload must be in (0, block_total]",
             ));
         }
         if self.buffers_per_generation < 2 {
@@ -208,16 +213,14 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let db = DbConfig::default();
-        assert_eq!(db.num_objects, 10_000_000);
-        assert_eq!(db.tx_record_size, 8);
+        assert_eq!(DbConfig::default().num_objects, 10_000_000);
+        assert_eq!(TX_RECORD_SIZE, 8);
+        assert_eq!(BLOCK_PAYLOAD_BYTES, 2000);
+        assert_eq!(LOG_WRITE_LATENCY, SimTime::from_millis(15));
 
         let log = LogConfig::default();
-        assert_eq!(log.block_payload, 2000);
-        assert_eq!(log.block_total, 2048);
         assert_eq!(log.gap_blocks, 2);
         assert_eq!(log.buffers_per_generation, 4);
-        assert_eq!(log.disk_write_latency, SimTime::from_millis(15));
         assert!(log.validate().is_ok());
 
         let flush = FlushConfig::default();
@@ -243,7 +246,16 @@ mod tests {
         let fw = LogConfig::firewall(123);
         assert_eq!(fw.generations(), 1);
         assert_eq!(fw.total_blocks(), 123);
-        assert!(!fw.recirculation);
+        assert!(!fw.recirculation && fw.is_firewall());
+        assert!(!LogConfig::default().is_firewall(), "two generations");
+        let recirculating = LogConfig {
+            recirculation: true,
+            ..fw
+        };
+        assert!(
+            !recirculating.is_firewall(),
+            "one generation, recirculating"
+        );
     }
 
     #[test]
@@ -257,19 +269,6 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err(), "gen0 == gap threshold");
-
-        let c = LogConfig {
-            block_payload: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-
-        let base = LogConfig::default();
-        let c = LogConfig {
-            block_payload: base.block_total + 1,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
 
         let c = LogConfig {
             buffers_per_generation: 1,

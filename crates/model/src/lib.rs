@@ -17,7 +17,9 @@ pub mod ids;
 pub mod record;
 pub mod stabledb;
 
-pub use config::{DbConfig, FlushConfig, LogConfig};
+pub use config::{
+    DbConfig, FlushConfig, LogConfig, BLOCK_PAYLOAD_BYTES, LOG_WRITE_LATENCY, TX_RECORD_SIZE,
+};
 pub use ids::{GenId, Oid, Tid};
 pub use record::{
     payload_matches, synth_payload, synth_payload_extend, synth_payload_into, DataRecord,

@@ -168,7 +168,7 @@ fn pack_gen(gen: u8, records: &[LogRecord]) -> Vec<Vec<u8>> {
             seq: i as u64,
         });
         for &r in chunk {
-            b.push(r, 2000);
+            b.push(r);
         }
         blocks.push(b);
     }

@@ -6,7 +6,7 @@
 //! on-disk) representation: the records it contains plus enough header
 //! metadata for a recovery scan to order blocks and detect staleness.
 
-use elog_model::{GenId, LogRecord};
+use elog_model::{GenId, LogRecord, BLOCK_PAYLOAD_BYTES};
 use elog_sim::SimTime;
 
 /// Coarse address of a block: which generation, and the monotone sequence
@@ -69,19 +69,19 @@ impl Block {
     /// The caller (the log manager's buffer logic) is responsible for
     /// checking capacity before pushing; this method only asserts it in
     /// debug builds so corrupted packing fails loudly in tests.
-    pub fn push(&mut self, r: LogRecord, payload_capacity: u32) {
+    pub fn push(&mut self, r: LogRecord) {
         self.payload_used += r.size();
         debug_assert!(
-            self.payload_used <= payload_capacity,
-            "block over-packed: {} > {payload_capacity}",
+            self.payload_used <= BLOCK_PAYLOAD_BYTES,
+            "block over-packed: {} > {BLOCK_PAYLOAD_BYTES}",
             self.payload_used
         );
         self.records.push(r);
     }
 
-    /// Remaining payload capacity given a `payload_capacity`-byte area.
-    pub fn free_bytes(&self, payload_capacity: u32) -> u32 {
-        payload_capacity.saturating_sub(self.payload_used)
+    /// Remaining payload capacity of the [`BLOCK_PAYLOAD_BYTES`]-byte area.
+    pub fn free_bytes(&self) -> u32 {
+        BLOCK_PAYLOAD_BYTES.saturating_sub(self.payload_used)
     }
 
     /// True when no records are packed.
@@ -134,10 +134,10 @@ mod tests {
             seq: 0,
         });
         assert!(b.is_empty());
-        b.push(rec(100), 2000);
-        b.push(rec(150), 2000);
+        b.push(rec(100));
+        b.push(rec(150));
         assert_eq!(b.payload_used, 250);
-        assert_eq!(b.free_bytes(2000), 1750);
+        assert_eq!(b.free_bytes(), 1750);
         assert_eq!(b.len(), 2);
         assert!(!b.is_empty());
     }
@@ -150,8 +150,8 @@ mod tests {
             gen: GenId(0),
             seq: 0,
         });
-        b.push(rec(1500), 2000);
-        b.push(rec(1500), 2000);
+        b.push(rec(1500));
+        b.push(rec(1500));
     }
 
     #[test]

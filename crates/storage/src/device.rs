@@ -1,7 +1,7 @@
 //! The simulated log device.
 //!
 //! The paper models the log disk with a single conservative constant: a
-//! buffer transfer takes τ_DiskWrite = 15 ms (§3), and multiple buffers per
+//! buffer transfer takes τ_DiskWrite = [`LOG_WRITE_LATENCY`] (§3), and multiple buffers per
 //! generation let transfers overlap record arrival. [`LogDevice`] issues
 //! writes, predicts their completion times, and accounts bandwidth — the
 //! "disk bandwidth (to only the log)" reported in Figure 5 is exactly
@@ -11,6 +11,7 @@
 //! upstream by the log manager's per-generation buffer pool (4 buffers in
 //! the paper), which is the paper's own modelling choice.
 
+use elog_model::{BLOCK_PAYLOAD_BYTES, LOG_WRITE_LATENCY};
 use elog_sim::{Counter, SimTime};
 
 /// Per-generation write accounting.
@@ -29,23 +30,15 @@ pub struct DeviceStats {
 /// Simulated log disk shared by all generations.
 #[derive(Clone, Debug)]
 pub struct LogDevice {
-    latency: SimTime,
     per_gen: Vec<DeviceStats>,
 }
 
 impl LogDevice {
-    /// Creates a device with fixed per-buffer `latency` serving
-    /// `generations` independent block streams.
-    pub fn new(latency: SimTime, generations: usize) -> Self {
+    /// Creates a device serving `generations` independent block streams.
+    pub fn new(generations: usize) -> Self {
         LogDevice {
-            latency,
             per_gen: vec![DeviceStats::default(); generations],
         }
-    }
-
-    /// The fixed transfer latency.
-    pub fn latency(&self) -> SimTime {
-        self.latency
     }
 
     /// Begins a buffer write for generation `gen` carrying `payload_bytes`
@@ -58,7 +51,7 @@ impl LogDevice {
         s.in_flight += 1;
         s.peak_in_flight = s.peak_in_flight.max(s.in_flight);
         s.payload_bytes.add(u64::from(payload_bytes));
-        now + self.latency
+        now + LOG_WRITE_LATENCY
     }
 
     /// Records the completion of a write started with `begin_write`.
@@ -95,11 +88,11 @@ impl LogDevice {
     }
 
     /// Mean payload fill of completed writes, as a fraction of
-    /// `payload_capacity` (diagnostic for the group-commit packing).
-    pub fn mean_fill(&self, gen: usize, payload_capacity: u32) -> Option<f64> {
+    /// [`BLOCK_PAYLOAD_BYTES`] (diagnostic for the group-commit packing).
+    pub fn mean_fill(&self, gen: usize) -> Option<f64> {
         let s = &self.per_gen[gen];
         let w = s.writes.get();
-        (w > 0).then(|| s.payload_bytes.get() as f64 / (w as f64 * f64::from(payload_capacity)))
+        (w > 0).then(|| s.payload_bytes.get() as f64 / (w as f64 * f64::from(BLOCK_PAYLOAD_BYTES)))
     }
 }
 
@@ -109,14 +102,14 @@ mod tests {
 
     #[test]
     fn write_completes_after_latency() {
-        let mut d = LogDevice::new(SimTime::from_millis(15), 2);
+        let mut d = LogDevice::new(2);
         let done = d.begin_write(SimTime::from_secs(1), 0, 2000);
         assert_eq!(done, SimTime::from_secs(1) + SimTime::from_millis(15));
     }
 
     #[test]
     fn accounting_per_generation() {
-        let mut d = LogDevice::new(SimTime::from_millis(15), 2);
+        let mut d = LogDevice::new(2);
         d.begin_write(SimTime::ZERO, 0, 1000);
         d.begin_write(SimTime::ZERO, 0, 1500);
         d.begin_write(SimTime::ZERO, 1, 500);
@@ -134,7 +127,7 @@ mod tests {
 
     #[test]
     fn rates() {
-        let mut d = LogDevice::new(SimTime::from_millis(15), 1);
+        let mut d = LogDevice::new(1);
         for _ in 0..50 {
             d.begin_write(SimTime::ZERO, 0, 2000);
             d.complete_write(0);
@@ -147,18 +140,18 @@ mod tests {
 
     #[test]
     fn mean_fill() {
-        let mut d = LogDevice::new(SimTime::from_millis(15), 1);
-        assert_eq!(d.mean_fill(0, 2000), None);
+        let mut d = LogDevice::new(1);
+        assert_eq!(d.mean_fill(0), None);
         d.begin_write(SimTime::ZERO, 0, 2000);
         d.complete_write(0);
         d.begin_write(SimTime::ZERO, 0, 1000);
         d.complete_write(0);
-        assert!((d.mean_fill(0, 2000).unwrap() - 0.75).abs() < 1e-9);
+        assert!((d.mean_fill(0).unwrap() - 0.75).abs() < 1e-9);
     }
 
     #[test]
     fn peak_in_flight_monotone() {
-        let mut d = LogDevice::new(SimTime::from_millis(1), 1);
+        let mut d = LogDevice::new(1);
         d.begin_write(SimTime::ZERO, 0, 1);
         d.complete_write(0);
         d.begin_write(SimTime::ZERO, 0, 1);

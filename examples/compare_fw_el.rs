@@ -8,7 +8,6 @@
 //! cargo run --release --example compare_fw_el [frac_long] [runtime_secs]
 //! ```
 
-use elog_core::MemoryModel;
 use elog_harness::minspace::paper_base;
 use elog_harness::runner::run;
 use elog_harness::{cli, SearchRequest};
@@ -36,20 +35,15 @@ fn main() {
         frac_long * 100.0
     );
 
+    let base = paper_base(frac_long, false, runtime);
+
     // Firewall: single log, kill the oldest transaction when space runs out.
-    let mut fw_base = paper_base(frac_long, false, runtime);
-    fw_base.el.memory_model = MemoryModel::Firewall;
-    let fw_min = SearchRequest::min_space(&fw_base, 1).run().min;
-    let mut cfg = fw_base.clone();
-    cfg.el.log.generation_blocks = fw_min.generation_blocks.clone();
-    let fw = run(&cfg);
+    let fw_min = SearchRequest::min_space(&base, 1).run().min;
+    let fw = run(&base.clone().geometry(fw_min.generation_blocks.clone()));
 
     // Ephemeral logging: two generations, no recirculation (Figure 4 setup).
-    let el_base = paper_base(frac_long, false, runtime);
-    let el_min = SearchRequest::min_space(&el_base, 2).run().min;
-    let mut cfg = el_base.clone();
-    cfg.el.log.generation_blocks = el_min.generation_blocks.clone();
-    let el = run(&cfg);
+    let el_min = SearchRequest::min_space(&base, 2).run().min;
+    let el = run(&base.clone().geometry(el_min.generation_blocks.clone()));
 
     println!("                    {:>12} {:>16}", "firewall", "ephemeral");
     println!(

@@ -5,8 +5,9 @@
 use elog_core::ElConfig;
 use elog_harness::crashpoint::{crash, restart};
 use elog_harness::experiments::registry;
+use elog_harness::report::render_repro;
 use elog_harness::runner::{build_model, run, RunConfig};
-use elog_harness::sweep::{run_experiments, ExecOptions, ExperimentReport};
+use elog_harness::sweep::{run_experiments, ExecOptions};
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
 use elog_workload::ArrivalProcess;
@@ -68,27 +69,6 @@ fn identical_seeds_identical_crash_surfaces() {
     assert_ne!(snapshot(123), snapshot(321), "different seeds must diverge");
 }
 
-/// What `repro --quick --only fig4` prints to stdout, reproduced
-/// in-process (header, rendered tables, notes).
-fn render_like_repro(reports: &[ExperimentReport]) -> String {
-    let mut out = String::new();
-    out.push_str("# Ephemeral Logging (SIGMOD '93) — full reproduction [quick mode]\n\n");
-    for report in reports {
-        for (_slug, table) in &report.tables {
-            out.push_str(&table.render());
-            out.push('\n');
-        }
-        for note in &report.notes {
-            out.push_str(note);
-            out.push('\n');
-        }
-        if !report.notes.is_empty() {
-            out.push('\n');
-        }
-    }
-    out
-}
-
 #[test]
 fn quick_fig4_report_is_byte_stable_across_processes() {
     // The report is a pure function of the experiment configuration: two
@@ -107,8 +87,9 @@ fn quick_fig4_report_is_byte_stable_across_processes() {
         progress: false,
         ..Default::default()
     };
-    let first = render_like_repro(&run_experiments(&experiments, true, &exec));
-    let second = render_like_repro(&run_experiments(&experiments, true, &exec));
+    // `render_repro` is what `repro --quick --only fig4` prints.
+    let first = render_repro(&run_experiments(&experiments, true, &exec), true);
+    let second = render_repro(&run_experiments(&experiments, true, &exec), true);
     assert_eq!(first, second, "same process, same bytes");
 
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))

@@ -2,7 +2,6 @@
 //! end — EL needs far less disk than FW for mixed-lifetime workloads, at a
 //! modest bandwidth and memory premium.
 
-use elog_core::MemoryModel;
 use elog_harness::minspace::paper_base;
 use elog_harness::runner::run;
 use elog_harness::{MinSpaceResult, SearchRequest};
@@ -16,12 +15,10 @@ fn el_min_space(base: &elog_harness::RunConfig) -> MinSpaceResult {
 fn el_beats_fw_on_space_at_5_percent() {
     let runtime = 60;
 
-    let mut fw_base = paper_base(0.05, false, runtime);
-    fw_base.el.memory_model = MemoryModel::Firewall;
-    let fw_min = SearchRequest::min_space(&fw_base, 1).run().min;
-
-    let el_base = paper_base(0.05, false, runtime);
-    let el_min = el_min_space(&el_base);
+    // One base for both: its one-generation geometries are the FW log.
+    let base = paper_base(0.05, false, runtime);
+    let fw_min = SearchRequest::min_space(&base, 1).run().min;
+    let el_min = el_min_space(&base);
 
     let ratio = f64::from(fw_min.total_blocks) / f64::from(el_min.total_blocks);
     assert!(
@@ -33,12 +30,8 @@ fn el_beats_fw_on_space_at_5_percent() {
     );
 
     // Measure both at their minima.
-    let mut cfg = fw_base.clone();
-    cfg.el.log.generation_blocks = fw_min.generation_blocks.clone();
-    let fw = run(&cfg);
-    let mut cfg = el_base.clone();
-    cfg.el.log.generation_blocks = el_min.generation_blocks.clone();
-    let el = run(&cfg);
+    let fw = run(&base.clone().geometry(fw_min.generation_blocks.clone()));
+    let el = run(&base.clone().geometry(el_min.generation_blocks.clone()));
 
     assert_eq!(fw.killed, 0);
     assert_eq!(el.killed, 0);
@@ -71,12 +64,9 @@ fn equal_lifetimes_erase_els_advantage() {
     // transactions identical and short, both techniques need roughly the
     // traffic of one transaction lifetime.
     let runtime = 40;
-    let mut fw_base = paper_base(0.0, false, runtime);
-    fw_base.el.memory_model = MemoryModel::Firewall;
-    let fw_min = SearchRequest::min_space(&fw_base, 1).run().min;
-
-    let el_base = paper_base(0.0, false, runtime);
-    let el_min = el_min_space(&el_base);
+    let base = paper_base(0.0, false, runtime);
+    let fw_min = SearchRequest::min_space(&base, 1).run().min;
+    let el_min = el_min_space(&base);
 
     let ratio = f64::from(fw_min.total_blocks) / f64::from(el_min.total_blocks);
     assert!(

@@ -1,7 +1,6 @@
 //! Integration tests of the minimum-space search against first-principles
 //! bounds derived from the workload arithmetic.
 
-use elog_core::MemoryModel;
 use elog_harness::minspace::paper_base;
 use elog_harness::{MinSpaceResult, RunConfig, SearchRequest};
 
@@ -23,8 +22,7 @@ fn fw_minimum_tracks_oldest_transaction_arithmetic() {
     // the gap, group commit and block granularity.
     let runtime = 60;
     for frac in [0.05, 0.20] {
-        let mut base = paper_base(frac, false, runtime);
-        base.el.memory_model = MemoryModel::Firewall;
+        let base = paper_base(frac, false, runtime);
         let min = SearchRequest::min_space(&base, 1).run().min;
         let floor = 10.0 * payload_rate(frac) / 2000.0;
         assert!(

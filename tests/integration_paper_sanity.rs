@@ -2,7 +2,7 @@
 //! paper's text (scaled-down runtimes; the full 500 s numbers are produced
 //! by the `repro` binary and recorded in EXPERIMENTS.md).
 
-use elog_core::{ElConfig, MemoryModel};
+use elog_core::ElConfig;
 use elog_harness::runner::{run, RunConfig};
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
@@ -47,9 +47,7 @@ fn flush_array_capacity_matches_section4() {
 fn paper_geometry_survives_and_hits_paper_bandwidth() {
     // At the paper's published minima, a 60 s run must be kill-free and
     // land near the published block-write rates (11.63 FW, 12.87 EL).
-    let mut fw = paper_cfg(0.05, vec![124], false, 60);
-    fw.el.memory_model = MemoryModel::Firewall;
-    let fw = run(&fw);
+    let fw = run(&paper_cfg(0.05, vec![124], false, 60));
     assert_eq!(fw.killed, 0);
     assert!(
         (fw.metrics.log_write_rate - 11.63).abs() < 0.8,
@@ -75,9 +73,7 @@ fn memory_estimates_match_paper_constants() {
     // "FW … 22 bytes for each transaction", "EL … 40 bytes for each
     // transaction and 40 bytes for each updated (but unflushed) object".
     // At 5%: ~145 concurrently active transactions (Little's law).
-    let mut fw = paper_cfg(0.05, vec![130], false, 30);
-    fw.el.memory_model = MemoryModel::Firewall;
-    let fw = run(&fw);
+    let fw = run(&paper_cfg(0.05, vec![130], false, 30));
     let fw_txns = fw.metrics.peak_memory_bytes / 22;
     assert!(
         (140..=260).contains(&fw_txns),

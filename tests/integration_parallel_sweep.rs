@@ -3,6 +3,7 @@
 //! of worker count, execution order and the surrounding scenario set.
 
 use elog_harness::experiments::{fig7, rates, recovery_time, registry};
+use elog_harness::report::render_repro;
 use elog_harness::sweep::{derive_seed, run_experiments, run_scenarios, ExecOptions};
 
 fn exec(jobs: usize) -> ExecOptions {
@@ -27,20 +28,7 @@ fn quick_report(jobs: usize) -> String {
             report.name
         );
     }
-    let mut out = String::new();
-    for report in &reports {
-        for (slug, table) in &report.tables {
-            out.push_str(slug);
-            out.push('\n');
-            out.push_str(&table.render());
-            out.push('\n');
-        }
-        for note in &report.notes {
-            out.push_str(note);
-            out.push('\n');
-        }
-    }
-    out
+    render_repro(&reports, true)
 }
 
 #[test]
