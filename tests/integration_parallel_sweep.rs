@@ -1,6 +1,8 @@
 //! The sweep executor's contract: `--jobs N` output is byte-identical to
 //! `--jobs 1`, and per-scenario seeding is deterministic and independent
 //! of worker count, execution order and the surrounding scenario set.
+//! The `--jobs 1` output itself is pinned as text in
+//! `results/repro_quick.txt`.
 
 use elog_harness::experiments::{fig7, rates, recovery_time, registry};
 use elog_harness::report::render_repro;
@@ -40,6 +42,37 @@ fn quick_report_is_byte_identical_across_job_counts() {
         serial, parallel,
         "--jobs 4 must match --jobs 1 byte for byte"
     );
+}
+
+/// `repro --quick --jobs 1`'s stdout is committed as text, so a change
+/// that moves the model's results fails here and shows what moved. A
+/// change that means to move them re-records the file in the same commit:
+/// `repro --quick --jobs 1 > results/repro_quick.txt`.
+#[test]
+fn quick_report_matches_the_text_pin() {
+    let pinned = include_str!("../results/repro_quick.txt");
+    let rendered = quick_report(1);
+    if rendered == pinned {
+        return;
+    }
+    let mut pinned_lines = pinned.lines();
+    let mut rendered_lines = rendered.lines();
+    for line in 1.. {
+        let (p, r) = (pinned_lines.next(), rendered_lines.next());
+        if p != r {
+            panic!(
+                "repro --quick differs from results/repro_quick.txt at line {line}:\n\
+                 pinned:   {}\n\
+                 rendered: {}",
+                p.unwrap_or("<end of file>"),
+                r.unwrap_or("<end of output>"),
+            );
+        }
+        if p.is_none() {
+            break;
+        }
+    }
+    panic!("repro --quick differs from results/repro_quick.txt only in line endings or the final newline");
 }
 
 #[test]
