@@ -89,14 +89,8 @@ fn main() {
         // stderr so a static adaptive run's stdout stays byte-identical
         // to the non-adaptive run.
         eprintln!(
-            "[adaptive] windows {}, reshapes {} (grows {}, shrinks {}), hint toggles {}, firewall fallbacks {}, final geometry {:?}",
-            ad.window_decisions,
-            ad.reshapes,
-            ad.grows,
-            ad.shrinks,
-            ad.hint_toggles,
-            ad.firewall_fallbacks,
-            m.per_gen_blocks
+            "[adaptive] windows {}, reshapes {} (grows {}, shrinks {}), final geometry {:?}",
+            ad.window_decisions, ad.reshapes, ad.grows, ad.shrinks, m.per_gen_blocks
         );
     }
 }

@@ -268,6 +268,20 @@ pub fn shift_table(outcomes: &[RunOutcome]) -> Table {
     t
 }
 
+/// The configuration the outcomes ran under, read off the drift run's
+/// horizon: 500 s is [`Config::paper`], anything shorter [`Config::quick`].
+fn config_of(outcomes: &[RunOutcome]) -> Config {
+    if outcomes
+        .first()
+        .and_then(|o| o.measured())
+        .is_some_and(|r| r.horizon >= SimTime::from_secs(500))
+    {
+        Config::paper()
+    } else {
+        Config::quick()
+    }
+}
+
 /// The `fig_adaptive` experiment.
 pub struct FigAdaptive;
 
@@ -285,15 +299,7 @@ impl Experiment for FigAdaptive {
     }
 
     fn tables(&self, outcomes: &[RunOutcome]) -> Vec<(String, Table)> {
-        let cfg = if outcomes
-            .first()
-            .and_then(|o| o.measured())
-            .is_some_and(|r| r.horizon >= SimTime::from_secs(500))
-        {
-            Config::paper()
-        } else {
-            Config::quick()
-        };
+        let cfg = config_of(outcomes);
         vec![
             (
                 "fig_adaptive_tracking".to_string(),
@@ -305,16 +311,7 @@ impl Experiment for FigAdaptive {
 
     fn notes(&self, outcomes: &[RunOutcome]) -> Vec<String> {
         let mut notes = failure_notes(outcomes);
-        let cfg = if outcomes
-            .first()
-            .and_then(|o| o.measured())
-            .is_some_and(|r| r.horizon >= SimTime::from_secs(500))
-        {
-            Config::paper()
-        } else {
-            Config::quick()
-        };
-        let pts = tracking_points(&cfg, outcomes);
+        let pts = tracking_points(&config_of(outcomes), outcomes);
         if let Some(worst) = pts
             .iter()
             .map(|p| p.deviation().abs())
@@ -330,14 +327,8 @@ impl Experiment for FigAdaptive {
             if let Some(st) = &ad.adaptive {
                 notes.push(format!(
                     "drift run: {} window decisions, {} reshapes ({} grows, {} shrinks), \
-                     {} hint toggles, {} firewall fallbacks, {} kills",
-                    st.window_decisions,
-                    st.reshapes,
-                    st.grows,
-                    st.shrinks,
-                    st.hint_toggles,
-                    st.firewall_fallbacks,
-                    ad.killed,
+                     {} kills",
+                    st.window_decisions, st.reshapes, st.grows, st.shrinks, ad.killed,
                 ));
             }
         }
@@ -376,51 +367,68 @@ mod tests {
         assert_eq!(capacity_at(16, &[], SimTime::from_secs(60)), 16);
     }
 
+    /// The quick config at four base seeds: one seed hides the spread
+    /// the bar has to hold across.
     #[test]
     fn controller_tracks_the_drifting_mix_within_the_bar() {
         let cfg = tiny();
-        let outcomes = run_scenarios(
-            &scenarios_for(&cfg),
-            &ExecOptions {
-                jobs: 4,
-                progress: false,
-                ..Default::default()
-            },
-        );
-        let pts = tracking_points(&cfg, &outcomes);
-        assert_eq!(
-            pts.len(),
-            3,
-            "three drift phases: {:?}",
-            failure_notes(&outcomes)
-        );
-        // The acceptance bar: every phase within 15% of its static optimum.
-        for p in &pts {
-            assert!(
-                p.deviation().abs() <= 0.15,
-                "phase {} (mix {}) off by {:.1}%: controller {} vs static {}",
-                p.phase,
-                p.mix,
-                p.deviation() * 100.0,
-                p.controller_blocks,
-                p.static_blocks,
+        for seed in [0x5EED_1993, 2, 3, 4] {
+            let mut scenarios = scenarios_for(&cfg);
+            for s in &mut scenarios {
+                match &mut s.job {
+                    Job::Measure(run) | Job::MinSpace { base: run, .. } => run.seed = seed,
+                    other => unreachable!("fig_adaptive runs no {other:?}"),
+                }
+            }
+            let outcomes = run_scenarios(
+                &scenarios,
+                &ExecOptions {
+                    jobs: 4,
+                    progress: false,
+                    ..Default::default()
+                },
             );
+            let pts = tracking_points(&cfg, &outcomes);
+            assert_eq!(
+                pts.len(),
+                3,
+                "seed {seed:#x}: three drift phases: {:?}",
+                failure_notes(&outcomes)
+            );
+            // The acceptance bar: every phase within 15% of its static optimum.
+            for p in &pts {
+                assert!(
+                    p.deviation().abs() <= 0.15,
+                    "seed {seed:#x}: phase {} (mix {}) off by {:.1}%: controller {} vs static {}",
+                    p.phase,
+                    p.mix,
+                    p.deviation() * 100.0,
+                    p.controller_blocks,
+                    p.static_blocks,
+                );
+            }
+            // The drift run actually adapted (grew for the heavy phase and
+            // came back down for the final light phase).
+            let ad = outcomes[0].measured().unwrap().adaptive.clone().unwrap();
+            assert!(
+                ad.grows >= 1,
+                "seed {seed:#x}: heavy phase must trigger growth"
+            );
+            assert!(
+                ad.shrinks >= 1,
+                "seed {seed:#x}: final light phase must shrink back"
+            );
+            // The shift pair: re-shaping sheds kills relative to frozen.
+            let on = outcomes[3].measured().unwrap();
+            let off = outcomes[4].measured().unwrap();
+            assert!(
+                on.killed < off.killed,
+                "seed {seed:#x}: adaptive {} kills vs frozen {}",
+                on.killed,
+                off.killed
+            );
+            assert_eq!(tracking_table(&pts).len(), 3);
+            assert_eq!(shift_table(&outcomes).len(), 2);
         }
-        // The drift run actually adapted (grew for the heavy phase and
-        // came back down for the final light phase).
-        let ad = outcomes[0].measured().unwrap().adaptive.clone().unwrap();
-        assert!(ad.grows >= 1, "heavy phase must trigger growth");
-        assert!(ad.shrinks >= 1, "final light phase must shrink back");
-        // The shift pair: re-shaping sheds kills relative to frozen.
-        let on = outcomes[3].measured().unwrap();
-        let off = outcomes[4].measured().unwrap();
-        assert!(
-            on.killed < off.killed,
-            "adaptive {} kills vs frozen {}",
-            on.killed,
-            off.killed
-        );
-        assert_eq!(tracking_table(&pts).len(), 3);
-        assert_eq!(shift_table(&outcomes).len(), 2);
     }
 }

@@ -254,7 +254,7 @@ impl RunConfig {
 ///
 /// Dereferences to *the* driver of a single-workload run, so classic
 /// callers keep reading `model.driver.stats()`; multi-tenant code indexes.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Drivers(Vec<WorkloadDriver>);
 
 impl Drivers {
@@ -302,9 +302,6 @@ impl IndexMut<usize> for Drivers {
 /// Generic over the log manager: [`ElManager`] (the default, EL or FW) or
 /// any substitute [`LogManager`] — a test recorder, a timing wrapper —
 /// plugs into the same workload drivers and event loop.
-///
-/// Cloning a model mid-run snapshots the entire simulation state.
-#[derive(Clone)]
 pub struct SimModel<L: LogManager = ElManager> {
     /// Workload side: one driver per tenant.
     pub driver: Drivers,
@@ -396,14 +393,7 @@ impl<L: LogManager> Simulate for SimModel<L> {
                         self.driver[t].on_kill(new.tid);
                     } else {
                         let tid = global_tid(tenant, new.tid);
-                        // The controller owns hint placement while it runs
-                        // (it may toggle hints mid-run); otherwise the
-                        // static flag decides.
-                        let hinted = self
-                            .adaptive
-                            .as_ref()
-                            .map_or(self.lifetime_hints, |c| c.placement_hints());
-                        let fx = if hinted {
+                        let fx = if self.lifetime_hints {
                             let duration = self.driver[t].mix().types()[new.type_idx].duration;
                             self.lm.begin_hinted(now, tid, duration)
                         } else {
@@ -519,7 +509,7 @@ pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimMode
             .generation_blocks
             .last()
             .expect("validated configs have a generation");
-        AdaptiveController::new(last, cfg.lifetime_hints)
+        AdaptiveController::new(last)
     });
     let model = SimModel {
         driver: Drivers(drivers),
@@ -716,7 +706,6 @@ mod tests {
         let ad = adaptive.adaptive.expect("controller ran");
         assert!(ad.window_decisions > 0, "ticks must fire over 30 s");
         assert_eq!(ad.reshapes, 0, "static paper workload never re-shapes");
-        assert_eq!(ad.hint_toggles, 0);
         assert_eq!(plain.committed, adaptive.committed);
         assert_eq!(plain.killed, adaptive.killed);
         assert_eq!(plain.metrics.log_writes, adaptive.metrics.log_writes);

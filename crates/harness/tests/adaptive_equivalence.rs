@@ -101,7 +101,6 @@ fn static_run_is_observed_but_never_reshaped() {
         "controller never observed a window"
     );
     assert_eq!(st.reshapes, 0, "static workload must not be re-shaped");
-    assert_eq!(st.hint_toggles, 0);
     assert_eq!(
         digest_model(&engine),
         off,
@@ -184,11 +183,7 @@ fn scripted_replay_of_controller_decisions_commits_the_same_record_set() {
         }
 
         let mut replay = build_model(&cfg);
-        replay.model_mut().adaptive = Some(AdaptiveController::scripted(
-            st.reshape_log.clone(),
-            st.hint_log.clone(),
-            cfg.lifetime_hints,
-        ));
+        replay.model_mut().adaptive = Some(AdaptiveController::scripted(st.reshape_log.clone()));
         replay.run_until(cfg.runtime);
         assert_eq!(
             want,

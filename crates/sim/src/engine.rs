@@ -34,29 +34,11 @@ pub trait Simulate {
 }
 
 /// Drives a [`Simulate`] model to completion.
-///
-/// `Clone` (for cloneable models and events) snapshots the entire
-/// simulation — model state, pending events, clock and event counter — so a
-/// run can be forked and resumed from an intermediate point.
 pub struct Engine<M: Simulate> {
     model: M,
     queue: EventQueue<M::Event>,
     now: SimTime,
     events_processed: u64,
-}
-
-impl<M: Simulate + Clone> Clone for Engine<M>
-where
-    M::Event: Clone,
-{
-    fn clone(&self) -> Self {
-        Engine {
-            model: self.model.clone(),
-            queue: self.queue.clone(),
-            now: self.now,
-            events_processed: self.events_processed,
-        }
-    }
 }
 
 impl<M: Simulate> Engine<M> {

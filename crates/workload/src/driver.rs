@@ -123,7 +123,7 @@ impl WorkloadStats {
 }
 
 /// The workload driver (see module docs).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WorkloadDriver {
     mix: TxMix,
     /// Piecewise mix/rate schedule (see [`PhaseSchedule`]). `None` means
