@@ -204,7 +204,8 @@ echo "== running-bound pin =="
 # The 2-gen lattice search's geometry and probe count, pinned: a change
 # that loses the running bound (each column capped by the best geometry
 # found before it — DESIGN.md §5f) spends more probes, and one that moves
-# the minimum prints another geometry.
+# the minimum prints another geometry. tests/integration_minspace.rs
+# asserts the same line from report::render_min_space.
 LATTICE_PIN='minimum EL log: [18, 16] = 34 blocks (48 probes)'
 LATTICE_OUT=$(./target/release/elsim --gens 18,16 --runtime 60 --min-space)
 if [ "$LATTICE_OUT" != "$LATTICE_PIN" ]; then
@@ -217,13 +218,11 @@ echo "== overload pin =="
 # The flush-limited overload run end to end (199 580 flushes, mean oid
 # distance 248 238, backlog 175 970): every drive's pick order over 500 s
 # of deep queues, expedites and unsafe drops. tests/integration_overload.rs
-# pins 60 s; a pick-order slip in the pending-flush index (DESIGN.md §5h)
-# shows here first. A change that means to move the model re-pins it.
-OVERLOAD_PIN=0be1c66c7661fc319167bf90154f7636
-OVERLOAD_MD5=$(./target/release/elsim --tps 400 --gens 60,50 --runtime 500 | md5sum | cut -d' ' -f1)
-if [ "$OVERLOAD_MD5" != "$OVERLOAD_PIN" ]; then
-    echo "elsim --tps 400 --gens 60,50 --runtime 500 stdout md5 is $OVERLOAD_MD5," >&2
-    echo "pinned $OVERLOAD_PIN" >&2
+# pins 60 s and renders this same run against results/overload.txt; a
+# pick-order slip in the pending-flush index (DESIGN.md §5h) shows here
+# first. A change that means to move the model re-records the file.
+if ! ./target/release/elsim --tps 400 --gens 60,50 --runtime 500 | diff results/overload.txt -; then
+    echo "elsim --tps 400 --gens 60,50 --runtime 500 stdout differs from results/overload.txt" >&2
     exit 1
 fi
 

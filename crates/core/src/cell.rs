@@ -29,7 +29,7 @@ pub type CellIdx = u32;
 pub const NIL: CellIdx = u32::MAX;
 
 /// One cell: a non-garbage record's RAM bookkeeping.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Cell {
     /// The record this cell tracks. Held in RAM so that forwarding and
     /// recirculation regenerate contents without reading the log device
@@ -62,14 +62,12 @@ impl Cell {
     }
 }
 
-#[derive(Clone)]
 enum Slot {
     Used(Cell),
     Free { next: CellIdx },
 }
 
 /// Slab arena of cells with an embedded free list.
-#[derive(Clone)]
 pub struct CellArena {
     slots: Vec<Slot>,
     free_head: CellIdx,

@@ -66,7 +66,7 @@ struct BlockSpan {
 
 /// In-flight recording state, owned by [`crate::ElManager`] while a
 /// certificate-instrumented run is in progress.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct CertLog {
     /// Global event-order counter; every recorded occurrence gets the
     /// next stamp, so "before" is unambiguous even within one sim tick.
@@ -256,8 +256,7 @@ impl crate::ElManager {
     /// Arms consumption-certificate recording. Callers (the search
     /// harness) must only record runs whose last-generation inflow is
     /// capacity-independent: recirculation off, `gap_blocks ≥ 1`, no
-    /// lifetime hints. Snapshots cloned from a recording manager keep
-    /// recording into their own copy.
+    /// lifetime hints.
     pub fn start_cert_recording(&mut self) {
         self.cert = Some(Box::new(CertLog::new()));
     }

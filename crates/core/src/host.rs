@@ -14,7 +14,6 @@ use elog_sim::{EventQueue, SimTime};
 
 /// Drives a single log manager ([`ElManager`] by default): schedules its
 /// timers, collects its notifications, and keeps virtual time monotone.
-#[derive(Clone)]
 pub struct SimpleHost<L: LogManager = ElManager> {
     /// The log manager under test.
     pub lm: L,

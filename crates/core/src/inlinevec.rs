@@ -9,10 +9,10 @@ use std::ops::Deref;
 
 /// Up to `N` elements in place; beyond that, all of them in a heap `Vec`.
 /// Reads go through the slice it derefs to.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct InlineVec<T, const N: usize>(Repr<T, N>);
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Repr<T, const N: usize> {
     /// `buf[..len]` are the elements; the rest is filler.
     Inline { len: usize, buf: [T; N] },

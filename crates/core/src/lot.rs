@@ -18,7 +18,7 @@ use elog_model::{Oid, Tid};
 use elog_sim::FxHashMap;
 
 /// One object's entry: its non-garbage data-record cells.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct LotEntry {
     /// Cell of the most recently committed, not-yet-flushed update.
     committed: Option<CellIdx>,
@@ -33,7 +33,7 @@ impl LotEntry {
 }
 
 /// The logged object table.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Lot {
     map: FxHashMap<Oid, LotEntry>,
     peak_len: usize,

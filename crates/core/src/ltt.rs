@@ -37,7 +37,7 @@ pub enum TxState {
 }
 
 /// One transaction's entry.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct LttEntry {
     /// Cell of the most recent tx log record (§2.3: earlier tx records are
     /// garbage the moment a newer one is written).
@@ -55,7 +55,7 @@ pub struct LttEntry {
 }
 
 /// The logged transaction table.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Ltt {
     map: FxHashMap<Tid, LttEntry>,
     peak_len: usize,

@@ -36,7 +36,6 @@ use elog_sim::{Histogram, MaxGauge, SimTime};
 use elog_storage::{Block, BlockRing, LogDevice};
 
 /// Per-generation state.
-#[derive(Clone)]
 pub(crate) struct Gen {
     /// The circular disk array.
     pub ring: BlockRing,
@@ -50,18 +49,12 @@ pub(crate) struct Gen {
 }
 
 /// A sealed buffer whose device write is in progress.
-#[derive(Clone)]
 pub(crate) struct Inflight {
     pub gen: usize,
     pub block: Block,
 }
 
 /// The log manager (see module docs).
-///
-/// `Clone` deep-copies the entire state machine — rings, tables, arena,
-/// in-flight writes, statistics — so a simulation hosting the manager can
-/// be forked mid-run.
-#[derive(Clone)]
 pub struct ElManager {
     pub(crate) cfg: ElConfig,
     pub(crate) arena: CellArena,

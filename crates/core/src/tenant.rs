@@ -34,7 +34,7 @@ pub struct TenantCounters {
 }
 
 /// Per-tenant ledger keyed by the tid's high bits (see module docs).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TenantLedger {
     tid_shift: u32,
     counters: Vec<TenantCounters>,

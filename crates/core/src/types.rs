@@ -33,7 +33,7 @@ pub enum LmTimer {
 
 /// Side effects of one log-manager call: timers to schedule and
 /// notifications to deliver.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Effects {
     /// `(fire_at, timer)` pairs the host must schedule.
     pub timers: Vec<(SimTime, LmTimer)>,

@@ -312,63 +312,6 @@ fn supersession_makes_old_committed_update_garbage() {
 }
 
 #[test]
-fn a_cloned_manager_and_its_original_diverge_independently() {
-    let flush = FlushConfig {
-        drives: 1,
-        transfer_time: SimTime::from_millis(50),
-    };
-    let log = LogConfig {
-        generation_blocks: vec![8, 8],
-        ..LogConfig::default()
-    };
-    let mut a = SimpleHost::new(ElManager::ephemeral(log, flush));
-    a.begin(t(0), Tid(1));
-    for (i, oid) in [10, 11, 12].into_iter().enumerate() {
-        a.write(t(1 + i as u64), Tid(1), Oid(oid), 1 + i as u32, 100);
-    }
-    a.commit(t(5), Tid(1));
-    a.quiesce(t(5));
-    a.run_until(t(100)); // acked; first flush landed, two still on the drive
-    assert_eq!(a.acks, vec![Tid(1)]);
-
-    // Fork with the fold cold (never read), then warm the original's.
-    let mut b = a.clone();
-    assert_eq!(a.lm.stable_db().len(), 1);
-
-    // Only the original commits a second transaction.
-    a.begin(t(101), Tid(2));
-    a.write(t(102), Tid(2), Oid(10), 1, 100);
-    a.write(t(103), Tid(2), Oid(20), 2, 100);
-    a.commit(t(104), Tid(2));
-    a.quiesce(t(105));
-    a.run_to_completion();
-    b.quiesce(t(105));
-    b.run_to_completion();
-
-    let (da, db) = (a.lm.stable_db(), b.lm.stable_db());
-    assert_eq!((da.len(), da.installs()), (4, 5));
-    assert_eq!((db.len(), db.installs()), (3, 3));
-    assert_eq!(da.version(Oid(10)).unwrap().tid, Tid(2));
-    assert_eq!(db.version(Oid(10)).unwrap().tid, Tid(1));
-    assert_eq!(db.version(Oid(20)), None);
-    assert_eq!(da.version(Oid(12)), db.version(Oid(12)));
-
-    // A fork taken with the fold warm does not keep serving it.
-    let mut c = SimpleHost::new(a.lm.clone());
-    assert_eq!(c.lm.stable_db().installs(), 5);
-    c.begin(t(1000), Tid(3));
-    c.write(t(1001), Tid(3), Oid(30), 1, 100);
-    c.commit(t(1002), Tid(3));
-    c.quiesce(t(1003));
-    c.run_to_completion();
-    assert_eq!(c.lm.stable_db().installs(), 6);
-    assert_eq!(a.lm.stable_db().installs(), 5);
-    for h in [&a, &b, &c] {
-        h.lm.check_invariants();
-    }
-}
-
-#[test]
 fn geometry_prices_memory() {
     let flush = FlushConfig::default();
     let log = LogConfig {

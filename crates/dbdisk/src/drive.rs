@@ -30,7 +30,7 @@ pub struct DriveStats {
 }
 
 /// A single flush drive.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Drive {
     id: usize,
     lo: u64,

@@ -64,7 +64,7 @@ pub enum Submitted {
 }
 
 /// The array of flush drives.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FlushArray {
     drives: Vec<Drive>,
     /// The pending requests of every drive.

@@ -23,7 +23,7 @@ use elog_model::{ObjectVersion, Oid};
 use elog_sim::FxHashMap;
 
 /// The pending flush requests of every drive in the array.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PendingIndex {
     /// Keyed by oid; the flag is the urgent bit.
     entries: FxHashMap<u64, (ObjectVersion, bool)>,

@@ -17,10 +17,9 @@ use elog_harness::{cli, report};
 fn main() {
     let a = cli::parse_env(cli::ELSIM_USAGE, cli::elsim);
     let cfg = &a.run;
-    let gens = &cfg.el.log.generation_blocks;
 
     if a.min_space {
-        let req = SearchRequest::min_space(cfg, gens.len());
+        let req = SearchRequest::min_space(cfg, cfg.el.log.generation_blocks.len());
         let out = req.certificates(a.certificates).run();
         if let Some(limit) = out.limit {
             eprintln!(
@@ -29,27 +28,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let r = out.min;
-        cli::print(&if cfg.el.log.is_firewall() {
-            format!(
-                "minimum FW log: {} blocks ({} probes)\n",
-                r.total_blocks, r.probes
-            )
-        } else if gens.len() == 2 {
-            format!(
-                "minimum EL log: {:?} = {} blocks ({} probes)\n",
-                r.generation_blocks, r.total_blocks, r.probes
-            )
-        } else {
-            format!(
-                "minimum EL log ({} gens): {:?} = {} blocks ({} probes, {} pruned)\n",
-                gens.len(),
-                r.generation_blocks,
-                r.total_blocks,
-                r.probes,
-                r.search.pruned_volume
-            )
-        });
+        cli::print(&report::render_min_space(cfg, &out.min));
         return;
     }
 

@@ -1,9 +1,12 @@
 //! Plain-text/markdown/CSV table rendering for experiment output,
-//! `repro`'s stdout ([`render_repro`]) and `elsim`'s two run reports.
+//! `repro`'s stdout ([`render_repro`]), `elsim`'s two run reports and its
+//! `--min-space` result line ([`render_min_space`]).
 //!
 //! Deliberately dependency-free: experiment rows are small and regular, so
 //! sixty lines of formatting beat a serialisation stack.
 
+use crate::minspace::MinSpaceResult;
+use crate::runner::RunConfig;
 use crate::serve::{ServeConfig, ServeOutcome};
 use crate::sweep::ExperimentReport;
 use std::fmt::Write as _;
@@ -103,6 +106,29 @@ pub fn render_repro(reports: &[ExperimentReport], quick: bool) -> String {
         }
     }
     out
+}
+
+/// Renders `elsim --min-space`'s result line for a search from `cfg`: the
+/// firewall minimum, the two-generation one, or an N-generation one with
+/// the capacities the running bound pruned.
+pub fn render_min_space(cfg: &RunConfig, r: &MinSpaceResult) -> String {
+    let gens = cfg.el.log.generation_blocks.len();
+    if cfg.el.log.is_firewall() {
+        format!(
+            "minimum FW log: {} blocks ({} probes)\n",
+            r.total_blocks, r.probes
+        )
+    } else if gens == 2 {
+        format!(
+            "minimum EL log: {:?} = {} blocks ({} probes)\n",
+            r.generation_blocks, r.total_blocks, r.probes
+        )
+    } else {
+        format!(
+            "minimum EL log ({gens} gens): {:?} = {} blocks ({} probes, {} pruned)\n",
+            r.generation_blocks, r.total_blocks, r.probes, r.search.pruned_volume
+        )
+    }
 }
 
 /// Renders `elsim`'s report of a plain run: one tenant, no admission

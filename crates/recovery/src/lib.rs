@@ -16,14 +16,16 @@
 //!    records survive until overwritten, and consumed blocks remain
 //!    readable — so the scan takes everything and relies on timestamps
 //!    (§2.1: "We assume that all log records are timestamped, so that the
-//!    recovery manager can establish the temporal order").
-//! 2. **Redo** in one pass ([`redo`]): a transaction is committed iff a
-//!    durable COMMIT record exists; for each object the newest committed
-//!    update wins, and it is applied only if newer than the stable
-//!    database's version stamp (the paper's §6 version-number timestamp
-//!    assumption). REDO-only rules mean there is nothing to undo. The
-//!    winners overlay the stable table ([`Versions`]), which is shared,
-//!    not copied.
+//!    recovery manager can establish the temporal order"). Each record is
+//!    read once: the scan files every distinct data copy under its object,
+//!    dropping duplicate copies as it goes.
+//! 2. **Redo** in one walk per object ([`redo`]): a transaction is
+//!    committed iff a durable COMMIT record exists; for each object the
+//!    newest committed update wins, and it is applied only if newer than
+//!    the stable database's version stamp (the paper's §6 version-number
+//!    timestamp assumption). REDO-only rules mean there is nothing to
+//!    undo. The winners overlay the stable table ([`Versions`]), which is
+//!    shared, not copied.
 //! 3. **Verify** ([`verify`]): compare a reconstruction against the
 //!    committed-state oracle maintained outside the crash boundary.
 //!

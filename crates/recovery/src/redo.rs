@@ -2,23 +2,25 @@
 //!
 //! REDO-only logging (the paper's simplifying assumption: "transactions
 //! never write out uncommitted updates to the disk version of the
-//! database") makes recovery a pure fold:
+//! database") makes recovery a pure fold. The scan has already filed each
+//! distinct data copy under its object, so REDO walks each object once:
 //!
 //! * a transaction is committed iff the scan found its COMMIT record;
-//! * for each object, the newest committed update is the candidate
-//!   version — "newest" under the total order
-//!   [`ObjectVersion::order_key`] `(ts, tid, seq)`, so equal-timestamp
-//!   updates from distinct transactions resolve identically no matter
-//!   which generation's physical copy the scan ingested first;
+//! * the object's newest committed copy is its candidate version —
+//!   "newest" under the total order [`ObjectVersion::order_key`]
+//!   `(ts, tid, seq)`, so equal-timestamp updates from distinct
+//!   transactions resolve identically no matter which generation's
+//!   physical copy the scan ingested first;
 //! * the candidate is applied only if it is newer (same total order) than
 //!   the stable database's version stamp — stale physical copies
 //!   (superseded or already-flushed updates whose commit records were
 //!   collected) lose this comparison automatically.
 //!
-//! "Applied" means kept: the recovered table is the surviving candidates
-//! laid over the stable table, which is shared with the [`StableDb`], not
+//! "Applied" means kept: only the winners are inserted, and they are laid
+//! over the stable table, which is shared with the [`StableDb`], not
 //! copied. A restart costs the log it reads and one probe of the stable
-//! table per candidate, whatever the size of the database.
+//! table per object with a committed copy, whatever the size of the
+//! database.
 
 use crate::scan::LogImage;
 use elog_model::{ObjectVersion, Oid, StableDb};
@@ -106,54 +108,50 @@ impl fmt::Debug for Versions {
     }
 }
 
-/// Runs single-pass recovery over a scanned image and the stable database.
+/// Runs single-pass recovery over a scanned image and the stable database:
+/// one walk per object over the copies the scan filed under it.
 pub fn recover(image: &LogImage, stable: &StableDb) -> RecoveredState {
-    // Single pass over data records: keep the newest committed candidate
-    // per object.
-    let mut skipped_uncommitted = 0;
-    let mut candidates: FxHashMap<Oid, ObjectVersion> =
-        FxHashMap::with_capacity_and_hasher(image.data.len(), Default::default());
-    for d in &image.data {
-        if !image.committed.contains(&d.tid) {
-            skipped_uncommitted += 1;
-            continue;
+    let committed = image.committed();
+    let table = stable.table();
+    let mut redone: FxHashMap<Oid, ObjectVersion> =
+        FxHashMap::with_capacity_and_hasher(image.object_count(), Default::default());
+    let (mut skipped_uncommitted, mut skipped_stale, mut fresh) = (0, 0, 0);
+    for (oid, copies) in image.objects() {
+        let mut newest: Option<ObjectVersion> = None;
+        for d in copies {
+            if !committed.contains(&d.tid) {
+                skipped_uncommitted += 1;
+                continue;
+            }
+            let v = ObjectVersion {
+                tid: d.tid,
+                seq: d.seq,
+                ts: d.ts,
+            };
+            if newest.is_none_or(|n| v.order_key() > n.order_key()) {
+                newest = Some(v);
+            }
         }
-        let v = ObjectVersion {
-            tid: d.tid,
-            seq: d.seq,
-            ts: d.ts,
-        };
-        match candidates.get_mut(&d.oid) {
-            Some(existing) if existing.order_key() >= v.order_key() => {}
-            Some(existing) => *existing = v,
-            None => {
-                candidates.insert(d.oid, v);
+        let Some(v) = newest else { continue };
+        // Redo it only if newer than the stable version (same total order
+        // as the walk, so a scan-order permutation cannot flip the
+        // stable-vs-log verdict either).
+        match table.get(&oid) {
+            Some(held) if held.order_key() >= v.order_key() => skipped_stale += 1,
+            held => {
+                fresh += usize::from(held.is_none());
+                redone.insert(oid, v);
             }
         }
     }
-    // Keep the candidates newer than the stable version (same total order
-    // as the candidate fold, so a scan-order permutation cannot flip the
-    // stable-vs-log verdict either). The survivors are the redone overlay.
-    let table = stable.table();
-    let (mut skipped_stale, mut fresh) = (0, 0);
-    candidates.retain(|oid, v| match table.get(oid) {
-        Some(held) if held.order_key() >= v.order_key() => {
-            skipped_stale += 1;
-            false
-        }
-        held => {
-            fresh += usize::from(held.is_none());
-            true
-        }
-    });
     RecoveredState {
-        redone: candidates.len() as u64,
+        redone: redone.len() as u64,
         skipped_stale,
         skipped_uncommitted,
-        committed_txns: image.committed.len() as u64,
+        committed_txns: committed.len() as u64,
         versions: Versions {
             stable: Arc::clone(table),
-            redone: candidates,
+            redone,
             fresh,
         },
     }

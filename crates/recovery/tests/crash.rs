@@ -172,7 +172,7 @@ fn recovery_tolerates_torn_blocks_that_carry_no_unique_state() {
     let (image, errors) = scan_bytes(encoded.iter().map(Vec::as_slice));
     assert_eq!(errors.len(), 1, "the torn victim is rejected");
     assert!(
-        !image.data.is_empty() && image.committed.contains(&Tid(80)),
+        !image.data().is_empty() && image.committed().contains(&Tid(80)),
         "the forwarded copies and the commit survive"
     );
     let report = restart(&encoded, &h, &oracle);

@@ -331,8 +331,8 @@ fn reference_recover(image: &LogImage, stable: &StableDb) -> Canon {
     }
     let (mut redone, mut skipped_stale, mut skipped_uncommitted) = (0, 0, 0);
     let mut candidates: BTreeMap<Oid, ObjectVersion> = BTreeMap::new();
-    for d in &image.data {
-        if !image.committed.contains(&d.tid) {
+    for d in image.data() {
+        if !image.committed().contains(&d.tid) {
             skipped_uncommitted += 1;
             continue;
         }
@@ -365,7 +365,7 @@ fn reference_recover(image: &LogImage, stable: &StableDb) -> Canon {
         redone,
         skipped_stale,
         skipped_uncommitted,
-        image.committed.len() as u64,
+        image.committed().len() as u64,
     )
 }
 
@@ -426,12 +426,38 @@ fn recover_case(rng: &mut SimRng) {
         );
     }
     let image = scan(&pack_gen(0, &records));
+    assert_dedup(&image, &records);
     assert_eq!(
         canon(&recover(&image, &stable)),
         reference_recover(&image, &stable),
         "{} stable objects, {} log records",
         stable.len(),
         records.len()
+    );
+}
+
+/// The scan's dedup against one computed apart from it: `image.data()` is
+/// the first copy of each `(tid, oid, seq)` among `records`' data records,
+/// in scan order, and every later copy counts as a duplicate.
+fn assert_dedup(image: &LogImage, records: &[LogRecord]) {
+    let copies: Vec<DataRecord> = records
+        .iter()
+        .filter_map(|r| match r {
+            LogRecord::Data(d) => Some(*d),
+            LogRecord::Tx(_) => None,
+        })
+        .collect();
+    let mut seen = std::collections::HashSet::new();
+    let distinct: Vec<DataRecord> = copies
+        .iter()
+        .copied()
+        .filter(|d| seen.insert((d.tid, d.oid, d.seq)))
+        .collect();
+    assert_eq!(image.data(), distinct.as_slice(), "first-occurrence dedup");
+    assert_eq!(
+        image.stats.duplicates,
+        (copies.len() - distinct.len()) as u64,
+        "copies minus distinct updates"
     );
 }
 
@@ -444,6 +470,64 @@ fn recover_matches_the_insert_by_insert_reference() {
         "recover_matches_the_insert_by_insert_reference",
         300,
         recover_case,
+    );
+}
+
+/// One object with 1 000 – 1 500 distinct versions, each in one to three
+/// copies spread over a shuffled log, one in ten versions uncommitted, and
+/// a stable stamp drawn from the same range: the scan's dedup and the
+/// per-object walk against the reference, however deep one object runs.
+fn hot_object_case(rng: &mut SimRng) {
+    let oid = Oid(7);
+    let versions = rng.range(1_000..1_501);
+    let mut records = Vec::new();
+    for tid in 0..versions {
+        let update = LogRecord::Data(DataRecord {
+            tid: Tid(tid),
+            oid,
+            seq: 1,
+            ts: SimTime::from_millis(rng.range(0..versions / 2)),
+            size: 100,
+        });
+        for _ in 0..rng.range(1..4) {
+            records.push(update);
+        }
+        if rng.next_f64() < 0.9 {
+            records.push(LogRecord::Tx(TxRecord {
+                tid: Tid(tid),
+                mark: TxMark::Commit,
+                ts: SimTime::from_millis(versions),
+                size: 8,
+            }));
+        }
+    }
+    for i in (1..records.len()).rev() {
+        records.swap(i, rng.next_u64_below(i as u64 + 1) as usize);
+    }
+    let mut stable = StableDb::new();
+    stable.install(
+        oid,
+        ObjectVersion {
+            tid: Tid(rng.range(0..versions)),
+            seq: 1,
+            ts: SimTime::from_millis(rng.range(0..versions / 2)),
+        },
+    );
+    let image = scan(&pack_gen(0, &records));
+    assert_dedup(&image, &records);
+    assert_eq!(image.data().len() as u64, versions);
+    assert_eq!(
+        canon(&recover(&image, &stable)),
+        reference_recover(&image, &stable)
+    );
+}
+
+#[test]
+fn an_object_with_a_thousand_versions_matches_the_reference() {
+    cases::run(
+        "an_object_with_a_thousand_versions_matches_the_reference",
+        8,
+        hot_object_case,
     );
 }
 

@@ -28,7 +28,7 @@ pub struct DeviceStats {
 }
 
 /// Simulated log disk shared by all generations.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct LogDevice {
     per_gen: Vec<DeviceStats>,
 }

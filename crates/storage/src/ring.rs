@@ -20,7 +20,7 @@ use crate::block::{Block, BlockAddr};
 use elog_model::GenId;
 
 /// Circular array of `capacity` block slots for one generation.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct BlockRing {
     gen: GenId,
     capacity: u64,

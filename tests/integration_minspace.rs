@@ -2,7 +2,7 @@
 //! bounds derived from the workload arithmetic.
 
 use elog_harness::minspace::paper_base;
-use elog_harness::{MinSpaceResult, RunConfig, SearchRequest};
+use elog_harness::{cli, report, MinSpaceResult, RunConfig, SearchRequest};
 
 /// Two-generation minimum-space search.
 fn el_min_space(base: &RunConfig) -> MinSpaceResult {
@@ -73,4 +73,22 @@ fn search_is_deterministic() {
     let b = el_min_space(&paper_base(0.05, false, 30));
     assert_eq!(a.generation_blocks, b.generation_blocks);
     assert_eq!(a.probes, b.probes);
+}
+
+/// `elsim --gens 18,16 --runtime 60 --min-space`'s line, pinned: a change
+/// that loses the running bound (each column capped by the best geometry
+/// found before it — DESIGN.md §5f) spends more probes, and one that moves
+/// the minimum prints another geometry.
+#[test]
+fn two_generation_search_prints_the_pinned_line() {
+    let flags = ["--gens", "18,16", "--runtime", "60", "--min-space"];
+    let a = cli::elsim(flags.map(String::from)).expect("valid flags");
+    let out = SearchRequest::min_space(&a.run, 2)
+        .certificates(a.certificates)
+        .run();
+    assert!(out.limit.is_none(), "the search found a minimum");
+    assert_eq!(
+        report::render_min_space(&a.run, &out.min),
+        "minimum EL log: [18, 16] = 34 blocks (48 probes)\n"
+    );
 }

@@ -6,8 +6,11 @@
 //! urgent bit moved into the pending entry and LOT/LTT entries went
 //! inline; a host-side change to that path must leave all of them alone.
 
+mod common;
+
 use elog_core::ElConfig;
 use elog_harness::runner::{build_model, run, RunConfig};
+use elog_harness::{cli, report};
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
 use elog_workload::ArrivalProcess;
@@ -66,4 +69,32 @@ fn overload_keeps_table_and_drive_invariants() {
     let driver = &engine.model().driver;
     assert_eq!(driver.stats().killed, 1_246);
     assert_eq!(driver.picker().double_releases(), 0);
+}
+
+/// `elsim --tps 400 --gens 60,50 --runtime 500`'s stdout is committed as
+/// text: 500 s of deep drive queues, expedites and unsafe drops (199 580
+/// flushes, backlog 175 970), where a pick-order slip in the pending-flush
+/// index shows before the 60 s pins above. A change that means to move the
+/// model re-records the file in the same commit:
+/// `elsim --tps 400 --gens 60,50 --runtime 500 > results/overload.txt`.
+#[test]
+fn overload_report_matches_the_text_pin() {
+    let flags = ["--tps", "400", "--gens", "60,50", "--runtime", "500"];
+    let cfg = cli::elsim(flags.map(String::from))
+        .expect("valid flags")
+        .run;
+    let r = run(&cfg);
+    let rendered = report::render_run_report(
+        &r.metrics,
+        cfg.el.log.recirculation,
+        r.started,
+        r.committed,
+        r.killed,
+        r.p50_commit_latency_ms,
+    );
+    common::assert_matches_text_pin(
+        "results/overload.txt",
+        include_str!("../results/overload.txt"),
+        &rendered,
+    );
 }

@@ -4,6 +4,8 @@
 //! The `--jobs 1` output itself is pinned as text in
 //! `results/repro_quick.txt`.
 
+mod common;
+
 use elog_harness::experiments::{fig7, rates, recovery_time, registry};
 use elog_harness::report::render_repro;
 use elog_harness::sweep::{derive_seed, run_experiments, run_scenarios, ExecOptions};
@@ -50,29 +52,11 @@ fn quick_report_is_byte_identical_across_job_counts() {
 /// `repro --quick --jobs 1 > results/repro_quick.txt`.
 #[test]
 fn quick_report_matches_the_text_pin() {
-    let pinned = include_str!("../results/repro_quick.txt");
-    let rendered = quick_report(1);
-    if rendered == pinned {
-        return;
-    }
-    let mut pinned_lines = pinned.lines();
-    let mut rendered_lines = rendered.lines();
-    for line in 1.. {
-        let (p, r) = (pinned_lines.next(), rendered_lines.next());
-        if p != r {
-            panic!(
-                "repro --quick differs from results/repro_quick.txt at line {line}:\n\
-                 pinned:   {}\n\
-                 rendered: {}",
-                p.unwrap_or("<end of file>"),
-                r.unwrap_or("<end of output>"),
-            );
-        }
-        if p.is_none() {
-            break;
-        }
-    }
-    panic!("repro --quick differs from results/repro_quick.txt only in line endings or the final newline");
+    common::assert_matches_text_pin(
+        "results/repro_quick.txt",
+        include_str!("../results/repro_quick.txt"),
+        &quick_report(1),
+    );
 }
 
 #[test]
