@@ -232,7 +232,9 @@ echo "== certificate equivalence smoke =="
 # simulates every probe) has to print the same geometry and probe counts.
 # Event counters legitimately differ, so compare the full stdout of a
 # quick min-space search, which reports geometry and probes but not
-# event volume.
+# event volume. Tier-1 holds the same equivalence in-process
+# (latsearch::tests::certificate_path_matches_probe_only_path, the same
+# 3-generation 20 s search, and tests accelerator_equivalence).
 CERT_ON=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space)
 CERT_OFF=$(./target/release/elsim --gens 10,8,8 --runtime 20 --min-space --no-cert)
 if [ "$CERT_ON" != "$CERT_OFF" ]; then
@@ -248,7 +250,9 @@ echo "== adaptive controller smoke =="
 # summary goes to stderr). On a drifting workload it must actually
 # act: the stderr summary has to report at least one reshape (the drift
 # run below reads `reshapes 8`, all grows: the controller re-shapes the
-# last generation and nothing else).
+# last generation and nothing else). Tier-1 runs both configurations
+# in-process (runner::tests::adaptive_on_static_workload_is_inert compares
+# the rendered run reports; adaptive_grows_under_a_drifting_workload).
 AD_OFF=$(./target/release/elsim --gens 18,16 --runtime 30)
 AD_ON=$(./target/release/elsim --gens 18,16 --runtime 30 --adaptive 2>/dev/null)
 if [ "$AD_OFF" != "$AD_ON" ]; then
@@ -279,9 +283,11 @@ echo "== hostile CLI =="
 # of an abort (or the stop geometry printed as a minimum).
 # The --probe-cache, `elsim --jobs`, `repro --adaptive`, --no-analytic
 # (now --no-cert), --mode and --fw-blocks (the FW log is `--gens N`) rows
-# are deleted flags: they must be rejected by name, not silently accepted. The 1e12 / 1e300 rows
-# ask for arrivals finer than the 1 µs clock, which unchecked never
-# advance it; `--only nosuch` must fail before repro prints its header.
+# are deleted flags: they must be rejected by name, not silently accepted, and
+# `--phases 0:0.1@2` is deleted syntax (a phase is a start and a long
+# fraction; the `@rate` suffix is gone). The 1e12 rows ask for arrivals
+# finer than the 1 µs clock, which unchecked never advance it;
+# `--only nosuch` must fail before repro prints its header.
 # The crash_recovery rows are the example's one argument: unchecked, `abc`
 # silently crashes at the default instant, `-5` recovers an empty log, and
 # `inf` saturates the clock so that arrivals never stop. The other example
@@ -318,7 +324,7 @@ done <<'HOSTILE'
 2 --tps elsim --tps 0
 2 --tps elsim --tps 1e12 --runtime 1
 2 --tps elsim --tenants 2 --tps 1e12 --runtime 1
-2 --phases elsim --phases 0:0.1@1e300 --runtime 5
+2 --phases elsim --phases 0:0.1@2 --runtime 5
 2 --mode elsim --mode bogus
 2 --tenants.*65536 elsim --tenants 65537
 2 --tenants.*objects elsim --tenants 99999999

@@ -185,7 +185,7 @@ impl AdaptiveController {
         let cur = lm.gens[last].ring.capacity() as u32;
         let kills = lm.stats.kills;
         let kills_delta = kills.saturating_sub(self.prev_kills);
-        let writes = lm.device.stats(last).writes.get();
+        let writes = lm.device.stats(last).writes;
         let writes_delta = writes.saturating_sub(self.prev_writes);
 
         // Windowed worst-case garbage residency; the first window (no

@@ -32,7 +32,7 @@ use elog_model::{
     BLOCK_PAYLOAD_BYTES, TX_RECORD_SIZE,
 };
 use elog_sim::FxHashMap;
-use elog_sim::{Histogram, MaxGauge, SimTime};
+use elog_sim::{Histogram, SimTime};
 use elog_storage::{Block, BlockRing, LogDevice};
 
 /// Per-generation state.
@@ -69,7 +69,8 @@ pub struct ElManager {
     pub(crate) next_write_id: u64,
     /// (generation, block seq) → transactions whose COMMIT rides in it.
     pub(crate) pending_commits: FxHashMap<(usize, u64), Vec<Tid>>,
-    pub(crate) mem: MaxGauge,
+    /// Peak memory-model bytes.
+    pub(crate) peak_memory: u64,
     pub(crate) stats: LmStats,
     pub(crate) started_at: SimTime,
     /// Age (ms) of data records at the moment they become garbage —
@@ -131,7 +132,7 @@ impl ElManager {
             inflight: FxHashMap::default(),
             next_write_id: 0,
             pending_commits: FxHashMap::default(),
-            mem: MaxGauge::new(),
+            peak_memory: 0,
             stats: LmStats::default(),
             started_at: SimTime::ZERO,
             // 0–60 s in 250 ms buckets covers both paper transaction types.
@@ -233,7 +234,7 @@ impl ElManager {
             return 0;
         }
         for gi in 0..self.gens.len() {
-            let writes = self.device.stats(gi).writes.get();
+            let writes = self.device.stats(gi).writes;
             if writes == 0 {
                 // No traffic yet: an empty generation wraps "never".
                 return gi;
@@ -558,14 +559,14 @@ impl ElManager {
         }
     }
 
-    /// Recomputes the memory gauge after a table-size change.
+    /// Raises the memory peak to the current table sizes, after a change.
     pub(crate) fn update_memory(&mut self) {
         let bytes = if self.cfg.log.is_firewall() {
             FW_BYTES_PER_TXN * self.ltt.len() as u64
         } else {
             EL_BYTES_PER_TXN * self.ltt.len() as u64 + EL_BYTES_PER_OBJECT * self.lot.len() as u64
         };
-        self.mem.set(bytes);
+        self.peak_memory = self.peak_memory.max(bytes);
     }
 
     // ------------------------------------------------------------------
@@ -614,7 +615,7 @@ impl ElManager {
 
     /// Peak memory-model bytes.
     pub fn peak_memory_bytes(&self) -> u64 {
-        self.mem.peak()
+        self.peak_memory
     }
 
     /// Arms per-tenant accounting: tids are attributed to one of `tenants`

@@ -53,7 +53,7 @@ impl LmMetrics {
         let elapsed = now.saturating_sub(lm.started_at);
         let n = lm.gens.len();
         let per_gen_blocks: Vec<u64> = lm.gens.iter().map(|g| g.ring.capacity()).collect();
-        let per_gen_writes: Vec<u64> = (0..n).map(|g| lm.device.stats(g).writes.get()).collect();
+        let per_gen_writes: Vec<u64> = (0..n).map(|g| lm.device.stats(g).writes).collect();
         let per_gen_write_rate: Vec<f64> =
             (0..n).map(|g| lm.device.write_rate(g, elapsed)).collect();
         let per_gen_fill: Vec<Option<f64>> = (0..n).map(|g| lm.device.mean_fill(g)).collect();
@@ -66,7 +66,7 @@ impl LmMetrics {
             log_write_rate: lm.device.total_write_rate(elapsed),
             per_gen_write_rate,
             per_gen_fill,
-            peak_memory_bytes: lm.mem.peak(),
+            peak_memory_bytes: lm.peak_memory,
             ltt_peak: lm.ltt.peak_len(),
             lot_peak: lm.lot.peak_len(),
             flushes: lm.flush.total_flushes(),

@@ -33,7 +33,7 @@ pub use drive::{Drive, DriveStats};
 pub use scheduler::PendingIndex;
 
 use elog_model::{FlushConfig, ObjectVersion, Oid};
-use elog_sim::{MeanAccumulator, SimTime};
+use elog_sim::SimTime;
 
 /// Outcome of submitting a flush request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,7 +71,9 @@ pub struct FlushArray {
     index: PendingIndex,
     objects_per_drive: u64,
     transfer_time: SimTime,
-    distance: MeanAccumulator,
+    /// Sum and count of the recorded seek distances.
+    distance_sum: f64,
+    seeks: u64,
 }
 
 impl FlushArray {
@@ -103,7 +105,8 @@ impl FlushArray {
             index: PendingIndex::new(num_objects),
             objects_per_drive: per,
             transfer_time: cfg.transfer_time,
-            distance: MeanAccumulator::new(),
+            distance_sum: 0.0,
+            seeks: 0,
         }
     }
 
@@ -175,7 +178,8 @@ impl FlushArray {
     /// time.
     fn started(&mut self, now: SimTime, dist: Option<u64>) -> SimTime {
         if let Some(dist) = dist {
-            self.distance.record(dist as f64);
+            self.distance_sum += dist as f64;
+            self.seeks += 1;
         }
         now + self.transfer_time
     }
@@ -204,7 +208,7 @@ impl FlushArray {
     /// Mean wraparound distance between successively flushed oids, across
     /// all drives. `None` before the second flush on every drive.
     pub fn mean_seek_distance(&self) -> Option<f64> {
-        self.distance.mean()
+        (self.seeks > 0).then(|| self.distance_sum / self.seeks as f64)
     }
 
     /// Total completed flushes across drives.

@@ -19,83 +19,23 @@
 //! ([`elog_core::cert`]) so every probe is simulated; stdout is
 //! byte-identical either way — the flag exists to prove exactly that.
 //!
-//! Every experiment is a [`elog_harness::sweep::Experiment`]; this binary
-//! just flattens the registry's scenarios through one executor pool and
-//! prints [`elog_harness::report::render_repro`] of the reports.
+//! [`elog_harness::cli::repro`] parses the flags. Every experiment is a
+//! [`elog_harness::sweep::Experiment`]; this binary just flattens the
+//! registry's scenarios through one executor pool and prints
+//! [`elog_harness::report::render_repro`] of the reports.
 
 use elog_harness::cli;
 use elog_harness::experiments::registry_with;
-use elog_harness::latsearch::MAX_AXES;
 use elog_harness::report::render_repro;
-use elog_harness::sweep::{run_experiments, ExecOptions};
+use elog_harness::sweep::run_experiments;
 use elog_sim::perfstats::{allocations, CountingAlloc};
 use elog_sim::PerfStats;
 
 #[global_allocator]
 static ALLOC: CountingAlloc<std::alloc::System> = CountingAlloc(std::alloc::System);
 
-const USAGE: &str = "usage: repro [--quick] [--jobs N] [--gens N] [--only NAME] \
-    [--csv DIR] [--progress] [--no-cert]";
-
-struct Options {
-    quick: bool,
-    gens: usize,
-    only: Option<String>,
-    csv_dir: Option<std::path::PathBuf>,
-    exec: ExecOptions,
-}
-
-fn parse_args(args: Vec<String>) -> Result<Options, String> {
-    let mut opts = Options {
-        quick: false,
-        gens: 3,
-        only: None,
-        csv_dir: None,
-        exec: ExecOptions::default(),
-    };
-    let args: cli::Args = &mut args.into_iter();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => opts.quick = true,
-            "--progress" => opts.exec.progress = true,
-            "--no-cert" => opts.exec.certificates = false,
-            "--jobs" => opts.exec.jobs = cli::positive("--jobs", args)?,
-            "--gens" => {
-                opts.gens = cli::positive("--gens", args)?;
-                if opts.gens > MAX_AXES {
-                    return Err(format!(
-                        "--gens {}: the lattice search supports at most {MAX_AXES} generations",
-                        opts.gens
-                    ));
-                }
-            }
-            "--only" => opts.only = Some(cli::value::<String>("--only", args)?.to_lowercase()),
-            "--csv" => {
-                let dir = std::path::PathBuf::from(cli::value::<String>("--csv", args)?);
-                std::fs::create_dir_all(&dir)
-                    .map_err(|e| format!("--csv {}: cannot create: {e}", dir.display()))?;
-                opts.csv_dir = Some(dir);
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    if let Some(only) = &opts.only {
-        let names: Vec<String> = registry_with(opts.gens)
-            .iter()
-            .map(|e| e.name().to_string())
-            .collect();
-        if !names.iter().any(|n| n.to_lowercase().contains(only)) {
-            return Err(format!(
-                "--only {only:?} matches no experiment; the registry holds {}",
-                names.join(", ")
-            ));
-        }
-    }
-    Ok(opts)
-}
-
 fn main() {
-    let opts = cli::parse_env(USAGE, parse_args);
+    let opts = cli::parse_env(cli::REPRO_USAGE, cli::repro);
     let t0 = std::time::Instant::now();
     let mut experiments = registry_with(opts.gens);
     if let Some(only) = &opts.only {

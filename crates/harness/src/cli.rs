@@ -1,25 +1,27 @@
 //! The command lines of the harness binaries.
 //!
-//! [`elsim`] is the simulator's one parser: it validates the run flags into
-//! a [`RunConfig`] whose `tenants` field carries `--tenants` /
-//! `--oid-ranges`, so a one-tenant run and a served run are one
-//! configuration type built by one function. Everything arriving from the
-//! shell is checked here — geometry, rates, tenant counts — and comes back
-//! as a one-line `Err` naming the flag, so the `expect("validated
-//! configuration")`s further in hold. [`parse_env`] is every binary's (and
-//! example's) front door: `--help` prints the usage text and exits 0, an
-//! `Err` goes to stderr and exits 2. `repro` keeps its own flag loop and
-//! shares [`value`] / [`positive`] with this one; the examples read their
-//! positional arguments with [`value_or`], [`runtime_secs`] and
-//! [`no_more`]. [`print()`] is every binary's way to stdout.
+//! [`elsim`] and [`repro`] parse the two binaries' flags. [`elsim`]
+//! validates the run flags into a [`RunConfig`] whose `tenants` field
+//! carries `--tenants` / `--oid-ranges`, so a one-tenant run and a served
+//! run are one configuration type built by one function. Everything
+//! arriving from the shell is checked here — geometry, rates, tenant
+//! counts — and comes back as a one-line `Err` naming the flag, so the
+//! `expect("validated configuration")`s further in hold. [`parse_env`] is
+//! every binary's (and example's) front door: `--help` prints the usage
+//! text and exits 0, an `Err` goes to stderr and exits 2. Both parsers read values with
+//! [`value`] / [`positive`]; the examples read their positional arguments
+//! with [`value_or`], [`runtime_secs`] and [`no_more`]. [`print()`] is
+//! every binary's way to stdout.
 
+use crate::experiments::registry_with;
 use crate::latsearch::MAX_AXES;
 use crate::runner::{RunConfig, TenantLayout};
 use crate::serve::{parse_oid_ranges, validate_layout, validate_tenants};
+use crate::sweep::ExecOptions;
 use elog_core::ElConfig;
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
-use elog_workload::{ArrivalProcess, PhaseSchedule, MAX_RATE_TPS};
+use elog_workload::{ArrivalProcess, PhaseSchedule};
 use std::str::FromStr;
 
 /// `elsim --help`.
@@ -29,8 +31,7 @@ pub const ELSIM_USAGE: &str = "elsim [options]
   --recirc                enable recirculation in the last generation
   --frac-long P           fraction of 10 s transactions (default 0.05)
   --tps R                 arrivals per second, per tenant (default 100; at
-                          most 1000000, one per simulated microsecond, also
-                          once scaled by --phases)
+                          most 1000000, one per simulated microsecond)
   --poisson               Poisson instead of deterministic arrivals
   --runtime S             simulated seconds (default 500)
   --drives N              flush drives (default 10)
@@ -38,10 +39,10 @@ pub const ELSIM_USAGE: &str = "elsim [options]
   --seed N                random seed, decimal or 0x-prefixed hex (default
                           0x5EED1993; tenant 0 uses it raw, tenants 1..
                           draw independent splitmix64 streams from it)
-  --phases SPEC           piecewise workload schedule
-                          `start:frac_long[@rate_factor],...` over the
-                          paper type table, e.g. `0:0.1,160:0.4,330:0.1`
-                          (first start must be 0; seconds, ascending)
+  --phases SPEC           piecewise long-fraction schedule
+                          `start:frac_long,...`, e.g.
+                          `0:0.1,160:0.4,330:0.1` (first start must be 0;
+                          seconds, ascending)
   --tenants T             logical tenants sharing the one log (default 1,
                           at most 65536); more than one prints the
                           per-tenant report
@@ -64,6 +65,10 @@ pub const ELSIM_USAGE: &str = "elsim [options]
                           (stderr summary; stdout is byte-identical to
                           a non-adaptive run when the workload is
                           static, because the controller never acts)";
+
+/// `repro --help`.
+pub const REPRO_USAGE: &str = "usage: repro [--quick] [--jobs N] [--gens N] [--only NAME] \
+    [--csv DIR] [--progress] [--no-cert]";
 
 /// A binary's command line, as its parser consumes it.
 pub type Args<'a> = &'a mut dyn Iterator<Item = String>;
@@ -204,20 +209,6 @@ impl RunFlags {
         arrivals
             .validate()
             .map_err(|e| format!("--tps {rate_tps}: {e}"))?;
-        if let Some(phases) = &self.phases {
-            let factor = phases
-                .phases()
-                .iter()
-                .map(|p| p.rate_factor)
-                .fold(1.0, f64::max);
-            if rate_tps * factor > MAX_RATE_TPS {
-                return Err(format!(
-                    "--phases: the largest rate factor lifts --tps {rate_tps} above \
-                     {MAX_RATE_TPS} arrivals per second, one per microsecond of the \
-                     simulation clock"
-                ));
-            }
-        }
         let log = LogConfig {
             generation_blocks: self.gens,
             recirculation: self.recirc,
@@ -376,6 +367,73 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
     })
 }
 
+/// What a `repro` command line asks for.
+#[derive(Debug)]
+pub struct ReproOptions {
+    /// `--quick`: shrunk runtimes and sweeps.
+    pub quick: bool,
+    /// `--gens`: fig_ngen's generation count.
+    pub gens: usize,
+    /// `--only`: keep experiments whose name contains this (lower case).
+    pub only: Option<String>,
+    /// `--csv`: the directory the tables are also written to (created).
+    pub csv_dir: Option<std::path::PathBuf>,
+    /// `--jobs`, `--progress` and `--no-cert`.
+    pub exec: ExecOptions,
+}
+
+/// Parses and validates a `repro` command line (without the program
+/// name), creating the `--csv` directory. The error is one line for
+/// stderr.
+pub fn repro(args: impl IntoIterator<Item = String>) -> Result<ReproOptions, String> {
+    let mut opts = ReproOptions {
+        quick: false,
+        gens: 3,
+        only: None,
+        csv_dir: None,
+        exec: ExecOptions::default(),
+    };
+    let args: Args = &mut args.into_iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--quick" => opts.quick = true,
+            "--progress" => opts.exec.progress = true,
+            "--no-cert" => opts.exec.certificates = false,
+            "--jobs" => opts.exec.jobs = positive("--jobs", args)?,
+            "--gens" => {
+                opts.gens = positive("--gens", args)?;
+                if opts.gens > MAX_AXES {
+                    return Err(format!(
+                        "--gens {}: the lattice search supports at most {MAX_AXES} generations",
+                        opts.gens
+                    ));
+                }
+            }
+            "--only" => opts.only = Some(value::<String>("--only", args)?.to_lowercase()),
+            "--csv" => {
+                let dir = std::path::PathBuf::from(value::<String>("--csv", args)?);
+                std::fs::create_dir_all(&dir)
+                    .map_err(|e| format!("--csv {}: cannot create: {e}", dir.display()))?;
+                opts.csv_dir = Some(dir);
+            }
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    if let Some(only) = &opts.only {
+        let names: Vec<String> = registry_with(opts.gens)
+            .iter()
+            .map(|e| e.name().to_string())
+            .collect();
+        if !names.iter().any(|n| n.to_lowercase().contains(only)) {
+            return Err(format!(
+                "--only {only:?} matches no experiment; the registry holds {}",
+                names.join(", ")
+            ));
+        }
+    }
+    Ok(opts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,7 +444,7 @@ mod tests {
 
     /// The ten workload and geometry flags, each with a non-default value.
     const RUN: &str = "--gens 36,32,8 --recirc --frac-long 0.2 --tps 50 --poisson \
-        --runtime 60 --drives 8 --flush-ms 45 --seed 7 --phases 0:0.1,30:0.4@2";
+        --runtime 60 --drives 8 --flush-ms 45 --seed 7 --phases 0:0.1,30:0.4";
 
     #[test]
     fn every_documented_flag_parses() {
@@ -463,16 +521,19 @@ mod tests {
             ("--gens 18,1048577", "--gens"),
             ("--gens 4294967295 --runtime 1", "--gens"),
             ("--drives 4294967295 --runtime 1", "--drives"),
+            ("--tenants 2 --drives 4294967295 --runtime 1", "--drives"),
             ("--tps 0", "--tps"),
             ("--tps nan", "--tps"),
             ("--tps -5", "--tps"),
             // Rates finer than the 1 µs clock: arrivals would pile onto one
             // instant (or never advance it) instead of erroring.
             ("--tps 1e12 --runtime 1", "--tps"),
+            ("--tenants 2 --tps 1e12 --runtime 1", "--tps"),
             ("--poisson --tps 1e9 --runtime 1", "--tps"),
             ("--tps 1500000", "--tps"),
-            ("--phases 0:0.1@1e300 --runtime 5", "--phases"),
-            ("--tps 600000 --phases 0:0.1,5:0.1@2", "--phases"),
+            // A phase is a start and a long fraction: the `@rate` suffix
+            // is gone.
+            ("--phases 0:0.1@2 --runtime 5", "--phases"),
             ("--frac-long 2", "--frac-long"),
             ("--drives 0", "--drives"),
             ("--flush-ms 0", "--flush-ms"),
@@ -481,6 +542,8 @@ mod tests {
             ("--min-space --jobs 2", "--jobs"),
             ("--mode fw", "--mode"),
             ("--fw-blocks 1", "--fw-blocks"),
+            ("--no-analytic", "--no-analytic"),
+            ("--min-space --probe-cache /tmp/x", "--probe-cache"),
             ("--phases 5:0.1", "--phases"),
             // A served run neither searches nor adapts.
             ("--tenants 2 --min-space", "--tenants"),
@@ -502,11 +565,45 @@ mod tests {
         let at_ceiling = format!("--gens 18,{MAX_GENERATION_BLOCKS} --drives 10000000");
         assert!(elsim(args(&at_ceiling)).is_ok());
         assert!(elsim(args("--tps 1000000")).is_ok());
-        assert!(elsim(args("--tps 500000 --phases 0:0.1@2")).is_ok());
+        assert!(elsim(args("--tps 1000000 --phases 0:0.1,5:0.4")).is_ok());
         // The two tenant limits are named in the message.
         let err = elsim(args("--tenants 65537")).unwrap_err();
         assert!(err.contains("65536"), "{err}");
         let err = elsim(args("--tenants 99999999")).unwrap_err();
         assert!(err.contains("10000000 objects"), "{err}");
+    }
+
+    #[test]
+    fn repro_hostile_values_are_errors_naming_the_flag() {
+        // A regular file cannot hold a directory, so `--csv` under it
+        // cannot be created.
+        let file = std::env::temp_dir().join(format!("repro-csv-{}", std::process::id()));
+        std::fs::write(&file, b"").unwrap();
+        let under_file = format!("--quick --csv {}", file.join("nope").display());
+        let table = [
+            ("--gens 9", "--gens"),
+            ("--gens 0", "--gens"),
+            ("--jobs 0", "--jobs"),
+            ("--quick --only nosuch", "--only"),
+            ("--quick --probe-cache /tmp/x", "--probe-cache"),
+            ("--quick --adaptive", "--adaptive"),
+            (under_file.as_str(), "--csv"),
+        ];
+        for (line, flag) in table {
+            let err = repro(args(line)).expect_err(line);
+            assert!(
+                err.contains(flag),
+                "`{line}` → `{err}` does not name {flag}"
+            );
+            assert!(!err.contains('\n'), "`{line}` → multi-line `{err}`");
+        }
+        std::fs::remove_file(&file).unwrap();
+        let o = repro(args(
+            "--quick --jobs 2 --gens 8 --only RECOVERY --no-cert --progress",
+        ))
+        .unwrap();
+        assert!(o.quick && o.exec.progress && !o.exec.certificates);
+        assert_eq!((o.exec.jobs, o.gens), (2, 8));
+        assert_eq!(o.only.as_deref(), Some("recovery"));
     }
 }

@@ -48,7 +48,6 @@ fn tick_of(at: SimTime) -> u64 {
     at.as_micros() >> TICK_SHIFT
 }
 
-#[derive(Clone)]
 struct Node<E> {
     at: SimTime,
     seq: u64,
@@ -59,10 +58,6 @@ struct Node<E> {
 }
 
 /// Priority queue of future events.
-///
-/// `Clone` (for `E: Clone`) deep-copies the pending set and counters,
-/// which is what lets a whole engine be snapshotted mid-run and resumed.
-#[derive(Clone)]
 pub struct EventQueue<E> {
     /// Every entry, pending or free; a key's slot indexes it.
     nodes: Vec<Node<E>>,
@@ -605,36 +600,6 @@ mod tests {
             "event::tests::horizon_stop_with_cursor_ahead_matches_reference",
             16,
             horizon_stop_case,
-        );
-    }
-
-    /// A clone taken mid-stream delivers what the original delivers, with
-    /// schedules still arriving on both.
-    fn clone_case(rng: &mut SimRng) {
-        let mut pair = Pair::new();
-        let steps = 2_000 + rng.next_u64() % 2_000;
-        random_ops(&mut pair, rng, steps);
-        let mut twin = pair.queue.clone();
-        while !pair.queue.is_empty() {
-            if rng.next_u64().is_multiple_of(3) {
-                let at = SimTime::from_micros(rng.next_u64() % 30_000_000);
-                twin.schedule(at, pair.step);
-                pair.schedule(at);
-            } else {
-                assert_eq!(twin.pop(), pair.pop(), "step {}", pair.step);
-            }
-            assert_eq!(twin.len(), pair.queue.len(), "step {}", pair.step);
-            assert_eq!(twin.perf(), pair.queue.perf(), "step {}", pair.step);
-        }
-        assert_eq!(twin.pop(), None);
-    }
-
-    #[test]
-    fn clone_mid_stream_delivers_the_same_sequence() {
-        cases::run(
-            "event::tests::clone_mid_stream_delivers_the_same_sequence",
-            8,
-            clone_case,
         );
     }
 }

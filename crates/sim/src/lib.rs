@@ -51,5 +51,5 @@ pub use event::EventQueue;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use perfstats::{CountingAlloc, PerfStats, QueueStats, SearchStats};
 pub use rng::{splitmix64, SimRng};
-pub use stats::{Counter, Histogram, MaxGauge, MeanAccumulator};
+pub use stats::Histogram;
 pub use time::SimTime;

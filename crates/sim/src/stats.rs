@@ -1,107 +1,7 @@
-//! Statistics accumulators.
+//! Histograms and their quantiles.
 //!
-//! The paper's evaluation reports rates (block writes per second), peaks
-//! (main-memory consumption) and means (distance between successively
-//! flushed oids). These small accumulators compute each of those online, in
-//! O(1) space, so instrumentation never perturbs a run.
-
-use crate::time::SimTime;
-
-/// A monotone event counter with a rate helper.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Events per simulated second over `elapsed`.
-    pub fn rate_per_sec(self, elapsed: SimTime) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.0 as f64 / secs
-        }
-    }
-}
-
-/// Running arithmetic mean (and count) of a stream of samples.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MeanAccumulator {
-    sum: f64,
-    n: u64,
-}
-
-impl MeanAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.sum += x;
-        self.n += 1;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean, or `None` before the first sample.
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.sum / self.n as f64)
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-}
-
-/// Tracks the maximum of a time-varying quantity.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MaxGauge {
-    peak: u64,
-}
-
-impl MaxGauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the current value, updating the peak.
-    pub fn set(&mut self, v: u64) {
-        self.peak = self.peak.max(v);
-    }
-
-    /// Greatest value ever set.
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-}
+//! The paper's rates, peaks and means are plain counters on the structures
+//! that produce them; a distribution needs buckets, which live here.
 
 /// Fixed-boundary histogram with overflow bucket.
 ///
@@ -337,37 +237,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        c.add(500);
-        c.incr();
-        assert_eq!(c.get(), 501);
-        assert!((c.rate_per_sec(SimTime::from_secs(100)) - 5.01).abs() < 1e-9);
-        assert_eq!(Counter::new().rate_per_sec(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn mean_accumulator() {
-        let mut m = MeanAccumulator::new();
-        assert_eq!(m.mean(), None);
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            m.record(x);
-        }
-        assert_eq!(m.mean(), Some(2.5));
-        assert_eq!(m.count(), 4);
-        assert_eq!(m.sum(), 10.0);
-    }
-
-    #[test]
-    fn max_gauge_tracks_peak_and_time() {
-        let mut g = MaxGauge::new();
-        g.set(10);
-        g.set(30);
-        g.set(20);
-        assert_eq!(g.peak(), 30);
-    }
 
     #[test]
     fn histogram_windowed_quantile() {

@@ -12,15 +12,15 @@
 //! the paper), which is the paper's own modelling choice.
 
 use elog_model::{BLOCK_PAYLOAD_BYTES, LOG_WRITE_LATENCY};
-use elog_sim::{Counter, SimTime};
+use elog_sim::SimTime;
 
 /// Per-generation write accounting.
 #[derive(Clone, Debug, Default)]
 pub struct DeviceStats {
     /// Completed block writes.
-    pub writes: Counter,
+    pub writes: u64,
     /// Payload bytes carried by completed writes (accounting sizes).
-    pub payload_bytes: Counter,
+    pub payload_bytes: u64,
     /// Writes currently in flight.
     pub in_flight: u32,
     /// Peak simultaneous writes (validates the buffer-count assumption).
@@ -50,7 +50,7 @@ impl LogDevice {
         let s = &mut self.per_gen[gen];
         s.in_flight += 1;
         s.peak_in_flight = s.peak_in_flight.max(s.in_flight);
-        s.payload_bytes.add(u64::from(payload_bytes));
+        s.payload_bytes += u64::from(payload_bytes);
         now + LOG_WRITE_LATENCY
     }
 
@@ -59,7 +59,7 @@ impl LogDevice {
         let s = &mut self.per_gen[gen];
         debug_assert!(s.in_flight > 0, "completion without a begin");
         s.in_flight -= 1;
-        s.writes.incr();
+        s.writes += 1;
     }
 
     /// Accounting for one generation.
@@ -69,30 +69,35 @@ impl LogDevice {
 
     /// Completed writes summed over all generations.
     pub fn total_writes(&self) -> u64 {
-        self.per_gen.iter().map(|s| s.writes.get()).sum()
+        self.per_gen.iter().map(|s| s.writes).sum()
     }
 
     /// Completed block writes per second over `elapsed`, all generations.
     pub fn total_write_rate(&self, elapsed: SimTime) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.total_writes() as f64 / secs
-        }
+        per_sec(self.total_writes(), elapsed)
     }
 
     /// Completed block writes per second for one generation.
     pub fn write_rate(&self, gen: usize, elapsed: SimTime) -> f64 {
-        self.per_gen[gen].writes.rate_per_sec(elapsed)
+        per_sec(self.per_gen[gen].writes, elapsed)
     }
 
     /// Mean payload fill of completed writes, as a fraction of
     /// [`BLOCK_PAYLOAD_BYTES`] (diagnostic for the group-commit packing).
     pub fn mean_fill(&self, gen: usize) -> Option<f64> {
         let s = &self.per_gen[gen];
-        let w = s.writes.get();
-        (w > 0).then(|| s.payload_bytes.get() as f64 / (w as f64 * f64::from(BLOCK_PAYLOAD_BYTES)))
+        let w = s.writes;
+        (w > 0).then(|| s.payload_bytes as f64 / (w as f64 * f64::from(BLOCK_PAYLOAD_BYTES)))
+    }
+}
+
+/// `n` per simulated second over `elapsed` (0 over no time).
+fn per_sec(n: u64, elapsed: SimTime) -> f64 {
+    let secs = elapsed.as_secs_f64();
+    if secs == 0.0 {
+        0.0
+    } else {
+        n as f64 / secs
     }
 }
 
@@ -118,10 +123,10 @@ mod tests {
         d.complete_write(0);
         d.complete_write(0);
         d.complete_write(1);
-        assert_eq!(d.stats(0).writes.get(), 2);
-        assert_eq!(d.stats(1).writes.get(), 1);
+        assert_eq!(d.stats(0).writes, 2);
+        assert_eq!(d.stats(1).writes, 1);
         assert_eq!(d.total_writes(), 3);
-        assert_eq!(d.stats(0).payload_bytes.get(), 2500);
+        assert_eq!(d.stats(0).payload_bytes, 2500);
         assert_eq!(d.stats(0).in_flight, 0);
     }
 

@@ -19,7 +19,7 @@
 
 use crate::arrival::ArrivalProcess;
 use crate::oidpick::OidPicker;
-use crate::spec::{PhaseSchedule, TxMix};
+use crate::spec::{PhaseSchedule, TxMix, TX_TYPES};
 use elog_model::{Oid, Tid};
 use elog_sim::{Histogram, SimRng, SimTime};
 use std::collections::VecDeque;
@@ -49,7 +49,7 @@ pub enum WorkloadEvent {
 pub struct NewTxn {
     /// Assigned transaction id.
     pub tid: Tid,
-    /// Index into the mix's type list.
+    /// Index into [`TX_TYPES`].
     pub type_idx: usize,
 }
 
@@ -104,12 +104,12 @@ pub struct WorkloadStats {
     /// resolve both the ~1 s short type and 10 s+ stragglers, and tail
     /// quantiles (p99) care about relative, not absolute, resolution.
     pub full_latency_ms: Histogram,
-    /// Started count per type index.
-    pub per_type_started: Vec<u64>,
+    /// Started count per [`TX_TYPES`] index.
+    pub per_type_started: [u64; 2],
 }
 
 impl WorkloadStats {
-    fn new(n_types: usize) -> Self {
+    fn new() -> Self {
         WorkloadStats {
             started: 0,
             committed: 0,
@@ -117,7 +117,7 @@ impl WorkloadStats {
             data_records: 0,
             commit_latency_ms: Histogram::linear(500.0, 100),
             full_latency_ms: Histogram::geometric(1.0, 120_000.0, 20),
-            per_type_started: vec![0; n_types],
+            per_type_started: [0; 2],
         }
     }
 }
@@ -126,8 +126,8 @@ impl WorkloadStats {
 #[derive(Debug)]
 pub struct WorkloadDriver {
     mix: TxMix,
-    /// Piecewise mix/rate schedule (see [`PhaseSchedule`]). `None` means
-    /// the static `mix` for the whole run.
+    /// Piecewise mix schedule (see [`PhaseSchedule`]). `None` means the
+    /// static `mix` for the whole run.
     schedule: Option<PhaseSchedule>,
     arrivals: ArrivalProcess,
     /// Type and inter-arrival draws.
@@ -155,7 +155,7 @@ pub struct WorkloadDriver {
 impl WorkloadDriver {
     /// Creates a driver.
     ///
-    /// * `mix` — transaction types and pdf;
+    /// * `mix` — the long fraction;
     /// * `arrivals` — arrival process (the paper uses deterministic);
     /// * `num_objects` — oid space size;
     /// * `horizon` — arrivals stop at this time (the paper's 500 s runtime);
@@ -176,7 +176,6 @@ impl WorkloadDriver {
         if let Err(e) = arrivals.validate() {
             panic!("invalid arrival process: {e}");
         }
-        let n_types = mix.types().len();
         WorkloadDriver {
             mix,
             schedule: None,
@@ -190,7 +189,7 @@ impl WorkloadDriver {
             oids: VecDeque::new(),
             oid_front: 0,
             live: 0,
-            stats: WorkloadStats::new(n_types),
+            stats: WorkloadStats::new(),
             ack_buf: Vec::new(),
         }
     }
@@ -208,17 +207,12 @@ impl WorkloadDriver {
     /// through.
     ///
     /// # Panics
-    /// Panics after arrivals have begun, or when the schedule's type table
-    /// does not match the base mix.
+    /// Panics after arrivals have begun.
     pub fn with_phases(mut self, schedule: Option<PhaseSchedule>) -> Self {
         let Some(schedule) = schedule else {
             return self;
         };
         assert_eq!(self.next_tid(), 0, "schedule must be set before arrivals");
-        assert!(
-            schedule.matches_types(&self.mix),
-            "phase schedule type table does not match the base mix"
-        );
         self.schedule = Some(schedule);
         self
     }
@@ -241,25 +235,17 @@ impl WorkloadDriver {
             return None;
         }
         let tid = Tid(self.next_tid());
-        // Under a phase schedule the active phase's mix is sampled and its
-        // rate factor compresses (or stretches) the gap to the next arrival.
-        let (mix_now, rate_factor) = match &self.schedule {
-            Some(s) => {
-                let p = s.phase_at(now);
-                (&p.mix, p.rate_factor)
-            }
-            None => (&self.mix, 1.0),
+        // Under a phase schedule the active phase's mix is sampled.
+        let mix = match &self.schedule {
+            Some(s) => &s.phase_at(now).mix,
+            None => &self.mix,
         };
-        let type_idx = mix_now.sample(&mut self.rng_mix);
-        let mut gap = self.arrivals.next_interval(&mut self.rng_mix);
-        if rate_factor != 1.0 {
-            gap = SimTime::from_secs_f64(gap.as_secs_f64() / rate_factor);
-        }
-        let next = now + gap;
+        let type_idx = mix.sample(&mut self.rng_mix);
+        let next = now + self.arrivals.next_interval(&mut self.rng_mix);
         if next < self.horizon {
             events.push((next, WorkloadEvent::Arrival));
         }
-        let ty = self.mix.types()[type_idx];
+        let ty = TX_TYPES[type_idx];
         for seq in 1..=ty.data_records {
             events.push((
                 now + ty.data_write_offset(seq),
@@ -300,7 +286,7 @@ impl WorkloadDriver {
         let oid = self.picker.pick(&mut self.rng_oid);
         self.oids[at] = oid;
         self.stats.data_records += 1;
-        Some((oid, self.mix.types()[slot.type_idx as usize].record_size))
+        Some((oid, TX_TYPES[slot.type_idx as usize].record_size))
     }
 
     /// Handles the COMMIT-record write (t3). Returns `false` when the
@@ -327,7 +313,7 @@ impl WorkloadDriver {
             return &self.ack_buf;
         };
         let slot = self.window[i];
-        let ty = self.mix.types()[slot.type_idx as usize];
+        let ty = TX_TYPES[slot.type_idx as usize];
         let first = (slot.oid_start - self.oid_front) as usize;
         for (oid, seq) in self.oids.range(first..).zip(1..=slot.written) {
             self.ack_buf.push(Update {
@@ -381,7 +367,7 @@ impl WorkloadDriver {
         self.window[i].live = false;
         self.live -= 1;
         while let Some(front) = self.window.front().filter(|s| !s.live) {
-            let n = self.mix.types()[front.type_idx as usize].data_records;
+            let n = TX_TYPES[front.type_idx as usize].data_records;
             self.window.pop_front();
             self.front_tid += 1;
             self.oids.drain(..n as usize);
@@ -421,11 +407,6 @@ impl WorkloadDriver {
         &self.picker
     }
 
-    /// The configured mix.
-    pub fn mix(&self) -> &TxMix {
-        &self.mix
-    }
-
     /// The arrival horizon (no arrivals at or after this time).
     pub fn horizon(&self) -> SimTime {
         self.horizon
@@ -435,7 +416,6 @@ impl WorkloadDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::TxMix;
 
     fn driver(frac_long: f64, horizon_s: u64) -> WorkloadDriver {
         WorkloadDriver::new(
@@ -584,7 +564,6 @@ mod tests {
 
     #[test]
     fn a_long_transaction_pins_the_window_front() {
-        use crate::spec::PhaseSchedule;
         // One long (10 s, 4-record) transaction at the front, then short
         // ones that all commit while it runs.
         let mut d =
@@ -705,64 +684,24 @@ mod tests {
     }
 
     #[test]
-    fn phase_schedule_shifts_mix_and_rate() {
-        use crate::spec::{Phase, PhaseSchedule};
-        // Phase 0 (0–10 s): all-short at base rate. Phase 1 (10 s+):
-        // all-long at 2× rate.
-        let schedule = PhaseSchedule::new(vec![
-            Phase {
-                start: SimTime::ZERO,
-                mix: TxMix::paper_mix(0.0),
-                rate_factor: 1.0,
-            },
-            Phase {
-                start: SimTime::from_secs(10),
-                mix: TxMix::paper_mix(1.0),
-                rate_factor: 2.0,
-            },
-        ])
-        .unwrap();
-        let mut d = WorkloadDriver::new(
-            TxMix::paper_mix(0.5),
-            ArrivalProcess::Deterministic { rate_tps: 100.0 },
-            10_000_000,
-            SimTime::from_secs(20),
-            &SimRng::new(42),
-        )
-        .with_phases(Some(schedule));
+    fn phase_schedule_shifts_mix() {
+        // Phase 0 (0–10 s): all short. Phase 1 (10 s+): all long.
+        let schedule = PhaseSchedule::paper(&[(0, 0.0), (10, 1.0)]);
+        let mut d = driver(0.5, 20).with_phases(Some(schedule));
 
         let mut events = Vec::new();
         // Phase 0: every arrival is the short type, arrivals 10 ms apart.
         let new = d.on_arrival(SimTime::ZERO, &mut events).unwrap();
         assert_eq!(new.type_idx, 0);
         assert!(events.contains(&(SimTime::from_millis(10), WorkloadEvent::Arrival)));
-        // Phase 1: every arrival is the long type, arrivals 5 ms apart
-        // (deterministic 100 TPS at factor 2).
+        // Phase 1: every arrival is the long type, still 10 ms apart.
         let new = d.on_arrival(SimTime::from_secs(10), &mut events).unwrap();
         assert_eq!(new.type_idx, 1);
-        let next = events
-            .iter()
-            .find_map(|&(t, e)| (e == WorkloadEvent::Arrival).then_some(t))
-            .unwrap();
-        assert_eq!(next, SimTime::from_secs(10) + SimTime::from_millis(5));
+        assert!(events.contains(&(SimTime::from_millis(10_010), WorkloadEvent::Arrival)));
 
-        // A whole drifting run: both phases produce transactions, and the
-        // 2× phase really accelerates arrivals — 2 s at 50 TPS + 2 s at
-        // 100 TPS ≈ 300 starts, not 200.
-        let mut d = WorkloadDriver::new(
-            TxMix::paper_mix(0.5),
-            ArrivalProcess::Deterministic { rate_tps: 50.0 },
-            10_000_000,
-            SimTime::from_secs(4),
-            &SimRng::new(7),
-        )
-        .with_phases(Some(PhaseSchedule::parse("0:0.0,2:1.0@2").unwrap()));
+        // A whole drifting run: both phases produce transactions.
+        let mut d = driver(0.5, 4).with_phases(Some(PhaseSchedule::parse("0:0.0,2:1.0").unwrap()));
         drain(&mut d);
         assert!(d.stats().per_type_started.iter().all(|&n| n > 0));
-        assert!(
-            d.stats().started > 250,
-            "rate factor must raise arrivals, got {}",
-            d.stats().started
-        );
     }
 }

@@ -6,7 +6,9 @@
 //! different transaction types and their probability distribution function
 //! (pdf). For each type of transaction, the user states the probability of
 //! occurrence, the duration of execution, the number of data log records
-//! written and the size of each data log record."
+//! written and the size of each data log record." Every experiment of the
+//! paper uses the same two types and varies only their pdf, so here the
+//! types are one constant table and a mix is the fraction of long ones.
 //!
 //! The lifecycle of one transaction (Figure 3):
 //!
@@ -23,8 +25,8 @@
 //! COMMIT record becomes durable.
 //!
 //! Modules:
-//! * [`spec`] — transaction types and mixes, including the paper's standard
-//!   two-type mix;
+//! * [`spec`] — the paper's two transaction types, the long-fraction mix
+//!   over them, and piecewise phase schedules of it;
 //! * [`arrival`] — deterministic fixed-interval arrivals (the paper's
 //!   choice) plus a Poisson extension;
 //! * [`oidpick`] — uniform oid selection "subject to the constraint that
@@ -42,4 +44,4 @@ pub mod spec;
 pub use arrival::{ArrivalProcess, MAX_RATE_TPS};
 pub use driver::{WorkloadDriver, WorkloadEvent, WorkloadStats, WorkloadTrace};
 pub use oidpick::OidPicker;
-pub use spec::{Phase, PhaseSchedule, TxMix, TxType, EPSILON};
+pub use spec::{Phase, PhaseSchedule, TxMix, TxType, EPSILON, TX_TYPES};

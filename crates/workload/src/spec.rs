@@ -1,4 +1,4 @@
-//! Transaction types and mixes.
+//! The paper's transaction types, the mix of them, and phase schedules.
 
 use elog_sim::{SimRng, SimTime};
 use std::fmt;
@@ -8,11 +8,9 @@ use std::fmt;
 /// and the COMMIT tx log record for a transaction is fixed at 1 ms."
 pub const EPSILON: SimTime = SimTime::from_millis(1);
 
-/// One transaction type from the workload pdf.
+/// One transaction type: how long it runs and what it writes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TxType {
-    /// Probability of occurrence, in `[0, 1]`.
-    pub probability: f64,
     /// Execution duration T (begin to commit-record write).
     pub duration: SimTime,
     /// Number of data log records written (N in Figure 3).
@@ -31,103 +29,52 @@ impl TxType {
         let span = self.duration.saturating_sub(EPSILON);
         span * u64::from(seq) / u64::from(self.data_records)
     }
-
-    /// Validation: positive probability-compatible fields.
-    fn validate(&self, idx: usize) -> Result<(), MixError> {
-        if !(0.0..=1.0).contains(&self.probability) || !self.probability.is_finite() {
-            return Err(MixError(format!(
-                "type {idx}: probability must be in [0,1]"
-            )));
-        }
-        if self.duration <= EPSILON {
-            return Err(MixError(format!(
-                "type {idx}: duration must exceed ε (1 ms)"
-            )));
-        }
-        if self.data_records == 0 {
-            return Err(MixError(format!(
-                "type {idx}: needs at least one data record"
-            )));
-        }
-        if self.record_size == 0 {
-            return Err(MixError(format!(
-                "type {idx}: record size must be positive"
-            )));
-        }
-        Ok(())
-    }
 }
 
-/// A validated probability mix of transaction types.
+/// The paper's two transaction types (§4), indexed by
+/// [`TxMix::sample`]: 0 is the short type (1 s, 2 × 100 B data records),
+/// 1 the long type (10 s, 4 × 100 B). Every experiment varies only the
+/// fraction of long ones.
+pub const TX_TYPES: [TxType; 2] = [
+    TxType {
+        duration: SimTime::from_secs(1),
+        data_records: 2,
+        record_size: 100,
+    },
+    TxType {
+        duration: SimTime::from_secs(10),
+        data_records: 4,
+        record_size: 100,
+    },
+];
+
+/// The workload pdf over [`TX_TYPES`]: a fraction `frac_long` of
+/// transactions are long, the rest short. Not `Copy` while `benchmark/`
+/// calls `.clone()` on it: clippy's `clone_on_copy` would fail its lints.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TxMix {
-    types: Vec<TxType>,
-    /// Cumulative probabilities for sampling.
-    cdf: Vec<f64>,
+    frac_long: f64,
 }
 
 impl TxMix {
-    /// Builds a mix, validating that probabilities sum to 1 (±1e-9).
-    pub fn new(types: Vec<TxType>) -> Result<Self, MixError> {
-        if types.is_empty() {
-            return Err(MixError("a mix needs at least one transaction type".into()));
-        }
-        let mut cdf = Vec::with_capacity(types.len());
-        let mut acc = 0.0;
-        for (i, t) in types.iter().enumerate() {
-            t.validate(i)?;
-            acc += t.probability;
-            cdf.push(acc);
-        }
-        if (acc - 1.0).abs() > 1e-9 {
-            return Err(MixError(format!("probabilities sum to {acc}, expected 1")));
-        }
-        // Guard against floating-point shortfall at the top end.
-        *cdf.last_mut().expect("non-empty") = 1.0;
-        Ok(TxMix { types, cdf })
-    }
-
-    /// The paper's standard two-type workload: a fraction `frac_long` of
-    /// transactions last 10 s and write 4 × 100 B data records; the rest
-    /// last 1 s and write 2 × 100 B records (§4).
+    /// The mix with a fraction `frac_long` of long transactions (§4 runs
+    /// 5 % to 40 %).
     pub fn paper_mix(frac_long: f64) -> Self {
         assert!((0.0..=1.0).contains(&frac_long));
-        TxMix::new(vec![
-            TxType {
-                probability: 1.0 - frac_long,
-                duration: SimTime::from_secs(1),
-                data_records: 2,
-                record_size: 100,
-            },
-            TxType {
-                probability: frac_long,
-                duration: SimTime::from_secs(10),
-                data_records: 4,
-                record_size: 100,
-            },
-        ])
-        .expect("paper mix is always valid")
+        TxMix { frac_long }
     }
 
-    /// The transaction types.
-    pub fn types(&self) -> &[TxType] {
-        &self.types
-    }
-
-    /// Draws a type index according to the pdf.
+    /// Draws a [`TX_TYPES`] index: long when the uniform draw lies above
+    /// the short type's share.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.next_f64();
-        self.cdf
-            .partition_point(|&c| c < u)
-            .min(self.types.len() - 1)
+        usize::from(rng.next_f64() > 1.0 - self.frac_long)
     }
 
     /// Expected data records per transaction.
     pub fn mean_updates_per_txn(&self) -> f64 {
-        self.types
-            .iter()
-            .map(|t| t.probability * f64::from(t.data_records))
-            .sum()
+        let [short, long] = TX_TYPES;
+        (1.0 - self.frac_long) * f64::from(short.data_records)
+            + self.frac_long * f64::from(long.data_records)
     }
 
     /// Expected object-update rate at `tps` arrivals per second.
@@ -138,78 +85,47 @@ impl TxMix {
     }
 }
 
-/// One segment of a piecewise workload schedule.
-///
-/// From `start` (inclusive) until the next phase's start, live arrivals
-/// sample `mix` and the arrival process runs at `rate_factor` × its
-/// configured rate (inter-arrival gaps divided by the factor).
+/// One segment of a piecewise workload schedule: from `start` (inclusive)
+/// until the next phase's start, arrivals sample `mix`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Phase {
     /// When this phase begins (the first phase must start at 0).
     pub start: SimTime,
     /// The mix sampled while the phase is active.
     pub mix: TxMix,
-    /// Arrival-rate multiplier (> 0; 1.0 leaves the base process alone).
-    pub rate_factor: f64,
 }
 
-/// A piecewise update-mix/rate schedule over the run horizon — the
+/// A piecewise long-fraction schedule over the run horizon — the
 /// drifting-workload axis the adaptive controller (`core::adaptive`) reacts
 /// to, e.g. long-transaction fraction 0.1 → 0.4 → 0.1 over the run.
-///
-/// Phases may change only the *probabilities* over a shared transaction
-/// type table plus a rate factor; durations, record counts and record
-/// sizes must be identical across phases. This keeps every type index
-/// meaningful for the whole run: the driver resolves a transaction's
-/// durations and record counts against the base mix, whichever phase it
-/// arrived in.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseSchedule {
     phases: Vec<Phase>,
 }
 
 impl PhaseSchedule {
-    /// Builds a schedule. Phases must be non-empty, start at 0, have
-    /// strictly increasing start times, positive finite rate factors, and
-    /// share one transaction-type shape (see the type-level docs).
-    pub fn new(phases: Vec<Phase>) -> Result<Self, MixError> {
+    /// Builds a schedule. Phases must be non-empty, start at 0 and have
+    /// strictly increasing start times.
+    pub fn new(phases: Vec<Phase>) -> Result<Self, ScheduleError> {
         let first = phases
             .first()
-            .ok_or_else(|| MixError("a schedule needs at least one phase".into()))?;
+            .ok_or_else(|| ScheduleError("a schedule needs at least one phase".into()))?;
         if first.start != SimTime::ZERO {
-            return Err(MixError(format!(
+            return Err(ScheduleError(format!(
                 "the first phase must start at 0, not {:?}",
                 first.start
             )));
         }
-        for (i, p) in phases.iter().enumerate() {
-            if !p.rate_factor.is_finite() || p.rate_factor <= 0.0 {
-                return Err(MixError(format!(
-                    "phase {i}: rate factor must be positive and finite, got {}",
-                    p.rate_factor
-                )));
-            }
-            if i > 0 {
-                if p.start <= phases[i - 1].start {
-                    return Err(MixError(format!(
-                        "phase {i}: start times must be strictly increasing"
-                    )));
-                }
-                if !same_type_shape(&first.mix, &p.mix) {
-                    return Err(MixError(format!(
-                        "phase {i}: all phases must share one transaction \
-                         type table (same durations, record counts and \
-                         sizes; only probabilities and rate may change)"
-                    )));
-                }
-            }
+        if let Some(i) = (1..phases.len()).find(|&i| phases[i].start <= phases[i - 1].start) {
+            return Err(ScheduleError(format!(
+                "phase {i}: start times must be strictly increasing"
+            )));
         }
         Ok(PhaseSchedule { phases })
     }
 
-    /// A schedule over the paper's standard two-type workload: each
-    /// `(start_secs, frac_long)` point switches to `paper_mix(frac_long)`
-    /// at rate factor 1.
+    /// A schedule from `(start_secs, frac_long)` points, each switching to
+    /// `paper_mix(frac_long)`.
     pub fn paper(points: &[(u64, f64)]) -> Self {
         PhaseSchedule::new(
             points
@@ -217,50 +133,35 @@ impl PhaseSchedule {
                 .map(|&(start, frac)| Phase {
                     start: SimTime::from_secs(start),
                     mix: TxMix::paper_mix(frac),
-                    rate_factor: 1.0,
                 })
                 .collect(),
         )
-        .expect("paper schedules share the paper type table")
+        .expect("paper schedules list ascending starts from 0")
     }
 
-    /// Parses the CLI syntax `start:frac_long[@rate],...` over the paper
-    /// mix — e.g. `0:0.1,160:0.4,330:0.1` or `0:0.05@1,20:0.05@2`.
-    /// Starts are seconds (fractional allowed).
-    pub fn parse(s: &str) -> Result<Self, MixError> {
+    /// Parses the CLI syntax `start:frac_long,...` — e.g.
+    /// `0:0.1,160:0.4,330:0.1`. Starts are seconds (fractional allowed).
+    pub fn parse(s: &str) -> Result<Self, ScheduleError> {
         let mut phases = Vec::new();
         for part in s.split(',') {
             let part = part.trim();
-            let (start, rest) = part
+            let bad = |what: &str| ScheduleError(format!("phase `{part}`: {what}"));
+            let (start, frac) = part
                 .split_once(':')
-                .ok_or_else(|| MixError(format!("phase `{part}`: expected start:frac[@rate]")))?;
-            let start: f64 = start
-                .parse()
-                .map_err(|_| MixError(format!("phase `{part}`: bad start time")))?;
+                .ok_or_else(|| bad("expected start:frac_long"))?;
+            let start: f64 = start.parse().map_err(|_| bad("bad start time"))?;
             if !start.is_finite() || start < 0.0 {
-                return Err(MixError(format!("phase `{part}`: bad start time")));
+                return Err(bad("bad start time"));
             }
-            let (frac, rate) = match rest.split_once('@') {
-                Some((f, r)) => {
-                    let rate: f64 = r
-                        .parse()
-                        .map_err(|_| MixError(format!("phase `{part}`: bad rate factor")))?;
-                    (f, rate)
-                }
-                None => (rest, 1.0),
-            };
             let frac: f64 = frac
                 .parse()
-                .map_err(|_| MixError(format!("phase `{part}`: bad long fraction")))?;
+                .map_err(|_| bad("bad long fraction, expected start:frac_long"))?;
             if !(0.0..=1.0).contains(&frac) {
-                return Err(MixError(format!(
-                    "phase `{part}`: long fraction must be in [0,1]"
-                )));
+                return Err(bad("long fraction must be in [0,1]"));
             }
             phases.push(Phase {
                 start: SimTime::from_secs_f64(start),
                 mix: TxMix::paper_mix(frac),
-                rate_factor: rate,
             });
         }
         PhaseSchedule::new(phases)
@@ -277,36 +178,19 @@ impl PhaseSchedule {
         // idx ≥ 1 because phase 0 starts at 0.
         &self.phases[idx.saturating_sub(1).min(self.phases.len() - 1)]
     }
-
-    /// True when `base` shares this schedule's transaction type table —
-    /// required of the driver's base mix so type indices stay stable.
-    pub fn matches_types(&self, base: &TxMix) -> bool {
-        same_type_shape(&self.phases[0].mix, base)
-    }
 }
 
-/// Shape compatibility: same type count and identical per-type duration,
-/// record count and record size (probabilities are free to differ).
-fn same_type_shape(a: &TxMix, b: &TxMix) -> bool {
-    a.types().len() == b.types().len()
-        && a.types().iter().zip(b.types()).all(|(x, y)| {
-            x.duration == y.duration
-                && x.data_records == y.data_records
-                && x.record_size == y.record_size
-        })
-}
-
-/// Mix-validation failure.
+/// Phase-schedule validation failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MixError(String);
+pub struct ScheduleError(String);
 
-impl fmt::Display for MixError {
+impl fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid transaction mix: {}", self.0)
+        write!(f, "invalid phase schedule: {}", self.0)
     }
 }
 
-impl std::error::Error for MixError {}
+impl std::error::Error for ScheduleError {}
 
 #[cfg(test)]
 mod tests {
@@ -323,12 +207,7 @@ mod tests {
 
     #[test]
     fn data_write_offsets_match_figure3() {
-        let t = TxType {
-            probability: 1.0,
-            duration: SimTime::from_secs(10),
-            data_records: 4,
-            record_size: 100,
-        };
+        let t = TX_TYPES[1];
         // span = 9.999 s; record 4 lands ε before commit.
         assert_eq!(t.data_write_offset(4), SimTime::from_millis(9_999));
         assert_eq!(t.data_write_offset(1), SimTime::from_micros(9_999_000 / 4));
@@ -343,135 +222,41 @@ mod tests {
         let long = (0..n).filter(|_| mix.sample(&mut rng) == 1).count();
         let frac = long as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.01, "observed {frac}");
-    }
-
-    #[test]
-    fn degenerate_single_type_mix() {
-        let mix = TxMix::new(vec![TxType {
-            probability: 1.0,
-            duration: SimTime::from_secs(1),
-            data_records: 1,
-            record_size: 50,
-        }])
-        .unwrap();
-        let mut rng = SimRng::new(1);
-        for _ in 0..100 {
-            assert_eq!(mix.sample(&mut rng), 0);
+        // The end points draw one type only.
+        for (frac_long, only) in [(0.0, 0), (1.0, 1)] {
+            let mix = TxMix::paper_mix(frac_long);
+            assert!((0..1000).all(|_| mix.sample(&mut rng) == only));
         }
-    }
-
-    #[test]
-    fn validation_failures() {
-        assert!(TxMix::new(vec![]).is_err());
-
-        let bad_sum = TxMix::new(vec![TxType {
-            probability: 0.5,
-            duration: SimTime::from_secs(1),
-            data_records: 1,
-            record_size: 1,
-        }]);
-        assert!(bad_sum.is_err());
-
-        let base = TxType {
-            probability: 1.0,
-            duration: SimTime::from_secs(1),
-            data_records: 1,
-            record_size: 1,
-        };
-        assert!(TxMix::new(vec![TxType {
-            duration: EPSILON,
-            ..base
-        }])
-        .is_err());
-        assert!(TxMix::new(vec![TxType {
-            data_records: 0,
-            ..base
-        }])
-        .is_err());
-        assert!(TxMix::new(vec![TxType {
-            record_size: 0,
-            ..base
-        }])
-        .is_err());
-        assert!(TxMix::new(vec![TxType {
-            probability: f64::NAN,
-            ..base
-        }])
-        .is_err());
-        assert!(TxMix::new(vec![TxType {
-            probability: 1.5,
-            ..base
-        }])
-        .is_err());
     }
 
     #[test]
     fn phase_schedule_lookup() {
         let s = PhaseSchedule::paper(&[(0, 0.1), (100, 0.4), (200, 0.1)]);
         assert_eq!(s.phases().len(), 3);
-        let frac_at = |secs| {
-            let p = s.phase_at(SimTime::from_secs(secs));
-            p.mix.types()[1].probability
-        };
-        assert!((frac_at(0) - 0.1).abs() < 1e-12);
-        assert!((frac_at(99) - 0.1).abs() < 1e-12);
-        assert!((frac_at(100) - 0.4).abs() < 1e-12, "boundary is inclusive");
-        assert!((frac_at(199) - 0.4).abs() < 1e-12);
-        assert!((frac_at(200) - 0.1).abs() < 1e-12);
-        assert!((frac_at(10_000) - 0.1).abs() < 1e-12, "last phase is open");
-        assert!(s.matches_types(&TxMix::paper_mix(0.25)));
+        let mix_at = |secs| s.phase_at(SimTime::from_secs(secs)).mix.clone();
+        let (light, heavy) = (TxMix::paper_mix(0.1), TxMix::paper_mix(0.4));
+        assert_eq!(mix_at(0), light);
+        assert_eq!(mix_at(99), light);
+        assert_eq!(mix_at(100), heavy, "boundary is inclusive");
+        assert_eq!(mix_at(199), heavy);
+        assert_eq!(mix_at(200), light);
+        assert_eq!(mix_at(10_000), light, "last phase is open");
     }
 
     #[test]
     fn phase_schedule_validation() {
-        // Empty.
-        assert!(PhaseSchedule::new(vec![]).is_err());
-        // First phase must start at 0.
-        assert!(PhaseSchedule::new(vec![Phase {
-            start: SimTime::from_secs(5),
-            mix: TxMix::paper_mix(0.1),
-            rate_factor: 1.0,
-        }])
-        .is_err());
-        // Strictly increasing starts.
         let p = |secs| Phase {
             start: SimTime::from_secs(secs),
             mix: TxMix::paper_mix(0.1),
-            rate_factor: 1.0,
         };
-        assert!(PhaseSchedule::new(vec![p(0), p(10), p(10)]).is_err());
+        // Empty.
+        assert!(PhaseSchedule::new(vec![]).is_err());
+        // First phase must start at 0.
+        assert!(PhaseSchedule::new(vec![p(5)]).is_err());
+        // Strictly increasing starts.
+        let err = PhaseSchedule::new(vec![p(0), p(10), p(10)]).unwrap_err();
+        assert!(err.to_string().contains("phase schedule"), "{err}");
         assert!(PhaseSchedule::new(vec![p(0), p(10), p(20)]).is_ok());
-        // Rate factor must be positive and finite.
-        assert!(PhaseSchedule::new(vec![Phase {
-            rate_factor: 0.0,
-            ..p(0)
-        }])
-        .is_err());
-        assert!(PhaseSchedule::new(vec![Phase {
-            rate_factor: f64::INFINITY,
-            ..p(0)
-        }])
-        .is_err());
-        // Phases must share one type table shape.
-        let other_shape = TxMix::new(vec![TxType {
-            probability: 1.0,
-            duration: SimTime::from_secs(3),
-            data_records: 1,
-            record_size: 64,
-        }])
-        .unwrap();
-        let err = PhaseSchedule::new(vec![
-            p(0),
-            Phase {
-                start: SimTime::from_secs(10),
-                mix: other_shape.clone(),
-                rate_factor: 1.0,
-            },
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("type table"), "{err}");
-        let s = PhaseSchedule::paper(&[(0, 0.1)]);
-        assert!(!s.matches_types(&other_shape));
     }
 
     #[test]
@@ -479,30 +264,17 @@ mod tests {
         let s = PhaseSchedule::parse("0:0.1,160:0.4,330:0.1").unwrap();
         assert_eq!(s.phases().len(), 3);
         assert_eq!(s.phases()[1].start, SimTime::from_secs(160));
-        assert!((s.phases()[1].mix.types()[1].probability - 0.4).abs() < 1e-12);
-        assert_eq!(s.phases()[2].rate_factor, 1.0);
+        assert_eq!(s.phases()[1].mix, TxMix::paper_mix(0.4));
 
-        let s = PhaseSchedule::parse("0:0.05@1, 20.5:0.05@2.5").unwrap();
+        let s = PhaseSchedule::parse("0:0.05, 20.5:0.05").unwrap();
         assert_eq!(s.phases()[1].start, SimTime::from_secs_f64(20.5));
-        assert_eq!(s.phases()[1].rate_factor, 2.5);
 
         assert!(PhaseSchedule::parse("").is_err());
         assert!(PhaseSchedule::parse("0:1.5").is_err());
         assert!(PhaseSchedule::parse("0:0.1,abc:0.4").is_err());
-        assert!(PhaseSchedule::parse("0:0.1@zzz").is_err());
         assert!(PhaseSchedule::parse("5:0.1").is_err(), "must start at 0");
-        assert!(PhaseSchedule::parse("0:0.1@-1").is_err());
-    }
-
-    #[test]
-    fn error_message_names_field() {
-        let e = TxMix::new(vec![TxType {
-            probability: 1.0,
-            duration: SimTime::from_secs(1),
-            data_records: 0,
-            record_size: 1,
-        }])
-        .unwrap_err();
-        assert!(e.to_string().contains("data record"));
+        // A phase is a start and a long fraction, nothing more.
+        let err = PhaseSchedule::parse("0:0.1@2").unwrap_err();
+        assert!(err.to_string().contains("start:frac_long"), "{err}");
     }
 }

@@ -6,7 +6,6 @@ use elog_workload::{ArrivalProcess, OidPicker, TxMix, TxType, WorkloadDriver, Wo
 
 fn draw_type(rng: &mut SimRng) -> TxType {
     TxType {
-        probability: 1.0,
         duration: SimTime::from_millis(rng.range(10..20_000).max(2)),
         data_records: rng.range(1..10) as u32,
         record_size: rng.range(1..500) as u32,
@@ -33,27 +32,12 @@ fn write_offsets_follow_figure3() {
     });
 }
 
-/// Sampling frequencies converge to the configured pdf for arbitrary
-/// two-way splits.
+/// Sampling frequencies converge to the configured long fraction.
 #[test]
 fn sampling_matches_pdf() {
     cases::run("sampling_matches_pdf", 64, |rng| {
         let p = 0.05 + rng.next_f64() * 0.9;
-        let mix = TxMix::new(vec![
-            TxType {
-                probability: 1.0 - p,
-                duration: SimTime::from_secs(1),
-                data_records: 1,
-                record_size: 10,
-            },
-            TxType {
-                probability: p,
-                duration: SimTime::from_secs(2),
-                data_records: 1,
-                record_size: 10,
-            },
-        ])
-        .unwrap();
+        let mix = TxMix::paper_mix(p);
         let n = 20_000;
         let hits = (0..n).filter(|_| mix.sample(rng) == 1).count();
         let observed = hits as f64 / n as f64;
