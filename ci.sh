@@ -272,8 +272,8 @@ esac
 echo "== hostile CLI =="
 # Bad input is a typed error from harness::cli, never a backtrace. Each
 # exit-2 value below would trip a constructor's panic further in (or,
-# unchecked, run the wrong thing: tenant 65536 aliased onto tenant 0), so
-# each must exit 2 with one stderr line naming the flag. The `repro --csv`
+# unchecked, run the wrong thing: a mix from two flags silently kept
+# one), so each must exit 2 with one stderr line naming the flag. The `repro --csv`
 # row names a directory: an unwritable one must fail here, before the
 # basket runs, not after it. The 4294967295 rows would, unchecked, size
 # the ring's allocation (--gens, two generations or the one-generation FW
@@ -282,8 +282,10 @@ echo "== hostile CLI =="
 # blocks a generation): one stderr line naming that search limit instead
 # of an abort (or the stop geometry printed as a minimum).
 # The --probe-cache, `elsim --jobs`, `repro --adaptive`, --no-analytic
-# (now --no-cert), --mode and --fw-blocks (the FW log is `--gens N`) rows
-# are deleted flags: they must be rejected by name, not silently accepted, and
+# (now --no-cert), --mode and --fw-blocks (the FW log is `--gens N`),
+# --tenants, --budget and --oid-ranges (multi-tenant serving is
+# `fig_tenants`, not an elsim mode) rows are deleted flags: they must be
+# rejected by name, not silently accepted, and
 # `--phases 0:0.1@2` is deleted syntax (a phase is a start and a long
 # fraction; the `@rate` suffix is gone). The 1e12 rows ask for arrivals
 # finer than the 1 µs clock, which unchecked never advance it;
@@ -293,9 +295,9 @@ echo "== hostile CLI =="
 # `inf` saturates the clock so that arrivals never stop. The other example
 # rows, unchecked, abort in an assert (`frac_long` 2 or nan, `g0` 0 or 2),
 # silently run the defaults (`abc`) or sweep zero seconds (`runtime_secs`
-# 0). `--tenants 2 --min-space` and `--budget 8 --adaptive` ask a served
-# run to search or adapt, which it does not. A pattern with `.*` must
-# match the one stderr line whole: the flag and the limit it broke.
+# 0). `--frac-long 0.4 --phases 0:0.05` gives the one mix twice; it used
+# to run the phases and drop --frac-long unsaid. A pattern with `.*` must
+# match the one stderr line whole: the flags or the limit it broke.
 # An exit-2 row prints nothing to stdout, and every row runs under a
 # timeout so one that regresses to a hang fails here with its command.
 HOSTILE_ERR=$(mktemp)
@@ -315,21 +317,20 @@ while read -r want flag cmd; do
 done <<'HOSTILE'
 2 --gens elsim --gens 0
 2 --gens elsim --gens 18,0
-2 --gens elsim --tenants 3 --gens 0
 2 --gens elsim --gens 4294967295,4294967295 --runtime 1
 2 --gens elsim --gens 4294967295 --runtime 1
 2 --fw-blocks elsim --fw-blocks 4294967295 --runtime 1
 2 --drives elsim --drives 4294967295 --runtime 1
-2 --drives elsim --tenants 2 --drives 4294967295 --runtime 1
 2 --tps elsim --tps 0
 2 --tps elsim --tps 1e12 --runtime 1
-2 --tps elsim --tenants 2 --tps 1e12 --runtime 1
 2 --phases elsim --phases 0:0.1@2 --runtime 5
 2 --mode elsim --mode bogus
-2 --tenants.*65536 elsim --tenants 65537
-2 --tenants.*objects elsim --tenants 99999999
-2 --tenants.*--min-space elsim --tenants 2 --min-space
-2 --budget.*--adaptive elsim --budget 8 --adaptive
+2 --phases.*--frac-long elsim --frac-long 0.4 --phases 0:0.05 --runtime 5
+2 --tenants elsim --tenants 2
+2 --tenants elsim --tenants 2 --min-space
+2 --budget elsim --budget 8
+2 --budget elsim --budget 8 --adaptive
+2 --oid-ranges elsim --oid-ranges 0:10000000
 2 --csv repro --quick --csv /proc/nope
 2 --gens repro --gens 9
 2 --probe-cache elsim --min-space --probe-cache /tmp/x
@@ -370,31 +371,5 @@ if ! ./target/release/examples/crash_recovery | grep -q '^ok: '; then
     echo "crash_recovery printed no ok: line" >&2
     exit 1
 fi
-
-echo "== multi-tenant smoke =="
-# Two tenants: the [serve] summary must land on stderr with a committed
-# count.
-SERVE_ERR=$(mktemp)
-./target/release/elsim --tenants 2 --runtime 30 >/dev/null 2>"$SERVE_ERR"
-if ! grep -q '^\[serve\] tenants 2, committed [1-9]' "$SERVE_ERR"; then
-    echo "elsim --tenants 2 printed no [serve] summary (or committed nothing):" >&2
-    cat "$SERVE_ERR" >&2
-    exit 1
-fi
-rm -f "$SERVE_ERR"
-
-echo "== budget smoke =="
-# A budget refuses arrivals, which the plain run report has no line for:
-# one tenant under a budget prints the per-tenant report, refusals
-# included.
-BUDGET_OUT=$(./target/release/elsim --tenants 1 --budget 1 --runtime 5 2>/dev/null)
-case "$BUDGET_OUT" in
-    *refused*) ;;
-    *)
-        echo "elsim --tenants 1 --budget 1 printed no refused count:" >&2
-        echo "$BUDGET_OUT" >&2
-        exit 1
-        ;;
-esac
 
 echo "CI green."

@@ -1,7 +1,8 @@
-//! Per-tenant accounting for the multi-tenant service mode.
+//! Per-tenant accounting for multi-tenant serving.
 //!
 //! One [`crate::ElManager`] can serve several logical tenants at once
-//! (`elsim --tenants`, the harness's `serve` module): each tenant owns a
+//! (the harness's `serve` module, which the `fig_tenants` experiment
+//! drives): each tenant owns a
 //! disjoint oid range and a disjoint tid namespace — the tenant index
 //! lives in the high bits of the tid, so the ledger attributes every
 //! manager-side event (begin, data write, garbage, kill) to its tenant
@@ -10,7 +11,7 @@
 //! The ledger is strictly observational: it never feeds back into manager
 //! decisions, so enabling it cannot perturb a run. The *host* reads it —
 //! the serve admission loop throttles a tenant whose live-record footprint
-//! overruns its budget, and the report surfaces per-tenant LTT/garbage
+//! overruns its budget, and `fig_tenants` surfaces per-tenant LTT/garbage
 //! accounting next to the workload-side commit counters.
 
 use elog_model::Tid;

@@ -5,13 +5,10 @@
 //! configuration and prints the run report; with it, it searches the
 //! minimum geometry instead, over every geometry with as many generations
 //! as `--gens` gives (1 generation without `--recirc`: the firewall log,
-//! so `--gens 123` runs and prices FW). More than one `--tenants`, or a
-//! `--budget`, serves the tenants from the one shared log and prints the
-//! per-tenant report, with a `[serve]` summary on stderr.
+//! so `--gens 123` runs and prices FW).
 
 use elog_harness::latsearch::SearchRequest;
 use elog_harness::runner::run;
-use elog_harness::serve::{serve_run, ServeConfig};
 use elog_harness::{cli, report};
 
 fn main() {
@@ -29,28 +26,6 @@ fn main() {
             std::process::exit(1);
         }
         cli::print(&report::render_min_space(cfg, &out.min));
-        return;
-    }
-
-    // The parser keeps a partition only for more than one tenant, so this
-    // is "T > 1 or a budget": the one unbudgeted tenant is the plain run.
-    if cfg.tenants.is_some() || a.budget > 0 {
-        let cfg = ServeConfig {
-            base: a.run,
-            budget: a.budget,
-        };
-        let r = serve_run(&cfg);
-        cli::print(&report::render_serve_report(&cfg, &r));
-        // stderr so stdout stays comparable across tenant counts (cf. the
-        // `[adaptive]` summary).
-        eprintln!(
-            "[serve] tenants {}, committed {}, killed {}, refused {}, p99 {} ms",
-            cfg.tenants(),
-            r.aggregate.committed,
-            r.aggregate.killed,
-            r.aggregate.throttled,
-            report::fo(r.aggregate.p99_ms, 1)
-        );
         return;
     }
 

@@ -1,12 +1,11 @@
 //! The command lines of the harness binaries.
 //!
 //! [`elsim`] and [`repro`] parse the two binaries' flags. [`elsim`]
-//! validates the run flags into a [`RunConfig`] whose `tenants` field
-//! carries `--tenants` / `--oid-ranges`, so a one-tenant run and a served
-//! run are one configuration type built by one function. Everything
-//! arriving from the shell is checked here — geometry, rates, tenant
-//! counts — and comes back as a one-line `Err` naming the flag, so the
-//! `expect("validated configuration")`s further in hold. [`parse_env`] is
+//! validates the run flags into one [`RunConfig`], whose one [`TxMix`]
+//! comes from `--frac-long` or `--phases`. Everything arriving from the
+//! shell is checked here — geometry, rates, the mix — and comes back as a
+//! one-line `Err` naming the flag, so the `expect("validated
+//! configuration")`s further in hold. [`parse_env`] is
 //! every binary's (and example's) front door: `--help` prints the usage
 //! text and exits 0, an `Err` goes to stderr and exits 2. Both parsers read values with
 //! [`value`] / [`positive`]; the examples read their positional arguments
@@ -15,13 +14,12 @@
 
 use crate::experiments::registry_with;
 use crate::latsearch::MAX_AXES;
-use crate::runner::{RunConfig, TenantLayout};
-use crate::serve::{parse_oid_ranges, validate_layout, validate_tenants};
+use crate::runner::RunConfig;
 use crate::sweep::ExecOptions;
 use elog_core::ElConfig;
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
-use elog_workload::{ArrivalProcess, PhaseSchedule};
+use elog_workload::{ArrivalProcess, TxMix};
 use std::str::FromStr;
 
 /// `elsim --help`.
@@ -30,30 +28,18 @@ pub const ELSIM_USAGE: &str = "elsim [options]
                           size without --recirc is the FW log, e.g. 123
   --recirc                enable recirculation in the last generation
   --frac-long P           fraction of 10 s transactions (default 0.05)
-  --tps R                 arrivals per second, per tenant (default 100; at
-                          most 1000000, one per simulated microsecond)
+  --tps R                 arrivals per second (default 100; at most
+                          1000000, one per simulated microsecond)
   --poisson               Poisson instead of deterministic arrivals
   --runtime S             simulated seconds (default 500)
   --drives N              flush drives (default 10)
   --flush-ms T            flush transfer time, ms (default 25)
   --seed N                random seed, decimal or 0x-prefixed hex (default
-                          0x5EED1993; tenant 0 uses it raw, tenants 1..
-                          draw independent splitmix64 streams from it)
+                          0x5EED1993)
   --phases SPEC           piecewise long-fraction schedule
                           `start:frac_long,...`, e.g.
                           `0:0.1,160:0.4,330:0.1` (first start must be 0;
-                          seconds, ascending)
-  --tenants T             logical tenants sharing the one log (default 1,
-                          at most 65536); more than one prints the
-                          per-tenant report
-  --budget N              per-tenant live-record admission budget; a
-                          tenant at its budget has arrivals refused until
-                          flushes drain its footprint (default 0 =
-                          unlimited; refusals never touch neighbours); a
-                          budget prints the per-tenant report
-  --oid-ranges B:L,...    explicit per-tenant oid ranges (one BASE:LEN
-                          per tenant; must tile the whole oid space
-                          disjointly). Default: an even partition
+                          seconds, ascending); instead of --frac-long
   --min-space             search the minimum geometry instead of running,
                           over every geometry with as many generations as
                           --gens gives (their sizes are not read; 1 gen
@@ -163,14 +149,16 @@ struct RunFlags {
     adaptive: bool,
     gens: Vec<u32>,
     recirc: bool,
-    frac_long: f64,
+    /// `--frac-long`, when given.
+    frac_long: Option<f64>,
+    /// `--phases`, when given.
+    phases: Option<TxMix>,
     tps: f64,
     poisson: bool,
     runtime: u64,
     drives: u32,
     flush_ms: u64,
     seed: u64,
-    phases: Option<PhaseSchedule>,
 }
 
 impl Default for RunFlags {
@@ -179,14 +167,14 @@ impl Default for RunFlags {
             adaptive: false,
             gens: vec![18, 16],
             recirc: false,
-            frac_long: 0.05,
+            frac_long: None,
+            phases: None,
             tps: 100.0,
             poisson: false,
             runtime: 500,
             drives: 10,
             flush_ms: 25,
             seed: 0x5EED_1993,
-            phases: None,
         }
     }
 }
@@ -194,11 +182,12 @@ impl Default for RunFlags {
 impl RunFlags {
     /// Validates the flags into a run configuration.
     fn build(self) -> Result<RunConfig, String> {
-        if !(0.0..=1.0).contains(&self.frac_long) {
-            return Err(format!(
-                "--frac-long {}: must lie in [0, 1]",
-                self.frac_long
-            ));
+        if self.frac_long.is_some() && self.phases.is_some() {
+            return Err("--phases and --frac-long both set the transaction mix; give one".into());
+        }
+        let frac_long = self.frac_long.unwrap_or(0.05);
+        if !(0.0..=1.0).contains(&frac_long) {
+            return Err(format!("--frac-long {frac_long}: must lie in [0, 1]"));
         }
         let rate_tps = self.tps;
         let arrivals = if self.poisson {
@@ -237,23 +226,23 @@ impl RunFlags {
                 self.drives, el.db.num_objects
             ));
         }
-        Ok(RunConfig::paper(self.frac_long, el)
+        let run = RunConfig::paper(frac_long, el)
             .with_arrivals(arrivals)
             .runtime_secs(self.runtime)
             .seed(self.seed)
-            .with_phases(self.phases)
-            .adaptive(self.adaptive))
+            .adaptive(self.adaptive);
+        Ok(match self.phases {
+            Some(phased) => run.with_mix(phased),
+            None => run,
+        })
     }
 }
 
 /// What an `elsim` command line asks for.
 #[derive(Debug)]
 pub struct Elsim {
-    /// The configuration to run (or to search from, under `--min-space`);
-    /// `run.tenants` is the oid partition when `--tenants` is above 1.
+    /// The configuration to run (or to search from, under `--min-space`).
     pub run: RunConfig,
-    /// `--budget`: per-tenant live-record admission budget (0 = unlimited).
-    pub budget: u64,
     /// `--min-space`: search the minimum geometry instead of running.
     pub min_space: bool,
     /// Consumption certificates in the search; `--no-cert` clears this.
@@ -265,9 +254,6 @@ pub struct Elsim {
 pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
     let args: Args = &mut args.into_iter();
     let mut run = RunFlags::default();
-    let mut tenants = 1usize;
-    let mut budget = 0u64;
-    let mut oid_ranges = None;
     let mut min_space = false;
     let mut certificates = true;
     while let Some(arg) = args.next() {
@@ -282,7 +268,7 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
                     .map_err(|_| format!("--gens {list}: not a list of block counts"))?;
             }
             "--recirc" => run.recirc = true,
-            "--frac-long" => run.frac_long = value(flag, args)?,
+            "--frac-long" => run.frac_long = Some(value(flag, args)?),
             "--tps" => run.tps = value(flag, args)?,
             "--poisson" => run.poisson = true,
             "--runtime" => run.runtime = value(flag, args)?,
@@ -299,14 +285,7 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             "--phases" => {
                 let spec: String = value(flag, args)?;
                 run.phases =
-                    Some(PhaseSchedule::parse(&spec).map_err(|e| format!("--phases {spec}: {e}"))?);
-            }
-            "--tenants" => tenants = value(flag, args)?,
-            "--budget" => budget = value(flag, args)?,
-            "--oid-ranges" => {
-                let spec: String = value(flag, args)?;
-                oid_ranges =
-                    Some(parse_oid_ranges(&spec).map_err(|e| format!("--oid-ranges {spec}: {e}"))?);
+                    Some(TxMix::parse(&spec).map_err(|e| format!("--phases {spec}: {e}"))?);
             }
             "--adaptive" => run.adaptive = true,
             "--min-space" => min_space = true,
@@ -314,54 +293,14 @@ pub fn elsim(args: impl IntoIterator<Item = String>) -> Result<Elsim, String> {
             _ => return Err(format!("unknown flag `{arg}`; elsim --help lists them")),
         }
     }
-    // A served run measures one fixed geometry: a search would probe every
-    // tenant's workload as one, and `serve_run` runs no controller.
-    let served = if tenants > 1 {
-        Some(("--tenants", tenants as u64))
-    } else if budget > 0 {
-        Some(("--budget", budget))
-    } else {
-        None
-    };
-    let solo = if min_space {
-        Some("--min-space")
-    } else if run.adaptive {
-        Some("--adaptive")
-    } else {
-        None
-    };
-    if let (Some((flag, n)), Some(other)) = (served, solo) {
-        return Err(format!(
-            "{flag} {n} cannot be combined with {other}: a served run neither searches nor adapts"
-        ));
-    }
     if run.gens.len() > MAX_AXES {
         return Err(format!(
             "--gens supports at most {MAX_AXES} generations, got {}",
             run.gens.len()
         ));
     }
-    let mut run = run.build()?;
-    let num_objects = run.el.db.num_objects;
-    validate_tenants(tenants, num_objects).map_err(|e| format!("--tenants {tenants}: {e}"))?;
-    if let Some(layout) = &oid_ranges {
-        if layout.tenants() != tenants {
-            return Err(format!(
-                "--oid-ranges lists {} ranges for {tenants} tenants; one range per tenant",
-                layout.tenants()
-            ));
-        }
-        validate_layout(layout, num_objects).map_err(|e| format!("--oid-ranges: {e}"))?;
-    }
-    // One tenant owns the whole oid space (the only one-range layout that
-    // validates), which is the classic run: only a partition is kept.
-    if tenants > 1 {
-        let layout = oid_ranges.unwrap_or_else(|| TenantLayout::even(num_objects, tenants));
-        run = run.with_tenants(Some(layout));
-    }
     Ok(Elsim {
-        run,
-        budget,
+        run: run.build()?,
         min_space,
         certificates,
     })
@@ -442,8 +381,9 @@ mod tests {
         line.split_whitespace().map(String::from).collect()
     }
 
-    /// The ten workload and geometry flags, each with a non-default value.
-    const RUN: &str = "--gens 36,32,8 --recirc --frac-long 0.2 --tps 50 --poisson \
+    /// The nine workload and geometry flags, each with a non-default value;
+    /// `--phases` sets the mix, so `--frac-long` cannot join them.
+    const RUN: &str = "--gens 36,32,8 --recirc --tps 50 --poisson \
         --runtime 60 --drives 8 --flush-ms 45 --seed 7 --phases 0:0.1,30:0.4";
 
     #[test]
@@ -454,10 +394,9 @@ mod tests {
             "--gens 123",
             "--adaptive",
             "--min-space --no-cert",
-            "--tenants 4 --budget 64",
-            "--tenants 65536",
-            "--tenants 2 --oid-ranges 0:4000000,4000000:6000000",
-            "--tenants 1 --oid-ranges 0:10000000 --min-space --adaptive",
+            "--frac-long 0.2",
+            "--frac-long 0.1 --frac-long 0.2",
+            "--phases 0:0.1 --phases 0:0.2,5:0.3",
         ];
         for line in lines {
             assert!(elsim(args(line)).is_ok(), "elsim {line}");
@@ -473,24 +412,25 @@ mod tests {
         assert_eq!(e.run.runtime, SimTime::from_secs(60));
         assert_eq!((e.run.el.flush.drives, e.run.seed), (8, 7));
         assert_eq!(e.run.el.flush.transfer_time, SimTime::from_millis(45));
-        assert!(e.run.phases.is_some());
-        assert_eq!((e.run.tenants, e.budget), (None, 0));
+        assert_eq!(e.run.mix, TxMix::phased(&[(0, 0.1), (30, 0.4)]));
+        assert_eq!(e.run.tenants, None);
+
+        let mix = |line: &str| elsim(args(line)).unwrap().run.mix;
+        assert_eq!(mix(""), TxMix::paper_mix(0.05));
+        assert_eq!(mix("--frac-long 0.2"), TxMix::paper_mix(0.2));
+        assert_eq!(mix("--phases 0:0.2"), TxMix::paper_mix(0.2));
+        // A repeated flag keeps its last value.
+        assert_eq!(
+            mix("--frac-long 0.1 --frac-long 0.2"),
+            TxMix::paper_mix(0.2)
+        );
+        assert_eq!(mix("--phases 0:0.4 --phases 0:0.2"), TxMix::paper_mix(0.2));
 
         let fw = elsim(args("--gens 123")).unwrap().run.el;
         assert_eq!(fw.log.generation_blocks, vec![123]);
         assert!(fw.log.is_firewall());
         let recirculating = elsim(args("--gens 123 --recirc")).unwrap().run.el;
         assert!(!recirculating.log.is_firewall());
-
-        let s = elsim(args("--tenants 4 --budget 64")).unwrap();
-        let even = TenantLayout::even(s.run.el.db.num_objects, 4);
-        assert_eq!((s.run.tenants, s.budget), (Some(even), 64));
-        let ranges = "--tenants 2 --oid-ranges 0:4000000,4000000:6000000";
-        let split = elsim(args(ranges)).unwrap().run.tenants.unwrap();
-        assert_eq!(split.ranges, vec![(0, 4_000_000), (4_000_000, 6_000_000)]);
-        // One tenant owns the whole oid space: that is the classic run.
-        let one = elsim(args("--tenants 1 --oid-ranges 0:10000000")).unwrap();
-        assert_eq!(one.run.tenants, None);
     }
 
     #[test]
@@ -514,21 +454,18 @@ mod tests {
             ("--gens 18,x", "--gens"),
             ("--gens 9,9,9,9,9,9,9,9,9", "--gens"),
             ("--gens", "--gens"),
-            ("--tenants 3 --gens 0", "--gens"),
             // Sizes that would otherwise size the ring's allocation, and a
             // drive count `FlushArray::new` asserts against.
             ("--gens 4294967295,4294967295 --runtime 1", "--gens"),
             ("--gens 18,1048577", "--gens"),
             ("--gens 4294967295 --runtime 1", "--gens"),
             ("--drives 4294967295 --runtime 1", "--drives"),
-            ("--tenants 2 --drives 4294967295 --runtime 1", "--drives"),
             ("--tps 0", "--tps"),
             ("--tps nan", "--tps"),
             ("--tps -5", "--tps"),
             // Rates finer than the 1 µs clock: arrivals would pile onto one
             // instant (or never advance it) instead of erroring.
             ("--tps 1e12 --runtime 1", "--tps"),
-            ("--tenants 2 --tps 1e12 --runtime 1", "--tps"),
             ("--poisson --tps 1e9 --runtime 1", "--tps"),
             ("--tps 1500000", "--tps"),
             // A phase is a start and a long fraction: the `@rate` suffix
@@ -545,13 +482,13 @@ mod tests {
             ("--no-analytic", "--no-analytic"),
             ("--min-space --probe-cache /tmp/x", "--probe-cache"),
             ("--phases 5:0.1", "--phases"),
-            // A served run neither searches nor adapts.
-            ("--tenants 2 --min-space", "--tenants"),
-            ("--budget 8 --adaptive", "--budget"),
-            ("--tenants 0", "--tenants"),
-            ("--tenants 65537", "--tenants"),
-            ("--tenants 99999999", "--tenants"),
-            ("--tenants 3 --oid-ranges 0:5,5:5", "--oid-ranges"),
+            // The mix comes from one of the two flags.
+            ("--frac-long 0.4 --phases 0:0.05", "--frac-long"),
+            ("--phases 0:0.05 --frac-long 0.4", "--frac-long"),
+            // The served mode's flags are gone.
+            ("--tenants 2", "--tenants"),
+            ("--budget 8", "--budget"),
+            ("--oid-ranges 0:10000000", "--oid-ranges"),
         ];
         for (line, flag) in table {
             let err = elsim(args(line)).expect_err(line);
@@ -566,11 +503,17 @@ mod tests {
         assert!(elsim(args(&at_ceiling)).is_ok());
         assert!(elsim(args("--tps 1000000")).is_ok());
         assert!(elsim(args("--tps 1000000 --phases 0:0.1,5:0.4")).is_ok());
-        // The two tenant limits are named in the message.
-        let err = elsim(args("--tenants 65537")).unwrap_err();
-        assert!(err.contains("65536"), "{err}");
-        let err = elsim(args("--tenants 99999999")).unwrap_err();
-        assert!(err.contains("10000000 objects"), "{err}");
+        // A mix given twice names both of its flags, in either order.
+        for line in [
+            "--frac-long 0.4 --phases 0:0.05",
+            "--phases 0:0.05 --frac-long 0.4",
+        ] {
+            let err = elsim(args(line)).unwrap_err();
+            assert!(
+                err.contains("--phases") && err.contains("--frac-long"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

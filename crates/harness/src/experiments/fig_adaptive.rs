@@ -7,7 +7,7 @@
 //!
 //! * **Drifting mix** — the long-transaction fraction walks
 //!   `light → heavy → light` in thirds of the horizon
-//!   ([`elog_workload::PhaseSchedule`]). One adaptive run tracks it live;
+//!   ([`elog_workload::TxMix::phased`]). One adaptive run tracks it live;
 //!   two fixed-prefix [`Job::MinSpace`] searches find each phase's static
 //!   optimum (same front-generation prefix, so only the last axis is in
 //!   question). The tracking table reads the controller's capacity at
@@ -31,7 +31,7 @@ use crate::sweep::{failure_notes, Experiment, Job, RunOutcome, Scenario};
 use elog_core::ElConfig;
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
-use elog_workload::PhaseSchedule;
+use elog_workload::TxMix;
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -100,7 +100,7 @@ fn start_geometry(cfg: &Config) -> Vec<u32> {
 /// shared index, so on/off face the same workload).
 pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
     let [t1, t2] = cfg.drift_boundaries();
-    let drift = PhaseSchedule::paper(&[(0, cfg.light), (t1, cfg.heavy), (t2, cfg.light)]);
+    let drift = TxMix::phased(&[(0, cfg.light), (t1, cfg.heavy), (t2, cfg.light)]);
     let mut out = vec![Scenario::new(
         format!(
             "fig_adaptive drift {}->{}->{} adaptive",
@@ -111,7 +111,7 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
         Job::Measure(
             base_cfg(cfg, cfg.light)
                 .geometry(start_geometry(cfg))
-                .with_phases(Some(drift))
+                .with_mix(drift)
                 .adaptive(true),
         ),
     )];
@@ -128,7 +128,7 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             },
         ));
     }
-    let shift = PhaseSchedule::paper(&[(0, cfg.light), (cfg.runtime_secs / 2, cfg.heavy)]);
+    let shift = TxMix::phased(&[(0, cfg.light), (cfg.runtime_secs / 2, cfg.heavy)]);
     for (label, on) in [("adaptive", true), ("frozen", false)] {
         out.push(Scenario::new(
             format!("fig_adaptive shift {}->{} {label}", cfg.light, cfg.heavy),
@@ -137,7 +137,7 @@ pub fn scenarios_for(cfg: &Config) -> Vec<Scenario> {
             Job::Measure(
                 base_cfg(cfg, cfg.light)
                     .geometry(start_geometry(cfg))
-                    .with_phases(Some(shift.clone()))
+                    .with_mix(shift.clone())
                     .adaptive(on),
             ),
         ));

@@ -11,7 +11,7 @@ use crate::runner::RunConfig;
 use crate::sweep::{failure_notes, Experiment, Job, RunOutcome, Scenario};
 use elog_core::ElConfig;
 use elog_model::{FlushConfig, LogConfig};
-use elog_workload::TxMix;
+use elog_workload::mean_update_rate;
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -84,7 +84,7 @@ pub fn points(outcomes: &[RunOutcome]) -> Vec<RatePoint> {
             let r = o.measured()?;
             Some(RatePoint {
                 frac_long,
-                analytic: TxMix::paper_mix(frac_long).mean_update_rate(100.0),
+                analytic: mean_update_rate(frac_long, 100.0),
                 measured: r.data_records as f64 / r.horizon.as_secs_f64(),
             })
         })

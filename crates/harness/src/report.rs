@@ -1,13 +1,13 @@
 //! Plain-text/markdown/CSV table rendering for experiment output,
-//! `repro`'s stdout ([`render_repro`]), `elsim`'s two run reports and its
-//! `--min-space` result line ([`render_min_space`]).
+//! `repro`'s stdout ([`render_repro`]), `elsim`'s run report
+//! ([`render_run_report`]) and its `--min-space` result line
+//! ([`render_min_space`]).
 //!
 //! Deliberately dependency-free: experiment rows are small and regular, so
 //! sixty lines of formatting beat a serialisation stack.
 
 use crate::minspace::MinSpaceResult;
 use crate::runner::RunConfig;
-use crate::serve::{ServeConfig, ServeOutcome};
 use crate::sweep::ExperimentReport;
 use std::fmt::Write as _;
 
@@ -131,8 +131,7 @@ pub fn render_min_space(cfg: &RunConfig, r: &MinSpaceResult) -> String {
     }
 }
 
-/// Renders `elsim`'s report of a plain run: one tenant, no admission
-/// budget. A served run prints [`render_serve_report`] instead.
+/// Renders `elsim`'s report of a run.
 pub fn render_run_report(
     m: &elog_core::LmMetrics,
     recirc: bool,
@@ -198,94 +197,6 @@ pub fn render_run_report(
         "anomalies           : {} unsafe drops, {} durability violations, {} stalls",
         m.stats.unsafe_drops, m.stats.durability_violations, m.stats.buffer_stalls
     );
-    out
-}
-
-/// Renders `elsim`'s report of a served run (more than one tenant, or an
-/// admission budget): the shared log's totals, refusals included, then one
-/// row per tenant.
-pub fn render_serve_report(cfg: &ServeConfig, r: &ServeOutcome) -> String {
-    let m = &r.metrics;
-    let budget = if cfg.budget == 0 {
-        "unlimited".to_string()
-    } else {
-        format!("{} records", cfg.budget)
-    };
-    let mut out = String::new();
-    let _ = writeln!(out, "== elsim run ==");
-    let _ = writeln!(
-        out,
-        "tenants             : {} (budget {budget})",
-        cfg.tenants()
-    );
-    let _ = writeln!(
-        out,
-        "geometry            : {:?} blocks (recirc {})",
-        m.per_gen_blocks, cfg.base.el.log.recirculation
-    );
-    let _ = writeln!(
-        out,
-        "transactions        : {} started, {} committed, {} killed, {} refused",
-        r.aggregate.started, r.aggregate.committed, r.aggregate.killed, r.aggregate.throttled
-    );
-    let _ = writeln!(
-        out,
-        "log bandwidth       : {:.2} block writes/s (per gen {:?})",
-        m.log_write_rate, m.per_gen_write_rate
-    );
-    let _ = writeln!(
-        out,
-        "peak memory         : {} B (LTT peak {}, LOT peak {})",
-        m.peak_memory_bytes, m.ltt_peak, m.lot_peak
-    );
-    let _ = writeln!(
-        out,
-        "flush utilisation   : {:.1}% (backlog {})",
-        m.flush_utilisation * 100.0,
-        m.flush_backlog
-    );
-    let _ = writeln!(
-        out,
-        "commit latency      : p50 {} ms, p99 {} ms (arrival -> durable)",
-        fo(r.aggregate.p50_ms, 1),
-        fo(r.aggregate.p99_ms, 1)
-    );
-    let _ = writeln!(
-        out,
-        "anomalies           : {} unsafe drops, {} durability violations, {} stalls",
-        m.stats.unsafe_drops, m.stats.durability_violations, m.stats.buffer_stalls
-    );
-    out.push('\n');
-    let mut t = Table::new(
-        "Per-tenant",
-        &[
-            "tenant",
-            "started",
-            "committed",
-            "killed",
-            "refused",
-            "records",
-            "garbage",
-            "ltt peak",
-            "p50 ms",
-            "p99 ms",
-        ],
-    );
-    for (i, rep) in r.per_tenant.iter().enumerate() {
-        t.row(vec![
-            i.to_string(),
-            rep.started.to_string(),
-            rep.committed.to_string(),
-            rep.killed.to_string(),
-            rep.throttled.to_string(),
-            rep.data_records.to_string(),
-            rep.garbage_records.to_string(),
-            rep.ltt_peak.to_string(),
-            fo(rep.p50_ms, 1),
-            fo(rep.p99_ms, 1),
-        ]);
-    }
-    out.push_str(&t.render());
     out
 }
 

@@ -20,8 +20,7 @@ use elog_core::{
 use elog_model::{CommittedOracle, Oid, Tid};
 use elog_sim::{Engine, EventQueue, PerfStats, SimRng, SimTime, Simulate};
 use elog_workload::{
-    ArrivalProcess, PhaseSchedule, TxMix, WorkloadDriver, WorkloadEvent, WorkloadStats,
-    WorkloadTrace, TX_TYPES,
+    ArrivalProcess, TxMix, WorkloadDriver, WorkloadEvent, WorkloadStats, WorkloadTrace, TX_TYPES,
 };
 use std::ops::{Deref, DerefMut, Index, IndexMut};
 use std::sync::Arc;
@@ -77,13 +76,14 @@ impl Ev {
 
 /// Per-tenant oid partition of the shared database (multi-tenant runs,
 /// see `crate::serve`). Each tenant owns the
-/// contiguous range `[base, base + len)`; ranges are disjoint, and because
+/// contiguous range `[base, base + len)`; [`TenantLayout::even`], the only
+/// constructor, makes the ranges tile the oid space, and because
 /// the flush array assigns drives by contiguous oid stripes, a tenant's
 /// range maps onto a contiguous span of the shared drive array.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantLayout {
     /// `(base, len)` per tenant.
-    pub ranges: Vec<(u64, u64)>,
+    ranges: Vec<(u64, u64)>,
 }
 
 impl TenantLayout {
@@ -117,12 +117,20 @@ impl TenantLayout {
     pub fn tenants(&self) -> usize {
         self.ranges.len()
     }
+
+    /// `(base, len)` per tenant, in tenant order.
+    pub fn ranges(&self) -> &[(u64, u64)] {
+        &self.ranges
+    }
 }
 
 /// Everything one simulation run needs.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
-    /// Transaction mix.
+    /// Transaction mix through time: one long fraction for the paper's
+    /// runs, piecewise for a drifting workload. Live generation is the
+    /// only kind there is, so every probe of a search draws the same
+    /// stream from its seed.
     pub mix: TxMix,
     /// Arrival process (paper: deterministic 100 TPS).
     pub arrivals: ArrivalProcess,
@@ -140,11 +148,6 @@ pub struct RunConfig {
     /// §6 lifetime hints: place each transaction's records directly in the
     /// generation whose wrap time exceeds its expected duration.
     pub lifetime_hints: bool,
-    /// Piecewise long-fraction schedule over the horizon (`None` = the
-    /// static `mix` for the whole run). Live generation is the only kind
-    /// there is, so every probe of a search draws the same phased stream
-    /// from its seed.
-    pub phases: Option<PhaseSchedule>,
     /// Run the online adaptive generation controller
     /// (`elog_core::adaptive`). Ignored by stop-on-kill probes: a probe
     /// measures a fixed geometry by definition, and re-shaping under it
@@ -171,7 +174,6 @@ impl RunConfig {
             stop_on_kill: false,
             track_oracle: false,
             lifetime_hints: false,
-            phases: None,
             adaptive: false,
             tenants: None,
         }
@@ -231,9 +233,9 @@ impl RunConfig {
         self
     }
 
-    /// Sets (or clears) the phase schedule.
-    pub fn with_phases(mut self, phases: Option<PhaseSchedule>) -> Self {
-        self.phases = phases;
+    /// Replaces the transaction mix.
+    pub fn with_mix(mut self, mix: TxMix) -> Self {
+        self.mix = mix;
         self
     }
 
@@ -497,7 +499,6 @@ pub fn build_model_with<L: LogManager>(cfg: &RunConfig, lm: L) -> Engine<SimMode
                 cfg.runtime,
                 &SimRng::new(tenant_seed(cfg.seed, t)),
             )
-            .with_phases(cfg.phases.clone())
         })
         .collect();
     // Stop-on-kill probes measure one fixed geometry; re-shaping under
@@ -724,8 +725,8 @@ mod tests {
 
     #[test]
     fn adaptive_grows_under_a_drifting_workload() {
-        let schedule = elog_workload::PhaseSchedule::paper(&[(0, 0.05), (10, 0.4)]);
-        let base = quick_cfg(0.05, vec![18, 6], false, 60).with_phases(Some(schedule));
+        let base = quick_cfg(0.05, vec![18, 6], false, 60)
+            .with_mix(TxMix::phased(&[(0, 0.05), (10, 0.4)]));
         assert!(!base.adaptive, "paper() configs are controller-free");
         let frozen = run(&base);
         assert!(

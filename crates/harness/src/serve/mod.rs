@@ -1,12 +1,13 @@
-//! Multi-tenant service mode (`elsim --tenants T`): T logical tenants
-//! admitted into one shared ephemeral log.
+//! Multi-tenant serving: T logical tenants admitted into one shared
+//! ephemeral log. The `fig_tenants` experiment and the benchmark's
+//! `tenants` workload call [`serve_run`]; no `elsim` flag reaches it.
 //!
 //! Each tenant owns a contiguous slice of the shared oid space (a
-//! [`TenantLayout`]), its own tid namespace (tenant index in the tid's high
-//! bits), and its own workload stream (seeded by [`tenant_seed`]). This
-//! module holds the tenancy rules — namespacing, seeds, layout
-//! validation — and [`serve_run`]'s per-tenant outcome, which
-//! `crate::report::render_serve_report` prints; the event loop is
+//! [`TenantLayout::even`] partition, which tiles it by construction), its
+//! own tid namespace (tenant index in the tid's high bits), and its own
+//! workload stream (seeded by [`tenant_seed`]). This module holds the
+//! tenancy rules — namespacing, seeds — and [`serve_run`]'s per-tenant
+//! outcome, which `fig_tenants` tabulates; the event loop is
 //! [`crate::runner::SimModel`], the same one a plain run uses, built over
 //! `base.tenants`. It merges the tenants' arrival streams
 //! deterministically — events fire in global `(time, tenant, sequence)`
@@ -75,90 +76,6 @@ pub(crate) fn split_tid(gtid: elog_model::Tid) -> (u16, elog_model::Tid) {
         (gtid.0 >> TENANT_TID_SHIFT) as u16,
         elog_model::Tid(gtid.0 & ((1u64 << TENANT_TID_SHIFT) - 1)),
     )
-}
-
-/// Rejects tenant counts one instance cannot serve: none, more than there
-/// are objects to partition, or more than the tid namespace holds
-/// ([`MAX_TENANTS`]).
-pub fn validate_tenants(tenants: usize, num_objects: u64) -> Result<(), String> {
-    if tenants == 0 {
-        Err("at least one tenant is required".into())
-    } else if tenants as u64 > num_objects {
-        Err(format!(
-            "more tenants than the database's {num_objects} objects; each tenant owns at least one"
-        ))
-    } else if tenants > MAX_TENANTS {
-        Err(format!(
-            "more tenants than the limit of {MAX_TENANTS}; the tenant index is 16 tid bits"
-        ))
-    } else {
-        Ok(())
-    }
-}
-
-/// Parses an explicit `--oid-ranges BASE:LEN,BASE:LEN,...` tenant layout.
-/// Validity against the oid space is checked separately by
-/// [`validate_layout`].
-pub fn parse_oid_ranges(spec: &str) -> Result<TenantLayout, String> {
-    let mut ranges = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        let (base, len) = part
-            .split_once(':')
-            .ok_or_else(|| format!("oid range `{part}` is not BASE:LEN"))?;
-        let base: u64 = base
-            .trim()
-            .parse()
-            .map_err(|_| format!("oid range `{part}`: bad base"))?;
-        let len: u64 = len
-            .trim()
-            .parse()
-            .map_err(|_| format!("oid range `{part}`: bad length"))?;
-        ranges.push((base, len));
-    }
-    if ranges.is_empty() {
-        return Err("--oid-ranges needs at least one BASE:LEN range".into());
-    }
-    Ok(TenantLayout { ranges })
-}
-
-/// Checks that a layout exactly tiles `[0, num_objects)`: every range
-/// non-empty, no overlaps, no gaps, full coverage. Partial coverage is
-/// rejected deliberately — an uncovered stripe would silently shift the
-/// flush array's per-drive load away from what the drive count promises.
-pub fn validate_layout(layout: &TenantLayout, num_objects: u64) -> Result<(), String> {
-    validate_tenants(layout.tenants(), num_objects)?;
-    let mut sorted = layout.ranges.clone();
-    sorted.sort_unstable();
-    let mut expect = 0u64;
-    for &(base, len) in &sorted {
-        if len == 0 {
-            return Err(format!("tenant oid range {base}:{len} is empty"));
-        }
-        match base.cmp(&expect) {
-            std::cmp::Ordering::Less => {
-                return Err(format!(
-                    "tenant oid ranges overlap at oid {base} (previous range runs to {expect})"
-                ));
-            }
-            std::cmp::Ordering::Greater => {
-                return Err(format!(
-                    "tenant oid ranges leave a gap: [{expect}, {base}) is owned by no tenant"
-                ));
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        expect = base
-            .checked_add(len)
-            .ok_or_else(|| format!("tenant oid range {base}:{len} overflows"))?;
-    }
-    if expect != num_objects {
-        return Err(format!(
-            "tenant oid ranges cover [0, {expect}) but the database has {num_objects} objects; \
-             ranges must tile the whole oid space"
-        ));
-    }
-    Ok(())
 }
 
 /// Everything one serve run needs: a base [`RunConfig`] (workload mix,
@@ -251,10 +168,6 @@ pub struct ServeOutcome {
 
 /// Runs a serve configuration to its horizon and snapshots the results.
 pub fn serve_run(cfg: &ServeConfig) -> ServeOutcome {
-    if let Some(layout) = &cfg.base.tenants {
-        validate_layout(layout, cfg.base.el.db.num_objects)
-            .expect("serve layout must tile the oid space");
-    }
     assert!(
         !cfg.base.stop_on_kill
             && !cfg.base.track_oracle
@@ -330,50 +243,6 @@ mod tests {
         let mut cfg = RunConfig::paper(0.05, ElConfig::ephemeral(log, FlushConfig::default()));
         cfg.runtime = SimTime::from_secs(secs);
         cfg
-    }
-
-    #[test]
-    fn oid_range_parsing_and_validation() {
-        let l = parse_oid_ranges("0:4,4:6").unwrap();
-        assert_eq!(l.ranges, vec![(0, 4), (4, 6)]);
-        assert!(validate_layout(&l, 10).is_ok());
-        // Gap, overlap, short coverage, empty range: all rejected.
-        assert!(validate_layout(&parse_oid_ranges("0:4,5:5").unwrap(), 10)
-            .unwrap_err()
-            .contains("gap"));
-        assert!(validate_layout(&parse_oid_ranges("0:6,4:6").unwrap(), 10)
-            .unwrap_err()
-            .contains("overlap"));
-        assert!(validate_layout(&parse_oid_ranges("0:4,4:4").unwrap(), 10)
-            .unwrap_err()
-            .contains("tile"));
-        assert!(validate_layout(&parse_oid_ranges("0:0,0:10").unwrap(), 10)
-            .unwrap_err()
-            .contains("empty"));
-        assert!(parse_oid_ranges("0-4").is_err());
-        assert!(parse_oid_ranges("").is_err());
-    }
-
-    #[test]
-    fn tenant_count_limits() {
-        assert!(validate_tenants(1, 1).is_ok());
-        assert!(validate_tenants(MAX_TENANTS, 10_000_000).is_ok());
-        assert!(validate_tenants(0, 10)
-            .unwrap_err()
-            .contains("at least one"));
-        // One past the u16 index space would alias tenant 65 536 onto 0.
-        assert!(validate_tenants(MAX_TENANTS + 1, 10_000_000)
-            .unwrap_err()
-            .contains("65536"));
-        assert!(validate_tenants(11, 10).unwrap_err().contains("10 objects"));
-        // Explicit layouts are held to the same limits.
-        let wide = TenantLayout {
-            ranges: (0..=MAX_TENANTS as u64).map(|b| (b, 1)).collect(),
-        };
-        assert!(validate_layout(&wide, MAX_TENANTS as u64 + 1)
-            .unwrap_err()
-            .contains("65536"));
-        assert!(validate_layout(&TenantLayout { ranges: vec![] }, 10).is_err());
     }
 
     #[test]

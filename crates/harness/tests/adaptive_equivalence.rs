@@ -23,7 +23,7 @@ use elog_harness::runner::{build_model, RunConfig};
 use elog_harness::sweep::{run_scenarios, ExecOptions, ExperimentReport, Job};
 use elog_model::{CommittedOracle, FlushConfig, LogConfig};
 use elog_sim::cases;
-use elog_workload::PhaseSchedule;
+use elog_workload::TxMix;
 
 /// Renders the measured-run slice of the quick registry as `repro` prints
 /// it (`render_repro`), with `adaptive` set on every scenario's run
@@ -163,9 +163,9 @@ fn scripted_replay_of_controller_decisions_commits_the_same_record_set() {
         let light = [0.05, 0.1][rng.next_u64_below(2) as usize];
         let heavy = [0.3, 0.4][rng.next_u64_below(2) as usize];
         let secs = 40 + 10 * rng.next_u64_below(3);
-        let shift = PhaseSchedule::paper(&[(0, light), (secs / 2, heavy)]);
+        let shift = TxMix::phased(&[(0, light), (secs / 2, heavy)]);
         let cfg = static_cfg(light, vec![g0, g1], secs)
-            .with_phases(Some(shift))
+            .with_mix(shift)
             .adaptive(true);
 
         let mut live = build_model(&cfg);

@@ -21,8 +21,5 @@ pub use config::{
     DbConfig, FlushConfig, LogConfig, BLOCK_PAYLOAD_BYTES, LOG_WRITE_LATENCY, TX_RECORD_SIZE,
 };
 pub use ids::{GenId, Oid, Tid};
-pub use record::{
-    payload_matches, synth_payload, synth_payload_extend, synth_payload_into, DataRecord,
-    LogRecord, TxMark, TxRecord,
-};
+pub use record::{payload_matches, synth_payload_extend, DataRecord, LogRecord, TxMark, TxRecord};
 pub use stabledb::{CommittedOracle, InstallLog, ObjectVersion, StableDb};

@@ -67,8 +67,8 @@ pub struct TxRecord {
 /// The paper uses pure REDO logging (uncommitted updates never reach the
 /// stable database), so a data record carries only the *new* value. We do
 /// not materialise the value in the simulator; `(tid, seq)` identifies the
-/// update and [`synth_payload`] regenerates deterministic content bytes for
-/// the wire codec and recovery verification.
+/// update and [`synth_payload_extend`] regenerates deterministic content
+/// bytes for the wire codec and recovery verification.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DataRecord {
     /// Updating transaction.
@@ -130,9 +130,9 @@ impl LogRecord {
     }
 }
 
-/// The splitmix64 word stream behind [`synth_payload`]: the seed for an
-/// update plus the per-word mix, shared by the generator and the streaming
-/// verifier so they can never disagree.
+/// The splitmix64 word stream behind [`synth_payload_extend`]: the seed for
+/// an update plus the per-word mix, shared by the generator and the
+/// streaming verifier so they can never disagree.
 struct PayloadWords {
     x: u64,
 }
@@ -155,30 +155,13 @@ impl PayloadWords {
     }
 }
 
-/// Deterministically synthesises the content bytes of an update.
+/// Deterministically synthesises the content bytes of an update, appending
+/// `len` bytes to `out`.
 ///
 /// The simulation never stores real object values, but the recovery tests
 /// verify byte-exact reconstruction, so each `(oid, tid, seq)` triple maps to
-/// reproducible pseudo-random content via splitmix64.
-///
-/// Allocating wrapper around [`synth_payload_into`].
-pub fn synth_payload(oid: Oid, tid: Tid, seq: u32, len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
-    synth_payload_into(oid, tid, seq, len, &mut out);
-    out
-}
-
-/// [`synth_payload`] writing into a caller-provided buffer (cleared first).
-///
-/// The block codec serialises every data record's payload; reusing one
-/// buffer per block keeps the encode path allocation-free.
-pub fn synth_payload_into(oid: Oid, tid: Tid, seq: u32, len: usize, out: &mut Vec<u8>) {
-    out.clear();
-    synth_payload_extend(oid, tid, seq, len, out);
-}
-
-/// [`synth_payload`] *appending* `len` bytes to `out` — for serialisers
-/// that stream the payload straight into an output buffer.
+/// reproducible pseudo-random content via splitmix64. The block codec
+/// streams each payload straight into its output buffer.
 pub fn synth_payload_extend(oid: Oid, tid: Tid, seq: u32, len: usize, out: &mut Vec<u8>) {
     let end = out.len() + len;
     out.reserve(len);
@@ -191,8 +174,8 @@ pub fn synth_payload_extend(oid: Oid, tid: Tid, seq: u32, len: usize, out: &mut 
 }
 
 /// Streaming check that `payload` is exactly the synthesised content for
-/// `(oid, tid, seq)` — equivalent to `payload == synth_payload(..)` without
-/// materialising the expected bytes.
+/// `(oid, tid, seq)` — equivalent to comparing `payload` with what
+/// [`synth_payload_extend`] appends, without materialising those bytes.
 pub fn payload_matches(oid: Oid, tid: Tid, seq: u32, payload: &[u8]) -> bool {
     let mut words = PayloadWords::new(oid, tid, seq);
     let mut chunks = payload.chunks_exact(8);
@@ -208,6 +191,12 @@ pub fn payload_matches(oid: Oid, tid: Tid, seq: u32, payload: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn synth_payload(oid: Oid, tid: Tid, seq: u32, len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        synth_payload_extend(oid, tid, seq, len, &mut out);
+        out
+    }
 
     fn data(tid: u64, oid: u64) -> LogRecord {
         LogRecord::Data(DataRecord {
@@ -280,9 +269,11 @@ mod tests {
 
     #[test]
     fn into_reuses_buffer_and_agrees() {
-        let mut buf = vec![0xAA; 200]; // stale content must be cleared
-        synth_payload_into(Oid(5), Tid(6), 2, 81, &mut buf);
-        assert_eq!(buf, synth_payload(Oid(5), Tid(6), 2, 81));
+        // What the buffer already holds stays; the payload follows it.
+        let mut buf = vec![0xAA; 3];
+        synth_payload_extend(Oid(5), Tid(6), 2, 81, &mut buf);
+        assert_eq!(buf[..3], [0xAA; 3]);
+        assert_eq!(buf[3..], synth_payload(Oid(5), Tid(6), 2, 81));
     }
 
     #[test]

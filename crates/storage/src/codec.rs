@@ -3,8 +3,8 @@
 //! The simulation itself packs blocks by *accounting* size (the paper's
 //! 100-byte data records and 8-byte tx records). This codec is the real,
 //! self-describing byte format used when a log image is serialised — the
-//! crash images recovery reads. A data record's
-//! content bytes are the deterministic [`elog_model::synth_payload`] of its identity,
+//! crash images recovery reads. A data record's content bytes are the
+//! deterministic [`elog_model::synth_payload_extend`] of its identity,
 //! sized so that header + payload equals the accounting size whenever the
 //! accounting size is large enough (it always is for the paper's 100-byte
 //! records); tx records need 21 wire bytes, more than the paper's 8

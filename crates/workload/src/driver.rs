@@ -19,7 +19,7 @@
 
 use crate::arrival::ArrivalProcess;
 use crate::oidpick::OidPicker;
-use crate::spec::{PhaseSchedule, TxMix, TX_TYPES};
+use crate::spec::{TxMix, TX_TYPES};
 use elog_model::{Oid, Tid};
 use elog_sim::{Histogram, SimRng, SimTime};
 use std::collections::VecDeque;
@@ -126,9 +126,6 @@ impl WorkloadStats {
 #[derive(Debug)]
 pub struct WorkloadDriver {
     mix: TxMix,
-    /// Piecewise mix schedule (see [`PhaseSchedule`]). `None` means the
-    /// static `mix` for the whole run.
-    schedule: Option<PhaseSchedule>,
     arrivals: ArrivalProcess,
     /// Type and inter-arrival draws.
     rng_mix: SimRng,
@@ -155,7 +152,7 @@ pub struct WorkloadDriver {
 impl WorkloadDriver {
     /// Creates a driver.
     ///
-    /// * `mix` — the long fraction;
+    /// * `mix` — the long fraction through time;
     /// * `arrivals` — arrival process (the paper uses deterministic);
     /// * `num_objects` — oid space size;
     /// * `horizon` — arrivals stop at this time (the paper's 500 s runtime);
@@ -178,7 +175,6 @@ impl WorkloadDriver {
         }
         WorkloadDriver {
             mix,
-            schedule: None,
             arrivals,
             rng_mix: rng.substream("workload/mix"),
             rng_oid: rng.substream("workload/oid"),
@@ -202,21 +198,6 @@ impl WorkloadDriver {
         match *trace {}
     }
 
-    /// Attaches a phase schedule (must be set before the first arrival).
-    /// `None` is a no-op, so callers can pass an optional config straight
-    /// through.
-    ///
-    /// # Panics
-    /// Panics after arrivals have begun.
-    pub fn with_phases(mut self, schedule: Option<PhaseSchedule>) -> Self {
-        let Some(schedule) = schedule else {
-            return self;
-        };
-        assert_eq!(self.next_tid(), 0, "schedule must be set before arrivals");
-        self.schedule = Some(schedule);
-        self
-    }
-
     /// The first event to schedule: an arrival at `start`.
     pub fn bootstrap(&self, start: SimTime) -> Vec<(SimTime, WorkloadEvent)> {
         vec![(start, WorkloadEvent::Arrival)]
@@ -235,12 +216,7 @@ impl WorkloadDriver {
             return None;
         }
         let tid = Tid(self.next_tid());
-        // Under a phase schedule the active phase's mix is sampled.
-        let mix = match &self.schedule {
-            Some(s) => &s.phase_at(now).mix,
-            None => &self.mix,
-        };
-        let type_idx = mix.sample(&mut self.rng_mix);
+        let type_idx = self.mix.sample(now, &mut self.rng_mix);
         let next = now + self.arrivals.next_interval(&mut self.rng_mix);
         if next < self.horizon {
             events.push((next, WorkloadEvent::Arrival));
@@ -418,8 +394,12 @@ mod tests {
     use super::*;
 
     fn driver(frac_long: f64, horizon_s: u64) -> WorkloadDriver {
+        phased_driver(TxMix::paper_mix(frac_long), horizon_s)
+    }
+
+    fn phased_driver(mix: TxMix, horizon_s: u64) -> WorkloadDriver {
         WorkloadDriver::new(
-            TxMix::paper_mix(frac_long),
+            mix,
             ArrivalProcess::Deterministic { rate_tps: 100.0 },
             10_000_000,
             SimTime::from_secs(horizon_s),
@@ -566,8 +546,7 @@ mod tests {
     fn a_long_transaction_pins_the_window_front() {
         // One long (10 s, 4-record) transaction at the front, then short
         // ones that all commit while it runs.
-        let mut d =
-            driver(0.5, 100).with_phases(Some(PhaseSchedule::parse("0:1.0,0.001:0.0").unwrap()));
+        let mut d = phased_driver(TxMix::parse("0:1.0,0.001:0.0").unwrap(), 100);
         let (front, _) = arrive(&mut d, SimTime::ZERO).unwrap();
         assert_eq!(front.type_idx, 1);
         let mut t = SimTime::ZERO;
@@ -686,8 +665,7 @@ mod tests {
     #[test]
     fn phase_schedule_shifts_mix() {
         // Phase 0 (0–10 s): all short. Phase 1 (10 s+): all long.
-        let schedule = PhaseSchedule::paper(&[(0, 0.0), (10, 1.0)]);
-        let mut d = driver(0.5, 20).with_phases(Some(schedule));
+        let mut d = phased_driver(TxMix::phased(&[(0, 0.0), (10, 1.0)]), 20);
 
         let mut events = Vec::new();
         // Phase 0: every arrival is the short type, arrivals 10 ms apart.
@@ -700,7 +678,7 @@ mod tests {
         assert!(events.contains(&(SimTime::from_millis(10_010), WorkloadEvent::Arrival)));
 
         // A whole drifting run: both phases produce transactions.
-        let mut d = driver(0.5, 4).with_phases(Some(PhaseSchedule::parse("0:0.0,2:1.0").unwrap()));
+        let mut d = phased_driver(TxMix::parse("0:0.0,2:1.0").unwrap(), 4);
         drain(&mut d);
         assert!(d.stats().per_type_started.iter().all(|&n| n > 0));
     }

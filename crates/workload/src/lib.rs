@@ -25,8 +25,8 @@
 //! COMMIT record becomes durable.
 //!
 //! Modules:
-//! * [`spec`] — the paper's two transaction types, the long-fraction mix
-//!   over them, and piecewise phase schedules of it;
+//! * [`spec`] — the paper's two transaction types and the long-fraction
+//!   mix over them, constant or piecewise through time;
 //! * [`arrival`] — deterministic fixed-interval arrivals (the paper's
 //!   choice) plus a Poisson extension;
 //! * [`oidpick`] — uniform oid selection "subject to the constraint that
@@ -44,4 +44,4 @@ pub mod spec;
 pub use arrival::{ArrivalProcess, MAX_RATE_TPS};
 pub use driver::{WorkloadDriver, WorkloadEvent, WorkloadStats, WorkloadTrace};
 pub use oidpick::OidPicker;
-pub use spec::{Phase, PhaseSchedule, TxMix, TxType, EPSILON, TX_TYPES};
+pub use spec::{mean_update_rate, TxMix, TxType, EPSILON, TX_TYPES};

@@ -1,4 +1,4 @@
-//! The paper's transaction types, the mix of them, and phase schedules.
+//! The paper's transaction types and the mix of them through time.
 
 use elog_sim::{SimRng, SimTime};
 use std::fmt;
@@ -48,95 +48,38 @@ pub const TX_TYPES: [TxType; 2] = [
     },
 ];
 
-/// The workload pdf over [`TX_TYPES`]: a fraction `frac_long` of
-/// transactions are long, the rest short. Not `Copy` while `benchmark/`
-/// calls `.clone()` on it: clippy's `clone_on_copy` would fail its lints.
+/// The workload pdf over [`TX_TYPES`] through time: a fraction
+/// `frac_long` of transactions are long from time 0, the rest short, and
+/// each shift switches to a new fraction from its start on — the drifting
+/// workload the adaptive controller (`core::adaptive`) reacts to, e.g.
+/// 0.1 → 0.4 → 0.1 over the run. The paper's mixes have no shifts.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TxMix {
     frac_long: f64,
+    /// `(start, frac_long)` after time 0, strictly ascending by start.
+    shifts: Vec<(SimTime, f64)>,
 }
 
 impl TxMix {
-    /// The mix with a fraction `frac_long` of long transactions (§4 runs
-    /// 5 % to 40 %).
+    /// The mix with a fraction `frac_long` of long transactions for the
+    /// whole run (§4 runs 5 % to 40 %).
     pub fn paper_mix(frac_long: f64) -> Self {
         assert!((0.0..=1.0).contains(&frac_long));
-        TxMix { frac_long }
-    }
-
-    /// Draws a [`TX_TYPES`] index: long when the uniform draw lies above
-    /// the short type's share.
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        usize::from(rng.next_f64() > 1.0 - self.frac_long)
-    }
-
-    /// Expected data records per transaction.
-    pub fn mean_updates_per_txn(&self) -> f64 {
-        let [short, long] = TX_TYPES;
-        (1.0 - self.frac_long) * f64::from(short.data_records)
-            + self.frac_long * f64::from(long.data_records)
-    }
-
-    /// Expected object-update rate at `tps` arrivals per second.
-    ///
-    /// §4: at 100 TPS this rises from 210/s (5 % long) to 280/s (40 %).
-    pub fn mean_update_rate(&self, tps: f64) -> f64 {
-        tps * self.mean_updates_per_txn()
-    }
-}
-
-/// One segment of a piecewise workload schedule: from `start` (inclusive)
-/// until the next phase's start, arrivals sample `mix`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Phase {
-    /// When this phase begins (the first phase must start at 0).
-    pub start: SimTime,
-    /// The mix sampled while the phase is active.
-    pub mix: TxMix,
-}
-
-/// A piecewise long-fraction schedule over the run horizon — the
-/// drifting-workload axis the adaptive controller (`core::adaptive`) reacts
-/// to, e.g. long-transaction fraction 0.1 → 0.4 → 0.1 over the run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PhaseSchedule {
-    phases: Vec<Phase>,
-}
-
-impl PhaseSchedule {
-    /// Builds a schedule. Phases must be non-empty, start at 0 and have
-    /// strictly increasing start times.
-    pub fn new(phases: Vec<Phase>) -> Result<Self, ScheduleError> {
-        let first = phases
-            .first()
-            .ok_or_else(|| ScheduleError("a schedule needs at least one phase".into()))?;
-        if first.start != SimTime::ZERO {
-            return Err(ScheduleError(format!(
-                "the first phase must start at 0, not {:?}",
-                first.start
-            )));
+        TxMix {
+            frac_long,
+            shifts: Vec::new(),
         }
-        if let Some(i) = (1..phases.len()).find(|&i| phases[i].start <= phases[i - 1].start) {
-            return Err(ScheduleError(format!(
-                "phase {i}: start times must be strictly increasing"
-            )));
-        }
-        Ok(PhaseSchedule { phases })
     }
 
-    /// A schedule from `(start_secs, frac_long)` points, each switching to
-    /// `paper_mix(frac_long)`.
-    pub fn paper(points: &[(u64, f64)]) -> Self {
-        PhaseSchedule::new(
+    /// A piecewise mix from `(start_secs, frac_long)` points, the first at
+    /// 0, starts ascending.
+    pub fn phased(points: &[(u64, f64)]) -> Self {
+        TxMix::from_phases(
             points
                 .iter()
-                .map(|&(start, frac)| Phase {
-                    start: SimTime::from_secs(start),
-                    mix: TxMix::paper_mix(frac),
-                })
-                .collect(),
+                .map(|&(start, frac)| (SimTime::from_secs(start), frac)),
         )
-        .expect("paper schedules list ascending starts from 0")
+        .expect("phased mixes list ascending starts from 0")
     }
 
     /// Parses the CLI syntax `start:frac_long,...` — e.g.
@@ -159,25 +102,64 @@ impl PhaseSchedule {
             if !(0.0..=1.0).contains(&frac) {
                 return Err(bad("long fraction must be in [0,1]"));
             }
-            phases.push(Phase {
-                start: SimTime::from_secs_f64(start),
-                mix: TxMix::paper_mix(frac),
-            });
+            phases.push((SimTime::from_secs_f64(start), frac));
         }
-        PhaseSchedule::new(phases)
+        TxMix::from_phases(phases)
     }
 
-    /// The phases, ascending by start time.
-    pub fn phases(&self) -> &[Phase] {
-        &self.phases
+    /// A mix from `(start, frac_long)` phases: at least one, the first at
+    /// 0, starts strictly increasing.
+    fn from_phases(
+        phases: impl IntoIterator<Item = (SimTime, f64)>,
+    ) -> Result<Self, ScheduleError> {
+        let mut phases = phases.into_iter();
+        let (start, frac_long) = phases
+            .next()
+            .ok_or_else(|| ScheduleError("a schedule needs at least one phase".into()))?;
+        if start != SimTime::ZERO {
+            return Err(ScheduleError(format!(
+                "the first phase must start at 0, not {start:?}"
+            )));
+        }
+        let mut mix = TxMix::paper_mix(frac_long);
+        for (i, (start, frac)) in phases.enumerate() {
+            let prev = mix.shifts.last().map_or(SimTime::ZERO, |&(at, _)| at);
+            if start <= prev {
+                return Err(ScheduleError(format!(
+                    "phase {}: start times must be strictly increasing",
+                    i + 1
+                )));
+            }
+            assert!((0.0..=1.0).contains(&frac));
+            mix.shifts.push((start, frac));
+        }
+        Ok(mix)
     }
 
-    /// The phase active at `now` (the last phase whose start is ≤ `now`).
-    pub fn phase_at(&self, now: SimTime) -> &Phase {
-        let idx = self.phases.partition_point(|p| p.start <= now);
-        // idx ≥ 1 because phase 0 starts at 0.
-        &self.phases[idx.saturating_sub(1).min(self.phases.len() - 1)]
+    /// The long fraction in effect at `now`: that of the last phase whose
+    /// start is ≤ `now`.
+    fn frac_long_at(&self, now: SimTime) -> f64 {
+        match self.shifts.partition_point(|&(start, _)| start <= now) {
+            0 => self.frac_long,
+            i => self.shifts[i - 1].1,
+        }
     }
+
+    /// Draws a [`TX_TYPES`] index for an arrival at `now`: long when the
+    /// uniform draw lies above the short type's share.
+    pub fn sample(&self, now: SimTime, rng: &mut SimRng) -> usize {
+        usize::from(rng.next_f64() > 1.0 - self.frac_long_at(now))
+    }
+}
+
+/// Expected object-update rate at `tps` arrivals per second when a
+/// fraction `frac_long` of them are long.
+///
+/// §4: at 100 TPS this rises from 210/s (5 % long) to 280/s (40 %).
+pub fn mean_update_rate(frac_long: f64, tps: f64) -> f64 {
+    let [short, long] = TX_TYPES;
+    tps * ((1.0 - frac_long) * f64::from(short.data_records)
+        + frac_long * f64::from(long.data_records))
 }
 
 /// Phase-schedule validation failure.
@@ -198,11 +180,9 @@ mod tests {
 
     #[test]
     fn paper_mix_statistics() {
-        let mix = TxMix::paper_mix(0.05);
         // 0.95·2 + 0.05·4 = 2.1 updates per txn → 210/s at 100 TPS.
-        assert!((mix.mean_update_rate(100.0) - 210.0).abs() < 1e-9);
-        let mix40 = TxMix::paper_mix(0.40);
-        assert!((mix40.mean_update_rate(100.0) - 280.0).abs() < 1e-9);
+        assert!((mean_update_rate(0.05, 100.0) - 210.0).abs() < 1e-9);
+        assert!((mean_update_rate(0.40, 100.0) - 280.0).abs() < 1e-9);
     }
 
     #[test]
@@ -219,62 +199,72 @@ mod tests {
         let mix = TxMix::paper_mix(0.25);
         let mut rng = SimRng::new(11);
         let n = 100_000;
-        let long = (0..n).filter(|_| mix.sample(&mut rng) == 1).count();
+        let long = (0..n)
+            .filter(|_| mix.sample(SimTime::ZERO, &mut rng) == 1)
+            .count();
         let frac = long as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.01, "observed {frac}");
         // The end points draw one type only.
         for (frac_long, only) in [(0.0, 0), (1.0, 1)] {
             let mix = TxMix::paper_mix(frac_long);
-            assert!((0..1000).all(|_| mix.sample(&mut rng) == only));
+            assert!((0..1000).all(|_| mix.sample(SimTime::ZERO, &mut rng) == only));
         }
     }
 
     #[test]
     fn phase_schedule_lookup() {
-        let s = PhaseSchedule::paper(&[(0, 0.1), (100, 0.4), (200, 0.1)]);
-        assert_eq!(s.phases().len(), 3);
-        let mix_at = |secs| s.phase_at(SimTime::from_secs(secs)).mix.clone();
-        let (light, heavy) = (TxMix::paper_mix(0.1), TxMix::paper_mix(0.4));
-        assert_eq!(mix_at(0), light);
-        assert_eq!(mix_at(99), light);
-        assert_eq!(mix_at(100), heavy, "boundary is inclusive");
-        assert_eq!(mix_at(199), heavy);
-        assert_eq!(mix_at(200), light);
-        assert_eq!(mix_at(10_000), light, "last phase is open");
+        let s = TxMix::phased(&[(0, 0.1), (100, 0.4), (200, 0.1)]);
+        let at = |secs| s.frac_long_at(SimTime::from_secs(secs));
+        assert_eq!(at(0), 0.1);
+        assert_eq!(at(99), 0.1);
+        assert_eq!(at(100), 0.4, "boundary is inclusive");
+        assert_eq!(at(199), 0.4);
+        assert_eq!(at(200), 0.1);
+        assert_eq!(at(10_000), 0.1, "last phase is open");
     }
 
+    /// A phase draws exactly what the static mix of its fraction draws
+    /// from the same stream: a one-phase mix is the paper mix, and a
+    /// phased run is bit-identical to one that switched mixes by hand.
     #[test]
-    fn phase_schedule_validation() {
-        let p = |secs| Phase {
-            start: SimTime::from_secs(secs),
-            mix: TxMix::paper_mix(0.1),
-        };
-        // Empty.
-        assert!(PhaseSchedule::new(vec![]).is_err());
-        // First phase must start at 0.
-        assert!(PhaseSchedule::new(vec![p(5)]).is_err());
-        // Strictly increasing starts.
-        let err = PhaseSchedule::new(vec![p(0), p(10), p(10)]).unwrap_err();
-        assert!(err.to_string().contains("phase schedule"), "{err}");
-        assert!(PhaseSchedule::new(vec![p(0), p(10), p(20)]).is_ok());
+    fn a_phase_samples_as_the_paper_mix_of_its_fraction() {
+        for f in [0.0, 0.05, 0.4, 1.0] {
+            assert_eq!(
+                TxMix::parse(&format!("0:{f}")).unwrap(),
+                TxMix::paper_mix(f)
+            );
+            assert_eq!(TxMix::phased(&[(0, f)]), TxMix::paper_mix(f));
+        }
+        let phased = TxMix::phased(&[(0, 0.3), (5, 0.7)]);
+        let (light, heavy) = (TxMix::paper_mix(0.3), TxMix::paper_mix(0.7));
+        let (mut a, mut b) = (SimRng::new(7), SimRng::new(7));
+        for ms in (0..10_000).step_by(10) {
+            let now = SimTime::from_millis(ms);
+            let by_hand = if ms < 5_000 { &light } else { &heavy };
+            assert_eq!(phased.sample(now, &mut a), by_hand.sample(now, &mut b));
+        }
     }
 
     #[test]
     fn phase_schedule_parse() {
-        let s = PhaseSchedule::parse("0:0.1,160:0.4,330:0.1").unwrap();
-        assert_eq!(s.phases().len(), 3);
-        assert_eq!(s.phases()[1].start, SimTime::from_secs(160));
-        assert_eq!(s.phases()[1].mix, TxMix::paper_mix(0.4));
+        let s = TxMix::parse("0:0.1,160:0.4,330:0.1").unwrap();
+        assert_eq!(s, TxMix::phased(&[(0, 0.1), (160, 0.4), (330, 0.1)]));
 
-        let s = PhaseSchedule::parse("0:0.05, 20.5:0.05").unwrap();
-        assert_eq!(s.phases()[1].start, SimTime::from_secs_f64(20.5));
+        let s = TxMix::parse("0:0.05, 20.5:0.4").unwrap();
+        assert_eq!(s.frac_long_at(SimTime::from_secs_f64(20.499_999)), 0.05);
+        assert_eq!(s.frac_long_at(SimTime::from_secs_f64(20.5)), 0.4);
 
-        assert!(PhaseSchedule::parse("").is_err());
-        assert!(PhaseSchedule::parse("0:1.5").is_err());
-        assert!(PhaseSchedule::parse("0:0.1,abc:0.4").is_err());
-        assert!(PhaseSchedule::parse("5:0.1").is_err(), "must start at 0");
+        assert!(TxMix::parse("").is_err());
+        assert!(TxMix::parse("0:1.5").is_err());
+        assert!(TxMix::parse("0:0.1,abc:0.4").is_err());
+        assert!(TxMix::parse("5:0.1").is_err(), "must start at 0");
+        // Strictly increasing starts.
+        let err = TxMix::parse("0:0.1,10:0.1,10:0.1").unwrap_err();
+        assert!(err.to_string().contains("phase schedule"), "{err}");
+        assert!(TxMix::parse("0:0.1,10:0.1,20:0.1").is_ok());
+        assert!(TxMix::parse("0:0.1,10:0.1,5:0.1").is_err());
         // A phase is a start and a long fraction, nothing more.
-        let err = PhaseSchedule::parse("0:0.1@2").unwrap_err();
+        let err = TxMix::parse("0:0.1@2").unwrap_err();
         assert!(err.to_string().contains("start:frac_long"), "{err}");
     }
 }

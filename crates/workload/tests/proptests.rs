@@ -39,7 +39,9 @@ fn sampling_matches_pdf() {
         let p = 0.05 + rng.next_f64() * 0.9;
         let mix = TxMix::paper_mix(p);
         let n = 20_000;
-        let hits = (0..n).filter(|_| mix.sample(rng) == 1).count();
+        let hits = (0..n)
+            .filter(|_| mix.sample(SimTime::ZERO, rng) == 1)
+            .count();
         let observed = hits as f64 / n as f64;
         assert!((observed - p).abs() < 0.03, "p {p} observed {observed}");
     });

@@ -6,7 +6,7 @@ use elog_core::ElConfig;
 use elog_harness::runner::{run, RunConfig};
 use elog_model::{FlushConfig, LogConfig};
 use elog_sim::SimTime;
-use elog_workload::TxMix;
+use elog_workload::mean_update_rate;
 
 fn paper_cfg(frac_long: f64, blocks: Vec<u32>, recirc: bool, secs: u64) -> RunConfig {
     let log = LogConfig {
@@ -22,8 +22,8 @@ fn paper_cfg(frac_long: f64, blocks: Vec<u32>, recirc: bool, secs: u64) -> RunCo
 #[test]
 fn update_rates_match_section4() {
     // "the average number of updates per second rises from 210 to 280"
-    assert!((TxMix::paper_mix(0.05).mean_update_rate(100.0) - 210.0).abs() < 1e-9);
-    assert!((TxMix::paper_mix(0.40).mean_update_rate(100.0) - 280.0).abs() < 1e-9);
+    assert!((mean_update_rate(0.05, 100.0) - 210.0).abs() < 1e-9);
+    assert!((mean_update_rate(0.40, 100.0) - 280.0).abs() < 1e-9);
 }
 
 #[test]

@@ -66,7 +66,7 @@ struct Recorder {
 
 impl Recorder {
     fn new(cfg: &RunConfig) -> Self {
-        let ranges = &cfg.tenants.as_ref().expect("a serve layout").ranges;
+        let ranges = cfg.tenants.as_ref().expect("a serve layout").ranges();
         Recorder {
             inner: ElManager::new(cfg.el.clone()).expect("valid configuration"),
             oid_base: ranges.iter().map(|r| r.0).collect(),
@@ -201,7 +201,7 @@ fn tenant_commits_are_identical_alone_or_multiplexed() {
         // the driver draws oids from [0, len) in both runs).
         let mut solo_base = base(horizon, rate_tps);
         solo_base.seed = group_cfg.tenant_seed(t);
-        solo_base.el.db.num_objects = group_cfg.base.tenants.as_ref().unwrap().ranges[t].1;
+        solo_base.el.db.num_objects = group_cfg.base.tenants.as_ref().unwrap().ranges()[t].1;
         let solo_sets = recorded_commits(&ServeConfig::new(solo_base, 1), drain);
 
         let multiplexed = prefix(group_set);
